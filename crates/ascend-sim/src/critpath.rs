@@ -34,6 +34,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
+use crate::json::Json;
 use crate::prof::{StallCause, StallEvent, TraceSpan, BLOCK_SCOPE};
 use crate::sync::{FinalRecord, RoundRecord};
 use crate::timeline::EventTime;
@@ -1015,103 +1016,65 @@ pub fn analyze(input: &CritInput<'_>) -> SimResult<CritReport> {
     Ok(CritReport { segments, summary })
 }
 
-// ---------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------
-
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 impl CritSummary {
     /// The `critical_path` JSON object (no surrounding key), stable
     /// schema: integer cycle buckets that sum to `makespan`, share
     /// fractions in `[0, 1]`, per-engine busy cycles, phase breakdown,
-    /// and the what-if table.
-    pub fn to_json(&self) -> String {
+    /// and the what-if table. A zero denominator prints as `0.0`.
+    pub fn to_json(&self) -> Json {
         let mk = self.makespan;
-        let share = |c: u64| {
-            if mk == 0 {
-                "0.0".to_string()
-            } else {
-                jf(c as f64 / mk as f64)
-            }
-        };
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"makespan\":{mk},\"launch\":{},\"busy\":{},\"flag_wire\":{},\
-             \"chain_wire\":{},\"barrier_release\":{},\"hbm\":{}",
-            self.launch, self.busy, self.flag_wire, self.chain_wire, self.barrier_release, self.hbm
-        ));
-        out.push_str(&format!(
-            ",\"launch_share\":{},\"busy_share\":{},\"flag_wire_share\":{},\
-             \"chain_wire_share\":{},\"barrier_release_share\":{},\"hbm_share\":{}",
-            share(self.launch),
-            share(self.busy),
-            share(self.flag_wire),
-            share(self.chain_wire),
-            share(self.barrier_release),
-            share(self.hbm)
-        ));
-        out.push_str(&format!(
-            ",\"flag_instr\":{},\"chain_instr\":{},\"lookback_chain\":{},\
-             \"lookback_chain_share\":{},\"chain_hops\":{}",
-            self.flag_instr,
-            self.chain_instr,
-            self.lookback_chain,
-            share(self.lookback_chain),
-            self.chain_hops
-        ));
-        out.push_str(",\"busy_by_engine\":{");
-        let mut first = true;
-        for (i, e) in EngineKind::ALL.iter().enumerate() {
-            if self.busy_by_engine[i] > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"{}\":{}", e.name(), self.busy_by_engine[i]));
-            }
-        }
-        out.push_str("},\"phases\":[");
-        for (i, (name, cycles)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{name}\",\"cycles\":{cycles},\"share\":{}}}",
-                share(*cycles)
-            ));
-        }
-        out.push_str(&format!("],\"segments\":{},\"what_ifs\":[", self.segments));
-        for (i, w) in self.what_ifs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let speedup = if w.predicted == 0 {
-                "0.0".to_string()
-            } else {
-                jf(mk as f64 / w.predicted as f64)
-            };
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"saved_cycles\":{},\"predicted_cycles\":{},\
-                 \"speedup\":{speedup}}}",
-                w.name, w.saved, w.predicted
-            ));
-        }
-        out.push_str("]}");
-        out
+        let share = |c: u64| Json::fixed(c as f64 / mk as f64, 6);
+        let busy_by_engine = EngineKind::ALL
+            .iter()
+            .zip(self.busy_by_engine)
+            .filter(|&(_, cycles)| cycles > 0)
+            .map(|(e, cycles)| (e.name(), cycles.into()));
+        let phases = self.phases.iter().map(|&(name, cycles)| {
+            Json::obj([
+                ("name", name.into()),
+                ("cycles", cycles.into()),
+                ("share", share(cycles)),
+            ])
+        });
+        let what_ifs = self.what_ifs.iter().map(|w| {
+            Json::obj([
+                ("name", w.name.into()),
+                ("saved_cycles", w.saved.into()),
+                ("predicted_cycles", w.predicted.into()),
+                ("speedup", Json::fixed(mk as f64 / w.predicted as f64, 6)),
+            ])
+        });
+        Json::obj([
+            ("makespan", mk.into()),
+            ("launch", self.launch.into()),
+            ("busy", self.busy.into()),
+            ("flag_wire", self.flag_wire.into()),
+            ("chain_wire", self.chain_wire.into()),
+            ("barrier_release", self.barrier_release.into()),
+            ("hbm", self.hbm.into()),
+            ("launch_share", share(self.launch)),
+            ("busy_share", share(self.busy)),
+            ("flag_wire_share", share(self.flag_wire)),
+            ("chain_wire_share", share(self.chain_wire)),
+            ("barrier_release_share", share(self.barrier_release)),
+            ("hbm_share", share(self.hbm)),
+            ("flag_instr", self.flag_instr.into()),
+            ("chain_instr", self.chain_instr.into()),
+            ("lookback_chain", self.lookback_chain.into()),
+            ("lookback_chain_share", share(self.lookback_chain)),
+            ("chain_hops", self.chain_hops.into()),
+            ("busy_by_engine", Json::obj(busy_by_engine)),
+            ("phases", Json::Arr(phases.collect())),
+            ("segments", self.segments.into()),
+            ("what_ifs", Json::Arr(what_ifs.collect())),
+        ])
     }
 }
 
 impl CritReport {
-    /// JSON for the trace export: the summary plus the `top` longest
-    /// segments (ties broken by start cycle).
-    pub fn to_json(&self, top: usize) -> String {
+    /// JSON for the trace export: the kernel name, the summary, and the
+    /// `top` longest segments (ties broken by start cycle).
+    pub fn to_json(&self, kernel: &str, top: usize) -> Json {
         let mut order: Vec<usize> = (0..self.segments.len()).collect();
         order.sort_by_key(|&i| {
             (
@@ -1121,35 +1084,31 @@ impl CritReport {
         });
         order.truncate(top);
         order.sort_by_key(|&i| self.segments[i].start);
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"summary\":");
-        out.push_str(&self.summary.to_json());
-        out.push_str(",\"top_segments\":[");
-        for (n, &i) in order.iter().enumerate() {
-            if n > 0 {
-                out.push(',');
-            }
+        let top_segments = order.iter().map(|&i| {
             let s = &self.segments[i];
-            out.push_str(&format!(
-                "{{\"class\":\"{}\",\"start\":{},\"end\":{},\"cycles\":{}",
-                s.class.label(),
-                s.start,
-                s.end,
-                s.len()
-            ));
+            let mut fields = vec![
+                ("class", s.class.label().into()),
+                ("start", s.start.into()),
+                ("end", s.end.into()),
+                ("cycles", s.len().into()),
+            ];
             if let Some(b) = s.block {
-                out.push_str(&format!(",\"block\":{b}"));
+                fields.push(("block", b.into()));
             }
             if let Some(c) = s.core {
-                out.push_str(&format!(",\"core\":{c}"));
+                fields.push(("core", c.into()));
             }
             if let Some(e) = s.engine {
-                out.push_str(&format!(",\"engine\":\"{}\"", e.name()));
+                fields.push(("engine", e.name().into()));
             }
-            out.push_str(&format!(",\"phase\":\"{}\"}}", s.phase));
-        }
-        out.push_str("]}");
-        out
+            fields.push(("phase", s.phase.into()));
+            Json::obj(fields)
+        });
+        Json::obj([
+            ("kernel", kernel.into()),
+            ("summary", self.summary.to_json()),
+            ("top_segments", Json::Arr(top_segments.collect())),
+        ])
     }
 }
 
@@ -1434,12 +1393,12 @@ mod tests {
             finale: finale(400, 100),
         };
         let r = analyze(&input).unwrap();
-        let js = r.summary.to_json();
+        let js = r.summary.to_json().to_string();
         assert!(js.starts_with('{') && js.ends_with('}'));
         assert!(js.contains("\"makespan\":400"));
         assert!(js.contains("\"what_ifs\":["));
         assert!(js.contains("\"lookback_chain_share\":"));
-        let full = r.to_json(8);
+        let full = r.to_json("k", 8).to_string();
         assert!(full.contains("\"top_segments\":["));
         assert!(full.contains("\"class\":\"busy\""));
     }

@@ -57,6 +57,7 @@ pub mod critpath;
 pub mod engine;
 pub mod error;
 pub mod hb;
+pub mod json;
 pub mod mc;
 pub mod mem;
 pub mod prof;

@@ -45,8 +45,9 @@
 
 use crate::critpath::CritReport;
 use crate::engine::EngineKind;
+use crate::json::Json;
 use crate::timeline::EventTime;
-use crate::trace::{hb_events_json, json_escape, HbEvent, TraceEvent};
+use crate::trace::{hb_events_json, HbEvent, TraceEvent};
 use std::sync::{Arc, Mutex};
 
 /// Core index used in [`TraceSpan::core`] for block-scoped (phase) spans
@@ -348,169 +349,141 @@ impl Profile {
     /// [`crate::trace::parse_hb_json`]. Chrome/Perfetto ignore the extra
     /// keys.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
+        let mut trace_events = Vec::new();
         let mut base_us = 0.0f64;
         for k in &self.kernels {
             let ghz = if k.clock_ghz > 0.0 { k.clock_ghz } else { 1.0 };
             let base = base_us;
-            let to_us = move |cycles: u64| base + cycles as f64 / (ghz * 1e3);
-            let dur_us =
-                |start: u64, end: u64| (end.saturating_sub(start) as f64 / (ghz * 1e3)).max(0.001);
-            let mut emit = |s: String, first: &mut bool| {
-                if !*first {
-                    out.push(',');
-                }
-                *first = false;
-                out.push_str(&s);
+            let ts = move |cycles: u64| Json::fixed(base + cycles as f64 / (ghz * 1e3), 3);
+            let dur = |start: u64, end: u64| {
+                Json::fixed(
+                    (end.saturating_sub(start) as f64 / (ghz * 1e3)).max(0.001),
+                    3,
+                )
+            };
+            // One complete ("X") event; `extra` fields follow `tid`.
+            let span = |name: Json,
+                        cat: &str,
+                        (start, end): (u64, u64),
+                        pid: u32,
+                        tid: Json,
+                        extra: Option<(&str, Json)>| {
+                let mut fields = vec![
+                    ("name", name),
+                    ("cat", cat.into()),
+                    ("ph", "X".into()),
+                    ("ts", ts(start)),
+                    ("dur", dur(start, end)),
+                    ("pid", pid.into()),
+                    ("tid", tid),
+                ];
+                fields.extend(extra);
+                Json::obj(fields)
             };
             // Kernel root span, one per block.
             for b in 0..k.blocks {
-                emit(
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":{:.3},\
-                         \"dur\":{:.3},\"pid\":{},\"tid\":\"phases\"}}",
-                        json_escape(&k.name),
-                        to_us(0),
-                        dur_us(0, k.cycles),
-                        b,
-                    ),
-                    &mut first,
-                );
+                trace_events.push(span(
+                    k.name.as_str().into(),
+                    "kernel",
+                    (0, k.cycles),
+                    b,
+                    "phases".into(),
+                    None,
+                ));
             }
             for e in &k.events {
-                emit(
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"engine\",\"ph\":\"X\",\"ts\":{:.3},\
-                         \"dur\":{:.3},\"pid\":{},\"tid\":\"{}.{}\"}}",
-                        json_escape(e.engine.name()),
-                        to_us(e.start),
-                        dur_us(e.start, e.end),
-                        e.block,
-                        core_label(e.core),
-                        e.engine.name(),
-                    ),
-                    &mut first,
-                );
+                trace_events.push(span(
+                    e.engine.name().into(),
+                    "engine",
+                    (e.start, e.end),
+                    e.block,
+                    format!("{}.{}", core_label(e.core), e.engine.name()).into(),
+                    None,
+                ));
             }
             for s in &k.stall_events {
-                emit(
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"stall\",\"ph\":\"X\",\"ts\":{:.3},\
-                         \"dur\":{:.3},\"pid\":{},\"tid\":\"{}.{}\"}}",
-                        s.cause.label(),
-                        to_us(s.start),
-                        dur_us(s.start, s.end),
-                        s.block,
-                        core_label(s.core),
-                        s.engine.name(),
-                    ),
-                    &mut first,
-                );
+                trace_events.push(span(
+                    s.cause.label().into(),
+                    "stall",
+                    (s.start, s.end),
+                    s.block,
+                    format!("{}.{}", core_label(s.core), s.engine.name()).into(),
+                    None,
+                ));
             }
             for s in &k.spans {
-                let tid = if s.core == BLOCK_SCOPE {
-                    "phases".to_string()
+                let tid: Json = if s.core == BLOCK_SCOPE {
+                    "phases".into()
                 } else {
-                    format!("{}.spans", core_label(s.core))
+                    format!("{}.spans", core_label(s.core)).into()
                 };
-                let args = match s.args {
-                    Some(a) => format!(
-                        ",\"args\":{{\"bytes\":{},\"kind\":\"{}\",\"queue_depth\":{}}}",
-                        a.bytes,
-                        json_escape(a.kind),
-                        a.queue_depth
-                    ),
-                    None => String::new(),
-                };
-                emit(
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{:.3},\
-                         \"dur\":{:.3},\"pid\":{},\"tid\":\"{}\"{}}}",
-                        json_escape(s.name),
-                        to_us(s.start),
-                        dur_us(s.start, s.end),
-                        s.block,
-                        tid,
-                        args,
-                    ),
-                    &mut first,
-                );
+                let args = s.args.map(|a| {
+                    let args = Json::obj([
+                        ("bytes", a.bytes.into()),
+                        ("kind", a.kind.into()),
+                        ("queue_depth", a.queue_depth.into()),
+                    ]);
+                    ("args", args)
+                });
+                trace_events.push(span(
+                    s.name.into(),
+                    "span",
+                    (s.start, s.end),
+                    s.block,
+                    tid,
+                    args,
+                ));
             }
             for c in &k.counters {
-                emit(
-                    format!(
-                        "{{\"name\":\"{}:{}\",\"ph\":\"C\",\"ts\":{:.3},\"pid\":{},\
-                         \"args\":{{\"buffers\":{}}}}}",
-                        json_escape(&core_label(c.core)),
-                        json_escape(c.name),
-                        to_us(c.time),
-                        c.block,
-                        c.value,
-                    ),
-                    &mut first,
-                );
+                trace_events.push(Json::obj([
+                    ("name", format!("{}:{}", core_label(c.core), c.name).into()),
+                    ("ph", "C".into()),
+                    ("ts", ts(c.time)),
+                    ("pid", c.block.into()),
+                    ("args", Json::obj([("buffers", c.value.into())])),
+                ]));
             }
             // On-critical-path marking: one `critical` thread per block
             // (pid 0 hosts launch-wide segments — launch latency, HBM
             // stretches, barrier releases) so the path reads as a
             // contiguous chain across the trace.
             if let Some(cp) = &k.critical_path {
-                for s in &cp.segments {
-                    if s.is_empty() {
-                        continue;
-                    }
+                for s in cp.segments.iter().filter(|s| !s.is_empty()) {
                     let name = match (s.class, s.engine) {
                         (crate::critpath::SegClass::Busy, Some(e)) => {
                             format!("crit:{}:{}", s.class.label(), e.name())
                         }
                         _ => format!("crit:{}", s.class.label()),
                     };
-                    emit(
-                        format!(
-                            "{{\"name\":\"{}\",\"cat\":\"critical\",\"ph\":\"X\",\
-                             \"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":\"critical\",\
-                             \"args\":{{\"phase\":\"{}\"}}}}",
-                            name,
-                            to_us(s.start),
-                            dur_us(s.start, s.end),
-                            s.block.unwrap_or(0),
-                            json_escape(s.phase),
-                        ),
-                        &mut first,
-                    );
+                    trace_events.push(span(
+                        name.into(),
+                        "critical",
+                        (s.start, s.end),
+                        s.block.unwrap_or(0),
+                        "critical".into(),
+                        Some(("args", Json::obj([("phase", s.phase.into())]))),
+                    ));
                 }
             }
             // Lay the next kernel out after this one with a small gap.
             base_us += k.cycles as f64 / (ghz * 1e3) * 1.05 + 1.0;
         }
-        out.push_str("],\"schema\":\"ascend-trace/v1\",\"criticalPaths\":[");
-        let mut first_cp = true;
-        for k in &self.kernels {
-            if let Some(cp) = &k.critical_path {
-                if !first_cp {
-                    out.push(',');
-                }
-                first_cp = false;
-                // Prepend the kernel name to the path object.
-                let body = cp.to_json(32);
-                out.push_str(&format!(
-                    "{{\"kernel\":\"{}\",{}",
-                    json_escape(&k.name),
-                    &body[1..]
-                ));
-            }
-        }
-        out.push_str("],\"hbEvents\":");
+        let critical_paths = self
+            .kernels
+            .iter()
+            .filter_map(|k| k.critical_path.as_ref().map(|cp| cp.to_json(&k.name, 32)));
         let all_hb: Vec<HbEvent> = self
             .kernels
             .iter()
             .flat_map(|k| k.hb_events.iter().copied())
             .collect();
-        out.push_str(&hb_events_json(&all_hb));
-        out.push('}');
-        out
+        Json::obj([
+            ("traceEvents", Json::Arr(trace_events)),
+            ("schema", "ascend-trace/v1".into()),
+            ("criticalPaths", Json::Arr(critical_paths.collect())),
+            ("hbEvents", hb_events_json(&all_hb)),
+        ])
+        .to_string()
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::chip::ChipSpec;
 use crate::critpath::CritSummary;
 use crate::engine::EngineKind;
+use crate::json::Json;
 use crate::prof::StallTally;
-use crate::trace::json_escape;
 
 /// Result of simulating one kernel launch: the corrected simulated time
 /// plus traffic and occupancy statistics.
@@ -229,13 +229,12 @@ impl KernelReport {
     /// class attribution summing to the makespan, share fractions,
     /// phases, and the what-if table).
     pub fn to_json(&self, spec: &ChipSpec) -> String {
-        fn jf(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.6}")
-            } else {
-                "0.0".to_string()
-            }
-        }
+        self.to_json_value(spec).to_string()
+    }
+
+    /// [`KernelReport::to_json`] as a [`Json`] tree, for embedding in a
+    /// larger document.
+    pub fn to_json_value(&self, spec: &ChipSpec) -> Json {
         let has_time = self.cycles > 0;
         let gbps = if has_time && self.useful_bytes > 0 {
             self.gbps()
@@ -258,69 +257,47 @@ impl KernelReport {
             0.0
         };
         let fraction_of_peak = gbps * 1e9 / spec.hbm_bytes_per_sec;
-        let barrier_waits = self
-            .barrier_waits
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let flag_waits = self
-            .flag_waits
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut engines = String::new();
-        for (i, e) in EngineKind::ALL.iter().enumerate() {
+        let cycles_list = |v: &[u64]| Json::Arr(v.iter().map(|&w| w.into()).collect());
+        let engines = EngineKind::ALL.iter().enumerate().map(|(i, e)| {
             let cores = spec.cores_with_engine(self.blocks, *e);
-            if i > 0 {
-                engines.push(',');
-            }
-            engines.push_str(&format!(
-                "\"{}\":{{\"busy_cycles\":{},\"instructions\":{},\"utilization\":{},\
-                 \"stall_dependency\":{},\"stall_contention\":{},\"stall_barrier\":{},\
-                 \"stall_flag\":{}}}",
-                e.name(),
-                self.engine_busy[i],
-                self.engine_instructions[i],
-                jf(self.utilization(*e, cores as u32)),
-                self.stalls.dependency[i],
-                self.stalls.contention[i],
-                self.stalls.barrier[i],
-                self.stalls.flag[i],
-            ));
+            let engine = Json::obj([
+                ("busy_cycles", self.engine_busy[i].into()),
+                ("instructions", self.engine_instructions[i].into()),
+                (
+                    "utilization",
+                    Json::fixed(self.utilization(*e, cores as u32), 6),
+                ),
+                ("stall_dependency", self.stalls.dependency[i].into()),
+                ("stall_contention", self.stalls.contention[i].into()),
+                ("stall_barrier", self.stalls.barrier[i].into()),
+                ("stall_flag", self.stalls.flag[i].into()),
+            ]);
+            (e.name(), engine)
+        });
+        let mut fields = vec![
+            ("name", self.name.as_str().into()),
+            ("blocks", self.blocks.into()),
+            ("cycles", self.cycles.into()),
+            ("time_us", Json::fixed(self.time_us(), 6)),
+            ("gbps", Json::fixed(gbps, 6)),
+            ("traffic_gbps", Json::fixed(traffic_gbps, 6)),
+            ("l2_traffic_gbps", Json::fixed(l2_traffic_gbps, 6)),
+            ("gelems", Json::fixed(gelems, 6)),
+            ("fraction_of_peak", Json::fixed(fraction_of_peak, 6)),
+            ("bytes_read", self.bytes_read.into()),
+            ("bytes_written", self.bytes_written.into()),
+            ("useful_bytes", self.useful_bytes.into()),
+            ("elements", self.elements.into()),
+            ("working_set", self.working_set.into()),
+            ("sync_rounds", self.sync_rounds.into()),
+            ("barrier_wait_cycles", cycles_list(&self.barrier_waits)),
+            ("flag_wait_cycles", cycles_list(&self.flag_waits)),
+            ("engines", Json::obj(engines)),
+        ];
+        if let Some(cp) = &self.critical_path {
+            fields.push(("critical_path", cp.to_json()));
         }
-        let critical_path = match &self.critical_path {
-            Some(cp) => format!(",\"critical_path\":{}", cp.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"name\":\"{}\",\"blocks\":{},\"cycles\":{},\"time_us\":{},\
-             \"gbps\":{},\"traffic_gbps\":{},\"l2_traffic_gbps\":{},\"gelems\":{},\
-             \"fraction_of_peak\":{},\"bytes_read\":{},\"bytes_written\":{},\
-             \"useful_bytes\":{},\"elements\":{},\"working_set\":{},\
-             \"sync_rounds\":{},\"barrier_wait_cycles\":[{}],\"flag_wait_cycles\":[{}],\
-             \"engines\":{{{}}}{}}}",
-            json_escape(&self.name),
-            self.blocks,
-            self.cycles,
-            jf(self.time_us()),
-            jf(gbps),
-            jf(traffic_gbps),
-            jf(l2_traffic_gbps),
-            jf(gelems),
-            jf(fraction_of_peak),
-            self.bytes_read,
-            self.bytes_written,
-            self.useful_bytes,
-            self.elements,
-            self.working_set,
-            self.sync_rounds,
-            barrier_waits,
-            flag_waits,
-            engines,
-            critical_path,
-        )
+        Json::obj(fields)
     }
 }
 

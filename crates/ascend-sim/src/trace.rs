@@ -1,15 +1,15 @@
-//! Execution-trace capture and chrome://tracing export.
+//! Execution-trace records: engine-occupancy intervals and the
+//! happens-before event stream, with the `hbEvents` JSON round trip.
 //!
-//! When tracing is enabled on a core's timeline, every instruction's
-//! engine occupancy interval is recorded. [`to_chrome_json`] renders the
-//! collected events in the Chrome Trace Event format — open the file at
-//! `chrome://tracing` (or https://ui.perfetto.dev) to inspect how the
-//! cube, vector, MTE and scalar engines of every core overlap, where
-//! double buffering hides transfers, and what the critical path is.
+//! When recording is enabled on a core's timeline, every instruction's
+//! engine occupancy interval is kept as a [`TraceEvent`]; the
+//! [`crate::prof`] Perfetto export renders them.
 
 use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
+use crate::json::{self, Json};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// One engine-occupancy interval.
@@ -186,225 +186,71 @@ impl HbRecorder {
 /// Renders happens-before events as a JSON array (the `"hbEvents"` value
 /// of the `ascend-trace/v1` schema). Lossless: [`parse_hb_json`] inverts
 /// it.
-pub fn hb_events_json(events: &[HbEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 2);
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"block\":{},\"core\":{},\"time\":{},\"what\":\"{}\",",
-            e.block,
-            e.core,
-            e.time,
-            json_escape(e.what)
-        ));
-        let action = match e.action {
-            HbAction::GmRead { start, end } => {
-                format!("\"action\":\"gmRead\",\"start\":{start},\"end\":{end}")
-            }
-            HbAction::GmWrite { start, end } => {
-                format!("\"action\":\"gmWrite\",\"start\":{start},\"end\":{end}")
-            }
-            HbAction::FlagSet { id, token } => {
-                format!("\"action\":\"flagSet\",\"id\":{id},\"token\":{token}")
-            }
-            HbAction::FlagWait { id, token } => {
-                format!("\"action\":\"flagWait\",\"id\":{id},\"token\":{token}")
-            }
-            HbAction::GridFlagSet { id, token } => {
-                format!("\"action\":\"gridFlagSet\",\"id\":{id},\"token\":{token}")
-            }
-            HbAction::GridFlagWait { id, token } => {
-                format!("\"action\":\"gridFlagWait\",\"id\":{id},\"token\":{token}")
-            }
-            HbAction::Barrier { round } => format!("\"action\":\"barrier\",\"round\":{round}"),
-            HbAction::QueueCreate { queue } => {
-                format!("\"action\":\"queueCreate\",\"queue\":{queue}")
-            }
-            HbAction::Enque { queue } => format!("\"action\":\"enque\",\"queue\":{queue}"),
-            HbAction::Deque { queue } => format!("\"action\":\"deque\",\"queue\":{queue}"),
-            HbAction::QueueDestroy { queue } => {
-                format!("\"action\":\"queueDestroy\",\"queue\":{queue}")
-            }
-            HbAction::Alloc { id, bytes } => {
-                format!("\"action\":\"alloc\",\"id\":{id},\"bytes\":{bytes}")
-            }
-            HbAction::Free { id } => format!("\"action\":\"free\",\"id\":{id}"),
-        };
-        out.push_str(&action);
-        out.push('}');
-    }
-    out.push(']');
-    out
+pub fn hb_events_json(events: &[HbEvent]) -> Json {
+    Json::Arr(events.iter().map(hb_event_json).collect())
 }
 
-/// Reverses [`json_escape`] for one string-literal body.
-fn json_unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+fn hb_event_json(e: &HbEvent) -> Json {
+    let (action, args) = match e.action {
+        HbAction::GmRead { start, end } => ("gmRead", vec![("start", start), ("end", end)]),
+        HbAction::GmWrite { start, end } => ("gmWrite", vec![("start", start), ("end", end)]),
+        HbAction::FlagSet { id, token } => ("flagSet", vec![("id", id.into()), ("token", token)]),
+        HbAction::FlagWait { id, token } => ("flagWait", vec![("id", id.into()), ("token", token)]),
+        HbAction::GridFlagSet { id, token } => {
+            ("gridFlagSet", vec![("id", id.into()), ("token", token)])
         }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('/') => out.push('/'),
-            Some('u') => {
-                let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                if hex.len() != 4 {
-                    return Err(format!("truncated \\u escape in {s:?}"));
-                }
-                let code =
-                    u32::from_str_radix(&hex, 16).map_err(|e| format!("bad \\u{hex}: {e}"))?;
-                out.push(char::from_u32(code).ok_or_else(|| format!("bad code point {code}"))?);
-            }
-            other => return Err(format!("bad escape \\{other:?} in {s:?}")),
+        HbAction::GridFlagWait { id, token } => {
+            ("gridFlagWait", vec![("id", id.into()), ("token", token)])
         }
-    }
-    Ok(out)
+        HbAction::Barrier { round } => ("barrier", vec![("round", round.into())]),
+        HbAction::QueueCreate { queue } => ("queueCreate", vec![("queue", queue.into())]),
+        HbAction::Enque { queue } => ("enque", vec![("queue", queue.into())]),
+        HbAction::Deque { queue } => ("deque", vec![("queue", queue.into())]),
+        HbAction::QueueDestroy { queue } => ("queueDestroy", vec![("queue", queue.into())]),
+        HbAction::Alloc { id, bytes } => ("alloc", vec![("id", id), ("bytes", bytes)]),
+        HbAction::Free { id } => ("free", vec![("id", id)]),
+    };
+    let mut fields = vec![
+        ("block", e.block.into()),
+        ("core", e.core.into()),
+        ("time", e.time.into()),
+        ("what", e.what.into()),
+        ("action", action.into()),
+    ];
+    fields.extend(args.into_iter().map(|(k, v)| (k, Json::from(v))));
+    Json::obj(fields)
 }
 
 /// Parses happens-before events back out of a JSON document — either a
 /// bare [`hb_events_json`] array or a full `ascend-trace/v1` profile
-/// document carrying an `"hbEvents"` key. Hand-rolled (the repo has no
-/// JSON dependency); tolerates arbitrary escaped content inside string
-/// values.
+/// document carrying an `"hbEvents"` key.
 pub fn parse_hb_json(doc: &str) -> Result<Vec<HbEvent>, String> {
-    // Locate the array. `json_escape` never leaves a raw quote inside a
-    // string body, so the literal key below cannot occur inside one.
-    let body = match doc.find("\"hbEvents\":") {
-        Some(pos) => &doc[pos + "\"hbEvents\":".len()..],
-        None => doc,
+    let root = json::parse(doc)?;
+    let events = match &root {
+        Json::Arr(items) => items.as_slice(),
+        _ => root
+            .get("hbEvents")
+            .and_then(Json::as_array)
+            .ok_or("no hbEvents array found")?,
     };
-    let start = body
-        .find('[')
-        .ok_or_else(|| "no hbEvents array found".to_string())?;
-    let bytes = body[start + 1..].char_indices();
-
-    // Split the array into top-level `{...}` object slices, honouring
-    // string literals.
-    let mut objects: Vec<&str> = Vec::new();
-    let mut depth = 0usize;
-    let mut obj_start = None;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut closed = false;
-    let base = start + 1;
-    for (i, c) in bytes {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    obj_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| "unbalanced braces".to_string())?;
-                if depth == 0 {
-                    let s = obj_start.take().ok_or_else(|| "stray '}'".to_string())?;
-                    objects.push(&body[base + s..base + i + c.len_utf8()]);
-                }
-            }
-            ']' if depth == 0 => {
-                closed = true;
-                break;
-            }
-            _ => {}
-        }
-    }
-    if !closed {
-        return Err("unterminated hbEvents array".to_string());
-    }
-
     // Intern parsed names so `HbEvent::what` stays `&'static str`
     // (recording side uses static literals; the handful of distinct
     // names per document makes the leak bounded).
-    let mut interned: std::collections::HashMap<String, &'static str> =
-        std::collections::HashMap::new();
-    let mut events = Vec::with_capacity(objects.len());
-    for obj in objects {
-        events.push(parse_hb_object(obj, &mut interned)?);
-    }
-    Ok(events)
+    let mut interned: HashMap<String, &'static str> = HashMap::new();
+    events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| hb_event(e, &mut interned).map_err(|err| format!("hbEvents[{i}]: {err}")))
+        .collect()
 }
 
-/// Parses one `{...}` object of [`hb_events_json`] output.
-fn parse_hb_object(
-    obj: &str,
-    interned: &mut std::collections::HashMap<String, &'static str>,
-) -> Result<HbEvent, String> {
-    let mut nums: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-    let mut strs: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-
-    let inner = obj
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not an object: {obj}"))?;
-    let mut rest = inner.trim_start();
-    while !rest.is_empty() {
-        // Key.
-        let r = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected key in {rest:?}"))?;
-        let key_end = scan_string_body(r)?;
-        let key = json_unescape(&r[..key_end])?;
-        let r = r[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("missing ':' after key {key:?}"))?;
-        let r = r.trim_start();
-        // Value: a string or an unsigned number.
-        if let Some(v) = r.strip_prefix('"') {
-            let val_end = scan_string_body(v)?;
-            strs.insert(key, json_unescape(&v[..val_end])?);
-            rest = v[val_end + 1..].trim_start();
-        } else {
-            let digits: usize = r.chars().take_while(char::is_ascii_digit).count();
-            if digits == 0 {
-                return Err(format!("expected value for key {key:?} in {obj}"));
-            }
-            let n: u64 = r[..digits]
-                .parse()
-                .map_err(|e| format!("bad number for {key:?}: {e}"))?;
-            nums.insert(key, n);
-            rest = r[digits..].trim_start();
-        }
-        rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
-    }
-
-    let num = |key: &str| -> Result<u64, String> {
-        nums.get(key)
-            .copied()
-            .ok_or_else(|| format!("missing numeric field {key:?} in {obj}"))
+/// Maps one object of [`hb_events_json`] output back to its event.
+fn hb_event(e: &Json, interned: &mut HashMap<String, &'static str>) -> Result<HbEvent, String> {
+    let num = |key: &str| e.u64_field(key);
+    let num32 = |key: &str| {
+        u32::try_from(num(key)?).map_err(|err| format!("field {key} out of range: {err}"))
     };
-    let num32 = |key: &str| -> Result<u32, String> {
-        u32::try_from(num(key)?).map_err(|e| format!("field {key:?} out of range: {e}"))
-    };
-    let action_kind = strs
-        .get("action")
-        .ok_or_else(|| format!("missing action in {obj}"))?
-        .clone();
-    let action = match action_kind.as_str() {
+    let action = match e.str_field("action")? {
         "gmRead" => HbAction::GmRead {
             start: num("start")?,
             end: num("end")?,
@@ -451,15 +297,12 @@ fn parse_hb_object(
         "free" => HbAction::Free { id: num("id")? },
         other => return Err(format!("unknown action {other:?}")),
     };
-    let what_owned = strs
-        .get("what")
-        .ok_or_else(|| format!("missing what in {obj}"))?
-        .clone();
-    let what: &'static str = match interned.get(&what_owned) {
+    let name = e.str_field("what")?;
+    let what: &'static str = match interned.get(name) {
         Some(s) => s,
         None => {
-            let leaked: &'static str = Box::leak(what_owned.clone().into_boxed_str());
-            interned.insert(what_owned, leaked);
+            let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+            interned.insert(name.to_string(), leaked);
             leaked
         }
     };
@@ -470,43 +313,6 @@ fn parse_hb_object(
         what,
         action,
     })
-}
-
-/// Returns the byte index of the closing quote of a string literal body
-/// (input starts just after the opening quote).
-fn scan_string_body(s: &str) -> Result<usize, String> {
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Ok(i);
-        }
-    }
-    Err(format!("unterminated string in {s:?}"))
-}
-
-/// Escapes a string for embedding inside a JSON string literal: quotes,
-/// backslashes, and control characters are encoded so that a hostile
-/// event/span name can never break the document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Audits that the trace never claims one *physical* core's engine is
@@ -524,9 +330,9 @@ pub fn json_escape(s: &str) -> String {
 /// are sorted per slot before checking.
 pub fn audit_physical_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimResult<()> {
     /// One (slot, core, engine) stream of (start, end, block) intervals.
-    type SlotStreams = std::collections::HashMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
+    type SlotStreams = HashMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
     let phys = phys_blocks.max(1);
-    let mut streams: SlotStreams = std::collections::HashMap::new();
+    let mut streams: SlotStreams = HashMap::new();
     for e in events {
         streams
             .entry((e.block % phys, e.core, e.engine.index()))
@@ -553,77 +359,9 @@ pub fn audit_physical_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimR
     Ok(())
 }
 
-/// Renders events as a Chrome Trace Event JSON document.
-///
-/// `clock_ghz` converts cycles to the microsecond timestamps the format
-/// expects. Tracks: one *process* per block, one *thread* per
-/// (core, engine) pair. All names pass through [`json_escape`].
-pub fn to_chrome_json(events: &[TraceEvent], clock_ghz: f64) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[");
-    let to_us = |cycles: u64| cycles as f64 / (clock_ghz * 1e3);
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let core_name = if e.core == 0 {
-            "cube".to_string()
-        } else {
-            format!("vec{}", e.core - 1)
-        };
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":\"{}.{}\"}}",
-            json_escape(e.engine.name()),
-            to_us(e.start),
-            to_us(e.end.saturating_sub(e.start)).max(0.001),
-            e.block,
-            json_escape(&core_name),
-            json_escape(e.engine.name()),
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chrome_json_is_well_formed() {
-        let events = vec![
-            TraceEvent {
-                block: 0,
-                core: 0,
-                engine: EngineKind::Cube,
-                start: 100,
-                end: 612,
-            },
-            TraceEvent {
-                block: 0,
-                core: 1,
-                engine: EngineKind::Vec,
-                start: 612,
-                end: 661,
-            },
-            TraceEvent {
-                block: 1,
-                core: 2,
-                engine: EngineKind::Mte2,
-                start: 0,
-                end: 320,
-            },
-        ];
-        let json = to_chrome_json(&events, 1.0);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
-        assert!(json.contains("\"tid\":\"cube.CUBE\""));
-        assert!(json.contains("\"tid\":\"vec0.VEC\""));
-        assert!(json.contains("\"tid\":\"vec1.MTE2\""));
-        // 1 GHz: 512 cycles = 0.512 us.
-        assert!(json.contains("\"dur\":0.512"));
-    }
 
     #[test]
     fn physical_occupancy_rejects_double_booked_slots() {
@@ -657,48 +395,6 @@ mod tests {
         assert!(audit_physical_occupancy(&bad_rev, 2).is_err());
     }
 
-    #[test]
-    fn empty_trace() {
-        assert_eq!(to_chrome_json(&[], 1.8), "{\"traceEvents\":[]}");
-    }
-
-    #[test]
-    fn hostile_names_are_escaped() {
-        let hostile = "a\"b\\c\nd\re\tf\u{1}g";
-        let escaped = json_escape(hostile);
-        assert_eq!(escaped, "a\\\"b\\\\c\\nd\\re\\tf\\u0001g");
-        // No raw control characters or unescaped quotes survive.
-        assert!(!escaped.chars().any(|c| (c as u32) < 0x20));
-        // Round-trip safety: embedding the escaped name keeps a JSON
-        // string literal well formed (balanced, single-quoted-span).
-        let doc = format!("{{\"name\":\"{escaped}\"}}");
-        let bytes = doc.as_bytes();
-        let mut in_string = false;
-        let mut escaped_next = false;
-        let mut depth = 0i32;
-        for &b in bytes {
-            if escaped_next {
-                escaped_next = false;
-                continue;
-            }
-            match b {
-                b'\\' if in_string => escaped_next = true,
-                b'"' => in_string = !in_string,
-                b'{' if !in_string => depth += 1,
-                b'}' if !in_string => depth -= 1,
-                _ => {}
-            }
-        }
-        assert!(!in_string, "unterminated string in {doc}");
-        assert_eq!(depth, 0, "unbalanced braces in {doc}");
-    }
-
-    #[test]
-    fn plain_names_pass_through_unchanged() {
-        assert_eq!(json_escape("MTE2"), "MTE2");
-        assert_eq!(json_escape("Phase I (tile scans)"), "Phase I (tile scans)");
-    }
-
     /// One HbEvent per action kind — the round-trip corpus.
     fn every_action_kind() -> Vec<HbEvent> {
         let mk = |i: u32, what: &'static str, action: HbAction| HbEvent {
@@ -728,11 +424,21 @@ mod tests {
                 "CrossCoreWaitFlag",
                 HbAction::FlagWait { id: 3, token: 41 },
             ),
-            mk(4, "GridSetFlag", HbAction::GridFlagSet { id: 5, token: 77 }),
+            mk(
+                4,
+                "GridSetFlag",
+                HbAction::GridFlagSet {
+                    id: 5,
+                    token: u64::MAX,
+                },
+            ),
             mk(
                 5,
                 "GridWaitFlag",
-                HbAction::GridFlagWait { id: 5, token: 77 },
+                HbAction::GridFlagWait {
+                    id: 5,
+                    token: u64::MAX,
+                },
             ),
             mk(4, "SyncAll", HbAction::Barrier { round: 2 }),
             mk(5, "qa(L0A)", HbAction::QueueCreate { queue: 7 }),
@@ -760,13 +466,17 @@ mod tests {
     #[test]
     fn hb_events_round_trip_losslessly() {
         let events = every_action_kind();
-        let json = hb_events_json(&events);
+        let json = hb_events_json(&events).to_string();
         let parsed = parse_hb_json(&json).unwrap();
         assert_eq!(parsed, events);
         // Embedded in a profile-style document under the schema key, the
         // same array still parses.
-        let doc =
-            format!("{{\"traceEvents\":[],\"schema\":\"ascend-trace/v1\",\"hbEvents\":{json}}}");
+        let doc = Json::obj([
+            ("traceEvents", Json::Arr(Vec::new())),
+            ("schema", "ascend-trace/v1".into()),
+            ("hbEvents", hb_events_json(&events)),
+        ])
+        .to_string();
         assert_eq!(parse_hb_json(&doc).unwrap(), events);
     }
 
@@ -789,7 +499,7 @@ mod tests {
                 action: HbAction::Deque { queue: 0 },
             },
         ];
-        let json = hb_events_json(&events);
+        let json = hb_events_json(&events).to_string();
         // No raw control characters escape into the document.
         assert!(!json.chars().any(|c| (c as u32) < 0x20));
         let parsed = parse_hb_json(&json).unwrap();

@@ -171,7 +171,8 @@ impl<'a> BlockCtx<'a> {
     // Profiling spans
     // ---------------------------------------------------------------
 
-    /// Whether a profile collector (or trace) is active for this launch.
+    /// Whether spans are recorded for this launch (a profile collector is
+    /// attached or the chip audits launches).
     pub fn profiling(&self) -> bool {
         self.spans.enabled()
     }
@@ -230,37 +231,6 @@ pub fn launch<F>(
 where
     F: Fn(&mut BlockCtx<'_>) -> SimResult<()> + Sync,
 {
-    launch_impl(spec, gm, block_dim, name, kernel, false).map(|(r, _)| r)
-}
-
-/// Like [`launch`], but records every instruction's engine-occupancy
-/// interval and returns the events alongside the report — feed them to
-/// [`ascend_sim::trace::to_chrome_json`] to inspect the schedule at
-/// `chrome://tracing`.
-pub fn launch_traced<F>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    block_dim: u32,
-    name: &str,
-    kernel: F,
-) -> SimResult<(KernelReport, Vec<TraceEvent>)>
-where
-    F: Fn(&mut BlockCtx<'_>) -> SimResult<()> + Sync,
-{
-    launch_impl(spec, gm, block_dim, name, kernel, true)
-}
-
-fn launch_impl<F>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    block_dim: u32,
-    name: &str,
-    kernel: F,
-    trace: bool,
-) -> SimResult<(KernelReport, Vec<TraceEvent>)>
-where
-    F: Fn(&mut BlockCtx<'_>) -> SimResult<()> + Sync,
-{
     if block_dim == 0 {
         return Err(SimError::InvalidArgument(format!(
             "launch {name:?} with block_dim 0: a kernel needs at least one block \
@@ -275,7 +245,7 @@ where
     // GlobalMemory (attach_profiler), so concurrent launches on other
     // memories — and later launches on this one — never share a profile.
     let collector = gm.profiler();
-    let recording = trace || collector.is_some() || spec.validation.audits();
+    let recording = collector.is_some() || spec.validation.audits();
 
     // Runs one block and harvests its timelines. The block first waits
     // for its turn (begin() also yields its start origin — the launch
@@ -495,7 +465,7 @@ where
     // the backward causal walk must explain every cycle of the reported
     // makespan from the recorded events, stalls, flag edges and
     // scheduler round records. Runs whenever the raw records exist
-    // (audits or an attached collector/trace).
+    // (audits or an attached collector).
     let mut critical: Option<ascend_sim::critpath::CritReport> = None;
     if recording {
         let finale = sync
@@ -519,17 +489,12 @@ where
         critical = Some(crit);
     }
     if let Some(collector) = collector {
-        let profile_events = if trace {
-            events.clone()
-        } else {
-            std::mem::take(&mut events)
-        };
         collector.submit(KernelProfile {
             name: name.to_string(),
             clock_ghz: spec.clock_ghz,
             blocks: block_dim,
             cycles,
-            events: profile_events,
+            events,
             spans,
             stall_events,
             counters,
@@ -538,10 +503,7 @@ where
             critical_path: critical,
         });
     }
-    if !trace {
-        events.clear();
-    }
-    Ok((report, events))
+    Ok(report)
 }
 
 #[cfg(test)]

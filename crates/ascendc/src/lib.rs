@@ -32,7 +32,7 @@ pub mod tensor;
 pub mod vecops;
 
 pub use crate::core::{CmpMode, Core};
-pub use block::{launch, launch_traced, BlockCtx};
+pub use block::{launch, BlockCtx};
 pub use queue::TQue;
 pub use tensor::{GlobalTensor, LocalTensor};
 pub use vecops::Bits;

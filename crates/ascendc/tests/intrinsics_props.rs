@@ -2,8 +2,10 @@
 //! against host references, and timing-model invariants that every
 //! kernel relies on.
 
+use ascend_sim::json;
+use ascend_sim::prof::with_profiling;
 use ascend_sim::{ChipSpec, EngineKind};
-use ascendc::{launch, launch_traced, GlobalTensor, ScratchpadKind};
+use ascendc::{launch, GlobalTensor, ScratchpadKind};
 use dtypes::F16;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -150,14 +152,17 @@ fn traced_launch_matches_untraced_timing() {
         Ok(())
     };
     let plain = launch(&spec, &gm, 2, "t", kernel).unwrap();
-    let (traced, events) = launch_traced(&spec, &gm, 2, "t", kernel).unwrap();
+    let (traced, profile) = with_profiling(&gm, || launch(&spec, &gm, 2, "t", kernel));
+    let traced = traced.unwrap();
     assert_eq!(
         plain.cycles, traced.cycles,
         "tracing must not change timing"
     );
+    assert_eq!(profile.kernels.len(), 1);
+    let events = &profile.kernels[0].events;
     assert!(!events.is_empty());
     // Every event is well-formed and within the kernel's span.
-    for e in &events {
+    for e in events {
         assert!(e.start <= e.end);
         assert!(e.end <= traced.cycles);
         assert!(e.block < 2);
@@ -166,9 +171,40 @@ fn traced_launch_matches_untraced_timing() {
     assert!(events.iter().any(|e| e.block == 1));
     assert!(events.iter().any(|e| e.engine == EngineKind::Vec));
     assert!(events.iter().any(|e| e.engine == EngineKind::Mte2));
-    // The chrome export consumes them.
-    let json = ascend_sim::trace::to_chrome_json(&events, spec.clock_ghz);
+    // The Perfetto export consumes them.
+    let json = profile.to_chrome_json();
     assert!(json.contains("traceEvents"));
+}
+
+#[test]
+fn phase_names_are_escaped_in_every_json_export() {
+    // Kernel-supplied phase names reach the critical path's `phases` and
+    // `top_segments`; a quote in one must not break either document.
+    let (spec, gm) = setup();
+    let x = GlobalTensor::from_slice(&gm, &vec![1u16; 2048]).unwrap();
+    let y = GlobalTensor::<u16>::new(&gm, 2048).unwrap();
+    let (report, profile) = with_profiling(&gm, || {
+        launch(&spec, &gm, 1, "quoted-phase", |ctx| {
+            let span = ctx.span_begin("a\"b");
+            let v = &mut ctx.vecs[0];
+            let mut buf = v.alloc_local::<u16>(ScratchpadKind::Ub, 2048)?;
+            v.copy_in(&mut buf, 0, &x, 0, 2048, &[])?;
+            v.copy_out(&y, 0, &buf, 0, 2048, &[])?;
+            ctx.span_end(span);
+            Ok(())
+        })
+    });
+    let report = json::parse(&report.unwrap().to_json(&spec)).expect("report JSON parses");
+    let phases = report
+        .field("critical_path")
+        .and_then(|cp| cp.array_field("phases"))
+        .unwrap();
+    assert!(phases.iter().any(|p| p.str_field("name") == Ok("a\"b")));
+    let trace = json::parse(&profile.to_chrome_json()).expect("trace export parses");
+    let segments = trace.array_field("criticalPaths").unwrap()[0]
+        .array_field("top_segments")
+        .unwrap();
+    assert!(segments.iter().any(|s| s.str_field("phase") == Ok("a\"b")));
 }
 
 #[test]

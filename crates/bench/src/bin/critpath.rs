@@ -22,7 +22,7 @@
 //! Exit status: `0` all files clean, `1` an invariant fails, `2` usage,
 //! I/O, malformed document, or a trace with no `criticalPaths` section.
 
-use bench::{json_array_objects, json_num_field, json_str_field, json_sub_object};
+use ascend_sim::json::{self, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,7 +51,11 @@ fn main() {
             Ok(d) => d,
             Err(e) => fail2(&format!("{file}: {e}")),
         };
-        let paths = match json_array_objects(&doc, "criticalPaths") {
+        let root = match json::parse(&doc) {
+            Ok(r) => r,
+            Err(e) => fail2(&format!("{file}: malformed trace: {e}")),
+        };
+        let paths = match root.array_field("criticalPaths") {
             Ok(p) => p,
             Err(e) => fail2(&format!(
                 "{file}: {e} (traces come from the `trace` binary)"
@@ -92,12 +96,13 @@ fn fail2(msg: &str) -> ! {
 
 /// Prints one kernel's critical-path report and re-checks the summary
 /// invariants; returns `Err` on any violation.
-fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
-    let kernel = json_str_field(cp, "kernel").unwrap_or("<unnamed>");
+fn check_one(file: &str, cp: &Json, top: usize) -> Result<(), String> {
+    let kernel = cp.str_field("kernel").unwrap_or("<unnamed>");
     let ctx = |msg: String| format!("{file}: {kernel}: {msg}");
-    let summary = json_sub_object(cp, "summary")
+    let summary = cp
+        .get("summary")
         .ok_or_else(|| ctx("critical path entry has no summary object".into()))?;
-    let makespan = json_num_field(summary, "makespan").map_err(&ctx)?;
+    let makespan = summary.f64_field("makespan").map_err(&ctx)?;
 
     let classes = [
         ("launch", "launch"),
@@ -110,8 +115,8 @@ fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
     println!("{file}: {kernel}: makespan {makespan:.0} cycles");
     let mut sum = 0.0;
     for (key, label) in classes {
-        let v = json_num_field(summary, key).map_err(&ctx)?;
-        let share = json_num_field(summary, &format!("{key}_share")).map_err(&ctx)?;
+        let v = summary.f64_field(key).map_err(&ctx)?;
+        let share = summary.f64_field(&format!("{key}_share")).map_err(&ctx)?;
         if !(-1e-6..=1.0 + 1e-6).contains(&share) {
             return Err(ctx(format!("{key}_share {share} outside [0, 1]")));
         }
@@ -125,8 +130,8 @@ fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
             "attribution sums to {sum}, not the makespan {makespan} — identity violated"
         )));
     }
-    let chain = json_num_field(summary, "lookback_chain").map_err(&ctx)?;
-    let chain_share = json_num_field(summary, "lookback_chain_share").map_err(&ctx)?;
+    let chain = summary.f64_field("lookback_chain").map_err(&ctx)?;
+    let chain_share = summary.f64_field("lookback_chain_share").map_err(&ctx)?;
     if !(-1e-6..=1.0 + 1e-6).contains(&chain_share) {
         return Err(ctx(format!(
             "lookback_chain_share {chain_share} outside [0, 1]"
@@ -138,16 +143,16 @@ fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
         chain_share * 100.0
     );
 
-    if let Ok(phases) = json_array_objects(summary, "phases") {
+    if let Ok(phases) = summary.array_field("phases") {
         for p in phases {
-            let name = json_str_field(p, "name").unwrap_or("?");
-            let cycles = json_num_field(p, "cycles").unwrap_or(0.0);
-            let share = json_num_field(p, "share").unwrap_or(0.0);
+            let name = p.str_field("name").unwrap_or("?");
+            let cycles = p.f64_field("cycles").unwrap_or(0.0);
+            let share = p.f64_field("share").unwrap_or(0.0);
             println!("  phase {name:<26} {cycles:>12.0}  {:>5.1}%", share * 100.0);
         }
     }
 
-    let segs = json_array_objects(cp, "top_segments").map_err(&ctx)?;
+    let segs = cp.array_field("top_segments").map_err(&ctx)?;
     println!(
         "  top {} segments (of {}):",
         top.min(segs.len()),
@@ -157,10 +162,10 @@ fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
         .iter()
         .map(|s| {
             (
-                json_str_field(s, "class").unwrap_or("?"),
-                json_num_field(s, "start").unwrap_or(0.0),
-                json_num_field(s, "cycles").unwrap_or(0.0),
-                json_num_field(s, "block").unwrap_or(-1.0),
+                s.str_field("class").unwrap_or("?"),
+                s.f64_field("start").unwrap_or(0.0),
+                s.f64_field("cycles").unwrap_or(0.0),
+                s.f64_field("block").unwrap_or(-1.0),
             )
         })
         .collect();
@@ -174,7 +179,7 @@ fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
         println!("    {class:<14} {b}  @{start:>10.0}  {cycles:>10.0} cycles");
     }
 
-    let what_ifs = json_array_objects(summary, "what_ifs").map_err(&ctx)?;
+    let what_ifs = summary.array_field("what_ifs").map_err(&ctx)?;
     if what_ifs.len() < 2 {
         return Err(ctx(format!(
             "only {} what-if prediction(s), need at least 2",
@@ -183,10 +188,10 @@ fn check_one(file: &str, cp: &str, top: usize) -> Result<(), String> {
     }
     println!("  what-ifs:");
     for w in what_ifs {
-        let name = json_str_field(w, "name").unwrap_or("?");
-        let saved = json_num_field(w, "saved_cycles").map_err(&ctx)?;
-        let predicted = json_num_field(w, "predicted_cycles").map_err(&ctx)?;
-        let speedup = json_num_field(w, "speedup").unwrap_or(0.0);
+        let name = w.str_field("name").unwrap_or("?");
+        let saved = w.f64_field("saved_cycles").map_err(&ctx)?;
+        let predicted = w.f64_field("predicted_cycles").map_err(&ctx)?;
+        let speedup = w.f64_field("speedup").unwrap_or(0.0);
         if !(-1e-6..=makespan + 1e-6).contains(&predicted) {
             return Err(ctx(format!(
                 "what-if {name} predicts {predicted} cycles outside [0, makespan]"

@@ -31,6 +31,7 @@
 //! including the makespan identity on every `critical_path` section)
 //! before it is written.
 
+use ascend_sim::json::Json;
 use ascend_sim::{ChipSpec, KernelReport};
 use ascendc::GlobalTensor;
 use bench::{
@@ -178,7 +179,7 @@ fn parse_jobs(args: &[String]) -> usize {
 /// worker finished first.
 enum Point {
     Kernel(Box<KernelReport>),
-    Traffic(String),
+    Traffic(Json),
 }
 
 /// `--json`: runs every paper scan kernel once at a fixed input length
@@ -307,35 +308,30 @@ fn json_report(spec: &ChipSpec, quick: bool) {
                 } else {
                     ScanCConfig::for_chip::<i16, i32>(spec).lookback_window
                 };
-                let lookback = sc
-                    .critical_path
-                    .as_ref()
-                    .map(|cp| {
-                        let zero = cp
-                            .what_ifs
-                            .iter()
-                            .find(|w| w.name == "zero_lookback")
-                            .map(|w| cp.makespan.max(1) as f64 / w.predicted.max(1) as f64)
-                            .unwrap_or(1.0);
-                        format!(
-                            "{{\"window\":{window},\"chain_hops\":{},\
-                             \"chain_wire_cycles\":{},\"lookback_chain_cycles\":{},\
-                             \"zero_lookback_speedup\":{:.3}}}",
-                            cp.chain_hops, cp.chain_wire, cp.lookback_chain, zero
-                        )
-                    })
-                    .unwrap_or_else(|| format!("{{\"window\":{window}}}"));
-                let row = format!(
-                    "{{\"n\":{tn},\"dtype\":\"{dtype}\",\
-                     \"mcscan_bytes\":{},\"scanc_bytes\":{},\
-                     \"mcscan_time_us\":{},\"scanc_time_us\":{},\
-                     \"scanc_lookback\":{}}}",
-                    mc.bytes_read + mc.bytes_written,
-                    sc.bytes_read + sc.bytes_written,
-                    format_args!("{:.3}", mc.time_us()),
-                    format_args!("{:.3}", sc.time_us()),
-                    lookback,
-                );
+                let mut lookback = vec![("window", window.into())];
+                if let Some(cp) = &sc.critical_path {
+                    let zero = cp
+                        .what_ifs
+                        .iter()
+                        .find(|w| w.name == "zero_lookback")
+                        .map(|w| cp.makespan.max(1) as f64 / w.predicted.max(1) as f64)
+                        .unwrap_or(1.0);
+                    lookback.extend([
+                        ("chain_hops", cp.chain_hops.into()),
+                        ("chain_wire_cycles", cp.chain_wire.into()),
+                        ("lookback_chain_cycles", cp.lookback_chain.into()),
+                        ("zero_lookback_speedup", Json::fixed(zero, 3)),
+                    ]);
+                }
+                let row = Json::obj([
+                    ("n", tn.into()),
+                    ("dtype", dtype.into()),
+                    ("mcscan_bytes", (mc.bytes_read + mc.bytes_written).into()),
+                    ("scanc_bytes", (sc.bytes_read + sc.bytes_written).into()),
+                    ("mcscan_time_us", Json::fixed(mc.time_us(), 3)),
+                    ("scanc_time_us", Json::fixed(sc.time_us(), 3)),
+                    ("scanc_lookback", Json::obj(lookback)),
+                ]);
                 (Point::Traffic(row), t0.elapsed().as_secs_f64())
             }));
         }
@@ -348,7 +344,7 @@ fn json_report(spec: &ChipSpec, quick: bool) {
 
     let mut reports: Vec<KernelReport> = Vec::new();
     let mut kernel_seconds: Vec<f64> = Vec::new();
-    let mut traffic_rows: Vec<String> = Vec::new();
+    let mut traffic_rows: Vec<Json> = Vec::new();
     let mut serial_est = 0.0;
     for (point, secs) in outcomes {
         serial_est += secs;
@@ -361,37 +357,36 @@ fn json_report(spec: &ChipSpec, quick: bool) {
         }
     }
 
-    let kernels: Vec<String> = reports.iter().map(|r| r.to_json(spec)).collect();
     // The host section is the only part of the document that depends on
     // wall clocks. It is kept flat (no nested braces) so CI can strip it
     // with one regular expression before byte-comparing runs.
-    let host = format!(
-        "{{\"jobs\":{},\"points\":{},\"host_seconds\":{:.6},\
-         \"serial_seconds_est\":{:.6},\"kernel_host_seconds\":[{}]}}",
-        jobs(),
-        total_points,
-        host_seconds,
-        serial_est.max(1e-6),
-        kernel_seconds
-            .iter()
-            .map(|t| format!("{t:.6}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    let doc = format!(
-        "{{\"schema\":\"bench-scan/v5\",\"chip\":{{\"name\":\"{}\",\"ai_cores\":{},\
-         \"clock_ghz\":{},\"hbm_gbps\":{:.1}}},\"n\":{},\"s\":{},\"kernels\":[{}],\
-         \"traffic\":[{}],\"host\":{}}}\n",
-        spec.name,
-        spec.ai_cores,
-        spec.clock_ghz,
-        spec.hbm_bytes_per_sec / 1e9,
-        n,
-        s,
-        kernels.join(","),
-        traffic_rows.join(","),
-        host
-    );
+    let host = Json::obj([
+        ("jobs", jobs().into()),
+        ("points", total_points.into()),
+        ("host_seconds", Json::fixed(host_seconds, 6)),
+        ("serial_seconds_est", Json::fixed(serial_est.max(1e-6), 6)),
+        (
+            "kernel_host_seconds",
+            Json::Arr(kernel_seconds.iter().map(|&t| Json::fixed(t, 6)).collect()),
+        ),
+    ]);
+    let chip = Json::obj([
+        ("name", spec.name.into()),
+        ("ai_cores", spec.ai_cores.into()),
+        ("clock_ghz", spec.clock_ghz.into()),
+        ("hbm_gbps", Json::fixed(spec.hbm_bytes_per_sec / 1e9, 1)),
+    ]);
+    let kernels = reports.iter().map(|r| r.to_json_value(spec)).collect();
+    let doc = Json::obj([
+        ("schema", "bench-scan/v5".into()),
+        ("chip", chip),
+        ("n", n.into()),
+        ("s", s.into()),
+        ("kernels", Json::Arr(kernels)),
+        ("traffic", Json::Arr(traffic_rows)),
+        ("host", host),
+    ]);
+    let doc = format!("{doc}\n");
     if let Err(e) = validate_bench_json(&doc, spec) {
         eprintln!("figures: BENCH_scan.json failed the v5 sanity bounds: {e}");
         std::process::exit(2);

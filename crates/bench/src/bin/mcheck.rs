@@ -29,9 +29,9 @@
 //! exceeded, report mismatch, or a strict-coverage gap), 2 usage error.
 //! `--json` emits one machine-readable `mcheck/v1` document on stdout.
 
+use ascend_sim::json::Json;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::sync::GridPlan;
-use ascend_sim::trace::json_escape;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
@@ -384,69 +384,60 @@ fn print_human(c: &CaseOut, strict: bool) {
 }
 
 fn print_json(cases: &[CaseOut], total: usize) {
-    let kernel_objs: Vec<String> = cases
-        .iter()
-        .map(|c| {
-            let launch_objs: Vec<String> = c
-                .launches
-                .iter()
-                .map(|(name, r)| {
-                    let diags: Vec<String> = r
-                        .diagnostics
-                        .iter()
-                        .map(|d| format!("\"{}\"", json_escape(&d.to_string())))
-                        .collect();
-                    let uncovered: Vec<String> = r
-                        .coverage
-                        .uncovered
-                        .iter()
-                        .map(|u| format!("\"{}\"", json_escape(u)))
-                        .collect();
-                    format!(
-                        "{{\"launch\":\"{}\",\"threads\":{},\"blocks\":{},\"sync_ops\":{},\
-                         \"states\":{},\"transitions\":{},\"executions\":{},\
-                         \"unique_grid_orders\":{},\"sleep_pruned\":{},\"persistent_pruned\":{},\
-                         \"budget_exhausted\":{},\"deadlocks\":{},\"diagnostics\":[{}],\
-                         \"coverage\":{{\"wait_sites\":{},\"ready\":{},\"blocked\":{},\
-                         \"dual\":{},\"flag_ids\":{},\"barrier_rounds\":{},\"uncovered\":[{}]}}}}",
-                        json_escape(name),
-                        r.threads,
-                        r.blocks,
-                        r.sync_ops,
-                        r.states,
-                        r.transitions,
-                        r.executions,
-                        r.unique_grid_orders.len(),
-                        r.sleep_pruned,
-                        r.persistent_pruned,
-                        r.budget_exhausted,
-                        r.deadlocks,
-                        diags.join(","),
-                        r.coverage.wait_sites,
-                        r.coverage.wait_sites_ready,
-                        r.coverage.wait_sites_blocked,
-                        r.coverage.wait_sites_dual,
-                        r.coverage.flag_ids,
-                        r.coverage.barrier_rounds,
-                        uncovered.join(","),
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"kernel\":\"{}\",\"launches\":[{}],\"replays\":{},\"replay_mismatches\":{},\
-                 \"replays_skipped\":{},\"serial_equal\":{},\"findings\":{}}}",
-                c.name,
-                launch_objs.join(","),
-                c.replays,
-                c.replay_mismatches,
-                c.replays_skipped,
-                c.serial_equal,
-                c.findings(),
-            )
-        })
-        .collect();
-    println!(
-        "{{\"schema\":\"mcheck/v1\",\"kernels\":[{}],\"total_findings\":{total}}}",
-        kernel_objs.join(",")
-    );
+    let kernels = cases.iter().map(|c| {
+        let launches = c.launches.iter().map(|(name, r)| {
+            let coverage = Json::obj([
+                ("wait_sites", r.coverage.wait_sites.into()),
+                ("ready", r.coverage.wait_sites_ready.into()),
+                ("blocked", r.coverage.wait_sites_blocked.into()),
+                ("dual", r.coverage.wait_sites_dual.into()),
+                ("flag_ids", r.coverage.flag_ids.into()),
+                ("barrier_rounds", r.coverage.barrier_rounds.into()),
+                (
+                    "uncovered",
+                    Json::Arr(
+                        r.coverage
+                            .uncovered
+                            .iter()
+                            .map(|u| u.as_str().into())
+                            .collect(),
+                    ),
+                ),
+            ]);
+            Json::obj([
+                ("launch", name.as_str().into()),
+                ("threads", r.threads.into()),
+                ("blocks", r.blocks.into()),
+                ("sync_ops", r.sync_ops.into()),
+                ("states", r.states.into()),
+                ("transitions", r.transitions.into()),
+                ("executions", r.executions.into()),
+                ("unique_grid_orders", r.unique_grid_orders.len().into()),
+                ("sleep_pruned", r.sleep_pruned.into()),
+                ("persistent_pruned", r.persistent_pruned.into()),
+                ("budget_exhausted", r.budget_exhausted.into()),
+                ("deadlocks", r.deadlocks.into()),
+                (
+                    "diagnostics",
+                    Json::Arr(r.diagnostics.iter().map(|d| d.to_string().into()).collect()),
+                ),
+                ("coverage", coverage),
+            ])
+        });
+        Json::obj([
+            ("kernel", c.name.into()),
+            ("launches", Json::Arr(launches.collect())),
+            ("replays", c.replays.into()),
+            ("replay_mismatches", c.replay_mismatches.into()),
+            ("replays_skipped", c.replays_skipped.into()),
+            ("serial_equal", c.serial_equal.into()),
+            ("findings", c.findings().into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("schema", "mcheck/v1".into()),
+        ("kernels", Json::Arr(kernels.collect())),
+        ("total_findings", total.into()),
+    ]);
+    println!("{doc}");
 }

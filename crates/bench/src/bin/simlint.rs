@@ -30,7 +30,8 @@
 //! produce spurious cross-kernel races.
 
 use ascend_sim::hb;
-use ascend_sim::trace::{json_escape, parse_hb_json};
+use ascend_sim::json::Json;
+use ascend_sim::trace::parse_hb_json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,7 +44,7 @@ fn main() {
     }
 
     let mut total = 0usize;
-    let mut file_objs: Vec<String> = Vec::new();
+    let mut file_objs: Vec<Json> = Vec::new();
     for file in &files {
         let doc = match std::fs::read_to_string(file) {
             Ok(d) => d,
@@ -61,16 +62,12 @@ fn main() {
         };
         let diags = hb::analyze(&events);
         if json {
-            let rendered: Vec<String> = diags
-                .iter()
-                .map(|d| format!("\"{}\"", json_escape(&d.to_string())))
-                .collect();
-            file_objs.push(format!(
-                "{{\"file\":\"{}\",\"hb_events\":{},\"diagnostics\":[{}]}}",
-                json_escape(file),
-                events.len(),
-                rendered.join(",")
-            ));
+            let rendered = diags.iter().map(|d| d.to_string().into()).collect();
+            file_objs.push(Json::obj([
+                ("file", file.as_str().into()),
+                ("hb_events", events.len().into()),
+                ("diagnostics", Json::Arr(rendered)),
+            ]));
         } else if diags.is_empty() {
             println!("{file}: clean ({} hb events)", events.len());
         } else {
@@ -83,11 +80,12 @@ fn main() {
     }
 
     if json {
-        println!(
-            "{{\"schema\":\"simlint/v1\",\"files\":[{}],\"total_diagnostics\":{}}}",
-            file_objs.join(","),
-            total
-        );
+        let doc = Json::obj([
+            ("schema", "simlint/v1".into()),
+            ("files", Json::Arr(file_objs)),
+            ("total_diagnostics", total.into()),
+        ]);
+        println!("{doc}");
     }
     if total > 0 {
         eprintln!(

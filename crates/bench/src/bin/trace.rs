@@ -127,10 +127,6 @@ fn main() {
         let mut total = 0usize;
         for (name, profile) in chosen.iter().zip(&profiles) {
             let json = profile.to_chrome_json();
-            if let Err(e) = bench::validate_json(&json) {
-                eprintln!("trace: {name} export is not well-formed JSON: {e}");
-                std::process::exit(2);
-            }
             let path = format!("{dir}/{name}.json");
             if let Err(e) = std::fs::write(&path, &json) {
                 eprintln!("trace: cannot write '{path}': {e}");
@@ -147,10 +143,6 @@ fn main() {
             kernels: profiles.into_iter().flat_map(|p| p.kernels).collect(),
         };
         let json = merged.to_chrome_json();
-        if let Err(e) = bench::validate_json(&json) {
-            eprintln!("trace: export is not well-formed JSON: {e}");
-            std::process::exit(2);
-        }
         if let Err(e) = std::fs::write(out, &json) {
             eprintln!("trace: cannot write '{out}': {e}");
             std::process::exit(2);
