@@ -236,7 +236,7 @@ fn json_report(spec: &ChipSpec, quick: bool) {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let mut r =
-                scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16>(spec))
+                scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16, F16>(spec))
                     .unwrap()
                     .report;
             r.name = "ScanC(fp16)".into();
@@ -246,7 +246,7 @@ fn json_report(spec: &ChipSpec, quick: bool) {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &vec![1u8; n]).unwrap();
             let mut r =
-                scanc::<u8, i16, i32>(spec, &gm, &x, ScanCConfig::for_chip::<i16, i32>(spec))
+                scanc::<u8, i16, i32>(spec, &gm, &x, ScanCConfig::for_chip::<u8, i16, i32>(spec))
                     .unwrap()
                     .report;
             r.name = "ScanC(int8)".into();
@@ -304,9 +304,9 @@ fn json_report(spec: &ChipSpec, quick: bool) {
                 // grid-flag wire hops survived on the critical path and
                 // how much the multi-hop window left on the table.
                 let window = if dtype == "fp16" {
-                    ScanCConfig::for_chip::<F16, F16>(spec).lookback_window
+                    ScanCConfig::for_chip::<F16, F16, F16>(spec).lookback_window
                 } else {
-                    ScanCConfig::for_chip::<i16, i32>(spec).lookback_window
+                    ScanCConfig::for_chip::<u8, i16, i32>(spec).lookback_window
                 };
                 let mut lookback = vec![("window", window.into())];
                 if let Some(cp) = &sc.critical_path {
@@ -832,9 +832,10 @@ fn traffic_pair(spec: &ChipSpec, n: usize, dtype: &str) -> (KernelReport, Kernel
                 .report;
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let sc = scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16>(spec))
-                .unwrap()
-                .report;
+            let sc =
+                scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16, F16>(spec))
+                    .unwrap()
+                    .report;
             (mc, sc)
         }
         _ => {
@@ -846,9 +847,10 @@ fn traffic_pair(spec: &ChipSpec, n: usize, dtype: &str) -> (KernelReport, Kernel
                 .report;
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let sc = scanc::<u8, i16, i32>(spec, &gm, &x, ScanCConfig::for_chip::<i16, i32>(spec))
-                .unwrap()
-                .report;
+            let sc =
+                scanc::<u8, i16, i32>(spec, &gm, &x, ScanCConfig::for_chip::<u8, i16, i32>(spec))
+                    .unwrap()
+                    .report;
             (mc, sc)
         }
     }

@@ -170,7 +170,8 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             drop(mcscan::<F16, F16, F16>(spec, &gm, &x, McScanConfig::for_chip(spec)).unwrap())
         }
         "scanc" => drop(
-            scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16>(spec)).unwrap(),
+            scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16, F16>(spec))
+                .unwrap(),
         ),
         "cumsum" => drop(cumsum_vec_only::<F16>(spec, &gm, &x, 128, 1).unwrap()),
         "batched" => {

@@ -100,16 +100,29 @@ impl Device {
         GlobalTensor::new(&self.gm, len)
     }
 
-    /// Inclusive scan with MCScan on all cores (`s = 128`), the paper's
-    /// flagship configuration.
+    /// The MCScan tile dimension for a `<T, M, O>` scan on this chip:
+    /// `s = 128` on the 910B4, smaller where the scratchpads are.
+    fn s<T: CubeInput, M: Element, O: Element>(&self) -> usize {
+        McScanConfig::for_types::<T, M, O>(&self.spec).s
+    }
+
+    /// The tile dimension of the int8 mask scans behind split,
+    /// compress, sort and top-k.
+    fn mask_s(&self) -> usize {
+        self.s::<u8, i16, i32>()
+    }
+
+    /// Inclusive scan with MCScan on all cores (`s = 128` on the 910B4),
+    /// the paper's flagship configuration.
     pub fn cumsum<T: CubeInput>(&self, x: &GlobalTensor<T>) -> SimResult<ScanRun<T>> {
-        scan::mcscan::mcscan::<T, T, T>(&self.spec, &self.gm, x, McScanConfig::for_chip(&self.spec))
+        let cfg = McScanConfig::for_types::<T, T, T>(&self.spec);
+        scan::mcscan::mcscan::<T, T, T>(&self.spec, &self.gm, x, cfg)
     }
 
     /// Exclusive int8-mask scan (`u8 → i16 → i32`), the split/compress
     /// building block.
     pub fn mask_exclusive_scan(&self, mask: &GlobalTensor<u8>) -> SimResult<ScanRun<i32>> {
-        let mut cfg = McScanConfig::for_chip(&self.spec);
+        let mut cfg = McScanConfig::for_types::<u8, i16, i32>(&self.spec);
         cfg.kind = ScanKind::Exclusive;
         scan::mcscan::mcscan::<u8, i16, i32>(&self.spec, &self.gm, mask, cfg)
     }
@@ -120,7 +133,8 @@ impl Device {
         x: &GlobalTensor<E>,
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::SplitRun<E>> {
-        ops::split_ind(&self.spec, &self.gm, x, mask, 128, self.spec.ai_cores)
+        let s = self.mask_s();
+        ops::split_ind(&self.spec, &self.gm, x, mask, s, self.spec.ai_cores)
     }
 
     /// `masked_select`: compacts the mask-selected elements.
@@ -129,7 +143,8 @@ impl Device {
         x: &GlobalTensor<E>,
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::compress::CompressRun<E>> {
-        ops::compress(&self.spec, &self.gm, x, mask, 128, self.spec.ai_cores)
+        let s = self.mask_s();
+        ops::compress(&self.spec, &self.gm, x, mask, s, self.spec.ai_cores)
     }
 
     /// Stable radix sort (values + argsort indices).
@@ -138,7 +153,8 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        ops::radix_sort(&self.spec, &self.gm, x, 128, self.spec.ai_cores, order)
+        let s = self.mask_s();
+        ops::radix_sort(&self.spec, &self.gm, x, s, self.spec.ai_cores, order)
     }
 
     /// Top-k selection (unsorted top set + indices).
@@ -147,7 +163,8 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        ops::topk(&self.spec, &self.gm, x, k, 128, self.spec.ai_cores)
+        let s = self.mask_s();
+        ops::topk(&self.spec, &self.gm, x, k, s, self.spec.ai_cores)
     }
 
     /// Top-p (nucleus) sampling from an fp16 probability vector.
@@ -157,15 +174,9 @@ impl Device {
         p: f64,
         theta: f64,
     ) -> SimResult<ops::topp::TopPRun> {
-        ops::top_p_sample(
-            &self.spec,
-            &self.gm,
-            probs,
-            p,
-            theta,
-            128,
-            self.spec.ai_cores,
-        )
+        // One `s` serves both the sort's mask scans and the fp16 CDF scan.
+        let s = self.mask_s().min(self.s::<F16, F16, F16>());
+        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s, self.spec.ai_cores)
     }
 
     /// Weighted sampling by inverse transform (unbounded support size).
@@ -174,17 +185,20 @@ impl Device {
         w: &GlobalTensor<W>,
         theta: f64,
     ) -> SimResult<ops::weighted::WeightedRun> {
-        ops::weighted_sample(&self.spec, &self.gm, w, theta, 128, self.spec.ai_cores)
+        let s = self.s::<W, W, W>();
+        ops::weighted_sample(&self.spec, &self.gm, w, theta, s, self.spec.ai_cores)
     }
 
     /// Sum reduction on the cube units (`A @ 1s` row sums).
     pub fn reduce<T: CubeInput>(&self, x: &GlobalTensor<T>) -> SimResult<scan::ReduceRun<T::Acc>> {
-        scan::reduce_cube::<T>(&self.spec, &self.gm, x, 128, self.spec.ai_cores)
+        let s = self.s::<T, T, T::Acc>();
+        scan::reduce_cube::<T>(&self.spec, &self.gm, x, s, self.spec.ai_cores)
     }
 
     /// Builds an alias table for O(1)-per-draw weighted sampling.
     pub fn alias_table(&self, w: &GlobalTensor<f32>) -> SimResult<ops::AliasTable> {
-        ops::build_alias_table(&self.spec, &self.gm, w, 128, self.spec.ai_cores)
+        let s = self.s::<f32, f32, f32>();
+        ops::build_alias_table(&self.spec, &self.gm, w, s, self.spec.ai_cores)
     }
 
     /// Draws many samples from an alias table.
@@ -224,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn device_wrappers_run_on_tiny_chip() {
+    fn device_wrappers_run_on_910b4() {
         // The Device defaults target the 910B4 (s = 128); exercise the
         // full-size path once with a small input.
         let dev = Device::ascend_910b4();
@@ -238,5 +252,88 @@ mod tests {
         let v = dev.tensor(&vals).unwrap();
         let split = dev.split(&v, &m).unwrap();
         assert_eq!(split.n_true, 20_000);
+    }
+
+    #[test]
+    fn tile_dim_is_the_papers_on_910b4_and_shrinks_on_tiny() {
+        let big = ChipSpec::ascend_910b4();
+        let tiny = ChipSpec::tiny();
+        let dims = |spec: &ChipSpec| {
+            [
+                McScanConfig::for_chip(spec).s,
+                McScanConfig::for_types::<u8, i16, i32>(spec).s,
+                McScanConfig::for_types::<f32, f32, f32>(spec).s,
+                McScanConfig::for_types::<i8, i32, i32>(spec).s,
+                ScanCConfig::for_chip::<F16, F16, F16>(spec).s,
+                ScanCConfig::for_chip::<u8, i16, i32>(spec).s,
+            ]
+        };
+        assert_eq!(dims(&big), [128; 6]);
+        for s in dims(&tiny) {
+            assert!(s % 16 == 0 && s < 128, "tiny chip s = {s}");
+        }
+    }
+
+    #[test]
+    fn device_wrappers_run_on_tiny_chip() {
+        use ops::SortOrder;
+        let dev = Device::with_spec(ChipSpec::tiny());
+        let n = 1500;
+
+        // Scans: 0/1 values keep every fp16 prefix sum exact.
+        let xs: Vec<F16> = (0..n).map(|i| F16::from_f32((i % 2) as f32)).collect();
+        let x = dev.tensor(&xs).unwrap();
+        assert_eq!(
+            dev.cumsum(&x).unwrap().y.to_vec(),
+            scan::reference::inclusive(&xs)
+        );
+        let mask: Vec<u8> = (0..n).map(|i| u8::from(i % 3 == 0)).collect();
+        let m = dev.tensor(&mask).unwrap();
+        let offs = scan::reference::exclusive_widening::<u8, i32>(&mask);
+        assert_eq!(dev.mask_exclusive_scan(&m).unwrap().y.to_vec(), offs);
+
+        // Split and compress: the scan's offsets place every element.
+        let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % 1000) as u16).collect();
+        let v = dev.tensor(&vals).unwrap();
+        let (ev, ei, ent) = ops::split::reference_split(&vals, &mask);
+        let split = dev.split(&v, &m).unwrap();
+        assert_eq!(split.n_true, ent);
+        assert_eq!(split.values.to_vec(), ev);
+        assert_eq!(split.indices.to_vec(), ei);
+        let comp = dev.compress(&v, &m).unwrap();
+        assert_eq!(comp.values.to_vec(), ev[..ent]);
+
+        // Sort and top-k against a host stable sort.
+        let sorted = dev.sort(&v, SortOrder::Descending).unwrap();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| vals[b as usize].cmp(&vals[a as usize]));
+        assert_eq!(sorted.indices.to_vec(), order);
+        let top = dev.topk(&v, 10).unwrap();
+        let mut got = top.values.to_vec();
+        got.sort_unstable_by(|a, b| b.cmp(a));
+        let want: Vec<u16> = order[..10].iter().map(|&i| vals[i as usize]).collect();
+        assert_eq!(got, want);
+
+        // Samplers: the token is the first whose prefix sum exceeds
+        // theta times the (kept) total.
+        let w: Vec<f32> = (0..n).map(|i| if i < 100 { 50.0 } else { 1.0 }).collect();
+        let wt = dev.tensor(&w).unwrap();
+        let cdf = scan::reference::inclusive(&w);
+        let total = cdf[n - 1] as f64;
+        for theta in [0.2, 0.9] {
+            let want = cdf.iter().position(|&c| c as f64 > theta * total).unwrap();
+            assert_eq!(dev.weighted_sample(&wt, theta).unwrap().index, want);
+        }
+        assert_eq!(dev.reduce(&wt).unwrap().total, total as f32);
+        let table = dev.alias_table(&wt).unwrap();
+        let (draws, _) = dev.alias_sample(&table, &[(0.5, 0.5)]).unwrap();
+        assert!((draws[0] as usize) < n);
+
+        let probs: Vec<F16> = (0..n)
+            .map(|i| F16::from_f32(if i == 700 { 0.5 } else { 0.001 }))
+            .collect();
+        let p = dev.tensor(&probs).unwrap();
+        let run = dev.top_p(&p, 0.2, 0.5).unwrap();
+        assert_eq!((run.token, run.n_kept), (700, 1));
     }
 }

@@ -83,7 +83,7 @@ pub fn compress<E: Element>(
 
     let values = GlobalTensor::<E>::new(gm, n_true)?;
     let scatter_report = scatter_by_mask(
-        spec, gm, blocks, x, None, mask, &offs, n_true, &values, None, false,
+        spec, gm, blocks, x, None, mask, &offs, n_true, &values, None, false, None,
     )?;
 
     let mut report = KernelReport::sequential("Compress", &[scan_run.report, scatter_report]);

@@ -3,9 +3,14 @@
 //! The sort loops over the bits of the (order-preserving encoded) keys,
 //! least significant first, and performs one stable [`split`] per bit
 //! with the mask "bit is 0" (ascending). Each split is an exclusive
-//! int8 MCScan — running on the cube units — plus a vector scatter; the
-//! **RadixSingle** vector kernel extracts each pass's radix with
-//! `ShiftRight`/`And`/`Compare`.
+//! int8 MCScan — running on the cube units — plus a vector scatter.
+//!
+//! The paper extracts each pass's radix in a separate RadixSingle
+//! kernel (`ShiftRight`/`And`/`Compare`). Here those instructions run
+//! inside kernels that already hold the keys in UB: the encode kernel
+//! writes the bit-0 mask, and each pass's scatter writes the mask for
+//! the next bit, permuted alongside the keys. An fp16 sort is therefore
+//! 34 launches (encode, 16 scans, 16 scatters, decode), not 50.
 //!
 //! Floats are supported through the pre-/post-processing encode passes
 //! (invert the MSB of non-negatives, all bits of negatives — Knuth
@@ -13,16 +18,19 @@
 //! sort of the encoded keys orders the originals correctly, including
 //! -0.0 < +0.0 and NaNs above +∞.
 //!
-//! Output indices are permuted alongside the keys on every pass, so the
-//! result matches the PyTorch `sort()` API (values and `argsort`).
+//! Output indices are permuted alongside the keys on every pass, the
+//! last pass writing them straight into the result, so the result
+//! matches the PyTorch `sort()` API (values and `argsort`).
 //!
 //! [`split`]: crate::split::split_ind
 
-use crate::split::scatter_by_mask;
+use crate::split::{scatter_by_mask, NextPlane};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
-use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimResult};
+use ascendc::{
+    launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimResult,
+};
 use dtypes::{Element, Numeric, RadixKey};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use std::sync::Arc;
@@ -46,7 +54,7 @@ pub struct SortRun<K: Element> {
     pub report: KernelReport,
 }
 
-/// Elements per piece in the radix-extraction and codec kernels.
+/// Elements per piece in the codec kernels.
 const PIECE_CAP: usize = 2048;
 
 /// Stable radix sort of `x` (values + original indices), using the
@@ -83,22 +91,22 @@ where
     let mut keys_b = GlobalTensor::<K::Encoded>::new(gm, n)?;
     let mut idx_a = GlobalTensor::<u32>::new(gm, n)?;
     let mut idx_b = GlobalTensor::<u32>::new(gm, n)?;
-    let mask = GlobalTensor::<u8>::new(gm, n)?;
-    let mut reports = Vec::with_capacity(2 + 3 * K::BITS as usize);
+    let mut mask_a = GlobalTensor::<u8>::new(gm, n)?;
+    let mut mask_b = GlobalTensor::<u8>::new(gm, n)?;
+    let mut reports = Vec::with_capacity(2 + 2 * K::BITS as usize);
 
-    // --- Pre-processing: encode keys, materialize indices. ---
-    reports.push(encode_kernel::<K>(spec, gm, blocks, x, &keys_a, &idx_a)?);
+    // --- Pre-processing: encode keys, materialize indices, bit-0 mask. ---
+    reports.push(encode_kernel::<K>(
+        spec, gm, blocks, x, &keys_a, &idx_a, &mask_a, order,
+    )?);
 
-    // --- One split per bit plane. ---
+    // --- One split per bit plane; each scatter emits the next mask. ---
     for bit in 0..K::BITS {
-        reports.push(radix_single::<K>(
-            spec, gm, blocks, &keys_a, &mask, bit, order,
-        )?);
-
+        let last = bit + 1 == K::BITS;
         let scan_run = mcscan::<u8, i16, i32>(
             spec,
             gm,
-            &mask,
+            &mask_a,
             McScanConfig {
                 s,
                 blocks,
@@ -108,7 +116,7 @@ where
         let offs = scan_run.y;
         reports.push(scan_run.report);
         let n_true =
-            (offs.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0])) as usize;
+            (offs.read_range(n - 1, 1)?[0] + i32::from(mask_a.read_range(n - 1, 1)?[0])) as usize;
 
         reports.push(scatter_by_mask::<K::Encoded>(
             spec,
@@ -116,21 +124,24 @@ where
             blocks,
             &keys_a,
             Some(&idx_a),
-            &mask,
+            &mask_a,
             &offs,
             n_true,
             &keys_b,
-            Some(&idx_b),
+            Some(if last { &indices } else { &idx_b }),
             true,
+            (!last).then_some(NextPlane {
+                out: &mask_b,
+                compute: &move |vc, keys, mk, len| plane_mask(vc, keys, mk, len, bit + 1, order),
+            }),
         )?);
         std::mem::swap(&mut keys_a, &mut keys_b);
         std::mem::swap(&mut idx_a, &mut idx_b);
+        std::mem::swap(&mut mask_a, &mut mask_b);
     }
 
     // --- Post-processing: decode keys back to values. ---
     reports.push(decode_kernel::<K>(spec, gm, blocks, &keys_a, &values)?);
-    // The index array ends up in idx_a after an even number of swaps.
-    copy_indices(spec, gm, blocks, &idx_a, &indices, &mut reports)?;
 
     let mut report = KernelReport::sequential("RadixSort", &reports);
     report.elements = n as u64;
@@ -153,7 +164,9 @@ fn pieces(piece: usize, n: usize) -> Vec<(usize, usize)> {
     v
 }
 
-/// Pre-processing kernel: order-preserving encode + index ramp.
+/// Pre-processing kernel: order-preserving encode + index ramp + the
+/// split mask of bit 0.
+#[allow(clippy::too_many_arguments)]
 fn encode_kernel<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -161,6 +174,8 @@ fn encode_kernel<K>(
     x: &GlobalTensor<K>,
     keys: &GlobalTensor<K::Encoded>,
     idx: &GlobalTensor<u32>,
+    mask: &GlobalTensor<u8>,
+    order: SortOrder,
 ) -> SimResult<KernelReport>
 where
     K: RadixKey + Element,
@@ -168,7 +183,7 @@ where
 {
     let piece = crate::ub_piece(
         spec,
-        K::SIZE + std::mem::size_of::<K::Encoded>() + 4,
+        K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + 1,
         PIECE_CAP,
     );
     let spans = pieces(piece, x.len());
@@ -180,62 +195,46 @@ where
             let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
             let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
             let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
+            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
             for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
                 vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
                 vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
                 vc.copy_out(keys, off, &enc, 0, valid, &[])?;
                 vc.viota(&mut ramp, 0, valid, off as u32)?;
                 vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
+                plane_mask(vc, &mut enc, &mut mk, valid, 0, order)?;
+                vc.copy_out(mask, off, &mk, 0, valid, &[])?;
             }
             vc.free_local(raw)?;
             vc.free_local(enc)?;
             vc.free_local(ramp)?;
+            vc.free_local(mk)?;
         }
         Ok(())
     })
 }
 
-/// The RadixSingle kernel: extracts bit `bit` of every key into the
-/// split mask (`ShiftRight` + `And` + `Compare`).
-fn radix_single<K>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    keys: &GlobalTensor<K::Encoded>,
-    mask: &GlobalTensor<u8>,
+/// Writes the split mask of bit `bit` of `keys[..len]` into `mask`
+/// (`ShiftRight` + `And` + `Compare`), clobbering `keys`. Ascending
+/// sorts put zero bits first, descending sorts one bits.
+fn plane_mask<T: Bits + Numeric>(
+    vc: &mut Core<'_>,
+    keys: &mut LocalTensor<T>,
+    mask: &mut LocalTensor<u8>,
+    len: usize,
     bit: u32,
     order: SortOrder,
-) -> SimResult<KernelReport>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let piece = crate::ub_piece(spec, std::mem::size_of::<K::Encoded>() + 1, PIECE_CAP);
-    let spans = pieces(piece, keys.len());
-    launch(spec, gm, blocks, "RadixSingle", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
-            let mut buf = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
-                vc.copy_in(&mut buf, 0, keys, off, valid, &[])?;
-                vc.vshr(&mut buf, 0, valid, bit)?;
-                vc.vand_scalar(&mut buf, 0, valid, K::Encoded::one())?;
-                // Ascending: zero bits go first; descending: one bits.
-                let mode = match order {
-                    SortOrder::Ascending => CmpMode::Eq,
-                    SortOrder::Descending => CmpMode::Ne,
-                };
-                vc.vcompare_scalar(&mut mk, &buf, 0, valid, mode, K::Encoded::zero(), 0)?;
-                vc.copy_out(mask, off, &mk, 0, valid, &[])?;
-            }
-            vc.free_local(buf)?;
-            vc.free_local(mk)?;
-        }
-        Ok(())
-    })
+) -> SimResult<()> {
+    if bit > 0 {
+        vc.vshr(keys, 0, len, bit)?;
+    }
+    vc.vand_scalar(keys, 0, len, T::one())?;
+    let mode = match order {
+        SortOrder::Ascending => CmpMode::Eq,
+        SortOrder::Descending => CmpMode::Ne,
+    };
+    vc.vcompare_scalar(mask, keys, 0, len, mode, T::zero(), 0)?;
+    Ok(())
 }
 
 /// Post-processing kernel: decode keys back into the value domain.
@@ -271,41 +270,15 @@ where
     })
 }
 
-/// Copies the final index permutation into the caller-visible tensor.
-fn copy_indices(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    src: &GlobalTensor<u32>,
-    dst: &GlobalTensor<u32>,
-    reports: &mut Vec<KernelReport>,
-) -> SimResult<()> {
-    let piece = crate::ub_piece(spec, 4, PIECE_CAP);
-    let spans = pieces(piece, src.len());
-    let r = launch(spec, gm, blocks, "IndexCopy", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
-            let mut buf = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
-                vc.copy_in(&mut buf, 0, src, off, valid, &[])?;
-                vc.copy_out(dst, off, &buf, 0, valid, &[])?;
-            }
-            vc.free_local(buf)?;
-        }
-        Ok(())
-    })?;
-    reports.push(r);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dtypes::F16;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
@@ -434,5 +407,126 @@ mod tests {
         let run = radix_sort(&spec, &gm, &x, 16, 1, SortOrder::Ascending).unwrap();
         // Each of the 16 MCScans contributes exactly one SyncAll.
         assert_eq!(run.report.sync_rounds, 16);
+    }
+
+    /// Host oracle: the stable argsort of `data` under `cmp` (reversed
+    /// for descending, so equal keys keep their input order either way).
+    fn host_argsort<K: Copy>(
+        data: &[K],
+        order: SortOrder,
+        cmp: fn(&K, &K) -> Ordering,
+    ) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..data.len() as u32).collect();
+        idx.sort_by(|&a, &b| {
+            let o = cmp(&data[a as usize], &data[b as usize]);
+            match order {
+                SortOrder::Ascending => o,
+                SortOrder::Descending => o.reverse(),
+            }
+        });
+        idx
+    }
+
+    /// The little-endian bytes of `v`, for bit-for-bit comparisons.
+    fn bytes<K: Element>(v: &[K]) -> Vec<u8> {
+        let mut out = vec![0u8; v.len() * K::SIZE];
+        for (x, chunk) in v.iter().zip(out.chunks_mut(K::SIZE)) {
+            x.write_le(chunk);
+        }
+        out
+    }
+
+    /// `n` keys built from random bits; one in four is drawn from
+    /// `specials` (edge values, and duplicates to exercise stability).
+    fn keys<K: Element>(rng: &mut StdRng, n: usize, specials: &[u64]) -> Vec<K> {
+        (0..n)
+            .map(|_| {
+                let bits = if rng.gen_range(0..4) == 0 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen::<u64>()
+                };
+                K::read_le(&bits.to_le_bytes()[..K::SIZE])
+            })
+            .collect()
+    }
+
+    /// Sorts keys of every length around the scatter piece (plus `extra`)
+    /// both ways and checks values and argsort against the host.
+    fn check_sorts<K>(
+        seed: u64,
+        extra: usize,
+        specials: &[u64],
+        cmp: fn(&K, &K) -> Ordering,
+    ) -> Result<(), TestCaseError>
+    where
+        K: RadixKey + Element,
+        K::Encoded: Element + Bits + Numeric,
+    {
+        let (spec, gm) = setup();
+        let p = crate::split::scatter_piece(&spec, std::mem::size_of::<K::Encoded>(), true);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for n in [0, 1, p - 1, p, p + 1, extra] {
+            let data = keys::<K>(&mut rng, n, specials);
+            let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let run = radix_sort(&spec, &gm, &x, 16, 2, order).unwrap();
+                let idx = host_argsort(&data, order, cmp);
+                let vals: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
+                prop_assert_eq!(run.indices.to_vec(), idx, "n = {}, {:?}", n, order);
+                prop_assert_eq!(
+                    bytes(&run.values.to_vec()),
+                    bytes(&vals),
+                    "n = {}, {:?}",
+                    n,
+                    order
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Integer edge values of a `bytes`-wide key: 0, 1, the sign bit,
+    /// the largest positive and all ones.
+    fn int_specials(bytes: usize) -> Vec<u64> {
+        let sign = 1u64 << (8 * bytes - 1);
+        vec![0, 1, sign, sign - 1, u64::MAX]
+    }
+
+    const F16_SPECIALS: [u64; 12] = [
+        0x7E00, 0xFE00, 0x7C01, // NaNs: quiet, negative, signalling
+        0x0000, 0x8000, // ±0
+        0x7C00, 0xFC00, // ±Inf
+        0x0001, 0x8001, 0x03FF, 0x83FF, // subnormals
+        0x3C00, // 1.0
+    ];
+
+    const F32_SPECIALS: [u64; 10] = [
+        0x7FC0_0000,
+        0xFFC0_0000,
+        0x0000_0000,
+        0x8000_0000,
+        0x7F80_0000,
+        0xFF80_0000,
+        0x0000_0001,
+        0x8000_0001,
+        0x007F_FFFF,
+        0x3F80_0000,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        #[test]
+        fn fused_sort_matches_host_stable_sort(seed in any::<u64>(), extra in 2usize..3000) {
+            check_sorts::<u8>(seed, extra, &int_specials(1), u8::cmp)?;
+            check_sorts::<i8>(seed, extra, &int_specials(1), i8::cmp)?;
+            check_sorts::<u16>(seed, extra, &int_specials(2), u16::cmp)?;
+            check_sorts::<i16>(seed, extra, &int_specials(2), i16::cmp)?;
+            check_sorts::<F16>(seed, extra, &F16_SPECIALS, F16::total_cmp)?;
+            check_sorts::<u32>(seed, extra, &int_specials(4), u32::cmp)?;
+            check_sorts::<i32>(seed, extra, &int_specials(4), i32::cmp)?;
+            check_sorts::<f32>(seed, extra, &F32_SPECIALS, f32::total_cmp)?;
+        }
     }
 }

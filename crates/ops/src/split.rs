@@ -18,7 +18,9 @@
 
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
-use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
+use ascendc::{
+    launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimError, SimResult,
+};
 use dtypes::Element;
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use std::sync::Arc;
@@ -101,6 +103,7 @@ pub fn split_ind<E: Element>(
         &values,
         Some(&indices),
         true,
+        None,
     )?;
 
     let mut report = KernelReport::sequential("SplitInd", &[scan_run.report, scatter_report]);
@@ -135,6 +138,30 @@ fn empty_report(spec: &ChipSpec) -> KernelReport {
     }
 }
 
+/// Elements per piece of [`scatter_by_mask`] for `elem_size`-byte
+/// values, with or without a next-plane output.
+pub(crate) fn scatter_piece(spec: &ChipSpec, elem_size: usize, next_plane: bool) -> usize {
+    // Per element the scatter stages: value in + gathered (2E), mask +
+    // negated mask (2 B), index in + gathered (8 B), plus slack; the
+    // next plane adds its mask and the gathered copy (2 B).
+    let plane_bytes = if next_plane { 2 } else { 0 };
+    crate::ub_piece(spec, 2 * elem_size + 12 + plane_bytes, SCATTER_PIECE_CAP)
+}
+
+/// Writes the split mask for `keys[..len]` into `mask`; may clobber
+/// `keys`.
+pub(crate) type PlaneMaskFn<E> =
+    dyn Fn(&mut Core<'_>, &mut LocalTensor<E>, &mut LocalTensor<u8>, usize) -> SimResult<()> + Sync;
+
+/// The split mask a radix-sort pass hands to the next pass, computed by
+/// [`scatter_by_mask`] from the keys it already holds in UB.
+pub(crate) struct NextPlane<'a, E: Element> {
+    /// Where the scattered mask goes (aligned with the scattered values).
+    pub out: &'a GlobalTensor<u8>,
+    /// Computes the mask from a piece of keys.
+    pub compute: &'a PlaneMaskFn<E>,
+}
+
 /// The scatter phase shared by SplitInd, Compress and the radix-sort
 /// passes: distributes elements (and optionally their indices) into the
 /// true partition at the offsets given by the exclusive mask scan, and —
@@ -143,6 +170,11 @@ fn empty_report(spec: &ChipSpec) -> KernelReport {
 /// `idx_in`: `None` materializes fresh indices (`CreateVecIndex`);
 /// `Some(t)` gathers from an existing index array (radix-sort passes
 /// permute previously-permuted indices).
+///
+/// `next_plane`: `Some` also derives the next radix pass's split mask
+/// from the values this piece already holds in UB and scatters it with
+/// the same true/false masks, so the mask lands aligned with the
+/// permuted values; `None` leaves the kernel a plain split.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scatter_by_mask<E: Element>(
     spec: &ChipSpec,
@@ -156,11 +188,10 @@ pub(crate) fn scatter_by_mask<E: Element>(
     vals_out: &GlobalTensor<E>,
     idx_out: Option<&GlobalTensor<u32>>,
     false_side: bool,
+    next_plane: Option<NextPlane<'_, E>>,
 ) -> SimResult<KernelReport> {
     let n = vals.len();
-    // Per element the scatter stages: value in + gathered (2E), mask +
-    // negated mask (2 B), index in + gathered (8 B), plus slack.
-    let p = crate::ub_piece(spec, 2 * E::SIZE + 12, SCATTER_PIECE_CAP);
+    let p = scatter_piece(spec, E::SIZE, next_plane.is_some());
     let pieces: Vec<(usize, usize)> = {
         let mut v = Vec::new();
         let mut off = 0;
@@ -188,6 +219,13 @@ pub(crate) fn scatter_by_mask<E: Element>(
             let mut idx_buf = vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?;
             let mut idx_gath = vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?;
             let mut base_buf = vc.alloc_local::<i32>(ScratchpadKind::Ub, 1)?;
+            let mut plane_bufs = match next_plane {
+                Some(_) => Some((
+                    vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
+                    vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
+                )),
+                None => None,
+            };
 
             for &(off, valid) in pieces.iter().skip(lane).step_by(stride) {
                 vc.copy_in(&mut val_in, 0, vals, off, valid, &[])?;
@@ -220,8 +258,8 @@ pub(crate) fn scatter_by_mask<E: Element>(
                 }
 
                 // False side.
+                let base_false = n_true + (off - base_true);
                 if false_side {
-                    let base_false = n_true + (off - base_true);
                     vc.vcompare_scalar(&mut mk_neg, &mk, 0, valid, CmpMode::Eq, 0u8, 0)?;
                     let (cf, _) = vc.gather_mask(&mut val_gath, &val_in, &mk_neg, 0, valid)?;
                     debug_assert_eq!(cf, valid - c);
@@ -237,6 +275,26 @@ pub(crate) fn scatter_by_mask<E: Element>(
                         }
                     }
                 }
+
+                // Next plane: both sides have consumed `val_in`, so the
+                // mask computation may clobber it.
+                if let (Some(np), Some((nm, nm_gath))) = (&next_plane, &mut plane_bufs) {
+                    (np.compute)(vc, &mut val_in, nm, valid)?;
+                    let (c, _) = vc.gather_mask(nm_gath, nm, &mk, 0, valid)?;
+                    if c > 0 {
+                        vc.copy_out(np.out, base_true, nm_gath, 0, c, &[])?;
+                    }
+                    if false_side {
+                        let (cf, _) = vc.gather_mask(nm_gath, nm, &mk_neg, 0, valid)?;
+                        if cf > 0 {
+                            vc.copy_out(np.out, base_false, nm_gath, 0, cf, &[])?;
+                        }
+                    }
+                }
+            }
+            if let Some((nm, nm_gath)) = plane_bufs {
+                vc.free_local(nm)?;
+                vc.free_local(nm_gath)?;
             }
             vc.free_local(val_in)?;
             vc.free_local(val_gath)?;

@@ -111,6 +111,7 @@ where
             &keys_out,
             Some(&idx_out),
             true,
+            None,
         )?);
         // Copy the rearranged window back into the primary buffers (the
         // confirmed prefix outside the window must stay intact, so the

@@ -88,10 +88,10 @@ pub fn top_p_sample(
     // cumulative mass (cumsum[i] - prob[i]) does not exceed p·total.
     // (Llama3 normalizes first; proportional weights fold the total in.)
     let total = cdf.read_range(n - 1, 1)?[0].to_f32() as f64;
-    if total <= 0.0 {
-        return Err(SimError::InvalidArgument(
-            "top_p: probabilities sum to zero".into(),
-        ));
+    if !(total.is_finite() && total > 0.0) {
+        return Err(SimError::InvalidArgument(format!(
+            "top_p: probabilities sum to {total}, not a finite positive mass"
+        )));
     }
     let p_abs = F16::from_f64(p * total);
     let (n_kept, count_report) = kept_prefix_count(spec, gm, &cdf, &sorted.values, p_abs, blocks)?;
@@ -326,5 +326,41 @@ mod tests {
         assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 16, 1).is_err());
         let empty = GlobalTensor::<F16>::new(&gm, 0).unwrap();
         assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 16, 1).is_err());
+    }
+
+    /// Asserts `probs` is rejected as not summing to a finite positive mass.
+    fn assert_bad_total(probs: &[F16]) {
+        let (spec, gm) = setup();
+        let t = GlobalTensor::from_slice(&gm, probs).unwrap();
+        match top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16, 1) {
+            Err(SimError::InvalidArgument(msg)) => assert!(msg.contains("sum to"), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(run) => panic!("sampled token {} (n_kept {})", run.token, run.n_kept),
+        }
+    }
+
+    #[test]
+    fn rejects_all_nan_probabilities() {
+        assert_bad_total(&[F16::NAN; 300]);
+    }
+
+    #[test]
+    fn rejects_a_single_nan_probability() {
+        let mut probs = vec![F16::from_f32(0.1); 300];
+        probs[123] = F16::NAN;
+        assert_bad_total(&probs);
+    }
+
+    #[test]
+    fn rejects_a_total_that_overflows_f16() {
+        // Every entry is finite, but 300 x 60000 exceeds f16's 65504.
+        assert_bad_total(&[F16::from_f32(60000.0); 300]);
+    }
+
+    #[test]
+    fn rejects_an_infinite_probability() {
+        let mut probs = vec![F16::from_f32(0.1); 300];
+        probs[42] = F16::INFINITY;
+        assert_bad_total(&probs);
     }
 }

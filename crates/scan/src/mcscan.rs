@@ -21,13 +21,13 @@
 //! peak memory bandwidth (the paper's 37.5%).
 
 use crate::triangular::ScanConstants;
-use crate::util::{partition, tile_spans};
+use crate::util::{partition, tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
     launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
 };
-use dtypes::{CubeInput, Numeric};
+use dtypes::{CubeInput, Element, Numeric, F16};
 use std::sync::Arc;
 
 /// Inclusive vs. exclusive scan.
@@ -56,11 +56,19 @@ pub struct McScanConfig {
 }
 
 impl McScanConfig {
-    /// The paper's default evaluation configuration for a chip: all AI
-    /// cores, `s = 128`, inclusive.
+    /// The paper's default evaluation configuration for a chip's fp16
+    /// scan: all AI cores, the largest tile that fits (`s = 128` on the
+    /// 910B4), inclusive.
     pub fn for_chip(spec: &ChipSpec) -> Self {
+        Self::for_types::<F16, F16, F16>(spec)
+    }
+
+    /// [`McScanConfig::for_chip`] for an `mcscan::<T, M, O>` launch: `s`
+    /// is the largest tile dimension (at most 128) whose scratchpad
+    /// footprint fits the chip for these element types.
+    pub fn for_types<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> Self {
         McScanConfig {
-            s: 128,
+            s: tile_dim::<T, M, O>(spec),
             blocks: spec.ai_cores,
             kind: ScanKind::Inclusive,
         }
@@ -448,7 +456,8 @@ mod tests {
         let n = 1 << 21;
         let data = vec![1i8; n];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let mc = mcscan::<i8, i32, i32>(&spec, &gm, &x, McScanConfig::for_chip(&spec)).unwrap();
+        let cfg = McScanConfig::for_types::<i8, i32, i32>(&spec);
+        let mc = mcscan::<i8, i32, i32>(&spec, &gm, &x, cfg).unwrap();
         let single = crate::scanu::scanu::<i8, i32>(&spec, &gm, &x, 128).unwrap();
         let speedup = single.report.time_s() / mc.report.time_s();
         assert!(

@@ -48,7 +48,7 @@
 //! [`probe_grid_flag`]: ascendc::Core::probe_grid_flag
 
 use crate::triangular::ScanConstants;
-use crate::util::tile_spans;
+use crate::util::{tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
@@ -79,12 +79,13 @@ pub struct ScanCConfig {
 }
 
 impl ScanCConfig {
-    /// Default configuration for a chip: `s = 128` (the 910B4's
-    /// L0-filling tile), as many resident tiles per lane as UB holds
-    /// next to the `M`-typed staging buffer, and the widest look-back
-    /// window the chip's flag-id file supports (capped at 4).
-    pub fn for_chip<M: Element, O: Element>(spec: &ChipSpec) -> Self {
-        let s = 128;
+    /// Default configuration for a `scanc::<T, M, O>` launch: the
+    /// largest tile that fits the chip for these types (`s = 128`, the
+    /// L0-filling tile, on the 910B4), as many resident tiles per lane
+    /// as UB holds next to the `M`-typed staging buffer, and the widest
+    /// look-back window the chip's flag-id file supports (capped at 4).
+    pub fn for_chip<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> Self {
+        let s = tile_dim::<T, M, O>(spec);
         let l = s * s;
         let budget = spec.ub_capacity.saturating_sub(l * M::SIZE + 256);
         let mut w = 4usize;

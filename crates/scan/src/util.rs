@@ -1,5 +1,32 @@
 //! Shared tiling helpers for the scan kernels.
 
+use ascendc::ChipSpec;
+use dtypes::{CubeInput, Element};
+
+/// The paper's tile dimension: `s = 128` fills the 910B4's L0A/L0B with
+/// fp16 tiles, and keeps a tile-local int8 mask scan within `i16`.
+pub(crate) const PAPER_S: usize = 128;
+
+/// The largest tile dimension `s ≤ 128` (a multiple of 16) whose
+/// `ℓ = s²` tile fits the chip for a `<T, M, O>` cube scan: one input
+/// tile in each of L0A and L0B, one accumulator tile in L0C, and one
+/// input-or-intermediate tile next to one output tile in UB (plus a
+/// little room for the per-lane scalars). Falls back to 16, whose launch
+/// then reports the overflow.
+pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> usize {
+    let fits = |s: usize| {
+        let l = s * s;
+        l * T::SIZE <= spec.l0a_capacity.min(spec.l0b_capacity)
+            && l * <T::Acc as Element>::SIZE <= spec.l0c_capacity
+            && l * (T::SIZE.max(M::SIZE) + O::SIZE) + 256 <= spec.ub_capacity
+    };
+    (1..=PAPER_S / 16)
+        .rev()
+        .map(|k| 16 * k)
+        .find(|&s| fits(s))
+        .unwrap_or(16)
+}
+
 /// Splits `[0, n)` into spans of at most `tile` elements:
 /// `(offset, valid)` pairs in order.
 pub(crate) fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {

@@ -18,6 +18,11 @@ echo "==> cargo test -q (serial baton scheduler via ASCEND_SCHED)"
 # sched_equiv additionally proves their reports byte-identical.
 ASCEND_SCHED=serial cargo test -q --workspace
 
+echo "==> examples: each asserts its own results end to end"
+for example in quickstart sorting llm_sampling multi_sampling tensor_masking; do
+  cargo run --release --example "$example" > /dev/null
+done
+
 echo "==> perf report smoke: figures --json + trace"
 # figures refuses to write a document that fails
 # bench::validate_bench_json, which requires every stable schema key.

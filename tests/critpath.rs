@@ -59,7 +59,7 @@ fn critical_path_length_equals_cycles_for_every_shipped_kernel() {
 
     let reports: Vec<KernelReport> = {
         let x = dev.tensor(&data).unwrap();
-        let scanc_cfg = ScanCConfig::for_chip::<F16, F16>(spec);
+        let scanc_cfg = ScanCConfig::for_chip::<F16, F16, F16>(spec);
         vec![
             ascend_scan::scan::scanu::<F16, F16>(spec, dev.memory(), &x, 128)
                 .unwrap()

@@ -3,6 +3,8 @@
 
 use ascend_scan::dtypes::{RadixKey, F16};
 use ascend_scan::ops::SortOrder;
+use ascend_scan::sim::hb;
+use ascend_scan::sim::prof::{with_profiling, Profile};
 use ascend_scan::{Device, ScanKind};
 
 fn device() -> Device {
@@ -179,4 +181,64 @@ fn exclusive_scan_is_shifted_inclusive_on_device() {
     let exc = exc.y.to_vec();
     assert_eq!(exc[0], 0);
     assert_eq!(&exc[1..], &inc[..inc.len() - 1]);
+}
+
+/// `(name, count)` per distinct launch name, in first-launch order.
+fn launch_counts(profile: &Profile) -> Vec<(String, usize)> {
+    let mut counts: Vec<(String, usize)> = Vec::new();
+    for k in &profile.kernels {
+        match counts.iter_mut().find(|(name, _)| *name == k.name) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((k.name.clone(), 1)),
+        }
+    }
+    counts
+}
+
+#[test]
+fn top_p_and_sort_launch_counts_are_pinned() {
+    let dev = device();
+    let x = dev.tensor(&synth_f16(32_000, 5)).unwrap();
+    let (sorted, profile) = with_profiling(dev.memory(), || {
+        dev.sort(&x, SortOrder::Descending).unwrap()
+    });
+    assert_eq!(profile.kernels.len(), 34, "{:?}", launch_counts(&profile));
+    assert_eq!(sorted.report.sync_rounds, 16, "one MCScan barrier per bit");
+
+    let probs: Vec<F16> = (0..32_000)
+        .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e6))
+        .collect();
+    let p = dev.tensor(&probs).unwrap();
+    let (_, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.5).unwrap());
+    let want = [
+        ("RadixEncode", 1),
+        ("MCScan", 17),
+        ("MaskScatter", 16),
+        ("RadixDecode", 1),
+        ("TopPThreshold", 1),
+        ("CdfSearch", 1),
+    ];
+    let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
+    assert_eq!(launch_counts(&profile), want);
+    assert_eq!(profile.kernels.len(), 37);
+}
+
+#[test]
+fn top_p_launches_are_hb_clean() {
+    // Every launch's recorded schedule must analyze without a single
+    // diagnostic, warnings included: a dead or leaked mask transfer in
+    // the fused radix passes fails here.
+    let dev = device();
+    let probs: Vec<F16> = (0..32_000)
+        .map(|i| F16::from_f32(if i % 97 == 0 { 0.01 } else { 1e-4 }))
+        .collect();
+    let p = dev.tensor(&probs).unwrap();
+    let (_, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.3).unwrap());
+    for k in &profile.kernels {
+        assert!(!k.hb_events.is_empty(), "{} recorded no events", k.name);
+        let diags = hb::analyze(&k.hb_events);
+        if let Some(first) = diags.first() {
+            panic!("{}: {} diagnostics, first: {first}", k.name, diags.len());
+        }
+    }
 }
