@@ -19,11 +19,13 @@
 //!
 //! [`split_ind`]: crate::split::split_ind
 
+use crate::for_each_lane;
 use crate::split::split_ind;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::{EngineKind, KernelReport};
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// A built alias table in device memory.
@@ -83,24 +85,12 @@ pub fn build_alias_table(
     let mask = GlobalTensor::<u8>::new(gm, n)?;
     let scale = (n as f64 / total) as f32;
     let piece = crate::ub_piece(spec, 4 + 1, 4096);
-    let spans: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let valid = piece.min(n - off);
-            v.push((off, valid));
-            off += valid;
-        }
-        v
-    };
+    let spans = tile_spans(n, piece);
     let scale_report = launch(spec, gm, blocks, "AliasScale", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut buf = vc.alloc_local::<f32>(ScratchpadKind::Ub, piece)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut buf, 0, w, off, valid, &[])?;
                 vc.vmuls(&mut buf, 0, valid, scale, 0)?;
                 vc.copy_out(&scaled, off, &buf, 0, valid, &[])?;
@@ -108,9 +98,8 @@ pub fn build_alias_table(
                 vc.copy_out(&mask, off, &mk, 0, valid, &[])?;
             }
             vc.free_local(buf)?;
-            vc.free_local(mk)?;
-        }
-        Ok(())
+            vc.free_local(mk)
+        })
     })?;
 
     // 3. Partition item indices into lights-first order (device split —
@@ -157,22 +146,12 @@ pub fn build_alias_table(
     // Charge the sequential pairing to the scalar unit of one core.
     let pairing_cycles = (n as u64) * 4 * u64::from(spec.scalar_op_cycles);
     let mut pairing = KernelReport {
-        name: "AliasPairing(scalar)".into(),
         blocks: 1,
         cycles: spec.launch_cycles + pairing_cycles,
-        clock_ghz: spec.clock_ghz,
         bytes_read: (n * 8) as u64,
         bytes_written: (n * 8) as u64,
-        useful_bytes: 0,
-        elements: 0,
         working_set: (n * 16) as u64,
-        engine_busy: [0; 7],
-        engine_instructions: [0; 7],
-        sync_rounds: 0,
-        stalls: Default::default(),
-        barrier_waits: Vec::new(),
-        flag_waits: Vec::new(),
-        critical_path: None,
+        ..crate::empty_report(spec, "AliasPairing(scalar)")
     };
     pairing.engine_busy[EngineKind::Scalar.index()] = pairing_cycles;
 
@@ -217,15 +196,11 @@ pub fn alias_sample_many(
     let blocks = spec.ai_cores.min(k.div_ceil(2).max(1) as u32);
 
     let mut report = launch(spec, gm, blocks, "AliasSample", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, thetas.iter().enumerate(), |vc, _, mine| {
             let mut pbuf = vc.alloc_local::<f32>(ScratchpadKind::Ub, 1)?;
             let mut abuf = vc.alloc_local::<u32>(ScratchpadKind::Ub, 1)?;
             let mut obuf = vc.alloc_local::<u32>(ScratchpadKind::Ub, 1)?;
-            for di in (lane0 + v..k).step_by(stride) {
-                let (ts, ta) = thetas[di];
+            for (di, &(ts, ta)) in mine {
                 let slot = ((ts * n as f64) as usize).min(n - 1);
                 // Two random-position gathers: each drags a GM line.
                 vc.copy_in_2d(&mut pbuf, &table.prob, slot, 1, 1, n.max(2), &[])?;
@@ -239,9 +214,8 @@ pub fn alias_sample_many(
             }
             vc.free_local(pbuf)?;
             vc.free_local(abuf)?;
-            vc.free_local(obuf)?;
-        }
-        Ok(())
+            vc.free_local(obuf)
+        })
     })?;
     let tokens = out.to_vec();
     report.elements = k as u64;

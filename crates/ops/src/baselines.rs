@@ -17,10 +17,12 @@
 //! Every model's constants are `pub` so the benchmark harness can show
 //! and vary them.
 
+use crate::for_each_lane;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, Numeric, RadixKey, F16};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// Scalar-unit cycles `torch.masked_select` spends per input element
@@ -57,23 +59,13 @@ fn modeled_report(
     let bw_cycles = spec.gm_bound_cycles(bytes_read + bytes_written, usize::MAX);
     let cycles = TORCH_OP_OVERHEAD_CYCLES + (compute_cycles.ceil() as u64).max(bw_cycles);
     KernelReport {
-        name: name.to_string(),
         blocks: spec.ai_cores,
         cycles,
-        clock_ghz: spec.clock_ghz,
         bytes_read,
         bytes_written,
-        useful_bytes: 0,
-        elements: 0,
         // An opaque op streams its I/O once: footprint == traffic.
         working_set: bytes_read + bytes_written,
-        engine_busy: [0; 7],
-        engine_instructions: [0; 7],
-        sync_rounds: 0,
-        stalls: Default::default(),
-        barrier_waits: Vec::new(),
-        flag_waits: Vec::new(),
-        critical_path: None,
+        ..crate::empty_report(spec, name)
     }
 }
 
@@ -87,31 +79,18 @@ pub fn clone<E: Element>(
     let n = x.len();
     let y = GlobalTensor::<E>::new(gm, n)?;
     let piece = 8192usize.min(spec.ub_capacity / (2 * E::SIZE).max(1));
-    let spans: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let valid = piece.min(n - off);
-            v.push((off, valid));
-            off += valid;
-        }
-        v
-    };
+    let spans = tile_spans(n, piece);
     let mut report = launch(spec, gm, spec.ai_cores, "torch.clone", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut q = ascendc::TQue::<E>::new(vc, ScratchpadKind::Ub, 2, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
+            for &(off, valid) in mine {
                 let mut buf = q.alloc_tensor()?;
                 vc.copy_in(&mut buf, 0, x, off, valid, &[])?;
                 let ev = vc.copy_out(&y, off, &buf, 0, valid, &[])?;
                 q.free_tensor(buf, ev);
             }
-            q.destroy(vc)?;
-        }
-        Ok(())
+            q.destroy(vc)
+        })
     })?;
     report.elements = n as u64;
     report.useful_bytes = (2 * n * E::SIZE) as u64;

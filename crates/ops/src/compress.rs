@@ -7,12 +7,11 @@
 //! selected elements. The paper's Fig. 10 benchmarks this against the
 //! (scalar-bound) `torch.masked_select` baseline.
 
-use crate::split::scatter_by_mask;
+use crate::split::{mask_offsets, scatter_by_mask};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
 use dtypes::Element;
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use std::sync::Arc;
 
 /// Result of [`compress`].
@@ -46,47 +45,17 @@ pub fn compress<E: Element>(
         return Ok(CompressRun {
             values: GlobalTensor::<E>::new(gm, 0)?,
             n_true: 0,
-            report: KernelReport {
-                name: "Compress".into(),
-                blocks: 0,
-                cycles: spec.launch_cycles,
-                clock_ghz: spec.clock_ghz,
-                bytes_read: 0,
-                bytes_written: 0,
-                useful_bytes: 0,
-                elements: 0,
-                working_set: 0,
-                engine_busy: [0; 7],
-                engine_instructions: [0; 7],
-                sync_rounds: 0,
-                stalls: Default::default(),
-                barrier_waits: Vec::new(),
-                flag_waits: Vec::new(),
-                critical_path: None,
-            },
+            report: crate::empty_report(spec, "Compress"),
         });
     }
 
-    let scan_run = mcscan::<u8, i16, i32>(
-        spec,
-        gm,
-        mask,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Exclusive,
-        },
-    )?;
-    let offs = scan_run.y;
-    let n_true =
-        (offs.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0])) as usize;
-
+    let (offs, n_true, scan_report) = mask_offsets(spec, gm, mask, s, blocks)?;
     let values = GlobalTensor::<E>::new(gm, n_true)?;
     let scatter_report = scatter_by_mask(
         spec, gm, blocks, x, None, mask, &offs, n_true, &values, None, false, None,
     )?;
 
-    let mut report = KernelReport::sequential("Compress", &[scan_run.report, scatter_report]);
+    let mut report = KernelReport::sequential("Compress", &[scan_report, scatter_report]);
     report.elements = n as u64;
     report.useful_bytes = (n * (E::SIZE + 1) + n_true * E::SIZE) as u64;
     Ok(CompressRun {

@@ -10,7 +10,8 @@
 //!   unsigned/signed integers and `f16` via the order-preserving
 //!   encode/decode pre/post-passes.
 //! * [`topk::topk`] — top-k selection via bitwise partial quickselect on
-//!   SplitInd (reproducing the paper's *negative* result for small k).
+//!   SplitInd, running on radix sort's encode/scatter/decode kernels
+//!   (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:
 //!   descending radix sort + scan + threshold + weighted draw.
 //! * [`weighted::weighted_sample`] — inverse-transform weighted sampling
@@ -19,6 +20,11 @@
 //!   against (`torch.clone`, `torch.masked_select`, `torch.sort`,
 //!   `torch.multinomial`, baseline top-k), implemented either as real
 //!   simulator kernels or as documented cost models.
+//!
+//! Every split here is the same two steps — `split::mask_offsets` (the
+//! exclusive int8 MCScan) then `split::scatter_by_mask` — and every
+//! kernel cuts its pieces with [`scan::tile_spans`] and deals them to
+//! vector cores with `for_each_lane`.
 
 #![forbid(unsafe_code)]
 
@@ -39,15 +45,59 @@ pub use topk::topk;
 pub use topp::{top_p_sample, top_p_sample_batch};
 pub use weighted::weighted_sample;
 
+use ascend_sim::KernelReport;
+use ascendc::{BlockCtx, ChipSpec, Core, SimResult};
+use std::iter::{Skip, StepBy};
+
 /// Largest power-of-two piece length (in elements) such that a kernel
 /// needing `bytes_per_elem` UB bytes per element stays within the
 /// Unified Buffer, capped at `cap` elements. Lets the same kernels run
 /// on the tiny test chip and the 910B4 preset.
-pub(crate) fn ub_piece(spec: &ascendc::ChipSpec, bytes_per_elem: usize, cap: usize) -> usize {
+pub(crate) fn ub_piece(spec: &ChipSpec, bytes_per_elem: usize, cap: usize) -> usize {
     let max_elems = spec.ub_capacity / bytes_per_elem.max(1);
     let mut p = 64;
     while p * 2 <= max_elems && p * 2 <= cap {
         p *= 2;
     }
     p
+}
+
+/// Runs `body` on each vector core of a block, handing it the core's
+/// lane (`block_idx · vecs + v`) and its share of `items`: items are
+/// dealt round-robin over all `block_dim · vecs` lanes of the launch.
+pub(crate) fn for_each_lane<'a, I: Iterator + Clone>(
+    ctx: &mut BlockCtx<'a>,
+    items: I,
+    mut body: impl FnMut(&mut Core<'a>, usize, StepBy<Skip<I>>) -> SimResult<()>,
+) -> SimResult<()> {
+    let vecs = ctx.vecs.len();
+    let lanes = ctx.block_dim as usize * vecs;
+    for (v, vc) in ctx.vecs.iter_mut().enumerate() {
+        let lane = ctx.block_idx as usize * vecs + v;
+        body(vc, lane, items.clone().skip(lane).step_by(lanes))?;
+    }
+    Ok(())
+}
+
+/// The report of an operator given no elements: one launch's fixed
+/// cost and nothing else. Modeled reports start from it too.
+pub(crate) fn empty_report(spec: &ChipSpec, name: &str) -> KernelReport {
+    KernelReport {
+        name: name.into(),
+        blocks: 0,
+        cycles: spec.launch_cycles,
+        clock_ghz: spec.clock_ghz,
+        bytes_read: 0,
+        bytes_written: 0,
+        useful_bytes: 0,
+        elements: 0,
+        working_set: 0,
+        engine_busy: [0; 7],
+        engine_instructions: [0; 7],
+        sync_rounds: 0,
+        stalls: Default::default(),
+        barrier_waits: Vec::new(),
+        flag_waits: Vec::new(),
+        critical_path: None,
+    }
 }

@@ -24,7 +24,8 @@
 //!
 //! [`split`]: crate::split::split_ind
 
-use crate::split::{scatter_by_mask, NextPlane};
+use crate::for_each_lane;
+use crate::split::{mask_offsets, scatter_by_mask, NextPlane};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
@@ -32,7 +33,7 @@ use ascendc::{
     launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimResult,
 };
 use dtypes::{Element, Numeric, RadixKey};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// Sort direction.
@@ -55,7 +56,7 @@ pub struct SortRun<K: Element> {
 }
 
 /// Elements per piece in the codec kernels.
-const PIECE_CAP: usize = 2048;
+pub(crate) const PIECE_CAP: usize = 2048;
 
 /// Stable radix sort of `x` (values + original indices), using the
 /// MCScan-based split for every bit plane.
@@ -80,10 +81,7 @@ where
         return Ok(SortRun {
             values,
             indices,
-            report: KernelReport::sequential(
-                "RadixSort",
-                &[launch(spec, gm, 1, "noop", |_| Ok(()))?],
-            ),
+            report: crate::empty_report(spec, "RadixSort"),
         });
     }
 
@@ -97,26 +95,14 @@ where
 
     // --- Pre-processing: encode keys, materialize indices, bit-0 mask. ---
     reports.push(encode_kernel::<K>(
-        spec, gm, blocks, x, &keys_a, &idx_a, &mask_a, order,
+        spec, gm, blocks, x, &keys_a, &idx_a, &mask_a, 0, order,
     )?);
 
     // --- One split per bit plane; each scatter emits the next mask. ---
     for bit in 0..K::BITS {
         let last = bit + 1 == K::BITS;
-        let scan_run = mcscan::<u8, i16, i32>(
-            spec,
-            gm,
-            &mask_a,
-            McScanConfig {
-                s,
-                blocks,
-                kind: ScanKind::Exclusive,
-            },
-        )?;
-        let offs = scan_run.y;
-        reports.push(scan_run.report);
-        let n_true =
-            (offs.read_range(n - 1, 1)?[0] + i32::from(mask_a.read_range(n - 1, 1)?[0])) as usize;
+        let (offs, n_true, scan_report) = mask_offsets(spec, gm, &mask_a, s, blocks)?;
+        reports.push(scan_report);
 
         reports.push(scatter_by_mask::<K::Encoded>(
             spec,
@@ -153,21 +139,11 @@ where
     })
 }
 
-fn pieces(piece: usize, n: usize) -> Vec<(usize, usize)> {
-    let mut v = Vec::new();
-    let mut off = 0;
-    while off < n {
-        let valid = piece.min(n - off);
-        v.push((off, valid));
-        off += valid;
-    }
-    v
-}
-
 /// Pre-processing kernel: order-preserving encode + index ramp + the
-/// split mask of bit 0.
+/// split mask of bit plane `bit` (bit 0 for the sort's first pass, the
+/// most significant bit for top-k's).
 #[allow(clippy::too_many_arguments)]
-fn encode_kernel<K>(
+pub(crate) fn encode_kernel<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     blocks: u32,
@@ -175,6 +151,7 @@ fn encode_kernel<K>(
     keys: &GlobalTensor<K::Encoded>,
     idx: &GlobalTensor<u32>,
     mask: &GlobalTensor<u8>,
+    bit: u32,
     order: SortOrder,
 ) -> SimResult<KernelReport>
 where
@@ -186,38 +163,34 @@ where
         K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + 1,
         PIECE_CAP,
     );
-    let spans = pieces(piece, x.len());
+    let spans = tile_spans(x.len(), piece);
     launch(spec, gm, blocks, "RadixEncode", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
             let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
             let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
                 vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
                 vc.copy_out(keys, off, &enc, 0, valid, &[])?;
                 vc.viota(&mut ramp, 0, valid, off as u32)?;
                 vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
-                plane_mask(vc, &mut enc, &mut mk, valid, 0, order)?;
+                plane_mask(vc, &mut enc, &mut mk, valid, bit, order)?;
                 vc.copy_out(mask, off, &mk, 0, valid, &[])?;
             }
             vc.free_local(raw)?;
             vc.free_local(enc)?;
             vc.free_local(ramp)?;
-            vc.free_local(mk)?;
-        }
-        Ok(())
+            vc.free_local(mk)
+        })
     })
 }
 
 /// Writes the split mask of bit `bit` of `keys[..len]` into `mask`
 /// (`ShiftRight` + `And` + `Compare`), clobbering `keys`. Ascending
 /// sorts put zero bits first, descending sorts one bits.
-fn plane_mask<T: Bits + Numeric>(
+pub(crate) fn plane_mask<T: Bits + Numeric>(
     vc: &mut Core<'_>,
     keys: &mut LocalTensor<T>,
     mask: &mut LocalTensor<u8>,
@@ -238,7 +211,7 @@ fn plane_mask<T: Bits + Numeric>(
 }
 
 /// Post-processing kernel: decode keys back into the value domain.
-fn decode_kernel<K>(
+pub(crate) fn decode_kernel<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     blocks: u32,
@@ -250,28 +223,24 @@ where
     K::Encoded: Element + Bits + Numeric,
 {
     let piece = crate::ub_piece(spec, K::SIZE + std::mem::size_of::<K::Encoded>(), PIECE_CAP);
-    let spans = pieces(piece, keys.len());
+    let spans = tile_spans(keys.len(), piece);
     launch(spec, gm, blocks, "RadixDecode", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
             let mut out = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut enc, 0, keys, off, valid, &[])?;
                 vc.vradix_decode::<K>(&mut out, &enc, 0, valid)?;
                 vc.copy_out(values, off, &out, 0, valid, &[])?;
             }
             vc.free_local(enc)?;
-            vc.free_local(out)?;
-        }
-        Ok(())
+            vc.free_local(out)
+        })
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dtypes::F16;
     use proptest::prelude::*;
@@ -280,7 +249,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::cmp::Ordering;
 
-    fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
+    pub(crate) fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
         let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
         (spec, gm)
@@ -428,7 +397,7 @@ mod tests {
     }
 
     /// The little-endian bytes of `v`, for bit-for-bit comparisons.
-    fn bytes<K: Element>(v: &[K]) -> Vec<u8> {
+    pub(crate) fn bytes<K: Element>(v: &[K]) -> Vec<u8> {
         let mut out = vec![0u8; v.len() * K::SIZE];
         for (x, chunk) in v.iter().zip(out.chunks_mut(K::SIZE)) {
             x.write_le(chunk);
@@ -438,7 +407,7 @@ mod tests {
 
     /// `n` keys built from random bits; one in four is drawn from
     /// `specials` (edge values, and duplicates to exercise stability).
-    fn keys<K: Element>(rng: &mut StdRng, n: usize, specials: &[u64]) -> Vec<K> {
+    pub(crate) fn keys<K: Element>(rng: &mut StdRng, n: usize, specials: &[u64]) -> Vec<K> {
         (0..n)
             .map(|_| {
                 let bits = if rng.gen_range(0..4) == 0 {
@@ -488,12 +457,12 @@ mod tests {
 
     /// Integer edge values of a `bytes`-wide key: 0, 1, the sign bit,
     /// the largest positive and all ones.
-    fn int_specials(bytes: usize) -> Vec<u64> {
+    pub(crate) fn int_specials(bytes: usize) -> Vec<u64> {
         let sign = 1u64 << (8 * bytes - 1);
         vec![0, 1, sign, sign - 1, u64::MAX]
     }
 
-    const F16_SPECIALS: [u64; 12] = [
+    pub(crate) const F16_SPECIALS: [u64; 12] = [
         0x7E00, 0xFE00, 0x7C01, // NaNs: quiet, negative, signalling
         0x0000, 0x8000, // ±0
         0x7C00, 0xFC00, // ±Inf
@@ -501,7 +470,7 @@ mod tests {
         0x3C00, // 1.0
     ];
 
-    const F32_SPECIALS: [u64; 10] = [
+    pub(crate) const F32_SPECIALS: [u64; 10] = [
         0x7FC0_0000,
         0xFFC0_0000,
         0x0000_0000,

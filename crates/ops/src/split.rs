@@ -16,6 +16,7 @@
 //!
 //! Both phases use all cube and vector cores.
 
+use crate::for_each_lane;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{
@@ -23,6 +24,7 @@ use ascendc::{
 };
 use dtypes::Element;
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// Result of [`split_ind`].
@@ -66,29 +68,16 @@ pub fn split_ind<E: Element>(
     let values = GlobalTensor::<E>::new(gm, n)?;
     let indices = GlobalTensor::<u32>::new(gm, n)?;
     if n == 0 {
-        let report = KernelReport::sequential("SplitInd", &[empty_report(spec)]);
         return Ok(SplitRun {
             values,
             indices,
             n_true: 0,
-            report,
+            report: crate::empty_report(spec, "SplitInd"),
         });
     }
 
     // 1. Exclusive scan of the mask on the int8 MCScan path.
-    let scan_run = mcscan::<u8, i16, i32>(
-        spec,
-        gm,
-        mask,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Exclusive,
-        },
-    )?;
-    let offs = scan_run.y;
-    let n_true =
-        (offs.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0])) as usize;
+    let (offs, n_true, scan_report) = mask_offsets(spec, gm, mask, s, blocks)?;
 
     // 2. Scatter kernel.
     let scatter_report = scatter_by_mask(
@@ -106,7 +95,7 @@ pub fn split_ind<E: Element>(
         None,
     )?;
 
-    let mut report = KernelReport::sequential("SplitInd", &[scan_run.report, scatter_report]);
+    let mut report = KernelReport::sequential("SplitInd", &[scan_report, scatter_report]);
     report.elements = n as u64;
     report.useful_bytes = (n * (E::SIZE + 1) + n * (E::SIZE + 4)) as u64;
     Ok(SplitRun {
@@ -117,25 +106,25 @@ pub fn split_ind<E: Element>(
     })
 }
 
-fn empty_report(spec: &ChipSpec) -> KernelReport {
-    KernelReport {
-        name: "empty".into(),
-        blocks: 0,
-        cycles: spec.launch_cycles,
-        clock_ghz: spec.clock_ghz,
-        bytes_read: 0,
-        bytes_written: 0,
-        useful_bytes: 0,
-        elements: 0,
-        working_set: 0,
-        engine_busy: [0; 7],
-        engine_instructions: [0; 7],
-        sync_rounds: 0,
-        stalls: Default::default(),
-        barrier_waits: Vec::new(),
-        flag_waits: Vec::new(),
-        critical_path: None,
-    }
+/// Step 1 of every split: the exclusive int8 MCScan of a non-empty
+/// `mask` (`u8 → i16 → i32`), giving each element's offset within the
+/// true partition, plus the true count and the scan's report.
+pub(crate) fn mask_offsets(
+    spec: &ChipSpec,
+    gm: &Arc<GlobalMemory>,
+    mask: &GlobalTensor<u8>,
+    s: usize,
+    blocks: u32,
+) -> SimResult<(GlobalTensor<i32>, usize, KernelReport)> {
+    let n = mask.len();
+    let cfg = McScanConfig {
+        s,
+        blocks,
+        kind: ScanKind::Exclusive,
+    };
+    let run = mcscan::<u8, i16, i32>(spec, gm, mask, cfg)?;
+    let last = run.y.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0]);
+    Ok((run.y, last as usize, run.report))
 }
 
 /// Elements per piece of [`scatter_by_mask`] for `elem_size`-byte
@@ -192,26 +181,10 @@ pub(crate) fn scatter_by_mask<E: Element>(
 ) -> SimResult<KernelReport> {
     let n = vals.len();
     let p = scatter_piece(spec, E::SIZE, next_plane.is_some());
-    let pieces: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let valid = p.min(n - off);
-            v.push((off, valid));
-            off += valid;
-        }
-        v
-    };
+    let pieces = tile_spans(n, p);
 
     launch(spec, gm, blocks, "MaskScatter", |ctx| {
-        let block = ctx.block_idx as usize;
-        let nblocks = ctx.block_dim as usize;
-        let vec_per_core = ctx.vecs.len();
-        for v in 0..vec_per_core {
-            let lane = block * vec_per_core + v;
-            let stride = nblocks * vec_per_core;
-            let vc = &mut ctx.vecs[v];
-
+        for_each_lane(ctx, pieces.iter(), |vc, _, mine| {
             let mut val_in = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
             let mut val_gath = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?;
@@ -227,7 +200,7 @@ pub(crate) fn scatter_by_mask<E: Element>(
                 None => None,
             };
 
-            for &(off, valid) in pieces.iter().skip(lane).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut val_in, 0, vals, off, valid, &[])?;
                 vc.copy_in(&mut mk, 0, mask, off, valid, &[])?;
                 vc.copy_in(&mut base_buf, 0, offs, off, 1, &[])?;
@@ -302,9 +275,8 @@ pub(crate) fn scatter_by_mask<E: Element>(
             vc.free_local(mk_neg)?;
             vc.free_local(idx_buf)?;
             vc.free_local(idx_gath)?;
-            vc.free_local(base_buf)?;
-        }
-        Ok(())
+            vc.free_local(base_buf)
+        })
     })
 }
 

@@ -10,19 +10,29 @@
 //! top-k (in selection order, not sorted — the PyTorch-compatible
 //! wrapper can radix-sort the k survivors if sorted output is needed).
 //!
+//! The passes run on radix sort's kernels: the encode kernel writes the
+//! most significant bit's mask, each pass is the mask scan plus a
+//! scatter that writes the next bit's mask alongside the permuted window
+//! (ping-ponging two mask buffers), and the decode kernel converts the
+//! `k` survivors back. Each scattered window is copied back into the
+//! primary buffers, because the confirmed prefix outside the window must
+//! stay intact: one pass is four launches.
+//!
 //! **Expectation management**: the paper reports a *negative* result —
 //! this construction does not beat the baseline `top-k` operator for
 //! small `k` (≤ 4096), because every pass re-reads the candidate range
 //! and the first passes touch the whole input. The benchmark harness
 //! reproduces that finding.
 
-use crate::split::scatter_by_mask;
+use crate::radix_sort::{decode_kernel, encode_kernel, plane_mask, SortOrder, PIECE_CAP};
+use crate::split::{mask_offsets, scatter_by_mask, NextPlane};
+use crate::{for_each_lane, ub_piece};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
-use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
+use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, Numeric, RadixKey};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// Result of [`topk`].
@@ -34,8 +44,6 @@ pub struct TopKRun<K: Element> {
     /// Combined execution report over all passes.
     pub report: KernelReport,
 }
-
-const PIECE_CAP: usize = 2048;
 
 /// Selects the `k` largest elements of `x` (with original indices).
 pub fn topk<K>(
@@ -57,67 +65,44 @@ where
         )));
     }
 
-    let mut keys_a = GlobalTensor::<K::Encoded>::new(gm, n)?;
+    let keys_a = GlobalTensor::<K::Encoded>::new(gm, n)?;
     let keys_b = GlobalTensor::<K::Encoded>::new(gm, n)?;
-    let mut idx_a = GlobalTensor::<u32>::new(gm, n)?;
+    let idx_a = GlobalTensor::<u32>::new(gm, n)?;
     let idx_b = GlobalTensor::<u32>::new(gm, n)?;
+    let mut mask_a = GlobalTensor::<u8>::new(gm, n)?;
+    let mut mask_b = GlobalTensor::<u8>::new(gm, n)?;
     let mut reports = Vec::new();
 
-    // Encode + index ramp (reuses the radix-sort pre-processing).
-    reports.push(encode_kernel::<K>(spec, gm, blocks, x, &keys_a, &idx_a)?);
+    // Encode + index ramp + the "bit is 1" mask of the top bit.
+    reports.push(encode_kernel::<K>(
+        spec,
+        gm,
+        blocks,
+        x,
+        &keys_a,
+        &idx_a,
+        &mask_a,
+        K::BITS - 1,
+        SortOrder::Descending,
+    )?);
 
-    // Bitwise quickselect over a shrinking candidate window.
+    // Bitwise quickselect over a shrinking candidate window; `mask_a`
+    // holds the current bit's mask, aligned with `keys_a`.
     let mut start = 0usize; // confirmed top elements live in [0, start)
     let mut len = n; // candidates live in [start, start + len)
     let mut need = k; // top elements still to confirm inside the window
-    let mut bit = K::BITS;
-    while bit > 0 && len > need {
-        bit -= 1;
-        let keys_view = keys_a.slice(start, len)?;
-        let idx_view = idx_a.slice(start, len)?;
+    for bit in (0..K::BITS).rev() {
+        if len == need {
+            break;
+        }
+        let keys_in = keys_a.slice(start, len)?;
         let keys_out = keys_b.slice(start, len)?;
+        let idx_in = idx_a.slice(start, len)?;
         let idx_out = idx_b.slice(start, len)?;
-
-        // Mask: "bit is 1" first (the larger half).
-        let mask = GlobalTensor::<u8>::new(gm, len)?;
-        reports.push(bit_mask_kernel::<K>(
-            spec, gm, blocks, &keys_view, &mask, bit,
-        )?);
-
-        let scan_run = mcscan::<u8, i16, i32>(
-            spec,
-            gm,
-            &mask,
-            McScanConfig {
-                s,
-                blocks,
-                kind: ScanKind::Exclusive,
-            },
-        )?;
-        let offs = scan_run.y;
-        reports.push(scan_run.report);
-        let n_ones =
-            (offs.read_range(len - 1, 1)?[0] + i32::from(mask.read_range(len - 1, 1)?[0])) as usize;
-
-        reports.push(scatter_by_mask::<K::Encoded>(
-            spec,
-            gm,
-            blocks,
-            &keys_view,
-            Some(&idx_view),
-            &mask,
-            &offs,
-            n_ones,
-            &keys_out,
-            Some(&idx_out),
-            true,
-            None,
-        )?);
-        // Copy the rearranged window back into the primary buffers (the
-        // confirmed prefix outside the window must stay intact, so the
-        // buffers cannot simply be swapped).
-        reports.push(copy_window(spec, gm, blocks, &keys_out, &keys_view)?);
-        reports.push(copy_window_u32(spec, gm, blocks, &idx_out, &idx_view)?);
+        let mask = mask_a.slice(start, len)?;
+        let next_mask = mask_b.slice(start, len)?;
+        let (offs, n_ones, scan_report) = mask_offsets(spec, gm, &mask, s, blocks)?;
+        reports.push(scan_report);
 
         if n_ones >= need {
             // All winners are inside the ones partition.
@@ -129,16 +114,42 @@ where
             need -= n_ones;
             len -= n_ones;
         }
-        if len == need {
-            break;
-        }
+        let more = bit > 0 && len > need;
+        reports.push(scatter_by_mask::<K::Encoded>(
+            spec,
+            gm,
+            blocks,
+            &keys_in,
+            Some(&idx_in),
+            &mask,
+            &offs,
+            n_ones,
+            &keys_out,
+            Some(&idx_out),
+            true,
+            more.then_some(NextPlane {
+                out: &next_mask,
+                compute: &move |vc, keys, mk, m| {
+                    plane_mask(vc, keys, mk, m, bit - 1, SortOrder::Descending)
+                },
+            }),
+        )?);
+        reports.push(copy_window(spec, gm, blocks, &keys_out, &keys_in)?);
+        reports.push(copy_window(spec, gm, blocks, &idx_out, &idx_in)?);
+        std::mem::swap(&mut mask_a, &mut mask_b);
     }
 
     // The top-k now occupy [0, k) of the working buffers.
     let values = GlobalTensor::<K>::new(gm, k)?;
     let indices = GlobalTensor::<u32>::new(gm, k)?;
-    reports.push(decode_prefix::<K>(spec, gm, blocks, &keys_a, &values, k)?);
-    reports.push(copy_window_u32(
+    reports.push(decode_kernel::<K>(
+        spec,
+        gm,
+        blocks,
+        &keys_a.slice(0, k)?,
+        &values,
+    )?);
+    reports.push(copy_window(
         spec,
         gm,
         blocks,
@@ -149,7 +160,6 @@ where
     let mut report = KernelReport::sequential("TopK", &reports);
     report.elements = n as u64;
     report.useful_bytes = (n * K::SIZE + k * (K::SIZE + 4)) as u64;
-    let _ = (&mut keys_a, &mut idx_a);
     Ok(TopKRun {
         values,
         indices,
@@ -157,93 +167,7 @@ where
     })
 }
 
-fn pieces(piece: usize, n: usize) -> Vec<(usize, usize)> {
-    let mut v = Vec::new();
-    let mut off = 0;
-    while off < n {
-        let valid = piece.min(n - off);
-        v.push((off, valid));
-        off += valid;
-    }
-    v
-}
-
-fn encode_kernel<K>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    x: &GlobalTensor<K>,
-    keys: &GlobalTensor<K::Encoded>,
-    idx: &GlobalTensor<u32>,
-) -> SimResult<KernelReport>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let piece = crate::ub_piece(
-        spec,
-        K::SIZE + std::mem::size_of::<K::Encoded>() + 4,
-        PIECE_CAP,
-    );
-    let spans = pieces(piece, x.len());
-    launch(spec, gm, blocks, "TopKEncode", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
-            let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-            let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-            let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
-                vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
-                vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
-                vc.copy_out(keys, off, &enc, 0, valid, &[])?;
-                vc.viota(&mut ramp, 0, valid, off as u32)?;
-                vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
-            }
-            vc.free_local(raw)?;
-            vc.free_local(enc)?;
-            vc.free_local(ramp)?;
-        }
-        Ok(())
-    })
-}
-
-fn bit_mask_kernel<K>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    keys: &GlobalTensor<K::Encoded>,
-    mask: &GlobalTensor<u8>,
-    bit: u32,
-) -> SimResult<KernelReport>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let piece = crate::ub_piece(spec, std::mem::size_of::<K::Encoded>() + 1, PIECE_CAP);
-    let spans = pieces(piece, keys.len());
-    launch(spec, gm, blocks, "TopKBitMask", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
-            let mut buf = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
-                vc.copy_in(&mut buf, 0, keys, off, valid, &[])?;
-                vc.vshr(&mut buf, 0, valid, bit)?;
-                vc.vand_scalar(&mut buf, 0, valid, K::Encoded::one())?;
-                vc.vcompare_scalar(&mut mk, &buf, 0, valid, CmpMode::Ne, K::Encoded::zero(), 0)?;
-                vc.copy_out(mask, off, &mk, 0, valid, &[])?;
-            }
-            vc.free_local(buf)?;
-            vc.free_local(mk)?;
-        }
-        Ok(())
-    })
-}
-
+/// Copies `src` into `dst` (the shorter length) through UB.
 fn copy_window<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -251,79 +175,30 @@ fn copy_window<E: Element>(
     src: &GlobalTensor<E>,
     dst: &GlobalTensor<E>,
 ) -> SimResult<KernelReport> {
-    let piece = crate::ub_piece(spec, E::SIZE, PIECE_CAP);
-    let spans = pieces(piece, src.len().min(dst.len()));
+    let piece = ub_piece(spec, E::SIZE, PIECE_CAP);
+    let spans = tile_spans(src.len().min(dst.len()), piece);
     launch(spec, gm, blocks, "WindowCopy", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut buf = vc.alloc_local::<E>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut buf, 0, src, off, valid, &[])?;
                 vc.copy_out(dst, off, &buf, 0, valid, &[])?;
             }
-            vc.free_local(buf)?;
-        }
-        Ok(())
-    })
-}
-
-fn copy_window_u32(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    src: &GlobalTensor<u32>,
-    dst: &GlobalTensor<u32>,
-) -> SimResult<KernelReport> {
-    copy_window::<u32>(spec, gm, blocks, src, dst)
-}
-
-fn decode_prefix<K>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    keys: &GlobalTensor<K::Encoded>,
-    values: &GlobalTensor<K>,
-    k: usize,
-) -> SimResult<KernelReport>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let piece = crate::ub_piece(spec, K::SIZE + std::mem::size_of::<K::Encoded>(), PIECE_CAP);
-    let spans = pieces(piece, k);
-    launch(spec, gm, blocks, "TopKDecode", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let vc = &mut ctx.vecs[v];
-            let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-            let mut out = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in spans.iter().skip(lane0 + v).step_by(stride) {
-                vc.copy_in(&mut enc, 0, keys, off, valid, &[])?;
-                vc.vradix_decode::<K>(&mut out, &enc, 0, valid)?;
-                vc.copy_out(values, off, &out, 0, valid, &[])?;
-            }
-            vc.free_local(enc)?;
-            vc.free_local(out)?;
-        }
-        Ok(())
+            vc.free_local(buf)
+        })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix_sort::tests::{bytes, int_specials, keys, setup, F16_SPECIALS, F32_SPECIALS};
     use dtypes::F16;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
-        let spec = ChipSpec::tiny();
-        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
-        (spec, gm)
-    }
+    use std::cmp::Ordering;
 
     fn check_topk_u16(data: &[u16], k: usize) {
         let (spec, gm) = setup();
@@ -387,5 +262,60 @@ mod tests {
         let x = GlobalTensor::from_slice(&gm, &[1u16, 2, 3]).unwrap();
         assert!(topk(&spec, &gm, &x, 0, 16, 1).is_err());
         assert!(topk(&spec, &gm, &x, 4, 16, 1).is_err());
+    }
+
+    /// Selects `k ∈ {1, n/2, n}` from keys of every length around the
+    /// scatter piece and checks the result against the host: the same
+    /// multiset of bit patterns as the top `k` under `cmp`, each index
+    /// pointing at its value, and no index twice.
+    fn check_topk<K>(
+        seed: u64,
+        specials: &[u64],
+        cmp: fn(&K, &K) -> Ordering,
+    ) -> Result<(), TestCaseError>
+    where
+        K: RadixKey + Element,
+        K::Encoded: Element + Bits + Numeric,
+    {
+        let (spec, gm) = setup();
+        let p = crate::split::scatter_piece(&spec, std::mem::size_of::<K::Encoded>(), true);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for n in [p - 1, p, p + 1] {
+            let data = keys::<K>(&mut rng, n, specials);
+            let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+            let mut expect = data.clone();
+            expect.sort_by(|a, b| cmp(b, a));
+            for k in [1, (n / 2).max(1), n] {
+                let run = topk(&spec, &gm, &x, k, 16, 2).unwrap();
+                let vals = run.values.to_vec();
+                let idx = run.indices.to_vec();
+                let mut got = vals.clone();
+                got.sort_by(|a, b| cmp(b, a));
+                prop_assert_eq!(bytes(&got), bytes(&expect[..k]), "n = {}, k = {}", n, k);
+                let picked: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
+                prop_assert_eq!(bytes(&picked), bytes(&vals), "n = {}, k = {}", n, k);
+                let mut distinct = idx.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                prop_assert_eq!(distinct.len(), k, "n = {}, k = {}", n, k);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+
+        #[test]
+        fn fused_topk_matches_host_selection(seed in any::<u64>()) {
+            check_topk::<u8>(seed, &int_specials(1), u8::cmp)?;
+            check_topk::<i8>(seed, &int_specials(1), i8::cmp)?;
+            check_topk::<u16>(seed, &int_specials(2), u16::cmp)?;
+            check_topk::<i16>(seed, &int_specials(2), i16::cmp)?;
+            check_topk::<F16>(seed, &F16_SPECIALS, F16::total_cmp)?;
+            check_topk::<u32>(seed, &int_specials(4), u32::cmp)?;
+            check_topk::<i32>(seed, &int_specials(4), i32::cmp)?;
+            check_topk::<f32>(seed, &F32_SPECIALS, f32::total_cmp)?;
+        }
     }
 }

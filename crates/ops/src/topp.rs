@@ -18,6 +18,7 @@
 //! [`radix_sort`]: crate::radix_sort::radix_sort
 //! [`mcscan`]: scan::mcscan::mcscan
 
+use crate::for_each_lane;
 use crate::radix_sort::{radix_sort, SortOrder};
 use crate::weighted::cdf_search;
 use ascend_sim::mem::GlobalMemory;
@@ -25,6 +26,7 @@ use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, F16};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// Result of [`top_p_sample`].
@@ -175,29 +177,16 @@ fn kept_prefix_count(
     let piece = crate::ub_piece(spec, 2 * F16::SIZE + 1 + 4, 4096);
     let lanes = (blocks as usize) * spec.vec_per_core as usize;
     let counts = GlobalTensor::<u32>::new(gm, lanes)?;
-    let spans: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let valid = piece.min(n - off);
-            v.push((off, valid));
-            off += valid;
-        }
-        v
-    };
+    let spans = tile_spans(n, piece);
     let report = launch(spec, gm, blocks, "TopPThreshold", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let lane = lane0 + v;
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
             let mut cbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
             let mut pbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
             let mut wide = vc.alloc_local::<i32>(ScratchpadKind::Ub, piece)?;
             let mut kept = 0u32;
             let mut kept_ready = 0;
-            for &(off, valid) in spans.iter().skip(lane).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut cbuf, 0, cdf, off, valid, &[])?;
                 vc.copy_in(&mut pbuf, 0, probs_sorted, off, valid, &[])?;
                 // exclusive mass = cumsum - prob
@@ -216,9 +205,8 @@ fn kept_prefix_count(
             vc.free_local(cbuf)?;
             vc.free_local(pbuf)?;
             vc.free_local(mk)?;
-            vc.free_local(wide)?;
-        }
-        Ok(())
+            vc.free_local(wide)
+        })
     })?;
     let n_kept: u32 = counts.to_vec().into_iter().sum();
     Ok((n_kept as usize, report))

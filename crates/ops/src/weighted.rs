@@ -11,11 +11,13 @@
 //! support), this works for arbitrary support sizes — the functional
 //! improvement the paper claims.
 
+use crate::for_each_lane;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::Numeric;
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::tile_spans;
 use std::sync::Arc;
 
 /// Result of [`weighted_sample`].
@@ -68,10 +70,10 @@ where
     )?;
     let cdf = scan_run.y;
     let total = cdf.read_range(n - 1, 1)?[0].to_f64();
-    if total <= 0.0 {
-        return Err(SimError::InvalidArgument(
-            "weighted_sample: weights sum to zero".into(),
-        ));
+    if !(total.is_finite() && total > 0.0) {
+        return Err(SimError::InvalidArgument(format!(
+            "weighted_sample: weights sum to {total}, not a finite positive mass"
+        )));
     }
     let threshold = W::from_f64(theta * total);
 
@@ -108,28 +110,15 @@ pub(crate) fn cdf_search<W: Numeric>(
 ) -> SimResult<(usize, KernelReport)> {
     let first_hits = GlobalTensor::<u32>::new(gm, (blocks as usize) * spec.vec_per_core as usize)?;
     let piece = crate::ub_piece(spec, W::SIZE + 1 + 4, 4096);
-    let spans: Vec<(usize, usize)> = {
-        let mut v = Vec::new();
-        let mut off = 0;
-        while off < n {
-            let valid = piece.min(n - off);
-            v.push((off, valid));
-            off += valid;
-        }
-        v
-    };
+    let spans = tile_spans(n, piece);
     let report = launch(spec, gm, blocks, "CdfSearch", |ctx| {
-        let lane0 = ctx.block_idx as usize * ctx.vecs.len();
-        let stride = ctx.block_dim as usize * ctx.vecs.len();
-        for v in 0..ctx.vecs.len() {
-            let lane = lane0 + v;
-            let vc = &mut ctx.vecs[v];
+        for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
             let mut buf = vc.alloc_local::<W>(ScratchpadKind::Ub, piece)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
             let mut wide = vc.alloc_local::<i32>(ScratchpadKind::Ub, piece)?;
             let mut best = u32::MAX;
             let mut best_ready = 0;
-            for &(off, valid) in spans.iter().skip(lane).step_by(stride) {
+            for &(off, valid) in mine {
                 vc.copy_in(&mut buf, 0, cdf, off, valid, &[])?;
                 vc.vcompare_scalar(&mut mk, &buf, 0, valid, CmpMode::Gt, threshold, 0)?;
                 // Widen the mask before reducing (a u8 sum wraps at 255)
@@ -149,9 +138,8 @@ pub(crate) fn cdf_search<W: Numeric>(
             vc.free_local(one)?;
             vc.free_local(buf)?;
             vc.free_local(mk)?;
-            vc.free_local(wide)?;
-        }
-        Ok(())
+            vc.free_local(wide)
+        })
     })?;
 
     let index = first_hits
@@ -246,5 +234,36 @@ mod tests {
         assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5, 16, 1).is_err());
         let zeros = GlobalTensor::from_slice(&gm, &[0.0f32; 10]).unwrap();
         assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5, 16, 1).is_err());
+    }
+
+    /// Asserts `w` is rejected as not summing to a finite positive mass.
+    fn assert_bad_total(w: &[F16]) {
+        let (spec, gm) = setup();
+        let t = GlobalTensor::from_slice(&gm, w).unwrap();
+        match weighted_sample::<F16>(&spec, &gm, &t, 0.5, 16, 1) {
+            Err(SimError::InvalidArgument(msg)) => assert!(msg.contains("sum to"), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(run) => panic!("sampled index {}", run.index),
+        }
+    }
+
+    #[test]
+    fn rejects_a_single_nan_weight() {
+        let mut w = vec![F16::from_f32(0.1); 300];
+        w[123] = F16::NAN;
+        assert_bad_total(&w);
+    }
+
+    #[test]
+    fn rejects_an_infinite_weight() {
+        let mut w = vec![F16::from_f32(0.1); 300];
+        w[42] = F16::INFINITY;
+        assert_bad_total(&w);
+    }
+
+    #[test]
+    fn rejects_a_total_that_overflows_f16() {
+        // Every weight is finite, but 300 x 60000 exceeds f16's 65504.
+        assert_bad_total(&[F16::from_f32(60000.0); 300]);
     }
 }

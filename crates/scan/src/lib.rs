@@ -55,6 +55,7 @@ pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};
 pub use scanu::scanu;
 pub use scanul1::scanul1;
+pub use util::tile_spans;
 
 use ascendc::{GlobalTensor, KernelReport};
 use dtypes::Element;

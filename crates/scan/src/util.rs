@@ -28,8 +28,10 @@ pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) ->
 }
 
 /// Splits `[0, n)` into spans of at most `tile` elements:
-/// `(offset, valid)` pairs in order.
-pub(crate) fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {
+/// `(offset, valid)` pairs in order. The one piece list of the
+/// workspace: the scan kernels tile with it and the `ops` kernels cut
+/// their pieces with it.
+pub fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {
     assert!(tile > 0, "tile size must be positive");
     let mut spans = Vec::with_capacity(n.div_ceil(tile));
     let mut off = 0;

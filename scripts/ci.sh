@@ -23,6 +23,11 @@ for example in quickstart sorting llm_sampling multi_sampling tensor_masking; do
   cargo run --release --example "$example" > /dev/null
 done
 
+echo "==> top-k smoke: the fused top-k passes at 910B4 scale"
+# Unit tests run top-k on the tiny chip only; this drives it through the
+# figure harness on the 910B4 preset (256K elements, k = 64 and 4096).
+cargo run --release -p bench --bin figures -- topk --quick > /dev/null
+
 echo "==> perf report smoke: figures --json + trace"
 # figures refuses to write a document that fails
 # bench::validate_bench_json, which requires every stable schema key.

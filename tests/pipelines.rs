@@ -142,20 +142,58 @@ fn radix_sort_argsort_is_a_permutation() {
     }
 }
 
+/// Passes the bitwise quickselect makes to find the top `k` of the
+/// encoded `keys`: one per bit, most significant first, until the
+/// candidate window holds exactly the elements still needed.
+fn topk_passes(keys: &[u16], k: usize) -> usize {
+    let (mut cand, mut need) = (keys.to_vec(), k);
+    let mut passes = 0;
+    for bit in (0..16).rev() {
+        if cand.len() == need {
+            break;
+        }
+        passes += 1;
+        let (ones, zeros): (Vec<u16>, Vec<u16>) = cand.iter().partition(|&&v| v >> bit & 1 == 1);
+        if ones.len() >= need {
+            cand = ones;
+        } else {
+            need -= ones.len();
+            cand = zeros;
+        }
+    }
+    passes
+}
+
 #[test]
 fn topk_agrees_with_full_sort() {
     let dev = device();
-    let n = 60_000;
-    let vals = synth_f16(n, 13);
-    let x = dev.tensor(&vals).unwrap();
-    let k = 500;
-    let run = dev.topk(&x, k).unwrap();
-    let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
-    got.sort_unstable_by(|a, b| b.cmp(a));
-    let mut expect: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
-    expect.sort_unstable_by(|a, b| b.cmp(a));
-    expect.truncate(k);
-    assert_eq!(got, expect);
+    let flat: Vec<F16> = (0..32_000)
+        .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e6))
+        .collect();
+    for (vals, k) in [(synth_f16(60_000, 13), 500), (flat, 100)] {
+        let x = dev.tensor(&vals).unwrap();
+        let (run, profile) = with_profiling(dev.memory(), || dev.topk(&x, k).unwrap());
+        let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
+        got.sort_unstable_by(|a, b| b.cmp(a));
+        let mut expect: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
+        expect.sort_unstable_by(|a, b| b.cmp(a));
+        expect.truncate(k);
+        assert_eq!(got, expect);
+
+        // Top-k runs on radix sort's kernels: encode, then per pass a
+        // mask scan, a scatter and the two window copy-backs, then the
+        // decode and the index copy of the k survivors.
+        let keys: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
+        let passes = topk_passes(&keys, k);
+        assert!(passes > 0);
+        let mut want = vec!["RadixEncode"];
+        for _ in 0..passes {
+            want.extend(["MCScan", "MaskScatter", "WindowCopy", "WindowCopy"]);
+        }
+        want.extend(["RadixDecode", "WindowCopy"]);
+        let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, want, "{:?}", launch_counts(&profile));
+    }
 }
 
 #[test]
@@ -227,14 +265,16 @@ fn top_p_and_sort_launch_counts_are_pinned() {
 fn top_p_launches_are_hb_clean() {
     // Every launch's recorded schedule must analyze without a single
     // diagnostic, warnings included: a dead or leaked mask transfer in
-    // the fused radix passes fails here.
+    // the fused radix passes (shared by top-p's sort and top-k) fails
+    // here.
     let dev = device();
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(if i % 97 == 0 { 0.01 } else { 1e-4 }))
         .collect();
     let p = dev.tensor(&probs).unwrap();
-    let (_, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.3).unwrap());
-    for k in &profile.kernels {
+    let (_, top_p) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.3).unwrap());
+    let (_, top_k) = with_profiling(dev.memory(), || dev.topk(&p, 500).unwrap());
+    for k in top_p.kernels.iter().chain(&top_k.kernels) {
         assert!(!k.hb_events.is_empty(), "{} recorded no events", k.name);
         let diags = hb::analyze(&k.hb_events);
         if let Some(first) = diags.first() {
