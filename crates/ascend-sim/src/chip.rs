@@ -7,25 +7,28 @@
 
 use crate::engine::EngineKind;
 use crate::simcheck::ValidationMode;
-use crate::sync::{GridPlan, SchedMode};
+use crate::sync::GridPlan;
 use std::sync::Arc;
 
-/// How a launch picks its scheduler gating discipline.
+/// How a launch gates its blocks: the stride of the scheduler's one
+/// segment gate and the grid-flag commit order (see `ascend_sim::sync`).
 ///
-/// Both disciplines produce byte-identical reports (see
-/// [`SchedMode`]); this policy exists so tests and equivalence gates
-/// can pin a mode without racing on the process-global `ASCEND_SCHED`
-/// environment variable.
+/// Every policy produces byte-identical reports for schedule-independent
+/// kernels; pinning one per launch lets tests and equivalence gates
+/// avoid racing on the process-global `ASCEND_SCHED` environment
+/// variable.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Resolve from `ASCEND_SCHED` at launch time (the default).
     #[default]
     Env,
-    /// Force the serial baton scheduler.
+    /// Segment gate of stride 1: one block runs at a time, in ascending
+    /// block index within each barrier round.
     Serial,
-    /// Force the parallel-round scheduler.
+    /// Segment gate of stride = the slot count: slot-disjoint blocks run
+    /// concurrently between sync edges.
     Parallel,
-    /// Parallel gating with grid-flag commits pinned to a [`GridPlan`] —
+    /// Parallel segments with grid-flag commits pinned to a [`GridPlan`] —
     /// the model checker's replay hook (see `ascend_sim::mc`): the
     /// launch commits grid-flag operations in exactly the planned order
     /// so one specific explored interleaving can be re-executed on the
@@ -34,13 +37,17 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// The concrete [`SchedMode`] this launch should run under.
-    pub fn resolve(&self) -> SchedMode {
+    /// The concrete policy a launch runs under. [`SchedPolicy::Env`]
+    /// reads `ASCEND_SCHED`: `serial` (or `baton`) selects `Serial`,
+    /// anything else — including unset — `Parallel`. Every other policy
+    /// resolves to itself.
+    pub fn resolve(&self) -> SchedPolicy {
         match self {
-            SchedPolicy::Env => SchedMode::from_env(),
-            SchedPolicy::Serial => SchedMode::Serial,
-            SchedPolicy::Parallel => SchedMode::Parallel,
-            SchedPolicy::Planned(plan) => SchedMode::Planned(Arc::clone(plan)),
+            SchedPolicy::Env => match std::env::var("ASCEND_SCHED").as_deref() {
+                Ok("serial") | Ok("baton") => SchedPolicy::Serial,
+                _ => SchedPolicy::Parallel,
+            },
+            policy => policy.clone(),
         }
     }
 }

@@ -26,12 +26,14 @@
 //!   (effective HBM or L2 bandwidth);
 //! * a **launch overhead** per kernel.
 //!
-//! Blocks are driven by a deterministic [`Scheduler`] (see [`sync`]):
-//! either a serial cooperative baton (one block at a time in a total,
-//! seed-independent event order) or — the default — deterministic
-//! parallel rounds that let blocks run concurrently on host threads
-//! while committing every observable side effect in block-index order.
-//! Both produce byte-identical reports, so launches replay
+//! Blocks are driven by a deterministic [`Scheduler`] (see [`sync`])
+//! with one gate: a block runs its next segment once the lower blocks it
+//! depends on have parked. At stride 1 (`Serial`) that is every lower
+//! block, so one block runs at a time; at the slot-count stride (the
+//! default, `Parallel`) it is only the block's lower slot-mates, so
+//! blocks run concurrently on host threads. Grid-flag operations commit
+//! in block-index order either way, and both strides produce
+//! byte-identical reports, so launches replay
 //! byte-for-byte regardless of host thread scheduling and grids may
 //! exceed both the host's cores and the chip's. Cross-block
 //! synchronization (`SyncAll`) is built from priced
@@ -80,6 +82,6 @@ pub use prof::{
 };
 pub use report::KernelReport;
 pub use simcheck::{ScratchTracker, ValidationMode};
-pub use sync::{FlagFile, GridPlan, SchedMode, Scheduler};
+pub use sync::{FlagFile, GridPlan, Scheduler};
 pub use timeline::{CoreKind, CoreTimeline, EventTime};
 pub use trace::{HbAction, HbEvent, HbRecorder, TraceEvent};

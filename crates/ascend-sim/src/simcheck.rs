@@ -10,9 +10,10 @@
 //!   scratchpad (UB/L1/L0A/L0B/L0C). Using or freeing a buffer after it
 //!   was freed is a use-after-free; using a stale buffer whose range has
 //!   since been handed to a live allocation is an overlap.
-//! * **Timeline audits** ([`audit_trace_events`]): per-engine event
-//!   times must be monotone — an in-order engine queue can never run two
-//!   instructions in overlapping intervals.
+//! * **Engine-occupancy audit** ([`audit_engine_occupancy`]): per-engine
+//!   event times must be monotone — an in-order engine queue can never
+//!   run two instructions in overlapping intervals — and the tenants of
+//!   one physical core slot never double-book an engine.
 //! * **Accounting audits** ([`audit_report`]): per-engine busy cycles
 //!   are bounded by `cores-with-engine x cycles`, and the report's
 //!   traffic must reconcile with the [`GlobalMemory`] transfer counters.
@@ -30,13 +31,12 @@
 //! [`GlobalMemory`]: crate::mem::GlobalMemory
 
 use crate::chip::ChipSpec;
-use crate::critpath::CritReport;
 use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
 use crate::hb::{self, Severity};
 use crate::report::KernelReport;
 use crate::trace::{HbEvent, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// How much runtime validation the simulator performs.
 ///
@@ -47,9 +47,6 @@ use std::collections::HashMap;
 /// [`ChipSpec::with_validation`](crate::ChipSpec::with_validation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ValidationMode {
-    /// No optional checking. Bounds checks that protect the simulator's
-    /// own memory safety remain active.
-    Off,
     /// O(1) structural checks only (queue protocol, bounds). No
     /// per-allocation lifetime tracking, no post-launch audits.
     Cheap,
@@ -81,11 +78,6 @@ impl ValidationMode {
     /// Whether enque/deque payload checksumming is active.
     pub fn checksums(self) -> bool {
         matches!(self, ValidationMode::Paranoid)
-    }
-
-    /// Whether any validation at all is requested.
-    pub fn enabled(self) -> bool {
-        !matches!(self, ValidationMode::Off)
     }
 }
 
@@ -123,7 +115,7 @@ pub struct ScratchTracker {
 
 impl ScratchTracker {
     /// Creates a tracker; when `active` is false every operation is a
-    /// no-op returning success (the `Off`/`Cheap` modes).
+    /// no-op returning success (the `Cheap` mode).
     pub fn new(active: bool) -> Self {
         ScratchTracker {
             active,
@@ -232,12 +224,24 @@ impl ScratchTracker {
     }
 }
 
-/// Audits recorded engine-occupancy events: within each
-/// `(block, core, engine)` stream, every interval must be well-formed
-/// (`end >= start`) and start at or after the previous interval's end —
-/// the in-order engine queues can never overlap two instructions.
-pub fn audit_trace_events(events: &[TraceEvent]) -> SimResult<()> {
-    let mut last_end: HashMap<(u32, u32, usize), u64> = HashMap::new();
+/// Audits a launch's recorded engine-occupancy events in one pass over
+/// its `(slot, core, engine)` streams, where block `b` occupies physical
+/// core slot `b % phys_blocks` (`phys_blocks = min(blocks, ai_cores)`):
+///
+/// * every interval is well-formed (`end >= start`);
+/// * within each `(block, core, engine)` stream, in record order, every
+///   interval starts at or after the previous one's end — an in-order
+///   engine queue never overlaps two instructions;
+/// * no two tenants of a slot are busy on one engine in overlapping
+///   intervals, in any record order — a block that migrates onto a slot
+///   runs only after the previous tenant's interval ended, or the trace
+///   double-books silicon (impossible parallelism, occupancy > 100%).
+pub fn audit_engine_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimResult<()> {
+    /// `(slot, core, engine)` -> `(start, end, block)` intervals, in
+    /// record order.
+    type SlotStreams = BTreeMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
+    let phys = phys_blocks.max(1);
+    let mut streams = SlotStreams::new();
     for e in events {
         if e.end < e.start {
             return Err(SimError::AccountingViolation {
@@ -252,23 +256,43 @@ pub fn audit_trace_events(events: &[TraceEvent]) -> SimResult<()> {
                 ),
             });
         }
-        let key = (e.block, e.core, e.engine.index());
-        if let Some(&prev) = last_end.get(&key) {
-            if e.start < prev {
+        streams
+            .entry((e.block % phys, e.core, e.engine.index()))
+            .or_default()
+            .push((e.start, e.end, e.block));
+    }
+    for ((slot, core, engine), mut iv) in streams {
+        let engine = EngineKind::ALL[engine].name();
+        let mut last_end: HashMap<u32, u64> = HashMap::new();
+        for &(start, end, block) in &iv {
+            match last_end.insert(block, end) {
+                Some(prev) if start < prev => {
+                    return Err(SimError::AccountingViolation {
+                        what: "engine timeline monotonicity",
+                        detail: format!(
+                            "block {block} core {core} engine {engine}: event starts at \
+                             {start} before previous end {prev}"
+                        ),
+                    })
+                }
+                _ => {}
+            }
+        }
+        iv.sort_unstable();
+        for w in iv.windows(2) {
+            let (prev_start, prev_end, prev_block) = w[0];
+            let (start, end, block) = w[1];
+            if start < prev_end && prev_start < end {
                 return Err(SimError::AccountingViolation {
-                    what: "engine timeline monotonicity",
+                    what: "physical core occupancy",
                     detail: format!(
-                        "block {} core {} engine {}: event starts at {} before previous end {}",
-                        e.block,
-                        e.core,
-                        e.engine.name(),
-                        e.start,
-                        prev
+                        "slot {slot} core {core} engine {engine}: block {block} busy \
+                         [{start}, {end}) overlaps block {prev_block}'s interval \
+                         [{prev_start}, {prev_end})"
                     ),
                 });
             }
         }
-        last_end.insert(key, e.end);
     }
     Ok(())
 }
@@ -291,18 +315,6 @@ pub fn audit_schedule(events: &[HbEvent]) -> SimResult<()> {
         }
     }
     Ok(())
-}
-
-/// Extracts the launch's critical path and asserts the **makespan
-/// identity**: the backward causal walk over the recorded busy/stall
-/// intervals, flag edges, and scheduler round records must produce a
-/// contiguous segment chain covering exactly `[0, cycles]`. Any
-/// unexplained boundary means the timing model and its own records
-/// disagree, and the launch fails with
-/// [`SimError::AccountingViolation`]. Returns the extracted path so
-/// the caller can attach it to the report/profile.
-pub fn audit_critical_path(input: &crate::critpath::CritInput<'_>) -> SimResult<CritReport> {
-    crate::critpath::analyze(input)
 }
 
 /// Audits a finished [`KernelReport`] against the chip spec and the
@@ -415,12 +427,9 @@ mod tests {
         assert!(ValidationMode::Paranoid.lifetime_checks());
         assert!(ValidationMode::Paranoid.audits());
         assert!(ValidationMode::Paranoid.checksums());
-        assert!(ValidationMode::Paranoid.enabled());
         assert!(!ValidationMode::Cheap.lifetime_checks());
         assert!(!ValidationMode::Cheap.audits());
         assert!(!ValidationMode::Cheap.checksums());
-        assert!(ValidationMode::Cheap.enabled());
-        assert!(!ValidationMode::Off.enabled());
         assert_eq!(ValidationMode::default(), ValidationMode::Full);
     }
 
@@ -498,19 +507,47 @@ mod tests {
     }
 
     #[test]
-    fn trace_audit_accepts_monotone_rejects_overlap() {
-        let ev = |start, end| TraceEvent {
-            block: 0,
+    fn engine_occupancy_audit_checks_intervals_order_and_slots() {
+        let ev = |block, start, end| TraceEvent {
+            block,
             core: 0,
             engine: EngineKind::Vec,
             start,
             end,
         };
-        assert!(audit_trace_events(&[ev(0, 10), ev(10, 20), ev(25, 30)]).is_ok());
-        let err = audit_trace_events(&[ev(0, 10), ev(5, 20)]).unwrap_err();
-        assert!(matches!(err, SimError::AccountingViolation { .. }));
-        let err = audit_trace_events(&[ev(10, 5)]).unwrap_err();
-        assert!(matches!(err, SimError::AccountingViolation { .. }));
+        let what = |events: &[TraceEvent], phys| match audit_engine_occupancy(events, phys) {
+            Err(SimError::AccountingViolation { what, detail }) => (what, detail),
+            other => panic!("expected an accounting violation, got {other:?}"),
+        };
+        // One block's in-order engine stream: monotone passes, an event
+        // starting before its predecessor ends fails, as does end < start.
+        assert!(audit_engine_occupancy(&[ev(0, 0, 10), ev(0, 10, 20), ev(0, 25, 30)], 1).is_ok());
+        assert_eq!(
+            what(&[ev(0, 0, 10), ev(0, 5, 20)], 1).0,
+            "engine timeline monotonicity"
+        );
+        assert_eq!(what(&[ev(0, 10, 5)], 1).0, "trace event interval");
+        // Two waves on 2 physical slots: blocks 0 and 2 share slot 0.
+        // Block 2 runs strictly after block 0 — fine.
+        let ok = [
+            ev(0, 100, 200),
+            ev(1, 100, 180),
+            ev(2, 200, 300),
+            ev(3, 180, 250),
+        ];
+        assert!(audit_engine_occupancy(&ok, 2).is_ok());
+        // Regression: a migrated block whose interval overlaps the
+        // previous tenant of the same slot double-books the silicon.
+        let bad = [ev(0, 100, 200), ev(2, 150, 250)];
+        let (what_bad, detail) = what(&bad, 2);
+        assert_eq!(what_bad, "physical core occupancy");
+        assert!(detail.contains("slot 0"));
+        // The same intervals on distinct slots are concurrent, not
+        // double-booked.
+        assert!(audit_engine_occupancy(&bad, 4).is_ok());
+        // Record order must not matter across tenants.
+        let bad_rev = [ev(2, 150, 250), ev(0, 100, 200)];
+        assert_eq!(what(&bad_rev, 2).0, "physical core occupancy");
     }
 
     #[test]

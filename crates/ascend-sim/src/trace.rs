@@ -6,7 +6,6 @@
 //! [`crate::prof`] Perfetto export renders them.
 
 use crate::engine::EngineKind;
-use crate::error::{SimError, SimResult};
 use crate::json::{self, Json};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -315,85 +314,9 @@ fn hb_event(e: &Json, interned: &mut HashMap<String, &'static str>) -> Result<Hb
     })
 }
 
-/// Audits that the trace never claims one *physical* core's engine is
-/// busy in two overlapping intervals.
-///
-/// When a launch multiplexes more blocks than the chip has AI cores,
-/// block `i` time-shares physical core slot `i % phys_blocks`; a block
-/// that migrates onto a slot must only emit busy intervals after the
-/// previous tenant's last interval on that engine ended. An overlap
-/// means the exported trace double-books silicon — rendering tools
-/// display it as impossible parallelism and occupancy sums exceed 100%.
-///
-/// `phys_blocks` is the number of physical block slots
-/// (`min(blocks, ai_cores)`); event order does not matter — intervals
-/// are sorted per slot before checking.
-pub fn audit_physical_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimResult<()> {
-    /// One (slot, core, engine) stream of (start, end, block) intervals.
-    type SlotStreams = HashMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
-    let phys = phys_blocks.max(1);
-    let mut streams: SlotStreams = HashMap::new();
-    for e in events {
-        streams
-            .entry((e.block % phys, e.core, e.engine.index()))
-            .or_default()
-            .push((e.start, e.end, e.block));
-    }
-    for ((slot, core, engine), mut iv) in streams {
-        iv.sort_unstable();
-        for w in iv.windows(2) {
-            let (prev_start, prev_end, prev_block) = w[0];
-            let (start, end, block) = w[1];
-            if start < prev_end && prev_start < end {
-                return Err(SimError::AccountingViolation {
-                    what: "physical core occupancy",
-                    detail: format!(
-                        "slot {slot} core {core} engine {}: block {block} busy [{start}, {end}) \
-                         overlaps block {prev_block}'s interval [{prev_start}, {prev_end})",
-                        EngineKind::ALL[engine].name(),
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn physical_occupancy_rejects_double_booked_slots() {
-        let ev = |block, start, end| TraceEvent {
-            block,
-            core: 0,
-            engine: EngineKind::Vec,
-            start,
-            end,
-        };
-        // Two waves on 2 physical slots: blocks 0 and 2 share slot 0.
-        // Block 2 runs strictly after block 0 — fine.
-        let ok = [
-            ev(0, 100, 200),
-            ev(1, 100, 180),
-            ev(2, 200, 300),
-            ev(3, 180, 250),
-        ];
-        assert!(audit_physical_occupancy(&ok, 2).is_ok());
-        // Regression: a migrated block whose interval overlaps the
-        // previous tenant of the same slot double-books the silicon.
-        let bad = [ev(0, 100, 200), ev(2, 150, 250)];
-        let err = audit_physical_occupancy(&bad, 2).unwrap_err();
-        assert!(matches!(err, SimError::AccountingViolation { .. }));
-        assert!(err.to_string().contains("slot 0"));
-        // The same intervals on distinct slots are concurrent, not
-        // double-booked.
-        assert!(audit_physical_occupancy(&bad, 4).is_ok());
-        // Event order must not matter.
-        let bad_rev = [ev(2, 150, 250), ev(0, 100, 200)];
-        assert!(audit_physical_occupancy(&bad_rev, 2).is_err());
-    }
 
     /// One HbEvent per action kind — the round-trip corpus.
     fn every_action_kind() -> Vec<HbEvent> {

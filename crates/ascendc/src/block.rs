@@ -9,17 +9,18 @@
 //! # Deterministic scheduling
 //!
 //! Blocks are tasks driven by the deterministic [`Scheduler`] — one host
-//! thread per block, gated either by the serial cooperative baton
-//! (exactly one block progresses at a time, ascending block index within
-//! each barrier round) or, by default, by deterministic parallel rounds
-//! (blocks run concurrently between sync edges; every observable side
-//! effect commits in block-index order). Both disciplines produce
-//! byte-identical reports (`ascend_sim::sync` documents the equivalence
-//! argument), so two launches of the same kernel replay byte-for-byte
-//! regardless of host load or core count. Grids larger than the
-//! chip (`block_dim > spec.ai_cores`) are *oversubscribed*: block `b`
-//! time-shares physical core slot `b % spec.ai_cores`, starting where
-//! the slot's previous tenant yielded it. A block yields its slot at
+//! thread per block, held by one gate until the lower blocks it depends
+//! on have parked. The spec's [`SchedPolicy`](ascend_sim::SchedPolicy)
+//! sets the gate's stride: 1 under `Serial` (exactly one block progresses
+//! at a time, ascending block index within each barrier round), the slot
+//! count by default (blocks run concurrently between sync edges). Every
+//! observable side effect commits in block-index order at either stride,
+//! so both produce byte-identical reports (`ascend_sim::sync` documents
+//! the equivalence argument), and two launches of the same kernel replay
+//! byte-for-byte regardless of host load or core count. Grids larger
+//! than the chip (`block_dim > spec.ai_cores`) are *oversubscribed*:
+//! block `b` time-shares physical core slot `b % spec.ai_cores`, starting
+//! where the slot's previous tenant yielded it. A block yields its slot at
 //! every barrier arrival and at its finish, so oversubscribed kernels
 //! can still call [`BlockCtx::sync_all`]: the arriving block parks and
 //! vacates the slot, the slot's later tenants run, and the block resumes
@@ -248,8 +249,8 @@ where
     let recording = collector.is_some() || spec.validation.audits();
 
     // Runs one block and harvests its timelines. The block first waits
-    // for its turn (begin() also yields its start origin — the launch
-    // start, or the slot's previous tenant's yield point when
+    // at the scheduler's gate (begin() also yields its start origin —
+    // the launch start, or the slot's previous tenant's yield point when
     // oversubscribed) and ends at the common kernel-end alignment.
     let run_block =
         |block_idx: u32, sched: &Scheduler| {
@@ -366,16 +367,16 @@ where
     // One scheduler drives every launch shape: dedicated slots when the
     // grid fits the chip, slot time-sharing (yield/re-queue) when it is
     // oversubscribed. The kernel-end alignment inside `finish` already
-    // stretches the end to the grid's bandwidth bound. The gating
-    // discipline (serial baton vs parallel rounds — byte-identical
-    // reports either way) comes from the spec's scheduler policy.
-    let sync = Scheduler::with_slots_mode(
+    // stretches the end to the grid's bandwidth bound. The gate's stride
+    // (serial or parallel — byte-identical reports either way) comes
+    // from the spec's scheduler policy.
+    let sync = Scheduler::new(
         block_dim as usize,
         block_dim.min(spec.ai_cores) as usize,
         spec.launch_cycles,
         read_at_start + written_at_start,
         spec.flag_id_limit,
-        spec.scheduler.resolve(),
+        &spec.scheduler,
     );
     let outcomes: Vec<BlockOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..block_dim)
@@ -442,8 +443,7 @@ where
         critical_path: None,
     };
     if spec.validation.audits() {
-        simcheck::audit_trace_events(&events)?;
-        ascend_sim::trace::audit_physical_occupancy(&events, block_dim.min(spec.ai_cores))?;
+        simcheck::audit_engine_occupancy(&events, block_dim.min(spec.ai_cores))?;
         simcheck::audit_report(
             &report,
             spec,
@@ -484,7 +484,7 @@ where
             rounds: &rounds,
             finale,
         };
-        let crit = simcheck::audit_critical_path(&input)?;
+        let crit = ascend_sim::critpath::analyze(&input)?;
         report.critical_path = Some(crit.summary.clone());
         critical = Some(crit);
     }
@@ -849,6 +849,47 @@ mod tests {
         assert_eq!(out.to_vec(), expect);
         assert_eq!(report.sync_rounds, 1);
         assert!(blocks > spec.ai_cores);
+    }
+
+    #[test]
+    fn serial_runs_one_block_at_a_time_in_index_order() {
+        // Byte-identical reports cannot tell a serializing gate from a
+        // concurrent one, so observe the host execution directly: under
+        // `Serial` no two kernel segments overlap in wall time, and
+        // segments run round by round in ascending block index — also
+        // when the grid oversubscribes the chip's 2 cores.
+        use ascend_sim::SchedPolicy;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        let spec = ChipSpec::tiny().with_scheduler(SchedPolicy::Serial);
+        for blocks in [2u32, 5] {
+            let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let order = Mutex::new(Vec::new());
+            let segment = |round: u32, block: u32| {
+                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                order.lock().unwrap().push((round, block));
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                live.fetch_sub(1, Ordering::SeqCst);
+            };
+            launch(&spec, &gm, blocks, "serial", |ctx| {
+                for round in 0..3 {
+                    segment(round, ctx.block_idx);
+                    ctx.sync_all()?;
+                }
+                segment(3, ctx.block_idx);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(peak.load(Ordering::SeqCst), 1, "{blocks} blocks");
+            let order = order.into_inner().unwrap();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(order, sorted, "{blocks} blocks");
+            assert_eq!(order.len(), 4 * blocks as usize);
+        }
     }
 
     #[test]

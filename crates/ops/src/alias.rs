@@ -74,10 +74,10 @@ pub fn build_alias_table(
         },
     )?;
     let total = scan_run.y.read_range(n - 1, 1)?[0] as f64;
-    if total <= 0.0 {
-        return Err(SimError::InvalidArgument(
-            "alias table: weights sum to zero".into(),
-        ));
+    if !(total.is_finite() && total > 0.0) {
+        return Err(SimError::InvalidArgument(format!(
+            "alias table: weights sum to {total}, not a finite positive mass"
+        )));
     }
 
     // 2. Scaled weights + light mask (device vector kernel).
@@ -322,5 +322,28 @@ mod tests {
         let t = build_alias_table(&spec, &gm, &w, 16, 1).unwrap();
         assert!(alias_sample_many(&spec, &gm, &t, &[]).is_err());
         assert!(alias_sample_many(&spec, &gm, &t, &[(1.2, 0.5)]).is_err());
+    }
+
+    /// Builds a table over eight unit weights with one weight replaced.
+    fn table_with_one_weight(bad: f32) -> SimResult<AliasTable> {
+        let (spec, gm) = setup();
+        let mut w = [1.0f32; 8];
+        w[3] = bad;
+        let x = GlobalTensor::from_slice(&gm, &w).unwrap();
+        build_alias_table(&spec, &gm, &x, 16, 1)
+    }
+
+    #[test]
+    fn nan_weight_is_rejected() {
+        let err = table_with_one_weight(f32::NAN).err().expect("NaN total");
+        assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn infinite_weight_is_rejected() {
+        let err = table_with_one_weight(f32::INFINITY)
+            .err()
+            .expect("inf total");
+        assert!(err.to_string().contains("inf"), "{err}");
     }
 }

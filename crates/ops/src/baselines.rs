@@ -236,10 +236,10 @@ pub fn multinomial(
     let _ = gm;
     let weights = w.to_vec();
     let total: f64 = weights.iter().map(|v| v.to_f64()).sum();
-    if total <= 0.0 {
-        return Err(SimError::InvalidArgument(
-            "multinomial: weights sum to zero".into(),
-        ));
+    if !(total.is_finite() && total > 0.0) {
+        return Err(SimError::InvalidArgument(format!(
+            "multinomial: weights sum to {total}, not a finite positive mass"
+        )));
     }
     let target = theta * total;
     let mut acc = 0.0;
@@ -354,6 +354,27 @@ mod tests {
         // by temporarily lowering... the constant is pub but const. We
         // instead assert the constant's documented value.
         assert_eq!(MULTINOMIAL_MAX_SUPPORT, 1 << 24);
+    }
+
+    /// Draws from eight unit weights with one weight replaced.
+    fn multinomial_with_one_weight(bad: F16) -> SimResult<(usize, KernelReport)> {
+        let (spec, gm) = setup();
+        let mut w = [F16::ONE; 8];
+        w[3] = bad;
+        let x = GlobalTensor::from_slice(&gm, &w).unwrap();
+        multinomial(&spec, &gm, &x, 0.5)
+    }
+
+    #[test]
+    fn multinomial_rejects_nan_weight() {
+        let err = multinomial_with_one_weight(F16::NAN).unwrap_err();
+        assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn multinomial_rejects_infinite_weight() {
+        let err = multinomial_with_one_weight(F16::INFINITY).unwrap_err();
+        assert!(err.to_string().contains("inf"), "{err}");
     }
 
     #[test]

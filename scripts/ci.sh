@@ -10,12 +10,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q (parallel-round scheduler, the default)"
+echo "==> cargo test -q (slot-count parallel gate, the default)"
 cargo test -q --workspace
 
-echo "==> cargo test -q (serial baton scheduler via ASCEND_SCHED)"
-# The same suite must pass under both host scheduling disciplines;
+echo "==> cargo test -q (stride-1 serial gate via ASCEND_SCHED)"
+# The same suite must pass at both strides of the scheduler gate;
 # sched_equiv additionally proves their reports byte-identical.
+# sync::tests::env_policy_follows_ascend_sched pins that this run
+# really resolves to SchedPolicy::Serial (one block at a time).
 ASCEND_SCHED=serial cargo test -q --workspace
 
 echo "==> examples: each asserts its own results end to end"
