@@ -2,9 +2,9 @@
 //!
 //! The simulator already records everything needed to explain *why* the
 //! makespan is what it is: per-engine busy intervals ([`TraceEvent`]),
-//! attributed idle intervals ([`StallEvent`]), happens-before edges with
-//! their prices ([`HbEvent`]: flag set→wait arrivals, grid-flag chains,
-//! queue hand-offs, `SyncAll` rounds), and — new in this module's PR —
+//! attributed idle intervals ([`StallEvent`]), the launch's
+//! happens-before graph ([`LaunchGraph`]: per-block and grid flag
+//! set→wait edges, whose wires are priced at `flag_wait_cycles`), and
 //! the scheduler's per-round release decisions ([`RoundRecord`],
 //! [`FinalRecord`]). This module stitches those into the **critical
 //! path**: a contiguous chain of causal segments covering `[0, cycles]`
@@ -34,11 +34,12 @@ use std::collections::{HashMap, HashSet};
 
 use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
+use crate::graph::LaunchGraph;
 use crate::json::Json;
 use crate::prof::{StallCause, StallEvent, TraceSpan, BLOCK_SCOPE};
 use crate::sync::{FinalRecord, RoundRecord};
 use crate::timeline::EventTime;
-use crate::trace::{HbAction, HbEvent, TraceEvent};
+use crate::trace::{HbEvent, TraceEvent};
 
 /// What a critical-path segment spends its cycles on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,8 +208,8 @@ pub struct CritInput<'a> {
     pub events: &'a [TraceEvent],
     /// Recorded idle intervals with causes.
     pub stalls: &'a [StallEvent],
-    /// Recorded happens-before events.
-    pub hb: &'a [HbEvent],
+    /// The launch's happens-before graph (flag edges).
+    pub graph: &'a LaunchGraph<'a>,
     /// Recorded spans (phase attribution; may be empty).
     pub spans: &'a [TraceSpan],
     /// Scheduler barrier-round decisions, in round order.
@@ -266,10 +267,6 @@ enum Cursor {
     Done,
 }
 
-/// A flag identity: `(grid-scoped?, id, namespaced token)`.
-type FlagKey = (bool, u32, u64);
-/// A wait site: `(block, core)` plus its flag identity.
-type WaitSite = (u32, u32, bool, u32, u64);
 /// A `(block, core, cycle)` point on a lane's timeline.
 type LanePoint = (u32, u32, EventTime);
 /// Arrival edges keyed by consumer lane point → producer lane points.
@@ -282,16 +279,15 @@ struct Analyzer<'a> {
     busy_end: HashMap<EventTime, Vec<(usize, usize)>>,
     /// Stall intervals by end cycle, in deterministic lane order.
     stall_end: HashMap<EventTime, Vec<(usize, usize)>>,
-    /// Flag/grid-flag waits by `(block, core, time)`.
-    waits: HashMap<(u32, u32, EventTime), Vec<FlagKey>>,
+    /// Flag/grid-flag waits by `(block, core, time)`: the set each
+    /// consumed, if any.
+    waits: HashMap<LanePoint, Vec<Option<usize>>>,
     /// Flag/grid-flag waits by time alone (cross-lane fallback).
-    waits_by_time: HashMap<EventTime, Vec<WaitSite>>,
-    /// Flag/grid-flag sets by `(grid, id, token)`.
-    sets: HashMap<FlagKey, (u32, u32, EventTime)>,
+    waits_by_time: HashMap<EventTime, Vec<Option<usize>>>,
     /// Grid-flag *arrival* edges by `(consumer block, consumer core,
     /// set time + flag_wait_cycles)` → producer `(block, core, set
     /// time)`. A blocking wait resumes exactly at the arrival and is
-    /// resolved through [`Analyzer::wire_at`]; a non-blocking probe
+    /// resolved through [`Analyzer::wire`]; a non-blocking probe
     /// records its hb event at the earlier poll time and threads the
     /// arrival as a plain dependency, so the dependent instruction's
     /// `Dependency` stall ends at a cycle only this index can justify.
@@ -302,76 +298,62 @@ struct Analyzer<'a> {
     phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>>,
 }
 
+/// A wire hop: the producer's `(block, core)`, its set time and the
+/// wire class.
+type Hop = (u32, u32, EventTime, SegClass);
+
+/// The first grid-flag arrival edge among `found`, as a chain-wire hop
+/// (probed hops; blocking hops resolve via [`Analyzer::wire`]).
+fn arrival(found: Option<&Vec<LanePoint>>) -> Option<Hop> {
+    let &(block, core, set_time) = found?.first()?;
+    Some((block, core, set_time, SegClass::ChainWire))
+}
+
+/// Whether `e` sets or waits on a grid flag.
+fn is_grid(e: &HbEvent) -> bool {
+    e.flag().is_some_and(|f| f.chan.block.is_none())
+}
+
 fn viol(what: &'static str, detail: String) -> SimError {
     SimError::AccountingViolation { what, detail }
 }
 
 impl<'a> Analyzer<'a> {
     fn new(input: &'a CritInput<'a>) -> Self {
-        // Index the hb flag traffic first; busy tagging needs it.
-        let mut waits: HashMap<(u32, u32, EventTime), Vec<FlagKey>> = HashMap::new();
-        let mut waits_by_time: HashMap<EventTime, Vec<WaitSite>> = HashMap::new();
-        let mut sets: HashMap<FlagKey, (u32, u32, EventTime)> = HashMap::new();
-        let mut flag_times: HashSet<(u32, u32, EventTime)> = HashSet::new();
-        let mut chain_times: HashSet<(u32, u32, EventTime)> = HashSet::new();
-        let mut grid_waits: Vec<(u32, u32, FlagKey)> = Vec::new();
-        for e in input.hb {
-            match e.action {
-                HbAction::FlagSet { id, token } => {
-                    // Flag files are per block: namespace the token by
-                    // block so (id, token) pairs cannot collide.
-                    sets.insert(
-                        (false, id, (e.block as u64) << 40 | token),
-                        (e.block, e.core, e.time),
-                    );
-                    flag_times.insert((e.block, e.core, e.time));
-                }
-                HbAction::FlagWait { id, token } => {
-                    let tok = (e.block as u64) << 40 | token;
-                    waits
-                        .entry((e.block, e.core, e.time))
-                        .or_default()
-                        .push((false, id, tok));
-                    waits_by_time
-                        .entry(e.time)
-                        .or_default()
-                        .push((e.block, e.core, false, id, tok));
-                    flag_times.insert((e.block, e.core, e.time));
-                }
-                HbAction::GridFlagSet { id, token } => {
-                    sets.insert((true, id, token), (e.block, e.core, e.time));
-                    flag_times.insert((e.block, e.core, e.time));
-                    chain_times.insert((e.block, e.core, e.time));
-                }
-                HbAction::GridFlagWait { id, token } => {
-                    waits
-                        .entry((e.block, e.core, e.time))
-                        .or_default()
-                        .push((true, id, token));
-                    waits_by_time
-                        .entry(e.time)
-                        .or_default()
-                        .push((e.block, e.core, true, id, token));
-                    flag_times.insert((e.block, e.core, e.time));
-                    chain_times.insert((e.block, e.core, e.time));
-                    grid_waits.push((e.block, e.core, (true, id, token)));
-                }
-                _ => {}
-            }
-        }
-
-        // Join every grid consume with its set to get the arrival edge
-        // (set + wire latency) keyed by the *consumer* — this is the
-        // only record of an overlapped (probed) hop's delivery time.
+        // Index the flag traffic first; busy tagging needs it.
+        let events = input.graph.events;
+        let mut waits: HashMap<LanePoint, Vec<Option<usize>>> = HashMap::new();
+        let mut waits_by_time: HashMap<EventTime, Vec<Option<usize>>> = HashMap::new();
+        // Every grid consume joined with its set gives the arrival edge
+        // (set + wire latency) keyed by the *consumer* — the only record
+        // of an overlapped (probed) hop's delivery time.
         let mut arrivals = ArrivalIndex::new();
-        let mut arrivals_by_time: HashMap<EventTime, Vec<(u32, u32, EventTime)>> = HashMap::new();
-        for (b, c, key) in grid_waits {
-            if let Some(&(pb, pc, ts)) = sets.get(&key) {
-                let at = ts + input.flag_wait_cycles;
-                arrivals.entry((b, c, at)).or_default().push((pb, pc, ts));
-                arrivals_by_time.entry(at).or_default().push((pb, pc, ts));
+        let mut arrivals_by_time: HashMap<EventTime, Vec<LanePoint>> = HashMap::new();
+        for &(w, set) in &input.graph.waits {
+            let e = &events[w];
+            waits
+                .entry((e.block, e.core, e.time))
+                .or_default()
+                .push(set);
+            waits_by_time.entry(e.time).or_default().push(set);
+            if let Some(p) = set.map(|s| &events[s]).filter(|p| is_grid(p)) {
+                let at = p.time + input.flag_wait_cycles;
+                let producer = (p.block, p.core, p.time);
+                arrivals
+                    .entry((e.block, e.core, at))
+                    .or_default()
+                    .push(producer);
+                arrivals_by_time.entry(at).or_default().push(producer);
             }
         }
+        let lane_times = |grid_only: bool| -> HashSet<LanePoint> {
+            events
+                .iter()
+                .filter(|e| e.flag().is_some() && (!grid_only || is_grid(e)))
+                .map(|e| (e.block, e.core, e.time))
+                .collect()
+        };
+        let (flag_times, chain_times) = (lane_times(false), lane_times(true));
 
         // Build per-(block, core, engine) lanes of busy + stall
         // intervals. Busy and idle intervals tile each lane (that is
@@ -451,22 +433,10 @@ impl<'a> Analyzer<'a> {
             stall_end,
             waits,
             waits_by_time,
-            sets,
             arrivals,
             arrivals_by_time,
             phase_spans,
         }
-    }
-
-    /// Grid-flag arrival edge delivered to `(block, core)` at `t`, if
-    /// any (probed hops; blocking hops resolve via [`Self::wire_at`]).
-    fn arrival_at(&self, block: u32, core: u32, t: EventTime) -> Option<(u32, u32, EventTime)> {
-        self.arrivals.get(&(block, core, t))?.first().copied()
-    }
-
-    /// Cross-lane arrival fallback: any grid arrival edge landing at `t`.
-    fn arrival_any(&self, t: EventTime) -> Option<(u32, u32, EventTime)> {
-        self.arrivals_by_time.get(&t)?.first().copied()
     }
 
     /// First busy interval ending at `t` whose lane satisfies `pred`,
@@ -489,34 +459,23 @@ impl<'a> Analyzer<'a> {
         cands.iter().find(|c| !visited.contains(c)).copied()
     }
 
-    /// Resolves the wait edges arriving on `(block, core)` at `t` to a
-    /// wire segment ending at `t`: returns the producer and the wire
-    /// class. The wire spans `[set_time, t]` with `t = set_time +
+    /// The wire hop ending at `t` among the sets `consumed` by some
+    /// waits. The wire spans `[set_time, t]` with `t = set_time +
     /// flag_wait_cycles` (a wait that arrives after the edge does not
     /// stall and never reaches this lookup).
-    fn wire_at(&self, block: u32, core: u32, t: EventTime) -> Option<(u32, u32, EventTime, bool)> {
-        let w = self.input.flag_wait_cycles;
-        for &(grid, id, token) in self.waits.get(&(block, core, t))? {
-            if let Some(&(pb, pc, ts)) = self.sets.get(&(grid, id, token)) {
-                if ts + w == t {
-                    return Some((pb, pc, ts, grid));
-                }
-            }
-        }
-        None
-    }
-
-    /// Cross-lane wire fallback: any wait edge arriving at `t`.
-    fn wire_any(&self, t: EventTime) -> Option<(u32, u32, EventTime, bool)> {
-        let w = self.input.flag_wait_cycles;
-        for &(_, _, grid, id, token) in self.waits_by_time.get(&t)? {
-            if let Some(&(pb, pc, ts)) = self.sets.get(&(grid, id, token)) {
-                if ts + w == t {
-                    return Some((pb, pc, ts, grid));
-                }
-            }
-        }
-        None
+    fn wire(&self, consumed: Option<&Vec<Option<usize>>>, t: EventTime) -> Option<Hop> {
+        let events = self.input.graph.events;
+        let p = consumed?
+            .iter()
+            .flatten()
+            .map(|&s| &events[s])
+            .find(|p| p.time + self.input.flag_wait_cycles == t)?;
+        let class = if is_grid(p) {
+            SegClass::ChainWire
+        } else {
+            SegClass::FlagWire
+        };
+        Some((p.block, p.core, p.time, class))
     }
 
     /// Innermost phase span of `block` containing cycle `at`.
@@ -593,6 +552,13 @@ impl<'a> Analyzer<'a> {
             });
             Ok(())
         };
+        // Crosses a wire hop backward to the producer's set.
+        let hop =
+            |segs: &mut Vec<PathSeg>, t: EventTime, h: Hop| -> SimResult<(EventTime, Cursor)> {
+                let (pb, pc, ts, class) = h;
+                push(segs, class, ts, t, Some((pb, pc)), None, false, false)?;
+                Ok((ts, Cursor::Seek(Some((pb, pc)))))
+            };
 
         loop {
             steps += 1;
@@ -738,15 +704,8 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 Cursor::SeekFlag(b, c) => {
-                    if let Some((pb, pc, ts, grid)) = self.wire_at(b, c, t) {
-                        let class = if grid {
-                            SegClass::ChainWire
-                        } else {
-                            SegClass::FlagWire
-                        };
-                        push(&mut segs, class, ts, t, Some((pb, pc)), None, false, false)?;
-                        t = ts;
-                        cur = Cursor::Seek(Some((pb, pc)));
+                    if let Some(h) = self.wire(self.waits.get(&(b, c, t)), t) {
+                        (t, cur) = hop(&mut segs, t, h)?;
                     } else if let Some(r) = input
                         .rounds
                         .iter()
@@ -786,19 +745,8 @@ impl<'a> Analyzer<'a> {
                         // An overlapped (probed) look-back hop: the
                         // consumer's dependent instruction stalled until
                         // the predecessor's set arrived here at `t`.
-                        if let Some((pb, pc, ts)) = self.arrival_at(b, c, t) {
-                            push(
-                                &mut segs,
-                                SegClass::ChainWire,
-                                ts,
-                                t,
-                                Some((pb, pc)),
-                                None,
-                                false,
-                                false,
-                            )?;
-                            t = ts;
-                            cur = Cursor::Seek(Some((pb, pc)));
+                        if let Some(h) = arrival(self.arrivals.get(&(b, c, t))) {
+                            (t, cur) = hop(&mut segs, t, h)?;
                             continue;
                         }
                         if let Some((l, i)) = self.busy_at(t, |l| l.block == b) {
@@ -814,30 +762,10 @@ impl<'a> Analyzer<'a> {
                         cur = Cursor::Lane(l, i);
                         continue;
                     }
-                    if let Some((pb, pc, ts, grid)) = self.wire_any(t) {
-                        let class = if grid {
-                            SegClass::ChainWire
-                        } else {
-                            SegClass::FlagWire
-                        };
-                        push(&mut segs, class, ts, t, Some((pb, pc)), None, false, false)?;
-                        t = ts;
-                        cur = Cursor::Seek(Some((pb, pc)));
-                        continue;
-                    }
-                    if let Some((pb, pc, ts)) = self.arrival_any(t) {
-                        push(
-                            &mut segs,
-                            SegClass::ChainWire,
-                            ts,
-                            t,
-                            Some((pb, pc)),
-                            None,
-                            false,
-                            false,
-                        )?;
-                        t = ts;
-                        cur = Cursor::Seek(Some((pb, pc)));
+                    // Cross-lane fallback: any wire or arrival edge landing at `t`.
+                    let any = self.wire(self.waits_by_time.get(&t), t);
+                    if let Some(h) = any.or_else(|| arrival(self.arrivals_by_time.get(&t))) {
+                        (t, cur) = hop(&mut segs, t, h)?;
                         continue;
                     }
                     if let Some(r) = input
@@ -1115,6 +1043,7 @@ impl CritReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::HbAction;
 
     fn busy(block: u32, core: u32, engine: EngineKind, start: u64, end: u64) -> TraceEvent {
         TraceEvent {
@@ -1165,7 +1094,7 @@ mod tests {
             flag_set_cycles: 180,
             events: &events,
             stalls: &[],
-            hb: &[],
+            graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &[],
             finale: finale(400, 100),
@@ -1217,7 +1146,7 @@ mod tests {
             flag_set_cycles: 180,
             events: &events,
             stalls: &stalls,
-            hb: &hb,
+            graph: &LaunchGraph::build(&hb),
             spans: &[],
             rounds: &[],
             finale: finale(900, 100),
@@ -1260,7 +1189,7 @@ mod tests {
             flag_set_cycles: 180,
             events: &events,
             stalls: &stalls,
-            hb: &[],
+            graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &rounds,
             finale: FinalRecord {
@@ -1328,7 +1257,7 @@ mod tests {
             flag_set_cycles: 180,
             events: &events,
             stalls: &stalls,
-            hb: &hb,
+            graph: &LaunchGraph::build(&hb),
             spans: &[],
             rounds: &[],
             finale: finale(1200, 100),
@@ -1368,7 +1297,7 @@ mod tests {
             flag_set_cycles: 180,
             events: &events,
             stalls: &[],
-            hb: &[],
+            graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &[],
             finale: finale(400, 100),
@@ -1387,7 +1316,7 @@ mod tests {
             flag_set_cycles: 180,
             events: &events,
             stalls: &[],
-            hb: &[],
+            graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &[],
             finale: finale(400, 100),

@@ -1,19 +1,18 @@
 //! Happens-before schedule analysis — the engine behind `simlint`.
 //!
-//! A launch's recorded [`HbEvent`] stream (see [`crate::trace`]) is a set
-//! of per-`(block, core)` program-order threads plus synchronization
-//! actions. This module rebuilds the happens-before partial order the
-//! schedule actually guarantees and checks the schedule against it:
+//! A launch's recorded [`HbEvent`] stream (see [`crate::trace`]) becomes
+//! its happens-before graph ([`LaunchGraph`], built once per launch by
+//! [`crate::graph`]). This module checks the schedule against the
+//! partial order that graph guarantees:
 //!
 //! * **program order** — events of one `(block, core)` thread in record
 //!   order;
-//! * **flag edges** — a `CrossCoreSetFlag` happens-before the
-//!   `CrossCoreWaitFlag` that consumed its token;
-//! * **grid-flag edges** — a `GridSetFlag` happens-before the
-//!   `GridWaitFlag` that consumed its token. Unlike per-block flags,
-//!   grid flags pair *launch-wide* (tokens are launch-unique): they are
-//!   the mailbox protocol of chained look-back scans, where block `b+1`
-//!   waits on block `b`'s aggregate instead of a global barrier;
+//! * **flag edges** — a set happens-before the wait that consumed its
+//!   token. One [`crate::graph::Chan`] type covers both scopes: a
+//!   `CrossCoreSetFlag` pairs within its block's flag file, a
+//!   `GridSetFlag` pairs launch-wide (the mailbox of chained look-back
+//!   scans, where block `b+1` waits on block `b`'s aggregate instead of
+//!   a global barrier);
 //! * **queue edges** — the i-th `enque` on a `TQue` happens-before the
 //!   i-th `deque`;
 //! * **barrier rounds** — everything program-order-before any core's
@@ -46,6 +45,7 @@
 //! launch via [`crate::simcheck::audit_schedule`]; the `simlint` CLI
 //! additionally fails on warnings, keeping shipped kernels lint-clean.
 
+use crate::graph::LaunchGraph;
 use crate::trace::{HbAction, HbEvent};
 use std::collections::HashMap;
 use std::fmt;
@@ -147,6 +147,12 @@ struct Access {
 /// (the order [`crate::trace::HbRecorder::take`] and the trace JSON
 /// preserve); threads may otherwise interleave arbitrarily.
 pub fn analyze(events: &[HbEvent]) -> Vec<Diagnostic> {
+    check(&LaunchGraph::build(events))
+}
+
+/// [`analyze`] over an already built [`LaunchGraph`].
+pub fn check(g: &LaunchGraph<'_>) -> Vec<Diagnostic> {
+    let events = g.events;
     let mut diags: Vec<Diagnostic> = Vec::new();
     let n = events.len();
     let site = |node: usize| -> Option<DiagSite> {
@@ -157,173 +163,45 @@ pub fn analyze(events: &[HbEvent]) -> Vec<Diagnostic> {
         })
     };
 
-    // ---- Thread discovery + program order -------------------------------
-    let mut thread_ids: HashMap<(u32, u32), usize> = HashMap::new();
-    let mut thread_of: Vec<usize> = Vec::with_capacity(n);
-    let mut pos_in_thread: Vec<u32> = Vec::with_capacity(n);
-    let mut epoch: Vec<u32> = Vec::with_capacity(n);
-    let mut last_of_thread: Vec<Option<usize>> = Vec::new();
-    let mut epoch_of_thread: Vec<u32> = Vec::new();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, e) in events.iter().enumerate() {
-        let next_tid = thread_ids.len();
-        let tid = *thread_ids.entry((e.block, e.core)).or_insert(next_tid);
-        if tid == last_of_thread.len() {
-            last_of_thread.push(None);
-            epoch_of_thread.push(0);
-        }
-        thread_of.push(tid);
-        if let Some(prev) = last_of_thread[tid] {
-            pos_in_thread.push(pos_in_thread[prev] + 1);
-            preds[i].push(prev);
-        } else {
-            pos_in_thread.push(0);
-        }
-        last_of_thread[tid] = Some(i);
-        epoch.push(epoch_of_thread[tid]);
-        if matches!(e.action, HbAction::Barrier { .. }) {
-            epoch_of_thread[tid] += 1;
+    // ---- Edges: program order, flag, queue -------------------------------
+    let mut preds: Vec<Vec<usize>> = (0..n).map(|i| g.prev(i).into_iter().collect()).collect();
+    for &(wait, set) in &g.waits {
+        match set {
+            Some(s) => preds[wait].push(s),
+            None => {
+                let e = &events[wait];
+                let f = e.flag().expect("a flag wait");
+                let (noun, set_instr, _) = f.chan.names();
+                diags.push(Diagnostic {
+                    severity: Severity::Error,
+                    code: "unmatched-wait",
+                    message: format!(
+                        "{} consumed {noun} token {} that no {set_instr} published",
+                        place(e),
+                        f.token
+                    ),
+                    site: site(wait),
+                });
+            }
         }
     }
-    let nthreads = thread_ids.len();
-
-    // ---- Sync edges ------------------------------------------------------
-    // Flag token pairing: (block, token) -> set / wait node.
-    let mut flag_sets: HashMap<(u32, u64), usize> = HashMap::new();
-    let mut flag_waits: HashMap<(u32, u64), usize> = HashMap::new();
-    // Grid (launch-wide) flag pairing: tokens are launch-unique, so they
-    // pair globally rather than per block.
-    let mut grid_sets: HashMap<u64, usize> = HashMap::new();
-    let mut grid_waits: HashMap<u64, usize> = HashMap::new();
-    // Which flag *ids* ever appear in a wait instruction — by (block, id)
-    // for per-block flags, launch-wide for grid flags. An id with sets
-    // but no wait instruction anywhere is `unused-flag`: unlike
-    // `flag-leak` (one set whose token went unconsumed, e.g. the tail
-    // lane of a look-back chain) it means the consuming side of the
-    // protocol is missing entirely.
-    let mut flag_waited_ids: std::collections::HashSet<(u32, u32)> =
-        std::collections::HashSet::new();
-    let mut grid_waited_ids: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    // Queue pairing and lints: (block, queue) -> per-kind node lists.
-    #[derive(Default)]
-    struct QueueInfo {
-        created: Vec<usize>,
-        destroyed: Vec<usize>,
-        enques: Vec<usize>,
-        deques: Vec<usize>,
-    }
-    let mut queues: HashMap<(u32, u32), QueueInfo> = HashMap::new();
-    // Barrier rounds: round -> participating event nodes (grid-wide).
-    let mut barrier_rounds: HashMap<u32, Vec<usize>> = HashMap::new();
-    // Scratchpad allocations: (block, alloc id) -> (alloc node, freed?).
-    let mut allocs: HashMap<(u32, u64), (usize, bool)> = HashMap::new();
-
-    // Pre-register every set so a wait can match a set recorded later in
-    // the stream (the deadlock shape — the edge then closes an HB cycle).
-    for (i, e) in events.iter().enumerate() {
-        match e.action {
-            HbAction::FlagSet { token, .. } => {
-                flag_sets.insert((e.block, token), i);
-            }
-            HbAction::GridFlagSet { token, .. } => {
-                grid_sets.insert(token, i);
-            }
-            _ => {}
-        }
-    }
-    for (i, e) in events.iter().enumerate() {
-        match e.action {
-            HbAction::FlagSet { .. } => {}
-            HbAction::FlagWait { id, token } => {
-                flag_waits.insert((e.block, token), i);
-                flag_waited_ids.insert((e.block, id));
-                match flag_sets.get(&(e.block, token)) {
-                    Some(&s) => preds[i].push(s),
-                    None => diags.push(Diagnostic {
-                        severity: Severity::Error,
-                        code: "unmatched-wait",
-                        message: format!(
-                            "{} consumed flag token {token} that no CrossCoreSetFlag published",
-                            place(e)
-                        ),
-                        site: site(i),
-                    }),
-                }
-            }
-            HbAction::GridFlagSet { .. } => {}
-            HbAction::GridFlagWait { id, token } => {
-                grid_waits.insert(token, i);
-                grid_waited_ids.insert(id);
-                match grid_sets.get(&token) {
-                    Some(&s) => preds[i].push(s),
-                    None => diags.push(Diagnostic {
-                        severity: Severity::Error,
-                        code: "unmatched-wait",
-                        message: format!(
-                            "{} consumed grid flag token {token} that no GridSetFlag published",
-                            place(e)
-                        ),
-                        site: site(i),
-                    }),
-                }
-            }
-            HbAction::Barrier { round } => {
-                barrier_rounds.entry(round).or_default().push(i);
-            }
-            HbAction::QueueCreate { queue } => {
-                queues.entry((e.block, queue)).or_default().created.push(i);
-            }
-            HbAction::Enque { queue } => {
-                queues.entry((e.block, queue)).or_default().enques.push(i);
-            }
-            HbAction::Deque { queue } => {
-                queues.entry((e.block, queue)).or_default().deques.push(i);
-            }
-            HbAction::QueueDestroy { queue } => {
-                queues
-                    .entry((e.block, queue))
-                    .or_default()
-                    .destroyed
-                    .push(i);
-            }
-            HbAction::Alloc { id, .. } => {
-                allocs.insert((e.block, id), (i, false));
-            }
-            HbAction::Free { id } => {
-                if let Some(slot) = allocs.get_mut(&(e.block, id)) {
-                    slot.1 = true;
-                }
-            }
-            HbAction::GmRead { .. } | HbAction::GmWrite { .. } => {}
-        }
-    }
-    // The i-th enque feeds the i-th deque.
-    for q in queues.values() {
-        for (&enq, &deq) in q.enques.iter().zip(&q.deques) {
-            preds[deq].push(enq);
-        }
+    for (enq, deq) in g.queue_edges() {
+        preds[deq].push(enq);
     }
     // Barrier rounds: a virtual join node per round. Each participant's
     // program-order predecessor reaches the join; the join reaches every
     // participant — so pre-barrier work on any thread happens-before
     // post-barrier work on every thread.
-    let mut rounds: Vec<(&u32, &Vec<usize>)> = barrier_rounds.iter().collect();
-    rounds.sort_by_key(|(r, _)| **r);
-    let mut vpreds: Vec<Vec<usize>> = Vec::with_capacity(rounds.len());
-    for (_, members) in &rounds {
+    let mut vpreds: Vec<Vec<usize>> = Vec::with_capacity(g.rounds.len());
+    for members in &g.rounds {
         let vnode = n + vpreds.len();
-        let mut vp = Vec::with_capacity(members.len());
-        for &m in *members {
-            // The event's in-thread predecessor (first pred, when present).
-            if let Some(&prev) = preds[m].first() {
-                if thread_of[prev] == thread_of[m] {
-                    vp.push(prev);
-                }
-            }
+        for &m in members {
             preds[m].push(vnode);
         }
-        vpreds.push(vp);
+        vpreds.push(members.iter().filter_map(|&m| g.prev(m)).collect());
     }
+    let nthreads = g.threads.len();
+    let (thread_of, pos_in_thread) = (&g.thread_of, &g.pos);
     let total_nodes = n + vpreds.len();
     let pred_list = |node: usize| -> &[usize] {
         if node < n {
@@ -390,6 +268,8 @@ pub fn analyze(events: &[HbEvent]) -> Vec<Diagnostic> {
 
     // ---- GM data races + transfer liveness -------------------------------
     let mut accesses: Vec<Access> = Vec::new();
+    // Scratchpad allocations: (block, alloc id) -> (alloc node, freed?).
+    let mut allocs: HashMap<(u32, u64), (usize, bool)> = HashMap::new();
     for (i, e) in events.iter().enumerate() {
         match e.action {
             HbAction::GmRead { start, end } => accesses.push(Access {
@@ -404,6 +284,14 @@ pub fn analyze(events: &[HbEvent]) -> Vec<Diagnostic> {
                 write: true,
                 node: i,
             }),
+            HbAction::Alloc { id, .. } => {
+                allocs.insert((e.block, id), (i, false));
+            }
+            HbAction::Free { id } => {
+                if let Some(slot) = allocs.get_mut(&(e.block, id)) {
+                    slot.1 = true;
+                }
+            }
             _ => {}
         }
     }
@@ -516,124 +404,52 @@ pub fn analyze(events: &[HbEvent]) -> Vec<Diagnostic> {
     }
 
     // ---- Flag coverage ---------------------------------------------------
-    // Group sets per (block, flag id) in token order.
-    let mut by_flag: HashMap<(u32, u32), Vec<(u64, usize)>> = HashMap::new();
-    for (&(block, token), &node) in &flag_sets {
-        if let HbAction::FlagSet { id, .. } = events[node].action {
-            by_flag.entry((block, id)).or_default().push((token, node));
-        }
-    }
-    let mut flag_keys: Vec<(u32, u32)> = by_flag.keys().copied().collect();
-    flag_keys.sort_unstable();
-    for key in flag_keys {
-        let sets = by_flag.get_mut(&key).expect("key from map");
-        sets.sort_unstable();
-        if !flag_waited_ids.contains(&key) {
-            let &(_, first) = sets.first().expect("non-empty set group");
+    for (&chan, sets) in &g.sets {
+        let ((noun, _, wait_instr), id) = (chan.names(), chan.id);
+        if !g.waited.contains(&chan) {
+            let scope = chan.block.map_or(String::new(), |b| format!("block {b} "));
             diags.push(Diagnostic {
                 severity: Severity::Warning,
                 code: "unused-flag",
                 message: format!(
-                    "block {} flag id {} is set {} time(s) but no CrossCoreWaitFlag on \
-                     this id exists anywhere in the launch",
-                    key.0,
-                    key.1,
+                    "{scope}{noun} id {id} is set {} time(s) but no {wait_instr} on this id \
+                     exists anywhere in the launch",
                     sets.len()
                 ),
-                site: site(first),
+                site: site(sets[0].node),
             });
         }
-        for (si, &(token, node)) in sets.iter().enumerate() {
-            let wait = flag_waits.get(&(key.0, token)).copied();
-            if wait.is_none() {
+        for (si, s) in sets.iter().enumerate() {
+            let (token, node) = (s.token, s.node);
+            if s.wait.is_none() {
                 diags.push(Diagnostic {
                     severity: Severity::Warning,
                     code: "flag-leak",
                     message: format!(
-                        "{} set flag id {} (token {token}) but no CrossCoreWaitFlag \
-                         ever consumed it",
-                        place(&events[node]),
-                        key.1
+                        "{} set {noun} id {id} (token {token}) but no {wait_instr} ever \
+                         consumed it",
+                        place(&events[node])
                     ),
                     site: site(node),
                 });
             }
             // Reuse across barrier rounds: an earlier-epoch set still
             // pending when this one is published aliases two rounds'
-            // hand-offs on one physical flag register.
-            let reused = sets[..si].iter().find(|&&(t0, n0)| {
-                epoch[n0] < epoch[node]
-                    && !flag_waits.get(&(key.0, t0)).is_some_and(|&w| hb(w, node))
+            // hand-offs on one flag register.
+            let reused = sets[..si].iter().find(|s0| {
+                g.epoch[s0.node] < g.epoch[node] && !s0.wait.is_some_and(|w| hb(w, node))
             });
-            if let Some(&(t0, n0)) = reused {
+            if let Some(s0) = reused {
                 diags.push(Diagnostic {
                     severity: Severity::Error,
                     code: "flag-reuse",
                     message: format!(
-                        "{} reuses flag id {} across barrier rounds: the round-{} set \
-                         (token {t0}) by {} is still pending",
+                        "{} reuses {noun} id {id} across barrier rounds: the round-{} set \
+                         (token {}) by {} is still pending",
                         place(&events[node]),
-                        key.1,
-                        epoch[n0],
-                        place(&events[n0]),
-                    ),
-                    site: site(node),
-                });
-            }
-        }
-    }
-    // Grid flags: same coverage lints, but grouped per id launch-wide —
-    // the id space is shared by every block in the launch.
-    let mut by_grid_id: HashMap<u32, Vec<(u64, usize)>> = HashMap::new();
-    for (&token, &node) in &grid_sets {
-        if let HbAction::GridFlagSet { id, .. } = events[node].action {
-            by_grid_id.entry(id).or_default().push((token, node));
-        }
-    }
-    let mut grid_keys: Vec<u32> = by_grid_id.keys().copied().collect();
-    grid_keys.sort_unstable();
-    for id in grid_keys {
-        let sets = by_grid_id.get_mut(&id).expect("key from map");
-        sets.sort_unstable();
-        if !grid_waited_ids.contains(&id) {
-            let &(_, first) = sets.first().expect("non-empty set group");
-            diags.push(Diagnostic {
-                severity: Severity::Warning,
-                code: "unused-flag",
-                message: format!(
-                    "grid flag id {id} is set {} time(s) but no GridWaitFlag on this \
-                     id exists anywhere in the launch",
-                    sets.len()
-                ),
-                site: site(first),
-            });
-        }
-        for (si, &(token, node)) in sets.iter().enumerate() {
-            if !grid_waits.contains_key(&token) {
-                diags.push(Diagnostic {
-                    severity: Severity::Warning,
-                    code: "flag-leak",
-                    message: format!(
-                        "{} set grid flag id {id} (token {token}) but no GridWaitFlag \
-                         ever consumed it",
-                        place(&events[node]),
-                    ),
-                    site: site(node),
-                });
-            }
-            let reused = sets[..si].iter().find(|&&(t0, n0)| {
-                epoch[n0] < epoch[node] && !grid_waits.get(&t0).is_some_and(|&w| hb(w, node))
-            });
-            if let Some(&(t0, n0)) = reused {
-                diags.push(Diagnostic {
-                    severity: Severity::Error,
-                    code: "flag-reuse",
-                    message: format!(
-                        "{} reuses grid flag id {id} across barrier rounds: the \
-                         round-{} set (token {t0}) by {} is still pending",
-                        place(&events[node]),
-                        epoch[n0],
-                        place(&events[n0]),
+                        g.epoch[s0.node],
+                        s0.token,
+                        place(&events[s0.node]),
                     ),
                     site: site(node),
                 });
@@ -642,10 +458,7 @@ pub fn analyze(events: &[HbEvent]) -> Vec<Diagnostic> {
     }
 
     // ---- Queue and allocation lints --------------------------------------
-    let mut queue_keys: Vec<(u32, u32)> = queues.keys().copied().collect();
-    queue_keys.sort_unstable();
-    for key in queue_keys {
-        let q = &queues[&key];
+    for (key, q) in &g.queues {
         let who_node = q
             .created
             .first()

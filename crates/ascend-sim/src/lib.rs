@@ -40,6 +40,11 @@
 //! `CrossCoreSetFlag`/`CrossCoreWaitFlag` scalar instructions, so
 //! barrier cost is modelled rather than absorbed.
 //!
+//! Every launch's happens-before events become one [`graph::LaunchGraph`],
+//! built once and read by the schedule analyzers: [`hb`] (races, sync
+//! coverage and leak lints), [`critpath`] (the makespan's critical path)
+//! and [`mc`] (exhaustive model checking of the schedule space).
+//!
 //! Functional behaviour is exact: global memory is a real byte buffer and
 //! every transfer/compute instruction also performs its actual data
 //! movement/arithmetic, so kernels produce bit-accurate results that the
@@ -58,6 +63,7 @@ pub mod chip;
 pub mod critpath;
 pub mod engine;
 pub mod error;
+pub mod graph;
 pub mod hb;
 pub mod json;
 pub mod mc;
@@ -73,6 +79,7 @@ pub use chip::{ChipSpec, SchedPolicy};
 pub use critpath::{CritInput, CritReport, CritSummary, PathSeg, SegClass, WhatIf};
 pub use engine::EngineKind;
 pub use error::{SimError, SimResult};
+pub use graph::{Chan, LaunchGraph};
 pub use hb::{DiagSite, Diagnostic, Severity};
 pub use mc::{McConfig, McCoverage, McReport};
 pub use mem::{GlobalMemory, Region};

@@ -2,10 +2,11 @@
 //!
 //! The [`hb`](crate::hb) analyzer checks the *one* interleaving a given
 //! scheduler happened to produce. This module upgrades that to a proof at
-//! small scale: it abstracts a recorded launch into per-`(block, core)`
-//! thread programs over the sync-visible operations (cross-core flag
-//! set/wait, grid flag set/consume, `SyncAll` barrier rounds, `TQue`
-//! enque/deque, wave hand-offs, thread end) and drives that model through
+//! small scale: it takes the threads of the launch's
+//! [`LaunchGraph`] as per-`(block, core)` thread programs over the
+//! sync-visible operations (`Set`/`Wait` on a per-block or grid flag
+//! [`Chan`], `SyncAll` barrier rounds, `TQue` enque/deque, wave
+//! hand-offs, thread end) and drives that model through
 //! **every inequivalent interleaving** permitted by the scheduler
 //! semantics of [`sync`](crate::sync):
 //!
@@ -31,8 +32,9 @@
 //!    search (persistent sets from a static thread-dependence closure,
 //!    plus sleep sets filtered by an op-level independence relation)
 //!    enumerates inequivalent complete executions. For each one it
-//!    reconstructs a concrete [`HbEvent`] stream (tokens re-stamped with
-//!    the simulator's FIFO flag-file discipline) and re-runs
+//!    reconstructs a concrete [`HbEvent`] stream (tokens re-stamped per
+//!    scope and consumed FIFO per channel, as the simulator's flag files
+//!    do) and re-runs
 //!    [`hb::analyze`] on it, and records the execution's **grid commit
 //!    order** — the sequence a [`GridPlan`](crate::sync::GridPlan) needs
 //!    to replay that schedule on the real simulator.
@@ -47,6 +49,8 @@
 //! grid order through `SchedPolicy::Planned` and byte-compares the
 //! resulting `KernelReport`s to prove schedule independence.
 
+use crate::error::{SimError, SimResult};
+use crate::graph::{Chan, LaunchGraph};
 use crate::hb::{self, Diagnostic};
 use crate::trace::{HbAction, HbEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -55,6 +59,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 const DIAG_CAP: usize = 50;
 /// Cap on rendered deadlock witnesses (all deadlock states are counted).
 const WITNESS_CAP: usize = 4;
+/// Longest thread program the model holds: program counters are `u16`
+/// and the state key packs `pc * 2 + parked`.
+const MAX_PROGRAM_OPS: usize = u16::MAX as usize / 2 - 1;
 
 /// Tuning knobs for [`check`].
 #[derive(Clone, Debug)]
@@ -76,7 +83,6 @@ pub struct McConfig {
 impl McConfig {
     /// Defaults: 200k states, 4096 executions, reduction on.
     pub fn new(phys: usize) -> Self {
-        assert!(phys >= 1, "at least one physical block slot is required");
         McConfig {
             phys,
             max_states: 200_000,
@@ -145,14 +151,11 @@ pub struct McReport {
 /// A sync-visible operation in a thread program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SyncOp {
-    /// `CrossCoreSetFlag` into the block's flag file.
-    FlagSet { block: u32, id: u32 },
-    /// `CrossCoreWaitFlag` from the block's flag file (blocking).
-    FlagWait { block: u32, id: u32 },
+    /// A flag set: `CrossCoreSetFlag` into a block's flag file or
     /// `GridSetFlag` on the launch-wide mailbox.
-    GridSet { id: u32 },
-    /// `GridWaitFlag` on the launch-wide mailbox (blocking).
-    GridWait { id: u32 },
+    Set(Chan),
+    /// The matching blocking wait.
+    Wait(Chan),
     /// `SyncAll` barrier arrival (parks; advanced by a round commit).
     Barrier,
     /// `TQue` enque (never blocks).
@@ -187,94 +190,87 @@ struct ThreadProg {
     ops: Vec<OpNode>,
 }
 
-fn gm_footprint(events: &[HbEvent], locals: &[usize]) -> Vec<(u64, u64, bool)> {
-    locals
-        .iter()
-        .filter_map(|&i| match events[i].action {
-            HbAction::GmRead { start, end } => Some((start, end, false)),
-            HbAction::GmWrite { start, end } => Some((start, end, true)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Abstract the recorded launch into thread programs.
-fn extract(events: &[HbEvent]) -> (Vec<ThreadProg>, usize) {
-    let mut order: Vec<(u32, u32)> = Vec::new();
-    let mut index: HashMap<(u32, u32), usize> = HashMap::new();
-    let mut builders: Vec<(Vec<OpNode>, Vec<usize>)> = Vec::new();
-    for (i, ev) in events.iter().enumerate() {
-        let key = (ev.block, ev.core);
-        let t = *index.entry(key).or_insert_with(|| {
-            order.push(key);
-            builders.push((Vec::new(), Vec::new()));
-            builders.len() - 1
-        });
-        let op = match ev.action {
-            HbAction::FlagSet { id, .. } => Some(SyncOp::FlagSet {
-                block: ev.block,
-                id,
-            }),
-            HbAction::FlagWait { id, .. } => Some(SyncOp::FlagWait {
-                block: ev.block,
-                id,
-            }),
-            HbAction::GridFlagSet { id, .. } => Some(SyncOp::GridSet { id }),
-            HbAction::GridFlagWait { id, .. } => Some(SyncOp::GridWait { id }),
-            HbAction::Barrier { .. } => Some(SyncOp::Barrier),
-            HbAction::Enque { queue } => Some(SyncOp::Enque { queue }),
-            HbAction::Deque { queue } => Some(SyncOp::Deque { queue }),
-            _ => None,
-        };
-        let (ops, pending) = &mut builders[t];
-        match op {
-            Some(op) => {
-                let locals = std::mem::take(pending);
-                let gm = gm_footprint(events, &locals);
-                ops.push(OpNode {
-                    op,
-                    locals,
-                    sync_event: Some(i),
-                    gm,
-                });
-            }
-            None => pending.push(i),
+impl OpNode {
+    fn new(events: &[HbEvent], op: SyncOp, locals: Vec<usize>, sync_event: Option<usize>) -> Self {
+        let gm = locals
+            .iter()
+            .filter_map(|&i| match events[i].action {
+                HbAction::GmRead { start, end } => Some((start, end, false)),
+                HbAction::GmWrite { start, end } => Some((start, end, true)),
+                _ => None,
+            })
+            .collect();
+        OpNode {
+            op,
+            locals,
+            sync_event,
+            gm,
         }
     }
-    let mut blocks: Vec<u32> = order.iter().map(|&(b, _)| b).collect();
+}
+
+/// Abstract the launch graph's threads into thread programs.
+fn extract(g: &LaunchGraph<'_>) -> SimResult<(Vec<ThreadProg>, usize)> {
+    let events = g.events;
+    let mut blocks: Vec<u32> = g.threads.iter().map(|t| t.block).collect();
     blocks.sort_unstable();
     blocks.dedup();
-    let brank_of: HashMap<u32, usize> = blocks.iter().enumerate().map(|(r, &b)| (b, r)).collect();
-    let mut progs = Vec::with_capacity(order.len());
-    for (t, &(block, core)) in order.iter().enumerate() {
-        let (mut ops, pending) = std::mem::take(&mut builders[t]);
-        let gm = gm_footprint(events, &pending);
-        ops.push(OpNode {
-            op: SyncOp::End,
-            locals: pending,
-            sync_event: None,
-            gm,
-        });
-        assert!(
-            ops.len() < usize::from(u16::MAX) / 2,
-            "thread program too long for the model checker"
-        );
+    let mut progs = Vec::with_capacity(g.threads.len());
+    for th in &g.threads {
+        let (mut ops, mut locals) = (Vec::new(), Vec::new());
+        for &i in &th.nodes {
+            let op = match (events[i].action, events[i].flag()) {
+                (HbAction::Barrier { .. }, _) => SyncOp::Barrier,
+                (HbAction::Enque { queue }, _) => SyncOp::Enque { queue },
+                (HbAction::Deque { queue }, _) => SyncOp::Deque { queue },
+                (_, Some(f)) if f.set => SyncOp::Set(f.chan),
+                (_, Some(f)) => SyncOp::Wait(f.chan),
+                _ => {
+                    locals.push(i);
+                    continue;
+                }
+            };
+            ops.push(OpNode::new(
+                events,
+                op,
+                std::mem::take(&mut locals),
+                Some(i),
+            ));
+        }
+        ops.push(OpNode::new(events, SyncOp::End, locals, None));
+        if ops.len() > MAX_PROGRAM_OPS {
+            return Err(SimError::InvalidArgument(format!(
+                "block {} core {}: a thread program of {} ops is too long for the model \
+                 checker (limit {MAX_PROGRAM_OPS})",
+                th.block,
+                th.core,
+                ops.len()
+            )));
+        }
         progs.push(ThreadProg {
-            block,
-            core,
-            brank: brank_of[&block],
+            block: th.block,
+            core: th.core,
+            brank: blocks.binary_search(&th.block).expect("block listed"),
             ops,
         });
     }
-    (progs, blocks.len())
+    Ok((progs, blocks.len()))
 }
 
 fn op_desc(op: SyncOp) -> String {
     match op {
-        SyncOp::FlagSet { block, id } => format!("CrossCoreSetFlag(block {block}, id {id})"),
-        SyncOp::FlagWait { block, id } => format!("CrossCoreWaitFlag(block {block}, id {id})"),
-        SyncOp::GridSet { id } => format!("GridSetFlag(id {id})"),
-        SyncOp::GridWait { id } => format!("GridWaitFlag(id {id})"),
+        SyncOp::Set(c) | SyncOp::Wait(c) => {
+            let (_, set, wait) = c.names();
+            let instr = if matches!(op, SyncOp::Set(_)) {
+                set
+            } else {
+                wait
+            };
+            match c.block {
+                Some(block) => format!("{instr}(block {block}, id {})", c.id),
+                None => format!("{instr}(id {})", c.id),
+            }
+        }
         SyncOp::Barrier => "SyncAll barrier".to_string(),
         SyncOp::Enque { queue } => format!("EnQue(queue {queue})"),
         SyncOp::Deque { queue } => format!("DeQue(queue {queue})"),
@@ -321,8 +317,7 @@ struct Model<'a> {
     block_live: Vec<u32>,
     finished: Vec<bool>,
     yields: Vec<u64>,
-    flag_avail: HashMap<(u32, u32), u32>,
-    grid_avail: HashMap<u32, u32>,
+    flag_avail: HashMap<Chan, u32>,
     queue_avail: HashMap<u32, u32>,
     /// Block index of every grid-flag commit, in commit order.
     grid_log: Vec<u32>,
@@ -346,7 +341,6 @@ impl<'a> Model<'a> {
             finished: vec![false; nblocks],
             yields: vec![0; nblocks],
             flag_avail: HashMap::new(),
-            grid_avail: HashMap::new(),
             queue_avail: HashMap::new(),
             grid_log: Vec::new(),
         }
@@ -379,10 +373,7 @@ impl<'a> Model<'a> {
 
     fn op_enabled(&self, t: usize) -> bool {
         match self.cur(t).op {
-            SyncOp::FlagWait { block, id } => {
-                self.flag_avail.get(&(block, id)).copied().unwrap_or(0) > 0
-            }
-            SyncOp::GridWait { id } => self.grid_avail.get(&id).copied().unwrap_or(0) > 0,
+            SyncOp::Wait(c) => self.flag_avail.get(&c).copied().unwrap_or(0) > 0,
             SyncOp::Deque { queue } => self.queue_avail.get(&queue).copied().unwrap_or(0) > 0,
             SyncOp::Barrier => !self.parked[t],
             _ => true,
@@ -470,19 +461,16 @@ impl<'a> Model<'a> {
                 }
                 self.pcs[t] += 1;
                 match op {
-                    SyncOp::FlagSet { block, id } => {
-                        *self.flag_avail.entry((block, id)).or_insert(0) += 1;
-                    }
-                    SyncOp::FlagWait { block, id } => {
-                        *self.flag_avail.get_mut(&(block, id)).expect("gated") -= 1;
-                    }
-                    SyncOp::GridSet { id } => {
-                        *self.grid_avail.entry(id).or_insert(0) += 1;
-                        self.grid_log.push(self.progs[t].block);
-                    }
-                    SyncOp::GridWait { id } => {
-                        *self.grid_avail.get_mut(&id).expect("gated") -= 1;
-                        self.grid_log.push(self.progs[t].block);
+                    SyncOp::Set(c) | SyncOp::Wait(c) => {
+                        let avail = self.flag_avail.entry(c).or_insert(0);
+                        if matches!(op, SyncOp::Set(_)) {
+                            *avail += 1;
+                        } else {
+                            *avail -= 1;
+                        }
+                        if c.block.is_none() {
+                            self.grid_log.push(self.progs[t].block);
+                        }
                     }
                     SyncOp::Enque { queue } => {
                         *self.queue_avail.entry(queue).or_insert(0) += 1;
@@ -532,20 +520,18 @@ impl<'a> Model<'a> {
             } => {
                 self.pcs[t] -= 1;
                 let brank = self.progs[t].brank;
-                match self.cur(t).op {
-                    SyncOp::FlagSet { block, id } => {
-                        *self.flag_avail.get_mut(&(block, id)).expect("set") -= 1;
-                    }
-                    SyncOp::FlagWait { block, id } => {
-                        *self.flag_avail.entry((block, id)).or_insert(0) += 1;
-                    }
-                    SyncOp::GridSet { id } => {
-                        *self.grid_avail.get_mut(&id).expect("set") -= 1;
-                        self.grid_log.pop();
-                    }
-                    SyncOp::GridWait { id } => {
-                        *self.grid_avail.entry(id).or_insert(0) += 1;
-                        self.grid_log.pop();
+                let op = self.cur(t).op;
+                match op {
+                    SyncOp::Set(c) | SyncOp::Wait(c) => {
+                        let avail = self.flag_avail.get_mut(&c).expect("stepped");
+                        if matches!(op, SyncOp::Set(_)) {
+                            *avail -= 1;
+                        } else {
+                            *avail += 1;
+                        }
+                        if c.block.is_none() {
+                            self.grid_log.pop();
+                        }
                     }
                     SyncOp::Enque { queue } => {
                         *self.queue_avail.get_mut(&queue).expect("set") -= 1;
@@ -659,9 +645,7 @@ impl<'a> Checker<'a> {
             }
             let pc = self.m.pcs[t];
             match self.m.cur(t).op {
-                SyncOp::FlagWait { .. } | SyncOp::GridWait { .. }
-                    if self.m.runnable(self.m.progs[t].brank) =>
-                {
+                SyncOp::Wait(_) if self.m.runnable(self.m.progs[t].brank) => {
                     let cov = self.sites.entry((t, pc)).or_default();
                     if self.m.op_enabled(t) {
                         cov.ready = true;
@@ -828,29 +812,7 @@ impl<'a> Checker<'a> {
         {
             return true;
         }
-        let grid = |o: &OpNode| matches!(o.op, SyncOp::GridSet { .. } | SyncOp::GridWait { .. });
-        if grid(a) && grid(b) {
-            return true;
-        }
-        let flag_key = |o: &OpNode| match o.op {
-            SyncOp::FlagSet { block, id } | SyncOp::FlagWait { block, id } => Some((block, id)),
-            _ => None,
-        };
-        if let (Some(ka), Some(kb)) = (flag_key(a), flag_key(b)) {
-            if ka == kb {
-                return true;
-            }
-        }
-        let queue_key = |o: &OpNode| match o.op {
-            SyncOp::Enque { queue } | SyncOp::Deque { queue } => Some(queue),
-            _ => None,
-        };
-        if let (Some(qa), Some(qb)) = (queue_key(a), queue_key(b)) {
-            if qa == qb {
-                return true;
-            }
-        }
-        gm_ranges_conflict(&a.gm, &b.gm)
+        ops_conflict(a, b)
     }
 
     // ---------------- execution recording ----------------
@@ -873,10 +835,10 @@ impl<'a> Checker<'a> {
         let n = self.m.progs.len();
         let mut pcs = vec![0usize; n];
         let mut out: Vec<HbEvent> = Vec::new();
-        let mut flag_next: HashMap<u32, u64> = HashMap::new();
-        let mut flag_fifo: HashMap<(u32, u32), VecDeque<u64>> = HashMap::new();
-        let mut grid_next: u64 = 0;
-        let mut grid_fifo: HashMap<u32, VecDeque<u64>> = HashMap::new();
+        // Tokens count per scope (a block's flag file, or launch-wide)
+        // and are consumed FIFO per channel.
+        let mut next_token: HashMap<Option<u32>, u64> = HashMap::new();
+        let mut fifo: HashMap<Chan, VecDeque<u64>> = HashMap::new();
         let mut emit = |t: usize, pcs: &mut Vec<usize>, out: &mut Vec<HbEvent>| {
             let node = &self.m.progs[t].ops[pcs[t]];
             for &i in &node.locals {
@@ -884,36 +846,22 @@ impl<'a> Checker<'a> {
             }
             if let Some(si) = node.sync_event {
                 let ev = self.events[si];
-                let block = self.m.progs[t].block;
-                let action = match ev.action {
-                    HbAction::FlagSet { id, .. } => {
-                        let next = flag_next.entry(block).or_insert(0);
-                        let token = *next;
+                let action = match ev.flag() {
+                    Some(mut f) if f.set => {
+                        let next = next_token.entry(f.chan.block).or_insert(0);
+                        f.token = *next;
                         *next += 1;
-                        flag_fifo.entry((block, id)).or_default().push_back(token);
-                        HbAction::FlagSet { id, token }
+                        fifo.entry(f.chan).or_default().push_back(f.token);
+                        f.action()
                     }
-                    HbAction::FlagWait { id, .. } => {
-                        let token = flag_fifo
-                            .get_mut(&(block, id))
+                    Some(mut f) => {
+                        f.token = fifo
+                            .get_mut(&f.chan)
                             .and_then(|q| q.pop_front())
                             .expect("model gates waits on a pending set");
-                        HbAction::FlagWait { id, token }
+                        f.action()
                     }
-                    HbAction::GridFlagSet { id, .. } => {
-                        let token = grid_next;
-                        grid_next += 1;
-                        grid_fifo.entry(id).or_default().push_back(token);
-                        HbAction::GridFlagSet { id, token }
-                    }
-                    HbAction::GridFlagWait { id, .. } => {
-                        let token = grid_fifo
-                            .get_mut(&id)
-                            .and_then(|q| q.pop_front())
-                            .expect("model gates waits on a pending set");
-                        HbAction::GridFlagWait { id, token }
-                    }
-                    other => other,
+                    None => ev.action,
                 };
                 out.push(HbEvent { action, ..ev });
             }
@@ -938,59 +886,38 @@ impl<'a> Checker<'a> {
     }
 }
 
-fn gm_ranges_conflict(a: &[(u64, u64, bool)], b: &[(u64, u64, bool)]) -> bool {
-    a.iter().any(|&(s1, e1, w1)| {
-        b.iter()
-            .any(|&(s2, e2, w2)| (w1 || w2) && s1 < e2 && s2 < e1)
-    })
+/// Whether two ops share an object, so their order can matter: one flag
+/// channel (any two grid-flag ops also share the launch-wide commit
+/// order), one queue, or GM bytes that either of them writes.
+fn ops_conflict(a: &OpNode, b: &OpNode) -> bool {
+    let queue = |o: &OpNode| match o.op {
+        SyncOp::Enque { queue } | SyncOp::Deque { queue } => Some(queue),
+        _ => None,
+    };
+    let same_chan = match (a.op, b.op) {
+        (SyncOp::Set(x) | SyncOp::Wait(x), SyncOp::Set(y) | SyncOp::Wait(y)) => {
+            x == y || (x.block.is_none() && y.block.is_none())
+        }
+        _ => false,
+    };
+    same_chan
+        || (queue(a).is_some() && queue(a) == queue(b))
+        || a.gm.iter().any(|&(s1, e1, w1)| {
+            b.gm.iter()
+                .any(|&(s2, e2, w2)| (w1 || w2) && s1 < e2 && s2 < e1)
+        })
 }
 
 /// Static thread-level dependence for persistent-set closures. Threads
-/// are dependent if any pair of their ops could ever be dependent.
+/// are dependent if any pair of their ops could ever be dependent: they
+/// share a block, a physical slot (wave gating couples blocks
+/// time-shared on it), or an object.
 fn thread_dep(a: &ThreadProg, b: &ThreadProg, phys: usize, nblocks: usize) -> bool {
-    if a.brank == b.brank {
-        return true;
-    }
-    // Wave gating couples blocks time-shared on the same slot.
-    if nblocks > phys && a.brank % phys == b.brank % phys {
-        return true;
-    }
-    let flag_keys = |p: &ThreadProg| -> HashSet<(u32, u32)> {
-        p.ops
+    a.brank == b.brank
+        || (nblocks > phys && a.brank % phys == b.brank % phys)
+        || a.ops
             .iter()
-            .filter_map(|o| match o.op {
-                SyncOp::FlagSet { block, id } | SyncOp::FlagWait { block, id } => Some((block, id)),
-                _ => None,
-            })
-            .collect()
-    };
-    if !flag_keys(a).is_disjoint(&flag_keys(b)) {
-        return true;
-    }
-    let has_grid = |p: &ThreadProg| {
-        p.ops
-            .iter()
-            .any(|o| matches!(o.op, SyncOp::GridSet { .. } | SyncOp::GridWait { .. }))
-    };
-    if has_grid(a) && has_grid(b) {
-        return true;
-    }
-    let queue_keys = |p: &ThreadProg| -> HashSet<u32> {
-        p.ops
-            .iter()
-            .filter_map(|o| match o.op {
-                SyncOp::Enque { queue } | SyncOp::Deque { queue } => Some(queue),
-                _ => None,
-            })
-            .collect()
-    };
-    if !queue_keys(a).is_disjoint(&queue_keys(b)) {
-        return true;
-    }
-    let gm = |p: &ThreadProg| -> Vec<(u64, u64, bool)> {
-        p.ops.iter().flat_map(|o| o.gm.iter().copied()).collect()
-    };
-    gm_ranges_conflict(&gm(a), &gm(b))
+            .any(|x| b.ops.iter().any(|y| ops_conflict(x, y)))
 }
 
 /// Model check the launch whose happens-before events are `events`.
@@ -999,8 +926,16 @@ fn thread_dep(a: &ThreadProg, b: &ThreadProg, phys: usize, nblocks: usize) -> bo
 /// under `cfg.phys` physical block slots and returns deadlocks, merged hb
 /// diagnostics, sync coverage, and the set of grid commit orders for
 /// `SchedPolicy::Planned` replay.
-pub fn check(events: &[HbEvent], cfg: &McConfig) -> McReport {
-    let (progs, nblocks) = extract(events);
+///
+/// Fails with [`SimError::InvalidArgument`] when `cfg.phys` is zero or a
+/// thread program is too long to model.
+pub fn check(events: &[HbEvent], cfg: &McConfig) -> SimResult<McReport> {
+    if cfg.phys == 0 {
+        return Err(SimError::InvalidArgument(
+            "the model checker needs at least one physical block slot".to_string(),
+        ));
+    }
+    let (progs, nblocks) = extract(&LaunchGraph::build(events))?;
     let n = progs.len();
     let dep: Vec<Vec<bool>> = (0..n)
         .map(|a| {
@@ -1012,25 +947,18 @@ pub fn check(events: &[HbEvent], cfg: &McConfig) -> McReport {
     // Enumerate the static wait sites up front so uncovered sites are
     // reported even if never reached.
     let mut sites: BTreeMap<(usize, u16), SiteCov> = BTreeMap::new();
-    let mut flag_keys: HashSet<(u32, u32)> = HashSet::new();
-    let mut grid_ids: HashSet<u32> = HashSet::new();
+    let mut chans: HashSet<Chan> = HashSet::new();
     let mut barrier_rounds = 0usize;
     let mut sync_ops = 0usize;
     for (t, p) in progs.iter().enumerate() {
         let mut barriers = 0usize;
         for (pc, node) in p.ops.iter().enumerate() {
-            match node.op {
-                SyncOp::FlagWait { .. } | SyncOp::GridWait { .. } | SyncOp::Barrier => {
-                    sites.insert((t, pc as u16), SiteCov::default());
-                }
-                _ => {}
+            if matches!(node.op, SyncOp::Wait(_) | SyncOp::Barrier) {
+                sites.insert((t, pc as u16), SiteCov::default());
             }
             match node.op {
-                SyncOp::FlagSet { block, id } | SyncOp::FlagWait { block, id } => {
-                    flag_keys.insert((block, id));
-                }
-                SyncOp::GridSet { id } | SyncOp::GridWait { id } => {
-                    grid_ids.insert(id);
+                SyncOp::Set(c) | SyncOp::Wait(c) => {
+                    chans.insert(c);
                 }
                 SyncOp::Barrier => barriers += 1,
                 _ => {}
@@ -1065,7 +993,7 @@ pub fn check(events: &[HbEvent], cfg: &McConfig) -> McReport {
     ck.run_phase_b();
     let mut cov = McCoverage {
         wait_sites: ck.sites.len(),
-        flag_ids: flag_keys.len() + grid_ids.len(),
+        flag_ids: chans.len(),
         barrier_rounds,
         ..McCoverage::default()
     };
@@ -1097,7 +1025,7 @@ pub fn check(events: &[HbEvent], cfg: &McConfig) -> McReport {
     let mut diagnostics = ck.diags;
     diagnostics
         .sort_by(|a, b| (a.severity, a.code, &a.message).cmp(&(b.severity, b.code, &b.message)));
-    McReport {
+    Ok(McReport {
         threads: n,
         blocks: nblocks,
         sync_ops,
@@ -1112,7 +1040,7 @@ pub fn check(events: &[HbEvent], cfg: &McConfig) -> McReport {
         deadlock_witnesses: ck.witnesses,
         diagnostics,
         coverage: cov,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1132,7 +1060,7 @@ mod tests {
 
     #[test]
     fn empty_launch_is_trivially_clean() {
-        let r = check(&[], &McConfig::new(1));
+        let r = check(&[], &McConfig::new(1)).unwrap();
         assert_eq!(r.threads, 0);
         assert_eq!(r.deadlocks, 0);
         assert_eq!(r.executions, 1);
@@ -1146,7 +1074,7 @@ mod tests {
             ev(0, 0, HbAction::GridFlagSet { id: 0, token: 0 }),
             ev(1, 0, HbAction::GridFlagWait { id: 0, token: 0 }),
         ];
-        let r = check(&events, &McConfig::new(2));
+        let r = check(&events, &McConfig::new(2)).unwrap();
         assert_eq!(r.threads, 2);
         assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
@@ -1172,11 +1100,11 @@ mod tests {
             ev(0, 0, HbAction::GridFlagWait { id: 0, token: 0 }),
             ev(1, 0, HbAction::GridFlagSet { id: 0, token: 0 }),
         ];
-        let narrow = check(&events, &McConfig::new(1));
+        let narrow = check(&events, &McConfig::new(1)).unwrap();
         assert!(narrow.deadlocks > 0);
         assert!(narrow.deadlock_witnesses[0].contains("GridWaitFlag(id 0)"));
         assert!(narrow.deadlock_witnesses[0].contains("wave-gated"));
-        let wide = check(&events, &McConfig::new(2));
+        let wide = check(&events, &McConfig::new(2)).unwrap();
         assert_eq!(wide.deadlocks, 0, "{:?}", wide.deadlock_witnesses);
         assert_eq!(wide.unique_grid_orders, vec![vec![1, 0]]);
     }
@@ -1192,7 +1120,7 @@ mod tests {
             ev(2, 0, HbAction::GridFlagWait { id: 0, token: 0 }),
             ev(2, 0, HbAction::GridFlagWait { id: 0, token: 1 }),
         ];
-        let r = check(&events, &McConfig::new(3));
+        let r = check(&events, &McConfig::new(3)).unwrap();
         assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
         let expect: Vec<Vec<u32>> = vec![
             vec![0, 1, 2, 2],
@@ -1217,8 +1145,8 @@ mod tests {
         on.reduction = true;
         let mut off = on.clone();
         off.reduction = false;
-        let r_on = check(&events, &on);
-        let r_off = check(&events, &off);
+        let r_on = check(&events, &on).unwrap();
+        let r_off = check(&events, &off).unwrap();
         assert_eq!(r_on.unique_grid_orders, r_off.unique_grid_orders);
         let codes =
             |r: &McReport| -> Vec<&'static str> { r.diagnostics.iter().map(|d| d.code).collect() };
@@ -1235,7 +1163,7 @@ mod tests {
             ev(0, 0, HbAction::GmWrite { start: 0, end: 4 }),
             ev(1, 0, HbAction::GmRead { start: 0, end: 4 }),
         ];
-        let r = check(&events, &McConfig::new(2));
+        let r = check(&events, &McConfig::new(2)).unwrap();
         assert_eq!(r.deadlocks, 0);
         assert!(r
             .diagnostics
@@ -1249,7 +1177,7 @@ mod tests {
             ev(0, 0, HbAction::Barrier { round: 0 }),
             ev(1, 0, HbAction::Barrier { round: 0 }),
         ];
-        let r = check(&events, &McConfig::new(2));
+        let r = check(&events, &McConfig::new(2)).unwrap();
         assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
         assert_eq!(r.coverage.barrier_rounds, 1);
         assert_eq!(r.coverage.wait_sites, 2);
@@ -1270,7 +1198,7 @@ mod tests {
             ev(0, 0, HbAction::Barrier { round: 0 }),
             ev(1, 0, HbAction::Barrier { round: 0 }),
         ];
-        let r = check(&events, &McConfig::new(1));
+        let r = check(&events, &McConfig::new(1)).unwrap();
         assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
         assert!(r.executions >= 1);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
@@ -1287,7 +1215,7 @@ mod tests {
             ev(0, 1, HbAction::FlagWait { id: 3, token: 0 }),
             ev(0, 1, HbAction::FlagWait { id: 3, token: 1 }),
         ];
-        let r = check(&events, &McConfig::new(1));
+        let r = check(&events, &McConfig::new(1)).unwrap();
         assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
         let errors: Vec<_> = r
             .diagnostics
@@ -1309,8 +1237,34 @@ mod tests {
         ];
         let mut cfg = McConfig::new(3);
         cfg.max_states = 4;
-        let r = check(&events, &cfg);
+        let r = check(&events, &cfg).unwrap();
         assert!(r.budget_exhausted);
         assert!(r.states <= 4);
+    }
+
+    #[test]
+    fn zero_slots_are_rejected_not_a_panic() {
+        let events = [ev(0, 0, HbAction::GridFlagSet { id: 0, token: 0 })];
+        let literal = McConfig {
+            phys: 0,
+            max_states: 10,
+            max_execs: 10,
+            reduction: false,
+        };
+        for cfg in [McConfig::new(0), literal] {
+            let err = check(&events, &cfg).unwrap_err();
+            assert!(matches!(err, SimError::InvalidArgument(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn overlong_thread_program_is_rejected_not_a_panic() {
+        // 32,766 sets plus the thread end make a program of 32,767 ops,
+        // one more than the packed u16 state key holds.
+        let events: Vec<HbEvent> = (0..32_766)
+            .map(|token| ev(0, 0, HbAction::FlagSet { id: 0, token }))
+            .collect();
+        let err = check(&events, &McConfig::new(1)).unwrap_err();
+        assert!(matches!(err, SimError::InvalidArgument(_)), "{err}");
     }
 }

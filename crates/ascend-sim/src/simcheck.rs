@@ -33,9 +33,10 @@
 use crate::chip::ChipSpec;
 use crate::engine::EngineKind;
 use crate::error::{SimError, SimResult};
+use crate::graph::LaunchGraph;
 use crate::hb::{self, Severity};
 use crate::report::KernelReport;
-use crate::trace::{HbEvent, TraceEvent};
+use crate::trace::TraceEvent;
 use std::collections::{BTreeMap, HashMap};
 
 /// How much runtime validation the simulator performs.
@@ -298,15 +299,15 @@ pub fn audit_engine_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimRes
 }
 
 /// Runs the happens-before schedule analyzer ([`crate::hb`], the engine
-/// behind `simlint`) over a launch's recorded event stream and converts
-/// the first error-severity finding into a launch failure.
+/// behind `simlint`) over a launch's graph and converts the first
+/// error-severity finding into a launch failure.
 ///
 /// Warning-severity findings (flag/alloc/queue leaks, dead transfers)
 /// are tolerated in-process — hygiene is enforced offline by the
 /// `simlint` CLI, which fails on any finding — so unit-test kernels
 /// that deliberately leak a buffer still run.
-pub fn audit_schedule(events: &[HbEvent]) -> SimResult<()> {
-    for d in hb::analyze(events) {
+pub fn audit_schedule(graph: &LaunchGraph<'_>) -> SimResult<()> {
+    for d in hb::check(graph) {
         if d.severity == Severity::Error {
             return Err(SimError::ScheduleHazard {
                 what: d.code,
@@ -553,7 +554,7 @@ mod tests {
     #[test]
     fn schedule_audit_fails_on_errors_tolerates_warnings() {
         use crate::trace::{HbAction, HbEvent};
-        assert!(audit_schedule(&[]).is_ok());
+        assert!(audit_schedule(&LaunchGraph::build(&[])).is_ok());
         // A leaked allocation is warning-severity: launch still passes.
         let leak = [HbEvent {
             block: 0,
@@ -562,7 +563,7 @@ mod tests {
             what: "AllocLocal",
             action: HbAction::Alloc { id: 1, bytes: 64 },
         }];
-        assert!(audit_schedule(&leak).is_ok());
+        assert!(audit_schedule(&LaunchGraph::build(&leak)).is_ok());
         // A cross-block GM race is error-severity: launch fails.
         let mk_write = |block| HbEvent {
             block,
@@ -571,7 +572,7 @@ mod tests {
             what: "DataCopy",
             action: HbAction::GmWrite { start: 0, end: 64 },
         };
-        let err = audit_schedule(&[mk_write(0), mk_write(1)]).unwrap_err();
+        let err = audit_schedule(&LaunchGraph::build(&[mk_write(0), mk_write(1)])).unwrap_err();
         match err {
             SimError::ScheduleHazard { what, .. } => assert_eq!(what, "gm-race"),
             other => panic!("expected ScheduleHazard, got {other:?}"),

@@ -55,8 +55,8 @@ use ascend_sim::prof::{self, KernelProfile, SpanRecorder};
 use ascend_sim::sync::{FlagFile, Scheduler};
 use ascend_sim::{
     simcheck, ChipSpec, CoreKind, CounterEvent, EngineKind, EventTime, HbAction, HbEvent,
-    KernelReport, SimError, SimResult, SpanArgs, SpanId, StallCause, StallEvent, StallTally,
-    TraceEvent, TraceSpan,
+    KernelReport, LaunchGraph, SimError, SimResult, SpanArgs, SpanId, StallCause, StallEvent,
+    StallTally, TraceEvent, TraceSpan,
 };
 use std::sync::Arc;
 
@@ -455,11 +455,6 @@ where
             // end, so their idle time is not fully attributed.
             simcheck::audit_stall_accounting(&report, spec)?;
         }
-        // Happens-before schedule analysis: error-severity findings
-        // (GM races, unmatched waits, flag reuse across rounds,
-        // deadlock shapes) fail the launch; warnings are left to the
-        // offline `simlint` CLI.
-        simcheck::audit_schedule(&hb_events)?;
     }
     // Critical-path extraction doubles as the makespan-identity audit:
     // the backward causal walk must explain every cycle of the reported
@@ -468,6 +463,15 @@ where
     // (audits or an attached collector).
     let mut critical: Option<ascend_sim::critpath::CritReport> = None;
     if recording {
+        // One happens-before graph serves the schedule audit and the walk.
+        let graph = LaunchGraph::build(&hb_events);
+        if spec.validation.audits() {
+            // Happens-before schedule analysis: error-severity findings
+            // (GM races, unmatched waits, flag reuse across rounds,
+            // deadlock shapes) fail the launch; warnings are left to the
+            // offline `simlint` CLI.
+            simcheck::audit_schedule(&graph)?;
+        }
         let finale = sync
             .final_record()
             .expect("launch resolved without a final alignment record");
@@ -479,7 +483,7 @@ where
             flag_set_cycles: spec.flag_set_cycles,
             events: &events,
             stalls: &stall_events,
-            hb: &hb_events,
+            graph: &graph,
             spans: &spans,
             rounds: &rounds,
             finale,

@@ -67,8 +67,9 @@ fn parse_num(flag: &str, v: Option<&String>) -> usize {
 struct Options {
     json: bool,
     strict_coverage: bool,
-    max_states: usize,
-    max_execs: usize,
+    /// The model checker's slots and budgets (`--max-states`,
+    /// `--max-execs`).
+    mc: mc::McConfig,
     max_replays: usize,
 }
 
@@ -99,8 +100,7 @@ fn main() {
     let mut opts = Options {
         json: false,
         strict_coverage: false,
-        max_states: 200_000,
-        max_execs: 4096,
+        mc: mc::McConfig::new(ChipSpec::tiny().ai_cores as usize),
         max_replays: 64,
     };
     let mut positional: Vec<String> = Vec::new();
@@ -109,8 +109,8 @@ fn main() {
         match a.as_str() {
             "--json" => opts.json = true,
             "--strict-coverage" => opts.strict_coverage = true,
-            "--max-states" => opts.max_states = parse_num("--max-states", it.next()),
-            "--max-execs" => opts.max_execs = parse_num("--max-execs", it.next()),
+            "--max-states" => opts.mc.max_states = parse_num("--max-states", it.next()),
+            "--max-execs" => opts.mc.max_execs = parse_num("--max-execs", it.next()),
             "--max-replays" => opts.max_replays = parse_num("--max-replays", it.next()),
             other if other.starts_with("--") => {
                 eprintln!("mcheck: unknown flag '{other}'");
@@ -237,14 +237,16 @@ fn run_case(kernel: &'static str, opts: &Options) -> CaseOut {
     let (serial, _) = run_kernel(SchedPolicy::Serial, kernel);
     let serial_equal = serial == canon;
 
-    let spec = ChipSpec::tiny();
-    let mut cfg = mc::McConfig::new(spec.ai_cores as usize);
-    cfg.max_states = opts.max_states;
-    cfg.max_execs = opts.max_execs;
     let launches: Vec<(String, mc::McReport)> = profile
         .kernels
         .iter()
-        .map(|k| (k.name.clone(), mc::check(&k.hb_events, &cfg)))
+        .map(|k| match mc::check(&k.hb_events, &opts.mc) {
+            Ok(r) => (k.name.clone(), r),
+            Err(e) => {
+                eprintln!("mcheck: {kernel}: {}: {e}", k.name);
+                std::process::exit(1);
+            }
+        })
         .collect();
 
     // Replay every distinct grid commit order through the planned

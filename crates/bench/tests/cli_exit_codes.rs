@@ -121,3 +121,133 @@ fn benchcheck_gates_the_4m_anchor() {
         assert_exit(&run(bin, &file), 2, "malformed document");
     }
 }
+
+/// One hb event: `(block, core, time, what, action, numeric args)`.
+type HbRow<'a> = (u32, u32, u64, &'a str, &'a str, &'a [(&'a str, u64)]);
+
+/// An `hbEvents` document from rows, written out the way the `trace`
+/// binary serializes events.
+fn hb_doc(rows: &[HbRow<'_>]) -> String {
+    let events = rows.iter().map(|&(block, core, time, what, action, args)| {
+        let mut fields = vec![
+            ("block", block.into()),
+            ("core", core.into()),
+            ("time", time.into()),
+            ("what", what.into()),
+            ("action", action.into()),
+        ];
+        fields.extend(args.iter().map(|&(k, v)| (k, v.into())));
+        Json::obj(fields)
+    });
+    Json::obj([("hbEvents", Json::Arr(events.collect()))]).to_string()
+}
+
+/// `simlint --json` text pinned byte for byte: every diagnostic code,
+/// each flag code for both a per-block and a grid flag. `hb-cycle` gets
+/// its own document because the analyzer stops at a cycle.
+#[test]
+fn simlint_json_pins_every_diagnostic() {
+    let (set, wait) = ("CrossCoreSetFlag", "CrossCoreWaitFlag");
+    let (gset, gwait) = ("GridSetFlag", "GridWaitFlag");
+    let (dc, alloc) = ("DataCopy", "AllocLocal");
+    let codes = hb_doc(&[
+        // unmatched-wait: tokens no set published.
+        (0, 1, 10, wait, "flagWait", &[("id", 5), ("token", 99)]),
+        (1, 1, 10, gwait, "gridFlagWait", &[("id", 5), ("token", 99)]),
+        // flag-leak + unused-flag: ids nobody ever waits on.
+        (0, 0, 20, set, "flagSet", &[("id", 2), ("token", 0)]),
+        (0, 1, 20, gset, "gridFlagSet", &[("id", 2), ("token", 0)]),
+        // flag-reuse: an id set again after a barrier while the set from
+        // before the barrier is still pending.
+        (2, 0, 10, set, "flagSet", &[("id", 4), ("token", 0)]),
+        (2, 0, 30, "SyncAll", "barrier", &[("round", 0)]),
+        (2, 1, 30, "SyncAll", "barrier", &[("round", 0)]),
+        (2, 0, 40, set, "flagSet", &[("id", 4), ("token", 1)]),
+        (2, 1, 60, wait, "flagWait", &[("id", 4), ("token", 0)]),
+        (2, 1, 70, wait, "flagWait", &[("id", 4), ("token", 1)]),
+        // ...and the same on a grid flag, across barrier round 1.
+        (3, 0, 10, gset, "gridFlagSet", &[("id", 6), ("token", 10)]),
+        (3, 0, 30, "SyncAll", "barrier", &[("round", 1)]),
+        (3, 1, 30, "SyncAll", "barrier", &[("round", 1)]),
+        (3, 0, 40, gset, "gridFlagSet", &[("id", 6), ("token", 11)]),
+        (3, 1, 60, gwait, "gridFlagWait", &[("id", 6), ("token", 10)]),
+        (3, 1, 70, gwait, "gridFlagWait", &[("id", 6), ("token", 11)]),
+        // queue-unbalanced, queue-leak, alloc-leak.
+        (4, 1, 5, "TQue", "queueCreate", &[("queue", 0)]),
+        (4, 1, 10, "EnQue", "enque", &[("queue", 0)]),
+        (4, 1, 15, "TQue", "queueDestroy", &[("queue", 0)]),
+        (4, 1, 20, "TQue", "queueCreate", &[("queue", 1)]),
+        (4, 1, 25, alloc, "alloc", &[("id", 7), ("bytes", 256)]),
+        // dead-transfer: a write buried unread by an ordered overwrite.
+        (5, 1, 10, dc, "gmWrite", &[("start", 1000), ("end", 1064)]),
+        (5, 1, 20, dc, "gmWrite", &[("start", 1000), ("end", 1064)]),
+        // gm-race: two blocks write overlapping bytes with no order.
+        (5, 1, 30, dc, "gmWrite", &[("start", 2000), ("end", 2064)]),
+        (6, 1, 30, dc, "gmWrite", &[("start", 2032), ("end", 2096)]),
+    ]);
+    let cycle = hb_doc(&[
+        (0, 0, 10, wait, "flagWait", &[("id", 0), ("token", 0)]),
+        (0, 0, 20, set, "flagSet", &[("id", 0), ("token", 0)]),
+    ]);
+    let files = [
+        fixture("simlint-codes.json", &codes),
+        fixture("simlint-cycle.json", &cycle),
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .arg("--json")
+        .args(&files)
+        .output()
+        .expect("binary runs");
+    for f in &files {
+        std::fs::remove_file(f).ok();
+    }
+    assert_exit(&out, 1, "diagnostic(s) across 2 file(s)");
+    let doc = ascend_sim::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("simlint/v1");
+    let diags: Vec<Vec<&str>> = doc
+        .array_field("files")
+        .expect("files array")
+        .iter()
+        .map(|f| {
+            let d = f.array_field("diagnostics").expect("diagnostics array");
+            d.iter().map(|d| d.as_str().expect("string")).collect()
+        })
+        .collect();
+    assert_eq!(
+        diags[0],
+        [
+            "error[unmatched-wait]: block 0 vec0 `CrossCoreWaitFlag` @10 consumed flag token 99 \
+             that no CrossCoreSetFlag published",
+            "error[unmatched-wait]: block 1 vec0 `GridWaitFlag` @10 consumed grid flag token 99 \
+             that no GridSetFlag published",
+            "error[flag-reuse]: block 2 cube `CrossCoreSetFlag` @40 reuses flag id 4 across \
+             barrier rounds: the round-0 set (token 0) by block 2 cube `CrossCoreSetFlag` @10 \
+             is still pending",
+            "error[flag-reuse]: block 3 cube `GridSetFlag` @40 reuses grid flag id 6 across \
+             barrier rounds: the round-0 set (token 10) by block 3 cube `GridSetFlag` @10 is \
+             still pending",
+            "error[gm-race]: GM bytes [2032, 2064): write by block 5 vec0 `DataCopy` @30 races \
+             with write by block 6 vec0 `DataCopy` @30 — no happens-before path orders them",
+            "warning[flag-leak]: block 0 cube `CrossCoreSetFlag` @20 set flag id 2 (token 0) but \
+             no CrossCoreWaitFlag ever consumed it",
+            "warning[unused-flag]: block 0 flag id 2 is set 1 time(s) but no CrossCoreWaitFlag \
+             on this id exists anywhere in the launch",
+            "warning[flag-leak]: block 0 vec0 `GridSetFlag` @20 set grid flag id 2 (token 0) but \
+             no GridWaitFlag ever consumed it",
+            "warning[unused-flag]: grid flag id 2 is set 1 time(s) but no GridWaitFlag on this \
+             id exists anywhere in the launch",
+            "warning[queue-unbalanced]: block 4 vec0 `TQue` @5: 1 enque(s) vs 0 deque(s)",
+            "warning[queue-leak]: block 4 vec0 `TQue` @20: queue created but never destroyed",
+            "warning[alloc-leak]: block 4 vec0 `AllocLocal` @25 allocated 256 B (alloc id 7) \
+             that are never freed",
+            "warning[dead-transfer]: block 5 vec0 `DataCopy` @10 wrote GM bytes [1000, 1064) \
+             that are overwritten before any engine could read them",
+        ]
+    );
+    assert_eq!(
+        diags[1],
+        [
+            "error[hb-cycle]: the synchronization edges contradict program order (deadlock \
+             shape) — cycle through block 0 cube `CrossCoreWaitFlag` @10"
+        ]
+    );
+}

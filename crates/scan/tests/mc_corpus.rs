@@ -56,7 +56,7 @@ fn mc_finds_the_wave_deadlock_that_per_trace_analysis_calls_clean() {
     );
     // The model checker explores the 1-slot schedule space and proves
     // the protocol deadlocks there.
-    let narrow = mc::check(&events, &mc::McConfig::new(1));
+    let narrow = mc::check(&events, &mc::McConfig::new(1)).expect("valid config");
     assert!(narrow.deadlocks > 0, "expected a wave-gating deadlock");
     assert!(
         narrow.deadlock_witnesses[0].contains("GridWaitFlag"),
@@ -64,7 +64,7 @@ fn mc_finds_the_wave_deadlock_that_per_trace_analysis_calls_clean() {
         narrow.deadlock_witnesses
     );
     // With two physical slots the same protocol is fine.
-    let wide = mc::check(&events, &mc::McConfig::new(2));
+    let wide = mc::check(&events, &mc::McConfig::new(2)).expect("valid config");
     assert_eq!(wide.deadlocks, 0, "{:?}", wide.deadlock_witnesses);
 }
 
@@ -136,7 +136,8 @@ fn mc_finds_the_schedule_dependent_report_that_sched_equiv_misses() {
     let r = mc::check(
         &profile.kernels[0].hb_events,
         &mc::McConfig::new(spec.ai_cores as usize),
-    );
+    )
+    .expect("valid config");
     assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
     assert!(
         r.unique_grid_orders.len() >= 2,
@@ -270,7 +271,8 @@ fn mc_finds_the_wrong_result_from_misordered_partial_inclusive_epochs() {
     let r = mc::check(
         &profile.kernels[0].hb_events,
         &mc::McConfig::new(spec.ai_cores as usize),
-    );
+    )
+    .expect("valid config");
     assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
     assert!(
         r.unique_grid_orders.len() >= 2,
@@ -346,7 +348,8 @@ fn scanc_single_commit_order_replays_byte_identically_when_planned() {
     let r = mc::check(
         &profile.kernels[0].hb_events,
         &mc::McConfig::new(spec.ai_cores as usize),
-    );
+    )
+    .expect("valid config");
     assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
     assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     assert!(!r.budget_exhausted);
@@ -391,7 +394,8 @@ fn multihop_scanc_has_many_orders_that_all_replay_byte_identically() {
     let r = mc::check(
         &profile.kernels[0].hb_events,
         &mc::McConfig::new(spec.ai_cores as usize),
-    );
+    )
+    .expect("valid config");
     assert_eq!(r.deadlocks, 0, "{:?}", r.deadlock_witnesses);
     assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     assert!(!r.budget_exhausted);
@@ -494,10 +498,10 @@ proptest! {
         let mut cfg = mc::McConfig::new(phys);
         cfg.max_execs = 100_000;
         cfg.max_states = 500_000;
-        let reduced = mc::check(&events, &cfg);
+        let reduced = mc::check(&events, &cfg).expect("valid config");
         let mut full_cfg = cfg.clone();
         full_cfg.reduction = false;
-        let full = mc::check(&events, &full_cfg);
+        let full = mc::check(&events, &full_cfg).expect("valid config");
         prop_assert!(!full.budget_exhausted, "raise the budget for this shape");
         prop_assert_eq!(
             &reduced.unique_grid_orders,
