@@ -30,6 +30,7 @@
 //!   bounds: removing a cost can surface a second-longest path that the
 //!   subtraction does not see.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use crate::engine::EngineKind;
@@ -272,13 +273,22 @@ type LanePoint = (u32, u32, EventTime);
 /// Arrival edges keyed by consumer lane point → producer lane points.
 type ArrivalIndex = HashMap<LanePoint, Vec<LanePoint>>;
 
+/// Every busy and stall interval, by lane and by end cycle.
+struct LaneIndex {
+    /// Per-`(block, core, engine)` lanes in that order, each sorted by
+    /// `(start, end)`.
+    lanes: Vec<Lane>,
+    /// Every interval as `(end cycle, lane, index)`, sorted: the
+    /// intervals ending at one cycle form a run in lane order.
+    ends: Vec<(EventTime, u32, u32)>,
+}
+
 struct Analyzer<'a> {
     input: &'a CritInput<'a>,
-    lanes: Vec<Lane>,
-    /// Busy intervals by end cycle, in deterministic lane order.
-    busy_end: HashMap<EventTime, Vec<(usize, usize)>>,
-    /// Stall intervals by end cycle, in deterministic lane order.
-    stall_end: HashMap<EventTime, Vec<(usize, usize)>>,
+    /// Built on the walk's first interval lookup. A walk that only
+    /// crosses bandwidth-bound segments and the launch (any large
+    /// HBM-bound scan) never pays for indexing every interval.
+    index: OnceCell<LaneIndex>,
     /// Flag/grid-flag waits by `(block, core, time)`: the set each
     /// consumed, if any.
     waits: HashMap<LanePoint, Vec<Option<usize>>>,
@@ -307,6 +317,34 @@ type Hop = (u32, u32, EventTime, SegClass);
 fn arrival(found: Option<&Vec<LanePoint>>) -> Option<Hop> {
     let &(block, core, set_time) = found?.first()?;
     Some((block, core, set_time, SegClass::ChainWire))
+}
+
+/// Stable sort of `(end, lane, index)` entries by end: an LSD radix
+/// sort, one byte of the end per pass, over the bytes the largest end
+/// uses. Linear in the entry count; a comparison sort of a wide launch's
+/// half-million intervals dominated the analyzer's setup.
+fn sort_by_end(v: &mut Vec<(EventTime, u32, u32)>) {
+    let max = v.iter().map(|e| e.0).max().unwrap_or(0);
+    let mut buf = vec![(0, 0, 0); v.len()];
+    let mut shift = 0;
+    while shift < EventTime::BITS && max >> shift > 0 {
+        let digit = |e: &(EventTime, u32, u32)| (e.0 >> shift) as u8 as usize;
+        let mut at = [0usize; 256];
+        for e in v.iter() {
+            at[digit(e)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (sum, *slot) = (sum + *slot, sum);
+        }
+        for e in v.iter() {
+            let d = digit(e);
+            buf[at[d]] = *e;
+            at[d] += 1;
+        }
+        std::mem::swap(v, &mut buf);
+        shift += 8;
+    }
 }
 
 /// Whether `e` sets or waits on a grid flag.
@@ -346,71 +384,6 @@ impl<'a> Analyzer<'a> {
                 arrivals_by_time.entry(at).or_default().push(producer);
             }
         }
-        let lane_times = |grid_only: bool| -> HashSet<LanePoint> {
-            events
-                .iter()
-                .filter(|e| e.flag().is_some() && (!grid_only || is_grid(e)))
-                .map(|e| (e.block, e.core, e.time))
-                .collect()
-        };
-        let (flag_times, chain_times) = (lane_times(false), lane_times(true));
-
-        // Build per-(block, core, engine) lanes of busy + stall
-        // intervals. Busy and idle intervals tile each lane (that is
-        // audited elsewhere); the walk re-checks the property locally.
-        let mut by_key: HashMap<(u32, u32, usize), Vec<Iv>> = HashMap::new();
-        for ev in input.events {
-            let dur = ev.end - ev.start;
-            let is_flag_instr = ev.engine == EngineKind::FLAG_ENGINE
-                && (flag_times.contains(&(ev.block, ev.core, ev.end))
-                    || dur == input.flag_set_cycles
-                    || dur == input.flag_wait_cycles);
-            let is_chain_instr = ev.engine == EngineKind::FLAG_ENGINE
-                && chain_times.contains(&(ev.block, ev.core, ev.end));
-            by_key
-                .entry((ev.block, ev.core, ev.engine.index()))
-                .or_default()
-                .push(Iv {
-                    start: ev.start,
-                    end: ev.end,
-                    kind: IvKind::Busy {
-                        engine: ev.engine,
-                        flag: is_flag_instr || is_chain_instr,
-                        chain: is_chain_instr,
-                    },
-                });
-        }
-        for st in input.stalls {
-            by_key
-                .entry((st.block, st.core, st.engine.index()))
-                .or_default()
-                .push(Iv {
-                    start: st.start,
-                    end: st.end,
-                    kind: IvKind::Stall(st.cause),
-                });
-        }
-        let mut keys: Vec<(u32, u32, usize)> = by_key.keys().copied().collect();
-        keys.sort_unstable();
-        let mut lanes = Vec::with_capacity(keys.len());
-        let mut busy_end: HashMap<EventTime, Vec<(usize, usize)>> = HashMap::new();
-        let mut stall_end: HashMap<EventTime, Vec<(usize, usize)>> = HashMap::new();
-        for key in keys {
-            let mut ivs = by_key.remove(&key).expect("keyed lane");
-            ivs.sort_unstable_by_key(|iv| (iv.start, iv.end));
-            let li = lanes.len();
-            for (i, iv) in ivs.iter().enumerate() {
-                match iv.kind {
-                    IvKind::Busy { .. } => busy_end.entry(iv.end).or_default().push((li, i)),
-                    IvKind::Stall(_) => stall_end.entry(iv.end).or_default().push((li, i)),
-                }
-            }
-            lanes.push(Lane {
-                block: key.0,
-                core: key.1,
-                ivs,
-            });
-        }
 
         let mut phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>> =
             HashMap::new();
@@ -428,9 +401,7 @@ impl<'a> Analyzer<'a> {
 
         Analyzer {
             input,
-            lanes,
-            busy_end,
-            stall_end,
+            index: OnceCell::new(),
             waits,
             waits_by_time,
             arrivals,
@@ -439,24 +410,119 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// The lane index, built on first use.
+    fn index(&self) -> &LaneIndex {
+        self.index.get_or_init(|| self.build_index())
+    }
+
+    fn build_index(&self) -> LaneIndex {
+        let input = self.input;
+        // Every lane point holding a flag event, and whether one of them
+        // is a grid flag (a look-back chain instruction).
+        let mut flag_points: HashMap<LanePoint, bool> = HashMap::new();
+        for e in input.graph.events.iter().filter(|e| e.flag().is_some()) {
+            *flag_points.entry((e.block, e.core, e.time)).or_default() |= is_grid(e);
+        }
+        // Build per-(block, core, engine) lanes of busy + stall
+        // intervals. Busy and idle intervals tile each lane (that is
+        // audited elsewhere); the walk re-checks the property locally.
+        // Lanes are bucketed by a dense `(block, core, engine)` index,
+        // whose ascending order is the lanes' order.
+        let lane_ends = input.events.iter().map(|e| (e.block, e.core));
+        let lane_ends = lane_ends.chain(input.stalls.iter().map(|s| (s.block, s.core)));
+        let (blocks, cores) = lane_ends.fold((0, 0), |(b, c), (block, core)| {
+            (b.max(block as usize + 1), c.max(core as usize + 1))
+        });
+        let engines = EngineKind::ALL.len();
+        let lane_of = |block: u32, core: u32, engine: EngineKind| {
+            (block as usize * cores + core as usize) * engines + engine.index()
+        };
+        let mut sizes = vec![0usize; blocks * cores * engines];
+        for ev in input.events {
+            sizes[lane_of(ev.block, ev.core, ev.engine)] += 1;
+        }
+        for st in input.stalls {
+            sizes[lane_of(st.block, st.core, st.engine)] += 1;
+        }
+        let mut by_lane: Vec<Vec<Iv>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for ev in input.events {
+            let dur = ev.end - ev.start;
+            let point = (ev.engine == EngineKind::FLAG_ENGINE)
+                .then(|| flag_points.get(&(ev.block, ev.core, ev.end)))
+                .flatten();
+            let is_flag_instr = ev.engine == EngineKind::FLAG_ENGINE
+                && (point.is_some()
+                    || dur == input.flag_set_cycles
+                    || dur == input.flag_wait_cycles);
+            let is_chain_instr = point == Some(&true);
+            by_lane[lane_of(ev.block, ev.core, ev.engine)].push(Iv {
+                start: ev.start,
+                end: ev.end,
+                kind: IvKind::Busy {
+                    engine: ev.engine,
+                    flag: is_flag_instr || is_chain_instr,
+                    chain: is_chain_instr,
+                },
+            });
+        }
+        for st in input.stalls {
+            by_lane[lane_of(st.block, st.core, st.engine)].push(Iv {
+                start: st.start,
+                end: st.end,
+                kind: IvKind::Stall(st.cause),
+            });
+        }
+        let mut lanes = Vec::new();
+        let mut ends = Vec::with_capacity(input.events.len() + input.stalls.len());
+        for (key, mut ivs) in by_lane.into_iter().enumerate() {
+            if ivs.is_empty() {
+                continue;
+            }
+            // Busy and stall intervals each arrive in time order, so a
+            // stable sort is a linear merge (ties keep busy first).
+            ivs.sort_by_key(|iv| (iv.start, iv.end));
+            let li = lanes.len() as u32;
+            ends.extend(ivs.iter().enumerate().map(|(i, iv)| (iv.end, li, i as u32)));
+            let (block, core) = (key / engines / cores, key / engines % cores);
+            lanes.push(Lane {
+                block: block as u32,
+                core: core as u32,
+                ivs,
+            });
+        }
+        // Entries were pushed in `(lane, index)` order, so a stable sort
+        // by end alone yields `(end, lane, index)` order.
+        sort_by_end(&mut ends);
+        LaneIndex { lanes, ends }
+    }
+
     /// First busy interval ending at `t` whose lane satisfies `pred`,
     /// in deterministic lane order. Zero-length intervals are skipped:
     /// they cannot justify the passage of time and would loop the walk.
     fn busy_at<F: Fn(&Lane) -> bool>(&self, t: EventTime, pred: F) -> Option<(usize, usize)> {
-        let cands = self.busy_end.get(&t)?;
-        cands
-            .iter()
-            .find(|(l, i)| {
-                let iv = &self.lanes[*l].ivs[*i];
-                iv.start < iv.end && pred(&self.lanes[*l])
-            })
-            .copied()
+        let lanes = &self.index().lanes;
+        self.ending_at(t).find(|&(l, i)| {
+            let iv = &lanes[l].ivs[i];
+            matches!(iv.kind, IvKind::Busy { .. }) && iv.start < iv.end && pred(&lanes[l])
+        })
     }
 
     /// First unvisited stall interval ending at `t`.
     fn stall_at(&self, t: EventTime, visited: &HashSet<(usize, usize)>) -> Option<(usize, usize)> {
-        let cands = self.stall_end.get(&t)?;
-        cands.iter().find(|c| !visited.contains(c)).copied()
+        let lanes = &self.index().lanes;
+        self.ending_at(t).find(|&(l, i)| {
+            matches!(lanes[l].ivs[i].kind, IvKind::Stall(_)) && !visited.contains(&(l, i))
+        })
+    }
+
+    /// The `(lane, index)` intervals ending at `t`, in lane order.
+    fn ending_at(&self, t: EventTime) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ends = &self.index().ends;
+        let from = ends.partition_point(|&(end, ..)| end < t);
+        ends[from..]
+            .iter()
+            .take_while(move |&&(end, ..)| end == t)
+            .map(|&(_, l, i)| (l as usize, i as usize))
     }
 
     /// The wire hop ending at `t` among the sets `consumed` by some
@@ -501,7 +567,7 @@ impl<'a> Analyzer<'a> {
     fn walk(&self) -> SimResult<Vec<PathSeg>> {
         let input = self.input;
         let fw = input.flag_wait_cycles;
-        let total_ivs: usize = self.lanes.iter().map(|l| l.ivs.len()).sum();
+        let total_ivs = input.events.len() + input.stalls.len();
         let limit = 2 * total_ivs + 8 * input.rounds.len() + 64;
 
         let mut segs: Vec<PathSeg> = Vec::new();
@@ -645,7 +711,7 @@ impl<'a> Analyzer<'a> {
                     }
                 }
                 Cursor::Lane(l, i) => {
-                    let lane = &self.lanes[l];
+                    let lane = &self.index().lanes[l];
                     let iv = lane.ivs[i];
                     if iv.end != t {
                         return Err(viol(
@@ -1081,6 +1147,26 @@ mod tests {
             bw_bound: seg_start,
             end: max_local,
         }
+    }
+
+    #[test]
+    fn radix_end_sort_is_a_stable_sort_by_end() {
+        let mut state = 7u64;
+        let mut v: Vec<(EventTime, u32, u32)> = (0..5000u32)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                ((state >> 20) % [3, 300, 1 << 40][i as usize % 3], i / 7, i)
+            })
+            .collect();
+        let mut want = v.clone();
+        want.sort_by_key(|e| e.0);
+        sort_by_end(&mut v);
+        assert_eq!(v, want);
+        let mut empty = Vec::new();
+        sort_by_end(&mut empty);
+        assert!(empty.is_empty());
     }
 
     #[test]

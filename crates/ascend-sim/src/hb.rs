@@ -223,22 +223,56 @@ pub fn check(g: &LaunchGraph<'_>) -> Vec<Diagnostic> {
     }
     let mut queue: std::collections::VecDeque<usize> =
         (0..total_nodes).filter(|&v| indegree[v] == 0).collect();
-    // clocks[node] = vector clock; clocks[node][t] = number of thread t's
-    // events known to happen-before-or-equal this node.
-    let mut clocks: Vec<Vec<u32>> = vec![Vec::new(); total_nodes];
+    // Vector clocks, shared along program order as FastTrack shares
+    // epochs: clock entry `t` counts thread t's events known to
+    // happen-before-or-equal a node. A node whose every incoming edge
+    // comes from its own thread knows exactly what its program-order
+    // predecessor knows about the other threads, so it reuses that
+    // clock; only nodes with a cross-thread or barrier edge (and the
+    // barrier joins) get a fresh one. A node's own-thread entry is its
+    // position, which is answered from `pos` rather than stored.
+    // `clock_of[node]` indexes `store`, `nthreads` entries per clock;
+    // clock 0 is all zeros.
+    let shares_clock = |node: usize| {
+        node < n
+            && pred_list(node)
+                .iter()
+                .all(|&p| p < n && thread_of[p] == thread_of[node])
+    };
+    let fresh = (0..total_nodes).filter(|&v| !shares_clock(v)).count();
+    let mut store: Vec<u32> = Vec::with_capacity((1 + fresh) * nthreads);
+    store.resize(nthreads, 0);
+    let mut clock_of: Vec<usize> = vec![0; total_nodes];
     let mut processed = 0usize;
     while let Some(node) = queue.pop_front() {
         processed += 1;
-        let mut vc = vec![0u32; nthreads];
-        for &p in pred_list(node) {
-            for (slot, &v) in vc.iter_mut().zip(&clocks[p]) {
-                *slot = (*slot).max(v);
+        let node_preds = pred_list(node);
+        let prev = if node < n { g.prev(node) } else { None };
+        if shares_clock(node) {
+            clock_of[node] = prev.map_or(0, |p| clock_of[p]);
+        } else {
+            // Start from the program-order predecessor's clock (zeros for
+            // a thread's first node or a barrier join), then fold in
+            // every other predecessor, materializing each predecessor's
+            // own-thread entry from its position.
+            let base = store.len();
+            let start = prev.map_or(0, |p| clock_of[p]) * nthreads;
+            store.extend_from_within(start..start + nthreads);
+            let (known, vc) = store.split_at_mut(base);
+            for &p in node_preds {
+                if Some(p) != prev {
+                    let c = clock_of[p] * nthreads;
+                    for (slot, &v) in vc.iter_mut().zip(&known[c..c + nthreads]) {
+                        *slot = (*slot).max(v);
+                    }
+                }
+                if p < n {
+                    let t = thread_of[p];
+                    vc[t] = vc[t].max(pos_in_thread[p] + 1);
+                }
             }
+            clock_of[node] = base / nthreads;
         }
-        if node < n {
-            vc[thread_of[node]] = pos_in_thread[node] + 1;
-        }
-        clocks[node] = vc;
         for &s in &succs[node] {
             indegree[s] -= 1;
             if indegree[s] == 0 {
@@ -263,8 +297,16 @@ pub fn check(g: &LaunchGraph<'_>) -> Vec<Diagnostic> {
         finish(&mut diags);
         return diags;
     }
-    // `a happens-before b`: b's clock has seen a's position on a's thread.
-    let hb = |a: usize, b: usize| -> bool { a != b && clocks[b][thread_of[a]] > pos_in_thread[a] };
+    // `a happens-before b`: b's clock has seen a's position on a's thread
+    // (program order itself when they share a thread).
+    let hb = |a: usize, b: usize| -> bool {
+        let ta = thread_of[a];
+        if ta == thread_of[b] {
+            pos_in_thread[a] < pos_in_thread[b]
+        } else {
+            store[clock_of[b] * nthreads + ta] > pos_in_thread[a]
+        }
+    };
 
     // ---- GM data races + transfer liveness -------------------------------
     let mut accesses: Vec<Access> = Vec::new();

@@ -567,6 +567,33 @@ impl<'a> Model<'a> {
     }
 }
 
+/// One state on phase A's search path.
+struct FrameA {
+    /// The state's outgoing transitions.
+    trs: Vec<Tr>,
+    /// Index of the next transition to take.
+    next: usize,
+    /// Undo record of the transition whose subtree is being explored.
+    undo: Option<Undo>,
+}
+
+/// One state on phase B's search path.
+enum FrameB {
+    /// A forced round commit, undone when its subtree is done.
+    Round(Undo),
+    /// A state exploring its persistent set `p` under sleep set `sleep`.
+    Threads {
+        sleep: Vec<bool>,
+        p: Vec<usize>,
+        /// Index into `p` of the next candidate.
+        next: usize,
+        /// Threads whose subtrees are fully explored here.
+        done_here: Vec<usize>,
+        /// The thread being explored and its transition's undo record.
+        undo: Option<(usize, Undo)>,
+    },
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct SiteCov {
     ready: bool,
@@ -604,21 +631,26 @@ impl<'a> Checker<'a> {
         self.dfs_a();
     }
 
+    /// Depth-first search over states, on an explicit stack (one frame
+    /// per state on the current path, so long programs cannot overflow
+    /// the host thread's stack). Each frame holds the state's outgoing
+    /// transitions, the next one to take, and the undo record of the
+    /// transition whose subtree is being explored.
     fn dfs_a(&mut self) {
-        let en = self.m.enabled_threads();
-        let trs: Vec<Tr> = if en.is_empty() {
-            if self.m.round_enabled() {
-                vec![Tr::Round]
-            } else {
-                if !self.m.all_done() {
-                    self.record_deadlock();
+        let mut stack: Vec<FrameA> = self.expand_a().into_iter().collect();
+        while let Some(top) = stack.last_mut() {
+            if let Some(u) = top.undo.take() {
+                self.m.undo(u);
+                if self.budget_exhausted {
+                    stack.pop();
+                    continue;
                 }
-                return;
             }
-        } else {
-            en.iter().map(|&t| self.m.tr_for(t)).collect()
-        };
-        for tr in trs {
+            let Some(&tr) = top.trs.get(top.next) else {
+                stack.pop();
+                continue;
+            };
+            top.next += 1;
             let u = self.m.step(tr);
             self.transitions += 1;
             let key = self.m.key();
@@ -627,13 +659,35 @@ impl<'a> Checker<'a> {
             } else if !self.visited.contains(&key) {
                 self.visited.insert(key);
                 self.observe();
-                self.dfs_a();
+                top.undo = Some(u);
+                stack.extend(self.expand_a());
+                continue;
             }
-            self.m.undo(u);
-            if self.budget_exhausted {
-                return;
-            }
+            top.undo = Some(u);
         }
+    }
+
+    /// The transitions out of the current state, or `None` at a leaf
+    /// (recording a deadlock if the leaf is not a completed launch).
+    fn expand_a(&mut self) -> Option<FrameA> {
+        let en = self.m.enabled_threads();
+        let trs: Vec<Tr> = if en.is_empty() {
+            if self.m.round_enabled() {
+                vec![Tr::Round]
+            } else {
+                if !self.m.all_done() {
+                    self.record_deadlock();
+                }
+                return None;
+            }
+        } else {
+            en.iter().map(|&t| self.m.tr_for(t)).collect()
+        };
+        Some(FrameA {
+            trs,
+            next: 0,
+            undo: None,
+        })
     }
 
     /// Record wait-site coverage visible in the current state.
@@ -706,43 +760,47 @@ impl<'a> Checker<'a> {
 
     fn run_phase_b(&mut self) {
         let sleep = vec![false; self.m.progs.len()];
-        self.dfs_b(&sleep);
-    }
-
-    fn dfs_b(&mut self, sleep: &[bool]) {
-        if self.stop_b() {
-            return;
-        }
-        let en = self.m.enabled_threads();
-        if en.is_empty() {
-            if self.m.round_enabled() {
-                let u = self.m.step(Tr::Round);
-                self.b_transitions += 1;
-                self.path.push(Tr::Round);
-                // Rounds touch every thread; sleep sets do not survive.
-                let cleared = vec![false; self.m.progs.len()];
-                self.dfs_b(&cleared);
+        let mut stack: Vec<FrameB> = Vec::new();
+        self.enter_b(sleep, &mut stack);
+        while let Some(top) = stack.last_mut() {
+            let FrameB::Threads {
+                sleep,
+                p,
+                next,
+                done_here,
+                undo,
+            } = top
+            else {
+                // A round's subtree is done.
+                let Some(FrameB::Round(u)) = stack.pop() else {
+                    unreachable!("matched a round frame")
+                };
                 self.path.pop();
                 self.m.undo(u);
-            } else if self.m.all_done() {
-                self.record_execution();
-            }
-            // A deadlocked leaf was already counted by phase A.
-            return;
-        }
-        let p = if self.cfg.reduction {
-            let p = self.persistent(&en);
-            self.persistent_pruned += en.len() - p.len();
-            p
-        } else {
-            en
-        };
-        let mut done_here: Vec<usize> = Vec::new();
-        for &t in &p {
-            if sleep[t] {
-                self.sleep_pruned += 1;
                 continue;
+            };
+            if let Some((t, u)) = undo.take() {
+                self.path.pop();
+                self.m.undo(u);
+                done_here.push(t);
+                if self.stop_b() {
+                    stack.pop();
+                    continue;
+                }
             }
+            let mut awake = None;
+            while let Some(&t) = p.get(*next) {
+                *next += 1;
+                if !sleep[t] {
+                    awake = Some(t);
+                    break;
+                }
+                self.sleep_pruned += 1;
+            }
+            let Some(t) = awake else {
+                stack.pop();
+                continue;
+            };
             let t_pc = usize::from(self.m.pcs[t]);
             let tr = self.m.tr_for(t);
             let u = self.m.step(tr);
@@ -756,13 +814,53 @@ impl<'a> Checker<'a> {
                         && !self.op_dep(w, t, t_pc)
                 })
                 .collect();
-            self.dfs_b(&child_sleep);
-            self.path.pop();
-            self.m.undo(u);
-            done_here.push(t);
+            *undo = Some((t, u));
+            self.enter_b(child_sleep, &mut stack);
+        }
+    }
+
+    /// DPOR execution enumeration, entering the current state with sleep
+    /// set `sleep`: pushes the frames that explore it (a chain of forced
+    /// round commits, then the state's persistent set), or records a
+    /// completed execution at a leaf. Frames live on the caller's
+    /// explicit stack, so search depth is bounded by memory rather than
+    /// the host thread's stack.
+    fn enter_b(&mut self, mut sleep: Vec<bool>, stack: &mut Vec<FrameB>) {
+        loop {
             if self.stop_b() {
                 return;
             }
+            let en = self.m.enabled_threads();
+            if !en.is_empty() {
+                let p = if self.cfg.reduction {
+                    let p = self.persistent(&en);
+                    self.persistent_pruned += en.len() - p.len();
+                    p
+                } else {
+                    en
+                };
+                stack.push(FrameB::Threads {
+                    sleep,
+                    p,
+                    next: 0,
+                    done_here: Vec::new(),
+                    undo: None,
+                });
+                return;
+            }
+            if !self.m.round_enabled() {
+                if self.m.all_done() {
+                    self.record_execution();
+                }
+                // A deadlocked leaf was already counted by phase A.
+                return;
+            }
+            let u = self.m.step(Tr::Round);
+            self.b_transitions += 1;
+            self.path.push(Tr::Round);
+            stack.push(FrameB::Round(u));
+            // Rounds touch every thread; sleep sets do not survive.
+            sleep = vec![false; self.m.progs.len()];
         }
     }
 
@@ -1255,6 +1353,30 @@ mod tests {
             let err = check(&events, &cfg).unwrap_err();
             assert!(matches!(err, SimError::InvalidArgument(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn longest_thread_program_fits_a_small_thread_stack() {
+        // 32,765 sets plus the thread end: the longest program the model
+        // holds, one transition per op. Both searches keep their path on
+        // the heap, so a 2 MB stack (the test-harness default) suffices.
+        let events: Vec<HbEvent> = (0..32_765)
+            .map(|token| {
+                let id = token as u32;
+                ev(0, 0, HbAction::FlagSet { id, token })
+            })
+            .collect();
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || check(&events, &McConfig::new(1)))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+            .expect("a valid program");
+        assert_eq!((r.threads, r.sync_ops, r.executions), (1, 32_765, 1));
+        assert_eq!(r.states, 32_767);
+        assert_eq!(r.deadlocks, 0);
+        assert!(!r.budget_exhausted);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! # Execution model
 //!
-//! Blocks are tasks driven by a single [`Scheduler`], each on its own
-//! host thread, running until it either *parks* at a `SyncAll` barrier
-//! ([`Scheduler::sync`]) or *completes* ([`Scheduler::finish`]). One gate
+//! Blocks are tasks driven by a single [`Scheduler`], each on a host
+//! thread (a finished block's thread may run a later block), running
+//! until it either *parks* at a `SyncAll` barrier ([`Scheduler::sync`])
+//! or *completes* ([`Scheduler::finish`]). Each parked thread waits on
+//! its own condvar and is woken only when its wait is satisfied. One gate
 //! decides when a block may run: block `b` starts (or resumes after a
 //! barrier) once every lower block `j < b` with `j ≡ b (mod step)` has
 //! finished or has parked more times than `b`. The [`SchedPolicy`] only
@@ -183,6 +185,22 @@ pub struct GridPlan {
     pub order: Vec<u32>,
 }
 
+/// What a parked block thread waits for. The thread whose call changes
+/// the scheduler state re-evaluates every parked block's wait and wakes
+/// exactly the blocks it satisfied, each on its own condvar.
+#[derive(Clone, Copy, Debug)]
+enum Wait {
+    /// The segment gate at this stride ([`SchedState::lower_parked`]).
+    Gate(usize),
+    /// Barrier round `round` has resolved, and then the segment gate.
+    Round { round: u64, step: usize },
+    /// The kernel-end alignment has resolved.
+    Final,
+    /// The plan cursor names this block, names a block that finished
+    /// without issuing its operation, or ran past the plan.
+    Plan,
+}
+
 /// What one block is doing, from the scheduler's point of view.
 #[derive(Clone, Copy, Debug)]
 enum BlockState {
@@ -284,6 +302,16 @@ struct SchedState {
     /// Number of grid-flag operations committed so far — the cursor into
     /// a [`GridPlan`] under [`SchedPolicy::Planned`].
     grid_committed: usize,
+    /// What each block's thread is parked on, if it is parked.
+    parked: Vec<Option<Wait>>,
+    /// Whether each block has a host thread (running it now or later).
+    /// The first wave has one from the start; see [`Scheduler::finish`]
+    /// and [`Scheduler::next_spawn`] for the rest.
+    claimed: Vec<bool>,
+    unclaimed: usize,
+    /// Blocks whose slot predecessor parked at a barrier: they need a
+    /// thread of their own, spawned by the launching thread.
+    to_spawn: Vec<usize>,
 }
 
 impl SchedState {
@@ -296,9 +324,29 @@ impl SchedState {
     /// canonical ascending-index order, and the gates cannot form a cycle.
     fn lower_parked(&self, block: usize, step: usize) -> bool {
         let mine = self.yields[block];
+        // Nearest first: the block just below is the likeliest holdout.
         ((block % step)..block)
             .step_by(step)
+            .rev()
             .all(|j| self.finished[j] || self.yields[j] > mine)
+    }
+
+    /// Whether `block`'s thread may stop waiting for `wait`.
+    fn satisfied(&self, block: usize, wait: Wait) -> bool {
+        match wait {
+            Wait::Gate(step) => self.lower_parked(block, step),
+            Wait::Round { round, step } => {
+                self.round_result.len() > round as usize && self.lower_parked(block, step)
+            }
+            Wait::Final => self.final_end.is_some(),
+            Wait::Plan => match &self.policy {
+                SchedPolicy::Planned(plan) => plan
+                    .order
+                    .get(self.grid_committed)
+                    .is_none_or(|&b| b as usize == block || self.finished[b as usize]),
+                _ => true,
+            },
+        }
     }
 
     /// The segment gate's stride: 1 under [`SchedPolicy::Serial`] (every
@@ -313,14 +361,20 @@ impl SchedState {
 
 /// Deterministic cooperative scheduler for one kernel launch.
 ///
-/// Protocol, per block thread: [`Scheduler::begin`] once, then any
-/// number of [`Scheduler::sync`] calls (one per `SyncAll`), then exactly
-/// one [`Scheduler::finish`]. A block that errors out early may skip
-/// straight to `finish`; barriers resolve over the blocks still live, so
-/// mismatched sync counts cannot deadlock the launch.
+/// Protocol, per block: [`Scheduler::begin`] once, then any number of
+/// [`Scheduler::sync`] calls (one per `SyncAll`), then exactly one
+/// [`Scheduler::finish`]; the thread that ran it later collects the
+/// kernel-end time with [`Scheduler::kernel_end`]. A block that errors
+/// out early may skip straight to `finish`; barriers resolve over the
+/// blocks still live, so mismatched sync counts cannot deadlock the
+/// launch.
 pub struct Scheduler {
     state: Mutex<SchedState>,
-    cv: Condvar,
+    /// One condvar per block: a state change wakes only the blocks whose
+    /// wait it satisfied, never the whole grid.
+    wakeups: Vec<Condvar>,
+    /// Wakes the launching thread in [`Scheduler::next_spawn`].
+    spawner: Condvar,
 }
 
 impl Scheduler {
@@ -362,8 +416,13 @@ impl Scheduler {
                 grid_next_token: 0,
                 grid_limit: grid_flag_limit,
                 grid_committed: 0,
+                parked: vec![None; blocks],
+                claimed: (0..blocks).map(|b| b < phys).collect(),
+                unclaimed: blocks.saturating_sub(phys),
+                to_spawn: Vec::new(),
             }),
-            cv: Condvar::new(),
+            wakeups: (0..blocks).map(|_| Condvar::new()).collect(),
+            spawner: Condvar::new(),
         }
     }
 
@@ -371,15 +430,37 @@ impl Scheduler {
         self.state.lock().expect("Scheduler lock poisoned")
     }
 
-    /// Parks the calling block thread while `blocked` holds.
-    fn wait_while<'a>(
+    /// Parks `block`'s thread until `wait` is satisfied.
+    fn park<'a>(
         &self,
-        st: MutexGuard<'a, SchedState>,
-        blocked: impl FnMut(&mut SchedState) -> bool,
+        mut st: MutexGuard<'a, SchedState>,
+        block: usize,
+        wait: Wait,
     ) -> MutexGuard<'a, SchedState> {
-        self.cv
-            .wait_while(st, blocked)
-            .expect("Scheduler lock poisoned")
+        while !st.satisfied(block, wait) {
+            st.parked[block] = Some(wait);
+            st = self.wakeups[block]
+                .wait(st)
+                .expect("Scheduler lock poisoned");
+        }
+        st.parked[block] = None;
+        st
+    }
+
+    /// After a state change: wakes every parked block whose wait it
+    /// satisfied. Every wait is monotone (yields, finishes, resolved
+    /// rounds and the plan cursor only move forward, and a satisfied
+    /// block's own wait can only be undone by that block), so a block is
+    /// woken at most once per park.
+    fn wake_satisfied(&self, st: &mut SchedState) {
+        for block in 0..st.parked.len() {
+            if let Some(wait) = st.parked[block] {
+                if st.satisfied(block, wait) {
+                    st.parked[block] = None;
+                    self.wakeups[block].notify_one();
+                }
+            }
+        }
     }
 
     /// Blocks until the gate lets `block` run: every lower block (under
@@ -393,7 +474,7 @@ impl Scheduler {
     pub fn begin(&self, block: usize) -> EventTime {
         let st = self.lock();
         let step = st.segment_step();
-        let st = self.wait_while(st, |st| !st.lower_parked(block, step));
+        let st = self.park(st, block, Wait::Gate(step));
         st.slot_free[block % st.slot_free.len()]
     }
 
@@ -432,27 +513,36 @@ impl Scheduler {
         let slot = block % st.slot_free.len();
         st.slot_free[slot] = st.slot_free[slot].max(ready);
         st.pending_cost = st.pending_cost.max(release_cost);
+        // The block keeps its thread while parked, so the slot's next
+        // tenant, which may start now, needs a thread of its own.
+        if let Some(next) = self.claim_successor(&mut st, block) {
+            st.to_spawn.push(next);
+            self.spawner.notify_one();
+        }
         self.try_resolve(&mut st, gm, spec);
-        self.cv.notify_all();
+        self.wake_satisfied(&mut st);
         let step = st.segment_step();
-        let st = self.wait_while(st, |st| {
-            st.round_result.len() <= my_round as usize || !st.lower_parked(block, step)
-        });
+        let wait = Wait::Round {
+            round: my_round,
+            step,
+        };
+        let st = self.park(st, block, wait);
         let (all_set, resolved) = st.round_result[my_round as usize];
         (all_set, resolved, resolved.max(st.slot_free[slot]))
     }
 
-    /// Marks the block's kernel body complete at local cycle `local` and
-    /// parks until every block has finished; returns the kernel-end
-    /// alignment time (slowest block, stretched to the final segment's
-    /// bandwidth bound).
+    /// Marks the block's kernel body complete at local cycle `local`,
+    /// vacating its slot. Does not wait: returns the slot's next tenant
+    /// if no thread has it yet, for the caller's thread to run next, and
+    /// the thread collects the kernel-end time with
+    /// [`Scheduler::kernel_end`].
     pub fn finish(
         &self,
         block: usize,
         local: EventTime,
         gm: &GlobalMemory,
         spec: &ChipSpec,
-    ) -> EventTime {
+    ) -> Option<usize> {
         let mut st = self.lock();
         st.status[block] = BlockState::Finishing(local);
         st.yields[block] += 1;
@@ -460,8 +550,49 @@ impl Scheduler {
         let slot = block % st.slot_free.len();
         st.slot_free[slot] = st.slot_free[slot].max(local);
         self.try_resolve(&mut st, gm, spec);
-        self.cv.notify_all();
-        let st = self.wait_while(st, |st| st.final_end.is_none());
+        self.wake_satisfied(&mut st);
+        self.claim_successor(&mut st, block)
+    }
+
+    /// Claims `block`'s slot successor (`block + slots`) for a thread, if
+    /// it has one that no thread has yet. The successor cannot start
+    /// before `block` parks or finishes, so claiming it then loses no
+    /// concurrency.
+    fn claim_successor(&self, st: &mut SchedState, block: usize) -> Option<usize> {
+        let next = block + st.slot_free.len();
+        if next >= st.claimed.len() || st.claimed[next] {
+            return None;
+        }
+        st.claimed[next] = true;
+        st.unclaimed -= 1;
+        if st.unclaimed == 0 {
+            self.spawner.notify_one();
+        }
+        Some(next)
+    }
+
+    /// For the launching thread: the next block that needs a thread of
+    /// its own (its slot predecessor parked at a barrier), or `None` once
+    /// every block has a thread. A barrier-free grid of any size runs on
+    /// one thread per slot.
+    pub fn next_spawn(&self) -> Option<usize> {
+        let mut st = self.lock();
+        loop {
+            if let Some(block) = st.to_spawn.pop() {
+                return Some(block);
+            }
+            if st.unclaimed == 0 {
+                return None;
+            }
+            st = self.spawner.wait(st).expect("Scheduler lock poisoned");
+        }
+    }
+
+    /// Parks the thread that ran `block` (finished) until every block has
+    /// finished; returns the kernel-end alignment time (slowest block,
+    /// stretched to the final segment's bandwidth bound).
+    pub fn kernel_end(&self, block: usize) -> EventTime {
+        let st = self.park(self.lock(), block, Wait::Final);
         st.final_end.expect("final alignment resolved")
     }
 
@@ -635,7 +766,7 @@ impl Scheduler {
         block: usize,
     ) -> SimResult<MutexGuard<'a, SchedState>> {
         let SchedPolicy::Planned(plan) = st.policy.clone() else {
-            return Ok(self.wait_while(st, |st| !st.lower_parked(block, 1)));
+            return Ok(self.park(st, block, Wait::Gate(1)));
         };
         loop {
             let k = st.grid_committed;
@@ -655,7 +786,7 @@ impl Scheduler {
                          {b}, which finished without issuing it"
                     )))
                 }
-                Some(_) => st = self.cv.wait(st).expect("Scheduler lock poisoned"),
+                Some(_) => st = self.park(st, block, Wait::Plan),
             }
         }
     }
@@ -665,8 +796,7 @@ impl Scheduler {
     fn commit_grid_op(&self, mut st: MutexGuard<'_, SchedState>) {
         if matches!(st.policy, SchedPolicy::Planned(_)) {
             st.grid_committed += 1;
-            drop(st);
-            self.cv.notify_all();
+            self.wake_satisfied(&mut st);
         }
     }
 
@@ -874,7 +1004,8 @@ mod tests {
                 let spec = spec.clone();
                 s.spawn(move || {
                     sched.begin(i);
-                    assert_eq!(sched.finish(i, e, &gm, &spec), 1000);
+                    sched.finish(i, e, &gm, &spec);
+                    assert_eq!(sched.kernel_end(i), 1000);
                 });
             }
         });
@@ -897,7 +1028,8 @@ mod tests {
                 let spec = spec.clone();
                 s.spawn(move || {
                     sched.begin(0);
-                    sched.finish(0, 50, &gm, &spec)
+                    sched.finish(0, 50, &gm, &spec);
+                    sched.kernel_end(0)
                 })
             };
             let b = {
@@ -908,7 +1040,8 @@ mod tests {
                     sched.begin(1);
                     let (_, r, _) = sched.sync(1, 200, 218, &gm, &spec, 10);
                     assert_eq!(r, 228, "resolved over block 1 alone");
-                    sched.finish(1, r, &gm, &spec)
+                    sched.finish(1, r, &gm, &spec);
+                    sched.kernel_end(1)
                 })
             };
             (a.join().unwrap(), b.join().unwrap())

@@ -8,12 +8,16 @@
 //!
 //! # Deterministic scheduling
 //!
-//! Blocks are tasks driven by the deterministic [`Scheduler`] — one host
-//! thread per block, held by one gate until the lower blocks it depends
-//! on have parked. The spec's [`SchedPolicy`](ascend_sim::SchedPolicy)
-//! sets the gate's stride: 1 under `Serial` (exactly one block progresses
-//! at a time, ascending block index within each barrier round), the slot
-//! count by default (blocks run concurrently between sync edges). Every
+//! Blocks are tasks driven by the deterministic [`Scheduler`], each held
+//! by one gate until the lower blocks it depends on have parked. A block
+//! runs on a host thread of its own only while it has to: a finished
+//! block's thread goes on to run its slot's next tenant, and only a block
+//! that parks at a barrier while a later tenant of its slot must start
+//! makes the launch spawn another thread. The spec's
+//! [`SchedPolicy`](ascend_sim::SchedPolicy) sets the gate's stride: 1
+//! under `Serial` (exactly one block progresses at a time, ascending
+//! block index within each barrier round), the slot count by default
+//! (blocks run concurrently between sync edges). Every
 //! observable side effect commits in block-index order at either stride,
 //! so both produce byte-identical reports (`ascend_sim::sync` documents
 //! the equivalence argument), and two launches of the same kernel replay
@@ -200,6 +204,7 @@ impl<'a> BlockCtx<'a> {
 }
 
 struct BlockOutcome {
+    block: u32,
     end: EventTime,
     busy: [u64; EngineKind::ALL.len()],
     instructions: [u64; EngineKind::ALL.len()],
@@ -248,60 +253,81 @@ where
     let collector = gm.profiler();
     let recording = collector.is_some() || spec.validation.audits();
 
-    // Runs one block and harvests its timelines. The block first waits
-    // at the scheduler's gate (begin() also yields its start origin —
-    // the launch start, or the slot's previous tenant's yield point when
-    // oversubscribed) and ends at the common kernel-end alignment.
-    let run_block =
-        |block_idx: u32, sched: &Scheduler| {
-            let origin = sched.begin(block_idx as usize);
-            let mut ctx = BlockCtx {
-                block_idx,
-                block_dim,
-                cube: Core::new(CoreKind::Cube, spec, origin, block_idx as usize, 0),
-                vecs: (0..spec.vec_per_core)
-                    .map(|v| {
-                        Core::new(
-                            CoreKind::Vector,
-                            spec,
-                            origin,
-                            block_idx as usize,
-                            1 + v as usize,
-                        )
-                    })
-                    .collect(),
-                flags: FlagFile::new(spec.flag_id_limit),
-                spec,
-                gm,
-                sync: sched,
-                spans: SpanRecorder::new(1),
-                sync_round: 0,
-            };
-            if recording {
-                ctx.cube.timeline_mut().enable_recording();
-                ctx.cube.enable_hb();
-                for v in &mut ctx.vecs {
-                    v.timeline_mut().enable_recording();
-                    v.enable_hb();
-                }
+    // One scheduler drives every launch shape: dedicated slots when the
+    // grid fits the chip, slot time-sharing (yield/re-queue) when it is
+    // oversubscribed. The kernel-end alignment (`kernel_end`) already
+    // stretches the end to the grid's bandwidth bound. The gate's stride
+    // (serial or parallel — byte-identical reports either way) comes
+    // from the spec's scheduler policy.
+    let phys = block_dim.min(spec.ai_cores);
+    let sync = Scheduler::new(
+        block_dim as usize,
+        phys as usize,
+        spec.launch_cycles,
+        read_at_start + written_at_start,
+        spec.flag_id_limit,
+        &spec.scheduler,
+    );
+
+    // Runs one block to its finish. The block first waits at the
+    // scheduler's gate (begin() also yields its start origin — the
+    // launch start, or the slot's previous tenant's yield point when
+    // oversubscribed).
+    let run_block = |block_idx: u32| {
+        let origin = sync.begin(block_idx as usize);
+        let mut ctx = BlockCtx {
+            block_idx,
+            block_dim,
+            cube: Core::new(CoreKind::Cube, spec, origin, block_idx as usize, 0),
+            vecs: (0..spec.vec_per_core)
+                .map(|v| {
+                    Core::new(
+                        CoreKind::Vector,
+                        spec,
+                        origin,
+                        block_idx as usize,
+                        1 + v as usize,
+                    )
+                })
+                .collect(),
+            flags: FlagFile::new(spec.flag_id_limit),
+            spec,
+            gm,
+            sync: &sync,
+            spans: SpanRecorder::new(1),
+            sync_round: 0,
+        };
+        if recording {
+            ctx.cube.timeline_mut().enable_recording();
+            ctx.cube.enable_hb();
+            for v in &mut ctx.vecs {
+                v.timeline_mut().enable_recording();
+                v.enable_hb();
             }
-            if recording {
-                // Spans and stall intervals also feed the critical-path
-                // audit, so they are recorded whenever audits are on —
-                // not only when a profile collector is attached.
-                ctx.spans.enable();
-                ctx.cube.enable_profiling();
-                for v in &mut ctx.vecs {
-                    v.enable_profiling();
-                }
+        }
+        if recording {
+            // Spans and stall intervals also feed the critical-path
+            // audit, so they are recorded whenever audits are on —
+            // not only when a profile collector is attached.
+            ctx.spans.enable();
+            ctx.cube.enable_profiling();
+            for v in &mut ctx.vecs {
+                v.enable_profiling();
             }
-            let error = kernel(&mut ctx).err();
-            // Join the kernel-end alignment so sibling blocks terminate;
-            // see module docs for failure semantics. The tail wait is
-            // attributed as barrier time so the per-engine stall
-            // partition (busy + dependency + barrier + flag = elapsed)
-            // closes exactly on non-oversubscribed launches.
-            let end = sched.finish(block_idx as usize, ctx.local_now(), gm, spec);
+        }
+        let error = kernel(&mut ctx).err();
+        // Finishing (also on error) lets sibling blocks terminate;
+        // see module docs for failure semantics.
+        let next = sync.finish(block_idx as usize, ctx.local_now(), gm, spec);
+        ((ctx, error), next)
+    };
+    // Harvests a finished block's timelines at the common kernel-end
+    // alignment. The tail wait is attributed as barrier time so the
+    // per-engine stall partition (busy + dependency + barrier + flag =
+    // elapsed) closes exactly on non-oversubscribed launches.
+    let harvest =
+        |(mut ctx, error): (BlockCtx<'_>, Option<SimError>), end: EventTime| {
+            let block_idx = ctx.block_idx;
             ctx.cube.wait(end);
             for v in &mut ctx.vecs {
                 v.wait(end);
@@ -351,6 +377,7 @@ where
                 }
             }
             BlockOutcome {
+                block: block_idx,
                 end,
                 busy,
                 instructions,
@@ -364,33 +391,35 @@ where
             }
         };
 
-    // One scheduler drives every launch shape: dedicated slots when the
-    // grid fits the chip, slot time-sharing (yield/re-queue) when it is
-    // oversubscribed. The kernel-end alignment inside `finish` already
-    // stretches the end to the grid's bandwidth bound. The gate's stride
-    // (serial or parallel — byte-identical reports either way) comes
-    // from the spec's scheduler policy.
-    let sync = Scheduler::new(
-        block_dim as usize,
-        block_dim.min(spec.ai_cores) as usize,
-        spec.launch_cycles,
-        read_at_start + written_at_start,
-        spec.flag_id_limit,
-        &spec.scheduler,
-    );
-    let outcomes: Vec<BlockOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..block_dim)
-            .map(|block_idx| {
-                let sync = &sync;
-                let run_block = &run_block;
-                scope.spawn(move || run_block(block_idx, sync))
-            })
-            .collect();
+    // A host thread: runs its first block and then each slot successor
+    // `finish` hands it, and harvests them all once the kernel end is
+    // known.
+    let worker = |first: u32| {
+        let mut ran = Vec::new();
+        let mut next = Some(first as usize);
+        while let Some(block) = next {
+            let (done, successor) = run_block(block as u32);
+            ran.push(done);
+            next = successor;
+        }
+        let last = ran.last().map_or(first, |(ctx, _)| ctx.block_idx);
+        let end = sync.kernel_end(last as usize);
+        ran.into_iter()
+            .map(|block| harvest(block, end))
+            .collect::<Vec<_>>()
+    };
+    let mut outcomes: Vec<BlockOutcome> = std::thread::scope(|scope| {
+        let worker = &worker;
+        let mut handles: Vec<_> = (0..phys).map(|b| scope.spawn(move || worker(b))).collect();
+        while let Some(b) = sync.next_spawn() {
+            handles.push(scope.spawn(move || worker(b as u32)));
+        }
         handles
             .into_iter()
-            .map(|h| h.join().expect("block thread panicked"))
+            .flat_map(|h| h.join().expect("block thread panicked"))
             .collect()
     });
+    outcomes.sort_unstable_by_key(|o| o.block);
     let cycles = outcomes.iter().map(|o| o.end).max().unwrap_or(0);
     let (sync_rounds, barrier_waits, flag_waits) = (
         sync.rounds().saturating_sub(1),
@@ -412,11 +441,14 @@ where
         }
         stalls.absorb(&o.stalls);
     }
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut spans: Vec<TraceSpan> = Vec::new();
-    let mut stall_events: Vec<StallEvent> = Vec::new();
-    let mut counters: Vec<CounterEvent> = Vec::new();
-    let mut hb_events: Vec<HbEvent> = Vec::new();
+    // Sized up front: a wide grid's records would otherwise be copied
+    // once per doubling.
+    let total = |len: fn(&BlockOutcome) -> usize| outcomes.iter().map(len).sum::<usize>();
+    let mut events: Vec<TraceEvent> = Vec::with_capacity(total(|o| o.events.len()));
+    let mut spans: Vec<TraceSpan> = Vec::with_capacity(total(|o| o.spans.len()));
+    let mut stall_events: Vec<StallEvent> = Vec::with_capacity(total(|o| o.stall_events.len()));
+    let mut counters: Vec<CounterEvent> = Vec::with_capacity(total(|o| o.counters.len()));
+    let mut hb_events: Vec<HbEvent> = Vec::with_capacity(total(|o| o.hb_events.len()));
     for o in outcomes {
         events.extend(o.events);
         spans.extend(o.spans);
@@ -853,6 +885,32 @@ mod tests {
         assert_eq!(out.to_vec(), expect);
         assert_eq!(report.sync_rounds, 1);
         assert!(blocks > spec.ai_cores);
+    }
+
+    #[test]
+    fn finished_blocks_hand_their_thread_to_the_slot_successor() {
+        // Without barriers every block parks only at its finish, so each
+        // slot's tenants run one after another on one host thread; with
+        // a barrier, a parked block keeps its thread and its successor
+        // gets a new one.
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let (spec, gm) = setup();
+        let blocks = spec.ai_cores * 4 + 1;
+        for barrier in [false, true] {
+            let threads = Mutex::new(HashSet::new());
+            launch(&spec, &gm, blocks, "reuse", |ctx| {
+                threads.lock().unwrap().insert(std::thread::current().id());
+                if barrier {
+                    ctx.sync_all()?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            let used = threads.into_inner().unwrap().len();
+            let want = if barrier { blocks } else { spec.ai_cores };
+            assert_eq!(used, want as usize, "barrier: {barrier}");
+        }
     }
 
     #[test]

@@ -274,16 +274,17 @@ fn json_report(spec: &ChipSpec, quick: bool) {
     // up here as strictly fewer bytes at every size. The 4M point is
     // the CI crossover anchor (ScanC time must not trail MCScan there);
     // the full sweep extends to a 16M anchor where the decoupled
-    // look-back's advantage has saturated.
-    let traffic_sizes = if quick {
-        let mut v = sweep(1 << 12, 4, 4);
-        v.push(1 << 22);
-        v
+    // look-back's advantage has saturated. The 2M and 3M rows bracket
+    // the size from which `Device` scans switch to ScanC
+    // (`scan::crossover`, which `benchcheck` recomputes from these rows).
+    let mut traffic_sizes = if quick {
+        sweep(1 << 12, 4, 4)
     } else {
-        let mut v = sweep(1 << 12, 4, 6);
-        v.push(1 << 24);
-        v
+        sweep(1 << 12, 4, 6)
     };
+    traffic_sizes.extend([2 << 20, 3 << 20, if quick { 1 << 22 } else { 1 << 24 }]);
+    traffic_sizes.sort_unstable();
+    traffic_sizes.dedup();
     let mut points: Vec<Box<dyn FnOnce() -> (Point, f64) + Send + '_>> = kernel_points
         .into_iter()
         .map(|k| {

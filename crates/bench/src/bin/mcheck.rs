@@ -191,6 +191,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
                 s: 16,
                 tiles_per_lane: 1,
                 lookback_window: 1,
+                kind: ScanKind::Inclusive,
             };
             let run = scanc::<i8, i16, i32>(&spec, &gm, &x, cfg).expect("scanc launches");
             run.report.to_json(&spec)
@@ -208,6 +209,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
                 s: 16,
                 tiles_per_lane: 1,
                 lookback_window: 2,
+                kind: ScanKind::Inclusive,
             };
             let run = scanc::<i8, i16, i32>(&spec, &gm, &x, cfg).expect("scanc launches");
             run.report.to_json(&spec)

@@ -2,7 +2,7 @@
 //! kernels' simulated schedules.
 //!
 //! ```text
-//! trace [scanu|scanul1|mcscan|scanc|cumsum|batched|all] [N] [out.json] [--jobs N] [--dir DIR]
+//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|all] [N] [out.json] [--jobs N] [--dir DIR]
 //! ```
 //!
 //! The kernels run through their normal public entry points with a
@@ -12,7 +12,8 @@
 //! "VecPropagation"), per-tile spans with bytes/kind/queue-depth args,
 //! per-engine busy intervals interleaved with `wait:dep` /
 //! `wait:flag` / `wait:barrier` stall intervals, and `TQue` occupancy
-//! counters. Open
+//! counters. `scanc-excl` is the exclusive int8 mask scan ScanC runs
+//! for `Device::mask_exclusive_scan` at or above its crossover. Open
 //! the produced JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible.
@@ -32,9 +33,18 @@ use bench::fresh_gm;
 use dtypes::F16;
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
+use scan::ScanKind;
 use scan::{batched_scanu, cumsum_vec_only, scanu, scanul1};
 
-const KERNELS: &[&str] = &["scanu", "scanul1", "mcscan", "scanc", "cumsum", "batched"];
+const KERNELS: &[&str] = &[
+    "scanu",
+    "scanul1",
+    "mcscan",
+    "scanc",
+    "scanc-excl",
+    "cumsum",
+    "batched",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -173,6 +183,18 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             scanc::<F16, F16, F16>(spec, &gm, &x, ScanCConfig::for_chip::<F16, F16, F16>(spec))
                 .unwrap(),
         ),
+        "scanc-excl" => {
+            let gm = fresh_gm(spec);
+            let recorder = gm.attach_profiler();
+            let mask: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
+            let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+            let cfg = ScanCConfig {
+                kind: ScanKind::Exclusive,
+                ..ScanCConfig::for_chip::<u8, i16, i32>(spec)
+            };
+            drop(scanc::<u8, i16, i32>(spec, &gm, &m, cfg).unwrap());
+            return recorder.take();
+        }
         "cumsum" => drop(cumsum_vec_only::<F16>(spec, &gm, &x, 128, 1).unwrap()),
         "batched" => {
             // Spread a fixed batch over the cores; pad N up to a multiple.

@@ -69,13 +69,17 @@ fn critpath_exits_2_on_malformed_traces() {
     assert_exit(&out, 2, "malformed trace");
 }
 
-/// A bench document holding only the two 4M anchor rows.
-fn anchor_doc(scanc_fp16_us: f64, zero_lookback_fp16: f64) -> String {
-    let row = |dtype: &str, scanc_us: f64, zero_lookback: f64| {
+/// A bench document (tile dimension 128) holding the two 4M anchor rows
+/// plus the rows that place each dtype's crossover where `Device`
+/// switches: fp16 ScanC loses at 1M and keeps up from 2M (128 tiles),
+/// int8 ScanC loses at 3M and keeps up from 4M (256 tiles).
+/// `scanc_fp16_2m_us` moves the fp16 crossover.
+fn sweep_doc(scanc_fp16_us: f64, zero_lookback_fp16: f64, scanc_fp16_2m_us: f64) -> String {
+    let row = |n: u64, dtype: &str, mcscan_us: f64, scanc_us: f64, zero_lookback: f64| {
         Json::obj([
-            ("n", (1u64 << 22).into()),
+            ("n", n.into()),
             ("dtype", dtype.into()),
-            ("mcscan_time_us", Json::fixed(57.5, 3)),
+            ("mcscan_time_us", Json::fixed(mcscan_us, 3)),
             ("scanc_time_us", Json::fixed(scanc_us, 3)),
             (
                 "scanc_lookback",
@@ -83,14 +87,25 @@ fn anchor_doc(scanc_fp16_us: f64, zero_lookback_fp16: f64) -> String {
             ),
         ])
     };
-    Json::obj([(
-        "traffic",
-        Json::Arr(vec![
-            row("fp16", scanc_fp16_us, zero_lookback_fp16),
-            row("int8", 50.0, 1.04),
-        ]),
-    )])
+    Json::obj([
+        ("s", 128u64.into()),
+        (
+            "traffic",
+            Json::Arr(vec![
+                row(1 << 20, "fp16", 20.9, 26.6, 1.07),
+                row(2 << 20, "fp16", 34.3, scanc_fp16_2m_us, 1.13),
+                row(3 << 20, "int8", 38.4, 40.0, 1.06),
+                row(1 << 22, "fp16", 57.5, scanc_fp16_us, zero_lookback_fp16),
+                row(1 << 22, "int8", 57.5, 50.0, 1.04),
+            ]),
+        ),
+    ])
     .to_string()
+}
+
+/// [`sweep_doc`] with the fp16 crossover where `Device` expects it.
+fn anchor_doc(scanc_fp16_us: f64, zero_lookback_fp16: f64) -> String {
+    sweep_doc(scanc_fp16_us, zero_lookback_fp16, 29.4)
 }
 
 #[test]
@@ -113,6 +128,16 @@ fn benchcheck_gates_the_4m_anchor() {
     assert_exit(&run(bin, &slow), 1, "perf regression");
     let exposed = fixture("bench-exposed.json", &anchor_doc(47.2, 1.2));
     assert_exit(&run(bin, &exposed), 1, "look-back not hidden");
+
+    assert!(
+        stdout.contains("fp16: ledger crossover 128 tiles = Device crossover"),
+        "{stdout}"
+    );
+    let drift = fixture("bench-drift.json", &sweep_doc(47.2, 1.06, 40.0));
+    assert_exit(&run(bin, &drift), 1, "crossover drift");
+    let no_tiles = anchor_doc(47.2, 1.06).replace(r#""s":128"#, r#""s":0"#);
+    let no_tiles = fixture("bench-no-tiles.json", &no_tiles);
+    assert_exit(&run(bin, &no_tiles), 2, "tile dimension 0 out of range");
 
     let missing = fixture("bench-missing.json", r#"{"traffic":[]}"#);
     assert_exit(&run(bin, &missing), 2, "4M fp16 traffic row");

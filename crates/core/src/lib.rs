@@ -112,19 +112,43 @@ impl Device {
         self.s::<u8, i16, i32>()
     }
 
-    /// Inclusive scan with MCScan on all cores (`s = 128` on the 910B4),
-    /// the paper's flagship configuration.
+    /// Inclusive scan on all cores. The kernel is chosen by size: fp16
+    /// scans at or above the crossover in [`scan::crossover`] run the
+    /// single-pass ScanC, smaller ones (and other element types) the
+    /// paper's MCScan (`s = 128` on the 910B4).
     pub fn cumsum<T: CubeInput>(&self, x: &GlobalTensor<T>) -> SimResult<ScanRun<T>> {
-        let cfg = McScanConfig::for_types::<T, T, T>(&self.spec);
-        scan::mcscan::mcscan::<T, T, T>(&self.spec, &self.gm, x, cfg)
+        self.scan::<T, T, T>(x, ScanKind::Inclusive)
     }
 
     /// Exclusive int8-mask scan (`u8 → i16 → i32`), the split/compress
-    /// building block.
+    /// building block. Like [`Device::cumsum`], the kernel is chosen by
+    /// size: ScanC at or above the int8 crossover, MCScan below it.
     pub fn mask_exclusive_scan(&self, mask: &GlobalTensor<u8>) -> SimResult<ScanRun<i32>> {
-        let mut cfg = McScanConfig::for_types::<u8, i16, i32>(&self.spec);
-        cfg.kind = ScanKind::Exclusive;
-        scan::mcscan::mcscan::<u8, i16, i32>(&self.spec, &self.gm, mask, cfg)
+        self.scan::<u8, i16, i32>(mask, ScanKind::Exclusive)
+    }
+
+    /// The one scan dispatch behind `cumsum` and `mask_exclusive_scan`:
+    /// ScanC from the path's crossover (counted in `ℓ = s²` tiles) on,
+    /// MCScan below it.
+    fn scan<T: CubeInput, M: Numeric, O: Numeric>(
+        &self,
+        x: &GlobalTensor<T>,
+        kind: ScanKind,
+    ) -> SimResult<ScanRun<O>> {
+        let s = self.s::<T, M, O>();
+        if scan::crossover::picks_scanc::<T, M, O>(x.len(), s * s) {
+            let cfg = ScanCConfig {
+                kind,
+                ..ScanCConfig::for_chip::<T, M, O>(&self.spec)
+            };
+            scan::scanc::scanc::<T, M, O>(&self.spec, &self.gm, x, cfg)
+        } else {
+            let cfg = McScanConfig {
+                kind,
+                ..McScanConfig::for_types::<T, M, O>(&self.spec)
+            };
+            scan::mcscan::mcscan::<T, M, O>(&self.spec, &self.gm, x, cfg)
+        }
     }
 
     /// Stable split by mask, with original indices.
@@ -252,6 +276,55 @@ mod tests {
         let v = dev.tensor(&vals).unwrap();
         let split = dev.split(&v, &m).unwrap();
         assert_eq!(split.n_true, 20_000);
+    }
+
+    /// A ±1 walk whose every partial sum stays within ±64, so every
+    /// fp16 association of it is exact.
+    fn bounded_walk(n: usize) -> Vec<F16> {
+        let (mut pos, mut state) = (0i32, 0x9e37_79b9u32);
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let up = (state >> 16) & 1 == 1;
+                let step = if pos >= 64 || (pos > -64 && !up) {
+                    -1
+                } else {
+                    1
+                };
+                pos += step;
+                F16::from_f32(step as f32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn device_scans_switch_kernels_at_the_crossover() {
+        use scan::crossover::ScanPath;
+        let dev = Device::with_spec(ChipSpec::tiny());
+        // fp16: bit-identical to the host scan on both sides.
+        let s = dev.s::<F16, F16, F16>();
+        let at = ScanPath::Fp16.crossover_tiles() * s * s;
+        for (n, kernel) in [(at - 1, "MCScan"), (at, "ScanC")] {
+            let xs = bounded_walk(n);
+            let run = dev.cumsum(&dev.tensor(&xs).unwrap()).unwrap();
+            assert_eq!(run.report.name, kernel, "fp16 n={n}");
+            assert_eq!(run.y.to_vec(), scan::reference::inclusive(&xs), "n={n}");
+        }
+        // int8 masks: offsets bit-identical to MCScan's on both sides.
+        let s = dev.mask_s();
+        let at = ScanPath::Int8.crossover_tiles() * s * s;
+        for (n, kernel) in [(at - 1, "MCScan"), (at, "ScanC")] {
+            let mask: Vec<u8> = (0..n).map(|i| u8::from(i % 7 < 3)).collect();
+            let m = dev.tensor(&mask).unwrap();
+            let run = dev.mask_exclusive_scan(&m).unwrap();
+            assert_eq!(run.report.name, kernel, "int8 n={n}");
+            let cfg = McScanConfig {
+                kind: ScanKind::Exclusive,
+                ..McScanConfig::for_types::<u8, i16, i32>(dev.spec())
+            };
+            let mc = scan::mcscan::mcscan::<u8, i16, i32>(dev.spec(), dev.memory(), &m, cfg);
+            assert_eq!(run.y.to_vec(), mc.unwrap().y.to_vec(), "n={n}");
+        }
     }
 
     #[test]

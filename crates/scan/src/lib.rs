@@ -25,6 +25,8 @@
 //!   launch-wide grid flag, and its successor looks back instead of
 //!   waiting at a `SyncAll`. Moves ~2·N element accesses less than
 //!   MCScan at the cost of a serial per-lane flag chain.
+//! * [`crossover`] — where `Device` scans switch from MCScan to ScanC,
+//!   per dtype path, read off the committed `traffic` sweep.
 //! * [`batched`] — batched variants of ScanU and ScanUL1 for
 //!   multi-dimensional inputs.
 //! * [`baseline::cumsum_vec_only`] — the vector-only `CumSum` kernel
@@ -38,6 +40,7 @@
 pub mod ablation;
 pub mod baseline;
 pub mod batched;
+pub mod crossover;
 pub mod mcscan;
 pub mod reduce;
 pub mod reference;

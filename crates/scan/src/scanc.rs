@@ -47,6 +47,7 @@
 //!
 //! [`probe_grid_flag`]: ascendc::Core::probe_grid_flag
 
+use crate::mcscan::ScanKind;
 use crate::triangular::ScanConstants;
 use crate::util::{tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
@@ -76,6 +77,12 @@ pub struct ScanCConfig {
     /// predecessors. Must satisfy `w² ≤ flag_id_limit` so the per-id
     /// grid-flag FIFOs pair unambiguously.
     pub lookback_window: usize,
+    /// Inclusive or exclusive scan. The exclusive kind is MCScan's §4.3
+    /// shifted write: each tile stores its inclusive values one element
+    /// to the right, and its first element is the running prefix — the
+    /// lane's look-back prefix for the lane's first tile, the previous
+    /// tile's last offset value for every later one.
+    pub kind: ScanKind,
 }
 
 impl ScanCConfig {
@@ -83,7 +90,8 @@ impl ScanCConfig {
     /// largest tile that fits the chip for these types (`s = 128`, the
     /// L0-filling tile, on the 910B4), as many resident tiles per lane
     /// as UB holds next to the `M`-typed staging buffer, and the widest
-    /// look-back window the chip's flag-id file supports (capped at 4).
+    /// look-back window the chip's flag-id file supports (capped at 4);
+    /// inclusive.
     pub fn for_chip<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> Self {
         let s = tile_dim::<T, M, O>(spec);
         let l = s * s;
@@ -96,6 +104,7 @@ impl ScanCConfig {
             s,
             tiles_per_lane: (budget / (l * O::SIZE)).max(1),
             lookback_window: w,
+            kind: ScanKind::Inclusive,
         }
     }
 }
@@ -161,7 +170,7 @@ fn lookback_edges(nlanes: usize, w: usize, flag_ids: u32) -> Vec<LaneEdges> {
     lanes
 }
 
-/// Runs ScanC over `x`, producing the inclusive scan in element type
+/// Runs ScanC over `x`, producing the scan (`cfg.kind`) in element type
 /// `O`. Type parameters follow [`crate::mcscan::mcscan`]: `T` is the
 /// cube input, `M` the intermediate the tile-local scans travel through
 /// global memory as, `O` the output —
@@ -448,11 +457,32 @@ where
                 vc.span_end_at(lookback, prev_ready);
             }
 
-            // Finish the lane: offset the tiles and store y.
+            // Finish the lane: offset the tiles and store y. The
+            // exclusive kind shifts each tile right by one and writes its
+            // first element from `first`: the lane prefix, then the
+            // previous tile's last offset value (which the shifted store
+            // drops).
+            let mut boundary = match cfg.kind {
+                ScanKind::Inclusive => None,
+                ScanKind::Exclusive => Some(vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?),
+            };
+            let (mut first, mut first_ready) = (prev, prev_ready);
             for (i, buf) in bufs.iter_mut().enumerate() {
                 let (off, valid) = tiles[t0 + i];
                 vc.vadds(buf, 0, valid, prev, prev_ready)?;
-                vc.copy_out(&y, off, buf, 0, valid, &[])?;
+                let Some(boundary) = boundary.as_mut() else {
+                    vc.copy_out(&y, off, buf, 0, valid, &[])?;
+                    continue;
+                };
+                vc.insert(boundary, 0, first, first_ready)?;
+                vc.copy_out(&y, off, boundary, 0, 1, &[])?;
+                if valid > 1 {
+                    vc.copy_out(&y, off + 1, buf, 0, valid - 1, &[])?;
+                }
+                (first, first_ready) = vc.extract(buf, valid - 1)?;
+            }
+            if let Some(boundary) = boundary {
+                vc.free_local(boundary)?;
             }
             for buf in bufs {
                 vc.free_local(buf)?;
@@ -472,7 +502,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcscan::{mcscan, McScanConfig, ScanKind};
+    use crate::mcscan::{mcscan, McScanConfig};
     use crate::reference;
     use dtypes::F16;
 
@@ -487,6 +517,7 @@ mod tests {
             s,
             tiles_per_lane,
             lookback_window: 2,
+            kind: ScanKind::Inclusive,
         }
     }
 
@@ -566,6 +597,7 @@ mod tests {
                     s: 16,
                     tiles_per_lane: 1,
                     lookback_window: w,
+                    kind: ScanKind::Inclusive,
                 },
             )
             .unwrap();
@@ -638,6 +670,46 @@ mod tests {
     }
 
     #[test]
+    fn exclusive_matches_reference_at_tile_edges() {
+        let (spec, gm) = setup();
+        let l = 16 * 16;
+        // Empty, one element, one tile ± 1, a partial tail tile, and
+        // 3000 elements: 12 tiles in 6 lanes (tpl 2, 3 blocks) or 12
+        // lanes (tpl 1, 6 blocks on 2 AI cores: oversubscribed).
+        for n in [0, 1, l - 1, l, l + 1, 600, 3000] {
+            let mask: Vec<u8> = (0..n).map(|i| u8::from((i * 13) % 5 != 0)).collect();
+            let x = GlobalTensor::from_slice(&gm, &mask).unwrap();
+            let expect = reference::exclusive_widening::<u8, i32>(&mask);
+            for (tpl, w) in [(2, 1), (2, 2), (1, 1), (1, 2)] {
+                let cfg = ScanCConfig {
+                    s: 16,
+                    tiles_per_lane: tpl,
+                    lookback_window: w,
+                    kind: ScanKind::Exclusive,
+                };
+                let run = scanc::<u8, i16, i32>(&spec, &gm, &x, cfg).unwrap();
+                assert_eq!(run.y.to_vec(), expect, "n={n} tpl={tpl} w={w}");
+                if n == 3000 && tpl == 1 {
+                    assert!(run.report.blocks > spec.ai_cores);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exclusive_fp16_is_the_shifted_inclusive_scan() {
+        let (spec, gm) = setup();
+        let data: Vec<F16> = (0..700).map(|i| F16::from_f32((i % 4) as f32)).collect();
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let cfg = ScanCConfig {
+            kind: ScanKind::Exclusive,
+            ..cfg(16, 2)
+        };
+        let run = scanc::<F16, F16, F16>(&spec, &gm, &x, cfg).unwrap();
+        assert_eq!(run.y.to_vec(), reference::exclusive(&data));
+    }
+
+    #[test]
     fn rejects_bad_config() {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[1i8; 8]).unwrap();
@@ -651,6 +723,7 @@ mod tests {
                 s: 16,
                 tiles_per_lane: 1,
                 lookback_window: w,
+                kind: ScanKind::Inclusive,
             };
             assert!(scanc::<i8, i16, i32>(&spec, &gm, &x, bad).is_err(), "w={w}");
         }

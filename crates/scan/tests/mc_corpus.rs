@@ -21,7 +21,7 @@ use ascend_sim::sync::GridPlan;
 use ascend_sim::{hb, mc, prof, HbAction, HbEvent, SchedPolicy, ValidationMode};
 use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimResult};
 use proptest::prelude::*;
-use scan::{scanc, ScanCConfig};
+use scan::{scanc, ScanCConfig, ScanKind};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -332,6 +332,7 @@ fn run_scanc(policy: SchedPolicy, n: usize, lookback_window: usize) -> (String, 
         s: 16,
         tiles_per_lane: 1,
         lookback_window,
+        kind: ScanKind::Inclusive,
     };
     prof::with_profiling(&gm, || {
         let run = scanc::<i8, i16, i32>(&spec, &gm, &x, cfg).expect("scanc launches");

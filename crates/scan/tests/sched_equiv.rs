@@ -13,7 +13,9 @@
 //!
 //! * every shipped scan kernel (ScanU, ScanUL1, MCScan, ScanC, the
 //!   vector-only baseline and the batched scan), including a ScanC
-//!   shape whose look-back chain spans scheduling waves;
+//!   shape whose look-back chain spans scheduling waves, and the
+//!   exclusive ScanC mask scan, which must also replay byte-identically
+//!   under every commit order the model checker finds (`Planned`);
 //! * a proptest over random tiny-chip schedules — oversubscribed
 //!   grids, a random number of `SyncAll` rounds, per-block work that
 //!   varies by seed, and an optional cross-block grid-flag chain.
@@ -23,7 +25,8 @@
 //! environment variable, so the two runs never race on process state.
 
 use ascend_sim::mem::GlobalMemory;
-use ascend_sim::SchedPolicy;
+use ascend_sim::sync::GridPlan;
+use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimResult};
 use dtypes::F16;
 use proptest::prelude::*;
@@ -109,6 +112,7 @@ fn scanc_chain_spanning_waves_reports_identically() {
             s: 16,
             tiles_per_lane: 1,
             lookback_window: 1,
+            kind: ScanKind::Inclusive,
         };
         let run = scanc::<i8, i16, i32>(spec, gm, &x, cfg).unwrap();
         assert!(run.report.blocks > spec.ai_cores);
@@ -128,11 +132,62 @@ fn scanc_multihop_window_spanning_waves_reports_identically() {
             s: 16,
             tiles_per_lane: 1,
             lookback_window: 2,
+            kind: ScanKind::Inclusive,
         };
         let run = scanc::<i8, i16, i32>(spec, gm, &x, cfg).unwrap();
         assert!(run.report.blocks > spec.ai_cores);
         run.report.to_json(spec)
     });
+}
+
+#[test]
+fn exclusive_scanc_reports_identically_under_serial_parallel_and_planned() {
+    // The mask scan `Device::mask_exclusive_scan` runs at or above its
+    // crossover: 1200 mask bytes → 5 lanes → 3 blocks on 2 AI cores,
+    // multi-hop window 2, so the chain spans waves and the schedule
+    // space holds several grid commit orders.
+    let mask: Vec<u8> = (0..1200).map(|i| u8::from(i % 3 != 1)).collect();
+    let run = |policy: SchedPolicy| {
+        let spec = ChipSpec::tiny().with_scheduler(policy);
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        let x = GlobalTensor::from_slice(&gm, &mask).unwrap();
+        let cfg = ScanCConfig {
+            s: 16,
+            tiles_per_lane: 1,
+            lookback_window: 2,
+            kind: ScanKind::Exclusive,
+        };
+        prof::with_profiling(&gm, || {
+            let run = scanc::<u8, i16, i32>(&spec, &gm, &x, cfg).unwrap();
+            assert!(run.report.blocks > spec.ai_cores);
+            assert_eq!(
+                run.y.to_vec(),
+                scan::reference::exclusive_widening::<u8, i32>(&mask)
+            );
+            run.report.to_json(&spec)
+        })
+    };
+    let (serial, _) = run(SchedPolicy::Serial);
+    let (parallel, profile) = run(SchedPolicy::Parallel);
+    assert_eq!(serial, parallel, "serial vs parallel");
+    let r = mc::check(
+        &profile.kernels[0].hb_events,
+        &mc::McConfig::new(ChipSpec::tiny().ai_cores as usize),
+    )
+    .unwrap();
+    assert!(!r.budget_exhausted && r.deadlocks == 0 && r.diagnostics.is_empty());
+    assert!(
+        r.unique_grid_orders.len() >= 2,
+        "{:?}",
+        r.unique_grid_orders
+    );
+    for order in &r.unique_grid_orders {
+        let plan = GridPlan {
+            order: order.clone(),
+        };
+        let (planned, _) = run(SchedPolicy::Planned(Arc::new(plan)));
+        assert_eq!(planned, parallel, "planned replay of {order:?}");
+    }
 }
 
 #[test]

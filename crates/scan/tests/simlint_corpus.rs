@@ -332,6 +332,8 @@ fn shipped_scan_kernels_lint_clean() {
     let x = GlobalTensor::from_slice(&gm, &data).unwrap();
     let mask: Vec<u8> = (0..500).map(|i| (i % 3 == 0) as u8).collect();
     let xm = GlobalTensor::from_slice(&gm, &mask).unwrap();
+    let mask_long: Vec<u8> = (0..1500).map(|i| (i % 3 == 0) as u8).collect();
+    let xm_long = GlobalTensor::from_slice(&gm, &mask_long).unwrap();
     let wide: Vec<i32> = (0..500).map(|i| (i % 11) - 5).collect();
     let xw = GlobalTensor::from_slice(&gm, &wide).unwrap();
 
@@ -368,6 +370,27 @@ fn shipped_scan_kernels_lint_clean() {
                         s: 16,
                         tiles_per_lane,
                         lookback_window,
+                        kind: ScanKind::Inclusive,
+                    },
+                )
+                .map(|_| ()),
+            ));
+        }
+        // The exclusive mask scan `Device::mask_exclusive_scan` runs
+        // at or above its crossover: per-tile boundary stores next to the
+        // shifted tile stores, in the same four lane/window shapes.
+        for (tiles_per_lane, lookback_window) in [(2usize, 1usize), (2, 2), (1, 1), (1, 2)] {
+            runs.push((
+                "scanc-excl",
+                scanc::<u8, i16, i32>(
+                    &spec,
+                    &gm,
+                    &xm_long,
+                    ScanCConfig {
+                        s: 16,
+                        tiles_per_lane,
+                        lookback_window,
+                        kind: ScanKind::Exclusive,
                     },
                 )
                 .map(|_| ()),
@@ -443,6 +466,7 @@ fn oversubscribed_scanc_waves_analyze_clean_directly() {
         // Multi-hop window: wave-2 blocks probe partial *and* inclusive
         // mailbox epochs from two predecessors each.
         lookback_window: 2,
+        kind: ScanKind::Inclusive,
     };
     let (run, profile) = prof::with_profiling(&gm, || scanc::<i8, i16, i32>(&spec, &gm, &x, cfg));
     let run = run.expect("oversubscribed ScanC launches cleanly");

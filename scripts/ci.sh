@@ -82,10 +82,10 @@ lintdir=$(mktemp -d)
 trap 'rm -rf "$lintdir"' EXIT
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
-# byte-identical to what six serial single-kernel runs would write.
+# byte-identical to what seven serial single-kernel runs would write.
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"
 lint_traces=()
-for k in scanu scanul1 mcscan scanc cumsum batched; do
+for k in scanu scanul1 mcscan scanc scanc-excl cumsum batched; do
   test -s "$lintdir/$k.json" || { echo "trace --dir did not write $k.json"; exit 1; }
   lint_traces+=("$lintdir/$k.json")
 done

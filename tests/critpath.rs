@@ -161,6 +161,7 @@ proptest! {
                     tiles_per_lane: 1 + (blocks as usize % 4),
                     // The tiny chip's 8 flag ids admit w² ≤ 8 → w ≤ 2.
                     lookback_window: 1 + (blocks as usize % 2),
+                    kind: ScanKind::Inclusive,
                 },
             ).unwrap().report
         } else {

@@ -87,7 +87,7 @@ fn oversubscribed_scanc_is_reproducible_byte_for_byte() {
     // slots and the grid-flag look-back chain spans waves. The full
     // JSON report (cycles, stalls, per-engine counters) and the output
     // must still be identical across runs despite real OS threads.
-    use ascend_scan::ScanCConfig;
+    use ascend_scan::{ScanCConfig, ScanKind};
     let run = || {
         let dev = Device::ascend_910b4();
         // 92 tiles of 128² elements → 92 lanes → 46 blocks on 20 cores.
@@ -101,6 +101,7 @@ fn oversubscribed_scanc_is_reproducible_byte_for_byte() {
                 s: 128,
                 tiles_per_lane: 1,
                 lookback_window: 4,
+                kind: ScanKind::Inclusive,
             },
         )
         .unwrap();

@@ -4,6 +4,7 @@
 use ascend_scan::dtypes::F16;
 use ascend_scan::ops::baselines;
 use ascend_scan::scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use ascend_scan::scan::scanc::{scanc, ScanCConfig};
 use ascend_scan::scan::scanu::scanu;
 use ascend_scan::sim::mem::GlobalMemory;
 use ascend_scan::{ChipSpec, Device, GlobalTensor};
@@ -25,20 +26,49 @@ fn copy_never_exceeds_memory_bandwidth() {
     }
 }
 
+/// Simulated time of an 8M-element fp16 scan (run by `scan`) over that
+/// of an 8M-element copy.
+fn scan_over_copy_ratio(
+    scan: impl Fn(&Device, &GlobalTensor<F16>) -> ascend_scan::KernelReport,
+) -> f64 {
+    let dev = Device::ascend_910b4();
+    let n = 8 << 20;
+    let x = dev.tensor(&vec![F16::ONE; n]).unwrap();
+    let scan = scan(&dev, &x);
+    let x2 = dev.tensor(&vec![F16::ONE; n]).unwrap();
+    let (_, copy) = baselines::clone(dev.spec(), dev.memory(), &x2).unwrap();
+    scan.time_s() / copy.time_s()
+}
+
 #[test]
 fn mcscan_is_slower_than_copy_but_same_order() {
     // MCScan moves ~5N element-bytes to copy's 2N: it must be slower
     // than clone, but by a bounded factor once bandwidth-bound.
-    let dev = Device::ascend_910b4();
-    let n = 8 << 20;
-    let x = dev.tensor(&vec![F16::ONE; n]).unwrap();
-    let scan = dev.cumsum(&x).unwrap().report;
-    let x2 = dev.tensor(&vec![F16::ONE; n]).unwrap();
-    let (_, copy) = baselines::clone(dev.spec(), dev.memory(), &x2).unwrap();
-    let ratio = scan.time_s() / copy.time_s();
+    let ratio = scan_over_copy_ratio(|dev, x| {
+        let cfg = McScanConfig::for_chip(dev.spec());
+        mcscan::<F16, F16, F16>(dev.spec(), dev.memory(), x, cfg)
+            .unwrap()
+            .report
+    });
     assert!(
         (1.5..6.0).contains(&ratio),
         "scan/copy time ratio {ratio:.2} outside the 5N/2N neighborhood"
+    );
+}
+
+#[test]
+fn scanc_is_slower_than_copy_but_same_order() {
+    // ScanC moves ~4N element-bytes to copy's 2N (no recomputation
+    // read): slower than clone, by a smaller bounded factor than MCScan.
+    let ratio = scan_over_copy_ratio(|dev, x| {
+        let cfg = ScanCConfig::for_chip::<F16, F16, F16>(dev.spec());
+        scanc::<F16, F16, F16>(dev.spec(), dev.memory(), x, cfg)
+            .unwrap()
+            .report
+    });
+    assert!(
+        (1.2..4.8).contains(&ratio),
+        "scan/copy time ratio {ratio:.2} outside the 4N/2N neighborhood"
     );
 }
 

@@ -55,7 +55,7 @@ proptest! {
             dev.spec(),
             dev.memory(),
             &m,
-            ascend_scan::ScanCConfig { s, tiles_per_lane, lookback_window },
+            ascend_scan::ScanCConfig { s, tiles_per_lane, lookback_window, kind: ScanKind::Inclusive },
         ).unwrap();
         prop_assert_eq!(sc.y.to_vec(), scan_reference(&mask));
         let mc = ascend_scan::scan::mcscan::mcscan::<u8, i16, i32>(
@@ -98,6 +98,7 @@ proptest! {
                 // Multi-hop accumulation uses the same left-associated
                 // grouping as the chain, so every window is bit-exact.
                 lookback_window: [1, 2, 4][w_idx],
+                kind: ScanKind::Inclusive,
             },
         ).unwrap();
         let expect = ascend_scan::scan::reference::inclusive(&data);
