@@ -21,6 +21,11 @@
 //!   Same 5·N traffic as MCScan, but phase 1 leaves the cube idle and
 //!   phase 2 re-serializes cube → vector per tile.
 //!
+//! The variants run on MCScan's own launch layout (`y`, `w`, `r`, one
+//! chunk per vector core), its two-phase skeleton and its stages — the
+//! cube tile pass, the chunk reduction and the chunk propagation — so
+//! they differ from MCScan only where their strategies do.
+//!
 //! The `figures ablation` experiment compares all four. In the model,
 //! the recomputing MCScan beats SSA everywhere (less traffic) and stays
 //! within ~10% of RSS, which moves the same ~10 bytes/element. Every
@@ -32,13 +37,12 @@
 //! precisely what the paper's recomputation strategy avoids paying per
 //! tile.
 
-use crate::mcscan::{mcscan, McScanConfig, ScanKind};
-use crate::triangular::ScanConstants;
-use crate::util::{partition, tile_spans};
-use crate::{finish_report, ScanRun};
+use crate::mcscan::{chunk_cores, mcscan, McLayout, McScanConfig, ScanKind};
+use crate::stage::{chunk_offset, reduce_chunk, store_scalar, HandOffs};
+use crate::ScanRun;
 use ascend_sim::mem::GlobalMemory;
-use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, TQue};
-use dtypes::{CubeInput, Element, Numeric};
+use ascendc::{ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, TQue};
+use dtypes::{CubeInput, Numeric};
 use std::sync::Arc;
 
 /// Which multi-core scan strategy to run.
@@ -104,135 +108,6 @@ where
     }
 }
 
-fn check_cfg(spec: &ChipSpec, cfg: &McScanConfig) -> SimResult<()> {
-    if cfg.s == 0 || !cfg.s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "s must be a positive multiple of 16, got {}",
-            cfg.s
-        )));
-    }
-    if cfg.blocks == 0 || cfg.blocks > spec.ai_cores {
-        return Err(SimError::InvalidArgument(format!(
-            "blocks {} out of range 1..={}",
-            cfg.blocks, spec.ai_cores
-        )));
-    }
-    Ok(())
-}
-
-/// Shared phase-2 propagation (identical to MCScan's): per chunk, scan
-/// the reduction array's prefix in UB and walk the tiles row by row.
-#[allow(clippy::too_many_arguments)]
-fn propagate_chunk<M, O>(
-    vc: &mut ascendc::Core<'_>,
-    w: &GlobalTensor<M>,
-    y: &GlobalTensor<O>,
-    r: &GlobalTensor<O>,
-    chunk: usize,
-    chunks_total: usize,
-    tiles: &[(usize, usize)],
-    s: usize,
-    l: usize,
-) -> SimResult<()>
-where
-    M: Numeric,
-    O: Numeric,
-{
-    let mut r_ub = vc.alloc_local::<O>(ScratchpadKind::Ub, chunks_total)?;
-    vc.copy_in(&mut r_ub, 0, r, 0, chunks_total, &[])?;
-    let (mut partial, mut partial_ready) = if chunk == 0 {
-        (O::zero(), 0)
-    } else {
-        vc.reduce_sum(&r_ub, 0, chunk)?
-    };
-    vc.free_local(r_ub)?;
-
-    let ub = vc.spec().ub_capacity;
-    let depth = if 2 * l * M::SIZE + l * O::SIZE + 64 <= ub {
-        2
-    } else {
-        1
-    };
-    let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?;
-    let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-    for &(off, valid) in tiles {
-        let mut piece = q.alloc_tensor()?;
-        vc.copy_in(&mut piece, 0, w, off, valid, &[])?;
-        let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
-        q.free_tensor(piece, cast_done);
-        for (row_off, row_len) in tile_spans(valid, s) {
-            vc.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-            let (p, pr) = vc.extract(&buf, row_off + row_len - 1)?;
-            partial = p;
-            partial_ready = pr;
-        }
-        vc.copy_out(y, off, &buf, 0, valid, &[])?;
-    }
-    vc.free_local(buf)?;
-    q.destroy(vc)?;
-    Ok(())
-}
-
-/// Cube phase shared by all variants: tile-local scans into `w`.
-///
-/// Publishes a `CrossCoreSetFlag` per tile when its `w` slice lands in
-/// GM and returns the flag ids; the vector side pays a matching
-/// `CrossCoreWaitFlag` before reading. The flag file models the chip's
-/// small register space (`ChipSpec::flag_id_limit`), so the tile index
-/// cycles through it; each id is a FIFO, pairing the cube's i-th set
-/// with the i-th wait even when tiles outnumber registers.
-#[allow(clippy::too_many_arguments)]
-fn cube_tile_scans<T, M>(
-    cube: &mut ascendc::Core<'_>,
-    flags: &ascendc::FlagFile,
-    consts: &ScanConstants<T>,
-    x: &GlobalTensor<T>,
-    w: &GlobalTensor<M>,
-    tiles: &[(usize, usize)],
-    s: usize,
-    l: usize,
-) -> SimResult<Vec<u32>>
-where
-    T: CubeInput,
-    M: Numeric,
-{
-    let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-    cube.copy_in(&mut lb, 0, &consts.upper, 0, l, &[])?;
-    let da = if 2 * l * T::SIZE <= cube.spec().l0a_capacity {
-        2
-    } else {
-        1
-    };
-    let dc = if 2 * l * <T::Acc as Element>::SIZE <= cube.spec().l0c_capacity {
-        2
-    } else {
-        1
-    };
-    let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, da, l)?;
-    let mut qc = TQue::<T::Acc>::new(cube, ScratchpadKind::L0C, dc, l)?;
-    let mut ids = Vec::with_capacity(tiles.len());
-    for (i, &(off, valid)) in tiles.iter().enumerate() {
-        let rows = valid.div_ceil(s);
-        let mut la = qa.alloc_tensor()?;
-        if valid < rows * s {
-            cube.fill_local(&mut la, 0, rows * s, T::zero())?;
-        }
-        cube.copy_in(&mut la, 0, x, off, valid, &[])?;
-        let mut lc = qc.alloc_tensor()?;
-        let mm = cube.mmad::<T>(&mut lc, &mut la, &mut lb, rows, s, s, false)?;
-        qa.free_tensor(la, mm);
-        let ev = cube.copy_out_cast::<T::Acc, M>(w, off, &lc, 0, valid, &[])?;
-        qc.free_tensor(lc, ev);
-        let id = i as u32 % flags.limit();
-        cube.set_flag(flags, id, &[ev])?;
-        ids.push(id);
-    }
-    qa.destroy(cube)?;
-    qc.destroy(cube)?;
-    cube.free_local(lb)?;
-    Ok(ids)
-}
-
 /// Strided-totals variant: block totals come from the cube output.
 fn strided_totals<T, M, O>(
     spec: &ChipSpec,
@@ -245,97 +120,63 @@ where
     M: Numeric,
     O: Numeric,
 {
-    check_cfg(spec, &cfg)?;
-    let (n, s, l) = (x.len(), cfg.s, cfg.s * cfg.s);
-    let consts = ScanConstants::<T>::upload(gm, s)?;
-    let y = GlobalTensor::<O>::new(gm, n)?;
-    let w = GlobalTensor::<M>::new(gm, n)?;
-    let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
-    let tiles = tile_spans(n, l);
-    let chunk_tiles = partition(tiles.len(), chunks_total);
-    let r = GlobalTensor::<O>::new(gm, chunks_total)?;
-
-    let mut report = launch(spec, gm, cfg.blocks, "MCScan(strided-totals)", |ctx| {
-        let block = ctx.block_idx as usize;
-        let vec_per_core = ctx.vecs.len();
-        // Phase 1a: cube tile scans (per-tile completion events kept).
-        let my_tiles_range = {
-            let (t0, _) = chunk_tiles[block * vec_per_core];
-            let (tl, tc) = chunk_tiles[block * vec_per_core + vec_per_core - 1];
-            (t0, tl + tc)
-        };
-        let tile_flags = cube_tile_scans::<T, M>(
-            &mut ctx.cube,
-            &ctx.flags,
-            &consts,
-            x,
-            &w,
-            &tiles[my_tiles_range.0..my_tiles_range.1],
-            s,
-            l,
-        )?;
-        // Phase 1b: each vector core gathers its chunk's row totals from
-        // w with a strided read (one element every s), then reduces.
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
-            let (t0, tcount) = chunk_tiles[chunk];
-            let flags = &ctx.flags;
-            let vc = &mut ctx.vecs[v];
-            let mut totals = vc.alloc_local::<M>(ScratchpadKind::Ub, l / s)?;
-            let mut totals_o = vc.alloc_local::<O>(ScratchpadKind::Ub, l / s)?;
-            let mut total = O::zero();
-            let mut total_ready = 0;
-            for (ti, &(off, valid)) in tiles[t0..t0 + tcount].iter().enumerate() {
-                let rows = valid.div_ceil(s);
-                let full_rows = valid / s;
-                // Strided gather: last element of each complete s-row.
-                // A priced CrossCoreWaitFlag blocks this vector core
-                // until the cube has produced the tile.
-                let dep = vc.wait_flag(flags, tile_flags[t0 - my_tiles_range.0 + ti])?;
-                if full_rows > 0 {
-                    vc.copy_in_2d(&mut totals, &w, off + s - 1, full_rows, 1, s, &[dep])?;
+    let name = "MCScan(strided-totals)";
+    let hand = HandOffs::new(name, spec, 1)?;
+    McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+        spec,
+        gm,
+        |mc, ctx| {
+            // Phase 1a: cube tile scans, each handed off by a priced
+            // CrossCoreSetFlag.
+            let range = mc.block_tiles(ctx);
+            mc.cube_scans(&mut ctx.cube, x, range, Some((&ctx.flags, hand)))?;
+            // Phase 1b: each vector core gathers its chunk's row totals
+            // from w with a strided read (one element every s), then
+            // reduces.
+            let (s, l) = (mc.s, mc.l);
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                let mut totals = vc.alloc_local::<M>(ScratchpadKind::Ub, l / s)?;
+                let mut totals_o = vc.alloc_local::<O>(ScratchpadKind::Ub, l / s)?;
+                let (mut total, mut total_ready) = (O::zero(), 0);
+                for t in mc.chunk_range(chunk) {
+                    let (off, valid) = mc.tiles[t];
+                    let rows = valid.div_ceil(s);
+                    let full_rows = valid / s;
+                    // Strided gather: last element of each complete
+                    // s-row, once the priced CrossCoreWaitFlag sees the
+                    // cube's tile.
+                    let dep = hand.wait(vc, &ctx.flags, 0, t)?;
+                    if full_rows > 0 {
+                        vc.copy_in_2d(&mut totals, &mc.w, off + s - 1, full_rows, 1, s, &[dep])?;
+                    }
+                    // A short tail row contributes its own last element.
+                    if valid > full_rows * s {
+                        let mut one = vc.alloc_local::<M>(ScratchpadKind::Ub, 1)?;
+                        vc.copy_in(&mut one, 0, &mc.w, off + valid - 1, 1, &[dep])?;
+                        let (last, lr) = vc.extract(&one, 0)?;
+                        vc.insert(&mut totals, rows - 1, last, lr)?;
+                        vc.free_local(one)?;
+                    }
+                    let cast_done = vc.vcast::<M, O>(&mut totals_o, &totals, 0, rows)?;
+                    let (sum, ready) = vc.reduce_sum(&totals_o, 0, rows)?;
+                    total = total.add(sum);
+                    total_ready = vc.scalar_ops(1, &[ready, total_ready, cast_done])?;
                 }
-                // A short tail row contributes its own last element.
-                if valid > full_rows * s {
-                    let mut one = vc.alloc_local::<M>(ScratchpadKind::Ub, 1)?;
-                    vc.copy_in(&mut one, 0, &w, off + valid - 1, 1, &[dep])?;
-                    let (last, lr) = vc.extract(&one, 0)?;
-                    vc.insert(&mut totals, rows - 1, last, lr)?;
-                    vc.free_local(one)?;
-                }
-                let cast_done = vc.vcast::<M, O>(&mut totals_o, &totals, 0, rows)?;
-                let (sum, ready) = vc.reduce_sum(&totals_o, 0, rows)?;
-                total = total.add(sum);
-                total_ready = vc.scalar_ops(1, &[ready, total_ready, cast_done])?;
+                store_scalar(vc, &mc.r, chunk, (total, total_ready))?;
+                vc.free_local(totals)?;
+                vc.free_local(totals_o)?;
             }
-            let mut one = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, total, total_ready)?;
-            vc.copy_out(&r, chunk, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(totals)?;
-            vc.free_local(totals_o)?;
-        }
-        ctx.sync_all()?;
-        // Phase 2: identical propagation.
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
-            let (t0, tcount) = chunk_tiles[chunk];
-            propagate_chunk::<M, O>(
-                &mut ctx.vecs[v],
-                &w,
-                &y,
-                &r,
-                chunk,
-                chunks_total,
-                &tiles[t0..t0 + tcount],
-                s,
-                l,
-            )?;
-        }
-        Ok(())
-    })?;
-    finish_report(&mut report, n, T::SIZE, O::SIZE);
-    Ok(ScanRun { y, report })
+            Ok(())
+        },
+        // Phase 2: MCScan's propagation.
+        |mc, ctx| {
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                let offset = chunk_offset(vc, &mc.r, chunk)?;
+                mc.propagate(vc, chunk, ScanKind::Inclusive, offset, None)?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Textbook SSA: full per-chunk scans in phase 1, broadcast add after.
@@ -350,103 +191,51 @@ where
     M: Numeric,
     O: Numeric,
 {
-    check_cfg(spec, &cfg)?;
-    let (n, s, l) = (x.len(), cfg.s, cfg.s * cfg.s);
-    let consts = ScanConstants::<T>::upload(gm, s)?;
-    let y = GlobalTensor::<O>::new(gm, n)?;
-    let w = GlobalTensor::<M>::new(gm, n)?;
-    let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
-    let tiles = tile_spans(n, l);
-    let chunk_tiles = partition(tiles.len(), chunks_total);
-    let r = GlobalTensor::<O>::new(gm, chunks_total)?;
-
-    let mut report = launch(spec, gm, cfg.blocks, "SSA(full)", |ctx| {
-        let block = ctx.block_idx as usize;
-        let vec_per_core = ctx.vecs.len();
-        let first = block * vec_per_core;
-        let (t0, _) = chunk_tiles[first];
-        let (tl, tc) = chunk_tiles[first + vec_per_core - 1];
-        let tile_flags = cube_tile_scans::<T, M>(
-            &mut ctx.cube,
-            &ctx.flags,
-            &consts,
-            x,
-            &w,
-            &tiles[t0..tl + tc],
-            s,
-            l,
-        )?;
-        // Phase 1b: full chunk-local scan (rows propagated from zero),
-        // written to y; chunk total goes to r.
-        for v in 0..vec_per_core {
-            let chunk = first + v;
-            let (c0, ccount) = chunk_tiles[chunk];
-            let flags = &ctx.flags;
-            let vc = &mut ctx.vecs[v];
-            let ub = vc.spec().ub_capacity;
-            let depth = if 2 * l * M::SIZE + l * O::SIZE + 64 <= ub {
-                2
-            } else {
-                1
-            };
-            let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?;
-            let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-            let mut partial = O::zero();
-            let mut partial_ready = 0;
-            for (ti, &(off, valid)) in tiles[c0..c0 + ccount].iter().enumerate() {
-                let dep = vc.wait_flag(flags, tile_flags[c0 - t0 + ti])?;
-                let mut piece = q.alloc_tensor()?;
-                vc.copy_in(&mut piece, 0, &w, off, valid, &[dep])?;
-                let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
-                q.free_tensor(piece, cast_done);
-                for (row_off, row_len) in tile_spans(valid, s) {
-                    vc.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                    let (p, pr) = vc.extract(&buf, row_off + row_len - 1)?;
-                    partial = p;
-                    partial_ready = pr;
-                }
-                vc.copy_out(&y, off, &buf, 0, valid, &[])?;
+    let name = "SSA(full)";
+    let hand = HandOffs::new(name, spec, 1)?;
+    McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+        spec,
+        gm,
+        |mc, ctx| {
+            let range = mc.block_tiles(ctx);
+            mc.cube_scans(&mut ctx.cube, x, range, Some((&ctx.flags, hand)))?;
+            // Phase 1b: full chunk-local scan (rows propagated from
+            // zero), written to y; the chunk total goes to r.
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                let zero = (O::zero(), 0);
+                let waits = Some((&ctx.flags, hand));
+                let total = mc.propagate(vc, chunk, ScanKind::Inclusive, zero, waits)?;
+                store_scalar(vc, &mc.r, chunk, total)?;
             }
-            let mut one = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, partial, partial_ready)?;
-            vc.copy_out(&r, chunk, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(buf)?;
-            q.destroy(vc)?;
-        }
-        ctx.sync_all()?;
+            Ok(())
+        },
         // Phase 2: broadcast-add the scanned chunk offsets (uniform per
         // chunk — one Adds per tile, no per-row chain).
-        for v in 0..vec_per_core {
-            let chunk = first + v;
-            if chunk == 0 {
-                continue; // chunk 0 needs no offset
+        |mc, ctx| {
+            let l = mc.l;
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                if chunk == 0 {
+                    continue; // chunk 0 needs no offset
+                }
+                let (offset, offset_ready) = chunk_offset(vc, &mc.r, chunk)?;
+                let depth = if 3 * l * O::SIZE + 64 <= vc.spec().ub_capacity {
+                    2
+                } else {
+                    1
+                };
+                let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, depth, l)?;
+                for &(off, valid) in mc.chunk(chunk) {
+                    let mut buf = q.alloc_tensor()?;
+                    vc.copy_in(&mut buf, 0, &mc.y, off, valid, &[])?;
+                    vc.vadds(&mut buf, 0, valid, offset, offset_ready)?;
+                    let ev = vc.copy_out(&mc.y, off, &buf, 0, valid, &[])?;
+                    q.free_tensor(buf, ev);
+                }
+                q.destroy(vc)?;
             }
-            let (c0, ccount) = chunk_tiles[chunk];
-            let vc = &mut ctx.vecs[v];
-            let mut r_ub = vc.alloc_local::<O>(ScratchpadKind::Ub, chunks_total)?;
-            vc.copy_in(&mut r_ub, 0, &r, 0, chunks_total, &[])?;
-            let (offset, offset_ready) = vc.reduce_sum(&r_ub, 0, chunk)?;
-            vc.free_local(r_ub)?;
-            let depth = if 3 * l * O::SIZE + 64 <= vc.spec().ub_capacity {
-                2
-            } else {
-                1
-            };
-            let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, depth, l)?;
-            for &(off, valid) in &tiles[c0..c0 + ccount] {
-                let mut buf = q.alloc_tensor()?;
-                vc.copy_in(&mut buf, 0, &y, off, valid, &[])?;
-                vc.vadds(&mut buf, 0, valid, offset, offset_ready)?;
-                let ev = vc.copy_out(&y, off, &buf, 0, valid, &[])?;
-                q.free_tensor(buf, ev);
-            }
-            q.destroy(vc)?;
-        }
-        Ok(())
-    })?;
-    finish_report(&mut report, n, T::SIZE, O::SIZE);
-    Ok(ScanRun { y, report })
+            Ok(())
+        },
+    )
 }
 
 /// Reduce-Scan-Scan: phase 1 reduces only; phase 2 does everything else.
@@ -461,109 +250,33 @@ where
     M: Numeric,
     O: Numeric,
 {
-    check_cfg(spec, &cfg)?;
-    let (n, s, l) = (x.len(), cfg.s, cfg.s * cfg.s);
-    let consts = ScanConstants::<T>::upload(gm, s)?;
-    let y = GlobalTensor::<O>::new(gm, n)?;
-    let w = GlobalTensor::<M>::new(gm, n)?;
-    let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
-    let tiles = tile_spans(n, l);
-    let chunk_tiles = partition(tiles.len(), chunks_total);
-    let r = GlobalTensor::<O>::new(gm, chunks_total)?;
-
-    let mut report = launch(spec, gm, cfg.blocks, "RSS", |ctx| {
-        let block = ctx.block_idx as usize;
-        let vec_per_core = ctx.vecs.len();
-        // Phase 1: block reductions only (the cube sits idle — RSS's
-        // structural drawback on a split architecture).
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
-            let (t0, tcount) = chunk_tiles[chunk];
-            let vc = &mut ctx.vecs[v];
-            let din = if 2 * l * T::SIZE + l * O::SIZE + 64 <= vc.spec().ub_capacity {
-                2
-            } else {
-                1
-            };
-            let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, din, l)?;
-            let mut acc = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-            let mut total = O::zero();
-            let mut total_ready = 0;
-            for &(off, valid) in &tiles[t0..t0 + tcount] {
-                let mut piece = qin.alloc_tensor()?;
-                vc.copy_in(&mut piece, 0, x, off, valid, &[])?;
-                let cast_done = vc.vcast::<T, O>(&mut acc, &piece, 0, valid)?;
-                qin.free_tensor(piece, cast_done);
-                let (sum, ready) = vc.reduce_sum(&acc, 0, valid)?;
-                total = total.add(sum);
-                total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
+    let name = "RSS";
+    let hand = HandOffs::new(name, spec, 1)?;
+    McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+        spec,
+        gm,
+        // Phase 1: MCScan's chunk reductions only (the cube sits idle —
+        // RSS's structural drawback on a split architecture).
+        |mc, ctx| {
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                reduce_chunk(vc, x, mc.chunk(chunk), mc.l, &mc.r, chunk)?;
             }
-            let mut one = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, total, total_ready)?;
-            vc.copy_out(&r, chunk, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(acc)?;
-            qin.destroy(vc)?;
-        }
-        ctx.sync_all()?;
+            Ok(())
+        },
         // Phase 2: cube tile scans + vector propagation with the chunk
         // offset folded into the running partial (per-tile cube→vector
         // dependencies — the serialization MCScan's phase split avoids).
-        let first = block * vec_per_core;
-        let (t0, _) = chunk_tiles[first];
-        let (tl, tc) = chunk_tiles[first + vec_per_core - 1];
-        let tile_flags = cube_tile_scans::<T, M>(
-            &mut ctx.cube,
-            &ctx.flags,
-            &consts,
-            x,
-            &w,
-            &tiles[t0..tl + tc],
-            s,
-            l,
-        )?;
-        for v in 0..vec_per_core {
-            let chunk = first + v;
-            let (c0, ccount) = chunk_tiles[chunk];
-            let flags = &ctx.flags;
-            let vc = &mut ctx.vecs[v];
-            let mut r_ub = vc.alloc_local::<O>(ScratchpadKind::Ub, chunks_total)?;
-            vc.copy_in(&mut r_ub, 0, &r, 0, chunks_total, &[])?;
-            let (mut partial, mut partial_ready) = if chunk == 0 {
-                (O::zero(), 0)
-            } else {
-                vc.reduce_sum(&r_ub, 0, chunk)?
-            };
-            vc.free_local(r_ub)?;
-            let ub = vc.spec().ub_capacity;
-            let depth = if 2 * l * M::SIZE + l * O::SIZE + 64 <= ub {
-                2
-            } else {
-                1
-            };
-            let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?;
-            let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-            for (ti, &(off, valid)) in tiles[c0..c0 + ccount].iter().enumerate() {
-                let dep = vc.wait_flag(flags, tile_flags[c0 - t0 + ti])?;
-                let mut piece = q.alloc_tensor()?;
-                vc.copy_in(&mut piece, 0, &w, off, valid, &[dep])?;
-                let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
-                q.free_tensor(piece, cast_done);
-                for (row_off, row_len) in tile_spans(valid, s) {
-                    vc.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                    let (p, pr) = vc.extract(&buf, row_off + row_len - 1)?;
-                    partial = p;
-                    partial_ready = pr;
-                }
-                vc.copy_out(&y, off, &buf, 0, valid, &[])?;
+        |mc, ctx| {
+            let range = mc.block_tiles(ctx);
+            mc.cube_scans(&mut ctx.cube, x, range, Some((&ctx.flags, hand)))?;
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                let offset = chunk_offset(vc, &mc.r, chunk)?;
+                let waits = Some((&ctx.flags, hand));
+                mc.propagate(vc, chunk, ScanKind::Inclusive, offset, waits)?;
             }
-            vc.free_local(buf)?;
-            q.destroy(vc)?;
-        }
-        Ok(())
-    })?;
-    finish_report(&mut report, n, T::SIZE, O::SIZE);
-    Ok(ScanRun { y, report })
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]

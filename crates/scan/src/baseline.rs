@@ -10,6 +10,7 @@
 //! bookkeeping of the generic API, this is what makes the vector-only
 //! kernel 5–10× slower than the cube scans at large input lengths.
 
+use crate::stage::carry_through;
 use crate::util::tile_spans;
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
@@ -58,8 +59,7 @@ pub fn cumsum_vec_only<T: Numeric>(
         let v = &mut ctx.vecs[0];
         let mut q = TQue::<T>::new(v, ScratchpadKind::Ub, 2, l)?.named("q(UB)");
         let mut tmp = v.alloc_local::<T>(ScratchpadKind::Ub, s)?;
-        let mut partial = T::zero();
-        let mut partial_ready = 0;
+        let mut carry = (T::zero(), 0);
         for &(off, valid) in &spans {
             let tile = v.span_begin("tile");
             let mut buf = q.alloc_tensor()?;
@@ -78,10 +78,7 @@ pub fn cumsum_vec_only<T: Numeric>(
                     shift *= 2;
                 }
                 // Propagate the running partial and pick up the new one.
-                v.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                let (p, pr) = v.extract(&buf, row_off + row_len - 1)?;
-                partial = p;
-                partial_ready = pr;
+                carry_through(v, &mut buf, row_off, row_len, &mut carry)?;
                 // Generic-API scalar bookkeeping.
                 v.scalar_ops(CUMSUM_SCALAR_OPS_PER_ROW, &[])?;
             }

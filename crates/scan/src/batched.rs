@@ -8,7 +8,8 @@
 //!   tile-local scans of *two* batch rows interleaved, and the core's two
 //!   vector cores each complete the propagation of one of the rows.
 //! * [`batched_scanul1`] extends ScanUL1: each AI core runs the full
-//!   single-core ScanUL1 pipeline on whole rows assigned round-robin.
+//!   ScanUL1 pipeline on whole rows assigned round-robin. Single-core
+//!   [`crate::scanul1`] is this body at batch 1.
 //!
 //! Fig. 5's finding reproduces from these schedules: ScanU-batched wins
 //! for many short rows (its per-row pipeline has lower latency and uses
@@ -16,44 +17,33 @@
 //! steady-state per-element cost is lower, but only one row per AI core
 //! progresses at a time).
 
+use crate::stage::{check_tile, propagate_rows, CubePass, HandOffs, Ul1Pass};
 use crate::triangular::ScanConstants;
 use crate::util::tile_spans;
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
+    launch, ChipSpec, Core, EventTime, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs,
+    TQue,
 };
 use dtypes::{CubeInput, Numeric};
 use std::sync::Arc;
 
-fn check_batched_args(
-    spec: &ChipSpec,
-    total: usize,
-    batch: usize,
-    len: usize,
-    s: usize,
-    what: &str,
-) -> SimResult<()> {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "{what}: s must be a positive multiple of 16, got {s}"
-        )));
-    }
+fn check_shape(what: &str, total: usize, batch: usize, len: usize) -> SimResult<()> {
     if batch == 0 || len == 0 || batch * len != total {
         return Err(SimError::InvalidArgument(format!(
             "{what}: batch {batch} x len {len} does not match tensor of {total} elements"
         )));
     }
-    let _ = spec;
     Ok(())
 }
 
 /// Batched scan based on ScanU (Algorithm 1): rows are processed in
 /// pairs per AI core — the cube interleaves both rows' tiles and each
-/// vector core owns one row of the pair.
+/// vector core owns one row of the pair (a chip with one vector core
+/// per AI core takes the rows one at a time).
 ///
 /// `x` holds `batch` rows of `len` elements, row-major.
-#[allow(clippy::needless_range_loop)]
 pub fn batched_scanu<T, O>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -66,115 +56,60 @@ where
     T: CubeInput,
     O: Numeric,
 {
-    check_batched_args(spec, x.len(), batch, len, s, "batched ScanU")?;
+    let what = "batched ScanU";
+    check_tile(what, s)?;
+    check_shape(what, x.len(), batch, len)?;
+    // The cube alternates lanes within a tile while each vector core
+    // drains one lane sequentially, so the flag-id space is split per
+    // lane: within a lane, set order equals wait order.
+    let group = spec.vec_per_core.min(2);
+    let hand = HandOffs::new(what, spec, group)?;
+    let group = group as usize;
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, batch * len)?;
     let spans = tile_spans(len, l);
-    let pairs = batch.div_ceil(2);
-    let blocks = (spec.ai_cores as usize).min(pairs) as u32;
+    let groups = batch.div_ceil(group);
+    let blocks = (spec.ai_cores as usize).min(groups) as u32;
 
     let mut report = launch(spec, gm, blocks, "BatchedScanU", |ctx| {
         let block = ctx.block_idx as usize;
         let nblocks = ctx.block_dim as usize;
-        let vec_per_core = ctx.vecs.len();
-        // Rows handled by this block: pairs assigned round-robin.
-        let my_pairs: Vec<usize> = (block..pairs).step_by(nblocks).collect();
+        // Row groups handled by this block, assigned round-robin; the
+        // lanes of group `g` are rows `g · group + lane`.
+        let my_groups: Vec<usize> = (block..groups).step_by(nblocks).collect();
+        let lanes = |g: usize| {
+            (0..group)
+                .map(move |lane| (lane, g * group + lane))
+                .filter(|&(_, row)| row < batch)
+        };
 
-        // ---- Cube core: interleave the pair's rows tile by tile. ----
-        // The cube alternates lanes within a tile while each vector core
-        // drains one lane sequentially, so the flag-id space is split in
-        // half per lane: within a lane, set order equals wait order, and
-        // the per-id FIFO keeps the pairs aligned.
+        // ---- Cube core: interleave the group's rows tile by tile. ----
         let phase = ctx.span_begin("CubePairedTileScans");
-        let half = ctx.flags.limit() / 2;
-        let mut fid: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); vec_per_core]; my_pairs.len()];
-        {
-            let flags = &ctx.flags;
-            let cube = &mut ctx.cube;
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-            cube.copy_in(&mut lb, 0, &consts.upper, 0, l, &[])?;
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, 2, l)?.named("qa(L0A)");
-            let mut qc = TQue::<T::Acc>::new(cube, ScratchpadKind::L0C, 2, l)?.named("qc(L0C)");
-            for (pi, &pair) in my_pairs.iter().enumerate() {
-                for &(off, valid) in &spans {
-                    for lane in 0..vec_per_core.min(2) {
-                        let row = pair * 2 + lane;
-                        if row >= batch {
-                            continue;
-                        }
-                        let base = row * len;
-                        let rows = valid.div_ceil(s);
-                        let tile = cube.span_begin("tile");
-                        let mut la = qa.alloc_tensor()?;
-                        if valid < rows * s {
-                            cube.fill_local(&mut la, 0, rows * s, T::zero())?;
-                        }
-                        cube.copy_in(&mut la, 0, x, base + off, valid, &[])?;
-                        let mut lc = qc.alloc_tensor()?;
-                        let mm = cube.mmad::<T>(&mut lc, &mut la, &mut lb, rows, s, s, false)?;
-                        qa.free_tensor(la, mm);
-                        let ev =
-                            cube.copy_out_cast::<T::Acc, O>(&y, base + off, &lc, 0, valid, &[])?;
-                        qc.free_tensor(lc, ev);
-                        cube.span_args(
-                            tile,
-                            SpanArgs {
-                                bytes: (valid * (T::SIZE + O::SIZE)) as u64,
-                                kind: "mmad",
-                                queue_depth: 2,
-                            },
-                        );
-                        cube.span_end_at(tile, ev);
-                        let k: usize = fid[..=pi].iter().map(|p| p[lane].len()).sum();
-                        let id = lane as u32 * half + (k as u32 % half);
-                        cube.set_flag(flags, id, &[ev])?;
-                        fid[pi][lane].push(id);
-                    }
+        let cube = &mut ctx.cube;
+        let mut pass = CubePass::new(cube, &consts.upper, s)?;
+        for (gi, &g) in my_groups.iter().enumerate() {
+            for (t, &(off, valid)) in spans.iter().enumerate() {
+                for (lane, row) in lanes(g) {
+                    let ev = pass.scan_tile(cube, x, &y, row * len + off, valid)?;
+                    hand.set(cube, &ctx.flags, lane, gi * spans.len() + t, ev)?;
                 }
             }
-            cube.free_local(lb)?;
-            qa.destroy(cube)?;
-            qc.destroy(cube)?;
         }
+        pass.finish(cube)?;
         ctx.span_end(phase);
 
-        // ---- Vector cores: one row of each pair per core. ----
+        // ---- Vector cores: one row of each group per core. ----
         let phase = ctx.span_begin("VecPropagation");
-        for lane in 0..vec_per_core.min(2) {
-            let flags = &ctx.flags;
+        for lane in 0..group {
             let vc = &mut ctx.vecs[lane];
             let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, 2, l)?.named("q(UB)");
-            for (pi, &pair) in my_pairs.iter().enumerate() {
-                let row = pair * 2 + lane;
-                if row >= batch {
-                    continue;
-                }
-                let base = row * len;
-                let mut partial = O::zero();
-                let mut partial_ready = 0;
-                for (t, &(off, valid)) in spans.iter().enumerate() {
-                    let tile = vc.span_begin("tile");
-                    let ready = vc.wait_flag(flags, fid[pi][lane][t])?;
-                    let mut buf = q.alloc_tensor()?;
-                    vc.copy_in(&mut buf, 0, &y, base + off, valid, &[ready])?;
-                    for (row_off, row_len) in tile_spans(valid, s) {
-                        vc.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                        let (p, pr) = vc.extract(&buf, row_off + row_len - 1)?;
-                        partial = p;
-                        partial_ready = pr;
-                    }
-                    let ev = vc.copy_out(&y, base + off, &buf, 0, valid, &[])?;
-                    q.free_tensor(buf, ev);
-                    vc.span_args(
-                        tile,
-                        SpanArgs {
-                            bytes: (2 * valid * O::SIZE) as u64,
-                            kind: "vadds",
-                            queue_depth: 2,
-                        },
-                    );
-                    vc.span_end_at(tile, ev);
+            for (gi, &g) in my_groups.iter().enumerate() {
+                let row = g * group + lane;
+                if row < batch {
+                    let first = gi * spans.len();
+                    let wait = |vc: &mut Core<'_>, t| hand.wait(vc, &ctx.flags, lane, first + t);
+                    propagate_row(vc, &mut q, &y, row * len, &spans, s, wait)?;
                 }
             }
             q.destroy(vc)?;
@@ -201,129 +136,109 @@ where
     T: CubeInput,
     O: Numeric,
 {
-    check_batched_args(spec, x.len(), batch, len, s, "batched ScanUL1")?;
+    check_shape("batched ScanUL1", x.len(), batch, len)?;
+    ul1_rows(spec, gm, x, batch, len, s, "BatchedScanUL1")
+}
+
+/// The batched ScanUL1 body, launched as kernel `name`: rows go
+/// round-robin to the AI cores, whose cube runs [`Ul1Pass`] over each
+/// row's tiles and whose first vector core adds one running partial per
+/// tile. Single-core ScanUL1 is this body at batch 1.
+pub(crate) fn ul1_rows<T, O>(
+    spec: &ChipSpec,
+    gm: &Arc<GlobalMemory>,
+    x: &GlobalTensor<T>,
+    batch: usize,
+    len: usize,
+    s: usize,
+    name: &str,
+) -> SimResult<ScanRun<O>>
+where
+    T: CubeInput,
+    O: Numeric,
+{
+    check_tile(name, s)?;
+    // Tile hand-offs cycle the chip's flag registers in (row, tile)
+    // order; the single vector core waits in the same order.
+    let hand = HandOffs::new(name, spec, 1)?;
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, batch * len)?;
     let spans = tile_spans(len, l);
     let blocks = (spec.ai_cores as usize).min(batch) as u32;
 
-    let mut report = launch(spec, gm, blocks, "BatchedScanUL1", |ctx| {
+    let mut report = launch(spec, gm, blocks, name, |ctx| {
         let block = ctx.block_idx as usize;
         let nblocks = ctx.block_dim as usize;
         let my_rows: Vec<usize> = (block..batch).step_by(nblocks).collect();
 
-        // Tile hand-offs cycle the chip's flag registers in (row, tile)
-        // order; the single vector core waits in the same order, so the
-        // per-id FIFOs stay aligned.
         let phase = ctx.span_begin("CubeThreeMatmuls");
-        let flag_ids = ctx.flags.limit();
-        let nspans = spans.len();
-        {
-            let flags = &ctx.flags;
-            let cube = &mut ctx.cube;
-            let mut l1_u = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            let mut l1_lm = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            let mut l1_ones = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            cube.copy_in(&mut l1_u, 0, &consts.upper, 0, l, &[])?;
-            cube.copy_in(&mut l1_lm, 0, &consts.strict_lower, 0, l, &[])?;
-            cube.copy_in(&mut l1_ones, 0, &consts.ones, 0, l, &[])?;
-            let mut l1_c1 = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, 2, l)?.named("qa(L0A)");
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-            let mut c1 = cube.alloc_local::<T::Acc>(ScratchpadKind::L0C, l)?;
-            let mut c2 = cube.alloc_local::<T::Acc>(ScratchpadKind::L0C, l)?;
-
-            for (ri, &row) in my_rows.iter().enumerate() {
-                let base = row * len;
-                for (t, &(off, valid)) in spans.iter().enumerate() {
-                    let tile = cube.span_begin("tile");
-                    let mut la = qa.alloc_tensor()?;
-                    if valid < l {
-                        cube.fill_local(&mut la, 0, l, T::zero())?;
-                    }
-                    cube.copy_in(&mut la, 0, x, base + off, valid, &[])?;
-
-                    cube.copy_local(&mut lb, 0, &l1_ones, 0, l)?;
-                    cube.mmad::<T>(&mut c1, &mut la, &mut lb, s, s, s, false)?;
-                    cube.copy_local_cast::<T::Acc, T>(&mut l1_c1, 0, &c1, 0, l)?;
-
-                    cube.copy_local(&mut lb, 0, &l1_u, 0, l)?;
-                    let mm2 = cube.mmad::<T>(&mut c2, &mut la, &mut lb, s, s, s, false)?;
-                    qa.free_tensor(la, mm2);
-
-                    let mut la2 = qa.alloc_tensor()?;
-                    cube.copy_local(&mut la2, 0, &l1_lm, 0, l)?;
-                    cube.copy_local(&mut lb, 0, &l1_c1, 0, l)?;
-                    let mm3 = cube.mmad::<T>(&mut c2, &mut la2, &mut lb, s, s, s, true)?;
-                    qa.free_tensor(la2, mm3);
-
-                    let ev = cube.copy_out_cast::<T::Acc, O>(&y, base + off, &c2, 0, valid, &[])?;
-                    cube.span_args(
-                        tile,
-                        SpanArgs {
-                            bytes: (valid * (T::SIZE + O::SIZE)) as u64,
-                            kind: "mmad3",
-                            queue_depth: 2,
-                        },
-                    );
-                    cube.span_end_at(tile, ev);
-                    cube.set_flag(flags, (ri * nspans + t) as u32 % flag_ids, &[ev])?;
-                }
+        let cube = &mut ctx.cube;
+        let mut pass = Ul1Pass::new(cube, &consts)?;
+        for (ri, &row) in my_rows.iter().enumerate() {
+            for (t, &(off, valid)) in spans.iter().enumerate() {
+                let ev = pass.scan_tile(cube, x, &y, row * len + off, valid)?;
+                hand.set(cube, &ctx.flags, 0, ri * spans.len() + t, ev)?;
             }
-            cube.free_local(c2)?;
-            cube.free_local(c1)?;
-            cube.free_local(lb)?;
-            cube.free_local(l1_c1)?;
-            cube.free_local(l1_ones)?;
-            cube.free_local(l1_lm)?;
-            cube.free_local(l1_u)?;
-            qa.destroy(cube)?;
         }
+        pass.finish(cube)?;
         ctx.span_end(phase);
 
+        // ---- Vector core: one partial add per tile (Lines 14-18). ----
         // One vector core per AI core completes the rows (the second
         // vector core is idle — the schedule's known inefficiency that
         // Fig. 5 exposes for large batch counts).
         let phase = ctx.span_begin("VecPropagation");
-        {
-            let flags = &ctx.flags;
-            let vc = &mut ctx.vecs[0];
-            let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, 2, l)?.named("q(UB)");
-            for (ri, &row) in my_rows.iter().enumerate() {
-                let base = row * len;
-                let mut partial = O::zero();
-                let mut partial_ready = 0;
-                for (t, &(off, valid)) in spans.iter().enumerate() {
-                    let tile = vc.span_begin("tile");
-                    let ready = vc.wait_flag(flags, (ri * nspans + t) as u32 % flag_ids)?;
-                    let mut buf = q.alloc_tensor()?;
-                    vc.copy_in(&mut buf, 0, &y, base + off, valid, &[ready])?;
-                    vc.vadds(&mut buf, 0, valid, partial, partial_ready)?;
-                    let (p, pr) = vc.extract(&buf, valid - 1)?;
-                    partial = p;
-                    partial_ready = pr;
-                    let ev = vc.copy_out(&y, base + off, &buf, 0, valid, &[])?;
-                    q.free_tensor(buf, ev);
-                    vc.span_args(
-                        tile,
-                        SpanArgs {
-                            bytes: (2 * valid * O::SIZE) as u64,
-                            kind: "vadds",
-                            queue_depth: 2,
-                        },
-                    );
-                    vc.span_end_at(tile, ev);
-                }
-            }
-            q.destroy(vc)?;
+        let vc = &mut ctx.vecs[0];
+        let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, 2, l)?.named("q(UB)");
+        for (ri, &row) in my_rows.iter().enumerate() {
+            let first = ri * spans.len();
+            let wait = |vc: &mut Core<'_>, t| hand.wait(vc, &ctx.flags, 0, first + t);
+            propagate_row(vc, &mut q, &y, row * len, &spans, l, wait)?;
         }
+        q.destroy(vc)?;
         ctx.span_end(phase);
         Ok(())
     })?;
 
     finish_report(&mut report, batch * len, T::SIZE, O::SIZE);
     Ok(ScanRun { y, report })
+}
+
+/// The vector side of one batch row at `y[base..]`: per tile, wait for
+/// the cube's hand-off of the row's `t`-th tile (`wait`), load the tile,
+/// carry the row's running partial through it in `seg`-element segments
+/// (`s` after ScanU's row scans, `ℓ` after ScanUL1's full tile scans)
+/// and store it back.
+fn propagate_row<O: Numeric>(
+    vc: &mut Core<'_>,
+    q: &mut TQue<O>,
+    y: &GlobalTensor<O>,
+    base: usize,
+    spans: &[(usize, usize)],
+    seg: usize,
+    wait: impl Fn(&mut Core<'_>, usize) -> SimResult<EventTime>,
+) -> SimResult<()> {
+    let mut carry = (O::zero(), 0);
+    for (t, &(off, valid)) in spans.iter().enumerate() {
+        let tile = vc.span_begin("tile");
+        let ready = wait(vc, t)?;
+        let mut buf = q.alloc_tensor()?;
+        vc.copy_in(&mut buf, 0, y, base + off, valid, &[ready])?;
+        propagate_rows(vc, &mut buf, valid, seg, &mut carry)?;
+        let ev = vc.copy_out(y, base + off, &buf, 0, valid, &[])?;
+        q.free_tensor(buf, ev);
+        vc.span_args(
+            tile,
+            SpanArgs {
+                bytes: (2 * valid * O::SIZE) as u64,
+                kind: "vadds",
+                queue_depth: 2,
+            },
+        );
+        vc.span_end_at(tile, ev);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

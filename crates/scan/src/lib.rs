@@ -11,7 +11,8 @@
 //!   row-local scans, one vector core propagates partials per `s`-row.
 //! * [`scanul1::scanul1`] — **ScanUL1** (Algorithm 2): the cube evaluates
 //!   `scan(z) = A@U + L⁻@A@1` per `s²` tile using the accumulation
-//!   buffer; the vector core adds one partial per tile.
+//!   buffer; the vector core adds one partial per tile. It is the
+//!   batched ScanUL1 body at batch 1.
 //! * [`mcscan::mcscan`] — **MCScan** (Algorithm 3): a multi-core scan in
 //!   the Scan-Scan-Add family with *partial recomputation*: in phase 1
 //!   cube cores write tile-local scans while vector cores independently
@@ -29,8 +30,19 @@
 //!   per dtype path, read off the committed `traffic` sweep.
 //! * [`batched`] — batched variants of ScanU and ScanUL1 for
 //!   multi-dimensional inputs.
+//! * [`ablation`] — MCScan's classic competitors (strided totals, SSA,
+//!   RSS), run on MCScan's own launch layout and stages.
+//! * [`reduce`] — cube (`A @ 1_s`) and vector-only sum reductions.
 //! * [`baseline::cumsum_vec_only`] — the vector-only `CumSum` kernel
 //!   standing in for the AscendC CumSum API / `torch.cumsum` baseline.
+//!
+//! Every kernel is assembled from one crate-private toolkit, the `stage`
+//! module: the cube tile pass (L0B constant, adaptive L0A/L0C queues,
+//! zero-padded load, `mmad`, caller-supplied store), ScanUL1's
+//! three-matmul tile, row propagation (`Adds` + `extract` per `s`-row),
+//! chunk reduction (`vcast` + `ReduceSum` into `r[chunk]`) with the
+//! chunk-offset read of `r[..chunk]`, the flag-id layout of the per-tile
+//! cube→vector hand-offs, and the one `s`/grid validator.
 //!
 //! Functional results are bit-exact products of the simulated engines;
 //! performance comes from the simulator's timing model ([`KernelReport`]).
@@ -47,6 +59,7 @@ pub mod reference;
 pub mod scanc;
 pub mod scanu;
 pub mod scanul1;
+pub(crate) mod stage;
 pub mod triangular;
 pub(crate) mod util;
 

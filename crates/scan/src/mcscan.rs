@@ -20,14 +20,19 @@
 //! operator's `2·N` useful bytes, which is what caps MCScan at ≈ 3/8 of
 //! peak memory bandwidth (the paper's 37.5%).
 
+use crate::stage::{
+    check_blocks, check_tile, chunk_offset, propagate_rows, reduce_chunk, CubePass, HandOffs,
+};
 use crate::triangular::ScanConstants;
 use crate::util::{partition, tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
+    launch, BlockCtx, ChipSpec, Core, EventTime, FlagFile, GlobalTensor, ScratchpadKind, SimResult,
+    SpanArgs, TQue,
 };
 use dtypes::{CubeInput, Element, Numeric, F16};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Inclusive vs. exclusive scan.
@@ -100,222 +105,238 @@ where
     M: Numeric,
     O: Numeric,
 {
-    if cfg.s == 0 || !cfg.s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "MCScan: s must be a positive multiple of 16, got {}",
-            cfg.s
-        )));
-    }
-    if cfg.blocks == 0 {
-        return Err(SimError::InvalidArgument(format!(
-            "MCScan: blocks must be at least 1 (grids beyond the chip's {} AI \
-             cores wave-multiplex onto the physical slots)",
-            spec.ai_cores
-        )));
-    }
-    let n = x.len();
-    let s = cfg.s;
-    let l = s * s;
-    let consts = ScanConstants::<T>::upload(gm, s)?;
-    let y = GlobalTensor::<O>::new(gm, n)?;
-    // Tile-local scans land here in the (possibly narrower) intermediate
-    // type; the paper's kernel writes them into the output buffer, which
-    // is the same traffic.
-    let w = GlobalTensor::<M>::new(gm, n)?;
+    McLayout::<T, M, O>::new("MCScan", spec, gm, x, cfg, None)?.launch(
+        spec,
+        gm,
+        // Phase I (Lines 4-14): the cube cores write tile-local scans
+        // while the vector cores recompute the chunk reductions from x.
+        |mc, ctx| {
+            let range = mc.block_tiles(ctx);
+            mc.cube_scans(&mut ctx.cube, x, range, None)?;
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                reduce_chunk(vc, x, mc.chunk(chunk), mc.l, &mc.r, chunk)?;
+            }
+            Ok(())
+        },
+        // Phase II (Lines 16-26): each vector core scans r's prefix in
+        // UB and propagates it through its chunk's tile-local scans.
+        |mc, ctx| {
+            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                let offset = chunk_offset(vc, &mc.r, chunk)?;
+                mc.propagate(vc, chunk, cfg.kind, offset, None)?;
+            }
+            Ok(())
+        },
+    )
+}
 
-    // Chunk layout: one chunk per vector core, at tile granularity.
-    let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
-    let tiles = tile_spans(n, l);
-    let chunk_tiles = partition(tiles.len(), chunks_total);
-    // The reduction array r, one entry per chunk (Line 3).
-    let r = GlobalTensor::<O>::new(gm, chunks_total)?;
+/// Each vector core of block `block` with the chunk it owns
+/// (`block · vec_per_core + v`).
+pub(crate) fn chunk_cores<'c, 'a>(
+    block: u32,
+    vecs: &'c mut [Core<'a>],
+) -> impl Iterator<Item = (usize, &'c mut Core<'a>)> {
+    let first = block as usize * vecs.len();
+    vecs.iter_mut()
+        .enumerate()
+        .map(move |(v, vc)| (first + v, vc))
+}
 
-    let mut report = launch(spec, gm, cfg.blocks, "MCScan", |ctx| {
+/// The launch layout MCScan shares with its ablation variants: the scan
+/// constants, the output `y`, the intermediate `w` the tile-local scans
+/// land in, the reduction array `r` (one entry per chunk, Line 3) and the
+/// chunk layout — one chunk per vector core, at tile granularity.
+pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
+    name: &'static str,
+    n: usize,
+    pub(crate) s: usize,
+    pub(crate) l: usize,
+    blocks: u32,
+    consts: ScanConstants<T>,
+    pub(crate) y: GlobalTensor<O>,
+    pub(crate) w: GlobalTensor<M>,
+    pub(crate) r: GlobalTensor<O>,
+    pub(crate) tiles: Vec<(usize, usize)>,
+    chunk_tiles: Vec<(usize, usize)>,
+}
+
+impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
+    /// Validates `cfg` for kernel `name` (grids above `max_blocks` are
+    /// rejected; `None` wave-multiplexes any grid) and allocates the
+    /// launch's tensors.
+    pub(crate) fn new(
+        name: &'static str,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        x: &GlobalTensor<T>,
+        cfg: McScanConfig,
+        max_blocks: Option<u32>,
+    ) -> SimResult<Self> {
+        check_tile(name, cfg.s)?;
+        check_blocks(name, cfg.blocks, max_blocks)?;
+        let (n, s) = (x.len(), cfg.s);
+        let l = s * s;
+        let consts = ScanConstants::<T>::upload(gm, s)?;
+        let y = GlobalTensor::<O>::new(gm, n)?;
+        // Tile-local scans land here in the (possibly narrower)
+        // intermediate type; the paper's kernel writes them into the
+        // output buffer, which is the same traffic.
+        let w = GlobalTensor::<M>::new(gm, n)?;
+        let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
+        let tiles = tile_spans(n, l);
+        let chunk_tiles = partition(tiles.len(), chunks_total);
+        let r = GlobalTensor::<O>::new(gm, chunks_total)?;
+        Ok(McLayout {
+            name,
+            n,
+            s,
+            l,
+            blocks: cfg.blocks,
+            consts,
+            y,
+            w,
+            r,
+            tiles,
+            chunk_tiles,
+        })
+    }
+
+    /// Launches the two-phase skeleton: `phase1` per block, a `SyncAll`
+    /// (Line 15), then `phase2`, each inside its phase span.
+    pub(crate) fn launch(
+        self,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        phase1: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
+        phase2: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
+    ) -> SimResult<ScanRun<O>> {
+        let mut report = launch(spec, gm, self.blocks, self.name, |ctx| {
+            let phase = ctx.span_begin("Phase I");
+            phase1(&self, ctx)?;
+            ctx.span_end(phase);
+            ctx.sync_all()?;
+            let phase = ctx.span_begin("Phase II");
+            phase2(&self, ctx)?;
+            ctx.span_end(phase);
+            Ok(())
+        })?;
+        finish_report(&mut report, self.n, T::SIZE, O::SIZE);
+        Ok(ScanRun { y: self.y, report })
+    }
+
+    /// The tile range of chunk `chunk`.
+    pub(crate) fn chunk_range(&self, chunk: usize) -> Range<usize> {
+        let (t0, count) = self.chunk_tiles[chunk];
+        t0..t0 + count
+    }
+
+    /// The tiles of chunk `chunk`.
+    pub(crate) fn chunk(&self, chunk: usize) -> &[(usize, usize)] {
+        &self.tiles[self.chunk_range(chunk)]
+    }
+
+    /// The contiguous tile range of the block's chunks.
+    pub(crate) fn block_tiles(&self, ctx: &BlockCtx<'_>) -> Range<usize> {
+        let vpc = ctx.vecs.len();
         let block = ctx.block_idx as usize;
-        let vec_per_core = ctx.vecs.len();
-        // ---------------- Phase I (Lines 4-14) ----------------
-        let phase1 = ctx.span_begin("Phase I");
-        // Cube core: tile-local scans over this block's chunks.
-        {
-            let cube = &mut ctx.cube;
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-            cube.copy_in(&mut lb, 0, &consts.upper, 0, l, &[])?;
-            // Double-buffer L0A/L0C when the element width allows two
-            // tiles (fp16/int8); fall back to single buffering for f32.
-            let da = if 2 * l * T::SIZE <= cube.spec().l0a_capacity {
-                2
-            } else {
-                1
-            };
-            let dc = if 2 * l * <T::Acc as dtypes::Element>::SIZE <= cube.spec().l0c_capacity {
-                2
-            } else {
-                1
-            };
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, da, l)?.named("qa(L0A)");
-            let mut qc = TQue::<T::Acc>::new(cube, ScratchpadKind::L0C, dc, l)?.named("qc(L0C)");
-            for v in 0..vec_per_core {
-                let (t0, tcount) = chunk_tiles[block * vec_per_core + v];
-                for &(off, valid) in &tiles[t0..t0 + tcount] {
-                    let rows = valid.div_ceil(s);
-                    let tile = cube.span_begin("tile");
-                    let mut la = qa.alloc_tensor()?;
-                    if valid < rows * s {
-                        cube.fill_local(&mut la, 0, rows * s, T::zero())?;
-                    }
-                    cube.copy_in(&mut la, 0, x, off, valid, &[])?;
-                    let mut lc = qc.alloc_tensor()?;
-                    let mm = cube.mmad::<T>(&mut lc, &mut la, &mut lb, rows, s, s, false)?;
-                    qa.free_tensor(la, mm);
-                    let ev = cube.copy_out_cast::<T::Acc, M>(&w, off, &lc, 0, valid, &[])?;
-                    qc.free_tensor(lc, ev);
-                    cube.span_args(
-                        tile,
-                        SpanArgs {
-                            bytes: (valid * (T::SIZE + M::SIZE)) as u64,
-                            kind: "mmad",
-                            queue_depth: da as u32,
-                        },
-                    );
-                    cube.span_end_at(tile, ev);
-                }
+        let first = self.chunk_range(block * vpc);
+        first.start..self.chunk_range(block * vpc + vpc - 1).end
+    }
+
+    /// The cube stage: tile-local scans (`A @ U_s`) of `range` into `w`.
+    /// With `hand`, each tile is handed to the vector cores under its
+    /// tile index.
+    pub(crate) fn cube_scans(
+        &self,
+        cube: &mut Core<'_>,
+        x: &GlobalTensor<T>,
+        range: Range<usize>,
+        hand: Option<(&FlagFile, HandOffs)>,
+    ) -> SimResult<()> {
+        let mut pass = CubePass::new(cube, &self.consts.upper, self.s)?;
+        for t in range {
+            let (off, valid) = self.tiles[t];
+            let ev = pass.scan_tile(cube, x, &self.w, off, valid)?;
+            if let Some((flags, hand)) = hand {
+                hand.set(cube, flags, 0, t, ev)?;
             }
-            cube.free_local(lb)?;
-            qa.destroy(cube)?;
-            qc.destroy(cube)?;
         }
-        // Vector cores: recompute the block (chunk) reductions from x.
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
-            let (t0, tcount) = chunk_tiles[chunk];
-            let vc = &mut ctx.vecs[v];
-            let din = if 2 * l * T::SIZE + l * O::SIZE + 64 <= vc.spec().ub_capacity {
-                2
-            } else {
-                1
+        pass.finish(cube)
+    }
+
+    /// The propagation stage: streams chunk `chunk`'s tile-local scans
+    /// from `w`, widens them to `O`, carries the running partial (from
+    /// `carry`) through them row by row and stores the `kind` scan to
+    /// `y`. With `hand`, each tile first waits for its hand-off.
+    /// Returns the final partial — the chunk's inclusive total.
+    pub(crate) fn propagate(
+        &self,
+        vc: &mut Core<'_>,
+        chunk: usize,
+        kind: ScanKind,
+        mut carry: (O, EventTime),
+        hand: Option<(&FlagFile, HandOffs)>,
+    ) -> SimResult<(O, EventTime)> {
+        let (s, l) = (self.s, self.l);
+        // Double-buffer the staging queue when UB has room for two
+        // intermediate tiles next to the propagation buffer; fall back
+        // to single buffering for wide intermediates (the propagation
+        // is bandwidth-bound either way).
+        let ub = vc.spec().ub_capacity;
+        let depth = if 2 * l * M::SIZE + l * O::SIZE + 64 <= ub {
+            2
+        } else {
+            1
+        };
+        let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?.named("q(UB)");
+        let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
+        let mut boundary = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
+        for t in self.chunk_range(chunk) {
+            let (off, valid) = self.tiles[t];
+            let tile = vc.span_begin("tile");
+            let ready = match hand {
+                Some((flags, hand)) => Some(hand.wait(vc, flags, 0, t)?),
+                None => None,
             };
-            let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, din, l)?.named("qin(UB)");
-            let mut acc_buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-            let mut total = O::zero();
-            let mut total_ready = 0;
-            for &(off, valid) in &tiles[t0..t0 + tcount] {
-                let tile = vc.span_begin("tile");
-                let mut piece = qin.alloc_tensor()?;
-                vc.copy_in(&mut piece, 0, x, off, valid, &[])?;
-                // Widen to the output domain before reducing (int8 masks
-                // would overflow their own type).
-                let cast_done = vc.vcast::<T, O>(&mut acc_buf, &piece, 0, valid)?;
-                qin.free_tensor(piece, cast_done);
-                let (sum, ready) = vc.reduce_sum(&acc_buf, 0, valid)?;
-                total = total.add(sum);
-                total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
-                vc.span_args(
-                    tile,
-                    SpanArgs {
-                        bytes: (valid * T::SIZE) as u64,
-                        kind: "reduce",
-                        queue_depth: din as u32,
-                    },
-                );
-                vc.span_end_at(tile, total_ready);
+            let mut piece = q.alloc_tensor()?;
+            vc.copy_in(&mut piece, 0, &self.w, off, valid, ready.as_slice())?;
+            let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
+            q.free_tensor(piece, cast_done);
+            if kind == ScanKind::Exclusive {
+                // The tile's first exclusive output is the running
+                // partial itself; writing it from this core keeps every
+                // store inside the core's own span (§4.3's shifted
+                // write, without a cross-block boundary hazard). For the
+                // very first tile this also writes the required y[0] = 0.
+                vc.insert(&mut boundary, 0, carry.0, carry.1)?;
+                vc.copy_out(&self.y, off, &boundary, 0, 1, &[])?;
             }
-            // Write r[chunk] (Line 13).
-            let mut one = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, total, total_ready)?;
-            vc.copy_out(&r, chunk, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(acc_buf)?;
-            qin.destroy(vc)?;
-        }
-        ctx.span_end(phase1);
-
-        // ---------------- SyncAll (Line 15) ----------------
-        ctx.sync_all()?;
-
-        // ---------------- Phase II (Lines 16-26) ----------------
-        let phase2 = ctx.span_begin("Phase II");
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
-            let (t0, tcount) = chunk_tiles[chunk];
-            let vc = &mut ctx.vecs[v];
-            // Load r into UB and scan its prefix for this chunk.
-            let mut r_ub = vc.alloc_local::<O>(ScratchpadKind::Ub, chunks_total)?;
-            vc.copy_in(&mut r_ub, 0, &r, 0, chunks_total, &[])?;
-            let (mut partial, mut partial_ready) = if chunk == 0 {
-                (O::zero(), 0)
-            } else {
-                vc.reduce_sum(&r_ub, 0, chunk)?
-            };
-            vc.free_local(r_ub)?;
-
-            // Double-buffer the staging queue when UB has room for two
-            // intermediate tiles next to the propagation buffer; fall
-            // back to single buffering for wide intermediates (the
-            // propagation is bandwidth-bound either way).
-            let ub = vc.spec().ub_capacity;
-            let depth = if 2 * l * M::SIZE + l * O::SIZE + 64 <= ub {
-                2
-            } else {
-                1
-            };
-            let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?.named("q(UB)");
-            let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-            let mut boundary = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
-            for &(off, valid) in &tiles[t0..t0 + tcount] {
-                let tile = vc.span_begin("tile");
-                let mut piece = q.alloc_tensor()?;
-                vc.copy_in(&mut piece, 0, &w, off, valid, &[])?;
-                let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
-                q.free_tensor(piece, cast_done);
-                if cfg.kind == ScanKind::Exclusive {
-                    // The tile's first exclusive output is the running
-                    // partial itself; writing it from this core keeps
-                    // every store inside the core's own span (§4.3's
-                    // shifted write, without a cross-block boundary
-                    // hazard). For the very first tile this also writes
-                    // the required y[0] = 0.
-                    vc.insert(&mut boundary, 0, partial, partial_ready)?;
-                    vc.copy_out(&y, off, &boundary, 0, 1, &[])?;
+            propagate_rows(vc, &mut buf, valid, s, &mut carry)?;
+            let out_done = match kind {
+                ScanKind::Inclusive => vc.copy_out(&self.y, off, &buf, 0, valid, &[])?,
+                // Shift right by one within the tile; the tile's last
+                // inclusive value is carried to the next tile through
+                // `carry` instead of the store.
+                ScanKind::Exclusive if valid > 1 => {
+                    vc.copy_out(&self.y, off + 1, &buf, 0, valid - 1, &[])?
                 }
-                for (row_off, row_len) in tile_spans(valid, s) {
-                    vc.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                    let (p, pr) = vc.extract(&buf, row_off + row_len - 1)?;
-                    partial = p;
-                    partial_ready = pr;
-                }
-                let out_done = match cfg.kind {
-                    ScanKind::Inclusive => vc.copy_out(&y, off, &buf, 0, valid, &[])?,
-                    ScanKind::Exclusive => {
-                        // Shift right by one within the tile; the tile's
-                        // last inclusive value is carried to the next
-                        // tile through `partial` instead of the store.
-                        if valid > 1 {
-                            vc.copy_out(&y, off + 1, &buf, 0, valid - 1, &[])?
-                        } else {
-                            partial_ready
-                        }
-                    }
-                };
-                vc.span_args(
-                    tile,
-                    SpanArgs {
-                        bytes: (valid * (M::SIZE + O::SIZE)) as u64,
-                        kind: "propagate",
-                        queue_depth: depth as u32,
-                    },
-                );
-                vc.span_end_at(tile, out_done);
-            }
-            vc.free_local(boundary)?;
-            vc.free_local(buf)?;
-            q.destroy(vc)?;
+                ScanKind::Exclusive => carry.1,
+            };
+            vc.span_args(
+                tile,
+                SpanArgs {
+                    bytes: (valid * (M::SIZE + O::SIZE)) as u64,
+                    kind: "propagate",
+                    queue_depth: depth as u32,
+                },
+            );
+            vc.span_end_at(tile, out_done);
         }
-        ctx.span_end(phase2);
-        Ok(())
-    })?;
-
-    finish_report(&mut report, n, T::SIZE, O::SIZE);
-    Ok(ScanRun { y, report })
+        vc.free_local(boundary)?;
+        vc.free_local(buf)?;
+        q.destroy(vc)?;
+        Ok(carry)
+    }
 }
 
 #[cfg(test)]

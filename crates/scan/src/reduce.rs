@@ -17,13 +17,14 @@
 //! i32 for int8) using the same pairwise lane-tree semantics as the
 //! hardware reduction.
 
+use crate::stage::{
+    check_blocks, check_tile, chunk_offset, reduce_chunk, store_scalar, CubePass, HandOffs,
+};
 use crate::triangular::ScanConstants;
 use crate::util::{partition, tile_spans};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
-use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
-};
+use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{CubeInput, Element, Numeric};
 use std::sync::Arc;
 
@@ -48,21 +49,15 @@ pub fn reduce_cube<T>(
 where
     T: CubeInput,
 {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "reduce_cube: s must be a positive multiple of 16, got {s}"
-        )));
-    }
-    if blocks == 0 || blocks > spec.ai_cores {
-        return Err(SimError::InvalidArgument(format!(
-            "reduce_cube: blocks {blocks} out of range 1..={}",
-            spec.ai_cores
-        )));
-    }
+    check_tile("reduce_cube", s)?;
+    check_blocks("reduce_cube", blocks, Some(spec.ai_cores))?;
     let n = x.len();
     if n == 0 {
         return Err(SimError::InvalidArgument("reduce_cube: empty input".into()));
     }
+    // Priced AIC→AIV hand-off: one CrossCoreSetFlag per tile, matched by
+    // the consumer's CrossCoreWaitFlag, keyed by the global tile index.
+    let hand = HandOffs::new("reduce_cube", spec, 1)?;
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let chunks_total = (blocks * spec.vec_per_core) as usize;
@@ -75,113 +70,67 @@ where
 
     let mut report = launch(spec, gm, blocks, "ReduceCube", |ctx| {
         let block = ctx.block_idx as usize;
-        let vec_per_core = ctx.vecs.len();
+        let vpc = ctx.vecs.len();
         // Cube: row sums per tile; FIXP writes only the first column
         // (s values per tile instead of s^2 — the reduction's traffic
         // advantage over scan).
         let phase = ctx.span_begin("CubeRowSums");
-        {
-            let flags = &ctx.flags;
-            let cube = &mut ctx.cube;
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-            cube.copy_in(&mut lb, 0, &consts.ones, 0, l, &[])?;
-            let da = if 2 * l * T::SIZE <= cube.spec().l0a_capacity {
-                2
-            } else {
-                1
-            };
-            let dc = if 2 * l * <T::Acc as Element>::SIZE <= cube.spec().l0c_capacity {
-                2
-            } else {
-                1
-            };
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, da, l)?.named("qa(L0A)");
-            let mut qc = TQue::<T::Acc>::new(cube, ScratchpadKind::L0C, dc, l)?.named("qc(L0C)");
-            for v in 0..vec_per_core {
-                let (t0, tcount) = chunk_tiles[block * vec_per_core + v];
-                for (ti, &(off, valid)) in tiles[t0..t0 + tcount].iter().enumerate() {
-                    let rows = valid.div_ceil(s);
-                    let tile = cube.span_begin("tile");
-                    let mut la = qa.alloc_tensor()?;
-                    if valid < rows * s {
-                        cube.fill_local(&mut la, 0, rows * s, T::zero())?;
-                    }
-                    cube.copy_in(&mut la, 0, x, off, valid, &[])?;
-                    let mut lc = qc.alloc_tensor()?;
-                    let mm = cube.mmad::<T>(&mut lc, &mut la, &mut lb, rows, s, s, false)?;
-                    qa.free_tensor(la, mm);
-                    // Column 0 of C holds the row sums: one strided
-                    // FIXP copy extracts it (s values instead of s^2).
-                    let ev = cube.copy_out_2d(&cols, (t0 + ti) * s, &lc, 0, rows, 1, s, &[])?;
-                    qc.free_tensor(lc, ev);
-                    cube.span_args(
-                        tile,
-                        SpanArgs {
-                            bytes: (valid * T::SIZE + rows * <T::Acc as Element>::SIZE) as u64,
-                            kind: "mmad",
-                            queue_depth: da as u32,
-                        },
-                    );
-                    cube.span_end_at(tile, ev);
-                    // Priced AIC→AIV hand-off: one CrossCoreSetFlag per
-                    // tile, matched by the consumer's CrossCoreWaitFlag.
-                    // Tile indices cycle the chip's small flag-id space;
-                    // each id's FIFO keeps set/wait pairs aligned.
-                    cube.set_flag(flags, (t0 + ti) as u32 % flags.limit(), &[ev])?;
-                }
-            }
-            cube.free_local(lb)?;
-            qa.destroy(cube)?;
-            qc.destroy(cube)?;
+        let cube = &mut ctx.cube;
+        let mut pass = CubePass::new(cube, &consts.ones, s)?;
+        let first = chunk_tiles[block * vpc].0;
+        let (last, count) = chunk_tiles[block * vpc + vpc - 1];
+        for (t, &(off, valid)) in (first..).zip(&tiles[first..last + count]) {
+            let ev = pass.tile(cube, x, off, valid, |cube, lc, rows| {
+                // Column 0 of C holds the row sums: one strided FIXP
+                // copy extracts it (s values instead of s^2).
+                let ev = cube.copy_out_2d(&cols, t * s, lc, 0, rows, 1, s, &[])?;
+                Ok((
+                    ev,
+                    (valid * T::SIZE + rows * <T::Acc as Element>::SIZE) as u64,
+                ))
+            })?;
+            hand.set(cube, &ctx.flags, 0, t, ev)?;
         }
+        pass.finish(cube)?;
         ctx.span_end(phase);
         let phase = ctx.span_begin("VecAccumulate");
         // Vector cores: accumulate each chunk's row-sum columns.
-        // (Index loop: `v` addresses ctx.vecs and the chunk id at once.)
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
+        for (v, vc) in ctx.vecs.iter_mut().enumerate() {
+            let chunk = block * vpc + v;
             let (t0, tcount) = chunk_tiles[chunk];
-            let flags = &ctx.flags;
-            let vc = &mut ctx.vecs[v];
             let mut buf = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, s)?;
-            let mut total = T::Acc::zero();
-            let mut total_ready = 0;
-            for (ti, &(_, valid)) in tiles[t0..t0 + tcount].iter().enumerate() {
+            let (mut total, mut total_ready) = (T::Acc::zero(), 0);
+            for (t, &(_, valid)) in (t0..).zip(&tiles[t0..t0 + tcount]) {
                 let rows = valid.div_ceil(s);
-                let dep = vc.wait_flag(flags, (t0 + ti) as u32 % flags.limit())?;
-                vc.copy_in(&mut buf, 0, &cols, (t0 + ti) * s, rows, &[dep])?;
+                let dep = hand.wait(vc, &ctx.flags, 0, t)?;
+                vc.copy_in(&mut buf, 0, &cols, t * s, rows, &[dep])?;
                 let (sum, ready) = vc.reduce_sum(&buf, 0, rows)?;
                 total = total.add(sum);
                 total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
             }
-            let mut one = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, total, total_ready)?;
-            vc.copy_out(&r, chunk, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
+            store_scalar(vc, &r, chunk, (total, total_ready))?;
             vc.free_local(buf)?;
         }
         ctx.span_end(phase);
         ctx.sync_all()?;
-        // Final: block 0's first vector core folds the chunk partials.
-        if ctx.block_idx == 0 {
-            let vc = &mut ctx.vecs[0];
-            let mut r_ub = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, chunks_total)?;
-            vc.copy_in(&mut r_ub, 0, &r, 0, chunks_total, &[])?;
-            let (grand, ready) = vc.reduce_sum(&r_ub, 0, chunks_total)?;
-            let mut one = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, grand, ready)?;
-            vc.copy_out(&r, 0, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(r_ub)?;
-        }
-        Ok(())
+        fold_partials(ctx, &r)
     })?;
 
     let total = r.read_range(0, 1)?[0];
     report.elements = n as u64;
     report.useful_bytes = (n * T::SIZE) as u64;
     Ok(ReduceRun { total, report })
+}
+
+/// Final step of both reductions: block 0's first vector core folds the
+/// per-chunk partials in `r` into `r[0]`.
+fn fold_partials<A: Numeric>(ctx: &mut BlockCtx<'_>, r: &GlobalTensor<A>) -> SimResult<()> {
+    if ctx.block_idx == 0 {
+        let vc = &mut ctx.vecs[0];
+        let grand = chunk_offset(vc, r, r.len())?;
+        store_scalar(vc, r, 0, grand)?;
+    }
+    Ok(())
 }
 
 /// Vector-only reduction baseline: tile loads + `ReduceSum`, spread over
@@ -195,6 +144,7 @@ pub fn reduce_vec<T>(
 where
     T: CubeInput,
 {
+    check_blocks("reduce_vec", blocks, None)?;
     let n = x.len();
     if n == 0 {
         return Err(SimError::InvalidArgument("reduce_vec: empty input".into()));
@@ -214,46 +164,16 @@ where
 
     let mut report = launch(spec, gm, blocks, "ReduceVec", |ctx| {
         let block = ctx.block_idx as usize;
-        let vec_per_core = ctx.vecs.len();
+        let vpc = ctx.vecs.len();
         let phase = ctx.span_begin("VecReduce");
-        for v in 0..vec_per_core {
-            let chunk = block * vec_per_core + v;
-            let (s0, scount) = chunk_spans[chunk];
-            let vc = &mut ctx.vecs[v];
-            let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, 2, piece)?.named("qin(UB)");
-            let mut acc = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, piece)?;
-            let mut total = T::Acc::zero();
-            let mut total_ready = 0;
-            for &(off, valid) in &spans[s0..s0 + scount] {
-                let mut buf = qin.alloc_tensor()?;
-                vc.copy_in(&mut buf, 0, x, off, valid, &[])?;
-                let cast_done = vc.vcast::<T, T::Acc>(&mut acc, &buf, 0, valid)?;
-                qin.free_tensor(buf, cast_done);
-                let (sum, ready) = vc.reduce_sum(&acc, 0, valid)?;
-                total = total.add(sum);
-                total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
-            }
-            let mut one = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, total, total_ready)?;
-            vc.copy_out(&r, chunk, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(acc)?;
-            qin.destroy(vc)?;
+        for (v, vc) in ctx.vecs.iter_mut().enumerate() {
+            let chunk = block * vpc + v;
+            let (s0, count) = chunk_spans[chunk];
+            reduce_chunk(vc, x, &spans[s0..s0 + count], piece, &r, chunk)?;
         }
         ctx.span_end(phase);
         ctx.sync_all()?;
-        if ctx.block_idx == 0 {
-            let vc = &mut ctx.vecs[0];
-            let mut r_ub = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, chunks_total)?;
-            vc.copy_in(&mut r_ub, 0, &r, 0, chunks_total, &[])?;
-            let (grand, ready) = vc.reduce_sum(&r_ub, 0, chunks_total)?;
-            let mut one = vc.alloc_local::<T::Acc>(ScratchpadKind::Ub, 1)?;
-            vc.insert(&mut one, 0, grand, ready)?;
-            vc.copy_out(&r, 0, &one, 0, 1, &[])?;
-            vc.free_local(one)?;
-            vc.free_local(r_ub)?;
-        }
-        Ok(())
+        fold_partials(ctx, &r)
     })?;
 
     let total = r.read_range(0, 1)?[0];
@@ -349,6 +269,7 @@ mod tests {
         let x = GlobalTensor::from_slice(&gm, &[1i8; 8]).unwrap();
         assert!(reduce_cube::<i8>(&spec, &gm, &x, 10, 1).is_err());
         assert!(reduce_cube::<i8>(&spec, &gm, &x, 16, 0).is_err());
+        assert!(reduce_vec::<i8>(&spec, &gm, &x, 0).is_err());
         let empty = GlobalTensor::<i8>::new(&gm, 0).unwrap();
         assert!(reduce_cube::<i8>(&spec, &gm, &empty, 16, 1).is_err());
         assert!(reduce_vec::<i8>(&spec, &gm, &empty, 1).is_err());

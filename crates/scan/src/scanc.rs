@@ -48,13 +48,12 @@
 //! [`probe_grid_flag`]: ascendc::Core::probe_grid_flag
 
 use crate::mcscan::ScanKind;
+use crate::stage::{check_tile, propagate_rows, CubePass, HandOffs};
 use crate::triangular::ScanConstants;
 use crate::util::{tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
-use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
-};
+use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs};
 use dtypes::{CubeInput, Element, Numeric};
 use std::sync::Arc;
 
@@ -191,12 +190,7 @@ where
     M: Numeric,
     O: Numeric,
 {
-    if cfg.s == 0 || !cfg.s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "ScanC: s must be a positive multiple of 16, got {}",
-            cfg.s
-        )));
-    }
+    check_tile("ScanC", cfg.s)?;
     if cfg.tiles_per_lane == 0 {
         return Err(SimError::InvalidArgument(
             "ScanC: tiles_per_lane must be at least 1".into(),
@@ -216,13 +210,10 @@ where
             spec.flag_id_limit
         )));
     }
-    if spec.flag_id_limit < spec.vec_per_core {
-        return Err(SimError::InvalidArgument(format!(
-            "ScanC: chip has fewer flag ids ({}) than vector cores per AI \
-             core ({}); the per-vector flag-id partitions would collide",
-            spec.flag_id_limit, spec.vec_per_core
-        )));
-    }
+    // Cross-core flag registers are partitioned per vector core so the
+    // per-id FIFOs never pair a cube set for lane A with a wait from
+    // lane B.
+    let hand = HandOffs::new("ScanC", spec, spec.vec_per_core)?;
     let n = x.len();
     let s = cfg.s;
     let l = s * s;
@@ -242,14 +233,9 @@ where
     // addresses keep the two publishes free of write-after-write
     // hazards and let a consumer read exactly the state it needs.
     let mailbox = GlobalTensor::<O>::new(gm, 2 * nlanes)?;
-    // Cross-core flag registers are partitioned per vector core so the
-    // per-id FIFOs never pair a cube set for lane A with a wait from
-    // lane B; grid-flag ids are assigned per look-back edge by
-    // `lookback_edges` (canonical enumeration, cycled modulo the id
-    // limit).
-    let flag_ids = spec.flag_id_limit;
-    let per_vec_ids = (flag_ids / spec.vec_per_core).max(1);
-    let edges = lookback_edges(nlanes, wdw, flag_ids);
+    // Grid-flag ids are assigned per look-back edge by `lookback_edges`
+    // (canonical enumeration, cycled modulo the id limit).
+    let edges = lookback_edges(nlanes, wdw, spec.flag_id_limit);
 
     let mut report = launch(spec, gm, blocks, "ScanC", |ctx| {
         let block = ctx.block_idx as usize;
@@ -257,63 +243,20 @@ where
 
         // ---- Cube core: tile-local scans for this block's lanes. ----
         let phase = ctx.span_begin("CubeLocalScans");
-        {
-            let flags = &ctx.flags;
-            let cube = &mut ctx.cube;
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-            cube.copy_in(&mut lb, 0, &consts.upper, 0, l, &[])?;
-            let da = if 2 * l * T::SIZE <= cube.spec().l0a_capacity {
-                2
-            } else {
-                1
-            };
-            let dc = if 2 * l * <T::Acc as Element>::SIZE <= cube.spec().l0c_capacity {
-                2
-            } else {
-                1
-            };
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, da, l)?.named("qa(L0A)");
-            let mut qc = TQue::<T::Acc>::new(cube, ScratchpadKind::L0C, dc, l)?.named("qc(L0C)");
-            for v in 0..vpc {
-                let lane = block * vpc + v;
-                let t0 = lane * tpl;
-                if t0 >= tiles.len() {
-                    break;
-                }
-                let tcount = tpl.min(tiles.len() - t0);
-                for (i, &(off, valid)) in tiles[t0..t0 + tcount].iter().enumerate() {
-                    let rows = valid.div_ceil(s);
-                    let tile = cube.span_begin("tile");
-                    let mut la = qa.alloc_tensor()?;
-                    if valid < rows * s {
-                        cube.fill_local(&mut la, 0, rows * s, T::zero())?;
-                    }
-                    cube.copy_in(&mut la, 0, x, off, valid, &[])?;
-                    let mut lc = qc.alloc_tensor()?;
-                    let mm = cube.mmad::<T>(&mut lc, &mut la, &mut lb, rows, s, s, false)?;
-                    qa.free_tensor(la, mm);
-                    let ev = cube.copy_out_cast::<T::Acc, M>(&w, off, &lc, 0, valid, &[])?;
-                    qc.free_tensor(lc, ev);
-                    cube.span_args(
-                        tile,
-                        SpanArgs {
-                            bytes: (valid * (T::SIZE + M::SIZE)) as u64,
-                            kind: "mmad",
-                            queue_depth: da as u32,
-                        },
-                    );
-                    cube.span_end_at(tile, ev);
-                    cube.set_flag(
-                        flags,
-                        v as u32 * per_vec_ids + (i as u32 % per_vec_ids),
-                        &[ev],
-                    )?;
-                }
+        let cube = &mut ctx.cube;
+        let mut pass = CubePass::new(cube, &consts.upper, s)?;
+        for v in 0..vpc {
+            let t0 = (block * vpc + v) * tpl;
+            if t0 >= tiles.len() {
+                break;
             }
-            cube.free_local(lb)?;
-            qa.destroy(cube)?;
-            qc.destroy(cube)?;
+            let tcount = tpl.min(tiles.len() - t0);
+            for (i, &(off, valid)) in tiles[t0..t0 + tcount].iter().enumerate() {
+                let ev = pass.scan_tile(cube, x, &w, off, valid)?;
+                hand.set(cube, &ctx.flags, v, i, ev)?;
+            }
         }
+        pass.finish(cube)?;
         ctx.span_end(phase);
 
         // ---- Vector lanes: probe, propagate locally, resolve. ----
@@ -361,25 +304,18 @@ where
 
             // Load every tile of the lane into a resident UB buffer,
             // propagating the running partial through it on the way in;
-            // after the last tile `partial` is the lane aggregate.
+            // after the last tile `carry` is the lane aggregate.
             let mut staging = vc.alloc_local::<M>(ScratchpadKind::Ub, l)?;
             let mut bufs = Vec::with_capacity(tcount);
-            let mut partial = O::zero();
-            let mut partial_ready = 0;
+            let mut carry = (O::zero(), 0);
             let mut cast_done = 0;
             for (i, &(off, valid)) in tiles[t0..t0 + tcount].iter().enumerate() {
                 let tile = vc.span_begin("tile");
-                let ready =
-                    vc.wait_flag(flags, v as u32 * per_vec_ids + (i as u32 % per_vec_ids))?;
+                let ready = hand.wait(vc, flags, v, i)?;
                 vc.copy_in(&mut staging, 0, &w, off, valid, &[ready, cast_done])?;
                 let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, valid)?;
                 cast_done = vc.vcast::<M, O>(&mut buf, &staging, 0, valid)?;
-                for (row_off, row_len) in tile_spans(valid, s) {
-                    vc.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                    let (p, pr) = vc.extract(&buf, row_off + row_len - 1)?;
-                    partial = p;
-                    partial_ready = pr;
-                }
+                propagate_rows(vc, &mut buf, valid, s, &mut carry)?;
                 vc.span_args(
                     tile,
                     SpanArgs {
@@ -388,9 +324,10 @@ where
                         queue_depth: 1,
                     },
                 );
-                vc.span_end_at(tile, partial_ready);
+                vc.span_end_at(tile, carry.1);
                 bufs.push(buf);
             }
+            let (partial, partial_ready) = carry;
 
             // Publish the *partial* aggregate the moment the tile loop
             // produces it — successors within the window can fold it

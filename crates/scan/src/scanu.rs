@@ -8,13 +8,12 @@
 //! as the next partial. The whole loop is pipelined with depth-2 queues
 //! (double buffering), exactly as in the paper's Figure 2.
 
+use crate::stage::{check_tile, propagate_rows, CubePass, HandOffs};
 use crate::triangular::ScanConstants;
 use crate::util::tile_spans;
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
-use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
-};
+use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimResult, SpanArgs, TQue};
 use dtypes::{CubeInput, Numeric};
 use std::sync::Arc;
 
@@ -34,73 +33,24 @@ where
     T: CubeInput,
     O: Numeric,
 {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "ScanU: s must be a positive multiple of 16, got {s}"
-        )));
-    }
+    check_tile("ScanU", s)?;
+    let hand = HandOffs::new("ScanU", spec, 1)?;
     let n = x.len();
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, n)?;
     let spans = tile_spans(n, l);
 
-    // Tile hand-offs cycle through the chip's cross-core flag registers;
-    // the per-id FIFO pairs the cube's t-th set with the vector core's
-    // t-th wait even when the cube runs several tiles ahead.
-    let flag_ids = spec.flag_id_limit;
-
     let mut report = launch(spec, gm, 1, "ScanU", |ctx| {
-        // ---- Cube core: local row scans per tile (Lines 4-8). ----
+        // ---- Cube core: local row scans per tile (Lines 3-8). ----
         let phase = ctx.span_begin("CubeLocalScans");
-        {
-            let flags = &ctx.flags;
-            let cube = &mut ctx.cube;
-            // Load U_s in L0B once (Line 3).
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, s * s)?;
-            cube.copy_in(&mut lb, 0, &consts.upper, 0, s * s, &[])?;
-
-            let da = if 2 * l * T::SIZE <= cube.spec().l0a_capacity {
-                2
-            } else {
-                1
-            };
-            let dc = if 2 * l * <T::Acc as dtypes::Element>::SIZE <= cube.spec().l0c_capacity {
-                2
-            } else {
-                1
-            };
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, da, l)?.named("qa(L0A)");
-            let mut qc = TQue::<T::Acc>::new(cube, ScratchpadKind::L0C, dc, l)?.named("qc(L0C)");
-            for (t, &(off, valid)) in spans.iter().enumerate() {
-                let rows = valid.div_ceil(s);
-                let tile = cube.span_begin("tile");
-                let mut la = qa.alloc_tensor()?;
-                if valid < rows * s {
-                    // Zero-pad the recycled buffer's tail row.
-                    cube.fill_local(&mut la, 0, rows * s, T::zero())?;
-                }
-                cube.copy_in(&mut la, 0, x, off, valid, &[])?;
-                let mut lc = qc.alloc_tensor()?;
-                let mm = cube.mmad::<T>(&mut lc, &mut la, &mut lb, rows, s, s, false)?;
-                qa.free_tensor(la, mm);
-                let ev = cube.copy_out_cast::<T::Acc, O>(&y, off, &lc, 0, valid, &[])?;
-                qc.free_tensor(lc, ev);
-                cube.span_args(
-                    tile,
-                    SpanArgs {
-                        bytes: (valid * (T::SIZE + O::SIZE)) as u64,
-                        kind: "mmad",
-                        queue_depth: da as u32,
-                    },
-                );
-                cube.span_end_at(tile, ev);
-                cube.set_flag(flags, t as u32 % flag_ids, &[ev])?;
-            }
-            cube.free_local(lb)?;
-            qa.destroy(cube)?;
-            qc.destroy(cube)?;
+        let cube = &mut ctx.cube;
+        let mut pass = CubePass::new(cube, &consts.upper, s)?;
+        for (t, &(off, valid)) in spans.iter().enumerate() {
+            let ev = pass.scan_tile(cube, x, &y, off, valid)?;
+            hand.set(cube, &ctx.flags, 0, t, ev)?;
         }
+        pass.finish(cube)?;
         ctx.span_end(phase);
 
         // ---- Vector core: partial-sum propagation (Lines 9-15). ----
@@ -109,15 +59,14 @@ where
             let flags = &ctx.flags;
             let v = &mut ctx.vecs[0];
             let mut q = TQue::<O>::new(v, ScratchpadKind::Ub, 2, l)?.named("q(UB)");
-            let mut partial = O::zero();
-            let mut partial_ready = 0;
+            let mut carry = (O::zero(), 0);
             // Software-pipelined double buffering: the wait + load for
             // tile t+1 issue before tile t's row chain, so the MTE2
             // transfer overlaps the propagation work instead of queuing
             // behind it on the scalar pipe.
             let fetch = |v: &mut ascendc::Core<'_>, q: &mut TQue<O>, t: usize| {
                 let (off, valid) = spans[t];
-                let ready = v.wait_flag(flags, t as u32 % flag_ids)?;
+                let ready = hand.wait(v, flags, 0, t)?;
                 let mut buf = q.alloc_tensor()?;
                 v.copy_in(&mut buf, 0, &y, off, valid, &[ready])?;
                 SimResult::Ok(buf)
@@ -133,12 +82,7 @@ where
                 if t + 1 < spans.len() {
                     pending = Some(fetch(v, &mut q, t + 1)?);
                 }
-                for (row_off, row_len) in tile_spans(valid, s) {
-                    v.vadds(&mut buf, row_off, row_len, partial, partial_ready)?;
-                    let (p, pr) = v.extract(&buf, row_off + row_len - 1)?;
-                    partial = p;
-                    partial_ready = pr;
-                }
+                propagate_rows(v, &mut buf, valid, s, &mut carry)?;
                 let ev = v.copy_out(&y, off, &buf, 0, valid, &[])?;
                 q.free_tensor(buf, ev);
                 v.span_args(

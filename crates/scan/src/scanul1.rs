@@ -13,13 +13,10 @@
 //! partial per `ℓ` tile (versus one per `s`-row in ScanU), which is why
 //! ScanUL1 is roughly 2× faster than ScanU at large input lengths.
 
-use crate::triangular::ScanConstants;
-use crate::util::tile_spans;
-use crate::{finish_report, ScanRun};
+use crate::batched::ul1_rows;
+use crate::ScanRun;
 use ascend_sim::mem::GlobalMemory;
-use ascendc::{
-    launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
-};
+use ascendc::{ChipSpec, GlobalTensor, SimResult};
 use dtypes::{CubeInput, Numeric};
 use std::sync::Arc;
 
@@ -29,7 +26,9 @@ use std::sync::Arc;
 /// Precision note: the intermediate `C₁` is cast from the accumulator
 /// type back to `T` when staged through L1 (the FIXP quantization path),
 /// exactly as the fp16 pipeline on hardware does — partial row sums must
-/// fit `T`'s range. Uses a single AI core.
+/// fit `T`'s range. Uses a single AI core: this is the batched ScanUL1
+/// body ([`crate::batched_scanul1`]) at batch 1, under the kernel name
+/// `ScanUL1`.
 pub fn scanul1<T, O>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -40,132 +39,7 @@ where
     T: CubeInput,
     O: Numeric,
 {
-    if s == 0 || !s.is_multiple_of(16) {
-        return Err(SimError::InvalidArgument(format!(
-            "ScanUL1: s must be a positive multiple of 16, got {s}"
-        )));
-    }
-    let n = x.len();
-    let l = s * s;
-    let consts = ScanConstants::<T>::upload(gm, s)?;
-    let y = GlobalTensor::<O>::new(gm, n)?;
-    let spans = tile_spans(n, l);
-
-    // Tile hand-offs cycle through the chip's cross-core flag registers
-    // (per-id FIFO pairs set t with wait t).
-    let flag_ids = spec.flag_id_limit;
-
-    let mut report = launch(spec, gm, 1, "ScanUL1", |ctx| {
-        let phase = ctx.span_begin("CubeThreeMatmuls");
-        {
-            let flags = &ctx.flags;
-            let cube = &mut ctx.cube;
-            // Load U_s, L_s^-, 1_s into L1 once (Line 3).
-            let mut l1_u = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            let mut l1_lm = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            let mut l1_ones = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-            cube.copy_in(&mut l1_u, 0, &consts.upper, 0, l, &[])?;
-            cube.copy_in(&mut l1_lm, 0, &consts.strict_lower, 0, l, &[])?;
-            cube.copy_in(&mut l1_ones, 0, &consts.ones, 0, l, &[])?;
-            // L1 staging buffer for the cast C1.
-            let mut l1_c1 = cube.alloc_local::<T>(ScratchpadKind::L1, l)?;
-
-            // Single L0B buffer, reloaded three times per tile (the
-            // serialization the paper's Lines 6/9/11 imply); L0A holds
-            // the data tile and is then reused for L^-; two L0C
-            // accumulators hold C1 and C2.
-            let mut qa = TQue::<T>::new(cube, ScratchpadKind::L0A, 2, l)?.named("qa(L0A)");
-            let mut lb = cube.alloc_local::<T>(ScratchpadKind::L0B, l)?;
-            let mut c1 = cube.alloc_local::<T::Acc>(ScratchpadKind::L0C, l)?;
-            let mut c2 = cube.alloc_local::<T::Acc>(ScratchpadKind::L0C, l)?;
-
-            for (t, &(off, valid)) in spans.iter().enumerate() {
-                let tile = cube.span_begin("tile");
-                // Load x_l to L0A, zero-padding a partial tile (Line 6).
-                let mut la = qa.alloc_tensor()?;
-                if valid < l {
-                    cube.fill_local(&mut la, 0, l, T::zero())?;
-                }
-                cube.copy_in(&mut la, 0, x, off, valid, &[])?;
-
-                // C1 = A @ 1_s (Line 7), staged to L1 as T (Line 8).
-                cube.copy_local(&mut lb, 0, &l1_ones, 0, l)?;
-                cube.mmad::<T>(&mut c1, &mut la, &mut lb, s, s, s, false)?;
-                cube.copy_local_cast::<T::Acc, T>(&mut l1_c1, 0, &c1, 0, l)?;
-
-                // C2 = A @ U_s (Lines 9-10); A is free afterwards.
-                cube.copy_local(&mut lb, 0, &l1_u, 0, l)?;
-                let mm2 = cube.mmad::<T>(&mut c2, &mut la, &mut lb, s, s, s, false)?;
-                qa.free_tensor(la, mm2);
-
-                // C2 += L^- @ C1 (Lines 11-12): L^- into L0A, C1 into L0B.
-                let mut la2 = qa.alloc_tensor()?;
-                cube.copy_local(&mut la2, 0, &l1_lm, 0, l)?;
-                cube.copy_local(&mut lb, 0, &l1_c1, 0, l)?;
-                let mm3 = cube.mmad::<T>(&mut c2, &mut la2, &mut lb, s, s, s, true)?;
-                qa.free_tensor(la2, mm3);
-
-                // Copy C2 to y in GM (Line 13).
-                let ev = cube.copy_out_cast::<T::Acc, O>(&y, off, &c2, 0, valid, &[])?;
-                cube.span_args(
-                    tile,
-                    SpanArgs {
-                        bytes: (valid * (T::SIZE + O::SIZE)) as u64,
-                        kind: "mmad3",
-                        queue_depth: 2,
-                    },
-                );
-                cube.span_end_at(tile, ev);
-                cube.set_flag(flags, t as u32 % flag_ids, &[ev])?;
-            }
-            cube.free_local(c2)?;
-            cube.free_local(c1)?;
-            cube.free_local(lb)?;
-            cube.free_local(l1_c1)?;
-            cube.free_local(l1_ones)?;
-            cube.free_local(l1_lm)?;
-            cube.free_local(l1_u)?;
-            qa.destroy(cube)?;
-        }
-        ctx.span_end(phase);
-
-        // ---- Vector core: one partial add per tile (Lines 14-18). ----
-        let phase = ctx.span_begin("VecPropagation");
-        {
-            let flags = &ctx.flags;
-            let v = &mut ctx.vecs[0];
-            let mut q = TQue::<O>::new(v, ScratchpadKind::Ub, 2, l)?.named("q(UB)");
-            let mut partial = O::zero();
-            let mut partial_ready = 0;
-            for (t, &(off, valid)) in spans.iter().enumerate() {
-                let tile = v.span_begin("tile");
-                let ready = v.wait_flag(flags, t as u32 % flag_ids)?;
-                let mut buf = q.alloc_tensor()?;
-                v.copy_in(&mut buf, 0, &y, off, valid, &[ready])?;
-                v.vadds(&mut buf, 0, valid, partial, partial_ready)?;
-                let (p, pr) = v.extract(&buf, valid - 1)?;
-                partial = p;
-                partial_ready = pr;
-                let ev = v.copy_out(&y, off, &buf, 0, valid, &[])?;
-                q.free_tensor(buf, ev);
-                v.span_args(
-                    tile,
-                    SpanArgs {
-                        bytes: (2 * valid * O::SIZE) as u64,
-                        kind: "vadds",
-                        queue_depth: 2,
-                    },
-                );
-                v.span_end_at(tile, ev);
-            }
-            q.destroy(v)?;
-        }
-        ctx.span_end(phase);
-        Ok(())
-    })?;
-
-    finish_report(&mut report, n, T::SIZE, O::SIZE);
-    Ok(ScanRun { y, report })
+    ul1_rows(spec, gm, x, 1, x.len(), s, "ScanUL1")
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! Two layers of coverage:
 //!
 //! * every shipped scan kernel (ScanU, ScanUL1, MCScan, ScanC, the
-//!   vector-only baseline and the batched scan), including a ScanC
+//!   vector-only baseline, both batched scans, the three MCScan
+//!   ablation variants and both reductions), including a ScanC
 //!   shape whose look-back chain spans scheduling waves, and the
 //!   exclusive ScanC mask scan, which must also replay byte-identically
 //!   under every commit order the model checker finds (`Planned`);
@@ -31,8 +32,8 @@ use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimResul
 use dtypes::F16;
 use proptest::prelude::*;
 use scan::{
-    batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
-    ScanKind,
+    batched_scanu, batched_scanul1, cumsum_vec_only, mcscan, mcscan_variant, reduce_cube,
+    reduce_vec, scanc, scanu, scanul1, McScanConfig, McScanVariant, ScanCConfig, ScanKind,
 };
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ fn signal(n: usize) -> Vec<i8> {
 }
 
 // ---------------------------------------------------------------------
-// The six shipped kernels.
+// The shipped kernels.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -205,6 +206,55 @@ fn batched_scanu_reports_identically_under_both_schedulers() {
         let (batch, len) = (8, 300);
         let x = GlobalTensor::from_slice(gm, &signal(batch * len)).unwrap();
         let run = batched_scanu::<i8, i32>(spec, gm, &x, batch, len, 16).unwrap();
+        run.report.to_json(spec)
+    });
+}
+
+#[test]
+fn batched_scanul1_with_more_rows_than_cores_reports_identically() {
+    // Five rows on the tiny chip's two AI cores: each block runs the
+    // shared ScanUL1 body over several rows, cycling its flag ids
+    // across row boundaries.
+    assert_equiv("BatchedScanUL1", |spec, gm| {
+        let (batch, len) = (5, 300);
+        assert!(batch > spec.ai_cores as usize);
+        let x = GlobalTensor::from_slice(gm, &signal(batch * len)).unwrap();
+        let run = batched_scanul1::<i8, i32>(spec, gm, &x, batch, len, 16).unwrap();
+        run.report.to_json(spec)
+    });
+}
+
+#[test]
+fn ablation_variants_report_identically_under_both_schedulers() {
+    // Each variant pairs a SyncAll with per-tile cube→vector flags.
+    for variant in [
+        McScanVariant::StridedTotals,
+        McScanVariant::SsaFull,
+        McScanVariant::Rss,
+    ] {
+        assert_equiv(variant.name(), |spec, gm| {
+            let x = GlobalTensor::from_slice(gm, &signal(3000)).unwrap();
+            let cfg = McScanConfig {
+                s: 16,
+                blocks: 2,
+                kind: ScanKind::Inclusive,
+            };
+            let run = mcscan_variant::<i8, i16, i32>(spec, gm, &x, cfg, variant).unwrap();
+            run.report.to_json(spec)
+        });
+    }
+}
+
+#[test]
+fn reductions_report_identically_under_both_schedulers() {
+    assert_equiv("ReduceCube", |spec, gm| {
+        let x = GlobalTensor::from_slice(gm, &signal(3000)).unwrap();
+        let run = reduce_cube::<i8>(spec, gm, &x, 16, 2).unwrap();
+        run.report.to_json(spec)
+    });
+    assert_equiv("ReduceVec", |spec, gm| {
+        let x = GlobalTensor::from_slice(gm, &signal(3000)).unwrap();
+        let run = reduce_vec::<i8>(spec, gm, &x, 2).unwrap();
         run.report.to_json(spec)
     });
 }

@@ -32,6 +32,12 @@ echo "==> top-k smoke: the fused top-k passes at 910B4 scale"
 # figure harness on the 910B4 preset (256K elements, k = 64 and 4096).
 cargo run --release -p bench --bin figures -- topk --quick > /dev/null
 
+echo "==> ablation smoke: StridedTotals, SSA and RSS at 910B4 scale"
+# Only one unit test runs StridedTotals, SSA and RSS at s = 128; this
+# drives all four MCScan strategies through the figure harness on the
+# 910B4 preset (64K and 1M int8 elements).
+cargo run --release -p bench --bin figures -- ablation --quick > /dev/null
+
 echo "==> perf report smoke: figures --json"
 # figures refuses to write a document that fails
 # bench::validate_bench_json, which requires every stable schema key.
