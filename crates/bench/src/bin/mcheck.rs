@@ -6,8 +6,9 @@
 //!        [--max-replays N] [kernel...|all]
 //! ```
 //!
-//! For every selected kernel (default: all seven, including both the
-//! chained and decoupled multi-hop ScanC look-backs), `mcheck`
+//! For every selected kernel (default: all eight, including both the
+//! chained and decoupled multi-hop ScanC look-backs and the one-launch
+//! split), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -35,6 +36,7 @@ use ascend_sim::sync::GridPlan;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
+use ops::split_ind;
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
     ScanKind,
@@ -42,7 +44,7 @@ use scan::{
 use std::sync::Arc;
 
 const KERNELS: &[&str] = &[
-    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched",
+    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched", "split",
 ];
 
 fn usage() -> ! {
@@ -225,6 +227,18 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             let x = GlobalTensor::from_slice(&gm, &signal(batch * len)).expect("device fits input");
             let run =
                 batched_scanu::<i8, i32>(&spec, &gm, &x, batch, len, 16).expect("batched launches");
+            run.report.to_json(&spec)
+        }
+        "split" => {
+            // The fused split every split, compress and radix/top-k pass
+            // runs: MCScan's phase II scatters each tile from UB. 1500
+            // elements at s = 32 are 2 tiles over the 4 vector cores, and
+            // the store's 512-element pieces start both at a tile's first
+            // element and inside it (an extracted base).
+            let x = GlobalTensor::from_slice(&gm, &signal(1500)).expect("device fits input");
+            let mask: Vec<u8> = (0..1500).map(|i| u8::from(i % 3 != 1)).collect();
+            let m = GlobalTensor::from_slice(&gm, &mask).expect("device fits mask");
+            let run = split_ind::<i8>(&spec, &gm, &x, &m, 32, 2).expect("split launches");
             run.report.to_json(&spec)
         }
         other => {

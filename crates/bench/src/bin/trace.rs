@@ -2,7 +2,7 @@
 //! kernels' simulated schedules.
 //!
 //! ```text
-//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|all] [N] [out.json] [--jobs N] [--dir DIR]
+//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|split|all] [N] [out.json] [--jobs N] [--dir DIR]
 //! ```
 //!
 //! The kernels run through their normal public entry points with a
@@ -13,7 +13,10 @@
 //! per-engine busy intervals interleaved with `wait:dep` /
 //! `wait:flag` / `wait:barrier` stall intervals, and `TQue` occupancy
 //! counters. `scanc-excl` is the exclusive int8 mask scan ScanC runs
-//! for `Device::mask_exclusive_scan` at or above its crossover. Open
+//! for `Device::mask_exclusive_scan` at or above its crossover; `split`
+//! is the one-launch split of int8 values by a half-true mask (the
+//! MCScan whose phase II scatters each tile from UB) that every split,
+//! compress, radix-sort and top-k pass runs. Open
 //! the produced JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible.
@@ -31,6 +34,7 @@ use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
 use bench::fresh_gm;
 use dtypes::F16;
+use ops::split_ind;
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::ScanKind;
@@ -44,6 +48,7 @@ const KERNELS: &[&str] = &[
     "scanc-excl",
     "cumsum",
     "batched",
+    "split",
 ];
 
 fn main() {
@@ -205,6 +210,17 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             let data = vec![F16::ONE; batch * len];
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             drop(batched_scanu::<F16, F16>(spec, &gm, &x, batch, len, 128).unwrap());
+            return recorder.take();
+        }
+        "split" => {
+            let gm = fresh_gm(spec);
+            let recorder = gm.attach_profiler();
+            let vals: Vec<i8> = (0..n).map(|i| (i % 251) as i8).collect();
+            let mask: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
+            let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+            let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+            let s = McScanConfig::for_types::<u8, i16, i32>(spec).s;
+            drop(split_ind::<i8>(spec, &gm, &x, &m, s, spec.ai_cores).unwrap());
             return recorder.take();
         }
         other => unreachable!("unvalidated kernel {other}"),

@@ -1,13 +1,16 @@
 //! **Compress** (compact): keep only the mask-selected elements —
 //! the equivalent of PyTorch's `torch.masked_select`.
 //!
-//! Compress is the true-side half of [`crate::split::split_ind`]: an
-//! exclusive int8 MCScan over the mask yields each selected element's
-//! output offset, and a vector scatter kernel gathers and stores the
-//! selected elements. The paper's Fig. 10 benchmarks this against the
-//! (scalar-bound) `torch.masked_select` baseline.
+//! Compress is the true-side half of [`crate::split::split_ind`] and
+//! runs as the same one launch: the exclusive int8 MCScan over the mask
+//! yields each selected element's output offset in UB, and its phase II
+//! gathers and stores the selected elements. No indices are made and no
+//! true count is reduced on the device; the output is allocated at `n`
+//! and returned as its first `n_true` elements. The paper's Fig. 10
+//! benchmarks this against the (scalar-bound) `torch.masked_select`
+//! baseline.
 
-use crate::split::{mask_offsets, scatter_by_mask};
+use crate::split::SplitStore;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
@@ -49,13 +52,19 @@ pub fn compress<E: Element>(
         });
     }
 
-    let (offs, n_true, scan_report) = mask_offsets(spec, gm, mask, s, blocks)?;
-    let values = GlobalTensor::<E>::new(gm, n_true)?;
-    let scatter_report = scatter_by_mask(
-        spec, gm, blocks, x, None, mask, &offs, n_true, &values, None, false, None,
-    )?;
-
-    let mut report = KernelReport::sequential("Compress", &[scan_report, scatter_report]);
+    let out = GlobalTensor::<E>::new(gm, n)?;
+    let (n_true, mut report) = SplitStore {
+        vals: x,
+        idx_in: None,
+        mask,
+        vals_out: &out,
+        idx_out: None,
+        false_side: false,
+        next_plane: None,
+    }
+    .launch(spec, gm, s, blocks)?;
+    let values = out.slice(0, n_true)?;
+    report.name = "Compress".into();
     report.elements = n as u64;
     report.useful_bytes = (n * (E::SIZE + 1) + n_true * E::SIZE) as u64;
     Ok(CompressRun {

@@ -10,7 +10,7 @@
 //!   unsigned/signed integers and `f16` via the order-preserving
 //!   encode/decode pre/post-passes.
 //! * [`topk::topk`] — top-k selection via bitwise partial quickselect on
-//!   SplitInd, running on radix sort's encode/scatter/decode kernels
+//!   SplitInd, running on radix sort's encode/split/decode kernels
 //!   (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:
 //!   descending radix sort + scan + threshold + weighted draw.
@@ -21,10 +21,12 @@
 //!   `torch.multinomial`, baseline top-k), implemented either as real
 //!   simulator kernels or as documented cost models.
 //!
-//! Every split here is the same two steps — `split::mask_offsets` (the
-//! exclusive int8 MCScan) then `split::scatter_by_mask` — and every
-//! kernel cuts its pieces with [`scan::tile_spans`] and deals them to
-//! vector cores with `for_each_lane`.
+//! Every split here is one launch: the exclusive int8 MCScan of the
+//! mask ([`scan::mcscan_with`]) with `split::SplitStore` as its phase
+//! II, which scatters each tile from UB on the vector core that
+//! propagated it. The other kernels cut their pieces with
+//! [`scan::tile_spans`] and deal them to vector cores with
+//! `for_each_lane`.
 
 #![forbid(unsafe_code)]
 

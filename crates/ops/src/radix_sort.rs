@@ -2,15 +2,17 @@
 //!
 //! The sort loops over the bits of the (order-preserving encoded) keys,
 //! least significant first, and performs one stable [`split`] per bit
-//! with the mask "bit is 0" (ascending). Each split is an exclusive
-//! int8 MCScan — running on the cube units — plus a vector scatter.
+//! with the mask "bit is 0" (ascending). Each split is one launch: an
+//! exclusive int8 MCScan — running on the cube units — whose phase II
+//! scatters every tile straight from UB.
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
-//! kernel (`ShiftRight`/`And`/`Compare`). Here those instructions run
-//! inside kernels that already hold the keys in UB: the encode kernel
-//! writes the bit-0 mask, and each pass's scatter writes the mask for
-//! the next bit, permuted alongside the keys. An fp16 sort is therefore
-//! 34 launches (encode, 16 scans, 16 scatters, decode), not 50.
+//! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its
+//! own. Here those instructions run inside kernels that already hold
+//! the keys in UB: the encode kernel writes the bit-0 mask, and each
+//! pass's scatter writes the mask for the next bit, permuted alongside
+//! the keys. An fp16 sort is therefore 18 launches (encode, 16 fused
+//! splits, decode), not 50; it still has the paper's 16 `SyncAll`s.
 //!
 //! Floats are supported through the pre-/post-processing encode passes
 //! (invert the MSB of non-negatives, all bits of negatives — Knuth
@@ -25,7 +27,7 @@
 //! [`split`]: crate::split::split_ind
 
 use crate::for_each_lane;
-use crate::split::{mask_offsets, scatter_by_mask, NextPlane};
+use crate::split::{NextPlane, SplitStore};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
@@ -91,7 +93,7 @@ where
     let mut idx_b = GlobalTensor::<u32>::new(gm, n)?;
     let mut mask_a = GlobalTensor::<u8>::new(gm, n)?;
     let mut mask_b = GlobalTensor::<u8>::new(gm, n)?;
-    let mut reports = Vec::with_capacity(2 + 2 * K::BITS as usize);
+    let mut reports = Vec::with_capacity(2 + K::BITS as usize);
 
     // --- Pre-processing: encode keys, materialize indices, bit-0 mask. ---
     reports.push(encode_kernel::<K>(
@@ -101,26 +103,20 @@ where
     // --- One split per bit plane; each scatter emits the next mask. ---
     for bit in 0..K::BITS {
         let last = bit + 1 == K::BITS;
-        let (offs, n_true, scan_report) = mask_offsets(spec, gm, &mask_a, s, blocks)?;
-        reports.push(scan_report);
-
-        reports.push(scatter_by_mask::<K::Encoded>(
-            spec,
-            gm,
-            blocks,
-            &keys_a,
-            Some(&idx_a),
-            &mask_a,
-            &offs,
-            n_true,
-            &keys_b,
-            Some(if last { &indices } else { &idx_b }),
-            true,
-            (!last).then_some(NextPlane {
+        let (_, pass) = SplitStore::<K::Encoded> {
+            vals: &keys_a,
+            idx_in: Some(&idx_a),
+            mask: &mask_a,
+            vals_out: &keys_b,
+            idx_out: Some(if last { &indices } else { &idx_b }),
+            false_side: true,
+            next_plane: (!last).then_some(NextPlane {
                 out: &mask_b,
                 compute: &move |vc, keys, mk, len| plane_mask(vc, keys, mk, len, bit + 1, order),
             }),
-        )?);
+        }
+        .launch(spec, gm, s, blocks)?;
+        reports.push(pass);
         std::mem::swap(&mut keys_a, &mut keys_b);
         std::mem::swap(&mut idx_a, &mut idx_b);
         std::mem::swap(&mut mask_a, &mut mask_b);
@@ -242,6 +238,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::split;
     use dtypes::F16;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -420,7 +417,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Sorts keys of every length around the scatter piece (plus `extra`)
+    /// Sorts keys of every length around the split store's piece (plus `extra`)
     /// both ways and checks values and argsort against the host.
     fn check_sorts<K>(
         seed: u64,
@@ -433,7 +430,8 @@ pub(crate) mod tests {
         K::Encoded: Element + Bits + Numeric,
     {
         let (spec, gm) = setup();
-        let p = crate::split::scatter_piece(&spec, std::mem::size_of::<K::Encoded>(), true);
+        let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), true, true, true);
+        let p = split::tests::store_piece(&spec, 16, per_elem).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for n in [0, 1, p - 1, p, p + 1, extra] {
             let data = keys::<K>(&mut rng, n, specials);

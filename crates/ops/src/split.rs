@@ -2,28 +2,32 @@
 //!
 //! Split reorganizes `x` so that all elements whose mask flag is true
 //! come first (in order), followed by all elements whose flag is false
-//! (in order). The implementation follows the paper exactly:
+//! (in order). The paper builds it from two kernels, an exclusive int8
+//! MCScan and a scatter; here both run in **one launch**:
 //!
-//! 1. an **exclusive MCScan** over the int8 mask computes, for every
-//!    position, how many true elements precede it — i.e. the output
-//!    offset of each true element (and, by arithmetic, of each false
-//!    element);
-//! 2. a vector **scatter kernel** gathers the true elements of each tile
-//!    with `GatherMask` and stores the compacted run at the offset the
-//!    scan produced; the false side is handled symmetrically with the
-//!    negated mask. Original indices are materialized with
-//!    `CreateVecIndex` and gathered alongside the values.
+//! 1. MCScan's phase I scans the int8 mask on the cube cores (tile-local
+//!    scans) while the vector cores reduce it per chunk, then `SyncAll`;
+//! 2. in phase II each vector core propagates its chunk's offsets and,
+//!    instead of writing them out, hands every tile — its inclusive
+//!    offsets still in UB — to `SplitStore`. The store gathers the
+//!    true elements of each piece with `GatherMask` and stores the
+//!    compacted run at the piece's offset, `extract`ed from the tile's
+//!    offsets; the false side goes after the true count, which every
+//!    core reduces from MCScan's `r` once the barrier has run. Original
+//!    indices are materialized with `CreateVecIndex` and gathered
+//!    alongside the values.
 //!
-//! Both phases use all cube and vector cores.
+//! The scan runs on all cube and vector cores; the scatter runs on the
+//! chunk-owning vector cores.
 
-use crate::for_each_lane;
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{
-    launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimError, SimResult,
+    ChipSpec, CmpMode, Core, EventTime, GlobalTensor, LocalTensor, ScratchpadKind, SimError,
+    SimResult,
 };
 use dtypes::Element;
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
+use scan::mcscan::{mcscan_with, McScanConfig, ScanKind, Tile, TileStore};
 use scan::tile_spans;
 use std::sync::Arc;
 
@@ -36,19 +40,18 @@ pub struct SplitRun<E: Element> {
     pub indices: GlobalTensor<u32>,
     /// Number of true-flagged elements.
     pub n_true: usize,
-    /// Combined execution report (scan + scatter kernels).
+    /// Execution report of the one split launch.
     pub report: KernelReport,
 }
 
-/// Upper bound on elements-per-piece in the scatter kernel (the actual
-/// size adapts to the chip's UB capacity).
-const SCATTER_PIECE_CAP: usize = 2048;
+/// Upper bound on elements per piece of the split store (the actual
+/// size adapts to the UB that MCScan's propagation leaves free).
+const PIECE_CAP: usize = 2048;
 
 /// Stable split of `x` by `mask` (`1` = first partition). Returns the
 /// partitioned values, their original indices, and the true count.
 ///
-/// `s` and `blocks` configure the underlying MCScan (the scatter kernel
-/// uses the same block count).
+/// `s` and `blocks` configure the fused MCScan launch.
 pub fn split_ind<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -76,26 +79,17 @@ pub fn split_ind<E: Element>(
         });
     }
 
-    // 1. Exclusive scan of the mask on the int8 MCScan path.
-    let (offs, n_true, scan_report) = mask_offsets(spec, gm, mask, s, blocks)?;
-
-    // 2. Scatter kernel.
-    let scatter_report = scatter_by_mask(
-        spec,
-        gm,
-        blocks,
-        x,
-        None,
+    let (n_true, mut report) = SplitStore {
+        vals: x,
+        idx_in: None,
         mask,
-        &offs,
-        n_true,
-        &values,
-        Some(&indices),
-        true,
-        None,
-    )?;
-
-    let mut report = KernelReport::sequential("SplitInd", &[scan_report, scatter_report]);
+        vals_out: &values,
+        idx_out: Some(&indices),
+        false_side: true,
+        next_plane: None,
+    }
+    .launch(spec, gm, s, blocks)?;
+    report.name = "SplitInd".into();
     report.elements = n as u64;
     report.useful_bytes = (n * (E::SIZE + 1) + n * (E::SIZE + 4)) as u64;
     Ok(SplitRun {
@@ -106,44 +100,13 @@ pub fn split_ind<E: Element>(
     })
 }
 
-/// Step 1 of every split: the exclusive int8 MCScan of a non-empty
-/// `mask` (`u8 → i16 → i32`), giving each element's offset within the
-/// true partition, plus the true count and the scan's report.
-pub(crate) fn mask_offsets(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    mask: &GlobalTensor<u8>,
-    s: usize,
-    blocks: u32,
-) -> SimResult<(GlobalTensor<i32>, usize, KernelReport)> {
-    let n = mask.len();
-    let cfg = McScanConfig {
-        s,
-        blocks,
-        kind: ScanKind::Exclusive,
-    };
-    let run = mcscan::<u8, i16, i32>(spec, gm, mask, cfg)?;
-    let last = run.y.read_range(n - 1, 1)?[0] + i32::from(mask.read_range(n - 1, 1)?[0]);
-    Ok((run.y, last as usize, run.report))
-}
-
-/// Elements per piece of [`scatter_by_mask`] for `elem_size`-byte
-/// values, with or without a next-plane output.
-pub(crate) fn scatter_piece(spec: &ChipSpec, elem_size: usize, next_plane: bool) -> usize {
-    // Per element the scatter stages: value in + gathered (2E), mask +
-    // negated mask (2 B), index in + gathered (8 B), plus slack; the
-    // next plane adds its mask and the gathered copy (2 B).
-    let plane_bytes = if next_plane { 2 } else { 0 };
-    crate::ub_piece(spec, 2 * elem_size + 12 + plane_bytes, SCATTER_PIECE_CAP)
-}
-
 /// Writes the split mask for `keys[..len]` into `mask`; may clobber
 /// `keys`.
 pub(crate) type PlaneMaskFn<E> =
     dyn Fn(&mut Core<'_>, &mut LocalTensor<E>, &mut LocalTensor<u8>, usize) -> SimResult<()> + Sync;
 
 /// The split mask a radix-sort pass hands to the next pass, computed by
-/// [`scatter_by_mask`] from the keys it already holds in UB.
+/// the [`SplitStore`] from the keys it already holds in UB.
 pub(crate) struct NextPlane<'a, E: Element> {
     /// Where the scattered mask goes (aligned with the scattered values).
     pub out: &'a GlobalTensor<u8>,
@@ -151,133 +114,273 @@ pub(crate) struct NextPlane<'a, E: Element> {
     pub compute: &'a PlaneMaskFn<E>,
 }
 
-/// The scatter phase shared by SplitInd, Compress and the radix-sort
-/// passes: distributes elements (and optionally their indices) into the
-/// true partition at the offsets given by the exclusive mask scan, and —
-/// when `false_side` is set — into the false partition after it.
+/// The phase II store of every split — SplitInd, Compress, the
+/// radix-sort and top-k passes: distributes elements (and optionally
+/// their indices) into the true partition at the offsets of the mask
+/// scan, and — when `false_side` is set — into the false partition
+/// after it.
 ///
 /// `idx_in`: `None` materializes fresh indices (`CreateVecIndex`);
 /// `Some(t)` gathers from an existing index array (radix-sort passes
-/// permute previously-permuted indices).
+/// permute previously-permuted indices). Without `idx_out` no indices
+/// are touched.
 ///
 /// `next_plane`: `Some` also derives the next radix pass's split mask
-/// from the values this piece already holds in UB and scatters it with
+/// from the values each piece already holds in UB and scatters it with
 /// the same true/false masks, so the mask lands aligned with the
-/// permuted values; `None` leaves the kernel a plain split.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_by_mask<E: Element>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    blocks: u32,
-    vals: &GlobalTensor<E>,
-    idx_in: Option<&GlobalTensor<u32>>,
-    mask: &GlobalTensor<u8>,
-    offs: &GlobalTensor<i32>,
-    n_true: usize,
-    vals_out: &GlobalTensor<E>,
-    idx_out: Option<&GlobalTensor<u32>>,
-    false_side: bool,
-    next_plane: Option<NextPlane<'_, E>>,
-) -> SimResult<KernelReport> {
-    let n = vals.len();
-    let p = scatter_piece(spec, E::SIZE, next_plane.is_some());
-    let pieces = tile_spans(n, p);
+/// permuted values; `None` leaves the store a plain split.
+pub(crate) struct SplitStore<'a, E: Element> {
+    pub vals: &'a GlobalTensor<E>,
+    pub idx_in: Option<&'a GlobalTensor<u32>>,
+    pub mask: &'a GlobalTensor<u8>,
+    pub vals_out: &'a GlobalTensor<E>,
+    pub idx_out: Option<&'a GlobalTensor<u32>>,
+    pub false_side: bool,
+    pub next_plane: Option<NextPlane<'a, E>>,
+}
 
-    launch(spec, gm, blocks, "MaskScatter", |ctx| {
-        for_each_lane(ctx, pieces.iter(), |vc, _, mine| {
-            let mut val_in = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
-            let mut val_gath = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
-            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?;
-            let mut mk_neg = vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?;
-            let mut idx_buf = vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?;
-            let mut idx_gath = vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?;
-            let mut base_buf = vc.alloc_local::<i32>(ScratchpadKind::Ub, 1)?;
-            let mut plane_bufs = match next_plane {
-                Some(_) => Some((
-                    vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
-                    vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
-                )),
-                None => None,
+impl<E: Element> SplitStore<'_, E> {
+    /// Runs the split as one launch — the exclusive `u8 → i16 → i32`
+    /// MCScan of `mask` with this store as its phase II — and returns
+    /// the true count and the launch's report.
+    pub(crate) fn launch(
+        self,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        s: usize,
+        blocks: u32,
+    ) -> SimResult<(usize, KernelReport)> {
+        let mask = self.mask;
+        let cfg = McScanConfig {
+            s,
+            blocks,
+            kind: ScanKind::Exclusive,
+        };
+        let run = mcscan_with::<u8, i16, i32, _>(spec, gm, mask, cfg, "MCScanSplit", self)?;
+        Ok((run.total as usize, run.report))
+    }
+}
+
+/// UB bytes per element of a split piece: value in + gathered, the mask
+/// (and its negation for the false side), index in + gathered, and the
+/// next plane's mask and its gathered copy.
+pub(crate) fn piece_bytes(
+    elem_size: usize,
+    false_side: bool,
+    indices: bool,
+    next_plane: bool,
+) -> usize {
+    2 * elem_size
+        + 1
+        + usize::from(false_side)
+        + if indices { 8 } else { 0 }
+        + if next_plane { 2 } else { 0 }
+}
+
+/// Elements per piece of a store needing `bytes_per_elem` UB bytes per
+/// element, out of `ub_left` free bytes: the largest power of two that
+/// fits, at most [`PIECE_CAP`]; a typed error when not one element does.
+fn piece_len(ub_left: usize, bytes_per_elem: usize) -> SimResult<usize> {
+    let fits = (ub_left / bytes_per_elem).min(PIECE_CAP);
+    if fits == 0 {
+        return Err(SimError::ScratchpadOverflow {
+            buffer: "UB",
+            requested: bytes_per_elem,
+            in_use: 0,
+            capacity: ub_left,
+        });
+    }
+    Ok(1 << fits.ilog2())
+}
+
+/// Where one side of a split piece goes: its offset in the output and
+/// the scalar reads that address waits for.
+struct Side<'d> {
+    at: usize,
+    deps: &'d [EventTime],
+}
+
+impl Side<'_> {
+    /// Gathers the elements of `src[..len]` under `mask` into `gath` and
+    /// stores them at `dst[self.at..]`. Returns the count and the
+    /// store's completion (0 when nothing was gathered).
+    fn store<T: Element>(
+        &self,
+        vc: &mut Core<'_>,
+        gath: &mut LocalTensor<T>,
+        src: &LocalTensor<T>,
+        mask: &LocalTensor<u8>,
+        len: usize,
+        dst: &GlobalTensor<T>,
+    ) -> SimResult<(usize, EventTime)> {
+        let (count, _) = vc.gather_mask(gath, src, mask, 0, len)?;
+        let done = match count {
+            0 => 0,
+            _ => vc.copy_out(dst, self.at, gath, 0, count, self.deps)?,
+        };
+        Ok((count, done))
+    }
+}
+
+/// One vector core's split buffers; `p` elements each.
+pub(crate) struct SplitBufs<E: Element> {
+    p: usize,
+    val_in: LocalTensor<E>,
+    val_gath: LocalTensor<E>,
+    mk: LocalTensor<u8>,
+    mk_neg: Option<LocalTensor<u8>>,
+    idx: Option<(LocalTensor<u32>, LocalTensor<u32>)>,
+    plane: Option<(LocalTensor<u8>, LocalTensor<u8>)>,
+}
+
+impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
+    type Bufs = SplitBufs<E>;
+
+    fn needs_total(&self) -> bool {
+        self.false_side
+    }
+
+    fn open(&self, vc: &mut Core<'_>, ub_left: usize) -> SimResult<SplitBufs<E>> {
+        let bytes = piece_bytes(
+            E::SIZE,
+            self.false_side,
+            self.idx_out.is_some(),
+            self.next_plane.is_some(),
+        );
+        let p = piece_len(ub_left, bytes)?;
+        let val_in = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
+        let val_gath = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
+        let mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?;
+        let mk_neg = match self.false_side {
+            true => Some(vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?),
+            false => None,
+        };
+        let idx = match self.idx_out {
+            Some(_) => Some((
+                vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?,
+                vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?,
+            )),
+            None => None,
+        };
+        let plane = match self.next_plane {
+            Some(_) => Some((
+                vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
+                vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
+            )),
+            None => None,
+        };
+        Ok(SplitBufs {
+            p,
+            val_in,
+            val_gath,
+            mk,
+            mk_neg,
+            idx,
+            plane,
+        })
+    }
+
+    fn store(
+        &self,
+        vc: &mut Core<'_>,
+        b: &mut SplitBufs<E>,
+        tile: &Tile<'_, i32>,
+    ) -> SimResult<(EventTime, u64)> {
+        let (n_true, total_ready) = tile.total.unwrap_or((0, 0));
+        let n_true = n_true as usize;
+        let mut done = tile.last.1;
+        let mut kept = 0;
+        for (j, valid) in tile_spans(tile.valid, b.p) {
+            let off = tile.off + j;
+            // The piece's exclusive offset: the tile's prefix, or the
+            // inclusive offset of the element before the piece. Every
+            // store it addresses waits for it; the false side's also
+            // wait for the true count.
+            let (base, base_ready) = match j {
+                0 => tile.prefix,
+                _ => vc.extract(tile.incl, j - 1)?,
+            };
+            let (true_deps, false_deps) = ([base_ready], [base_ready, total_ready]);
+            let to_true = Side {
+                at: base as usize,
+                deps: &true_deps,
+            };
+            let to_false = Side {
+                at: n_true + (off - base as usize),
+                deps: &false_deps,
             };
 
-            for &(off, valid) in mine {
-                vc.copy_in(&mut val_in, 0, vals, off, valid, &[])?;
-                vc.copy_in(&mut mk, 0, mask, off, valid, &[])?;
-                vc.copy_in(&mut base_buf, 0, offs, off, 1, &[])?;
-                let (base_true_i32, _) = vc.extract(&base_buf, 0)?;
-                let base_true = base_true_i32 as usize;
+            vc.copy_in(&mut b.val_in, 0, self.vals, off, valid, &[])?;
+            vc.copy_in(&mut b.mk, 0, self.mask, off, valid, &[])?;
+            if let Some((idx_buf, _)) = &mut b.idx {
+                match self.idx_in {
+                    Some(src) => vc.copy_in(idx_buf, 0, src, off, valid, &[])?,
+                    None => vc.viota(idx_buf, 0, valid, off as u32)?,
+                };
+            }
 
-                match idx_in {
-                    Some(src) => {
-                        vc.copy_in(&mut idx_buf, 0, src, off, valid, &[])?;
-                    }
-                    None => {
-                        vc.viota(&mut idx_buf, 0, valid, off as u32)?;
-                    }
-                }
+            // True side.
+            let (c, ev) =
+                to_true.store(vc, &mut b.val_gath, &b.val_in, &b.mk, valid, self.vals_out)?;
+            debug_assert!(!self.false_side || to_true.at + c <= n_true);
+            (kept, done) = (kept + c, done.max(ev));
+            if let (Some(outi), Some((idx_buf, idx_gath))) = (self.idx_out, &mut b.idx) {
+                let (ci, ev) = to_true.store(vc, idx_gath, idx_buf, &b.mk, valid, outi)?;
+                debug_assert_eq!(ci, c);
+                done = done.max(ev);
+            }
 
-                // True side.
-                let (c, _) = vc.gather_mask(&mut val_gath, &val_in, &mk, 0, valid)?;
-                debug_assert!(base_true + c <= n_true);
-                if c > 0 {
-                    vc.copy_out(vals_out, base_true, &val_gath, 0, c, &[])?;
-                }
-                if let Some(outi) = idx_out {
-                    let (ci, _) = vc.gather_mask(&mut idx_gath, &idx_buf, &mk, 0, valid)?;
-                    debug_assert_eq!(ci, c);
-                    if c > 0 {
-                        vc.copy_out(outi, base_true, &idx_gath, 0, c, &[])?;
-                    }
-                }
-
-                // False side.
-                let base_false = n_true + (off - base_true);
-                if false_side {
-                    vc.vcompare_scalar(&mut mk_neg, &mk, 0, valid, CmpMode::Eq, 0u8, 0)?;
-                    let (cf, _) = vc.gather_mask(&mut val_gath, &val_in, &mk_neg, 0, valid)?;
-                    debug_assert_eq!(cf, valid - c);
-                    if cf > 0 {
-                        vc.copy_out(vals_out, base_false, &val_gath, 0, cf, &[])?;
-                    }
-                    if let Some(outi) = idx_out {
-                        let (cfi, _) =
-                            vc.gather_mask(&mut idx_gath, &idx_buf, &mk_neg, 0, valid)?;
-                        debug_assert_eq!(cfi, cf);
-                        if cf > 0 {
-                            vc.copy_out(outi, base_false, &idx_gath, 0, cf, &[])?;
-                        }
-                    }
-                }
-
-                // Next plane: both sides have consumed `val_in`, so the
-                // mask computation may clobber it.
-                if let (Some(np), Some((nm, nm_gath))) = (&next_plane, &mut plane_bufs) {
-                    (np.compute)(vc, &mut val_in, nm, valid)?;
-                    let (c, _) = vc.gather_mask(nm_gath, nm, &mk, 0, valid)?;
-                    if c > 0 {
-                        vc.copy_out(np.out, base_true, nm_gath, 0, c, &[])?;
-                    }
-                    if false_side {
-                        let (cf, _) = vc.gather_mask(nm_gath, nm, &mk_neg, 0, valid)?;
-                        if cf > 0 {
-                            vc.copy_out(np.out, base_false, nm_gath, 0, cf, &[])?;
-                        }
-                    }
+            // False side.
+            if let Some(mk_neg) = &mut b.mk_neg {
+                vc.vcompare_scalar(mk_neg, &b.mk, 0, valid, CmpMode::Eq, 0u8, 0)?;
+                let (cf, ev) =
+                    to_false.store(vc, &mut b.val_gath, &b.val_in, mk_neg, valid, self.vals_out)?;
+                debug_assert_eq!(cf, valid - c);
+                (kept, done) = (kept + cf, done.max(ev));
+                if let (Some(outi), Some((idx_buf, idx_gath))) = (self.idx_out, &mut b.idx) {
+                    let (cfi, ev) = to_false.store(vc, idx_gath, idx_buf, mk_neg, valid, outi)?;
+                    debug_assert_eq!(cfi, cf);
+                    done = done.max(ev);
                 }
             }
-            if let Some((nm, nm_gath)) = plane_bufs {
-                vc.free_local(nm)?;
-                vc.free_local(nm_gath)?;
+
+            // Next plane: both sides have consumed `val_in`, so the
+            // mask computation may clobber it.
+            if let (Some(np), Some((nm, nm_gath))) = (&self.next_plane, &mut b.plane) {
+                (np.compute)(vc, &mut b.val_in, nm, valid)?;
+                let (_, ev) = to_true.store(vc, nm_gath, nm, &b.mk, valid, np.out)?;
+                done = done.max(ev);
+                if let Some(mk_neg) = &b.mk_neg {
+                    let (_, ev) = to_false.store(vc, nm_gath, nm, mk_neg, valid, np.out)?;
+                    done = done.max(ev);
+                }
             }
-            vc.free_local(val_in)?;
-            vc.free_local(val_gath)?;
-            vc.free_local(mk)?;
-            vc.free_local(mk_neg)?;
+        }
+        // Reads: values, mask and input indices of every element;
+        // writes: value, index and next-plane mask of every kept one.
+        let idx_in = if self.idx_in.is_some() { 4 } else { 0 };
+        let idx_out = if self.idx_out.is_some() { 4 } else { 0 };
+        let plane = usize::from(self.next_plane.is_some());
+        let bytes = tile.valid * (E::SIZE + 1 + idx_in) + kept * (E::SIZE + idx_out + plane);
+        Ok((done, bytes as u64))
+    }
+
+    fn close(&self, vc: &mut Core<'_>, b: SplitBufs<E>) -> SimResult<()> {
+        if let Some((nm, nm_gath)) = b.plane {
+            vc.free_local(nm)?;
+            vc.free_local(nm_gath)?;
+        }
+        if let Some((idx_buf, idx_gath)) = b.idx {
             vc.free_local(idx_buf)?;
             vc.free_local(idx_gath)?;
-            vc.free_local(base_buf)
-        })
-    })
+        }
+        if let Some(mk_neg) = b.mk_neg {
+            vc.free_local(mk_neg)?;
+        }
+        vc.free_local(b.val_in)?;
+        vc.free_local(b.val_gath)?;
+        vc.free_local(b.mk)
+    }
 }
 
 /// Reference split used in tests: stable partition with indices.
@@ -301,10 +404,20 @@ pub fn reference_split<E: Element>(x: &[E], mask: &[u8]) -> (Vec<E>, Vec<u32>, u
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Elements per piece of a split store needing `bytes_per_elem` UB
+    /// bytes per element ([`piece_bytes`]) on tile dimension `s`.
+    pub(crate) fn store_piece(
+        spec: &ChipSpec,
+        s: usize,
+        bytes_per_elem: usize,
+    ) -> SimResult<usize> {
+        piece_len(scan::mcscan::store_ub::<i16, i32>(spec, s), bytes_per_elem)
+    }
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
@@ -380,19 +493,82 @@ mod tests {
     }
 
     #[test]
-    fn report_combines_scan_and_scatter() {
+    fn split_is_one_launch_with_one_barrier() {
         let (spec, gm) = setup();
         let n = 2000;
         let data: Vec<u16> = (0..n as u16).collect();
         let mask: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 2).unwrap();
-        assert!(run.report.sync_rounds >= 1, "MCScan's barrier is counted");
-        assert!(
-            run.report.cycles > 2 * spec.launch_cycles,
-            "two kernels launched"
-        );
+        let (run, profile) =
+            ascend_sim::prof::with_profiling(&gm, || split_ind(&spec, &gm, &x, &m, 16, 2).unwrap());
+        assert_eq!(run.report.sync_rounds, 1, "MCScan's barrier is counted");
+        let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, ["MCScanSplit"]);
         assert_eq!(run.report.elements, n as u64);
+    }
+
+    #[test]
+    fn a_store_with_no_room_is_a_typed_error() {
+        // s = 16 on a 1546 B UB: propagation's single-buffered queue
+        // (512 B) and buffer (1 KB) leave 10 bytes, less than one
+        // element of the split store needs.
+        let spec = ChipSpec {
+            ub_capacity: 1536 + 10,
+            ..ChipSpec::tiny()
+        };
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        assert_eq!(scan::mcscan::store_ub::<i16, i32>(&spec, 16), 10);
+        let x = GlobalTensor::from_slice(&gm, &[1u16; 300]).unwrap();
+        let m = GlobalTensor::from_slice(&gm, &[1u8; 300]).unwrap();
+        let err = split_ind(&spec, &gm, &x, &m, 16, 2).err();
+        assert!(
+            matches!(err, Some(SimError::ScratchpadOverflow { .. })),
+            "{err:?}"
+        );
+    }
+
+    /// Split and compress of `data` by `mask` at tile dimension `s` and
+    /// `blocks`, checked bit for bit against [`reference_split`].
+    fn check_fused(data: &[u32], mask: &[u8], s: usize, blocks: u32) {
+        let (spec, gm) = setup();
+        let case = format!("n = {}, s = {s}, blocks = {blocks}", data.len());
+        let x = GlobalTensor::from_slice(&gm, data).unwrap();
+        let m = GlobalTensor::from_slice(&gm, mask).unwrap();
+        let (ev, ei, ent) = reference_split(data, mask);
+        let run = split_ind(&spec, &gm, &x, &m, s, blocks).unwrap();
+        assert_eq!(run.n_true, ent, "{case}");
+        assert_eq!(run.values.to_vec(), ev, "{case}");
+        assert_eq!(run.indices.to_vec(), ei, "{case}");
+        let comp = crate::compress::compress(&spec, &gm, &x, &m, s, blocks).unwrap();
+        assert_eq!(comp.n_true, ent, "{case}");
+        assert_eq!(comp.values.to_vec(), &ev[..ent], "{case}");
+    }
+
+    #[test]
+    fn fused_store_matches_reference_around_piece_and_tile() {
+        // At s = 32 the tiny chip's tiles (ℓ = 1024) hold several store
+        // pieces for split and compress of u32 values, so pieces start
+        // inside a tile (an `extract`ed base) as well as at tile offset 0
+        // (the tile's prefix).
+        let (spec, _) = setup();
+        let (s, l) = (32, 1024);
+        let split_p = store_piece(&spec, s, piece_bytes(4, true, true, false)).unwrap();
+        let compress_p = store_piece(&spec, s, piece_bytes(4, false, false, false)).unwrap();
+        assert!(split_p < l && compress_p < l, "{split_p} {compress_p}");
+        let mut lengths = vec![l - 1, l, l + 1, 3 * l + 7];
+        for p in [split_p, compress_p] {
+            lengths.extend([p - 1, p, p + 1]);
+        }
+        let mut rng = StdRng::seed_from_u64(20);
+        for n in lengths {
+            let data: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
+            let random: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
+            for mask in [vec![1u8; n], vec![0u8; n], random] {
+                for blocks in [1, 2] {
+                    check_fused(&data, &mask, s, blocks);
+                }
+            }
+        }
     }
 }

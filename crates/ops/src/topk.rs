@@ -11,12 +11,12 @@
 //! wrapper can radix-sort the k survivors if sorted output is needed).
 //!
 //! The passes run on radix sort's kernels: the encode kernel writes the
-//! most significant bit's mask, each pass is the mask scan plus a
-//! scatter that writes the next bit's mask alongside the permuted window
-//! (ping-ponging two mask buffers), and the decode kernel converts the
-//! `k` survivors back. Each scattered window is copied back into the
-//! primary buffers, because the confirmed prefix outside the window must
-//! stay intact: one pass is four launches.
+//! most significant bit's mask, each pass is one fused split launch (the
+//! mask scan, whose phase II scatters the window and writes the next
+//! bit's mask alongside it, ping-ponging two mask buffers), and the
+//! decode kernel converts the `k` survivors back. Each scattered window
+//! is copied back into the primary buffers, because the confirmed prefix
+//! outside the window must stay intact: one pass is three launches.
 //!
 //! **Expectation management**: the paper reports a *negative* result —
 //! this construction does not beat the baseline `top-k` operator for
@@ -25,7 +25,7 @@
 //! reproduces that finding.
 
 use crate::radix_sort::{decode_kernel, encode_kernel, plane_mask, SortOrder, PIECE_CAP};
-use crate::split::{mask_offsets, scatter_by_mask, NextPlane};
+use crate::split::{NextPlane, SplitStore};
 use crate::{for_each_lane, ub_piece};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
@@ -101,9 +101,24 @@ where
         let idx_out = idx_b.slice(start, len)?;
         let mask = mask_a.slice(start, len)?;
         let next_mask = mask_b.slice(start, len)?;
-        let (offs, n_ones, scan_report) = mask_offsets(spec, gm, &mask, s, blocks)?;
-        reports.push(scan_report);
-
+        // The next plane is computed whenever there is one: the split
+        // only knows after the launch whether the search goes on.
+        let (n_ones, pass) = SplitStore::<K::Encoded> {
+            vals: &keys_in,
+            idx_in: Some(&idx_in),
+            mask: &mask,
+            vals_out: &keys_out,
+            idx_out: Some(&idx_out),
+            false_side: true,
+            next_plane: (bit > 0).then_some(NextPlane {
+                out: &next_mask,
+                compute: &move |vc, keys, mk, m| {
+                    plane_mask(vc, keys, mk, m, bit - 1, SortOrder::Descending)
+                },
+            }),
+        }
+        .launch(spec, gm, s, blocks)?;
+        reports.push(pass);
         if n_ones >= need {
             // All winners are inside the ones partition.
             len = n_ones;
@@ -114,26 +129,6 @@ where
             need -= n_ones;
             len -= n_ones;
         }
-        let more = bit > 0 && len > need;
-        reports.push(scatter_by_mask::<K::Encoded>(
-            spec,
-            gm,
-            blocks,
-            &keys_in,
-            Some(&idx_in),
-            &mask,
-            &offs,
-            n_ones,
-            &keys_out,
-            Some(&idx_out),
-            true,
-            more.then_some(NextPlane {
-                out: &next_mask,
-                compute: &move |vc, keys, mk, m| {
-                    plane_mask(vc, keys, mk, m, bit - 1, SortOrder::Descending)
-                },
-            }),
-        )?);
         reports.push(copy_window(spec, gm, blocks, &keys_out, &keys_in)?);
         reports.push(copy_window(spec, gm, blocks, &idx_out, &idx_in)?);
         std::mem::swap(&mut mask_a, &mut mask_b);
@@ -193,6 +188,7 @@ fn copy_window<E: Element>(
 mod tests {
     use super::*;
     use crate::radix_sort::tests::{bytes, int_specials, keys, setup, F16_SPECIALS, F32_SPECIALS};
+    use crate::split;
     use dtypes::F16;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -265,7 +261,7 @@ mod tests {
     }
 
     /// Selects `k ∈ {1, n/2, n}` from keys of every length around the
-    /// scatter piece and checks the result against the host: the same
+    /// split store's piece and checks the result against the host: the same
     /// multiset of bit patterns as the top `k` under `cmp`, each index
     /// pointing at its value, and no index twice.
     fn check_topk<K>(
@@ -278,7 +274,8 @@ mod tests {
         K::Encoded: Element + Bits + Numeric,
     {
         let (spec, gm) = setup();
-        let p = crate::split::scatter_piece(&spec, std::mem::size_of::<K::Encoded>(), true);
+        let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), true, true, true);
+        let p = split::tests::store_piece(&spec, 16, per_elem).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for n in [p - 1, p, p + 1] {
             let data = keys::<K>(&mut rng, n, specials);

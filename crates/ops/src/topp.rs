@@ -8,9 +8,10 @@
 //! and draws — exactly the pipeline built here from the paper's
 //! operators:
 //!
-//! 1. descending [`radix_sort`] of the probabilities (16 scans for fp16);
+//! 1. descending [`radix_sort`] of the probabilities (16 scans for fp16,
+//!    each the one launch of a fused split);
 //! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan —
-//!    17 scans per batch total, the paper's count);
+//!    17 scans per batch total, the paper's count, in 21 launches);
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).

@@ -1,0 +1,239 @@
+//! Robustness of the split-based operators of the `ops` crate.
+//!
+//! `split_ind`, `compress`, `radix_sort`, `topk` and `top_p_sample` run
+//! on the tiny chip and odd variants of it (a 2 KB UB, one AI core, one
+//! vector core per AI core) at lengths around the row (`s`) and tile
+//! (`ℓ = s²`) boundaries. Each call must return either the host
+//! reference or a typed [`SimError`] — never a panic. Every split runs
+//! as one MCScan launch whose phase II store takes the UB propagation
+//! leaves free, so a chip too small for that store must refuse with an
+//! error. The pinned counts record which calls run to a result.
+
+use ascend_sim::mem::GlobalMemory;
+use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
+use dtypes::F16;
+use ops::split::reference_split;
+use ops::{compress, radix_sort, split_ind, top_p_sample, topk, SortOrder};
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+/// The tiny chip and its odd variants.
+fn chips() -> Vec<(&'static str, ChipSpec)> {
+    let tiny = ChipSpec::tiny();
+    let with = |f: fn(&mut ChipSpec)| {
+        let mut spec = tiny.clone();
+        f(&mut spec);
+        spec
+    };
+    vec![
+        ("tiny", tiny.clone()),
+        ("2 KB UB", with(|c| c.ub_capacity = 2 << 10)),
+        ("1 AI core", with(|c| c.ai_cores = 1)),
+        ("1 vector core", with(|c| c.vec_per_core = 1)),
+    ]
+}
+
+/// Lengths around the row (`s`) and tile (`ℓ = s²`) boundaries.
+fn lengths(s: usize) -> Vec<usize> {
+    let l = s * s;
+    vec![0, 1, s - 1, s, s + 1, l - 1, l, l + 1, 3 * l + 7]
+}
+
+/// Collects every contract violation so one run reports them all, and
+/// counts the calls that ran to a result.
+#[derive(Default)]
+struct Findings {
+    violations: Vec<String>,
+    calls: usize,
+    accepted: usize,
+}
+
+impl Findings {
+    /// Runs `call`; a panic or a result other than `expect` is a finding,
+    /// a typed error is a legitimate refusal.
+    fn check<R: PartialEq + Debug>(
+        &mut self,
+        case: &str,
+        expect: impl FnOnce() -> R,
+        call: impl FnOnce() -> SimResult<R>,
+    ) {
+        self.calls += 1;
+        match catch_unwind(AssertUnwindSafe(call)) {
+            Err(_) => self.violations.push(format!("{case}: panicked")),
+            Ok(Ok(got)) => {
+                self.accepted += 1;
+                let want = expect();
+                if got != want {
+                    self.violations
+                        .push(format!("{case}: got {got:?}, want {want:?}"));
+                }
+            }
+            Ok(Err(_)) => {}
+        }
+    }
+}
+
+/// The stable ascending argsort of `keys` and the sorted keys.
+fn host_sort(keys: &[u16]) -> (Vec<u16>, Vec<u32>) {
+    let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
+    idx.sort_by_key(|&i| keys[i as usize]);
+    (idx.iter().map(|&i| keys[i as usize]).collect(), idx)
+}
+
+/// Host top-p over integer-valued f16 weights (totals stay below 2048,
+/// so every f16 sum is exact): the stable descending sort, the kept
+/// prefix `cumsum − w ≤ p·total` (at least one token) and the first
+/// kept position whose cumulative weight exceeds `theta` of the kept
+/// mass. Returns `(token, n_kept)`.
+fn host_top_p(w: &[f64], p: f64, theta: f64) -> (u32, usize) {
+    let mut idx: Vec<u32> = (0..w.len() as u32).collect();
+    idx.sort_by(|&a, &b| w[b as usize].total_cmp(&w[a as usize]));
+    let cdf: Vec<f64> = idx
+        .iter()
+        .scan(0.0, |acc, &i| {
+            *acc += w[i as usize];
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[cdf.len() - 1];
+    let p_abs = F16::from_f64(p * total).to_f64();
+    let kept = idx
+        .iter()
+        .zip(&cdf)
+        .filter(|&(&i, &c)| c - w[i as usize] <= p_abs)
+        .count()
+        .max(1);
+    let threshold = F16::from_f64(theta * cdf[kept - 1]).to_f64();
+    let pos = cdf[..kept]
+        .iter()
+        .position(|&c| c > threshold)
+        .unwrap_or(kept - 1);
+    (idx[pos], kept)
+}
+
+fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize, n: usize) {
+    let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+    let blocks = spec.ai_cores;
+    // Distinct values (7919 is prime and above every length here), so
+    // the top-k set is unique; keys with duplicates for the sort.
+    let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % n.max(1)) as u16).collect();
+    let keys: Vec<u16> = (0..n).map(|i| (i * 37 % 101) as u16).collect();
+    let mask: Vec<u8> = (0..n).map(|i| u8::from(i % 3 != 1)).collect();
+    let weights: Vec<f64> = (0..n).map(|i| [1.0, 0.0, 2.0, 0.0, 0.0][i % 5]).collect();
+    let probs: Vec<F16> = weights.iter().map(|&w| F16::from_f64(w)).collect();
+    let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+    let k = GlobalTensor::from_slice(&gm, &keys).unwrap();
+    let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+    let pr = GlobalTensor::from_slice(&gm, &probs).unwrap();
+    let case = |what: &str| format!("{what} on {chip}, s = {s}, n = {n}");
+
+    findings.check(
+        &case("split_ind"),
+        || reference_split(&vals, &mask),
+        || {
+            split_ind(spec, &gm, &x, &m, s, blocks)
+                .map(|r| (r.values.to_vec(), r.indices.to_vec(), r.n_true))
+        },
+    );
+    findings.check(
+        &case("compress"),
+        || {
+            let (v, _, n_true) = reference_split(&vals, &mask);
+            v[..n_true].to_vec()
+        },
+        || compress(spec, &gm, &x, &m, s, blocks).map(|r| r.values.to_vec()),
+    );
+    findings.check(
+        &case("radix_sort"),
+        || host_sort(&keys),
+        || {
+            radix_sort(spec, &gm, &k, s, blocks, SortOrder::Ascending)
+                .map(|r| (r.values.to_vec(), r.indices.to_vec()))
+        },
+    );
+    let kk = n.div_ceil(2);
+    findings.check(
+        &case("topk"),
+        || {
+            let mut top: Vec<(u16, u32)> = (0..n as u32).map(|i| (vals[i as usize], i)).collect();
+            top.sort_unstable_by(|a, b| b.cmp(a));
+            top.truncate(kk);
+            top
+        },
+        || {
+            topk(spec, &gm, &x, kk, s, blocks).map(|r| {
+                let mut top: Vec<(u16, u32)> = r
+                    .values
+                    .to_vec()
+                    .into_iter()
+                    .zip(r.indices.to_vec())
+                    .collect();
+                top.sort_unstable_by(|a, b| b.cmp(a));
+                top
+            })
+        },
+    );
+    findings.check(
+        &case("top_p_sample"),
+        || host_top_p(&weights, 0.5, 0.5),
+        || top_p_sample(spec, &gm, &pr, 0.5, 0.5, s, blocks).map(|r| (r.token, r.n_kept)),
+    );
+}
+
+#[test]
+fn every_operator_returns_the_reference_or_a_typed_error() {
+    let mut findings = Findings::default();
+    for (chip, spec) in chips() {
+        for s in [16, 32] {
+            for n in lengths(s) {
+                run_operators(&mut findings, chip, &spec, s, n);
+            }
+        }
+    }
+    assert!(
+        findings.violations.is_empty(),
+        "{} contract violations:\n{}",
+        findings.violations.len(),
+        findings.violations.join("\n")
+    );
+    // Pins which inputs the operators accept: a change that makes one
+    // refuse (or newly run) any of these calls moves the count. The 55
+    // refusals: `topk` and `top_p_sample` of nothing on every chip and
+    // `s` (16), and every non-trivial call at s = 32 on the 2 KB UB,
+    // whose 4 KB propagation buffer does not fit (39; a top-1 of one
+    // element needs no split pass and runs).
+    assert_eq!(
+        (findings.calls, findings.accepted),
+        (360, 305),
+        "(calls, calls that ran to a result)"
+    );
+}
+
+#[test]
+fn a_chip_without_room_for_the_split_store_refuses_every_split() {
+    // s = 16 on a 1540 B UB: propagation's single-buffered queue and
+    // buffer fit and leave 4 bytes, too few for one element of any
+    // split store; every split user refuses with a typed error.
+    let spec = ChipSpec {
+        ub_capacity: 1536 + 4,
+        ..ChipSpec::tiny()
+    };
+    let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+    let vals: Vec<u16> = (0..300).collect();
+    let mask: Vec<u8> = (0..300).map(|i| (i % 2) as u8).collect();
+    let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+    let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+    let errs = [
+        split_ind(&spec, &gm, &x, &m, 16, 2).err(),
+        compress(&spec, &gm, &x, &m, 16, 2).err(),
+        radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).err(),
+        topk(&spec, &gm, &x, 10, 16, 2).err(),
+    ];
+    for err in errs {
+        assert!(
+            matches!(err, Some(SimError::ScratchpadOverflow { .. })),
+            "{err:?}"
+        );
+    }
+}

@@ -122,7 +122,7 @@ where
 {
     let name = "MCScan(strided-totals)";
     let hand = HandOffs::new(name, spec, 1)?;
-    McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+    let run = McLayout::<T, M, O, _>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
         spec,
         gm,
         |mc, ctx| {
@@ -171,12 +171,13 @@ where
         // Phase 2: MCScan's propagation.
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let offset = chunk_offset(vc, &mc.r, chunk)?;
-                mc.propagate(vc, chunk, ScanKind::Inclusive, offset, None)?;
+                let (offset, _) = chunk_offset(vc, &mc.r, chunk, false)?;
+                mc.propagate(vc, chunk, offset, None, None)?;
             }
             Ok(())
         },
-    )
+    )?;
+    Ok(ScanRun::from(run))
 }
 
 /// Textbook SSA: full per-chunk scans in phase 1, broadcast add after.
@@ -193,7 +194,7 @@ where
 {
     let name = "SSA(full)";
     let hand = HandOffs::new(name, spec, 1)?;
-    McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+    let run = McLayout::<T, M, O, _>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
         spec,
         gm,
         |mc, ctx| {
@@ -204,7 +205,7 @@ where
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
                 let zero = (O::zero(), 0);
                 let waits = Some((&ctx.flags, hand));
-                let total = mc.propagate(vc, chunk, ScanKind::Inclusive, zero, waits)?;
+                let total = mc.propagate(vc, chunk, zero, None, waits)?;
                 store_scalar(vc, &mc.r, chunk, total)?;
             }
             Ok(())
@@ -217,7 +218,7 @@ where
                 if chunk == 0 {
                     continue; // chunk 0 needs no offset
                 }
-                let (offset, offset_ready) = chunk_offset(vc, &mc.r, chunk)?;
+                let ((offset, offset_ready), _) = chunk_offset(vc, &mc.r, chunk, false)?;
                 let depth = if 3 * l * O::SIZE + 64 <= vc.spec().ub_capacity {
                     2
                 } else {
@@ -226,16 +227,17 @@ where
                 let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, depth, l)?;
                 for &(off, valid) in mc.chunk(chunk) {
                     let mut buf = q.alloc_tensor()?;
-                    vc.copy_in(&mut buf, 0, &mc.y, off, valid, &[])?;
+                    vc.copy_in(&mut buf, 0, &mc.store.y, off, valid, &[])?;
                     vc.vadds(&mut buf, 0, valid, offset, offset_ready)?;
-                    let ev = vc.copy_out(&mc.y, off, &buf, 0, valid, &[])?;
+                    let ev = vc.copy_out(&mc.store.y, off, &buf, 0, valid, &[])?;
                     q.free_tensor(buf, ev);
                 }
                 q.destroy(vc)?;
             }
             Ok(())
         },
-    )
+    )?;
+    Ok(ScanRun::from(run))
 }
 
 /// Reduce-Scan-Scan: phase 1 reduces only; phase 2 does everything else.
@@ -252,7 +254,7 @@ where
 {
     let name = "RSS";
     let hand = HandOffs::new(name, spec, 1)?;
-    McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+    let run = McLayout::<T, M, O, _>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
         spec,
         gm,
         // Phase 1: MCScan's chunk reductions only (the cube sits idle —
@@ -270,13 +272,14 @@ where
             let range = mc.block_tiles(ctx);
             mc.cube_scans(&mut ctx.cube, x, range, Some((&ctx.flags, hand)))?;
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let offset = chunk_offset(vc, &mc.r, chunk)?;
+                let (offset, _) = chunk_offset(vc, &mc.r, chunk, false)?;
                 let waits = Some((&ctx.flags, hand));
-                mc.propagate(vc, chunk, ScanKind::Inclusive, offset, waits)?;
+                mc.propagate(vc, chunk, offset, None, waits)?;
             }
             Ok(())
         },
-    )
+    )?;
+    Ok(ScanRun::from(run))
 }
 
 #[cfg(test)]

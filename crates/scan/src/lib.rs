@@ -19,6 +19,8 @@
 //!   recompute block reductions from the input; after a global barrier,
 //!   phase 2 scans the block reductions in each vector core's UB and
 //!   propagates. Supports inclusive/exclusive scans, fp16 and int8.
+//!   [`mcscan::mcscan_with`] runs the same launch with a caller-supplied
+//!   phase 2 store ([`mcscan::TileStore`]) in place of the scan output.
 //! * [`scanc::scanc`] — **ScanC**: a single-pass chained scan with
 //!   decoupled look-back. No barrier and no recomputation read: each
 //!   lane keeps its tile-local scans resident in UB, publishes its
@@ -66,7 +68,7 @@ pub(crate) mod util;
 pub use ablation::{mcscan_variant, McScanVariant};
 pub use baseline::cumsum_vec_only;
 pub use batched::{batched_scanu, batched_scanul1};
-pub use mcscan::{mcscan, McScanConfig, ScanKind};
+pub use mcscan::{mcscan, mcscan_with, McScanConfig, ScanKind, StoreRun, Tile, TileStore};
 pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};
 pub use scanu::scanu;

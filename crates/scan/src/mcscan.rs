@@ -19,6 +19,11 @@
 //! writes the output once — ≈ `5·N` element accesses to produce the
 //! operator's `2·N` useful bytes, which is what caps MCScan at ≈ 3/8 of
 //! peak memory bandwidth (the paper's 37.5%).
+//!
+//! Phase 2 hands every propagated tile to a [`TileStore`]: [`mcscan`]'s
+//! writes the scan to `y`, and [`mcscan_with`] takes any other — the
+//! one-launch split of the `ops` crate scatters each tile straight from
+//! UB instead of writing its offsets out for a second kernel.
 
 use crate::stage::{
     check_blocks, check_tile, chunk_offset, propagate_rows, reduce_chunk, CubePass, HandOffs,
@@ -28,8 +33,8 @@ use crate::util::{partition, tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
-    launch, BlockCtx, ChipSpec, Core, EventTime, FlagFile, GlobalTensor, ScratchpadKind, SimResult,
-    SpanArgs, TQue,
+    launch, BlockCtx, ChipSpec, Core, EventTime, FlagFile, GlobalTensor, KernelReport, LocalTensor,
+    ScratchpadKind, SimResult, SpanArgs, TQue,
 };
 use dtypes::{CubeInput, Element, Numeric, F16};
 use std::ops::Range;
@@ -105,29 +110,215 @@ where
     M: Numeric,
     O: Numeric,
 {
-    McLayout::<T, M, O>::new("MCScan", spec, gm, x, cfg, None)?.launch(
-        spec,
-        gm,
-        // Phase I (Lines 4-14): the cube cores write tile-local scans
-        // while the vector cores recompute the chunk reductions from x.
-        |mc, ctx| {
-            let range = mc.block_tiles(ctx);
-            mc.cube_scans(&mut ctx.cube, x, range, None)?;
-            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                reduce_chunk(vc, x, mc.chunk(chunk), mc.l, &mc.r, chunk)?;
+    McLayout::<T, M, O, _>::with_y("MCScan", spec, gm, x, cfg, None)?
+        .recompute(spec, gm, x)
+        .map(ScanRun::from)
+}
+
+/// Result of [`mcscan_with`]: the launch report and the scan's total.
+pub struct StoreRun<O: Element> {
+    /// Simulated execution report of the one launch.
+    pub report: KernelReport,
+    /// The sum of all of `x`, read back from the reduction array `r`
+    /// after the launch.
+    pub total: O,
+}
+
+/// MCScan with a caller-supplied phase II store: the launch `name` runs
+/// [`mcscan`]'s two phases on `x` and hands every propagated tile to
+/// `store` instead of writing a scan output. `cfg.kind` is unused; the
+/// store decides what each tile writes.
+pub fn mcscan_with<T, M, O, S>(
+    spec: &ChipSpec,
+    gm: &Arc<GlobalMemory>,
+    x: &GlobalTensor<T>,
+    cfg: McScanConfig,
+    name: &'static str,
+    store: S,
+) -> SimResult<StoreRun<O>>
+where
+    T: CubeInput,
+    M: Numeric,
+    O: Numeric,
+    S: TileStore<O>,
+{
+    let (report, mc) = McLayout::<T, M, O, S>::new(name, spec, gm, x, cfg, None, |_| Ok(store))?
+        .recompute(spec, gm, x)?;
+    let total = mc.r.to_vec().into_iter().fold(O::zero(), O::add);
+    Ok(StoreRun { report, total })
+}
+
+/// One tile of phase II once the running partial has been carried
+/// through it: what a [`TileStore`] receives.
+pub struct Tile<'t, O: Element> {
+    /// Offset of the tile's first element in the scanned array.
+    pub off: usize,
+    /// Elements in the tile.
+    pub valid: usize,
+    /// The tile's inclusive scan, still in UB (`valid` elements).
+    pub incl: &'t LocalTensor<O>,
+    /// The exclusive prefix before the tile, with its ready time.
+    pub prefix: (O, EventTime),
+    /// The tile's last inclusive value (the next tile's prefix), with
+    /// its ready time.
+    pub last: (O, EventTime),
+    /// The scan's total with its ready time, when the store asks for it
+    /// ([`TileStore::needs_total`]).
+    pub total: Option<(O, EventTime)>,
+}
+
+/// Phase II's output stage: MCScan hands each propagated tile of a chunk
+/// to the store, on the vector core that owns the chunk.
+pub trait TileStore<O: Numeric>: Sync {
+    /// The store's UB buffers on one vector core.
+    type Bufs;
+
+    /// Whether phase II also reduces all of `r` to the scan's total
+    /// (one more `ReduceSum` per vector core; every block can read `r`
+    /// once the `SyncAll` has run).
+    fn needs_total(&self) -> bool {
+        false
+    }
+
+    /// Allocates one vector core's buffers from the `ub_left` bytes of
+    /// UB that propagation's queue and buffer leave free.
+    fn open(&self, vc: &mut Core<'_>, ub_left: usize) -> SimResult<Self::Bufs>;
+
+    /// Runs when tile `off` starts, before its rows are propagated, with
+    /// its exclusive prefix.
+    fn begin(
+        &self,
+        _vc: &mut Core<'_>,
+        _bufs: &mut Self::Bufs,
+        _off: usize,
+        _prefix: (O, EventTime),
+    ) -> SimResult<()> {
+        Ok(())
+    }
+
+    /// Stores one propagated tile. Returns the completion of its last
+    /// write and the global-memory bytes it moved.
+    fn store(
+        &self,
+        vc: &mut Core<'_>,
+        bufs: &mut Self::Bufs,
+        tile: &Tile<'_, O>,
+    ) -> SimResult<(EventTime, u64)>;
+
+    /// Frees one vector core's buffers.
+    fn close(&self, vc: &mut Core<'_>, bufs: Self::Bufs) -> SimResult<()>;
+}
+
+/// The scan's own store: writes the inclusive scan, or §4.3's shifted
+/// exclusive scan, to `y`.
+pub(crate) struct YStore<O: Element> {
+    pub(crate) y: GlobalTensor<O>,
+    kind: ScanKind,
+}
+
+impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O, YStore<O>> {
+    /// [`McLayout::new`] with the scan's own store: the `cfg.kind` scan
+    /// to a fresh `y`.
+    pub(crate) fn with_y(
+        name: &'static str,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        x: &GlobalTensor<T>,
+        cfg: McScanConfig,
+        max_blocks: Option<u32>,
+    ) -> SimResult<Self> {
+        Self::new(name, spec, gm, x, cfg, max_blocks, |gm| {
+            Ok(YStore {
+                y: GlobalTensor::<O>::new(gm, x.len())?,
+                kind: cfg.kind,
+            })
+        })
+    }
+}
+
+impl<T: CubeInput, M: Numeric, O: Numeric> From<(KernelReport, McLayout<T, M, O, YStore<O>>)>
+    for ScanRun<O>
+{
+    fn from((report, mc): (KernelReport, McLayout<T, M, O, YStore<O>>)) -> Self {
+        ScanRun {
+            y: mc.store.y,
+            report,
+        }
+    }
+}
+
+impl<O: Numeric> TileStore<O> for YStore<O> {
+    /// The one-element buffer of the exclusive scan's boundary write.
+    type Bufs = LocalTensor<O>;
+
+    fn open(&self, vc: &mut Core<'_>, _ub_left: usize) -> SimResult<LocalTensor<O>> {
+        vc.alloc_local::<O>(ScratchpadKind::Ub, 1)
+    }
+
+    fn begin(
+        &self,
+        vc: &mut Core<'_>,
+        boundary: &mut LocalTensor<O>,
+        off: usize,
+        prefix: (O, EventTime),
+    ) -> SimResult<()> {
+        if self.kind == ScanKind::Exclusive {
+            // The tile's first exclusive output is the running partial
+            // itself; writing it from this core keeps every store inside
+            // the core's own span (§4.3's shifted write, without a
+            // cross-block boundary hazard). For the very first tile this
+            // also writes the required y[0] = 0.
+            vc.insert(boundary, 0, prefix.0, prefix.1)?;
+            vc.copy_out(&self.y, off, boundary, 0, 1, &[])?;
+        }
+        Ok(())
+    }
+
+    fn store(
+        &self,
+        vc: &mut Core<'_>,
+        _boundary: &mut LocalTensor<O>,
+        tile: &Tile<'_, O>,
+    ) -> SimResult<(EventTime, u64)> {
+        let (off, valid) = (tile.off, tile.valid);
+        let done = match self.kind {
+            ScanKind::Inclusive => vc.copy_out(&self.y, off, tile.incl, 0, valid, &[])?,
+            // Shift right by one within the tile; the tile's last
+            // inclusive value is carried to the next tile instead of
+            // stored.
+            ScanKind::Exclusive if valid > 1 => {
+                vc.copy_out(&self.y, off + 1, tile.incl, 0, valid - 1, &[])?
             }
-            Ok(())
-        },
-        // Phase II (Lines 16-26): each vector core scans r's prefix in
-        // UB and propagates it through its chunk's tile-local scans.
-        |mc, ctx| {
-            for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let offset = chunk_offset(vc, &mc.r, chunk)?;
-                mc.propagate(vc, chunk, cfg.kind, offset, None)?;
-            }
-            Ok(())
-        },
-    )
+            ScanKind::Exclusive => tile.last.1,
+        };
+        Ok((done, (valid * O::SIZE) as u64))
+    }
+
+    fn close(&self, vc: &mut Core<'_>, boundary: LocalTensor<O>) -> SimResult<()> {
+        vc.free_local(boundary)
+    }
+}
+
+/// UB bytes a [`TileStore`] has on each vector core of an
+/// `mcscan_with::<_, M, O, _>` launch with tile dimension `s`: what
+/// propagation's staging queue and buffer leave free.
+pub fn store_ub<M: Element, O: Element>(spec: &ChipSpec, s: usize) -> usize {
+    let l = s * s;
+    let depth = queue_depth::<M, O>(spec, l);
+    spec.ub_capacity
+        .saturating_sub(depth * l * M::SIZE + l * O::SIZE)
+}
+
+/// Depth of propagation's staging queue: double-buffered when UB has
+/// room for two intermediate tiles next to the propagation buffer;
+/// single-buffered for wide intermediates (the propagation is
+/// bandwidth-bound either way).
+fn queue_depth<M: Element, O: Element>(spec: &ChipSpec, l: usize) -> usize {
+    if 2 * l * M::SIZE + l * O::SIZE + 64 <= spec.ub_capacity {
+        2
+    } else {
+        1
+    }
 }
 
 /// Each vector core of block `block` with the chunk it owns
@@ -143,27 +334,28 @@ pub(crate) fn chunk_cores<'c, 'a>(
 }
 
 /// The launch layout MCScan shares with its ablation variants: the scan
-/// constants, the output `y`, the intermediate `w` the tile-local scans
-/// land in, the reduction array `r` (one entry per chunk, Line 3) and the
-/// chunk layout — one chunk per vector core, at tile granularity.
-pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
+/// constants, the phase II `store`, the intermediate `w` the tile-local
+/// scans land in, the reduction array `r` (one entry per chunk, Line 3)
+/// and the chunk layout — one chunk per vector core, at tile
+/// granularity.
+pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> {
     name: &'static str,
     n: usize,
     pub(crate) s: usize,
     pub(crate) l: usize,
     blocks: u32,
     consts: ScanConstants<T>,
-    pub(crate) y: GlobalTensor<O>,
+    pub(crate) store: S,
     pub(crate) w: GlobalTensor<M>,
     pub(crate) r: GlobalTensor<O>,
     pub(crate) tiles: Vec<(usize, usize)>,
     chunk_tiles: Vec<(usize, usize)>,
 }
 
-impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
+impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S> {
     /// Validates `cfg` for kernel `name` (grids above `max_blocks` are
     /// rejected; `None` wave-multiplexes any grid) and allocates the
-    /// launch's tensors.
+    /// launch's tensors, the store's through `store`.
     pub(crate) fn new(
         name: &'static str,
         spec: &ChipSpec,
@@ -171,13 +363,14 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         x: &GlobalTensor<T>,
         cfg: McScanConfig,
         max_blocks: Option<u32>,
+        store: impl FnOnce(&Arc<GlobalMemory>) -> SimResult<S>,
     ) -> SimResult<Self> {
         check_tile(name, cfg.s)?;
         check_blocks(name, cfg.blocks, max_blocks)?;
         let (n, s) = (x.len(), cfg.s);
         let l = s * s;
         let consts = ScanConstants::<T>::upload(gm, s)?;
-        let y = GlobalTensor::<O>::new(gm, n)?;
+        let store = store(gm)?;
         // Tile-local scans land here in the (possibly narrower)
         // intermediate type; the paper's kernel writes them into the
         // output buffer, which is the same traffic.
@@ -193,7 +386,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
             l,
             blocks: cfg.blocks,
             consts,
-            y,
+            store,
             w,
             r,
             tiles,
@@ -201,15 +394,48 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         })
     }
 
+    /// Launches MCScan's own two phases over `x`.
+    fn recompute(
+        self,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        x: &GlobalTensor<T>,
+    ) -> SimResult<(KernelReport, Self)> {
+        self.launch(
+            spec,
+            gm,
+            // Phase I (Lines 4-14): the cube cores write tile-local scans
+            // while the vector cores recompute the chunk reductions from x.
+            |mc, ctx| {
+                let range = mc.block_tiles(ctx);
+                mc.cube_scans(&mut ctx.cube, x, range, None)?;
+                for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                    reduce_chunk(vc, x, mc.chunk(chunk), mc.l, &mc.r, chunk)?;
+                }
+                Ok(())
+            },
+            // Phase II (Lines 16-26): each vector core scans r's prefix in
+            // UB and propagates it through its chunk's tile-local scans.
+            |mc, ctx| {
+                for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                    let (offset, total) = chunk_offset(vc, &mc.r, chunk, mc.store.needs_total())?;
+                    mc.propagate(vc, chunk, offset, total, None)?;
+                }
+                Ok(())
+            },
+        )
+    }
+
     /// Launches the two-phase skeleton: `phase1` per block, a `SyncAll`
-    /// (Line 15), then `phase2`, each inside its phase span.
+    /// (Line 15), then `phase2`, each inside its phase span. Returns the
+    /// report and the layout, whose store and `r` hold the results.
     pub(crate) fn launch(
         self,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         phase1: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
         phase2: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
-    ) -> SimResult<ScanRun<O>> {
+    ) -> SimResult<(KernelReport, Self)> {
         let mut report = launch(spec, gm, self.blocks, self.name, |ctx| {
             let phase = ctx.span_begin("Phase I");
             phase1(&self, ctx)?;
@@ -221,7 +447,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
             Ok(())
         })?;
         finish_report(&mut report, self.n, T::SIZE, O::SIZE);
-        Ok(ScanRun { y: self.y, report })
+        Ok((report, self))
     }
 
     /// The tile range of chunk `chunk`.
@@ -266,31 +492,27 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
 
     /// The propagation stage: streams chunk `chunk`'s tile-local scans
     /// from `w`, widens them to `O`, carries the running partial (from
-    /// `carry`) through them row by row and stores the `kind` scan to
-    /// `y`. With `hand`, each tile first waits for its hand-off.
-    /// Returns the final partial — the chunk's inclusive total.
+    /// `carry`) through them row by row and hands each tile to the
+    /// store, with the scan's `total` when the store asked for it. With
+    /// `hand`, each tile first waits for its hand-off. Returns the final
+    /// partial — the chunk's inclusive total.
     pub(crate) fn propagate(
         &self,
         vc: &mut Core<'_>,
         chunk: usize,
-        kind: ScanKind,
         mut carry: (O, EventTime),
+        total: Option<(O, EventTime)>,
         hand: Option<(&FlagFile, HandOffs)>,
     ) -> SimResult<(O, EventTime)> {
         let (s, l) = (self.s, self.l);
-        // Double-buffer the staging queue when UB has room for two
-        // intermediate tiles next to the propagation buffer; fall back
-        // to single buffering for wide intermediates (the propagation
-        // is bandwidth-bound either way).
-        let ub = vc.spec().ub_capacity;
-        let depth = if 2 * l * M::SIZE + l * O::SIZE + 64 <= ub {
-            2
-        } else {
-            1
-        };
+        let depth = queue_depth::<M, O>(vc.spec(), l);
         let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?.named("q(UB)");
         let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
-        let mut boundary = vc.alloc_local::<O>(ScratchpadKind::Ub, 1)?;
+        let ub_left = vc
+            .spec()
+            .ub_capacity
+            .saturating_sub(vc.scratch_in_use(ScratchpadKind::Ub));
+        let mut bufs = self.store.open(vc, ub_left)?;
         for t in self.chunk_range(chunk) {
             let (off, valid) = self.tiles[t];
             let tile = vc.span_begin("tile");
@@ -302,37 +524,29 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
             vc.copy_in(&mut piece, 0, &self.w, off, valid, ready.as_slice())?;
             let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
             q.free_tensor(piece, cast_done);
-            if kind == ScanKind::Exclusive {
-                // The tile's first exclusive output is the running
-                // partial itself; writing it from this core keeps every
-                // store inside the core's own span (§4.3's shifted
-                // write, without a cross-block boundary hazard). For the
-                // very first tile this also writes the required y[0] = 0.
-                vc.insert(&mut boundary, 0, carry.0, carry.1)?;
-                vc.copy_out(&self.y, off, &boundary, 0, 1, &[])?;
-            }
+            self.store.begin(vc, &mut bufs, off, carry)?;
+            let prefix = carry;
             propagate_rows(vc, &mut buf, valid, s, &mut carry)?;
-            let out_done = match kind {
-                ScanKind::Inclusive => vc.copy_out(&self.y, off, &buf, 0, valid, &[])?,
-                // Shift right by one within the tile; the tile's last
-                // inclusive value is carried to the next tile through
-                // `carry` instead of the store.
-                ScanKind::Exclusive if valid > 1 => {
-                    vc.copy_out(&self.y, off + 1, &buf, 0, valid - 1, &[])?
-                }
-                ScanKind::Exclusive => carry.1,
+            let stored = Tile {
+                off,
+                valid,
+                incl: &buf,
+                prefix,
+                last: carry,
+                total,
             };
+            let (out_done, bytes) = self.store.store(vc, &mut bufs, &stored)?;
             vc.span_args(
                 tile,
                 SpanArgs {
-                    bytes: (valid * (M::SIZE + O::SIZE)) as u64,
+                    bytes: (valid * M::SIZE) as u64 + bytes,
                     kind: "propagate",
                     queue_depth: depth as u32,
                 },
             );
             vc.span_end_at(tile, out_done);
         }
-        vc.free_local(boundary)?;
+        self.store.close(vc, bufs)?;
         vc.free_local(buf)?;
         q.destroy(vc)?;
         Ok(carry)

@@ -127,7 +127,7 @@ where
 fn fold_partials<A: Numeric>(ctx: &mut BlockCtx<'_>, r: &GlobalTensor<A>) -> SimResult<()> {
     if ctx.block_idx == 0 {
         let vc = &mut ctx.vecs[0];
-        let grand = chunk_offset(vc, r, r.len())?;
+        let (grand, _) = chunk_offset(vc, r, r.len(), false)?;
         store_scalar(vc, r, 0, grand)?;
     }
     Ok(())

@@ -14,7 +14,8 @@
 //! * [`propagate_rows`] / [`carry_through`] — row propagation of a
 //!   running partial through a UB tile;
 //! * [`reduce_chunk`], [`chunk_offset`], [`store_scalar`] — chunk
-//!   reduction into `r[chunk]` and the offset read of `r[..chunk]`.
+//!   reduction into `r[chunk]` and the offset read of `r[..chunk]`
+//!   (plus, on request, the total of all of `r`).
 //!
 //! A stage's instruction stream is part of every report built on it:
 //! changing the order or the dependencies of its instructions moves the
@@ -402,13 +403,18 @@ pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
     qin.destroy(vc)
 }
 
+/// A scalar and the time it is ready.
+pub(crate) type Timed<O> = (O, EventTime);
+
 /// The chunk offset of phase 2: loads the reduction array `r` into UB
-/// and sums its first `chunk` entries (zero for chunk 0).
+/// and sums its first `chunk` entries (zero for chunk 0). With `total`,
+/// also sums all of `r` — the scan's total.
 pub(crate) fn chunk_offset<O: Numeric>(
     vc: &mut Core<'_>,
     r: &GlobalTensor<O>,
     chunk: usize,
-) -> SimResult<(O, EventTime)> {
+    total: bool,
+) -> SimResult<(Timed<O>, Option<Timed<O>>)> {
     let mut r_ub = vc.alloc_local::<O>(ScratchpadKind::Ub, r.len())?;
     vc.copy_in(&mut r_ub, 0, r, 0, r.len(), &[])?;
     let offset = if chunk == 0 {
@@ -416,6 +422,11 @@ pub(crate) fn chunk_offset<O: Numeric>(
     } else {
         vc.reduce_sum(&r_ub, 0, chunk)?
     };
+    let total = if total {
+        Some(vc.reduce_sum(&r_ub, 0, r.len())?)
+    } else {
+        None
+    };
     vc.free_local(r_ub)?;
-    Ok(offset)
+    Ok((offset, total))
 }

@@ -88,10 +88,10 @@ lintdir=$(mktemp -d)
 trap 'rm -rf "$lintdir"' EXIT
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
-# byte-identical to what seven serial single-kernel runs would write.
+# byte-identical to what eight serial single-kernel runs would write.
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"
 lint_traces=()
-for k in scanu scanul1 mcscan scanc scanc-excl cumsum batched; do
+for k in scanu scanul1 mcscan scanc scanc-excl cumsum batched split; do
   test -s "$lintdir/$k.json" || { echo "trace --dir did not write $k.json"; exit 1; }
   lint_traces+=("$lintdir/$k.json")
 done
@@ -114,8 +114,8 @@ echo "==> mcheck gate: exhaustive schedule-space check of every shipped kernel"
 # dual (blocked AND non-blocking) wait coverage.
 cargo run --release -p bench --bin mcheck -- all \
   || { echo "mcheck found a schedule-space violation"; exit 1; }
-cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh \
-  || { echo "mcheck: mcscan/scanc missed full sync coverage"; exit 1; }
+cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh split \
+  || { echo "mcheck: mcscan/scanc/split missed full sync coverage"; exit 1; }
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

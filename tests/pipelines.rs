@@ -180,15 +180,16 @@ fn topk_agrees_with_full_sort() {
         expect.truncate(k);
         assert_eq!(got, expect);
 
-        // Top-k runs on radix sort's kernels: encode, then per pass a
-        // mask scan, a scatter and the two window copy-backs, then the
-        // decode and the index copy of the k survivors.
+        // Top-k runs on radix sort's kernels: encode, then per pass one
+        // fused split (mask scan + scatter) and the two window
+        // copy-backs, then the decode and the index copy of the k
+        // survivors.
         let keys: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
         let passes = topk_passes(&keys, k);
         assert!(passes > 0);
         let mut want = vec!["RadixEncode"];
         for _ in 0..passes {
-            want.extend(["MCScan", "MaskScatter", "WindowCopy", "WindowCopy"]);
+            want.extend(["MCScanSplit", "WindowCopy", "WindowCopy"]);
         }
         want.extend(["RadixDecode", "WindowCopy"]);
         let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
@@ -240,7 +241,10 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     let (sorted, profile) = with_profiling(dev.memory(), || {
         dev.sort(&x, SortOrder::Descending).unwrap()
     });
-    assert_eq!(profile.kernels.len(), 34, "{:?}", launch_counts(&profile));
+    let want = [("RadixEncode", 1), ("MCScanSplit", 16), ("RadixDecode", 1)];
+    let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
+    assert_eq!(launch_counts(&profile), want);
+    assert_eq!(profile.kernels.len(), 18, "{:?}", launch_counts(&profile));
     assert_eq!(sorted.report.sync_rounds, 16, "one MCScan barrier per bit");
 
     let probs: Vec<F16> = (0..32_000)
@@ -248,33 +252,39 @@ fn top_p_and_sort_launch_counts_are_pinned() {
         .collect();
     let p = dev.tensor(&probs).unwrap();
     let (_, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.5).unwrap());
+    // The sort's 16 fused splits, then exactly one plain MCScan: the CDF.
     let want = [
         ("RadixEncode", 1),
-        ("MCScan", 17),
-        ("MaskScatter", 16),
+        ("MCScanSplit", 16),
         ("RadixDecode", 1),
+        ("MCScan", 1),
         ("TopPThreshold", 1),
         ("CdfSearch", 1),
     ];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
     assert_eq!(launch_counts(&profile), want);
-    assert_eq!(profile.kernels.len(), 37);
+    assert_eq!(profile.kernels.len(), 21);
 }
 
 #[test]
 fn top_p_launches_are_hb_clean() {
     // Every launch's recorded schedule must analyze without a single
     // diagnostic, warnings included: a dead or leaked mask transfer in
-    // the fused radix passes (shared by top-p's sort and top-k) fails
-    // here.
+    // the fused radix passes (shared by top-p's sort and top-k), or a
+    // scatter store racing the scan in a fused split, fails here.
     let dev = device();
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(if i % 97 == 0 { 0.01 } else { 1e-4 }))
         .collect();
     let p = dev.tensor(&probs).unwrap();
+    let mask: Vec<u8> = (0..32_000).map(|i| u8::from(i % 3 != 1)).collect();
+    let m = dev.tensor(&mask).unwrap();
     let (_, top_p) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.3).unwrap());
     let (_, top_k) = with_profiling(dev.memory(), || dev.topk(&p, 500).unwrap());
-    for k in top_p.kernels.iter().chain(&top_k.kernels) {
+    let (_, split) = with_profiling(dev.memory(), || dev.split(&p, &m).unwrap());
+    let (_, compress) = with_profiling(dev.memory(), || dev.compress(&p, &m).unwrap());
+    let launches = [top_p, top_k, split, compress];
+    for k in launches.iter().flat_map(|p| &p.kernels) {
         assert!(!k.hb_events.is_empty(), "{} recorded no events", k.name);
         let diags = hb::analyze(&k.hb_events);
         if let Some(first) = diags.first() {
