@@ -127,6 +127,16 @@ pub enum SimError {
         /// The core kind the instruction ran on.
         core: &'static str,
     },
+    /// A block's kernel closure panicked. The launch caught the panic,
+    /// finished the block so its siblings could drain, and reports it
+    /// here instead of unwinding through the scheduler.
+    BlockPanicked {
+        /// Index of the panicking block.
+        block: u32,
+        /// The panic message (`"<non-string panic payload>"` when the
+        /// payload was neither a `&str` nor a `String`).
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -194,6 +204,9 @@ impl fmt::Display for SimError {
             SimError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             SimError::WrongCore { instr, core } => {
                 write!(f, "instruction {instr} not available on a {core} core")
+            }
+            SimError::BlockPanicked { block, message } => {
+                write!(f, "block {block} panicked: {message}")
             }
         }
     }

@@ -51,7 +51,9 @@
 //! other blocks keep synchronizing would deadlock on real hardware; here
 //! the failed block simply stops participating — the scheduler resolves
 //! later barriers over the still-live blocks and the error is reported
-//! after the launch drains.
+//! after the launch drains. A kernel closure that panics is treated the
+//! same way: the panic is caught, the block finishes, and the launch
+//! returns [`SimError::BlockPanicked`] with the block and the message.
 
 use crate::core::Core;
 use ascend_sim::mem::GlobalMemory;
@@ -62,6 +64,8 @@ use ascend_sim::{
     KernelReport, LaunchGraph, SimError, SimResult, SpanArgs, SpanId, StallCause, StallEvent,
     StallTally, TraceEvent, TraceSpan,
 };
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Per-block execution context: the block's cores plus the launch-wide
@@ -217,6 +221,15 @@ struct BlockOutcome {
     hb_events: Vec<HbEvent>,
 }
 
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|msg| msg.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".to_string())
+}
+
 /// Launches `block_dim` blocks of `kernel` on the chip and returns the
 /// merged execution report.
 ///
@@ -315,7 +328,15 @@ where
                 v.enable_profiling();
             }
         }
-        let error = kernel(&mut ctx).err();
+        // A panic is caught and becomes the block's error, so the block
+        // still finishes below.
+        let error = match catch_unwind(AssertUnwindSafe(|| kernel(&mut ctx))) {
+            Ok(result) => result.err(),
+            Err(payload) => Some(SimError::BlockPanicked {
+                block: block_idx,
+                message: panic_message(payload.as_ref()),
+            }),
+        };
         // Finishing (also on error) lets sibling blocks terminate;
         // see module docs for failure semantics.
         let next = sync.finish(block_idx as usize, ctx.local_now(), gm, spec);
@@ -416,7 +437,7 @@ where
         }
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("block thread panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
             .collect()
     });
     outcomes.sort_unstable_by_key(|o| o.block);
@@ -1045,6 +1066,47 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, SimError::InvalidArgument(_)));
+    }
+
+    #[test]
+    fn a_panicking_block_is_a_typed_error_not_a_hang() {
+        // A block whose kernel panics before a barrier its siblings
+        // reach: the launch must drain and return the panic as an error
+        // under both gate strides and on an oversubscribed grid (5
+        // blocks on the tiny chip's 2 cores). The launch runs on its own
+        // thread so a hang fails the test instead of stalling it.
+        use ascend_sim::SchedPolicy;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        for policy in [SchedPolicy::Serial, SchedPolicy::Parallel] {
+            for (blocks, bad) in [(2u32, 0u32), (5, 3)] {
+                let spec = ChipSpec::tiny().with_scheduler(policy.clone());
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+                    let res = launch(&spec, &gm, blocks, "panics", |ctx| {
+                        if ctx.block_idx == bad {
+                            panic!("block {bad} gives up");
+                        }
+                        ctx.sync_all()?;
+                        Ok(())
+                    });
+                    let _ = tx.send(res.map(|r| r.cycles));
+                });
+                let case = format!("{policy:?}, {blocks} blocks");
+                let res = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{case}: the launch hung"));
+                assert_eq!(
+                    res,
+                    Err(SimError::BlockPanicked {
+                        block: bad,
+                        message: format!("block {bad} gives up"),
+                    }),
+                    "{case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -231,10 +231,12 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
         }
         "split" => {
             // The fused split every split, compress and radix/top-k pass
-            // runs: MCScan's phase II scatters each tile from UB. 1500
-            // elements at s = 32 are 2 tiles over the 4 vector cores, and
-            // the store's 512-element pieces start both at a tile's first
-            // element and inside it (an extracted base).
+            // runs: MCScan's phase II scatters each segment from UB. 1500
+            // elements at s = 32 are 2 cube tiles and 47 rows, spread
+            // 12/12/12/11 over the 4 vector cores: the third chunk (rows
+            // 24..36) starts mid-tile and its segment crosses the tile
+            // boundary at row 32. Each chunk fits one 512-element store
+            // piece, based at the segment's prefix.
             let x = GlobalTensor::from_slice(&gm, &signal(1500)).expect("device fits input");
             let mask: Vec<u8> = (0..1500).map(|i| u8::from(i % 3 != 1)).collect();
             let m = GlobalTensor::from_slice(&gm, &mask).expect("device fits mask");

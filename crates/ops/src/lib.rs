@@ -23,8 +23,9 @@
 //!
 //! Every split here is one launch: the exclusive int8 MCScan of the
 //! mask ([`scan::mcscan_with`]) with `split::SplitStore` as its phase
-//! II, which scatters each tile from UB on the vector core that
-//! propagated it. The other kernels cut their pieces with
+//! II, which scatters each segment from UB on the vector core that
+//! propagated it — every vector core, since the split's chunks are
+//! equal ranges of rows. The other kernels cut their pieces with
 //! [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
 

@@ -8,17 +8,21 @@
 //! 1. MCScan's phase I scans the int8 mask on the cube cores (tile-local
 //!    scans) while the vector cores reduce it per chunk, then `SyncAll`;
 //! 2. in phase II each vector core propagates its chunk's offsets and,
-//!    instead of writing them out, hands every tile — its inclusive
+//!    instead of writing them out, hands every segment — its inclusive
 //!    offsets still in UB — to `SplitStore`. The store gathers the
 //!    true elements of each piece with `GatherMask` and stores the
-//!    compacted run at the piece's offset, `extract`ed from the tile's
-//!    offsets; the false side goes after the true count, which every
-//!    core reduces from MCScan's `r` once the barrier has run. Original
-//!    indices are materialized with `CreateVecIndex` and gathered
-//!    alongside the values.
+//!    compacted run at the piece's offset, `extract`ed from the
+//!    segment's offsets; the false side goes after the true count, which
+//!    every core reduces from MCScan's `r` once the barrier has run.
+//!    Original indices are materialized with `CreateVecIndex` and
+//!    gathered alongside the values.
 //!
-//! The scan runs on all cube and vector cores; the scatter runs on the
-//! chunk-owning vector cores.
+//! The scan runs on all cube and vector cores. The scatter does too: the
+//! fused launch ([`scan::mcscan_with`]) gives each vector core an equal
+//! range of `s`-element rows rather than whole `ℓ`-element tiles, so a
+//! 128K-element split of 8 tiles scatters on all 40 vector cores of the
+//! 910B4 instead of 8. Only inputs shorter than one row per vector core
+//! leave cores without a chunk; those open no store.
 
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
@@ -549,8 +553,9 @@ pub(crate) mod tests {
     fn fused_store_matches_reference_around_piece_and_tile() {
         // At s = 32 the tiny chip's tiles (ℓ = 1024) hold several store
         // pieces for split and compress of u32 values, so pieces start
-        // inside a tile (an `extract`ed base) as well as at tile offset 0
-        // (the tile's prefix).
+        // inside a segment (an `extract`ed base) as well as at its offset
+        // 0 (the segment's prefix). Phase II's chunks are ranges of
+        // s-element rows over 2 (1 block) or 4 (2 blocks) vector cores.
         let (spec, _) = setup();
         let (s, l) = (32, 1024);
         let split_p = store_piece(&spec, s, piece_bytes(4, true, true, false)).unwrap();
@@ -560,6 +565,13 @@ pub(crate) mod tests {
         for p in [split_p, compress_p] {
             lengths.extend([p - 1, p, p + 1]);
         }
+        // Fewer rows than chunks (3 rows over 4 chunks leaves one empty)
+        // and one element either side of a row per chunk.
+        lengths.extend([2 * s + 5, 2 * s - 1, 2 * s + 1, 4 * s - 1, 4 * s + 1]);
+        // 47 rows: over 2 chunks the second starts at row 24, mid-tile,
+        // and its one segment crosses the cube tile at row 32; over 4
+        // chunks the third (rows 24..36) does.
+        lengths.push(1500);
         let mut rng = StdRng::seed_from_u64(20);
         for n in lengths {
             let data: Vec<u32> = (0..n).map(|_| rng.gen()).collect();

@@ -9,9 +9,12 @@
 //! operators:
 //!
 //! 1. descending [`radix_sort`] of the probabilities (16 scans for fp16,
-//!    each the one launch of a fused split);
+//!    each the one launch of a fused split whose scatter runs on every
+//!    vector core, in row chunks);
 //! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan —
-//!    17 scans per batch total, the paper's count, in 21 launches);
+//!    17 scans per batch total, the paper's count, in 21 launches). This
+//!    scan keeps MCScan's tile chunks: row chunks would change where the
+//!    fp16 chunk offsets round, and with them the sampled tokens;
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).

@@ -22,7 +22,8 @@
 //!   phase 2 re-serializes cube → vector per tile.
 //!
 //! The variants run on MCScan's own launch layout (`y`, `w`, `r`, one
-//! chunk per vector core), its two-phase skeleton and its stages — the
+//! chunk of whole tiles per vector core — their per-tile hand-offs need
+//! tile chunks), its two-phase skeleton and its stages — the
 //! cube tile pass, the chunk reduction and the chunk propagation — so
 //! they differ from MCScan only where their strategies do.
 //!
@@ -138,14 +139,13 @@ where
                 let mut totals = vc.alloc_local::<M>(ScratchpadKind::Ub, l / s)?;
                 let mut totals_o = vc.alloc_local::<O>(ScratchpadKind::Ub, l / s)?;
                 let (mut total, mut total_ready) = (O::zero(), 0);
-                for t in mc.chunk_range(chunk) {
-                    let (off, valid) = mc.tiles[t];
+                for (off, valid) in mc.segments(chunk) {
                     let rows = valid.div_ceil(s);
                     let full_rows = valid / s;
                     // Strided gather: last element of each complete
                     // s-row, once the priced CrossCoreWaitFlag sees the
                     // cube's tile.
-                    let dep = hand.wait(vc, &ctx.flags, 0, t)?;
+                    let dep = hand.wait(vc, &ctx.flags, 0, off / l)?;
                     if full_rows > 0 {
                         vc.copy_in_2d(&mut totals, &mc.w, off + s - 1, full_rows, 1, s, &[dep])?;
                     }
@@ -225,7 +225,7 @@ where
                     1
                 };
                 let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, depth, l)?;
-                for &(off, valid) in mc.chunk(chunk) {
+                for (off, valid) in mc.segments(chunk) {
                     let mut buf = q.alloc_tensor()?;
                     vc.copy_in(&mut buf, 0, &mc.store.y, off, valid, &[])?;
                     vc.vadds(&mut buf, 0, valid, offset, offset_ready)?;
@@ -261,7 +261,7 @@ where
         // RSS's structural drawback on a split architecture).
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                reduce_chunk(vc, x, mc.chunk(chunk), mc.l, &mc.r, chunk)?;
+                reduce_chunk(vc, x, &mc.segments(chunk), mc.l, &mc.r, chunk)?;
             }
             Ok(())
         },

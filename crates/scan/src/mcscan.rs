@@ -20,16 +20,25 @@
 //! operator's `2·N` useful bytes, which is what caps MCScan at ≈ 3/8 of
 //! peak memory bandwidth (the paper's 37.5%).
 //!
-//! Phase 2 hands every propagated tile to a [`TileStore`]: [`mcscan`]'s
-//! writes the scan to `y`, and [`mcscan_with`] takes any other — the
-//! one-launch split of the `ops` crate scatters each tile straight from
-//! UB instead of writing its offsets out for a second kernel.
+//! Phase 2 hands every propagated segment to a [`TileStore`]:
+//! [`mcscan`]'s writes the scan to `y`, and [`mcscan_with`] takes any
+//! other — the one-launch split of the `ops` crate scatters each segment
+//! straight from UB instead of writing its offsets out for a second
+//! kernel.
+//!
+//! A chunk is a contiguous element range walked in segments of at most
+//! `ℓ` elements (see [`Chunking`]). [`mcscan`] keeps the paper's chunks
+//! of whole tiles; [`mcscan_with`] gives each vector core an equal range
+//! of `s`-element rows, because `A @ U_s` leaves independent row scans in
+//! `w` and phase II only carries a running sum through them. A short
+//! split of a few tiles then runs its phase II on every vector core
+//! instead of one core per tile.
 
 use crate::stage::{
     check_blocks, check_tile, chunk_offset, propagate_rows, reduce_chunk, CubePass, HandOffs,
 };
 use crate::triangular::ScanConstants;
-use crate::util::{partition, tile_dim, tile_spans};
+use crate::util::{partition, spread, tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
@@ -125,9 +134,10 @@ pub struct StoreRun<O: Element> {
 }
 
 /// MCScan with a caller-supplied phase II store: the launch `name` runs
-/// [`mcscan`]'s two phases on `x` and hands every propagated tile to
-/// `store` instead of writing a scan output. `cfg.kind` is unused; the
-/// store decides what each tile writes.
+/// [`mcscan`]'s two phases on `x` over row chunks ([`Chunking::Rows`])
+/// and hands every propagated segment to `store` instead of writing a
+/// scan output. `cfg.kind` is unused; the store decides what each
+/// segment writes.
 pub fn mcscan_with<T, M, O, S>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -142,33 +152,36 @@ where
     O: Numeric,
     S: TileStore<O>,
 {
-    let (report, mc) = McLayout::<T, M, O, S>::new(name, spec, gm, x, cfg, None, |_| Ok(store))?
-        .recompute(spec, gm, x)?;
+    let (report, mc) =
+        McLayout::<T, M, O, S>::new(name, spec, gm, x, cfg, Chunking::Rows, None, |_| Ok(store))?
+            .recompute(spec, gm, x)?;
     let total = mc.r.to_vec().into_iter().fold(O::zero(), O::add);
     Ok(StoreRun { report, total })
 }
 
-/// One tile of phase II once the running partial has been carried
-/// through it: what a [`TileStore`] receives.
+/// One segment of phase II — at most `ℓ` elements of a chunk, starting
+/// on a row boundary (with row chunks it may straddle two cube tiles) —
+/// once the running partial has been carried through it: what a
+/// [`TileStore`] receives.
 pub struct Tile<'t, O: Element> {
-    /// Offset of the tile's first element in the scanned array.
+    /// Offset of the segment's first element in the scanned array.
     pub off: usize,
-    /// Elements in the tile.
+    /// Elements in the segment.
     pub valid: usize,
-    /// The tile's inclusive scan, still in UB (`valid` elements).
+    /// The segment's inclusive scan, still in UB (`valid` elements).
     pub incl: &'t LocalTensor<O>,
-    /// The exclusive prefix before the tile, with its ready time.
+    /// The exclusive prefix before the segment, with its ready time.
     pub prefix: (O, EventTime),
-    /// The tile's last inclusive value (the next tile's prefix), with
-    /// its ready time.
+    /// The segment's last inclusive value (the next segment's prefix),
+    /// with its ready time.
     pub last: (O, EventTime),
     /// The scan's total with its ready time, when the store asks for it
     /// ([`TileStore::needs_total`]).
     pub total: Option<(O, EventTime)>,
 }
 
-/// Phase II's output stage: MCScan hands each propagated tile of a chunk
-/// to the store, on the vector core that owns the chunk.
+/// Phase II's output stage: MCScan hands each propagated segment of a
+/// chunk to the store, on the vector core that owns the chunk.
 pub trait TileStore<O: Numeric>: Sync {
     /// The store's UB buffers on one vector core.
     type Bufs;
@@ -184,8 +197,8 @@ pub trait TileStore<O: Numeric>: Sync {
     /// UB that propagation's queue and buffer leave free.
     fn open(&self, vc: &mut Core<'_>, ub_left: usize) -> SimResult<Self::Bufs>;
 
-    /// Runs when tile `off` starts, before its rows are propagated, with
-    /// its exclusive prefix.
+    /// Runs when segment `off` starts, before its rows are propagated,
+    /// with its exclusive prefix.
     fn begin(
         &self,
         _vc: &mut Core<'_>,
@@ -196,7 +209,7 @@ pub trait TileStore<O: Numeric>: Sync {
         Ok(())
     }
 
-    /// Stores one propagated tile. Returns the completion of its last
+    /// Stores one propagated segment. Returns the completion of its last
     /// write and the global-memory bytes it moved.
     fn store(
         &self,
@@ -227,7 +240,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O, YStore<O>> {
         cfg: McScanConfig,
         max_blocks: Option<u32>,
     ) -> SimResult<Self> {
-        Self::new(name, spec, gm, x, cfg, max_blocks, |gm| {
+        Self::new(name, spec, gm, x, cfg, Chunking::Tiles, max_blocks, |gm| {
             Ok(YStore {
                 y: GlobalTensor::<O>::new(gm, x.len())?,
                 kind: cfg.kind,
@@ -263,11 +276,11 @@ impl<O: Numeric> TileStore<O> for YStore<O> {
         prefix: (O, EventTime),
     ) -> SimResult<()> {
         if self.kind == ScanKind::Exclusive {
-            // The tile's first exclusive output is the running partial
-            // itself; writing it from this core keeps every store inside
-            // the core's own span (§4.3's shifted write, without a
-            // cross-block boundary hazard). For the very first tile this
-            // also writes the required y[0] = 0.
+            // The segment's first exclusive output is the running
+            // partial itself; writing it from this core keeps every
+            // store inside the core's own span (§4.3's shifted write,
+            // without a cross-block boundary hazard). For the very first
+            // segment this also writes the required y[0] = 0.
             vc.insert(boundary, 0, prefix.0, prefix.1)?;
             vc.copy_out(&self.y, off, boundary, 0, 1, &[])?;
         }
@@ -283,9 +296,8 @@ impl<O: Numeric> TileStore<O> for YStore<O> {
         let (off, valid) = (tile.off, tile.valid);
         let done = match self.kind {
             ScanKind::Inclusive => vc.copy_out(&self.y, off, tile.incl, 0, valid, &[])?,
-            // Shift right by one within the tile; the tile's last
-            // inclusive value is carried to the next tile instead of
-            // stored.
+            // Shift right by one within the segment; its last inclusive
+            // value is carried to the next segment instead of stored.
             ScanKind::Exclusive if valid > 1 => {
                 vc.copy_out(&self.y, off + 1, tile.incl, 0, valid - 1, &[])?
             }
@@ -333,11 +345,25 @@ pub(crate) fn chunk_cores<'c, 'a>(
         .map(move |(v, vc)| (first + v, vc))
 }
 
+/// What a chunk of phase II is made of. The entry point fixes it:
+/// [`mcscan`] and the ablation variants use tiles, [`mcscan_with`] rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Chunking {
+    /// Whole `ℓ`-element cube tiles, `⌈tiles / chunks⌉` to a chunk: the
+    /// paper's layout. The ablations' per-tile cube→vector hand-offs
+    /// need it, and the figures reproduce it.
+    Tiles,
+    /// `s`-element rows, spread so chunk sizes differ by at most one
+    /// row: every vector core shares phase II even when the input is a
+    /// few tiles long. A chunk with no rows runs no phase II.
+    Rows,
+}
+
 /// The launch layout MCScan shares with its ablation variants: the scan
 /// constants, the phase II `store`, the intermediate `w` the tile-local
 /// scans land in, the reduction array `r` (one entry per chunk, Line 3)
-/// and the chunk layout — one chunk per vector core, at tile
-/// granularity.
+/// and the chunk map — one contiguous element range per vector core, of
+/// whole tiles or of rows ([`Chunking`]).
 pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> {
     name: &'static str,
     n: usize,
@@ -348,20 +374,23 @@ pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>
     pub(crate) store: S,
     pub(crate) w: GlobalTensor<M>,
     pub(crate) r: GlobalTensor<O>,
-    pub(crate) tiles: Vec<(usize, usize)>,
-    chunk_tiles: Vec<(usize, usize)>,
+    tiles: Vec<(usize, usize)>,
+    chunking: Chunking,
+    chunks: Vec<Range<usize>>,
 }
 
 impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S> {
     /// Validates `cfg` for kernel `name` (grids above `max_blocks` are
     /// rejected; `None` wave-multiplexes any grid) and allocates the
     /// launch's tensors, the store's through `store`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         name: &'static str,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         x: &GlobalTensor<T>,
         cfg: McScanConfig,
+        chunking: Chunking,
         max_blocks: Option<u32>,
         store: impl FnOnce(&Arc<GlobalMemory>) -> SimResult<S>,
     ) -> SimResult<Self> {
@@ -376,8 +405,14 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
         // output buffer, which is the same traffic.
         let w = GlobalTensor::<M>::new(gm, n)?;
         let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
-        let tiles = tile_spans(n, l);
-        let chunk_tiles = partition(tiles.len(), chunks_total);
+        let (unit, units) = match chunking {
+            Chunking::Tiles => (l, partition(n.div_ceil(l), chunks_total)),
+            Chunking::Rows => (s, spread(n.div_ceil(s), chunks_total)),
+        };
+        let chunks = units
+            .into_iter()
+            .map(|(first, count)| (first * unit).min(n)..((first + count) * unit).min(n))
+            .collect();
         let r = GlobalTensor::<O>::new(gm, chunks_total)?;
         Ok(McLayout {
             name,
@@ -389,8 +424,9 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             store,
             w,
             r,
-            tiles,
-            chunk_tiles,
+            tiles: tile_spans(n, l),
+            chunking,
+            chunks,
         })
     }
 
@@ -410,7 +446,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
                 let range = mc.block_tiles(ctx);
                 mc.cube_scans(&mut ctx.cube, x, range, None)?;
                 for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                    reduce_chunk(vc, x, mc.chunk(chunk), mc.l, &mc.r, chunk)?;
+                    reduce_chunk(vc, x, &mc.segments(chunk), mc.l, &mc.r, chunk)?;
                 }
                 Ok(())
             },
@@ -418,6 +454,9 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             // UB and propagates it through its chunk's tile-local scans.
             |mc, ctx| {
                 for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+                    if mc.chunking == Chunking::Rows && mc.chunks[chunk].is_empty() {
+                        continue;
+                    }
                     let (offset, total) = chunk_offset(vc, &mc.r, chunk, mc.store.needs_total())?;
                     mc.propagate(vc, chunk, offset, total, None)?;
                 }
@@ -450,23 +489,23 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
         Ok((report, self))
     }
 
-    /// The tile range of chunk `chunk`.
-    pub(crate) fn chunk_range(&self, chunk: usize) -> Range<usize> {
-        let (t0, count) = self.chunk_tiles[chunk];
-        t0..t0 + count
+    /// The segments of chunk `chunk`: its element range cut into
+    /// `(offset, len)` pieces of at most `ℓ` elements. With tile chunks
+    /// each segment is one cube tile, and `offset / ℓ` its index.
+    pub(crate) fn segments(&self, chunk: usize) -> Vec<(usize, usize)> {
+        let range = self.chunks[chunk].clone();
+        tile_spans(range.len(), self.l)
+            .into_iter()
+            .map(|(off, len)| (range.start + off, len))
+            .collect()
     }
 
-    /// The tiles of chunk `chunk`.
-    pub(crate) fn chunk(&self, chunk: usize) -> &[(usize, usize)] {
-        &self.tiles[self.chunk_range(chunk)]
-    }
-
-    /// The contiguous tile range of the block's chunks.
+    /// The cube tiles of the block: those that start inside its chunks.
     pub(crate) fn block_tiles(&self, ctx: &BlockCtx<'_>) -> Range<usize> {
         let vpc = ctx.vecs.len();
-        let block = ctx.block_idx as usize;
-        let first = self.chunk_range(block * vpc);
-        first.start..self.chunk_range(block * vpc + vpc - 1).end
+        let first = ctx.block_idx as usize * vpc;
+        let (start, end) = (self.chunks[first].start, self.chunks[first + vpc - 1].end);
+        start.div_ceil(self.l)..end.div_ceil(self.l)
     }
 
     /// The cube stage: tile-local scans (`A @ U_s`) of `range` into `w`.
@@ -491,11 +530,14 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
     }
 
     /// The propagation stage: streams chunk `chunk`'s tile-local scans
-    /// from `w`, widens them to `O`, carries the running partial (from
-    /// `carry`) through them row by row and hands each tile to the
-    /// store, with the scan's `total` when the store asked for it. With
-    /// `hand`, each tile first waits for its hand-off. Returns the final
-    /// partial — the chunk's inclusive total.
+    /// from `w` one segment at a time, widens them to `O`, carries the
+    /// running partial (from `carry`) through them row by row and hands
+    /// each segment to the store, with the scan's `total` when the store
+    /// asked for it. A segment may straddle two cube tiles: `w` holds
+    /// row-local scans and is read only after the `SyncAll`. With
+    /// `hand` (tile chunks only), each segment first waits for its
+    /// tile's hand-off. Returns the final partial — the chunk's
+    /// inclusive total.
     pub(crate) fn propagate(
         &self,
         vc: &mut Core<'_>,
@@ -513,11 +555,10 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             .ub_capacity
             .saturating_sub(vc.scratch_in_use(ScratchpadKind::Ub));
         let mut bufs = self.store.open(vc, ub_left)?;
-        for t in self.chunk_range(chunk) {
-            let (off, valid) = self.tiles[t];
+        for (off, valid) in self.segments(chunk) {
             let tile = vc.span_begin("tile");
             let ready = match hand {
-                Some((flags, hand)) => Some(hand.wait(vc, flags, 0, t)?),
+                Some((flags, hand)) => Some(hand.wait(vc, flags, 0, off / l)?),
                 None => None,
             };
             let mut piece = q.alloc_tensor()?;

@@ -10,17 +10,31 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Every `cargo test` step runs under a time bound, so a launch that
+# hangs fails CI with the step's name instead of stalling it. A full
+# workspace test run takes a few minutes; the bound is far above that.
+test_step() {
+  local name=$1
+  shift
+  local status=0
+  timeout 60m "$@" || status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "CI step '$name' timed out after 60m"
+  fi
+  return "$status"
+}
+
 echo "==> cargo test -q (slot-count parallel gate, the default)"
 # Includes bench's trace_export test, which parses the `trace mcscan`
 # export and requires its phase and stall names as traceEvents names.
-cargo test -q --workspace
+test_step "cargo test (parallel gate)" cargo test -q --workspace
 
 echo "==> cargo test -q (stride-1 serial gate via ASCEND_SCHED)"
 # The same suite must pass at both strides of the scheduler gate;
 # sched_equiv additionally proves their reports byte-identical.
 # sync::tests::env_policy_follows_ascend_sched pins that this run
 # really resolves to SchedPolicy::Serial (one block at a time).
-ASCEND_SCHED=serial cargo test -q --workspace
+ASCEND_SCHED=serial test_step "cargo test (serial gate)" cargo test -q --workspace
 
 echo "==> examples: each asserts its own results end to end"
 for example in quickstart sorting llm_sampling multi_sampling tensor_masking; do
@@ -76,8 +90,10 @@ cmp <(strip_host BENCH_scan.json) <(strip_host BENCH_scan.wide.json) \
 rm -f BENCH_scan.wide.json
 
 echo "==> oversubscribed smoke: grids larger than the host"
-cargo test -q -p ascendc oversubscribed_launch_is_deterministic
-cargo test -q --test determinism oversubscribed_scanc_is_reproducible_byte_for_byte
+test_step "oversubscribed launch" \
+  cargo test -q -p ascendc oversubscribed_launch_is_deterministic
+test_step "oversubscribed ScanC" \
+  cargo test -q --test determinism oversubscribed_scanc_is_reproducible_byte_for_byte
 
 echo "==> simlint + critpath gates: every shipped kernel's schedule must be clean"
 # One trace file per kernel (concatenated launches would look

@@ -83,6 +83,41 @@ fn split_and_compress_agree() {
 }
 
 #[test]
+fn a_vocab_sized_split_shares_phase_two_over_every_vector_core() {
+    // 128,256 elements are only 8 cube tiles of ℓ = 16,384, but the
+    // split's phase II gives each of the 910B4's 40 vector cores an
+    // equal range of s-element rows: every one of them propagates and
+    // scatters a segment, and the result is bit-exact.
+    let dev = device();
+    let n = 128_256;
+    let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % 65536) as u16).collect();
+    let mask: Vec<u8> = (0..n)
+        .map(|i| (((i as u64 * 2654435761) >> 13) & 1) as u8)
+        .collect();
+    let x = dev.tensor(&vals).unwrap();
+    let m = dev.tensor(&mask).unwrap();
+    let (run, profile) = with_profiling(dev.memory(), || dev.split(&x, &m).unwrap());
+    let (want_vals, want_idx, want_true) = ascend_scan::ops::split::reference_split(&vals, &mask);
+    assert_eq!(run.n_true, want_true);
+    assert_eq!(run.values.to_vec(), want_vals);
+    assert_eq!(run.indices.to_vec(), want_idx);
+
+    let [launch] = &profile.kernels[..] else {
+        panic!("{:?}", launch_counts(&profile));
+    };
+    let mut cores: Vec<(u32, u32)> = launch
+        .spans
+        .iter()
+        .filter(|sp| sp.name == "tile" && sp.args.is_some_and(|a| a.kind == "propagate"))
+        .map(|sp| (sp.block, sp.core))
+        .collect();
+    cores.sort_unstable();
+    cores.dedup();
+    let spec = dev.spec();
+    assert_eq!(cores.len(), (spec.ai_cores * spec.vec_per_core) as usize);
+}
+
+#[test]
 fn top_p_token_comes_from_the_nucleus() {
     let dev = device();
     let n = 40_000;
