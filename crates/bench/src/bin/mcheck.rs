@@ -232,7 +232,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
         "split" => {
             // The fused split every split, compress and radix/top-k pass
             // runs: MCScan's phase II scatters each segment from UB. 1500
-            // elements at s = 32 are 2 cube tiles and 47 rows, spread
+            // elements at s = 32 are 2 cube tiles and 47 rows, split
             // 12/12/12/11 over the 4 vector cores: the third chunk (rows
             // 24..36) starts mid-tile and its segment crosses the tile
             // boundary at row 32. Each chunk fits one 512-element store

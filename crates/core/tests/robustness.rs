@@ -16,7 +16,7 @@
 use ascend_scan::ops::{alias_sample_many, build_alias_table, weighted_sample, AliasTable};
 use ascend_scan::scan::crossover::ScanPath;
 use ascend_scan::scan::reference;
-use ascend_scan::{ChipSpec, Device, McScanConfig, SimResult, F16};
+use ascend_scan::{ChipSpec, Device, McScanConfig, SimError, SimResult, F16};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -52,8 +52,10 @@ struct Findings {
 }
 
 impl Findings {
-    /// Runs `call`; a panic or a result other than `expect` is a finding,
-    /// a typed error is a legitimate refusal.
+    /// Runs `call`; a panic (on the caller's thread or inside a block,
+    /// which the launch reports as `BlockPanicked`) or a result other
+    /// than `expect` is a finding, any other typed error is a legitimate
+    /// refusal.
     fn check<R: PartialEq + Debug>(
         &mut self,
         case: &str,
@@ -62,7 +64,9 @@ impl Findings {
     ) {
         self.calls += 1;
         match catch_unwind(AssertUnwindSafe(call)) {
-            Err(_) => self.violations.push(format!("{case}: panicked")),
+            Err(_) | Ok(Err(SimError::BlockPanicked { .. })) => {
+                self.violations.push(format!("{case}: panicked"))
+            }
             Ok(Ok(got)) => {
                 self.accepted += 1;
                 let want = expect();

@@ -24,9 +24,9 @@
 //! Every split here is one launch: the exclusive int8 MCScan of the
 //! mask ([`scan::mcscan_with`]) with `split::SplitStore` as its phase
 //! II, which scatters each segment from UB on the vector core that
-//! propagated it — every vector core, since the split's chunks are
-//! equal ranges of rows. The other kernels cut their pieces with
-//! [`scan::tile_spans`] and deal them to vector cores with
+//! propagated it — (nearly) every vector core, since the split's chunks
+//! are ranges of `⌈rows / cores⌉` rows. The other kernels cut their
+//! pieces with [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
 
 #![forbid(unsafe_code)]

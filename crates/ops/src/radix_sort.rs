@@ -4,9 +4,9 @@
 //! least significant first, and performs one stable [`split`] per bit
 //! with the mask "bit is 0" (ascending). Each split is one launch: an
 //! exclusive int8 MCScan — running on the cube units — whose phase II
-//! gives every vector core an equal range of rows and scatters each of
-//! its segments straight from UB, so even a vocabulary-sized pass of a
-//! few tiles scatters on all vector cores.
+//! gives each vector core a range of `⌈rows / cores⌉` rows and scatters
+//! each of its segments straight from UB, so even a vocabulary-sized
+//! pass of a few tiles scatters on (nearly) all vector cores.
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
 //! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its

@@ -17,12 +17,12 @@
 //!    Original indices are materialized with `CreateVecIndex` and
 //!    gathered alongside the values.
 //!
-//! The scan runs on all cube and vector cores. The scatter does too: the
-//! fused launch ([`scan::mcscan_with`]) gives each vector core an equal
-//! range of `s`-element rows rather than whole `ℓ`-element tiles, so a
-//! 128K-element split of 8 tiles scatters on all 40 vector cores of the
-//! 910B4 instead of 8. Only inputs shorter than one row per vector core
-//! leave cores without a chunk; those open no store.
+//! The scan runs on all cube and vector cores. The scatter nearly does
+//! too: the fused launch ([`scan::mcscan_with`]) gives each vector core a
+//! range of `⌈rows / cores⌉` `s`-element rows rather than whole
+//! `ℓ`-element tiles, so a 128K-element split of 8 tiles (1,002 rows,
+//! 26 to a core) scatters on 39 of the 910B4's 40 vector cores instead
+//! of 8. A core whose chunk gets no rows opens no store.
 
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
@@ -47,10 +47,6 @@ pub struct SplitRun<E: Element> {
     /// Execution report of the one split launch.
     pub report: KernelReport,
 }
-
-/// Upper bound on elements per piece of the split store (the actual
-/// size adapts to the UB that MCScan's propagation leaves free).
-const PIECE_CAP: usize = 2048;
 
 /// Stable split of `x` by `mask` (`1` = first partition). Returns the
 /// partitioned values, their original indices, and the true count.
@@ -183,9 +179,10 @@ pub(crate) fn piece_bytes(
 
 /// Elements per piece of a store needing `bytes_per_elem` UB bytes per
 /// element, out of `ub_left` free bytes: the largest power of two that
-/// fits, at most [`PIECE_CAP`]; a typed error when not one element does.
+/// fits, so a row chunk's segment takes as few pieces as UB allows; a
+/// typed error when not one element does.
 fn piece_len(ub_left: usize, bytes_per_elem: usize) -> SimResult<usize> {
-    let fits = (ub_left / bytes_per_elem).min(PIECE_CAP);
+    let fits = ub_left / bytes_per_elem;
     if fits == 0 {
         return Err(SimError::ScratchpadOverflow {
             buffer: "UB",

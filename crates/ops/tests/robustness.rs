@@ -50,8 +50,10 @@ struct Findings {
 }
 
 impl Findings {
-    /// Runs `call`; a panic or a result other than `expect` is a finding,
-    /// a typed error is a legitimate refusal.
+    /// Runs `call`; a panic (on the caller's thread or inside a block,
+    /// which the launch reports as `BlockPanicked`) or a result other
+    /// than `expect` is a finding, any other typed error is a legitimate
+    /// refusal.
     fn check<R: PartialEq + Debug>(
         &mut self,
         case: &str,
@@ -60,7 +62,9 @@ impl Findings {
     ) {
         self.calls += 1;
         match catch_unwind(AssertUnwindSafe(call)) {
-            Err(_) => self.violations.push(format!("{case}: panicked")),
+            Err(_) | Ok(Err(SimError::BlockPanicked { .. })) => {
+                self.violations.push(format!("{case}: panicked"))
+            }
             Ok(Ok(got)) => {
                 self.accepted += 1;
                 let want = expect();

@@ -28,17 +28,17 @@
 //!
 //! A chunk is a contiguous element range walked in segments of at most
 //! `ℓ` elements (see [`Chunking`]). [`mcscan`] keeps the paper's chunks
-//! of whole tiles; [`mcscan_with`] gives each vector core an equal range
-//! of `s`-element rows, because `A @ U_s` leaves independent row scans in
-//! `w` and phase II only carries a running sum through them. A short
-//! split of a few tiles then runs its phase II on every vector core
-//! instead of one core per tile.
+//! of whole tiles; [`mcscan_with`] gives each vector core a range of
+//! `⌈rows / chunks⌉` `s`-element rows, because `A @ U_s` leaves
+//! independent row scans in `w` and phase II only carries a running sum
+//! through them. A short split of a few tiles then runs its phase II on
+//! (nearly) every vector core instead of one core per tile.
 
 use crate::stage::{
     check_blocks, check_tile, chunk_offset, propagate_rows, reduce_chunk, CubePass, HandOffs,
 };
 use crate::triangular::ScanConstants;
-use crate::util::{partition, spread, tile_dim, tile_spans};
+use crate::util::{partition, tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
@@ -353,9 +353,10 @@ pub(crate) enum Chunking {
     /// paper's layout. The ablations' per-tile cube→vector hand-offs
     /// need it, and the figures reproduce it.
     Tiles,
-    /// `s`-element rows, spread so chunk sizes differ by at most one
-    /// row: every vector core shares phase II even when the input is a
-    /// few tiles long. A chunk with no rows runs no phase II.
+    /// `s`-element rows, `⌈rows / chunks⌉` to a chunk: phase II is
+    /// shared by `⌈rows / ⌈rows / chunks⌉⌉` vector cores even when the
+    /// input is a few tiles long. The trailing chunks may get no rows;
+    /// those run no phase II.
     Rows,
 }
 
@@ -405,11 +406,11 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
         // output buffer, which is the same traffic.
         let w = GlobalTensor::<M>::new(gm, n)?;
         let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
-        let (unit, units) = match chunking {
-            Chunking::Tiles => (l, partition(n.div_ceil(l), chunks_total)),
-            Chunking::Rows => (s, spread(n.div_ceil(s), chunks_total)),
+        let unit = match chunking {
+            Chunking::Tiles => l,
+            Chunking::Rows => s,
         };
-        let chunks = units
+        let chunks = partition(n.div_ceil(unit), chunks_total)
             .into_iter()
             .map(|(first, count)| (first * unit).min(n)..((first + count) * unit).min(n))
             .collect();

@@ -58,18 +58,6 @@ pub(crate) fn partition(count: usize, parts: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Splits `count` items across `parts` contiguous chunks whose sizes
-/// differ by at most one (the first `count % parts` get the extra item):
-/// returns `(start, len)` per chunk. Only `count < parts` leaves chunks
-/// empty.
-pub(crate) fn spread(count: usize, parts: usize) -> Vec<(usize, usize)> {
-    assert!(parts > 0);
-    let (per, extra) = (count / parts, count % parts);
-    (0..parts)
-        .map(|p| (p * per + p.min(extra), per + usize::from(p < extra)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,21 +78,5 @@ mod tests {
         assert_eq!(p, vec![(0, 1), (1, 1), (2, 0), (2, 0)]);
         let total: usize = partition(1000, 7).iter().map(|&(_, l)| l).sum();
         assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn spread_differs_by_at_most_one_and_is_contiguous() {
-        assert_eq!(spread(10, 3), vec![(0, 4), (4, 3), (7, 3)]);
-        assert_eq!(spread(2, 4), vec![(0, 1), (1, 1), (2, 0), (2, 0)]);
-        for (count, parts) in [(1002, 40), (250, 40), (47, 4), (0, 3), (40, 40)] {
-            let chunks = spread(count, parts);
-            let mut next = 0;
-            for &(start, len) in &chunks {
-                assert_eq!(start, next);
-                assert!(len == count / parts || len == count / parts + 1);
-                next += len;
-            }
-            assert_eq!(next, count);
-        }
     }
 }

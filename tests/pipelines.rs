@@ -83,13 +83,14 @@ fn split_and_compress_agree() {
 }
 
 #[test]
-fn a_vocab_sized_split_shares_phase_two_over_every_vector_core() {
+fn a_vocab_sized_split_shares_phase_two_over_the_vector_cores() {
     // 128,256 elements are only 8 cube tiles of ℓ = 16,384, but the
-    // split's phase II gives each of the 910B4's 40 vector cores an
-    // equal range of s-element rows: every one of them propagates and
-    // scatters a segment, and the result is bit-exact.
+    // split's phase II hands the 910B4's 40 vector cores ranges of
+    // ⌈1002 / 40⌉ = 26 rows of s = 128 elements: 39 of them propagate
+    // and scatter a segment (the 40th gets no rows), not 8, and the
+    // result is bit-exact.
     let dev = device();
-    let n = 128_256;
+    let n: usize = 128_256;
     let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % 65536) as u16).collect();
     let mask: Vec<u8> = (0..n)
         .map(|i| (((i as u64 * 2654435761) >> 13) & 1) as u8)
@@ -114,7 +115,12 @@ fn a_vocab_sized_split_shares_phase_two_over_every_vector_core() {
     cores.sort_unstable();
     cores.dedup();
     let spec = dev.spec();
-    assert_eq!(cores.len(), (spec.ai_cores * spec.vec_per_core) as usize);
+    let (rows, chunks) = (
+        n.div_ceil(128),
+        (spec.ai_cores * spec.vec_per_core) as usize,
+    );
+    assert_eq!(cores.len(), rows.div_ceil(rows.div_ceil(chunks)));
+    assert_eq!(cores.len(), 39);
 }
 
 #[test]
