@@ -1,6 +1,6 @@
 //! Exhaustive schedule-space model checking of a launch's sync skeleton.
 //!
-//! The [`hb`](crate::hb) analyzer checks the *one* interleaving a given
+//! The [`hb`] analyzer checks the *one* interleaving a given
 //! scheduler happened to produce. This module upgrades that to a proof at
 //! small scale: it takes the threads of the launch's
 //! [`LaunchGraph`] as per-`(block, core)` thread programs over the

@@ -25,7 +25,7 @@ fn bench_fig3_single_core(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            cumsum_vec_only(&spec, &gm, &x, 128, 1).unwrap()
+            cumsum_vec_only(&spec, &gm, &x, 128).unwrap()
         })
     });
     g.bench_function("scanu", |b| {
@@ -142,7 +142,7 @@ fn bench_fig10_compress(c: &mut Criterion) {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            compress(&spec, &gm, &x, &m, 128, spec.ai_cores).unwrap()
+            compress(&spec, &gm, &x, &m, 128).unwrap()
         })
     });
     g.bench_function("split_ind", |b| {
@@ -150,7 +150,7 @@ fn bench_fig10_compress(c: &mut Criterion) {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            split_ind(&spec, &gm, &x, &m, 128, spec.ai_cores).unwrap()
+            split_ind(&spec, &gm, &x, &m, 128).unwrap()
         })
     });
     g.bench_function("masked_select_baseline", |b| {
@@ -175,7 +175,7 @@ fn bench_fig11_sort(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            radix_sort::<F16>(&spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending).unwrap()
+            radix_sort::<F16>(&spec, &gm, &x, 128, SortOrder::Ascending).unwrap()
         })
     });
     g.bench_function("sort_baseline", |b| {
@@ -199,7 +199,7 @@ fn bench_fig13_topp(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, 128, spec.ai_cores).unwrap()
+            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, 128).unwrap()
         })
     });
     g.bench_function("top_p_torch", |b| {
@@ -223,7 +223,7 @@ fn bench_topk(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            topk::<F16>(&spec, &gm, &x, 256, 128, spec.ai_cores).unwrap()
+            topk::<F16>(&spec, &gm, &x, 256, 128).unwrap()
         })
     });
     g.finish();

@@ -15,9 +15,12 @@
 //! with one cost class removed).
 //!
 //! The invariants the simulator asserts at record time are re-checked
-//! here against the serialized numbers: the attribution must sum to the
-//! makespan, every share must lie in `[0, 1]`, and each what-if
-//! prediction must not exceed the makespan.
+//! here against the serialized numbers by `bench::check_critical_path`,
+//! the same checker `figures --json` applies to every audited row: the
+//! attribution must sum to the makespan, every share must lie in
+//! `[0, 1]`, there must be at least two what-ifs, among them
+//! `free_flags` and `zero_lookback`, and each what-if prediction must
+//! not exceed the makespan.
 //!
 //! Exit status: `0` all files clean, `1` an invariant fails, `2` usage,
 //! I/O, malformed document, or a trace with no `criticalPaths` section.
@@ -94,8 +97,9 @@ fn fail2(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Prints one kernel's critical-path report and re-checks the summary
-/// invariants; returns `Err` on any violation.
+/// Re-checks one kernel's summary with [`bench::check_critical_path`],
+/// the bounds `figures --json` holds every audited row to, then prints
+/// its critical-path report; returns `Err` on any violation.
 fn check_one(file: &str, cp: &Json, top: usize) -> Result<(), String> {
     let kernel = cp.str_field("kernel").unwrap_or("<unnamed>");
     let ctx = |msg: String| format!("{file}: {kernel}: {msg}");
@@ -103,6 +107,7 @@ fn check_one(file: &str, cp: &Json, top: usize) -> Result<(), String> {
         .get("summary")
         .ok_or_else(|| ctx("critical path entry has no summary object".into()))?;
     let makespan = summary.f64_field("makespan").map_err(&ctx)?;
+    bench::check_critical_path(summary, makespan).map_err(&ctx)?;
 
     let classes = [
         ("launch", "launch"),
@@ -113,30 +118,15 @@ fn check_one(file: &str, cp: &Json, top: usize) -> Result<(), String> {
         ("hbm", "HBM stretch"),
     ];
     println!("{file}: {kernel}: makespan {makespan:.0} cycles");
-    let mut sum = 0.0;
     for (key, label) in classes {
         let v = summary.f64_field(key).map_err(&ctx)?;
         let share = summary.f64_field(&format!("{key}_share")).map_err(&ctx)?;
-        if !(-1e-6..=1.0 + 1e-6).contains(&share) {
-            return Err(ctx(format!("{key}_share {share} outside [0, 1]")));
-        }
-        sum += v;
         if v > 0.0 {
             println!("  {label:<22} {v:>12.0}  {:>5.1}%", share * 100.0);
         }
     }
-    if (sum - makespan).abs() > 1e-6 {
-        return Err(ctx(format!(
-            "attribution sums to {sum}, not the makespan {makespan} — identity violated"
-        )));
-    }
     let chain = summary.f64_field("lookback_chain").map_err(&ctx)?;
     let chain_share = summary.f64_field("lookback_chain_share").map_err(&ctx)?;
-    if !(-1e-6..=1.0 + 1e-6).contains(&chain_share) {
-        return Err(ctx(format!(
-            "lookback_chain_share {chain_share} outside [0, 1]"
-        )));
-    }
     println!(
         "  {:<22} {chain:>12.0}  {:>5.1}%   (wire + tagged instructions)",
         "look-back chain total",
@@ -179,24 +169,12 @@ fn check_one(file: &str, cp: &Json, top: usize) -> Result<(), String> {
         println!("    {class:<14} {b}  @{start:>10.0}  {cycles:>10.0} cycles");
     }
 
-    let what_ifs = summary.array_field("what_ifs").map_err(&ctx)?;
-    if what_ifs.len() < 2 {
-        return Err(ctx(format!(
-            "only {} what-if prediction(s), need at least 2",
-            what_ifs.len()
-        )));
-    }
     println!("  what-ifs:");
-    for w in what_ifs {
+    for w in summary.array_field("what_ifs").map_err(&ctx)? {
         let name = w.str_field("name").unwrap_or("?");
         let saved = w.f64_field("saved_cycles").map_err(&ctx)?;
         let predicted = w.f64_field("predicted_cycles").map_err(&ctx)?;
         let speedup = w.f64_field("speedup").unwrap_or(0.0);
-        if !(-1e-6..=makespan + 1e-6).contains(&predicted) {
-            return Err(ctx(format!(
-                "what-if {name} predicts {predicted} cycles outside [0, makespan]"
-            )));
-        }
         println!("    {name:<16} saves {saved:>10.0} -> {predicted:>10.0} cycles ({speedup:.2}x)");
     }
     Ok(())

@@ -202,7 +202,7 @@ fn json_report(spec: &ChipSpec, quick: bool) {
         Box::new(|| {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            cumsum_vec_only(spec, &gm, &x, s, 1).unwrap().report
+            cumsum_vec_only(spec, &gm, &x, s).unwrap().report
         }),
         Box::new(|| {
             let gm = fresh_gm(spec);
@@ -462,7 +462,7 @@ fn fig3(spec: &ChipSpec, quick: bool) {
         let gm = fresh_gm(spec);
         let data = vec![F16::ZERO; n];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let b = cumsum_vec_only(spec, &gm, &x, 128, 1).unwrap().report;
+        let b = cumsum_vec_only(spec, &gm, &x, 128).unwrap().report;
         let u = scanu::<F16, F16>(spec, &gm, &x, 128).unwrap().report;
         let ul1 = scanul1::<F16, F16>(spec, &gm, &x, 128).unwrap().report;
         (n, b, u, ul1)
@@ -627,9 +627,7 @@ fn fig10(spec: &ChipSpec, quick: bool) {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let r = compress(spec, &gm, &x, &m, s, spec.ai_cores)
-                .unwrap()
-                .report;
+            let r = compress(spec, &gm, &x, &m, s).unwrap().report;
             cells.push(format!("{:.0}", r.gbps()));
         }
         let gm = fresh_gm(spec);
@@ -659,7 +657,7 @@ fn fig11(spec: &ChipSpec, quick: bool) {
         let vals = synth_f16(n, 3);
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-        let r = radix_sort::<F16>(spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending)
+        let r = radix_sort::<F16>(spec, &gm, &x, 128, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
@@ -765,7 +763,7 @@ fn fig13(spec: &ChipSpec, quick: bool) {
         for s in [32usize, 64, 128] {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s, spec.ai_cores)
+            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s)
                 .unwrap()
                 .report;
             if s == 128 {
@@ -916,9 +914,7 @@ fn topk_experiment(spec: &ChipSpec, quick: bool) {
     let rows = par(ks.clone(), move |k| {
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, vals_ref).unwrap();
-        let r = topk::<F16>(spec, &gm, &x, k, 128, spec.ai_cores)
-            .unwrap()
-            .report;
+        let r = topk::<F16>(spec, &gm, &x, k, 128).unwrap().report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, vals_ref).unwrap();
         let (_, _, b) = baselines::topk_baseline::<F16>(spec, &gm, &x, k).unwrap();
@@ -995,12 +991,12 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
         let vals8: Vec<i8> = vals16.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals16).unwrap();
-        let r16 = radix_sort::<F16>(spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending)
+        let r16 = radix_sort::<F16>(spec, &gm, &x, 128, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals8).unwrap();
-        let r8 = radix_sort::<i8>(spec, &gm, &x, 128, spec.ai_cores, SortOrder::Ascending)
+        let r8 = radix_sort::<i8>(spec, &gm, &x, 128, SortOrder::Ascending)
             .unwrap()
             .report;
         vec![
@@ -1121,14 +1117,10 @@ fn reduce_experiment(spec: &ChipSpec, quick: bool) {
         let data = vec![F16::ONE; n];
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let rc = scan::reduce_cube::<F16>(spec, &gm, &x, 128, spec.ai_cores)
-            .unwrap()
-            .report;
+        let rc = scan::reduce_cube::<F16>(spec, &gm, &x, 128).unwrap().report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let rv = scan::reduce_vec::<F16>(spec, &gm, &x, spec.ai_cores)
-            .unwrap()
-            .report;
+        let rv = scan::reduce_vec::<F16>(spec, &gm, &x).unwrap().report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let ms = mcscan::<F16, F16, F16>(spec, &gm, &x, McScanConfig::for_chip(spec))

@@ -219,7 +219,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
         "cumsum" => {
             let data = vec![F16::ONE; 512];
             let x = GlobalTensor::from_slice(&gm, &data).expect("device fits input");
-            let run = cumsum_vec_only::<F16>(&spec, &gm, &x, 16, 1).expect("cumsum launches");
+            let run = cumsum_vec_only::<F16>(&spec, &gm, &x, 16).expect("cumsum launches");
             run.report.to_json(&spec)
         }
         "batched" => {
@@ -240,7 +240,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             let x = GlobalTensor::from_slice(&gm, &signal(1500)).expect("device fits input");
             let mask: Vec<u8> = (0..1500).map(|i| u8::from(i % 3 != 1)).collect();
             let m = GlobalTensor::from_slice(&gm, &mask).expect("device fits mask");
-            let run = split_ind::<i8>(&spec, &gm, &x, &m, 32, 2).expect("split launches");
+            let run = split_ind::<i8>(&spec, &gm, &x, &m, 32).expect("split launches");
             run.report.to_json(&spec)
         }
         other => {

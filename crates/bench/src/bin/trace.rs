@@ -200,7 +200,7 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             drop(scanc::<u8, i16, i32>(spec, &gm, &m, cfg).unwrap());
             return recorder.take();
         }
-        "cumsum" => drop(cumsum_vec_only::<F16>(spec, &gm, &x, 128, 1).unwrap()),
+        "cumsum" => drop(cumsum_vec_only::<F16>(spec, &gm, &x, 128).unwrap()),
         "batched" => {
             // Spread a fixed batch over the cores; pad N up to a multiple.
             let batch = 8usize;
@@ -220,7 +220,7 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
             let s = McScanConfig::for_types::<u8, i16, i32>(spec).s;
-            drop(split_ind::<i8>(spec, &gm, &x, &m, s, spec.ai_cores).unwrap());
+            drop(split_ind::<i8>(spec, &gm, &x, &m, s).unwrap());
             return recorder.take();
         }
         other => unreachable!("unvalidated kernel {other}"),

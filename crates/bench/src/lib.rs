@@ -397,8 +397,13 @@ fn check_kernel(k: &Json, spec: &ChipSpec) -> Result<(), String> {
     }
 }
 
-/// The `critical_path` bounds of [`validate_bench_json`].
-fn check_critical_path(cp: &Json, cycles: f64) -> Result<(), String> {
+/// The `critical_path` bounds of [`validate_bench_json`], also applied
+/// by the `critpath` CLI to every summary of a trace: the makespan
+/// equals the launch's `cycles`, the class attribution sums to it, every
+/// share lies in `[0, 1]`, and there are at least two what-ifs,
+/// including `free_flags` and `zero_lookback`, none predicting more
+/// than the makespan.
+pub fn check_critical_path(cp: &Json, cycles: f64) -> Result<(), String> {
     let makespan = cp.f64_field("makespan")?;
     if (makespan - cycles).abs() > EPS {
         return Err(format!(
@@ -698,7 +703,7 @@ mod tests {
         let gm = fresh_gm(&spec);
         let data = vec![F16::ONE; 4096];
         let t = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let report = scan::cumsum_vec_only::<F16>(&spec, &gm, &t, 32, 1)
+        let report = scan::cumsum_vec_only::<F16>(&spec, &gm, &t, 32)
             .unwrap()
             .report;
         let cp = report

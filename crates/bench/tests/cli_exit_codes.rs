@@ -69,6 +69,32 @@ fn critpath_exits_2_on_malformed_traces() {
     assert_exit(&out, 2, "malformed trace");
 }
 
+/// A one-kernel trace whose 100-cycle makespan is attributed to 50
+/// launch cycles and `busy` busy cycles, with the two what-ifs the
+/// checker requires.
+fn critpath_doc(busy: u32) -> String {
+    let share = |v: u32| f64::from(v) / 100.0;
+    let what_if = |name: &str| {
+        format!(r#"{{"name":"{name}","saved_cycles":10,"predicted_cycles":90,"speedup":1.11}}"#)
+    };
+    format!(
+        r#"{{"schema":"ascend-trace/v1","hbEvents":[],"criticalPaths":[{{"kernel":"k","summary":{{"makespan":100,"launch":50,"busy":{busy},"flag_wire":0,"chain_wire":0,"barrier_release":0,"hbm":0,"launch_share":0.5,"busy_share":{},"flag_wire_share":0,"chain_wire_share":0,"barrier_release_share":0,"hbm_share":0,"lookback_chain":0,"lookback_chain_share":0,"what_ifs":[{},{}]}},"top_segments":[]}}]}}"#,
+        share(busy),
+        what_if("free_flags"),
+        what_if("zero_lookback"),
+    )
+}
+
+#[test]
+fn critpath_exits_1_when_the_attribution_misses_the_makespan() {
+    let file = fixture("critpath-balanced.json", &critpath_doc(50));
+    let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
+    assert_exit(&out, 0, "");
+    let file = fixture("critpath-off-by-one.json", &critpath_doc(49));
+    let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
+    assert_exit(&out, 1, "attribution sums to 99, not the makespan 100");
+}
+
 /// A bench document (tile dimension 128) holding the two 4M anchor rows
 /// plus the rows that place each dtype's crossover where `Device`
 /// switches: fp16 ScanC loses at 1M and keeps up from 2M (128 tiles),

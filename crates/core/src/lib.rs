@@ -63,6 +63,13 @@ use std::sync::Arc;
 /// Thin convenience wrapper so applications don't thread `(&ChipSpec,
 /// &Arc<GlobalMemory>)` everywhere; all operators remain available as
 /// free functions in [`scan`] and [`ops`] for fine-grained control.
+/// Every operator runs on all of the chip's AI cores.
+///
+/// Empty inputs follow one rule: a call whose result is defined for no
+/// elements returns it (an empty scan, split, compress or sort; a zero
+/// `reduce` total) with a report that charges one launch. Sampling from
+/// an empty distribution and `topk` with `k` outside `1..=n` have no
+/// answer and return [`SimError::InvalidArgument`].
 pub struct Device {
     spec: ChipSpec,
     gm: Arc<GlobalMemory>,
@@ -158,7 +165,7 @@ impl Device {
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::SplitRun<E>> {
         let s = self.mask_s();
-        ops::split_ind(&self.spec, &self.gm, x, mask, s, self.spec.ai_cores)
+        ops::split_ind(&self.spec, &self.gm, x, mask, s)
     }
 
     /// `masked_select`: compacts the mask-selected elements.
@@ -168,7 +175,7 @@ impl Device {
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::compress::CompressRun<E>> {
         let s = self.mask_s();
-        ops::compress(&self.spec, &self.gm, x, mask, s, self.spec.ai_cores)
+        ops::compress(&self.spec, &self.gm, x, mask, s)
     }
 
     /// Stable radix sort (values + argsort indices).
@@ -178,7 +185,7 @@ impl Device {
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
         let s = self.mask_s();
-        ops::radix_sort(&self.spec, &self.gm, x, s, self.spec.ai_cores, order)
+        ops::radix_sort(&self.spec, &self.gm, x, s, order)
     }
 
     /// Top-k selection (unsorted top set + indices).
@@ -188,7 +195,7 @@ impl Device {
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
         let s = self.mask_s();
-        ops::topk(&self.spec, &self.gm, x, k, s, self.spec.ai_cores)
+        ops::topk(&self.spec, &self.gm, x, k, s)
     }
 
     /// Top-p (nucleus) sampling from an fp16 probability vector.
@@ -200,7 +207,7 @@ impl Device {
     ) -> SimResult<ops::topp::TopPRun> {
         // One `s` serves both the sort's mask scans and the fp16 CDF scan.
         let s = self.mask_s().min(self.s::<F16, F16, F16>());
-        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s, self.spec.ai_cores)
+        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s)
     }
 
     /// Weighted sampling by inverse transform (unbounded support size).
@@ -210,19 +217,19 @@ impl Device {
         theta: f64,
     ) -> SimResult<ops::weighted::WeightedRun> {
         let s = self.s::<W, W, W>();
-        ops::weighted_sample(&self.spec, &self.gm, w, theta, s, self.spec.ai_cores)
+        ops::weighted_sample(&self.spec, &self.gm, w, theta, s)
     }
 
     /// Sum reduction on the cube units (`A @ 1s` row sums).
     pub fn reduce<T: CubeInput>(&self, x: &GlobalTensor<T>) -> SimResult<scan::ReduceRun<T::Acc>> {
         let s = self.s::<T, T, T::Acc>();
-        scan::reduce_cube::<T>(&self.spec, &self.gm, x, s, self.spec.ai_cores)
+        scan::reduce_cube::<T>(&self.spec, &self.gm, x, s)
     }
 
     /// Builds an alias table for O(1)-per-draw weighted sampling.
     pub fn alias_table(&self, w: &GlobalTensor<f32>) -> SimResult<ops::AliasTable> {
         let s = self.s::<f32, f32, f32>();
-        ops::build_alias_table(&self.spec, &self.gm, w, s, self.spec.ai_cores)
+        ops::build_alias_table(&self.spec, &self.gm, w, s)
     }
 
     /// Draws many samples from an alias table.

@@ -19,12 +19,11 @@
 //!
 //! [`split_ind`]: crate::split::split_ind
 
-use crate::for_each_lane;
 use crate::split::split_ind;
+use crate::{for_each_lane, inclusive_scan};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::{EngineKind, KernelReport};
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::tile_spans;
 use std::sync::Arc;
 
@@ -47,13 +46,14 @@ pub struct AliasTable {
 /// and a SplitInd partition of the indices. The final Vose pairing over
 /// the partitioned indices is a sequential scalar sweep (charged at
 /// `pairing_scalar_ops_per_item` scalar-unit operations per item on one
-/// core — parallelizing it is the cited future work).
+/// core — parallelizing it is the cited future work). `s` is the tile
+/// dimension of the scan and split launches; every launch runs on all of
+/// the chip's AI cores.
 pub fn build_alias_table(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     w: &GlobalTensor<f32>,
     s: usize,
-    blocks: u32,
 ) -> SimResult<AliasTable> {
     let n = w.len();
     if n == 0 {
@@ -63,16 +63,7 @@ pub fn build_alias_table(
     }
 
     // 1. Total mass via inclusive scan (device).
-    let scan_run = mcscan::<f32, f32, f32>(
-        spec,
-        gm,
-        w,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Inclusive,
-        },
-    )?;
+    let scan_run = inclusive_scan(spec, gm, w, s)?;
     let total = scan_run.y.read_range(n - 1, 1)?[0] as f64;
     if !(total.is_finite() && total > 0.0) {
         return Err(SimError::InvalidArgument(format!(
@@ -86,7 +77,7 @@ pub fn build_alias_table(
     let scale = (n as f64 / total) as f32;
     let piece = crate::ub_piece(spec, 4 + 1, 4096);
     let spans = tile_spans(n, piece);
-    let scale_report = launch(spec, gm, blocks, "AliasScale", |ctx| {
+    let scale_report = launch(spec, gm, spec.ai_cores, "AliasScale", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut buf = vc.alloc_local::<f32>(ScratchpadKind::Ub, piece)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
@@ -105,7 +96,7 @@ pub fn build_alias_table(
     // 3. Partition item indices into lights-first order (device split —
     // the values being split are the scaled weights; the index output is
     // what the pairing consumes).
-    let split = split_ind::<f32>(spec, gm, &scaled, &mask, s, blocks)?;
+    let split = split_ind::<f32>(spec, gm, &scaled, &mask, s)?;
     let n_light = split.n_true;
 
     // 4. Sequential Vose pairing over the partitioned order (host-side
@@ -260,16 +251,16 @@ mod tests {
         let (spec, gm) = setup();
         let w: Vec<f32> = (0..500).map(|i| 1.0 + (i % 7) as f32).collect();
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 2).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 16).unwrap();
         check_table(&t.prob.to_vec(), &t.alias.to_vec(), &w);
     }
 
     #[test]
     fn uniform_weights_need_no_aliases() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let w = vec![3.0f32; 128];
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 1).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 16).unwrap();
         assert!(t.prob.to_vec().iter().all(|&p| (p - 1.0).abs() < 1e-6));
     }
 
@@ -280,18 +271,18 @@ mod tests {
         w[42] = 100.0;
         w[17] = 50.0;
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 2).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 16).unwrap();
         check_table(&t.prob.to_vec(), &t.alias.to_vec(), &w);
     }
 
     #[test]
     fn sampling_respects_the_distribution() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         // 90% of mass on item 5 in a 10-item support.
         let mut w = vec![1.0f32; 10];
         w[5] = 81.0;
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let t = build_alias_table(&spec, &gm, &x, 16, 1).unwrap();
+        let t = build_alias_table(&spec, &gm, &x, 16).unwrap();
         // A deterministic grid of variates approximates expectation.
         let thetas: Vec<(f64, f64)> = (0..400)
             .map(|i| {
@@ -313,24 +304,24 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let empty = GlobalTensor::<f32>::new(&gm, 0).unwrap();
-        assert!(build_alias_table(&spec, &gm, &empty, 16, 1).is_err());
+        assert!(build_alias_table(&spec, &gm, &empty, 16).is_err());
         let zeros = GlobalTensor::from_slice(&gm, &[0.0f32; 8]).unwrap();
-        assert!(build_alias_table(&spec, &gm, &zeros, 16, 1).is_err());
+        assert!(build_alias_table(&spec, &gm, &zeros, 16).is_err());
         let w = GlobalTensor::from_slice(&gm, &[1.0f32; 8]).unwrap();
-        let t = build_alias_table(&spec, &gm, &w, 16, 1).unwrap();
+        let t = build_alias_table(&spec, &gm, &w, 16).unwrap();
         assert!(alias_sample_many(&spec, &gm, &t, &[]).is_err());
         assert!(alias_sample_many(&spec, &gm, &t, &[(1.2, 0.5)]).is_err());
     }
 
     /// Builds a table over eight unit weights with one weight replaced.
     fn table_with_one_weight(bad: f32) -> SimResult<AliasTable> {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let mut w = [1.0f32; 8];
         w[3] = bad;
         let x = GlobalTensor::from_slice(&gm, &w).unwrap();
-        build_alias_table(&spec, &gm, &x, 16, 1)
+        build_alias_table(&spec, &gm, &x, 16)
     }
 
     #[test]

@@ -276,7 +276,7 @@ pub fn cumsum<T: Numeric>(
     while s <= 64 && 2 * (2 * s) * (2 * s) * T::SIZE + 2 * s * T::SIZE <= spec.ub_capacity {
         s *= 2;
     }
-    let run = scan::baseline::cumsum_vec_only(spec, gm, x, s, 1)?;
+    let run = scan::baseline::cumsum_vec_only(spec, gm, x, s)?;
     Ok((run.y, run.report))
 }
 

@@ -28,13 +28,15 @@ pub struct CompressRun<E: Element> {
 }
 
 /// Compacts the mask-selected elements of `x` into a dense output.
+///
+/// `s` is the tile dimension of the fused MCScan launch, which runs on
+/// all of the chip's AI cores.
 pub fn compress<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<E>,
     mask: &GlobalTensor<u8>,
     s: usize,
-    blocks: u32,
 ) -> SimResult<CompressRun<E>> {
     if x.len() != mask.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -62,7 +64,7 @@ pub fn compress<E: Element>(
         false_side: false,
         next_plane: None,
     }
-    .launch(spec, gm, s, blocks)?;
+    .launch(spec, gm, s)?;
     let values = out.slice(0, n_true)?;
     report.name = "Compress".into();
     report.elements = n as u64;
@@ -96,7 +98,7 @@ mod tests {
             let mask: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let run = compress(&spec, &gm, &x, &m, 16, 2).unwrap();
+            let run = compress(&spec, &gm, &x, &m, 16).unwrap();
             let expect: Vec<u16> = data
                 .iter()
                 .zip(&mask)
@@ -115,7 +117,7 @@ mod tests {
         let mask: Vec<u8> = (0..300).map(|i| u8::from(i % 3 == 0)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = compress(&spec, &gm, &x, &m, 16, 2).unwrap();
+        let run = compress(&spec, &gm, &x, &m, 16).unwrap();
         let expect: Vec<F16> = data
             .iter()
             .zip(&mask)
@@ -127,22 +129,22 @@ mod tests {
 
     #[test]
     fn nothing_selected() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::from_slice(&gm, &[5u16; 100]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[0u8; 100]).unwrap();
-        let run = compress(&spec, &gm, &x, &m, 16, 1).unwrap();
+        let run = compress(&spec, &gm, &x, &m, 16).unwrap();
         assert_eq!(run.n_true, 0);
         assert!(run.values.to_vec().is_empty());
     }
 
     #[test]
     fn empty_and_mismatch() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::<u16>::new(&gm, 0).unwrap();
         let m = GlobalTensor::<u8>::new(&gm, 0).unwrap();
-        assert_eq!(compress(&spec, &gm, &x, &m, 16, 1).unwrap().n_true, 0);
+        assert_eq!(compress(&spec, &gm, &x, &m, 16).unwrap().n_true, 0);
         let x = GlobalTensor::from_slice(&gm, &[1u16]).unwrap();
         let m2 = GlobalTensor::from_slice(&gm, &[1u8, 1]).unwrap();
-        assert!(compress(&spec, &gm, &x, &m2, 16, 1).is_err());
+        assert!(compress(&spec, &gm, &x, &m2, 16).is_err());
     }
 }

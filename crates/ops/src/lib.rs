@@ -28,6 +28,14 @@
 //! are ranges of `⌈rows / cores⌉` rows. The other kernels cut their
 //! pieces with [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
+//!
+//! Every launch runs on all of the chip's AI cores, as in the paper's
+//! evaluation: no entry point takes a block count, so no launch is
+//! oversubscribed and all of its blocks are co-resident. Two launches
+//! use fewer: [`alias_sample_many`] sizes its grid from the number of
+//! draws, and the `torch.cumsum` stand-in ([`baselines::cumsum`]) is
+//! single-core. The tile dimension `s` of the MCScan launches stays an
+//! argument.
 
 #![forbid(unsafe_code)]
 
@@ -48,9 +56,14 @@ pub use topk::topk;
 pub use topp::{top_p_sample, top_p_sample_batch};
 pub use weighted::weighted_sample;
 
+use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
-use ascendc::{BlockCtx, ChipSpec, Core, SimResult};
+use ascendc::{BlockCtx, ChipSpec, Core, GlobalTensor, SimResult};
+use dtypes::CubeInput;
+use scan::mcscan::{McScanConfig, ScanKind};
+use scan::ScanRun;
 use std::iter::{Skip, StepBy};
+use std::sync::Arc;
 
 /// Largest power-of-two piece length (in elements) such that a kernel
 /// needing `bytes_per_elem` UB bytes per element stays within the
@@ -82,6 +95,23 @@ pub(crate) fn for_each_lane<'a, I: Iterator + Clone>(
     Ok(())
 }
 
+/// Inclusive MCScan of `x` at tile dimension `s` on all of the chip's
+/// AI cores: the scan behind top-p's CDF, weighted sampling and the
+/// alias table's total.
+pub(crate) fn inclusive_scan<T: CubeInput>(
+    spec: &ChipSpec,
+    gm: &Arc<GlobalMemory>,
+    x: &GlobalTensor<T>,
+    s: usize,
+) -> SimResult<ScanRun<T>> {
+    let cfg = McScanConfig {
+        s,
+        blocks: spec.ai_cores,
+        kind: ScanKind::Inclusive,
+    };
+    scan::mcscan::mcscan::<T, T, T>(spec, gm, x, cfg)
+}
+
 /// The report of an operator given no elements: one launch's fixed
 /// cost and nothing else. Modeled reports start from it too.
 pub(crate) fn empty_report(spec: &ChipSpec, name: &str) -> KernelReport {
@@ -102,5 +132,21 @@ pub(crate) fn empty_report(spec: &ChipSpec, name: &str) -> KernelReport {
         barrier_waits: Vec::new(),
         flag_waits: Vec::new(),
         critical_path: None,
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// The tiny chip cut to `ai_cores` AI cores, and a memory for it:
+    /// every launch of an operator runs on that many blocks.
+    pub(crate) fn tiny_with_cores(ai_cores: u32) -> (ChipSpec, Arc<GlobalMemory>) {
+        let spec = ChipSpec {
+            ai_cores,
+            ..ChipSpec::tiny()
+        };
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        (spec, gm)
     }
 }

@@ -65,13 +65,13 @@ pub(crate) const PIECE_CAP: usize = 2048;
 /// Stable radix sort of `x` (values + original indices), using the
 /// MCScan-based split for every bit plane.
 ///
-/// `s`/`blocks` configure the underlying MCScan launches.
+/// `s` is the tile dimension of the split launches. Every launch runs on
+/// all of the chip's AI cores.
 pub fn radix_sort<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
     s: usize,
-    blocks: u32,
     order: SortOrder,
 ) -> SimResult<SortRun<K>>
 where
@@ -99,7 +99,7 @@ where
 
     // --- Pre-processing: encode keys, materialize indices, bit-0 mask. ---
     reports.push(encode_kernel::<K>(
-        spec, gm, blocks, x, &keys_a, &idx_a, &mask_a, 0, order,
+        spec, gm, x, &keys_a, &idx_a, &mask_a, 0, order,
     )?);
 
     // --- One split per bit plane; each scatter emits the next mask. ---
@@ -117,7 +117,7 @@ where
                 compute: &move |vc, keys, mk, len| plane_mask(vc, keys, mk, len, bit + 1, order),
             }),
         }
-        .launch(spec, gm, s, blocks)?;
+        .launch(spec, gm, s)?;
         reports.push(pass);
         std::mem::swap(&mut keys_a, &mut keys_b);
         std::mem::swap(&mut idx_a, &mut idx_b);
@@ -125,7 +125,7 @@ where
     }
 
     // --- Post-processing: decode keys back to values. ---
-    reports.push(decode_kernel::<K>(spec, gm, blocks, &keys_a, &values)?);
+    reports.push(decode_kernel::<K>(spec, gm, &keys_a, &values)?);
 
     let mut report = KernelReport::sequential("RadixSort", &reports);
     report.elements = n as u64;
@@ -144,7 +144,6 @@ where
 pub(crate) fn encode_kernel<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
-    blocks: u32,
     x: &GlobalTensor<K>,
     keys: &GlobalTensor<K::Encoded>,
     idx: &GlobalTensor<u32>,
@@ -162,7 +161,7 @@ where
         PIECE_CAP,
     );
     let spans = tile_spans(x.len(), piece);
-    launch(spec, gm, blocks, "RadixEncode", |ctx| {
+    launch(spec, gm, spec.ai_cores, "RadixEncode", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
             let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
@@ -212,7 +211,6 @@ pub(crate) fn plane_mask<T: Bits + Numeric>(
 pub(crate) fn decode_kernel<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
-    blocks: u32,
     keys: &GlobalTensor<K::Encoded>,
     values: &GlobalTensor<K>,
 ) -> SimResult<KernelReport>
@@ -222,7 +220,7 @@ where
 {
     let piece = crate::ub_piece(spec, K::SIZE + std::mem::size_of::<K::Encoded>(), PIECE_CAP);
     let spans = tile_spans(keys.len(), piece);
-    launch(spec, gm, blocks, "RadixDecode", |ctx| {
+    launch(spec, gm, spec.ai_cores, "RadixDecode", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
             let mut out = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
@@ -260,7 +258,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let data: Vec<u16> = (0..3000).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -276,7 +274,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let data: Vec<i16> = (0..2000).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -294,7 +292,7 @@ pub(crate) mod tests {
         data.push(F16::NEG_ZERO);
         data.push(F16::ZERO);
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_by(F16::total_cmp);
         let got = run.values.to_vec();
@@ -311,7 +309,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let data: Vec<u16> = (0..1000).map(|_| rng.gen_range(0..500)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Descending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Descending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(run.values.to_vec(), expect);
@@ -323,17 +321,17 @@ pub(crate) mod tests {
         // All-equal keys: a stable sort keeps indices in order.
         let data = vec![42u16; 600];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
         assert_eq!(run.indices.to_vec(), (0..600u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn tiny_inputs() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         for n in [0usize, 1, 2, 3] {
             let data: Vec<u16> = (0..n as u16).rev().collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let run = radix_sort(&spec, &gm, &x, 16, 1, SortOrder::Ascending).unwrap();
+            let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
             let mut expect = data.clone();
             expect.sort_unstable();
             assert_eq!(run.values.to_vec(), expect, "n = {n}");
@@ -348,7 +346,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let data: Vec<i8> = (0..1500).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -360,7 +358,7 @@ pub(crate) mod tests {
         let (spec, gm) = setup();
         let data: Vec<u8> = (0..900).map(|i| ((i * 31) % 251) as u8).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Descending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Descending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(run.values.to_vec(), expect);
@@ -369,10 +367,10 @@ pub(crate) mod tests {
     #[test]
     fn pass_count_matches_paper() {
         // fp16 sort = 16 split passes = 16 scans (plus encode/decode).
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let data: Vec<F16> = (0..100).map(|i| F16::from_f32(i as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, 1, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
         // Each of the 16 MCScans contributes exactly one SyncAll.
         assert_eq!(run.report.sync_rounds, 16);
     }
@@ -439,7 +437,7 @@ pub(crate) mod tests {
             let data = keys::<K>(&mut rng, n, specials);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             for order in [SortOrder::Ascending, SortOrder::Descending] {
-                let run = radix_sort(&spec, &gm, &x, 16, 2, order).unwrap();
+                let run = radix_sort(&spec, &gm, &x, 16, order).unwrap();
                 let idx = host_argsort(&data, order, cmp);
                 let vals: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
                 prop_assert_eq!(run.indices.to_vec(), idx, "n = {}, {:?}", n, order);

@@ -31,7 +31,7 @@ use ascendc::{
     SimResult,
 };
 use dtypes::Element;
-use scan::mcscan::{mcscan_with, McScanConfig, ScanKind, Tile, TileStore};
+use scan::mcscan::{mcscan_with, Tile, TileStore};
 use scan::tile_spans;
 use std::sync::Arc;
 
@@ -51,14 +51,14 @@ pub struct SplitRun<E: Element> {
 /// Stable split of `x` by `mask` (`1` = first partition). Returns the
 /// partitioned values, their original indices, and the true count.
 ///
-/// `s` and `blocks` configure the fused MCScan launch.
+/// `s` is the tile dimension of the fused MCScan launch, which runs on
+/// all of the chip's AI cores.
 pub fn split_ind<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<E>,
     mask: &GlobalTensor<u8>,
     s: usize,
-    blocks: u32,
 ) -> SimResult<SplitRun<E>> {
     if x.len() != mask.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -88,7 +88,7 @@ pub fn split_ind<E: Element>(
         false_side: true,
         next_plane: None,
     }
-    .launch(spec, gm, s, blocks)?;
+    .launch(spec, gm, s)?;
     report.name = "SplitInd".into();
     report.elements = n as u64;
     report.useful_bytes = (n * (E::SIZE + 1) + n * (E::SIZE + 4)) as u64;
@@ -140,23 +140,17 @@ pub(crate) struct SplitStore<'a, E: Element> {
 }
 
 impl<E: Element> SplitStore<'_, E> {
-    /// Runs the split as one launch — the exclusive `u8 → i16 → i32`
-    /// MCScan of `mask` with this store as its phase II — and returns
-    /// the true count and the launch's report.
+    /// Runs the split as one launch on all AI cores — the exclusive
+    /// `u8 → i16 → i32` MCScan of `mask` with this store as its phase
+    /// II — and returns the true count and the launch's report.
     pub(crate) fn launch(
         self,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         s: usize,
-        blocks: u32,
     ) -> SimResult<(usize, KernelReport)> {
         let mask = self.mask;
-        let cfg = McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Exclusive,
-        };
-        let run = mcscan_with::<u8, i16, i32, _>(spec, gm, mask, cfg, "MCScanSplit", self)?;
+        let run = mcscan_with::<u8, i16, i32, _>(spec, gm, mask, s, "MCScanSplit", self)?;
         Ok((run.total as usize, run.report))
     }
 }
@@ -433,7 +427,7 @@ pub(crate) mod tests {
         let mask: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 2).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 16).unwrap();
         let (ev, ei, ent) = reference_split(&data, &mask);
         assert_eq!(run.n_true, ent, "n = {n}");
         assert_eq!(run.values.to_vec(), ev, "n = {n}");
@@ -455,7 +449,7 @@ pub(crate) mod tests {
             let mask = vec![flag; 500];
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let run = split_ind(&spec, &gm, &x, &m, 16, 2).unwrap();
+            let run = split_ind(&spec, &gm, &x, &m, 16).unwrap();
             assert_eq!(run.n_true, if flag == 1 { 500 } else { 0 });
             assert_eq!(run.values.to_vec(), data);
             assert_eq!(run.indices.to_vec(), (0..500u32).collect::<Vec<_>>());
@@ -464,31 +458,31 @@ pub(crate) mod tests {
 
     #[test]
     fn stability_with_duplicates() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         // Value 7 appears at indices 0, 2, 4; value 3 at 1, 3.
         let data: Vec<u16> = vec![7, 3, 7, 3, 7];
         let mask = vec![1u8, 0, 1, 0, 0];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 1).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 16).unwrap();
         assert_eq!(run.values.to_vec(), vec![7, 7, 3, 3, 7]);
         assert_eq!(run.indices.to_vec(), vec![0, 2, 1, 3, 4]);
     }
 
     #[test]
     fn length_mismatch_rejected() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::from_slice(&gm, &[1u16, 2]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[1u8, 0, 1]).unwrap();
-        assert!(split_ind(&spec, &gm, &x, &m, 16, 1).is_err());
+        assert!(split_ind(&spec, &gm, &x, &m, 16).is_err());
     }
 
     #[test]
     fn empty_input() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::<u16>::new(&gm, 0).unwrap();
         let m = GlobalTensor::<u8>::new(&gm, 0).unwrap();
-        let run = split_ind(&spec, &gm, &x, &m, 16, 1).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, 16).unwrap();
         assert_eq!(run.n_true, 0);
         assert!(run.values.to_vec().is_empty());
     }
@@ -502,7 +496,7 @@ pub(crate) mod tests {
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
         let (run, profile) =
-            ascend_sim::prof::with_profiling(&gm, || split_ind(&spec, &gm, &x, &m, 16, 2).unwrap());
+            ascend_sim::prof::with_profiling(&gm, || split_ind(&spec, &gm, &x, &m, 16).unwrap());
         assert_eq!(run.report.sync_rounds, 1, "MCScan's barrier is counted");
         let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
         assert_eq!(names, ["MCScanSplit"]);
@@ -522,26 +516,27 @@ pub(crate) mod tests {
         assert_eq!(scan::mcscan::store_ub::<i16, i32>(&spec, 16), 10);
         let x = GlobalTensor::from_slice(&gm, &[1u16; 300]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[1u8; 300]).unwrap();
-        let err = split_ind(&spec, &gm, &x, &m, 16, 2).err();
+        let err = split_ind(&spec, &gm, &x, &m, 16).err();
         assert!(
             matches!(err, Some(SimError::ScratchpadOverflow { .. })),
             "{err:?}"
         );
     }
 
-    /// Split and compress of `data` by `mask` at tile dimension `s` and
-    /// `blocks`, checked bit for bit against [`reference_split`].
-    fn check_fused(data: &[u32], mask: &[u8], s: usize, blocks: u32) {
-        let (spec, gm) = setup();
-        let case = format!("n = {}, s = {s}, blocks = {blocks}", data.len());
+    /// Split and compress of `data` by `mask` at tile dimension `s` on
+    /// the tiny chip cut to `ai_cores` AI cores, checked bit for bit
+    /// against [`reference_split`].
+    fn check_fused(data: &[u32], mask: &[u8], s: usize, ai_cores: u32) {
+        let (spec, gm) = crate::tests::tiny_with_cores(ai_cores);
+        let case = format!("n = {}, s = {s}, ai_cores = {ai_cores}", data.len());
         let x = GlobalTensor::from_slice(&gm, data).unwrap();
         let m = GlobalTensor::from_slice(&gm, mask).unwrap();
         let (ev, ei, ent) = reference_split(data, mask);
-        let run = split_ind(&spec, &gm, &x, &m, s, blocks).unwrap();
+        let run = split_ind(&spec, &gm, &x, &m, s).unwrap();
         assert_eq!(run.n_true, ent, "{case}");
         assert_eq!(run.values.to_vec(), ev, "{case}");
         assert_eq!(run.indices.to_vec(), ei, "{case}");
-        let comp = crate::compress::compress(&spec, &gm, &x, &m, s, blocks).unwrap();
+        let comp = crate::compress::compress(&spec, &gm, &x, &m, s).unwrap();
         assert_eq!(comp.n_true, ent, "{case}");
         assert_eq!(comp.values.to_vec(), &ev[..ent], "{case}");
     }
@@ -552,7 +547,7 @@ pub(crate) mod tests {
         // pieces for split and compress of u32 values, so pieces start
         // inside a segment (an `extract`ed base) as well as at its offset
         // 0 (the segment's prefix). Phase II's chunks are ranges of
-        // s-element rows over 2 (1 block) or 4 (2 blocks) vector cores.
+        // s-element rows over 2 (1 AI core) or 4 (2 AI cores) vector cores.
         let (spec, _) = setup();
         let (s, l) = (32, 1024);
         let split_p = store_piece(&spec, s, piece_bytes(4, true, true, false)).unwrap();
@@ -574,8 +569,8 @@ pub(crate) mod tests {
             let data: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
             let random: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
             for mask in [vec![1u8; n], vec![0u8; n], random] {
-                for blocks in [1, 2] {
-                    check_fused(&data, &mask, s, blocks);
+                for ai_cores in [1, 2] {
+                    check_fused(&data, &mask, s, ai_cores);
                 }
             }
         }

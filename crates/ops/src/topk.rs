@@ -46,13 +46,15 @@ pub struct TopKRun<K: Element> {
 }
 
 /// Selects the `k` largest elements of `x` (with original indices).
+///
+/// `s` is the tile dimension of the split launches. Every launch runs on
+/// all of the chip's AI cores.
 pub fn topk<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
     k: usize,
     s: usize,
-    blocks: u32,
 ) -> SimResult<TopKRun<K>>
 where
     K: RadixKey + Element,
@@ -77,7 +79,6 @@ where
     reports.push(encode_kernel::<K>(
         spec,
         gm,
-        blocks,
         x,
         &keys_a,
         &idx_a,
@@ -117,7 +118,7 @@ where
                 },
             }),
         }
-        .launch(spec, gm, s, blocks)?;
+        .launch(spec, gm, s)?;
         reports.push(pass);
         if n_ones >= need {
             // All winners are inside the ones partition.
@@ -129,28 +130,16 @@ where
             need -= n_ones;
             len -= n_ones;
         }
-        reports.push(copy_window(spec, gm, blocks, &keys_out, &keys_in)?);
-        reports.push(copy_window(spec, gm, blocks, &idx_out, &idx_in)?);
+        reports.push(copy_window(spec, gm, &keys_out, &keys_in)?);
+        reports.push(copy_window(spec, gm, &idx_out, &idx_in)?);
         std::mem::swap(&mut mask_a, &mut mask_b);
     }
 
     // The top-k now occupy [0, k) of the working buffers.
     let values = GlobalTensor::<K>::new(gm, k)?;
     let indices = GlobalTensor::<u32>::new(gm, k)?;
-    reports.push(decode_kernel::<K>(
-        spec,
-        gm,
-        blocks,
-        &keys_a.slice(0, k)?,
-        &values,
-    )?);
-    reports.push(copy_window(
-        spec,
-        gm,
-        blocks,
-        &idx_a.slice(0, k)?,
-        &indices,
-    )?);
+    reports.push(decode_kernel::<K>(spec, gm, &keys_a.slice(0, k)?, &values)?);
+    reports.push(copy_window(spec, gm, &idx_a.slice(0, k)?, &indices)?);
 
     let mut report = KernelReport::sequential("TopK", &reports);
     report.elements = n as u64;
@@ -166,13 +155,12 @@ where
 fn copy_window<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
-    blocks: u32,
     src: &GlobalTensor<E>,
     dst: &GlobalTensor<E>,
 ) -> SimResult<KernelReport> {
     let piece = ub_piece(spec, E::SIZE, PIECE_CAP);
     let spans = tile_spans(src.len().min(dst.len()), piece);
-    launch(spec, gm, blocks, "WindowCopy", |ctx| {
+    launch(spec, gm, spec.ai_cores, "WindowCopy", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut buf = vc.alloc_local::<E>(ScratchpadKind::Ub, piece)?;
             for &(off, valid) in mine {
@@ -199,7 +187,7 @@ mod tests {
     fn check_topk_u16(data: &[u16], k: usize) {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, data).unwrap();
-        let run = topk(&spec, &gm, &x, k, 16, 2).unwrap();
+        let run = topk(&spec, &gm, &x, k, 16).unwrap();
         let mut got = run.values.to_vec();
         got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect = data.to_vec();
@@ -243,7 +231,7 @@ mod tests {
             .map(|_| F16::from_f32(rng.gen_range(-50.0f32..50.0)))
             .collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = topk(&spec, &gm, &x, 10, 16, 2).unwrap();
+        let run = topk(&spec, &gm, &x, 10, 16).unwrap();
         let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
         got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect: Vec<u16> = data.iter().map(|v| v.encode()).collect();
@@ -254,10 +242,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_k() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::from_slice(&gm, &[1u16, 2, 3]).unwrap();
-        assert!(topk(&spec, &gm, &x, 0, 16, 1).is_err());
-        assert!(topk(&spec, &gm, &x, 4, 16, 1).is_err());
+        assert!(topk(&spec, &gm, &x, 0, 16).is_err());
+        assert!(topk(&spec, &gm, &x, 4, 16).is_err());
     }
 
     /// Selects `k ∈ {1, n/2, n}` from keys of every length around the
@@ -283,7 +271,7 @@ mod tests {
             let mut expect = data.clone();
             expect.sort_by(|a, b| cmp(b, a));
             for k in [1, (n / 2).max(1), n] {
-                let run = topk(&spec, &gm, &x, k, 16, 2).unwrap();
+                let run = topk(&spec, &gm, &x, k, 16).unwrap();
                 let vals = run.values.to_vec();
                 let idx = run.indices.to_vec();
                 let mut got = vals.clone();

@@ -22,14 +22,13 @@
 //! [`radix_sort`]: crate::radix_sort::radix_sort
 //! [`mcscan`]: scan::mcscan::mcscan
 
-use crate::for_each_lane;
 use crate::radix_sort::{radix_sort, SortOrder};
 use crate::weighted::cdf_search;
+use crate::{for_each_lane, inclusive_scan};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, F16};
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::tile_spans;
 use std::sync::Arc;
 
@@ -46,8 +45,9 @@ pub struct TopPRun {
 /// Draws one token by nucleus sampling from `probs` with threshold `p`,
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
-/// `probs` need not be normalized (the draw is proportional). `s` and
-/// `blocks` configure the underlying MCScan launches.
+/// `probs` need not be normalized (the draw is proportional). `s` is
+/// the tile dimension of the MCScan launches; every launch runs on all
+/// of the chip's AI cores.
 pub fn top_p_sample(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -55,7 +55,6 @@ pub fn top_p_sample(
     p: f64,
     theta: f64,
     s: usize,
-    blocks: u32,
 ) -> SimResult<TopPRun> {
     let n = probs.len();
     if n == 0 {
@@ -75,19 +74,10 @@ pub fn top_p_sample(
     }
 
     // 1. Sort descending (values + original token ids).
-    let sorted = radix_sort::<F16>(spec, gm, probs, s, blocks, SortOrder::Descending)?;
+    let sorted = radix_sort::<F16>(spec, gm, probs, s, SortOrder::Descending)?;
 
     // 2. Cumulative sum of the sorted probabilities.
-    let scan_run = mcscan::<F16, F16, F16>(
-        spec,
-        gm,
-        &sorted.values,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Inclusive,
-        },
-    )?;
+    let scan_run = inclusive_scan(spec, gm, &sorted.values, s)?;
     let cdf = scan_run.y;
 
     // 3. Count the kept prefix: token i stays while its *exclusive*
@@ -100,14 +90,13 @@ pub fn top_p_sample(
         )));
     }
     let p_abs = F16::from_f64(p * total);
-    let (n_kept, count_report) = kept_prefix_count(spec, gm, &cdf, &sorted.values, p_abs, blocks)?;
+    let (n_kept, count_report) = kept_prefix_count(spec, gm, &cdf, &sorted.values, p_abs)?;
     let n_kept = n_kept.max(1);
 
     // 4. Inverse-transform draw over the kept prefix, reusing the CDF.
     let kept_mass = cdf.read_range(n_kept - 1, 1)?[0];
     let threshold = F16::from_f64(theta * kept_mass.to_f64());
-    let (pos, search_report) =
-        cdf_search(spec, gm, &cdf.slice(0, n_kept)?, n_kept, threshold, blocks)?;
+    let (pos, search_report) = cdf_search(spec, gm, &cdf.slice(0, n_kept)?, n_kept, threshold)?;
     let token = sorted.indices.read_range(pos, 1)?[0];
 
     let mut report = KernelReport::sequential(
@@ -138,7 +127,6 @@ pub fn top_p_sample_batch(
     p: f64,
     thetas: &[f64],
     s: usize,
-    blocks: u32,
 ) -> SimResult<(Vec<u32>, KernelReport)> {
     if batch == 0 || vocab == 0 || batch * vocab != probs.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -156,7 +144,7 @@ pub fn top_p_sample_batch(
     let mut reports = Vec::with_capacity(batch);
     for (b, &theta) in thetas.iter().enumerate() {
         let row = probs.slice(b * vocab, vocab)?;
-        let run = top_p_sample(spec, gm, &row, p, theta, s, blocks)?;
+        let run = top_p_sample(spec, gm, &row, p, theta, s)?;
         tokens.push(run.token);
         reports.push(run.report);
     }
@@ -175,14 +163,13 @@ fn kept_prefix_count(
     cdf: &GlobalTensor<F16>,
     probs_sorted: &GlobalTensor<F16>,
     p_abs: F16,
-    blocks: u32,
 ) -> SimResult<(usize, KernelReport)> {
     let n = cdf.len();
     let piece = crate::ub_piece(spec, 2 * F16::SIZE + 1 + 4, 4096);
-    let lanes = (blocks as usize) * spec.vec_per_core as usize;
+    let lanes = (spec.ai_cores * spec.vec_per_core) as usize;
     let counts = GlobalTensor::<u32>::new(gm, lanes)?;
     let spans = tile_spans(n, piece);
-    let report = launch(spec, gm, blocks, "TopPThreshold", |ctx| {
+    let report = launch(spec, gm, spec.ai_cores, "TopPThreshold", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
             let mut cbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
             let mut pbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
@@ -236,27 +223,27 @@ mod tests {
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         // p = 0.5: nucleus is {token 3} alone.
         for theta in [0.0, 0.5, 0.99] {
-            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 16, 2).unwrap();
+            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 16).unwrap();
             assert_eq!(run.n_kept, 1);
             assert_eq!(run.token, 3, "theta = {theta}");
         }
         // p = 0.85: nucleus is {3, 7}.
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 16, 2).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 16).unwrap();
         assert_eq!(run.n_kept, 2);
         assert_eq!(
             run.token, 7,
             "theta 0.9 of mass 0.9 falls in token 7's slice"
         );
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 16, 2).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 16).unwrap();
         assert_eq!(run.token, 3);
     }
 
     #[test]
     fn p_one_keeps_everything() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let probs: Vec<F16> = (1..=64).map(|i| F16::from_f32(i as f32)).collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 16, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 16).unwrap();
         assert_eq!(run.n_kept, 64);
         // theta ~ 1 lands in the tail of the descending-sorted CDF: the
         // smallest kept probability.
@@ -265,11 +252,11 @@ mod tests {
 
     #[test]
     fn always_keeps_at_least_one_token() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let mut probs = vec![F16::ZERO; 50];
         probs[20] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 16, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 16).unwrap();
         assert_eq!(run.n_kept, 1);
         assert_eq!(run.token, 20);
     }
@@ -278,12 +265,12 @@ mod tests {
     fn scan_count_matches_paper() {
         // 16 radix-sort scans + 1 cumsum scan = 17 SyncAll rounds from
         // MCScan launches.
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let probs: Vec<F16> = (0..128)
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
             .collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16, 1).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16).unwrap();
         assert_eq!(
             run.report.sync_rounds, 17,
             "the paper's 17-scans-per-batch count"
@@ -301,30 +288,30 @@ mod tests {
         probs[2 * vocab + 99] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         let (tokens, report) =
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16, 2).unwrap();
+            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16).unwrap();
         assert_eq!(tokens, vec![7, 31, 99]);
         // 17 scans per batch element (the paper's accounting).
         assert_eq!(report.sync_rounds, 17 * batch as u64);
         // Shape errors are rejected.
-        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16, 2).is_err());
-        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16, 2).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16).is_err());
     }
 
     #[test]
     fn rejects_bad_args() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let t = GlobalTensor::from_slice(&gm, &[F16::ONE; 8]).unwrap();
-        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 16, 1).is_err());
-        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 16, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 16).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 16).is_err());
         let empty = GlobalTensor::<F16>::new(&gm, 0).unwrap();
-        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 16, 1).is_err());
+        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 16).is_err());
     }
 
     /// Asserts `probs` is rejected as not summing to a finite positive mass.
     fn assert_bad_total(probs: &[F16]) {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let t = GlobalTensor::from_slice(&gm, probs).unwrap();
-        match top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16, 1) {
+        match top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16) {
             Err(SimError::InvalidArgument(msg)) => assert!(msg.contains("sum to"), "{msg}"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(run) => panic!("sampled token {} (n_kept {})", run.token, run.n_kept),

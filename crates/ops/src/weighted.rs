@@ -11,12 +11,11 @@
 //! support), this works for arbitrary support sizes — the functional
 //! improvement the paper claims.
 
-use crate::for_each_lane;
+use crate::{for_each_lane, inclusive_scan};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::Numeric;
-use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::tile_spans;
 use std::sync::Arc;
 
@@ -33,14 +32,15 @@ pub struct WeightedRun {
 /// bring their own RNG — the kernel itself is deterministic).
 ///
 /// `W` is the weight element type (`F16` in the paper's LLM setting;
-/// `f32` works too). Weights must be non-negative.
+/// `f32` works too). Weights must be non-negative. `s` is the tile
+/// dimension of the MCScan launch; both launches run on all of the
+/// chip's AI cores.
 pub fn weighted_sample<W>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     w: &GlobalTensor<W>,
     theta: f64,
     s: usize,
-    blocks: u32,
 ) -> SimResult<WeightedRun>
 where
     W: dtypes::CubeInput,
@@ -58,16 +58,7 @@ where
     }
 
     // 1. Inclusive scan of the weights.
-    let scan_run = mcscan::<W, W, W>(
-        spec,
-        gm,
-        w,
-        McScanConfig {
-            s,
-            blocks,
-            kind: ScanKind::Inclusive,
-        },
-    )?;
+    let scan_run = inclusive_scan(spec, gm, w, s)?;
     let cdf = scan_run.y;
     let total = cdf.read_range(n - 1, 1)?[0].to_f64();
     if !(total.is_finite() && total > 0.0) {
@@ -84,7 +75,7 @@ where
     // into one vector kernel (same traffic as the mask of SplitInd, no
     // value movement) — each vector core finds the first exceeding
     // index in its chunk and the host takes the minimum.
-    let (index, search_report) = cdf_search(spec, gm, &cdf, n, threshold, blocks)?;
+    let (index, search_report) = cdf_search(spec, gm, &cdf, n, threshold)?;
 
     let mut report = KernelReport::sequential("WeightedSample", &[scan_run.report, search_report]);
     report.elements = n as u64;
@@ -106,12 +97,11 @@ pub(crate) fn cdf_search<W: Numeric>(
     cdf: &GlobalTensor<W>,
     n: usize,
     threshold: W,
-    blocks: u32,
 ) -> SimResult<(usize, KernelReport)> {
-    let first_hits = GlobalTensor::<u32>::new(gm, (blocks as usize) * spec.vec_per_core as usize)?;
+    let first_hits = GlobalTensor::<u32>::new(gm, (spec.ai_cores * spec.vec_per_core) as usize)?;
     let piece = crate::ub_piece(spec, W::SIZE + 1 + 4, 4096);
     let spans = tile_spans(n, piece);
-    let report = launch(spec, gm, blocks, "CdfSearch", |ctx| {
+    let report = launch(spec, gm, spec.ai_cores, "CdfSearch", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
             let mut buf = vc.alloc_local::<W>(ScratchpadKind::Ub, piece)?;
             let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
@@ -164,7 +154,7 @@ mod tests {
 
     #[test]
     fn deterministic_inverse_transform() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         // Weights 1,2,3,4 -> CDF 1,3,6,10; thresholds pick predictably.
         let w: Vec<f32> = vec![1.0, 2.0, 3.0, 4.0];
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
@@ -174,7 +164,7 @@ mod tests {
             (0.45, 2),      // 4.5 in (3, 6]
             (0.95, 3),      // 9.5 in (6, 10]
         ] {
-            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 16, 1).unwrap();
+            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 16).unwrap();
             assert_eq!(run.index, expect, "theta = {theta}");
         }
     }
@@ -186,7 +176,7 @@ mod tests {
         w[777] = 5.0;
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
         for theta in [0.0, 0.3, 0.9] {
-            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 16, 2).unwrap();
+            let run = weighted_sample::<f32>(&spec, &gm, &t, theta, 16).unwrap();
             assert_eq!(run.index, 777);
         }
     }
@@ -204,7 +194,7 @@ mod tests {
             })
             .collect();
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let run = weighted_sample::<F16>(&spec, &gm, &t, 0.5, 16, 2).unwrap();
+        let run = weighted_sample::<F16>(&spec, &gm, &t, 0.5, 16).unwrap();
         assert_eq!(run.index, 100);
     }
 
@@ -216,7 +206,7 @@ mod tests {
         let (spec, gm) = setup();
         let w = vec![1.0f32; 70000];
         let t = GlobalTensor::from_slice(&gm, &w).unwrap();
-        let run = weighted_sample::<f32>(&spec, &gm, &t, 0.5, 16, 2).unwrap();
+        let run = weighted_sample::<f32>(&spec, &gm, &t, 0.5, 16).unwrap();
         // Uniform weights: theta = 0.5 lands near the middle.
         assert!(
             (run.index as i64 - 35000).abs() < 100,
@@ -227,20 +217,20 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let t = GlobalTensor::<f32>::new(&gm, 0).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &t, 0.5, 16, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &t, 0.5, 16).is_err());
         let t = GlobalTensor::from_slice(&gm, &[1.0f32]).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5, 16, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &t, 1.5, 16).is_err());
         let zeros = GlobalTensor::from_slice(&gm, &[0.0f32; 10]).unwrap();
-        assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5, 16, 1).is_err());
+        assert!(weighted_sample::<f32>(&spec, &gm, &zeros, 0.5, 16).is_err());
     }
 
     /// Asserts `w` is rejected as not summing to a finite positive mass.
     fn assert_bad_total(w: &[F16]) {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let t = GlobalTensor::from_slice(&gm, w).unwrap();
-        match weighted_sample::<F16>(&spec, &gm, &t, 0.5, 16, 1) {
+        match weighted_sample::<F16>(&spec, &gm, &t, 0.5, 16) {
             Err(SimError::InvalidArgument(msg)) => assert!(msg.contains("sum to"), "{msg}"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(run) => panic!("sampled index {}", run.index),

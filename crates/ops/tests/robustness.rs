@@ -8,10 +8,15 @@
 //! as one MCScan launch whose phase II store takes the UB propagation
 //! leaves free, so a chip too small for that store must refuse with an
 //! error. The pinned counts record which calls run to a result.
+//!
+//! The `ops::baselines` free functions — `clone`, `masked_select`,
+//! `sort`, `topk_baseline`, `multinomial` and `cumsum` — run on the same
+//! chips and lengths under the same contract, with a pin of their own.
 
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
 use dtypes::F16;
+use ops::baselines;
 use ops::split::reference_split;
 use ops::{compress, radix_sort, split_ind, top_p_sample, topk, SortOrder};
 use std::fmt::Debug;
@@ -116,9 +121,19 @@ fn host_top_p(w: &[f64], p: f64, theta: f64) -> (u32, usize) {
     (idx[pos], kept)
 }
 
+/// The `k` largest of the distinct `vals` with their indices, largest
+/// first.
+fn host_topk(vals: &[u16], k: usize) -> Vec<(u16, u32)> {
+    let mut top: Vec<(u16, u32)> = (0..vals.len() as u32)
+        .map(|i| (vals[i as usize], i))
+        .collect();
+    top.sort_unstable_by(|a, b| b.cmp(a));
+    top.truncate(k);
+    top
+}
+
 fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize, n: usize) {
     let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
-    let blocks = spec.ai_cores;
     // Distinct values (7919 is prime and above every length here), so
     // the top-k set is unique; keys with duplicates for the sort.
     let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % n.max(1)) as u16).collect();
@@ -136,7 +151,7 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
         &case("split_ind"),
         || reference_split(&vals, &mask),
         || {
-            split_ind(spec, &gm, &x, &m, s, blocks)
+            split_ind(spec, &gm, &x, &m, s)
                 .map(|r| (r.values.to_vec(), r.indices.to_vec(), r.n_true))
         },
     );
@@ -146,27 +161,22 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
             let (v, _, n_true) = reference_split(&vals, &mask);
             v[..n_true].to_vec()
         },
-        || compress(spec, &gm, &x, &m, s, blocks).map(|r| r.values.to_vec()),
+        || compress(spec, &gm, &x, &m, s).map(|r| r.values.to_vec()),
     );
     findings.check(
         &case("radix_sort"),
         || host_sort(&keys),
         || {
-            radix_sort(spec, &gm, &k, s, blocks, SortOrder::Ascending)
+            radix_sort(spec, &gm, &k, s, SortOrder::Ascending)
                 .map(|r| (r.values.to_vec(), r.indices.to_vec()))
         },
     );
     let kk = n.div_ceil(2);
     findings.check(
         &case("topk"),
+        || host_topk(&vals, kk),
         || {
-            let mut top: Vec<(u16, u32)> = (0..n as u32).map(|i| (vals[i as usize], i)).collect();
-            top.sort_unstable_by(|a, b| b.cmp(a));
-            top.truncate(kk);
-            top
-        },
-        || {
-            topk(spec, &gm, &x, kk, s, blocks).map(|r| {
+            topk(spec, &gm, &x, kk, s).map(|r| {
                 let mut top: Vec<(u16, u32)> = r
                     .values
                     .to_vec()
@@ -181,7 +191,74 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
     findings.check(
         &case("top_p_sample"),
         || host_top_p(&weights, 0.5, 0.5),
-        || top_p_sample(spec, &gm, &pr, 0.5, 0.5, s, blocks).map(|r| (r.token, r.n_kept)),
+        || top_p_sample(spec, &gm, &pr, 0.5, 0.5, s).map(|r| (r.token, r.n_kept)),
+    );
+}
+
+/// The `ops::baselines` free functions on the inputs of
+/// [`run_operators`]: the two real kernels (`clone` and the vector-only
+/// `cumsum`) and the four modeled operators, whose results are computed
+/// on the host.
+fn run_baselines(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize, n: usize) {
+    let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+    let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % n.max(1)) as u16).collect();
+    let keys: Vec<u16> = (0..n).map(|i| (i * 37 % 101) as u16).collect();
+    let mask: Vec<u8> = (0..n).map(|i| u8::from(i % 3 != 1)).collect();
+    let weights: Vec<f64> = (0..n).map(|i| [1.0, 0.0, 2.0, 0.0, 0.0][i % 5]).collect();
+    let probs: Vec<F16> = weights.iter().map(|&w| F16::from_f64(w)).collect();
+    let signal: Vec<i32> = (0..n).map(|i| (i as i32 * 7) % 3 - 1).collect();
+    let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+    let k = GlobalTensor::from_slice(&gm, &keys).unwrap();
+    let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+    let pr = GlobalTensor::from_slice(&gm, &probs).unwrap();
+    let sig = GlobalTensor::from_slice(&gm, &signal).unwrap();
+    let case = |what: &str| format!("baselines::{what} on {chip}, s = {s}, n = {n}");
+
+    findings.check(
+        &case("clone"),
+        || vals.clone(),
+        || baselines::clone(spec, &gm, &x).map(|(y, _)| y.to_vec()),
+    );
+    findings.check(
+        &case("masked_select"),
+        || {
+            let (v, _, n_true) = reference_split(&vals, &mask);
+            v[..n_true].to_vec()
+        },
+        || baselines::masked_select(spec, &gm, &x, &m).map(|(y, _)| y.to_vec()),
+    );
+    findings.check(
+        &case("sort"),
+        || host_sort(&keys),
+        || baselines::sort(spec, &gm, &k, false).map(|(v, i, _)| (v.to_vec(), i.to_vec())),
+    );
+    let kk = n.div_ceil(2);
+    findings.check(
+        &case("topk_baseline"),
+        || host_topk(&vals, kk),
+        || {
+            baselines::topk_baseline(spec, &gm, &x, kk)
+                .map(|(v, i, _)| v.to_vec().into_iter().zip(i.to_vec()).collect())
+        },
+    );
+    findings.check(
+        &case("multinomial"),
+        || {
+            // The first index whose cumulative weight exceeds half the
+            // total; the integer weights keep every sum exact.
+            let half = weights.iter().sum::<f64>() / 2.0;
+            let mut acc = 0.0;
+            weights.iter().position(|&w| {
+                acc += w;
+                acc > half
+            })
+        },
+        || baselines::multinomial(spec, &gm, &pr, 0.5).map(|(index, _)| Some(index)),
+    );
+    findings.check(
+        &case("cumsum"),
+        || scan::reference::inclusive(&signal),
+        || baselines::cumsum(spec, &gm, &sig).map(|(y, _)| y.to_vec()),
     );
 }
 
@@ -215,6 +292,33 @@ fn every_operator_returns_the_reference_or_a_typed_error() {
 }
 
 #[test]
+fn every_baseline_returns_the_reference_or_a_typed_error() {
+    let mut findings = Findings::default();
+    for (chip, spec) in chips() {
+        for s in [16, 32] {
+            for n in lengths(s) {
+                run_baselines(&mut findings, chip, &spec, s, n);
+            }
+        }
+    }
+    assert!(
+        findings.violations.is_empty(),
+        "{} contract violations:\n{}",
+        findings.violations.len(),
+        findings.violations.join("\n")
+    );
+    // Pins which inputs the baselines accept, as above. The 16
+    // refusals: `topk_baseline` and `multinomial` of nothing on every
+    // chip and `s`; every other call runs, the two real kernels included
+    // on the 2 KB UB.
+    assert_eq!(
+        (findings.calls, findings.accepted),
+        (432, 416),
+        "(calls, calls that ran to a result)"
+    );
+}
+
+#[test]
 fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     // s = 16 on a 1540 B UB: propagation's single-buffered queue and
     // buffer fit and leave 4 bytes, too few for one element of any
@@ -229,10 +333,10 @@ fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
     let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
     let errs = [
-        split_ind(&spec, &gm, &x, &m, 16, 2).err(),
-        compress(&spec, &gm, &x, &m, 16, 2).err(),
-        radix_sort(&spec, &gm, &x, 16, 2, SortOrder::Ascending).err(),
-        topk(&spec, &gm, &x, 10, 16, 2).err(),
+        split_ind(&spec, &gm, &x, &m, 16).err(),
+        compress(&spec, &gm, &x, &m, 16).err(),
+        radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).err(),
+        topk(&spec, &gm, &x, 10, 16).err(),
     ];
     for err in errs {
         assert!(

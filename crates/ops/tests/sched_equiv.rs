@@ -54,11 +54,10 @@ fn assert_equiv(name: &str, op: &dyn Fn(&ChipSpec, &Arc<GlobalMemory>) -> String
     }
 }
 
-/// 3000 values over 5 blocks at s = 32: 3 tiles on the tiny chip's 2 AI
-/// cores, so the grid spans scheduling waves, and the store's pieces
-/// start both at tile offset 0 and inside a tile.
+/// 3000 values at s = 32: 94 rows over the tiny chip's 4 vector cores,
+/// 24 to a core, and the split store's 512-element pieces start both at
+/// a segment's offset 0 and inside it.
 const N: usize = 3000;
-const BLOCKS: u32 = 5;
 
 fn inputs() -> (Vec<u16>, Vec<u8>) {
     let vals = (0..N).map(|i| (i * 7919 % 65_521) as u16).collect();
@@ -72,7 +71,7 @@ fn split_reports_identically_under_serial_parallel_and_planned() {
         let (vals, mask) = inputs();
         let x = GlobalTensor::from_slice(gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(gm, &mask).unwrap();
-        let run = split_ind(spec, gm, &x, &m, 32, BLOCKS).unwrap();
+        let run = split_ind(spec, gm, &x, &m, 32).unwrap();
         let (ev, ei, ent) = reference_split(&vals, &mask);
         assert_eq!(
             (run.values.to_vec(), run.indices.to_vec(), run.n_true),
@@ -88,7 +87,7 @@ fn compress_reports_identically_under_serial_parallel_and_planned() {
         let (vals, mask) = inputs();
         let x = GlobalTensor::from_slice(gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(gm, &mask).unwrap();
-        let run = compress(spec, gm, &x, &m, 32, BLOCKS).unwrap();
+        let run = compress(spec, gm, &x, &m, 32).unwrap();
         let (ev, _, ent) = reference_split(&vals, &mask);
         assert_eq!(run.values.to_vec(), &ev[..ent]);
         run.report.to_json(spec)

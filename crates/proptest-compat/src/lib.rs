@@ -188,7 +188,7 @@ pub mod strategy {
 }
 
 pub mod collection {
-    //! Collection strategies (subset: [`vec`]).
+    //! Collection strategies (subset: [`vec()`]).
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;

@@ -25,9 +25,9 @@ use std::sync::Arc;
 /// kernel). Part of the calibrated baseline cost model.
 const CUMSUM_SCALAR_OPS_PER_ROW: u64 = 16;
 
-/// Vector-only inclusive scan of `x` on `blocks` AI cores (one vector
-/// core each). The Fig. 3 baseline uses `blocks = 1`; `torch.cumsum` on
-/// a 1-D tensor is also effectively single-core on the Ascend adapter.
+/// Vector-only inclusive scan of `x` on one vector core: the sequential
+/// partial-sum dependency keeps the reference CumSum kernel (and
+/// `torch.cumsum` of a 1-D tensor on the Ascend adapter) single-core.
 ///
 /// `s` is the row length of the CumSum tiling (the paper sets 128).
 pub fn cumsum_vec_only<T: Numeric>(
@@ -35,19 +35,11 @@ pub fn cumsum_vec_only<T: Numeric>(
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<T>,
     s: usize,
-    blocks: u32,
 ) -> SimResult<ScanRun<T>> {
     if s == 0 || !s.is_power_of_two() {
         return Err(SimError::InvalidArgument(format!(
             "CumSum baseline: s must be a power of two, got {s}"
         )));
-    }
-    if blocks != 1 {
-        // The sequential partial-sum dependency makes the reference
-        // CumSum kernel single-core; the paper's baseline never scales.
-        return Err(SimError::InvalidArgument(
-            "CumSum baseline is a single-core kernel (blocks must be 1)".into(),
-        ));
     }
     let n = x.len();
     let l = s * s;
@@ -121,7 +113,7 @@ mod tests {
         let (spec, gm) = setup();
         let data: Vec<i32> = (0..2000).map(|i| (i % 17) - 8).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = cumsum_vec_only(&spec, &gm, &x, 16, 1).unwrap();
+        let run = cumsum_vec_only(&spec, &gm, &x, 16).unwrap();
         assert_eq!(run.y.to_vec(), reference::inclusive(&data));
     }
 
@@ -130,7 +122,7 @@ mod tests {
         let (spec, gm) = setup();
         let data: Vec<F16> = (0..500).map(|i| F16::from_f32((i % 3) as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = cumsum_vec_only(&spec, &gm, &x, 16, 1).unwrap();
+        let run = cumsum_vec_only(&spec, &gm, &x, 16).unwrap();
         assert_eq!(run.y.to_vec(), reference::inclusive(&data));
     }
 
@@ -140,7 +132,7 @@ mod tests {
         for n in [1usize, 15, 16, 17, 255, 256, 257] {
             let data: Vec<i32> = (0..n as i32).collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let run = cumsum_vec_only(&spec, &gm, &x, 16, 1).unwrap();
+            let run = cumsum_vec_only(&spec, &gm, &x, 16).unwrap();
             assert_eq!(run.y.to_vec(), reference::inclusive(&data), "n = {n}");
         }
     }
@@ -149,8 +141,7 @@ mod tests {
     fn rejects_bad_args() {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[1i32; 8]).unwrap();
-        assert!(cumsum_vec_only(&spec, &gm, &x, 12, 1).is_err());
-        assert!(cumsum_vec_only(&spec, &gm, &x, 16, 2).is_err());
+        assert!(cumsum_vec_only(&spec, &gm, &x, 12).is_err());
     }
 
     #[test]
@@ -162,7 +153,7 @@ mod tests {
         let n = 1 << 20;
         let data: Vec<F16> = vec![F16::ZERO; n];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let base = cumsum_vec_only(&spec, &gm, &x, 128, 1).unwrap();
+        let base = cumsum_vec_only(&spec, &gm, &x, 128).unwrap();
         let u = crate::scanu::scanu::<F16, F16>(&spec, &gm, &x, 128).unwrap();
         let ratio = base.report.time_s() / u.report.time_s();
         assert!(

@@ -9,7 +9,7 @@
 //!   vector cores each complete the propagation of one of the rows.
 //! * [`batched_scanul1`] extends ScanUL1: each AI core runs the full
 //!   ScanUL1 pipeline on whole rows assigned round-robin. Single-core
-//!   [`crate::scanul1`] is this body at batch 1.
+//!   [`crate::scanul1()`] is this body at batch 1.
 //!
 //! Fig. 5's finding reproduces from these schedules: ScanU-batched wins
 //! for many short rows (its per-row pipeline has lower latency and uses

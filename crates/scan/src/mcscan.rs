@@ -27,7 +27,7 @@
 //! kernel.
 //!
 //! A chunk is a contiguous element range walked in segments of at most
-//! `ℓ` elements (see [`Chunking`]). [`mcscan`] keeps the paper's chunks
+//! `ℓ` elements. [`mcscan`] keeps the paper's chunks
 //! of whole tiles; [`mcscan_with`] gives each vector core a range of
 //! `⌈rows / chunks⌉` `s`-element rows, because `A @ U_s` leaves
 //! independent row scans in `w` and phase II only carries a running sum
@@ -134,15 +134,14 @@ pub struct StoreRun<O: Element> {
 }
 
 /// MCScan with a caller-supplied phase II store: the launch `name` runs
-/// [`mcscan`]'s two phases on `x` over row chunks ([`Chunking::Rows`])
-/// and hands every propagated segment to `store` instead of writing a
-/// scan output. `cfg.kind` is unused; the store decides what each
-/// segment writes.
+/// [`mcscan`]'s two phases on `x` at tile dimension `s` on all AI cores,
+/// over chunks of `⌈rows / chunks⌉` rows, and hands every propagated
+/// segment to `store`, which decides what it writes.
 pub fn mcscan_with<T, M, O, S>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<T>,
-    cfg: McScanConfig,
+    s: usize,
     name: &'static str,
     store: S,
 ) -> SimResult<StoreRun<O>>
@@ -152,8 +151,9 @@ where
     O: Numeric,
     S: TileStore<O>,
 {
+    let grid = (s, spec.ai_cores);
     let (report, mc) =
-        McLayout::<T, M, O, S>::new(name, spec, gm, x, cfg, Chunking::Rows, None, |_| Ok(store))?
+        McLayout::<T, M, O, S>::new(name, spec, gm, x, grid, Chunking::Rows, None, |_| Ok(store))?
             .recompute(spec, gm, x)?;
     let total = mc.r.to_vec().into_iter().fold(O::zero(), O::add);
     Ok(StoreRun { report, total })
@@ -240,7 +240,8 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O, YStore<O>> {
         cfg: McScanConfig,
         max_blocks: Option<u32>,
     ) -> SimResult<Self> {
-        Self::new(name, spec, gm, x, cfg, Chunking::Tiles, max_blocks, |gm| {
+        let grid = (cfg.s, cfg.blocks);
+        Self::new(name, spec, gm, x, grid, Chunking::Tiles, max_blocks, |gm| {
             Ok(YStore {
                 y: GlobalTensor::<O>::new(gm, x.len())?,
                 kind: cfg.kind,
@@ -381,23 +382,23 @@ pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>
 }
 
 impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S> {
-    /// Validates `cfg` for kernel `name` (grids above `max_blocks` are
-    /// rejected; `None` wave-multiplexes any grid) and allocates the
-    /// launch's tensors, the store's through `store`.
+    /// Validates tile dimension `s` and grid `blocks` for kernel `name`
+    /// (grids above `max_blocks` are rejected; `None` wave-multiplexes
+    /// any grid) and allocates the launch's tensors, the store's too.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         name: &'static str,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         x: &GlobalTensor<T>,
-        cfg: McScanConfig,
+        (s, blocks): (usize, u32),
         chunking: Chunking,
         max_blocks: Option<u32>,
         store: impl FnOnce(&Arc<GlobalMemory>) -> SimResult<S>,
     ) -> SimResult<Self> {
-        check_tile(name, cfg.s)?;
-        check_blocks(name, cfg.blocks, max_blocks)?;
-        let (n, s) = (x.len(), cfg.s);
+        check_tile(name, s)?;
+        check_blocks(name, blocks, max_blocks)?;
+        let n = x.len();
         let l = s * s;
         let consts = ScanConstants::<T>::upload(gm, s)?;
         let store = store(gm)?;
@@ -405,7 +406,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
         // intermediate type; the paper's kernel writes them into the
         // output buffer, which is the same traffic.
         let w = GlobalTensor::<M>::new(gm, n)?;
-        let chunks_total = (cfg.blocks * spec.vec_per_core) as usize;
+        let chunks_total = (blocks * spec.vec_per_core) as usize;
         let unit = match chunking {
             Chunking::Tiles => l,
             Chunking::Rows => s,
@@ -420,7 +421,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             n,
             s,
             l,
-            blocks: cfg.blocks,
+            blocks,
             consts,
             store,
             w,

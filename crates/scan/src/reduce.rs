@@ -13,9 +13,11 @@
 //!   the copy roofline where scan cannot.
 //! * [`reduce_vec`] — the vector-only baseline (`ReduceSum` over tiles).
 //!
-//! Both return exact sums in the accumulator domain (f32 for fp16 input,
-//! i32 for int8) using the same pairwise lane-tree semantics as the
-//! hardware reduction.
+//! Both run on all of the chip's AI cores and return exact sums in the
+//! accumulator domain (f32 for fp16 input, i32 for int8) using the same
+//! pairwise lane-tree semantics as the hardware reduction. An empty
+//! input is no error: the launch runs over nothing, like an empty scan,
+//! and the total is zero.
 
 use crate::stage::{
     check_blocks, check_tile, chunk_offset, reduce_chunk, store_scalar, CubePass, HandOffs,
@@ -24,7 +26,7 @@ use crate::triangular::ScanConstants;
 use crate::util::{partition, tile_spans};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
-use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult};
+use ascendc::{launch, BlockCtx, ChipSpec, GlobalTensor, ScratchpadKind, SimResult};
 use dtypes::{CubeInput, Element, Numeric};
 use std::sync::Arc;
 
@@ -44,23 +46,19 @@ pub fn reduce_cube<T>(
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<T>,
     s: usize,
-    blocks: u32,
 ) -> SimResult<ReduceRun<T::Acc>>
 where
     T: CubeInput,
 {
     check_tile("reduce_cube", s)?;
-    check_blocks("reduce_cube", blocks, Some(spec.ai_cores))?;
+    check_blocks("reduce_cube", spec.ai_cores, None)?;
     let n = x.len();
-    if n == 0 {
-        return Err(SimError::InvalidArgument("reduce_cube: empty input".into()));
-    }
     // Priced AIC→AIV hand-off: one CrossCoreSetFlag per tile, matched by
     // the consumer's CrossCoreWaitFlag, keyed by the global tile index.
     let hand = HandOffs::new("reduce_cube", spec, 1)?;
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
-    let chunks_total = (blocks * spec.vec_per_core) as usize;
+    let chunks_total = (spec.ai_cores * spec.vec_per_core) as usize;
     let tiles = tile_spans(n, l);
     let chunk_tiles = partition(tiles.len(), chunks_total);
     // Row-sum columns land here (one s-column per tile), then per-chunk
@@ -68,7 +66,7 @@ where
     let cols = GlobalTensor::<T::Acc>::new(gm, tiles.len() * s)?;
     let r = GlobalTensor::<T::Acc>::new(gm, chunks_total)?;
 
-    let mut report = launch(spec, gm, blocks, "ReduceCube", |ctx| {
+    let mut report = launch(spec, gm, spec.ai_cores, "ReduceCube", |ctx| {
         let block = ctx.block_idx as usize;
         let vpc = ctx.vecs.len();
         // Cube: row sums per tile; FIXP writes only the first column
@@ -139,17 +137,13 @@ pub fn reduce_vec<T>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<T>,
-    blocks: u32,
 ) -> SimResult<ReduceRun<T::Acc>>
 where
     T: CubeInput,
 {
-    check_blocks("reduce_vec", blocks, None)?;
+    check_blocks("reduce_vec", spec.ai_cores, None)?;
     let n = x.len();
-    if n == 0 {
-        return Err(SimError::InvalidArgument("reduce_vec: empty input".into()));
-    }
-    let chunks_total = (blocks * spec.vec_per_core) as usize;
+    let chunks_total = (spec.ai_cores * spec.vec_per_core) as usize;
     let r = GlobalTensor::<T::Acc>::new(gm, chunks_total)?;
     let piece = {
         let per = spec.ub_capacity / (2 * T::SIZE + <T::Acc as Element>::SIZE + 8);
@@ -162,7 +156,7 @@ where
     let spans = tile_spans(n, piece);
     let chunk_spans = partition(spans.len(), chunks_total);
 
-    let mut report = launch(spec, gm, blocks, "ReduceVec", |ctx| {
+    let mut report = launch(spec, gm, spec.ai_cores, "ReduceVec", |ctx| {
         let block = ctx.block_idx as usize;
         let vpc = ctx.vecs.len();
         let phase = ctx.span_begin("VecReduce");
@@ -199,7 +193,7 @@ mod tests {
         let data: Vec<i8> = (0..4000).map(|i| ((i * 7) % 11) as i8 - 5).collect();
         let expect: i32 = data.iter().map(|&v| i32::from(v)).sum();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = reduce_cube::<i8>(&spec, &gm, &x, 16, 2).unwrap();
+        let run = reduce_cube::<i8>(&spec, &gm, &x, 16).unwrap();
         assert_eq!(run.total, expect);
     }
 
@@ -209,7 +203,7 @@ mod tests {
         let data: Vec<u8> = (0..3777).map(|i| (i % 4 == 0) as u8).collect();
         let expect: i32 = data.iter().map(|&v| i32::from(v)).sum();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = reduce_vec::<u8>(&spec, &gm, &x, 2).unwrap();
+        let run = reduce_vec::<u8>(&spec, &gm, &x).unwrap();
         assert_eq!(run.total, expect);
     }
 
@@ -218,8 +212,8 @@ mod tests {
         let (spec, gm) = setup();
         let data: Vec<F16> = (0..2000).map(|i| F16::from_f32((i % 5) as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let a = reduce_cube::<F16>(&spec, &gm, &x, 16, 2).unwrap();
-        let b = reduce_vec::<F16>(&spec, &gm, &x, 2).unwrap();
+        let a = reduce_cube::<F16>(&spec, &gm, &x, 16).unwrap();
+        let b = reduce_vec::<F16>(&spec, &gm, &x).unwrap();
         // Both accumulate in f32; summation orders differ (matmul rows
         // vs lane tree), so allow float slack.
         assert!((a.total - 4000.0).abs() < 1.0, "cube total {}", a.total);
@@ -228,11 +222,15 @@ mod tests {
 
     #[test]
     fn partial_tail_tiles() {
-        let (spec, gm) = setup();
+        let spec = ChipSpec {
+            ai_cores: 1,
+            ..ChipSpec::tiny()
+        };
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
         for n in [1usize, 255, 256, 257, 1000] {
             let data = vec![1i8; n];
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let run = reduce_cube::<i8>(&spec, &gm, &x, 16, 1).unwrap();
+            let run = reduce_cube::<i8>(&spec, &gm, &x, 16).unwrap();
             assert_eq!(run.total, n as i32, "n = {n}");
         }
     }
@@ -246,7 +244,7 @@ mod tests {
         let n = 4 << 20;
         let data = vec![1i8; n];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let red = reduce_cube::<i8>(&spec, &gm, &x, 128, spec.ai_cores).unwrap();
+        let red = reduce_cube::<i8>(&spec, &gm, &x, 128).unwrap();
         assert_eq!(red.total, n as i32);
         let traffic = red.report.bytes_read + red.report.bytes_written;
         assert!(
@@ -267,11 +265,27 @@ mod tests {
     fn rejects_bad_args() {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[1i8; 8]).unwrap();
-        assert!(reduce_cube::<i8>(&spec, &gm, &x, 10, 1).is_err());
-        assert!(reduce_cube::<i8>(&spec, &gm, &x, 16, 0).is_err());
-        assert!(reduce_vec::<i8>(&spec, &gm, &x, 0).is_err());
+        assert!(reduce_cube::<i8>(&spec, &gm, &x, 10).is_err());
+        let coreless = ChipSpec {
+            ai_cores: 0,
+            ..spec
+        };
+        assert!(reduce_cube::<i8>(&coreless, &gm, &x, 16).is_err());
+        assert!(reduce_vec::<i8>(&coreless, &gm, &x).is_err());
+    }
+
+    #[test]
+    fn empty_input_sums_to_zero_in_one_launch() {
+        // Like an empty scan: the launch runs over nothing.
+        let (spec, gm) = setup();
         let empty = GlobalTensor::<i8>::new(&gm, 0).unwrap();
-        assert!(reduce_cube::<i8>(&spec, &gm, &empty, 16, 1).is_err());
-        assert!(reduce_vec::<i8>(&spec, &gm, &empty, 1).is_err());
+        for run in [
+            reduce_cube::<i8>(&spec, &gm, &empty, 16).unwrap(),
+            reduce_vec::<i8>(&spec, &gm, &empty).unwrap(),
+        ] {
+            assert_eq!(run.total, 0);
+            assert_eq!((run.report.blocks, run.report.elements), (spec.ai_cores, 0));
+            assert!(run.report.cycles >= spec.launch_cycles);
+        }
     }
 }

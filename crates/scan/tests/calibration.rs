@@ -22,7 +22,7 @@ fn fig3_single_core_ratios() {
     let data: Vec<F16> = vec![F16::ZERO; n];
     let x = GlobalTensor::from_slice(&gm, &data).unwrap();
 
-    let base = cumsum_vec_only(&spec, &gm, &x, 128, 1).unwrap().report;
+    let base = cumsum_vec_only(&spec, &gm, &x, 128).unwrap().report;
     let u = scanu::<F16, F16>(&spec, &gm, &x, 128).unwrap().report;
     let ul1 = scanul1::<F16, F16>(&spec, &gm, &x, 128).unwrap().report;
 

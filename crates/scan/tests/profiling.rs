@@ -40,7 +40,7 @@ fn kernels() -> Vec<KernelRunner> {
             "cumsum_vec_only",
             Box::new(|spec: &ChipSpec, gm: &Arc<GlobalMemory>| {
                 let x = GlobalTensor::from_slice(gm, &data()).unwrap();
-                cumsum_vec_only(spec, gm, &x, S, 1).unwrap().report
+                cumsum_vec_only(spec, gm, &x, S).unwrap().report
             }),
         ),
         (
@@ -103,18 +103,14 @@ fn kernels() -> Vec<KernelRunner> {
             "reduce_cube",
             Box::new(|spec: &ChipSpec, gm: &Arc<GlobalMemory>| {
                 let x = GlobalTensor::from_slice(gm, &data()).unwrap();
-                reduce_cube::<F16>(spec, gm, &x, S, spec.ai_cores)
-                    .unwrap()
-                    .report
+                reduce_cube::<F16>(spec, gm, &x, S).unwrap().report
             }),
         ),
         (
             "reduce_vec",
             Box::new(|spec: &ChipSpec, gm: &Arc<GlobalMemory>| {
                 let x = GlobalTensor::from_slice(gm, &data()).unwrap();
-                reduce_vec::<F16>(spec, gm, &x, spec.ai_cores)
-                    .unwrap()
-                    .report
+                reduce_vec::<F16>(spec, gm, &x).unwrap().report
             }),
         ),
     ]

@@ -195,7 +195,7 @@ fn exclusive_scanc_reports_identically_under_serial_parallel_and_planned() {
 fn cumsum_vec_only_reports_identically_under_both_schedulers() {
     assert_equiv("CumSum", |spec, gm| {
         let x = GlobalTensor::from_slice(gm, &vec![F16::ONE; 2048]).unwrap();
-        let run = cumsum_vec_only::<F16>(spec, gm, &x, 16, 1).unwrap();
+        let run = cumsum_vec_only::<F16>(spec, gm, &x, 16).unwrap();
         run.report.to_json(spec)
     });
 }
@@ -249,12 +249,12 @@ fn ablation_variants_report_identically_under_both_schedulers() {
 fn reductions_report_identically_under_both_schedulers() {
     assert_equiv("ReduceCube", |spec, gm| {
         let x = GlobalTensor::from_slice(gm, &signal(3000)).unwrap();
-        let run = reduce_cube::<i8>(spec, gm, &x, 16, 2).unwrap();
+        let run = reduce_cube::<i8>(spec, gm, &x, 16).unwrap();
         run.report.to_json(spec)
     });
     assert_equiv("ReduceVec", |spec, gm| {
         let x = GlobalTensor::from_slice(gm, &signal(3000)).unwrap();
-        let run = reduce_vec::<i8>(spec, gm, &x, 2).unwrap();
+        let run = reduce_vec::<i8>(spec, gm, &x).unwrap();
         run.report.to_json(spec)
     });
 }

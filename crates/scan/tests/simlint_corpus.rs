@@ -404,7 +404,7 @@ fn shipped_scan_kernels_lint_clean() {
         }
         runs.push((
             "cumsum_vec_only",
-            cumsum_vec_only::<i32>(&spec, &gm, &xw, 16, 1).map(|_| ()),
+            cumsum_vec_only::<i32>(&spec, &gm, &xw, 16).map(|_| ()),
         ));
         runs.push((
             "batched_scanu",
@@ -416,12 +416,9 @@ fn shipped_scan_kernels_lint_clean() {
         ));
         runs.push((
             "reduce_cube",
-            reduce_cube::<i8>(&spec, &gm, &x, 16, 2).map(|_| ()),
+            reduce_cube::<i8>(&spec, &gm, &x, 16).map(|_| ()),
         ));
-        runs.push((
-            "reduce_vec",
-            reduce_vec::<u8>(&spec, &gm, &xm, 2).map(|_| ()),
-        ));
+        runs.push(("reduce_vec", reduce_vec::<u8>(&spec, &gm, &xm).map(|_| ())));
         runs
     });
     for (name, r) in &results {

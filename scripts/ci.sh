@@ -136,6 +136,11 @@ cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scan
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Every intra-doc link must resolve: a broken, ambiguous or private
+# link in the public docs fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -78,7 +78,7 @@ fn critical_path_length_equals_cycles_for_every_shipped_kernel() {
             ascend_scan::scan::scanc::scanc::<F16, F16, F16>(spec, dev.memory(), &x, scanc_cfg)
                 .unwrap()
                 .report,
-            ascend_scan::scan::cumsum_vec_only::<F16>(spec, dev.memory(), &x, 128, 1)
+            ascend_scan::scan::cumsum_vec_only::<F16>(spec, dev.memory(), &x, 128)
                 .unwrap()
                 .report,
             ascend_scan::scan::batched_scanu::<F16, F16>(spec, dev.memory(), &x, 8, n / 8, 128)
