@@ -20,6 +20,12 @@
 //! and the walk fails with [`SimError::AccountingViolation`] — this is
 //! the **makespan identity** audit run on every Full-validation launch.
 //!
+//! Every core aligns to a `SyncAll`'s release, so the path crosses each
+//! barrier through its round record: [`walk`] can cover one barrier
+//! epoch at a time from that epoch's records alone, and a launch audits
+//! its path as it runs, epoch by epoch, then [`summarize`]s the joined
+//! segments. [`analyze`] walks every epoch of a whole recorded launch.
+//!
 //! On top of the path the module computes:
 //! * **attribution** — path cycles by segment class, engine, and the
 //!   enclosing phase span (the breakdown sums to the makespan exactly,
@@ -211,12 +217,14 @@ pub struct CritInput<'a> {
     pub stalls: &'a [StallEvent],
     /// The launch's happens-before graph (flag edges).
     pub graph: &'a LaunchGraph<'a>,
-    /// Recorded spans (phase attribution; may be empty).
+    /// Recorded spans (phase attribution; may be empty). Only
+    /// [`analyze`] reads them; [`walk`] leaves phases to [`summarize`].
     pub spans: &'a [TraceSpan],
     /// Scheduler barrier-round decisions, in round order.
     pub rounds: &'a [RoundRecord],
-    /// The kernel-end alignment decision.
-    pub finale: FinalRecord,
+    /// The kernel-end alignment decision; `None` while the launch runs,
+    /// when only barrier epochs can be walked.
+    pub finale: Option<FinalRecord>,
 }
 
 // ---------------------------------------------------------------------
@@ -304,8 +312,6 @@ struct Analyzer<'a> {
     arrivals: ArrivalIndex,
     /// Arrival edges by time alone (cross-lane fallback).
     arrivals_by_time: HashMap<EventTime, Vec<(u32, u32, EventTime)>>,
-    /// Depth-1 block-scope spans per block, sorted by start.
-    phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>>,
 }
 
 /// A wire hop: the producer's `(block, core)`, its set time and the
@@ -385,20 +391,6 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        let mut phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>> =
-            HashMap::new();
-        for s in input.spans {
-            if s.depth == 1 && s.core == BLOCK_SCOPE {
-                phase_spans
-                    .entry(s.block)
-                    .or_default()
-                    .push((s.start, s.end, s.name));
-            }
-        }
-        for spans in phase_spans.values_mut() {
-            spans.sort_unstable();
-        }
-
         Analyzer {
             input,
             index: OnceCell::new(),
@@ -406,7 +398,6 @@ impl<'a> Analyzer<'a> {
             waits_by_time,
             arrivals,
             arrivals_by_time,
-            phase_spans,
         }
     }
 
@@ -544,35 +535,20 @@ impl<'a> Analyzer<'a> {
         Some((p.block, p.core, p.time, class))
     }
 
-    /// Innermost phase span of `block` containing cycle `at`.
-    fn phase_of(&self, block: u32, at: EventTime) -> &'static str {
-        if let Some(spans) = self.phase_spans.get(&block) {
-            let mut best: Option<&'static str> = None;
-            for &(s, e, name) in spans {
-                if s <= at && at < e.max(s + 1) {
-                    best = Some(name);
-                }
-                if s > at {
-                    break;
-                }
-            }
-            if let Some(name) = best {
-                return name;
-            }
-        }
-        "(unattributed)"
-    }
-
-    /// Runs the backward walk; returns segments in ascending order.
-    fn walk(&self) -> SimResult<Vec<PathSeg>> {
+    /// Runs the backward walk through barrier epochs `first..=last`
+    /// (epoch `rounds.len()` is the one the kernel end closes); returns
+    /// segments in ascending order, their phases unattributed.
+    fn walk(&self, first: usize, last: usize) -> SimResult<Vec<PathSeg>> {
         let input = self.input;
         let fw = input.flag_wait_cycles;
         let total_ivs = input.events.len() + input.stalls.len();
         let limit = 2 * total_ivs + 8 * input.rounds.len() + 64;
 
         let mut segs: Vec<PathSeg> = Vec::new();
-        let mut t = input.cycles;
-        let mut cur = Cursor::Final;
+        let (mut t, mut cur) = match input.rounds.get(last) {
+            Some(rr) => (rr.resolved, Cursor::Round(last)),
+            None => (input.cycles, Cursor::Final),
+        };
         let mut visited: HashSet<(usize, usize)> = HashSet::new();
         let mut last_t = EventTime::MAX;
         let mut steps = 0usize;
@@ -595,16 +571,6 @@ impl<'a> Analyzer<'a> {
                     ),
                 ));
             }
-            let mid = start + (end - start) / 2;
-            let phase = match class {
-                SegClass::Launch => "(launch)",
-                SegClass::Hbm => "(bandwidth)",
-                SegClass::BarrierRelease => "(barrier)",
-                _ => match lane {
-                    Some((b, _)) => self.phase_of(b, mid),
-                    None => "(barrier)",
-                },
-            };
             segs.push(PathSeg {
                 class,
                 start,
@@ -614,7 +580,7 @@ impl<'a> Analyzer<'a> {
                 engine,
                 flag_instr: flag,
                 chain_instr: chain,
-                phase,
+                phase: "",
             });
             Ok(())
         };
@@ -640,8 +606,15 @@ impl<'a> Analyzer<'a> {
             }
             match cur {
                 Cursor::Done => break,
+                // The epoch before `first` walks on from its release.
+                Cursor::Round(r) if r + 1 == first => break,
                 Cursor::Final => {
-                    let f = &input.finale;
+                    let Some(f) = &input.finale else {
+                        return Err(viol(
+                            "critical-path walk",
+                            "the kernel end is not resolved yet".to_string(),
+                        ));
+                    };
                     if f.end != t {
                         return Err(viol(
                             "makespan identity",
@@ -902,18 +875,88 @@ impl<'a> Analyzer<'a> {
     }
 }
 
+/// Innermost phase span of `block` containing cycle `at`, among the
+/// depth-1 block-scope spans per block, sorted by start.
+fn phase_of(
+    phase_spans: &HashMap<u32, Vec<(EventTime, EventTime, &'static str)>>,
+    block: u32,
+    at: EventTime,
+) -> &'static str {
+    if let Some(spans) = phase_spans.get(&block) {
+        let mut best: Option<&'static str> = None;
+        for &(s, e, name) in spans {
+            if s <= at && at < e.max(s + 1) {
+                best = Some(name);
+            }
+            if s > at {
+                break;
+            }
+        }
+        if let Some(name) = best {
+            return name;
+        }
+    }
+    "(unattributed)"
+}
+
 /// Extracts the critical path of a recorded launch and asserts the
 /// makespan identity: the path must tile `[0, cycles]` exactly, with
 /// every boundary justified by a recorded cause. Fails with
 /// [`SimError::AccountingViolation`] when the timing model and its own
 /// records disagree.
 pub fn analyze(input: &CritInput<'_>) -> SimResult<CritReport> {
-    let analyzer = Analyzer::new(input);
-    let segments = analyzer.walk()?;
+    let segments = walk(input, 0..=input.rounds.len())?;
+    summarize(segments, input.cycles, input.spans)
+}
 
-    // The walk builds the chain backward from `cycles`, emitting
-    // contiguous segments; re-verify the tiling to make the identity
-    // audit independent of the walk's bookkeeping.
+/// The critical path's segments inside barrier epochs `epochs`, in
+/// ascending order: epoch `e` runs from round `e − 1`'s release (the
+/// launch start for `e = 0`) to round `e`'s, and epoch `rounds.len()`
+/// to the kernel end, which needs `finale`. `input` must hold every
+/// record of those epochs; records of others may be absent. Phases are
+/// left to [`summarize`], which also checks that the joined segments
+/// tile the makespan.
+pub fn walk(
+    input: &CritInput<'_>,
+    epochs: std::ops::RangeInclusive<usize>,
+) -> SimResult<Vec<PathSeg>> {
+    Analyzer::new(input).walk(*epochs.start(), *epochs.end())
+}
+
+/// Joins a launch's critical path from the segments [`walk`] returned
+/// for all of its epochs, in ascending order: checks that they tile
+/// `[0, cycles]` (the makespan identity), attributes each to its phase
+/// span in `spans` and sums the attribution and what-ifs.
+pub fn summarize(
+    mut segments: Vec<PathSeg>,
+    cycles: u64,
+    spans: &[TraceSpan],
+) -> SimResult<CritReport> {
+    let mut phase_spans: HashMap<u32, Vec<(EventTime, EventTime, &'static str)>> = HashMap::new();
+    for s in spans {
+        if s.depth == 1 && s.core == BLOCK_SCOPE {
+            phase_spans
+                .entry(s.block)
+                .or_default()
+                .push((s.start, s.end, s.name));
+        }
+    }
+    for spans in phase_spans.values_mut() {
+        spans.sort_unstable();
+    }
+    for s in &mut segments {
+        let mid = s.start + (s.end - s.start) / 2;
+        s.phase = match (s.class, s.block) {
+            (SegClass::Launch, _) => "(launch)",
+            (SegClass::Hbm, _) => "(bandwidth)",
+            (SegClass::BarrierRelease, _) | (_, None) => "(barrier)",
+            (_, Some(b)) => phase_of(&phase_spans, b, mid),
+        };
+    }
+
+    // The walk builds the chain backward, emitting contiguous segments;
+    // re-verify the tiling to make the identity audit independent of
+    // the walk's bookkeeping.
     let mut at = 0u64;
     for s in &segments {
         if s.start != at {
@@ -927,18 +970,15 @@ pub fn analyze(input: &CritInput<'_>) -> SimResult<CritReport> {
         }
         at = s.end;
     }
-    if at != input.cycles {
+    if at != cycles {
         return Err(viol(
             "makespan identity",
-            format!(
-                "critical path covers [0, {at}] but the report says {} cycles",
-                input.cycles
-            ),
+            format!("critical path covers [0, {at}] but the report says {cycles} cycles"),
         ));
     }
 
     let mut summary = CritSummary {
-        makespan: input.cycles,
+        makespan: cycles,
         launch: 0,
         busy: 0,
         flag_wire: 0,
@@ -1183,7 +1223,7 @@ mod tests {
             graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &[],
-            finale: finale(400, 100),
+            finale: Some(finale(400, 100)),
         };
         let r = analyze(&input).unwrap();
         assert_eq!(r.summary.makespan, 400);
@@ -1235,7 +1275,7 @@ mod tests {
             graph: &LaunchGraph::build(&hb),
             spans: &[],
             rounds: &[],
-            finale: finale(900, 100),
+            finale: Some(finale(900, 100)),
         };
         let r = analyze(&input).unwrap();
         assert_eq!(r.summary.flag_wire, 540);
@@ -1278,13 +1318,13 @@ mod tests {
             graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &rounds,
-            finale: FinalRecord {
+            finale: Some(FinalRecord {
                 max_local: 600,
                 seg_start: 550,
                 seg_bytes: 0,
                 bw_bound: 550,
                 end: 600,
-            },
+            }),
         };
         let r = analyze(&input).unwrap();
         assert_eq!(r.summary.barrier_release, 50);
@@ -1346,7 +1386,7 @@ mod tests {
             graph: &LaunchGraph::build(&hb),
             spans: &[],
             rounds: &[],
-            finale: finale(1200, 100),
+            finale: Some(finale(1200, 100)),
         };
         let r = analyze(&input).unwrap();
         assert_eq!(r.summary.chain_wire, 540);
@@ -1386,7 +1426,7 @@ mod tests {
             graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &[],
-            finale: finale(400, 100),
+            finale: Some(finale(400, 100)),
         };
         let err = analyze(&input).unwrap_err();
         assert!(matches!(err, SimError::AccountingViolation { .. }));
@@ -1405,7 +1445,7 @@ mod tests {
             graph: &LaunchGraph::build(&[]),
             spans: &[],
             rounds: &[],
-            finale: finale(400, 100),
+            finale: Some(finale(400, 100)),
         };
         let r = analyze(&input).unwrap();
         let js = r.summary.to_json().to_string();

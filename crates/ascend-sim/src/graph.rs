@@ -99,6 +99,10 @@ pub struct QueueNodes {
     pub enques: Vec<usize>,
     /// `Deque` events, in stream order.
     pub deques: Vec<usize>,
+    /// Enques minus deques of earlier epochs: a positive balance pairs
+    /// the first deques here with enques before the barrier; a negative
+    /// one pairs the first enques here with deques before it.
+    pub carried: i64,
 }
 
 /// One published token on a channel.
@@ -112,8 +116,32 @@ pub struct SetNode {
     pub wait: Option<usize>,
 }
 
-/// The happens-before graph of one launch. Every index is into
-/// [`LaunchGraph::events`].
+/// A flag token published in an earlier epoch and not consumed before
+/// the graph's first event.
+#[derive(Clone, Copy, Debug)]
+pub struct CarriedSet {
+    /// The barrier epoch the set was published in.
+    pub epoch: u32,
+    /// The set event (its index belongs to the earlier graph).
+    pub event: HbEvent,
+    /// The wait of this graph that consumed the token, if any did.
+    pub wait: Option<usize>,
+}
+
+/// What a barrier epoch's graph inherits from the epochs before it.
+#[derive(Clone, Debug, Default)]
+pub struct Carry {
+    /// Barrier epochs crossed so far: the epoch the next graph starts in.
+    pub epoch: u32,
+    /// Published tokens no wait has consumed yet, by `(scope, token)`,
+    /// with the epoch and event that published them.
+    pub open: BTreeMap<(Option<u32>, u64), (u32, HbEvent)>,
+    /// Per `(block, queue)`: enques minus deques so far.
+    pub queued: BTreeMap<(u32, u32), i64>,
+}
+
+/// The happens-before graph of one launch, or of a run of its barrier
+/// epochs. Every index is into [`LaunchGraph::events`].
 #[derive(Default)]
 pub struct LaunchGraph<'a> {
     /// The analyzed event stream.
@@ -124,7 +152,8 @@ pub struct LaunchGraph<'a> {
     pub thread_of: Vec<usize>,
     /// Per event: its position in its thread's program order.
     pub pos: Vec<u32>,
-    /// Per event: the barrier arrivals before it on its thread.
+    /// Per event: its barrier epoch (the barrier arrivals before it on
+    /// its thread, counted from the launch start).
     pub epoch: Vec<u32>,
     /// Every flag wait in stream order, with the set it consumed; `None`
     /// marks an unmatched wait. A set recorded later in the stream still
@@ -138,12 +167,24 @@ pub struct LaunchGraph<'a> {
     pub queues: BTreeMap<(u32, u32), QueueNodes>,
     /// Barrier rounds in round order, each with its arrival events.
     pub rounds: Vec<Vec<usize>>,
+    /// Tokens inherited from earlier epochs, per channel: the waits
+    /// that consume them carry no edge here, because the barrier
+    /// already orders the set before them.
+    pub carried: BTreeMap<Chan, Vec<CarriedSet>>,
 }
 
 impl<'a> LaunchGraph<'a> {
     /// Builds the graph. Events of one `(block, core)` pair must appear
     /// in program order; threads may otherwise interleave arbitrarily.
     pub fn build(events: &'a [HbEvent]) -> Self {
+        Self::build_after(events, &Carry::default())
+    }
+
+    /// Builds the graph of the events that follow the epochs `carry`
+    /// sums up: each thread starts in epoch `carry.epoch`, a wait may
+    /// consume a token `carry` holds open, and each queue's first deques
+    /// pair with the enques it carries.
+    pub fn build_after(events: &'a [HbEvent], carry: &Carry) -> Self {
         let mut g = LaunchGraph {
             events,
             ..LaunchGraph::default()
@@ -162,7 +203,7 @@ impl<'a> LaunchGraph<'a> {
                     core: e.core,
                     nodes: Vec::new(),
                 });
-                epochs.push(0);
+                epochs.push(carry.epoch);
                 g.threads.len() - 1
             });
             g.thread_of.push(t);
@@ -188,13 +229,32 @@ impl<'a> LaunchGraph<'a> {
             }
         }
         let mut consumer: HashMap<usize, usize> = HashMap::new();
+        let mut inherited: HashMap<(Option<u32>, u64), usize> = HashMap::new();
         for (i, f) in waits {
             g.waited.insert(f.chan);
-            let set = set_at.get(&(f.chan.block, f.token)).copied();
-            if let Some(s) = set {
-                consumer.insert(s, i);
+            let key = (f.chan.block, f.token);
+            let set = set_at.get(&key).copied();
+            match set {
+                Some(s) => {
+                    consumer.insert(s, i);
+                }
+                None if carry.open.contains_key(&key) => {
+                    inherited.insert(key, i);
+                }
+                None => {}
             }
             g.waits.push((i, set));
+        }
+        for (key, &(epoch, event)) in &carry.open {
+            let chan = event.flag().expect("a set event").chan;
+            g.carried.entry(chan).or_default().push(CarriedSet {
+                epoch,
+                event,
+                wait: inherited.get(key).copied(),
+            });
+        }
+        for (&(block, queue), &queued) in &carry.queued {
+            g.queue(block, queue).carried = queued;
         }
         for (&(_, token), &node) in &set_at {
             let chan = events[node].flag().expect("a set event").chan;
@@ -222,10 +282,53 @@ impl<'a> LaunchGraph<'a> {
     }
 
     /// The enque→deque edges: the i-th enque on a queue feeds its i-th
-    /// deque.
+    /// deque. Pairs with a side in an earlier epoch are not edges here.
     pub fn queue_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.queues
-            .values()
-            .flat_map(|q| q.enques.iter().copied().zip(q.deques.iter().copied()))
+        self.queues.values().flat_map(|q| {
+            let (enq_skip, deq_skip) = match q.carried {
+                c if c < 0 => (c.unsigned_abs() as usize, 0),
+                c => (0, c as usize),
+            };
+            let enques = q.enques.iter().skip(enq_skip).copied();
+            enques.zip(q.deques.iter().skip(deq_skip).copied())
+        })
+    }
+
+    /// The enques that feed a deque of an earlier epoch: each one closes
+    /// a cycle through the barrier between them.
+    pub fn backward_enques(&self) -> impl Iterator<Item = usize> + '_ {
+        self.queues.values().flat_map(|q| {
+            let n = if q.carried < 0 {
+                q.carried.unsigned_abs() as usize
+            } else {
+                0
+            };
+            q.enques.iter().take(n).copied()
+        })
+    }
+
+    /// What the epochs after this graph inherit, given what it inherited.
+    pub fn carry_out(&self, carry: &Carry) -> Carry {
+        let mut open = carry.open.clone();
+        for c in self.carried.values().flatten().filter(|c| c.wait.is_some()) {
+            let f = c.event.flag().expect("a set event");
+            open.remove(&(f.chan.block, f.token));
+        }
+        for (chan, sets) in &self.sets {
+            for s in sets.iter().filter(|s| s.wait.is_none()) {
+                let epoch = self.epoch[s.node];
+                open.insert((chan.block, s.token), (epoch, self.events[s.node]));
+            }
+        }
+        let mut queued = carry.queued.clone();
+        for (&key, q) in &self.queues {
+            *queued.entry(key).or_default() += q.enques.len() as i64 - q.deques.len() as i64;
+        }
+        queued.retain(|_, v| *v != 0);
+        Carry {
+            epoch: carry.epoch + self.rounds.len() as u32,
+            open,
+            queued,
+        }
     }
 }

@@ -47,7 +47,7 @@
 
 use crate::graph::LaunchGraph;
 use crate::trace::{HbAction, HbEvent};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// How bad a finding is.
@@ -165,9 +165,18 @@ pub fn check(g: &LaunchGraph<'_>) -> Vec<Diagnostic> {
 
     // ---- Edges: program order, flag, queue -------------------------------
     let mut preds: Vec<Vec<usize>> = (0..n).map(|i| g.prev(i).into_iter().collect()).collect();
+    // Waits on a token an earlier epoch published: the barrier between
+    // them is their edge.
+    let inherited: HashSet<usize> = g
+        .carried
+        .values()
+        .flatten()
+        .filter_map(|c| c.wait)
+        .collect();
     for &(wait, set) in &g.waits {
         match set {
             Some(s) => preds[wait].push(s),
+            None if inherited.contains(&wait) => {}
             None => {
                 let e = &events[wait];
                 let f = e.flag().expect("a flag wait");
@@ -187,6 +196,20 @@ pub fn check(g: &LaunchGraph<'_>) -> Vec<Diagnostic> {
     }
     for (enq, deq) in g.queue_edges() {
         preds[deq].push(enq);
+    }
+    // An enque feeding a deque of an earlier epoch: the edge runs back
+    // across the barrier between them.
+    for enq in g.backward_enques() {
+        diags.push(Diagnostic {
+            severity: Severity::Error,
+            code: "hb-cycle",
+            message: format!(
+                "the synchronization edges contradict program order (deadlock shape) — \
+                 {} feeds a deque before an earlier barrier",
+                place(&events[enq])
+            ),
+            site: site(enq),
+        });
     }
     // Barrier rounds: a virtual join node per round. Each participant's
     // program-order predecessor reaches the join; the join reaches every
@@ -481,17 +504,26 @@ pub fn check(g: &LaunchGraph<'_>) -> Vec<Diagnostic> {
             let reused = sets[..si].iter().find(|s0| {
                 g.epoch[s0.node] < g.epoch[node] && !s0.wait.is_some_and(|w| hb(w, node))
             });
-            if let Some(s0) = reused {
+            // A token an earlier epoch left open reuses the id the same
+            // way unless a wait here consumed it first.
+            let reused = reused
+                .map(|s0| (g.epoch[s0.node], s0.token, events[s0.node]))
+                .or_else(|| {
+                    let carried = g.carried.get(&chan).into_iter().flatten();
+                    carried
+                        .filter(|c| !c.wait.is_some_and(|w| hb(w, node)))
+                        .map(|c| (c.epoch, c.event.flag().map_or(0, |f| f.token), c.event))
+                        .next()
+                });
+            if let Some((epoch, token, set)) = reused {
                 diags.push(Diagnostic {
                     severity: Severity::Error,
                     code: "flag-reuse",
                     message: format!(
-                        "{} reuses {noun} id {id} across barrier rounds: the round-{} set \
-                         (token {}) by {} is still pending",
+                        "{} reuses {noun} id {id} across barrier rounds: the round-{epoch} set \
+                         (token {token}) by {} is still pending",
                         place(&events[node]),
-                        g.epoch[s0.node],
-                        s0.token,
-                        place(&events[s0.node]),
+                        place(&set),
                     ),
                     site: site(node),
                 });
@@ -577,6 +609,7 @@ fn finish(diags: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Carry;
 
     fn ev(block: u32, core: u32, time: u64, what: &'static str, action: HbAction) -> HbEvent {
         HbEvent {
@@ -858,6 +891,144 @@ mod tests {
         let diags = analyze(&orphan);
         assert_eq!(codes(&diags), ["unmatched-wait"]);
         assert_eq!(diags[0].severity, Severity::Error);
+    }
+
+    /// The error codes of `events` audited one barrier epoch at a time:
+    /// each thread's events up to and including its `k`-th barrier form
+    /// epoch `k`, each epoch's graph inheriting the one before.
+    fn epoch_error_codes(events: &[HbEvent]) -> Vec<&'static str> {
+        let mut epochs: Vec<Vec<HbEvent>> = Vec::new();
+        let mut crossed: HashMap<(u32, u32), usize> = HashMap::new();
+        for e in events {
+            let k = crossed.entry((e.block, e.core)).or_default();
+            if epochs.len() <= *k {
+                epochs.resize_with(*k + 1, Vec::new);
+            }
+            epochs[*k].push(*e);
+            *k += usize::from(matches!(e.action, HbAction::Barrier { .. }));
+        }
+        let mut carry = Carry::default();
+        let mut codes = Vec::new();
+        for epoch in &epochs {
+            let g = LaunchGraph::build_after(epoch, &carry);
+            let diags = check(&g);
+            codes.extend(
+                diags
+                    .iter()
+                    .filter(|d| d.severity == Severity::Error)
+                    .map(|d| d.code),
+            );
+            carry = g.carry_out(&carry);
+        }
+        codes
+    }
+
+    /// The error codes of the whole-stream analysis.
+    fn error_codes(events: &[HbEvent]) -> Vec<&'static str> {
+        analyze(events)
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(|d| d.code)
+            .collect()
+    }
+
+    #[test]
+    fn epoch_audits_find_what_the_whole_stream_finds() {
+        let set = |core, time, token| {
+            ev(
+                0,
+                core,
+                time,
+                "CrossCoreSetFlag",
+                HbAction::FlagSet { id: 4, token },
+            )
+        };
+        let wait = |core, time, token| {
+            ev(
+                0,
+                core,
+                time,
+                "CrossCoreWaitFlag",
+                HbAction::FlagWait { id: 4, token },
+            )
+        };
+        let barrier = |core| ev(0, core, 30, "SyncAll", HbAction::Barrier { round: 0 });
+        let queue = |core, time, what, action| ev(0, core, time, what, action);
+        let cases: Vec<(&str, Vec<HbEvent>, Vec<&str>)> = vec![
+            // A token set before the barrier and consumed after it.
+            (
+                "carried token",
+                vec![set(0, 10, 0), barrier(0), barrier(1), wait(1, 40, 0)],
+                vec![],
+            ),
+            // The round-0 token is still pending when round 1 reuses id 4.
+            (
+                "reuse",
+                vec![
+                    set(0, 10, 0),
+                    barrier(0),
+                    barrier(1),
+                    set(0, 40, 1),
+                    wait(1, 60, 0),
+                    wait(1, 70, 1),
+                ],
+                vec!["flag-reuse"],
+            ),
+            // The old token is consumed before the new set: clean.
+            (
+                "consumed first",
+                vec![
+                    set(0, 10, 0),
+                    barrier(0),
+                    barrier(1),
+                    wait(1, 35, 0),
+                    // Tokens number one flag file's sets across ids.
+                    ev(
+                        0,
+                        1,
+                        36,
+                        "CrossCoreSetFlag",
+                        HbAction::FlagSet { id: 9, token: 5 },
+                    ),
+                    ev(
+                        0,
+                        0,
+                        37,
+                        "CrossCoreWaitFlag",
+                        HbAction::FlagWait { id: 9, token: 5 },
+                    ),
+                    set(0, 40, 1),
+                    wait(1, 60, 1),
+                ],
+                vec![],
+            ),
+            // A queue entry enqueued before the barrier, dequeued after.
+            (
+                "carried enque",
+                vec![
+                    queue(1, 10, "enque", HbAction::Enque { queue: 3 }),
+                    barrier(0),
+                    barrier(1),
+                    queue(1, 40, "deque", HbAction::Deque { queue: 3 }),
+                ],
+                vec![],
+            ),
+            // A deque before the barrier fed by an enque after it.
+            (
+                "backward enque",
+                vec![
+                    queue(1, 10, "deque", HbAction::Deque { queue: 3 }),
+                    barrier(0),
+                    barrier(1),
+                    queue(0, 40, "enque", HbAction::Enque { queue: 3 }),
+                ],
+                vec!["hb-cycle"],
+            ),
+        ];
+        for (name, events, want) in cases {
+            assert_eq!(error_codes(&events), want, "{name}: whole stream");
+            assert_eq!(epoch_error_codes(&events), want, "{name}: by epoch");
+        }
     }
 
     #[test]

@@ -59,6 +59,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod audit;
 pub mod chip;
 pub mod critpath;
 pub mod engine;

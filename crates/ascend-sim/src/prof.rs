@@ -468,10 +468,15 @@ impl Profile {
             // Lay the next kernel out after this one with a small gap.
             base_us += k.cycles as f64 / (ghz * 1e3) * 1.05 + 1.0;
         }
-        let critical_paths = self
-            .kernels
-            .iter()
-            .filter_map(|k| k.critical_path.as_ref().map(|cp| cp.to_json(&k.name, 32)));
+        // Each path carries its launch's cycles, which its makespan must
+        // equal.
+        let critical_paths = self.kernels.iter().filter_map(|k| {
+            let mut cp = k.critical_path.as_ref()?.to_json(&k.name, 32);
+            if let Json::Obj(fields) = &mut cp {
+                fields.insert(1, ("cycles".to_string(), k.cycles.into()));
+            }
+            Some(cp)
+        });
         let all_hb: Vec<HbEvent> = self
             .kernels
             .iter()

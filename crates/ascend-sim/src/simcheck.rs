@@ -238,64 +238,98 @@ impl ScratchTracker {
 ///   runs only after the previous tenant's interval ended, or the trace
 ///   double-books silicon (impossible parallelism, occupancy > 100%).
 pub fn audit_engine_occupancy(events: &[TraceEvent], phys_blocks: u32) -> SimResult<()> {
-    /// `(slot, core, engine)` -> `(start, end, block)` intervals, in
-    /// record order.
-    type SlotStreams = BTreeMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
-    let phys = phys_blocks.max(1);
-    let mut streams = SlotStreams::new();
-    for e in events {
-        if e.end < e.start {
-            return Err(SimError::AccountingViolation {
-                what: "trace event interval",
-                detail: format!(
-                    "block {} core {} engine {}: end {} precedes start {}",
-                    e.block,
-                    e.core,
-                    e.engine.name(),
-                    e.end,
-                    e.start
-                ),
-            });
-        }
-        streams
-            .entry((e.block % phys, e.core, e.engine.index()))
-            .or_default()
-            .push((e.start, e.end, e.block));
-    }
-    for ((slot, core, engine), mut iv) in streams {
-        let engine = EngineKind::ALL[engine].name();
-        let mut last_end: HashMap<u32, u64> = HashMap::new();
-        for &(start, end, block) in &iv {
-            match last_end.insert(block, end) {
-                Some(prev) if start < prev => {
-                    return Err(SimError::AccountingViolation {
-                        what: "engine timeline monotonicity",
-                        detail: format!(
-                            "block {block} core {core} engine {engine}: event starts at \
-                             {start} before previous end {prev}"
-                        ),
-                    })
-                }
-                _ => {}
-            }
-        }
-        iv.sort_unstable();
-        for w in iv.windows(2) {
-            let (prev_start, prev_end, prev_block) = w[0];
-            let (start, end, block) = w[1];
-            if start < prev_end && prev_start < end {
+    Occupancy::default().audit(events, phys_blocks)
+}
+
+/// [`audit_engine_occupancy`] run one barrier epoch at a time: what the
+/// epochs audited so far leave for the next.
+#[derive(Debug, Default)]
+pub struct Occupancy {
+    /// Per `(block, core, engine)` stream: its last interval's end.
+    last_end: HashMap<(u32, u32, usize), u64>,
+    /// Per `(slot, core, engine)` stream: the latest end of any earlier
+    /// epoch's interval. Every core aligns to a barrier's release, so an
+    /// interval of a later epoch starts at or after it.
+    floor: HashMap<(u32, u32, usize), u64>,
+}
+
+impl Occupancy {
+    /// Audits the next epoch's `events` (see [`audit_engine_occupancy`]);
+    /// each interval must also start at or after every interval an
+    /// earlier epoch recorded on its `(slot, core, engine)` stream.
+    pub fn audit(&mut self, events: &[TraceEvent], phys_blocks: u32) -> SimResult<()> {
+        /// `(slot, core, engine)` -> `(start, end, block)` intervals, in
+        /// record order.
+        type SlotStreams = BTreeMap<(u32, u32, usize), Vec<(u64, u64, u32)>>;
+        let phys = phys_blocks.max(1);
+        let mut streams = SlotStreams::new();
+        for e in events {
+            if e.end < e.start {
                 return Err(SimError::AccountingViolation {
-                    what: "physical core occupancy",
+                    what: "trace event interval",
                     detail: format!(
-                        "slot {slot} core {core} engine {engine}: block {block} busy \
-                         [{start}, {end}) overlaps block {prev_block}'s interval \
-                         [{prev_start}, {prev_end})"
+                        "block {} core {} engine {}: end {} precedes start {}",
+                        e.block,
+                        e.core,
+                        e.engine.name(),
+                        e.end,
+                        e.start
                     ),
                 });
             }
+            streams
+                .entry((e.block % phys, e.core, e.engine.index()))
+                .or_default()
+                .push((e.start, e.end, e.block));
         }
+        for ((slot, core, engine), mut iv) in streams {
+            let key = (slot, core, engine);
+            let name = EngineKind::ALL[engine].name();
+            for &(start, end, block) in &iv {
+                match self.last_end.insert((block, core, engine), end) {
+                    Some(prev) if start < prev => {
+                        return Err(SimError::AccountingViolation {
+                            what: "engine timeline monotonicity",
+                            detail: format!(
+                                "block {block} core {core} engine {name}: event starts at \
+                                 {start} before previous end {prev}"
+                            ),
+                        })
+                    }
+                    _ => {}
+                }
+            }
+            iv.sort_unstable();
+            let floor = self.floor.get(&key).copied().unwrap_or(0);
+            if let Some(&(start, end, block)) = iv.first().filter(|iv| iv.0 < floor) {
+                return Err(SimError::AccountingViolation {
+                    what: "physical core occupancy",
+                    detail: format!(
+                        "slot {slot} core {core} engine {name}: block {block} busy \
+                         [{start}, {end}) overlaps an earlier epoch's interval ending at \
+                         {floor}"
+                    ),
+                });
+            }
+            for w in iv.windows(2) {
+                let (prev_start, prev_end, prev_block) = w[0];
+                let (start, end, block) = w[1];
+                if start < prev_end && prev_start < end {
+                    return Err(SimError::AccountingViolation {
+                        what: "physical core occupancy",
+                        detail: format!(
+                            "slot {slot} core {core} engine {name}: block {block} busy \
+                             [{start}, {end}) overlaps block {prev_block}'s interval \
+                             [{prev_start}, {prev_end})"
+                        ),
+                    });
+                }
+            }
+            let top = iv.iter().map(|i| i.1).max().unwrap_or(0);
+            self.floor.insert(key, floor.max(top));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Runs the happens-before schedule analyzer ([`crate::hb`], the engine

@@ -43,6 +43,13 @@ impl CoreKind {
     }
 }
 
+/// A core's recorded busy `(engine, start, end)` and idle `(engine,
+/// cause, start, end)` intervals.
+pub type Recorded = (
+    Vec<(EngineKind, EventTime, EventTime)>,
+    Vec<(EngineKind, StallCause, EventTime, EventTime)>,
+);
+
 /// The timing state of one core.
 #[derive(Clone, Debug)]
 pub struct CoreTimeline {
@@ -95,14 +102,12 @@ impl CoreTimeline {
         }
     }
 
-    /// The recorded (engine, start, end) intervals, if tracing was on.
-    pub fn recorded(&self) -> &[(EngineKind, EventTime, EventTime)] {
-        self.recorded.as_deref().unwrap_or(&[])
-    }
-
-    /// The recorded idle intervals with their causes, if tracing was on.
-    pub fn recorded_stalls(&self) -> &[(EngineKind, StallCause, EventTime, EventTime)] {
-        self.recorded_stalls.as_deref().unwrap_or(&[])
+    /// Drains the recorded busy and idle intervals (empty unless tracing
+    /// is on), leaving recording as it was.
+    pub fn take_recorded(&mut self) -> Recorded {
+        let busy = self.recorded.as_mut().map(std::mem::take);
+        let idle = self.recorded_stalls.as_mut().map(std::mem::take);
+        (busy.unwrap_or_default(), idle.unwrap_or_default())
     }
 
     /// The attributed stall cycles accumulated so far.
@@ -318,7 +323,7 @@ mod tests {
         let busy = core.busy_cycles(EngineKind::Vec);
         assert_eq!(busy + 50 + 20 + 15, 200 - 100);
         // Recorded intervals carry their causes.
-        let stalls = core.recorded_stalls();
+        let (_, stalls) = core.take_recorded();
         assert!(stalls.contains(&(EngineKind::Vec, StallCause::Dependency, 100, 150)));
         assert!(stalls.contains(&(EngineKind::Vec, StallCause::Flag, 165, 180)));
         assert!(stalls.contains(&(EngineKind::Vec, StallCause::Barrier, 180, 200)));

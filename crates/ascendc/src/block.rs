@@ -56,13 +56,14 @@
 //! returns [`SimError::BlockPanicked`] with the block and the message.
 
 use crate::core::Core;
+use ascend_sim::audit::{LaunchAudit, Records};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::prof::{self, KernelProfile, SpanRecorder};
 use ascend_sim::sync::{FlagFile, Scheduler};
 use ascend_sim::{
-    simcheck, ChipSpec, CoreKind, CounterEvent, EngineKind, EventTime, HbAction, HbEvent,
-    KernelReport, LaunchGraph, SimError, SimResult, SpanArgs, SpanId, StallCause, StallEvent,
-    StallTally, TraceEvent, TraceSpan,
+    simcheck, ChipSpec, CoreKind, CounterEvent, EngineKind, EventTime, HbAction, KernelReport,
+    SimError, SimResult, SpanArgs, SpanId, StallCause, StallEvent, StallTally, TraceEvent,
+    TraceSpan,
 };
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -93,6 +94,9 @@ pub struct BlockCtx<'a> {
     /// same barrier sequence, so equal round numbers identify one
     /// grid-wide rendezvous.
     sync_round: u32,
+    /// The launch's audits, when its cores record: each barrier epoch's
+    /// records go there once the release has aligned the cores.
+    audit: Option<&'a LaunchAudit>,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -173,7 +177,49 @@ impl<'a> BlockCtx<'a> {
         }
         self.sync_round += 1;
         self.spans.end(span, resume);
+        if let Some(audit) = self.audit {
+            let records = self.take_records();
+            audit.deposit(self.block_idx, round, records, true);
+        }
         Ok(resume)
+    }
+
+    /// Drains the records the block's cores left since the last
+    /// barrier, core by core (cube first).
+    fn take_records(&mut self) -> Vec<Records> {
+        let block = self.block_idx;
+        std::iter::once(&mut self.cube)
+            .chain(self.vecs.iter_mut())
+            .enumerate()
+            .map(|(ci, core)| {
+                let core_id = ci as u32;
+                let (busy, idle) = core.timeline_mut().take_recorded();
+                Records {
+                    events: busy
+                        .into_iter()
+                        .map(|(engine, start, end)| TraceEvent {
+                            block,
+                            core: core_id,
+                            engine,
+                            start,
+                            end,
+                        })
+                        .collect(),
+                    stalls: idle
+                        .into_iter()
+                        .map(|(engine, cause, start, end)| StallEvent {
+                            block,
+                            core: core_id,
+                            engine,
+                            cause,
+                            start,
+                            end,
+                        })
+                        .collect(),
+                    hb: core.take_hb(block, core_id),
+                }
+            })
+            .collect()
     }
 
     // ---------------------------------------------------------------
@@ -214,11 +260,8 @@ struct BlockOutcome {
     instructions: [u64; EngineKind::ALL.len()],
     stalls: StallTally,
     error: Option<SimError>,
-    events: Vec<TraceEvent>,
     spans: Vec<TraceSpan>,
-    stall_events: Vec<StallEvent>,
     counters: Vec<CounterEvent>,
-    hb_events: Vec<HbEvent>,
 }
 
 /// The message of a caught panic payload.
@@ -237,9 +280,16 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// cooperative scheduler and drives the block's engines through
 /// [`BlockCtx`]. `block_dim` may exceed `spec.ai_cores` (and the host's
 /// core count): excess blocks run in waves on the physical core slots —
-/// see the module docs. `useful_bytes` and `elements` of the returned
-/// report are left at zero — operator wrappers fill them in with the
-/// operator's I/O convention.
+/// see the module docs. A chip without vector cores is refused: every
+/// block's AI core pairs its cube core with vector cores. `useful_bytes`
+/// and `elements` of the returned report are left at zero — operator
+/// wrappers fill them in with the operator's I/O convention.
+///
+/// Under [`ValidationMode::Full`](ascend_sim::ValidationMode) the
+/// launch audits its recorded schedule one barrier epoch at a time
+/// ([`ascend_sim::audit`]): each block hands its cores' records over at
+/// every `SyncAll` and at its finish, and an epoch's records are dropped
+/// once audited unless a profile collector is attached.
 pub fn launch<F>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -257,6 +307,12 @@ where
             spec.ai_cores
         )));
     }
+    if spec.vec_per_core == 0 {
+        return Err(SimError::InvalidArgument(format!(
+            "launch {name:?} on a chip without vector cores: every AI core pairs its \
+             cube core with at least one vector core"
+        )));
+    }
     let read_at_start = gm.bytes_read();
     let written_at_start = gm.bytes_written();
     let oversubscribed = block_dim > spec.ai_cores;
@@ -265,6 +321,7 @@ where
     // memories — and later launches on this one — never share a profile.
     let collector = gm.profiler();
     let recording = collector.is_some() || spec.validation.audits();
+    let audit = LaunchAudit::new(spec, block_dim, collector.is_some());
 
     // One scheduler drives every launch shape: dedicated slots when the
     // grid fits the chip, slot time-sharing (yield/re-queue) when it is
@@ -309,6 +366,7 @@ where
             sync: &sync,
             spans: SpanRecorder::new(1),
             sync_round: 0,
+            audit: recording.then_some(&audit),
         };
         if recording {
             ctx.cube.timeline_mut().enable_recording();
@@ -346,71 +404,46 @@ where
     // alignment. The tail wait is attributed as barrier time so the
     // per-engine stall partition (busy + dependency + barrier + flag =
     // elapsed) closes exactly on non-oversubscribed launches.
-    let harvest =
-        |(mut ctx, error): (BlockCtx<'_>, Option<SimError>), end: EventTime| {
-            let block_idx = ctx.block_idx;
-            ctx.cube.wait(end);
-            for v in &mut ctx.vecs {
-                v.wait(end);
+    let harvest = |(mut ctx, error): (BlockCtx<'_>, Option<SimError>), end: EventTime| {
+        let block_idx = ctx.block_idx;
+        ctx.cube.wait(end);
+        for v in &mut ctx.vecs {
+            v.wait(end);
+        }
+        let mut busy = [0u64; EngineKind::ALL.len()];
+        let mut instructions = [0u64; EngineKind::ALL.len()];
+        let mut stalls = StallTally::default();
+        let mut spans = ctx.spans.take(block_idx, prof::BLOCK_SCOPE, end);
+        let mut counters = Vec::new();
+        for core in std::iter::once(&ctx.cube).chain(&ctx.vecs) {
+            for e in EngineKind::ALL {
+                busy[e.index()] += core.timeline().busy_cycles(e);
+                instructions[e.index()] += core.timeline().instructions(e);
             }
-            let mut busy = [0u64; EngineKind::ALL.len()];
-            let mut instructions = [0u64; EngineKind::ALL.len()];
-            let mut stalls = StallTally::default();
-            let mut events = Vec::new();
-            let mut spans = ctx.spans.take(block_idx, prof::BLOCK_SCOPE, end);
-            let mut stall_events = Vec::new();
-            let mut counters = Vec::new();
-            let mut hb_events = Vec::new();
+            stalls.absorb(core.timeline().stalls());
+        }
+        if let Some(audit) = ctx.audit {
+            let records = ctx.take_records();
+            audit.deposit(block_idx, ctx.sync_round, records, false);
             for (ci, core) in std::iter::once(&mut ctx.cube)
                 .chain(ctx.vecs.iter_mut())
                 .enumerate()
             {
-                for e in EngineKind::ALL {
-                    busy[e.index()] += core.timeline().busy_cycles(e);
-                    instructions[e.index()] += core.timeline().instructions(e);
-                }
-                stalls.absorb(core.timeline().stalls());
-                if recording {
-                    events.extend(core.timeline().recorded().iter().map(
-                        |&(engine, start, end)| TraceEvent {
-                            block: block_idx,
-                            core: ci as u32,
-                            engine,
-                            start,
-                            end,
-                        },
-                    ));
-                    hb_events.extend(core.take_hb(block_idx, ci as u32));
-                }
-                if recording {
-                    stall_events.extend(core.timeline().recorded_stalls().iter().map(
-                        |&(engine, cause, start, end)| StallEvent {
-                            block: block_idx,
-                            core: ci as u32,
-                            engine,
-                            cause,
-                            start,
-                            end,
-                        },
-                    ));
-                    spans.extend(core.take_spans(block_idx, ci as u32, end));
-                    counters.extend(core.take_counters(block_idx, ci as u32));
-                }
+                spans.extend(core.take_spans(block_idx, ci as u32, end));
+                counters.extend(core.take_counters(block_idx, ci as u32));
             }
-            BlockOutcome {
-                block: block_idx,
-                end,
-                busy,
-                instructions,
-                stalls,
-                error,
-                events,
-                spans,
-                stall_events,
-                counters,
-                hb_events,
-            }
-        };
+        }
+        BlockOutcome {
+            block: block_idx,
+            end,
+            busy,
+            instructions,
+            stalls,
+            error,
+            spans,
+            counters,
+        }
+    };
 
     // A host thread: runs its first block and then each slot successor
     // `finish` hands it, and harvests them all once the kernel end is
@@ -434,6 +467,9 @@ where
         let mut handles: Vec<_> = (0..phys).map(|b| scope.spawn(move || worker(b))).collect();
         while let Some(b) = sync.next_spawn() {
             handles.push(scope.spawn(move || worker(b as u32)));
+        }
+        if recording {
+            audit.audit_epochs(&sync, || handles.iter().all(|h| h.is_finished()));
         }
         handles
             .into_iter()
@@ -462,20 +498,12 @@ where
         }
         stalls.absorb(&o.stalls);
     }
-    // Sized up front: a wide grid's records would otherwise be copied
-    // once per doubling.
     let total = |len: fn(&BlockOutcome) -> usize| outcomes.iter().map(len).sum::<usize>();
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(total(|o| o.events.len()));
     let mut spans: Vec<TraceSpan> = Vec::with_capacity(total(|o| o.spans.len()));
-    let mut stall_events: Vec<StallEvent> = Vec::with_capacity(total(|o| o.stall_events.len()));
     let mut counters: Vec<CounterEvent> = Vec::with_capacity(total(|o| o.counters.len()));
-    let mut hb_events: Vec<HbEvent> = Vec::with_capacity(total(|o| o.hb_events.len()));
     for o in outcomes {
-        events.extend(o.events);
         spans.extend(o.spans);
-        stall_events.extend(o.stall_events);
         counters.extend(o.counters);
-        hb_events.extend(o.hb_events);
     }
     let mut report = KernelReport {
         name: name.to_string(),
@@ -495,8 +523,17 @@ where
         flag_waits,
         critical_path: None,
     };
+    // The occupancy, schedule and critical-path audits ran one barrier
+    // epoch at a time as the blocks handed their records over; the run
+    // the kernel end closes is audited here, and the path joined.
+    let mut critical: Option<ascend_sim::critpath::CritReport> = None;
+    let mut kept = Records::default();
+    if recording {
+        let (crit, records) = audit.finish(&sync, cycles, &spans)?;
+        report.critical_path = Some(crit.summary.clone());
+        (critical, kept) = (Some(crit), records);
+    }
     if spec.validation.audits() {
-        simcheck::audit_engine_occupancy(&events, block_dim.min(spec.ai_cores))?;
         simcheck::audit_report(
             &report,
             spec,
@@ -509,54 +546,18 @@ where
             simcheck::audit_stall_accounting(&report, spec)?;
         }
     }
-    // Critical-path extraction doubles as the makespan-identity audit:
-    // the backward causal walk must explain every cycle of the reported
-    // makespan from the recorded events, stalls, flag edges and
-    // scheduler round records. Runs whenever the raw records exist
-    // (audits or an attached collector).
-    let mut critical: Option<ascend_sim::critpath::CritReport> = None;
-    if recording {
-        // One happens-before graph serves the schedule audit and the walk.
-        let graph = LaunchGraph::build(&hb_events);
-        if spec.validation.audits() {
-            // Happens-before schedule analysis: error-severity findings
-            // (GM races, unmatched waits, flag reuse across rounds,
-            // deadlock shapes) fail the launch; warnings are left to the
-            // offline `simlint` CLI.
-            simcheck::audit_schedule(&graph)?;
-        }
-        let finale = sync
-            .final_record()
-            .expect("launch resolved without a final alignment record");
-        let rounds = sync.round_records();
-        let input = ascend_sim::critpath::CritInput {
-            cycles,
-            origin: spec.launch_cycles,
-            flag_wait_cycles: spec.flag_wait_cycles,
-            flag_set_cycles: spec.flag_set_cycles,
-            events: &events,
-            stalls: &stall_events,
-            graph: &graph,
-            spans: &spans,
-            rounds: &rounds,
-            finale,
-        };
-        let crit = ascend_sim::critpath::analyze(&input)?;
-        report.critical_path = Some(crit.summary.clone());
-        critical = Some(crit);
-    }
     if let Some(collector) = collector {
         collector.submit(KernelProfile {
             name: name.to_string(),
             clock_ghz: spec.clock_ghz,
             blocks: block_dim,
             cycles,
-            events,
+            events: kept.events,
             spans,
-            stall_events,
+            stall_events: kept.stalls,
             counters,
             stalls: report.stalls.clone(),
-            hb_events,
+            hb_events: kept.hb,
             critical_path: critical,
         });
     }
@@ -568,6 +569,7 @@ mod tests {
     use super::*;
     use crate::tensor::GlobalTensor;
     use ascend_sim::chip::ScratchpadKind;
+    use ascend_sim::prof;
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
@@ -755,6 +757,113 @@ mod tests {
             }
             other => panic!("expected a gm-race ScheduleHazard, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn epoch_audits_carry_flags_and_queues_across_barriers() {
+        // A flag token and a queue entry published before a SyncAll and
+        // consumed after it: each epoch's audit inherits the open token
+        // and the queue's balance, so the launch passes the audits, and
+        // the whole-launch analysis of its records agrees.
+        let (spec, gm) = setup();
+        let (report, profile) = prof::with_profiling(&gm, || {
+            launch(&spec, &gm, 2, "carry", |ctx| {
+                ctx.cube.set_flag(&ctx.flags, 1, &[])?;
+                let mut q = crate::TQue::<i32>::new(&mut ctx.vecs[0], ScratchpadKind::Ub, 1, 64)?;
+                let t = q.alloc_tensor()?;
+                q.enque(t)?;
+                ctx.sync_all()?;
+                let t = q.deque()?;
+                q.free_tensor(t, 0);
+                q.destroy(&mut ctx.vecs[0])?;
+                ctx.vecs[0].wait_flag(&ctx.flags, 1)?;
+                Ok(())
+            })
+        });
+        let report = report.unwrap();
+        assert_eq!(report.sync_rounds, 1);
+        let k = &profile.kernels[0];
+        assert_eq!(
+            report.critical_path.as_ref(),
+            k.critical_path.as_ref().map(|c| &c.summary)
+        );
+        let errors = ascend_sim::hb::analyze(&k.hb_events)
+            .into_iter()
+            .filter(|d| d.severity == ascend_sim::Severity::Error)
+            .count();
+        assert_eq!(errors, 0);
+    }
+
+    #[test]
+    fn epoch_audits_find_a_flag_reused_across_a_barrier() {
+        // Failure injection: the round-0 token on flag 1 is still pending
+        // when round 1 publishes flag 1 again.
+        let (spec, gm) = setup();
+        let err = launch(&spec, &gm, 1, "reuse", |ctx| {
+            ctx.cube.set_flag(&ctx.flags, 1, &[])?;
+            ctx.sync_all()?;
+            ctx.cube.set_flag(&ctx.flags, 1, &[])?;
+            ctx.vecs[0].wait_flag(&ctx.flags, 1)?;
+            ctx.vecs[0].wait_flag(&ctx.flags, 1)?;
+            Ok(())
+        })
+        .unwrap_err();
+        match err {
+            SimError::ScheduleHazard { what, .. } => assert_eq!(what, "flag-reuse"),
+            other => panic!("expected a flag-reuse ScheduleHazard, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn epoch_audits_find_a_race_after_the_first_barrier() {
+        // Failure injection: the race of the test above, two barriers in.
+        let (spec, gm) = setup();
+        let shared = GlobalTensor::<i32>::new(&gm, 64).unwrap();
+        let err = launch(&spec, &gm, 2, "racy-late", |ctx| {
+            ctx.sync_all()?;
+            ctx.sync_all()?;
+            if ctx.block_idx == 0 {
+                let cube = &mut ctx.cube;
+                let mut l1 = cube.alloc_local::<i32>(ScratchpadKind::L1, 64)?;
+                let produced = cube.fill_local(&mut l1, 0, 64, 7)?;
+                let stored = cube.copy_out(&shared, 0, &l1, 0, 64, &[produced])?;
+                let v = &mut ctx.vecs[0];
+                let mut buf = v.alloc_local::<i32>(ScratchpadKind::Ub, 64)?;
+                v.copy_in(&mut buf, 0, &shared, 0, 64, &[stored])?;
+                cube.free_local(l1)?;
+                v.free_local(buf)?;
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        match err {
+            SimError::ScheduleHazard { what, .. } => assert_eq!(what, "gm-race"),
+            other => panic!("expected a gm-race ScheduleHazard, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_block_that_skips_a_barrier_is_audited_with_the_rest() {
+        // Block 0 finishes before the barrier block 1 reaches: the
+        // epochs that not every block closed are audited together when
+        // the launch ends.
+        let (spec, gm) = setup();
+        let out = GlobalTensor::<i32>::new(&gm, 128).unwrap();
+        let report = launch(&spec, &gm, 2, "diverge", |ctx| {
+            if ctx.block_idx == 1 {
+                ctx.sync_all()?;
+            }
+            let off = ctx.block_idx as usize * 64;
+            let v = &mut ctx.vecs[0];
+            let mut buf = v.alloc_local::<i32>(ScratchpadKind::Ub, 64)?;
+            v.fill_local(&mut buf, 0, 64, 1)?;
+            v.copy_out(&out, off, &buf, 0, 64, &[])?;
+            v.free_local(buf)?;
+            Ok(())
+        })
+        .unwrap();
+        assert!(report.critical_path.is_some());
+        assert_eq!(out.to_vec(), vec![1; 128]);
     }
 
     #[test]

@@ -107,7 +107,8 @@ fn check_one(file: &str, cp: &Json, top: usize) -> Result<(), String> {
         .get("summary")
         .ok_or_else(|| ctx("critical path entry has no summary object".into()))?;
     let makespan = summary.f64_field("makespan").map_err(&ctx)?;
-    bench::check_critical_path(summary, makespan).map_err(&ctx)?;
+    let cycles = cp.f64_field("cycles").map_err(&ctx)?;
+    bench::check_critical_path(summary, cycles).map_err(&ctx)?;
 
     let classes = [
         ("launch", "launch"),

@@ -6,9 +6,9 @@
 //!        [--max-replays N] [kernel...|all]
 //! ```
 //!
-//! For every selected kernel (default: all eight, including both the
-//! chained and decoupled multi-hop ScanC look-backs and the one-launch
-//! split), `mcheck`
+//! For every selected kernel (default: all nine, including both the
+//! chained and decoupled multi-hop ScanC look-backs, the one-launch
+//! split and the one-launch radix sort), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -36,7 +36,7 @@ use ascend_sim::sync::GridPlan;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
-use ops::split_ind;
+use ops::{radix_sort, split_ind, SortOrder};
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
     ScanKind,
@@ -44,7 +44,7 @@ use scan::{
 use std::sync::Arc;
 
 const KERNELS: &[&str] = &[
-    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched", "split",
+    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched", "split", "sort",
 ];
 
 fn usage() -> ! {
@@ -241,6 +241,17 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             let mask: Vec<u8> = (0..1500).map(|i| u8::from(i % 3 != 1)).collect();
             let m = GlobalTensor::from_slice(&gm, &mask).expect("device fits mask");
             let run = split_ind::<i8>(&spec, &gm, &x, &m, 32).expect("split launches");
+            run.report.to_json(&spec)
+        }
+        "sort" => {
+            // The one-launch radix sort: the encode, 8 fused splits of
+            // two barriers each and the decode. 300 u8 keys at s = 16
+            // are 19 rows, 5 to each of the first 3 vector cores and 4
+            // to the last, and 2 cube tiles.
+            let keys: Vec<u8> = (0..300).map(|i| (i * 151 % 256) as u8).collect();
+            let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
+            let run =
+                radix_sort::<u8>(&spec, &gm, &x, 16, SortOrder::Ascending).expect("sort launches");
             run.report.to_json(&spec)
         }
         other => {

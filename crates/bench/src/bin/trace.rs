@@ -2,7 +2,7 @@
 //! kernels' simulated schedules.
 //!
 //! ```text
-//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|split|all] [N] [out.json] [--jobs N] [--dir DIR]
+//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|split|sort|all] [N] [out.json] [--jobs N] [--dir DIR]
 //! ```
 //!
 //! The kernels run through their normal public entry points with a
@@ -16,7 +16,9 @@
 //! for `Device::mask_exclusive_scan` at or above its crossover; `split`
 //! is the one-launch split of int8 values by a half-true mask (the
 //! MCScan whose phase II scatters each tile from UB) that every split,
-//! compress, radix-sort and top-k pass runs. Open
+//! compress and top-k pass runs; `sort` is the one-launch descending fp16
+//! radix sort (encode, 16 such splits with two barriers each, decode)
+//! that top-p runs. Open
 //! the produced JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible.
@@ -34,7 +36,7 @@ use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
 use bench::fresh_gm;
 use dtypes::F16;
-use ops::split_ind;
+use ops::{radix_sort, split_ind, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::ScanKind;
@@ -49,6 +51,7 @@ const KERNELS: &[&str] = &[
     "cumsum",
     "batched",
     "split",
+    "sort",
 ];
 
 fn main() {
@@ -221,6 +224,17 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
             let s = McScanConfig::for_types::<u8, i16, i32>(spec).s;
             drop(split_ind::<i8>(spec, &gm, &x, &m, s).unwrap());
+            return recorder.take();
+        }
+        "sort" => {
+            let gm = fresh_gm(spec);
+            let recorder = gm.attach_profiler();
+            let keys: Vec<F16> = (0..n)
+                .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e3))
+                .collect();
+            let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
+            let s = McScanConfig::for_types::<u8, i16, i32>(spec).s;
+            drop(radix_sort::<F16>(spec, &gm, &x, s, SortOrder::Descending).unwrap());
             return recorder.take();
         }
         other => unreachable!("unvalidated kernel {other}"),

@@ -69,16 +69,16 @@ fn critpath_exits_2_on_malformed_traces() {
     assert_exit(&out, 2, "malformed trace");
 }
 
-/// A one-kernel trace whose 100-cycle makespan is attributed to 50
-/// launch cycles and `busy` busy cycles, with the two what-ifs the
-/// checker requires.
-fn critpath_doc(busy: u32) -> String {
+/// A one-kernel trace of a `cycles`-cycle launch whose 100-cycle
+/// makespan is attributed to 50 launch cycles and `busy` busy cycles,
+/// with the two what-ifs the checker requires.
+fn critpath_doc(cycles: u32, busy: u32) -> String {
     let share = |v: u32| f64::from(v) / 100.0;
     let what_if = |name: &str| {
         format!(r#"{{"name":"{name}","saved_cycles":10,"predicted_cycles":90,"speedup":1.11}}"#)
     };
     format!(
-        r#"{{"schema":"ascend-trace/v1","hbEvents":[],"criticalPaths":[{{"kernel":"k","summary":{{"makespan":100,"launch":50,"busy":{busy},"flag_wire":0,"chain_wire":0,"barrier_release":0,"hbm":0,"launch_share":0.5,"busy_share":{},"flag_wire_share":0,"chain_wire_share":0,"barrier_release_share":0,"hbm_share":0,"lookback_chain":0,"lookback_chain_share":0,"what_ifs":[{},{}]}},"top_segments":[]}}]}}"#,
+        r#"{{"schema":"ascend-trace/v1","hbEvents":[],"criticalPaths":[{{"kernel":"k","cycles":{cycles},"summary":{{"makespan":100,"launch":50,"busy":{busy},"flag_wire":0,"chain_wire":0,"barrier_release":0,"hbm":0,"launch_share":0.5,"busy_share":{},"flag_wire_share":0,"chain_wire_share":0,"barrier_release_share":0,"hbm_share":0,"lookback_chain":0,"lookback_chain_share":0,"what_ifs":[{},{}]}},"top_segments":[]}}]}}"#,
         share(busy),
         what_if("free_flags"),
         what_if("zero_lookback"),
@@ -87,12 +87,20 @@ fn critpath_doc(busy: u32) -> String {
 
 #[test]
 fn critpath_exits_1_when_the_attribution_misses_the_makespan() {
-    let file = fixture("critpath-balanced.json", &critpath_doc(50));
+    let file = fixture("critpath-balanced.json", &critpath_doc(100, 50));
     let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
     assert_exit(&out, 0, "");
-    let file = fixture("critpath-off-by-one.json", &critpath_doc(49));
+    let file = fixture("critpath-off-by-one.json", &critpath_doc(100, 49));
     let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
     assert_exit(&out, 1, "attribution sums to 99, not the makespan 100");
+}
+
+#[test]
+fn critpath_exits_1_when_the_makespan_misses_the_launch_cycles() {
+    // The path is self-consistent, but the launch ran one cycle longer.
+    let file = fixture("critpath-short-path.json", &critpath_doc(101, 50));
+    let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
+    assert_exit(&out, 1, "critical_path makespan 100 != cycles 101");
 }
 
 /// A bench document (tile dimension 128) holding the two 4M anchor rows

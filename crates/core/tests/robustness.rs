@@ -33,6 +33,7 @@ fn chips() -> Vec<(&'static str, ChipSpec)> {
         ("2 KB UB", with(|c| c.ub_capacity = 2 << 10)),
         ("1 AI core", with(|c| c.ai_cores = 1)),
         ("1 vector core", with(|c| c.vec_per_core = 1)),
+        ("0 vector cores", with(|c| c.vec_per_core = 0)),
     ]
 }
 
@@ -292,16 +293,18 @@ fn every_device_call_returns_the_reference_or_a_typed_error() {
         findings.violations.join("\n")
     );
     // Pins which inputs the calls accept: a change that makes one refuse
-    // (or newly run) any of these moves the count. The 56 refusals: the
+    // (or newly run) any of these moves the count. The 141 refusals: the
     // empty input of `alias_table`, `weighted_sample` and both free
-    // functions on every chip and `s` (24; sampling from nothing has no
+    // functions on every chip with vector cores and every `s` (24;
+    // sampling from nothing has no
     // answer, while empty scans return an empty output and an empty
     // `reduce` a zero total), and on the 2 KB UB every alias-table build
     // at any `s` and the free `weighted_sample` at s = 32, whose f32 or
-    // 4 KB buffers do not fit (32).
+    // 4 KB buffers do not fit (32), and all 85 calls on the chip without
+    // vector cores.
     assert_eq!(
         (findings.calls, findings.accepted),
-        (412, 356),
+        (497, 356),
         "(calls, calls that ran to a result)"
     );
 }

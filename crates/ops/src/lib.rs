@@ -21,12 +21,15 @@
 //!   `torch.multinomial`, baseline top-k), implemented either as real
 //!   simulator kernels or as documented cost models.
 //!
-//! Every split here is one launch: the exclusive int8 MCScan of the
-//! mask ([`scan::mcscan_with`]) with `split::SplitStore` as its phase
-//! II, which scatters each segment from UB on the vector core that
-//! propagated it — (nearly) every vector core, since the split's chunks
-//! are ranges of `⌈rows / cores⌉` rows. The other kernels cut their
-//! pieces with [`scan::tile_spans`] and deal them to vector cores with
+//! Every split here is the exclusive int8 MCScan of the mask with
+//! `split::SplitStore` as its phase II, which scatters each segment from
+//! UB on the vector core that propagated it — (nearly) every vector
+//! core, since the split's chunks are ranges of `⌈rows / cores⌉` rows.
+//! A split on its own is one launch ([`scan::mcscan_with`]); radix sort
+//! runs all of its splits, between its encode and decode, inside one
+//! launch of its own through [`scan::McLayout`]'s phases, so a top-p
+//! draw is 4 launches. The other kernels cut their pieces with
+//! [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
 //!
 //! Every launch runs on all of the chip's AI cores, as in the paper's
@@ -138,6 +141,19 @@ pub(crate) fn empty_report(spec: &ChipSpec, name: &str) -> KernelReport {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// The scans a profiled pipeline ran: one MCScan phase I span per
+    /// scan on block 0, whichever launch it ran in.
+    pub(crate) fn scans(profile: &ascend_sim::prof::Profile) -> usize {
+        profile
+            .kernels
+            .iter()
+            .flat_map(|k| &k.spans)
+            .filter(|s| {
+                s.name == "Phase I" && s.block == 0 && s.core == ascend_sim::prof::BLOCK_SCOPE
+            })
+            .count()
+    }
 
     /// The tiny chip cut to `ai_cores` AI cores, and a memory for it:
     /// every launch of an operator runs on that many blocks.

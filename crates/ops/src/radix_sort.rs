@@ -2,19 +2,30 @@
 //!
 //! The sort loops over the bits of the (order-preserving encoded) keys,
 //! least significant first, and performs one stable [`split`] per bit
-//! with the mask "bit is 0" (ascending). Each split is one launch: an
-//! exclusive int8 MCScan — running on the cube units — whose phase II
-//! gives each vector core a range of `⌈rows / cores⌉` rows and scatters
-//! each of its segments straight from UB, so even a vocabulary-sized
-//! pass of a few tiles scatters on (nearly) all vector cores.
+//! with the mask "bit is 0" (ascending). Each split is an exclusive int8
+//! MCScan — running on the cube units — whose phase II gives each
+//! vector core a range of `⌈rows / cores⌉` rows and scatters each of its
+//! segments straight from UB, so even a vocabulary-sized pass of a few
+//! tiles scatters on (nearly) all vector cores.
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
 //! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its
-//! own. Here those instructions run inside kernels that already hold
-//! the keys in UB: the encode kernel writes the bit-0 mask, and each
+//! own: 50 launches for fp16 keys. Here those instructions run where the
+//! keys already sit in UB — the encode writes the bit-0 mask, and each
 //! pass's scatter writes the mask for the next bit, permuted alongside
-//! the keys. An fp16 sort is therefore 18 launches (encode, 16 fused
-//! splits, decode), not 50; it still has the paper's 16 `SyncAll`s.
+//! the keys — and the whole sort is **one persistent launch**:
+//!
+//! 1. the encode, then a `SyncAll`;
+//! 2. per bit plane, MCScan's phase I over the plane's mask
+//!    ([`McLayout::phase_one`]), a `SyncAll`, phase II with the split's
+//!    scatter as its store ([`McLayout::phase_two`]), and a `SyncAll` so
+//!    the next pass reads what every core scattered;
+//! 3. the decode.
+//!
+//! Pass `b` reads the key, index and mask buffers of parity `b % 2` and
+//! writes the other pair, and one scan layout (`U_s`, `w`, `r`) serves
+//! every pass. An fp16 sort runs the paper's 16 scans in 33 barriers,
+//! and costs one launch instead of 18 separate ones.
 //!
 //! Floats are supported through the pre-/post-processing encode passes
 //! (invert the MSB of non-negatives, all bits of negatives — Knuth
@@ -27,6 +38,8 @@
 //! matches the PyTorch `sort()` API (values and `argsort`).
 //!
 //! [`split`]: crate::split::split_ind
+//! [`McLayout::phase_one`]: scan::McLayout::phase_one
+//! [`McLayout::phase_two`]: scan::McLayout::phase_two
 
 use crate::for_each_lane;
 use crate::split::{NextPlane, SplitStore};
@@ -38,6 +51,7 @@ use ascendc::{
 };
 use dtypes::{Element, Numeric, RadixKey};
 use scan::tile_spans;
+use scan::McLayout;
 use std::sync::Arc;
 
 /// Sort direction.
@@ -63,10 +77,10 @@ pub struct SortRun<K: Element> {
 pub(crate) const PIECE_CAP: usize = 2048;
 
 /// Stable radix sort of `x` (values + original indices), using the
-/// MCScan-based split for every bit plane.
+/// MCScan-based split for every bit plane, as one launch on all of the
+/// chip's AI cores.
 ///
-/// `s` is the tile dimension of the split launches. Every launch runs on
-/// all of the chip's AI cores.
+/// `s` is the tile dimension of the splits' mask scans.
 pub fn radix_sort<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -89,45 +103,84 @@ where
         });
     }
 
-    let mut keys_a = GlobalTensor::<K::Encoded>::new(gm, n)?;
-    let mut keys_b = GlobalTensor::<K::Encoded>::new(gm, n)?;
-    let mut idx_a = GlobalTensor::<u32>::new(gm, n)?;
-    let mut idx_b = GlobalTensor::<u32>::new(gm, n)?;
-    let mut mask_a = GlobalTensor::<u8>::new(gm, n)?;
-    let mut mask_b = GlobalTensor::<u8>::new(gm, n)?;
-    let mut reports = Vec::with_capacity(2 + K::BITS as usize);
+    // Ping-pong buffers: pass `bit` reads side `bit % 2` and writes the
+    // other, so the kernel needs no per-block state.
+    let keys = [
+        GlobalTensor::<K::Encoded>::new(gm, n)?,
+        GlobalTensor::<K::Encoded>::new(gm, n)?,
+    ];
+    let idx = [
+        GlobalTensor::<u32>::new(gm, n)?,
+        GlobalTensor::<u32>::new(gm, n)?,
+    ];
+    let masks = [
+        GlobalTensor::<u8>::new(gm, n)?,
+        GlobalTensor::<u8>::new(gm, n)?,
+    ];
+    // One scan layout (`U_s`, `w`, `r`) serves all of the passes.
+    let scan = McLayout::<u8, i16, i32>::rows("RadixSort", spec, gm, n, s)?;
+    let encode = Codec::encode::<K>(spec, n);
+    let decode = Codec::decode::<K>(spec, n);
 
-    // --- Pre-processing: encode keys, materialize indices, bit-0 mask. ---
-    reports.push(encode_kernel::<K>(
-        spec, gm, x, &keys_a, &idx_a, &mask_a, 0, order,
-    )?);
-
-    // --- One split per bit plane; each scatter emits the next mask. ---
-    for bit in 0..K::BITS {
-        let last = bit + 1 == K::BITS;
-        let (_, pass) = SplitStore::<K::Encoded> {
-            vals: &keys_a,
-            idx_in: Some(&idx_a),
-            mask: &mask_a,
-            vals_out: &keys_b,
-            idx_out: Some(if last { &indices } else { &idx_b }),
-            false_side: true,
-            next_plane: (!last).then_some(NextPlane {
-                out: &mask_b,
-                compute: &move |vc, keys, mk, len| plane_mask(vc, keys, mk, len, bit + 1, order),
-            }),
+    let mut report = launch(spec, gm, spec.ai_cores, "RadixSort", |ctx| {
+        // Encode keys, materialize indices, bit-0 mask.
+        let span = ctx.span_begin("Encode");
+        for_each_lane(ctx, encode.spans.iter(), |vc, _, mine| {
+            encode_lane::<K>(
+                vc,
+                encode.piece,
+                mine,
+                x,
+                &keys[0],
+                &idx[0],
+                &masks[0],
+                0,
+                order,
+            )
+        })?;
+        ctx.span_end(span);
+        ctx.sync_all()?;
+        // One split per bit plane; each scatter emits the next mask.
+        for bit in 0..K::BITS {
+            let (from, to) = ((bit % 2) as usize, (1 - bit % 2) as usize);
+            let last = bit + 1 == K::BITS;
+            let compute =
+                move |vc: &mut Core<'_>,
+                      keys: &mut LocalTensor<K::Encoded>,
+                      mk: &mut LocalTensor<u8>,
+                      len| { plane_mask(vc, keys, mk, len, bit + 1, order) };
+            let store = SplitStore::<K::Encoded> {
+                vals: &keys[from],
+                idx_in: Some(&idx[from]),
+                mask: &masks[from],
+                vals_out: &keys[to],
+                idx_out: Some(if last { &indices } else { &idx[to] }),
+                false_side: true,
+                next_plane: (!last).then_some(NextPlane {
+                    out: &masks[to],
+                    compute: &compute,
+                }),
+            };
+            let phase = ctx.span_begin("Phase I");
+            scan.phase_one(ctx, &masks[from])?;
+            ctx.span_end(phase);
+            ctx.sync_all()?;
+            let phase = ctx.span_begin("Phase II");
+            scan.phase_two(ctx, &store)?;
+            ctx.span_end(phase);
+            // The next pass (or the decode) reads what every core
+            // scattered.
+            ctx.sync_all()?;
         }
-        .launch(spec, gm, s)?;
-        reports.push(pass);
-        std::mem::swap(&mut keys_a, &mut keys_b);
-        std::mem::swap(&mut idx_a, &mut idx_b);
-        std::mem::swap(&mut mask_a, &mut mask_b);
-    }
-
-    // --- Post-processing: decode keys back to values. ---
-    reports.push(decode_kernel::<K>(spec, gm, &keys_a, &values)?);
-
-    let mut report = KernelReport::sequential("RadixSort", &reports);
+        // Decode keys back to values.
+        let span = ctx.span_begin("Decode");
+        let sorted = &keys[(K::BITS % 2) as usize];
+        for_each_lane(ctx, decode.spans.iter(), |vc, _, mine| {
+            decode_lane::<K>(vc, decode.piece, mine, sorted, &values)
+        })?;
+        ctx.span_end(span);
+        Ok(())
+    })?;
     report.elements = n as u64;
     report.useful_bytes = (n * K::SIZE + n * (K::SIZE + 4)) as u64;
     Ok(SortRun {
@@ -137,9 +190,39 @@ where
     })
 }
 
+/// How a codec kernel cuts its `n` elements: pieces of `piece` elements
+/// (as many as UB holds, up to [`PIECE_CAP`]), dealt round-robin over
+/// the vector cores.
+pub(crate) struct Codec {
+    pub(crate) piece: usize,
+    pub(crate) spans: Vec<(usize, usize)>,
+}
+
+impl Codec {
+    /// The encode's pieces: raw key, encoded key, index and mask per
+    /// element.
+    pub(crate) fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> Self {
+        let per_elem = K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + 1;
+        Self::new(spec, n, per_elem)
+    }
+
+    /// The decode's pieces: encoded and decoded key per element.
+    pub(crate) fn decode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> Self {
+        Self::new(spec, n, K::SIZE + std::mem::size_of::<K::Encoded>())
+    }
+
+    fn new(spec: &ChipSpec, n: usize, per_elem: usize) -> Self {
+        let piece = crate::ub_piece(spec, per_elem, PIECE_CAP);
+        Codec {
+            piece,
+            spans: tile_spans(n, piece),
+        }
+    }
+}
+
 /// Pre-processing kernel: order-preserving encode + index ramp + the
-/// split mask of bit plane `bit` (bit 0 for the sort's first pass, the
-/// most significant bit for top-k's).
+/// split mask of bit plane `bit` (the most significant bit, for top-k's
+/// first pass).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_kernel<K>(
     spec: &ChipSpec,
@@ -155,33 +238,51 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    let piece = crate::ub_piece(
-        spec,
-        K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + 1,
-        PIECE_CAP,
-    );
-    let spans = tile_spans(x.len(), piece);
+    let codec = Codec::encode::<K>(spec, x.len());
     launch(spec, gm, spec.ai_cores, "RadixEncode", |ctx| {
-        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
-            let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-            let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-            let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
-            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in mine {
-                vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
-                vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
-                vc.copy_out(keys, off, &enc, 0, valid, &[])?;
-                vc.viota(&mut ramp, 0, valid, off as u32)?;
-                vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
-                plane_mask(vc, &mut enc, &mut mk, valid, bit, order)?;
-                vc.copy_out(mask, off, &mk, 0, valid, &[])?;
-            }
-            vc.free_local(raw)?;
-            vc.free_local(enc)?;
-            vc.free_local(ramp)?;
-            vc.free_local(mk)
+        for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
+            encode_lane::<K>(vc, codec.piece, mine, x, keys, idx, mask, bit, order)
         })
     })
+}
+
+/// One vector core's share of the encode: for each of its `(offset,
+/// len)` pieces, the order-preserving encode of `x` into `keys`, the
+/// index ramp into `idx` and the split mask of bit plane `bit` into
+/// `mask`.
+#[allow(clippy::too_many_arguments)]
+fn encode_lane<'p, K>(
+    vc: &mut Core<'_>,
+    piece: usize,
+    mine: impl Iterator<Item = &'p (usize, usize)>,
+    x: &GlobalTensor<K>,
+    keys: &GlobalTensor<K::Encoded>,
+    idx: &GlobalTensor<u32>,
+    mask: &GlobalTensor<u8>,
+    bit: u32,
+    order: SortOrder,
+) -> SimResult<()>
+where
+    K: RadixKey + Element,
+    K::Encoded: Element + Bits + Numeric,
+{
+    let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
+    let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
+    let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
+    let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
+    for &(off, valid) in mine {
+        vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
+        vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
+        vc.copy_out(keys, off, &enc, 0, valid, &[])?;
+        vc.viota(&mut ramp, 0, valid, off as u32)?;
+        vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
+        plane_mask(vc, &mut enc, &mut mk, valid, bit, order)?;
+        vc.copy_out(mask, off, &mk, 0, valid, &[])?;
+    }
+    vc.free_local(raw)?;
+    vc.free_local(enc)?;
+    vc.free_local(ramp)?;
+    vc.free_local(mk)
 }
 
 /// Writes the split mask of bit `bit` of `keys[..len]` into `mask`
@@ -218,27 +319,43 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    let piece = crate::ub_piece(spec, K::SIZE + std::mem::size_of::<K::Encoded>(), PIECE_CAP);
-    let spans = tile_spans(keys.len(), piece);
+    let codec = Codec::decode::<K>(spec, keys.len());
     launch(spec, gm, spec.ai_cores, "RadixDecode", |ctx| {
-        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
-            let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-            let mut out = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in mine {
-                vc.copy_in(&mut enc, 0, keys, off, valid, &[])?;
-                vc.vradix_decode::<K>(&mut out, &enc, 0, valid)?;
-                vc.copy_out(values, off, &out, 0, valid, &[])?;
-            }
-            vc.free_local(enc)?;
-            vc.free_local(out)
+        for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
+            decode_lane::<K>(vc, codec.piece, mine, keys, values)
         })
     })
+}
+
+/// One vector core's share of the decode: each of its `(offset, len)`
+/// pieces of `keys`, decoded into `values`.
+fn decode_lane<'p, K>(
+    vc: &mut Core<'_>,
+    piece: usize,
+    mine: impl Iterator<Item = &'p (usize, usize)>,
+    keys: &GlobalTensor<K::Encoded>,
+    values: &GlobalTensor<K>,
+) -> SimResult<()>
+where
+    K: RadixKey + Element,
+    K::Encoded: Element + Bits + Numeric,
+{
+    let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
+    let mut out = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
+    for &(off, valid) in mine {
+        vc.copy_in(&mut enc, 0, keys, off, valid, &[])?;
+        vc.vradix_decode::<K>(&mut out, &enc, 0, valid)?;
+        vc.copy_out(values, off, &out, 0, valid, &[])?;
+    }
+    vc.free_local(enc)?;
+    vc.free_local(out)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::split;
+    use ascend_sim::prof::with_profiling;
     use dtypes::F16;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -346,11 +463,16 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let data: Vec<i8> = (0..1500).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
+        let (run, profile) = with_profiling(&gm, || {
+            radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap()
+        });
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
-        assert_eq!(run.report.sync_rounds, 8, "one MCScan barrier per bit");
+        assert_eq!(crate::tests::scans(&profile), 8, "one scan per bit");
+        // The encode's barrier, then two per pass: after the scan's
+        // phase I and after the scatter.
+        assert_eq!(run.report.sync_rounds, 17);
     }
 
     #[test]
@@ -370,9 +492,13 @@ pub(crate) mod tests {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let data: Vec<F16> = (0..100).map(|i| F16::from_f32(i as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
-        // Each of the 16 MCScans contributes exactly one SyncAll.
-        assert_eq!(run.report.sync_rounds, 16);
+        let (run, profile) = with_profiling(&gm, || {
+            radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap()
+        });
+        assert_eq!(crate::tests::scans(&profile), 16);
+        // One launch: the encode's barrier, then two per pass.
+        assert_eq!(profile.kernels.len(), 1);
+        assert_eq!(run.report.sync_rounds, 33);
     }
 
     /// Host oracle: the stable argsort of `data` under `cmp` (reversed

@@ -10,13 +10,16 @@
 //! top-k (in selection order, not sorted — the PyTorch-compatible
 //! wrapper can radix-sort the k survivors if sorted output is needed).
 //!
-//! The passes run on radix sort's kernels: the encode kernel writes the
-//! most significant bit's mask, each pass is one fused split launch (the
-//! mask scan, whose phase II scatters the window and writes the next
-//! bit's mask alongside it, ping-ponging two mask buffers), and the
-//! decode kernel converts the `k` survivors back. Each scattered window
-//! is copied back into the primary buffers, because the confirmed prefix
-//! outside the window must stay intact: one pass is three launches.
+//! The passes run on radix sort's pieces: the `RadixEncode` launch runs
+//! the sort's per-lane encode and writes the most significant bit's
+//! mask, each pass is one fused split launch (the mask scan, whose phase
+//! II scatters the window and writes the next bit's mask alongside it,
+//! ping-ponging two mask buffers), and the `RadixDecode` launch runs the
+//! sort's per-lane decode on the `k` survivors. Unlike the sort, each
+//! pass is its own launch: the host reads the split's true count to
+//! choose the next window. Each scattered window is copied back into the
+//! primary buffers, because the confirmed prefix outside the window must
+//! stay intact: one pass is three launches.
 //!
 //! **Expectation management**: the paper reports a *negative* result —
 //! this construction does not beat the baseline `top-k` operator for

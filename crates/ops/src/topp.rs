@@ -8,11 +8,11 @@
 //! and draws — exactly the pipeline built here from the paper's
 //! operators:
 //!
-//! 1. descending [`radix_sort`] of the probabilities (16 scans for fp16,
-//!    each the one launch of a fused split whose scatter runs on every
-//!    vector core, in row chunks);
+//! 1. descending [`radix_sort`] of the probabilities: one launch running
+//!    16 scans for fp16, each a fused split whose scatter runs on every
+//!    vector core, in row chunks;
 //! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan —
-//!    17 scans per batch total, the paper's count, in 21 launches). This
+//!    17 scans per batch total, the paper's count, in 4 launches). This
 //!    scan keeps MCScan's tile chunks: row chunks would change where the
 //!    fp16 chunk offsets round, and with them the sampled tokens;
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
@@ -206,6 +206,7 @@ fn kept_prefix_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ascend_sim::prof::with_profiling;
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
@@ -270,11 +271,16 @@ mod tests {
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
             .collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16).unwrap();
+        let (run, profile) =
+            with_profiling(&gm, || top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16).unwrap());
         assert_eq!(
-            run.report.sync_rounds, 17,
+            crate::tests::scans(&profile),
+            17,
             "the paper's 17-scans-per-batch count"
         );
+        // The sort's 33 barriers (encode, then two per pass) and the
+        // CDF scan's one.
+        assert_eq!(run.report.sync_rounds, 34);
     }
 
     #[test]
@@ -287,11 +293,14 @@ mod tests {
         probs[vocab + 31] = F16::ONE;
         probs[2 * vocab + 99] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let (tokens, report) =
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16).unwrap();
+        let ((tokens, report), profile) = with_profiling(&gm, || {
+            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16).unwrap()
+        });
         assert_eq!(tokens, vec![7, 31, 99]);
-        // 17 scans per batch element (the paper's accounting).
-        assert_eq!(report.sync_rounds, 17 * batch as u64);
+        // 17 scans per batch element (the paper's accounting), in 34
+        // barriers.
+        assert_eq!(crate::tests::scans(&profile), 17 * batch);
+        assert_eq!(report.sync_rounds, 34 * batch as u64);
         // Shape errors are rejected.
         assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16).is_err());
         assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16).is_err());

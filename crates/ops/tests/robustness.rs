@@ -36,6 +36,7 @@ fn chips() -> Vec<(&'static str, ChipSpec)> {
         ("2 KB UB", with(|c| c.ub_capacity = 2 << 10)),
         ("1 AI core", with(|c| c.ai_cores = 1)),
         ("1 vector core", with(|c| c.vec_per_core = 1)),
+        ("0 vector cores", with(|c| c.vec_per_core = 0)),
     ]
 }
 
@@ -279,14 +280,16 @@ fn every_operator_returns_the_reference_or_a_typed_error() {
         findings.violations.join("\n")
     );
     // Pins which inputs the operators accept: a change that makes one
-    // refuse (or newly run) any of these calls moves the count. The 55
+    // refuse (or newly run) any of these calls moves the count. The 139
     // refusals: `topk` and `top_p_sample` of nothing on every chip and
-    // `s` (16), and every non-trivial call at s = 32 on the 2 KB UB,
-    // whose 4 KB propagation buffer does not fit (39; a top-1 of one
-    // element needs no split pass and runs).
+    // `s` (20), every non-trivial call at s = 32 on the 2 KB UB, whose
+    // 4 KB propagation buffer does not fit (39; a top-1 of one element
+    // needs no split pass and runs), and on the chip without vector
+    // cores every call that launches (80: only the empty split, compress
+    // and sort at both `s` launch nothing and run).
     assert_eq!(
         (findings.calls, findings.accepted),
-        (360, 305),
+        (450, 311),
         "(calls, calls that ran to a result)"
     );
 }
@@ -307,13 +310,14 @@ fn every_baseline_returns_the_reference_or_a_typed_error() {
         findings.violations.len(),
         findings.violations.join("\n")
     );
-    // Pins which inputs the baselines accept, as above. The 16
+    // Pins which inputs the baselines accept, as above. The 56
     // refusals: `topk_baseline` and `multinomial` of nothing on every
-    // chip and `s`; every other call runs, the two real kernels included
-    // on the 2 KB UB.
+    // chip and `s` (20), and on the chip without vector cores the two
+    // real kernels, `clone` and `cumsum` (36); every other call runs,
+    // the two real kernels included on the 2 KB UB.
     assert_eq!(
         (findings.calls, findings.accepted),
-        (432, 416),
+        (540, 484),
         "(calls, calls that ran to a result)"
     );
 }

@@ -1,21 +1,23 @@
 //! Serial/parallel/planned scheduler equivalence of the one-launch
-//! split.
+//! split, the one-launch radix sort and top-p.
 //!
 //! Split and compress run as one launch each: MCScan over the mask
-//! whose phase II scatters every tile from UB. Their serialized
-//! [`ascendc::KernelReport`]s must be byte-identical under the serial
-//! baton, the parallel-round scheduler, and a planned replay of every
-//! commit order the model checker finds — the same contract the `scan`
-//! crate's `sched_equiv` gate holds every scan kernel to. The tiny
-//! chip's default `ValidationMode::Full` stays on, so the audits and the
-//! critical-path section are compared too.
+//! whose phase II scatters every tile from UB. Radix sort runs all of
+//! its splits in one persistent launch, and top-p is that sort plus
+//! three launches. Their serialized [`ascendc::KernelReport`]s must be
+//! byte-identical under the serial baton, the parallel-round scheduler,
+//! and a planned replay of every commit order the model checker finds —
+//! the same contract the `scan` crate's `sched_equiv` gate holds every
+//! scan kernel to. The tiny chip's default `ValidationMode::Full` stays
+//! on, so the audits and the critical-path section are compared too.
 
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::sync::GridPlan;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
+use dtypes::F16;
 use ops::split::reference_split;
-use ops::{compress, split_ind};
+use ops::{compress, radix_sort, split_ind, top_p_sample, SortOrder};
 use std::sync::Arc;
 
 /// Runs `op` on a fresh tiny-chip device under `policy`; returns its
@@ -29,23 +31,33 @@ fn run(
     prof::with_profiling(&gm, || op(&spec, &gm))
 }
 
-fn assert_equiv(name: &str, op: &dyn Fn(&ChipSpec, &Arc<GlobalMemory>) -> String) {
+/// Asserts `op`, `launches` launches, reports identically under every
+/// policy, and that the model checker finds each launch clean.
+fn assert_equiv(name: &str, launches: usize, op: &dyn Fn(&ChipSpec, &Arc<GlobalMemory>) -> String) {
     let (serial, _) = run(SchedPolicy::Serial, op);
     let (parallel, profile) = run(SchedPolicy::Parallel, op);
     assert_eq!(serial, parallel, "{name}: serial vs parallel");
+    assert_eq!(profile.kernels.len(), launches, "{name}: launches");
     assert!(
-        parallel.contains("\"critical_path\""),
-        "{name}: Full validation should have audited the launch"
+        profile.kernels.iter().all(|k| k.critical_path.is_some()),
+        "{name}: Full validation should have audited every launch"
     );
-    assert_eq!(profile.kernels.len(), 1, "{name} is one launch");
-    let r = mc::check(
-        &profile.kernels[0].hb_events,
-        &mc::McConfig::new(ChipSpec::tiny().ai_cores as usize),
-    )
-    .unwrap();
-    assert!(!r.budget_exhausted && r.deadlocks == 0 && r.diagnostics.is_empty());
-    assert!(!r.unique_grid_orders.is_empty());
-    for order in &r.unique_grid_orders {
+    // The plan is launch-scoped: the orders of the one launch with grid
+    // operations, if any, or one empty plan.
+    let mut plans = vec![Vec::new()];
+    for k in &profile.kernels {
+        let r = mc::check(
+            &k.hb_events,
+            &mc::McConfig::new(ChipSpec::tiny().ai_cores as usize),
+        )
+        .unwrap();
+        assert!(!r.budget_exhausted && r.deadlocks == 0 && r.diagnostics.is_empty());
+        assert!(!r.unique_grid_orders.is_empty());
+        if r.unique_grid_orders.iter().any(|o| !o.is_empty()) {
+            plans = r.unique_grid_orders;
+        }
+    }
+    for order in plans {
         let plan = GridPlan {
             order: order.clone(),
         };
@@ -67,7 +79,7 @@ fn inputs() -> (Vec<u16>, Vec<u8>) {
 
 #[test]
 fn split_reports_identically_under_serial_parallel_and_planned() {
-    assert_equiv("split", &|spec, gm| {
+    assert_equiv("split", 1, &|spec, gm| {
         let (vals, mask) = inputs();
         let x = GlobalTensor::from_slice(gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(gm, &mask).unwrap();
@@ -83,13 +95,42 @@ fn split_reports_identically_under_serial_parallel_and_planned() {
 
 #[test]
 fn compress_reports_identically_under_serial_parallel_and_planned() {
-    assert_equiv("compress", &|spec, gm| {
+    assert_equiv("compress", 1, &|spec, gm| {
         let (vals, mask) = inputs();
         let x = GlobalTensor::from_slice(gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(gm, &mask).unwrap();
         let run = compress(spec, gm, &x, &m, 32).unwrap();
         let (ev, _, ent) = reference_split(&vals, &mask);
         assert_eq!(run.values.to_vec(), &ev[..ent]);
+        run.report.to_json(spec)
+    });
+}
+
+#[test]
+fn sort_reports_identically_under_serial_parallel_and_planned() {
+    // 16 passes of 600 keys at s = 16: 38 rows, 10 to a vector core.
+    assert_equiv("sort", 1, &|spec, gm| {
+        let (vals, _) = inputs();
+        let vals = &vals[..600];
+        let x = GlobalTensor::from_slice(gm, vals).unwrap();
+        let run = radix_sort(spec, gm, &x, 16, SortOrder::Descending).unwrap();
+        let mut want = vals.to_vec();
+        want.sort_unstable_by(|a, b| b.cmp(a));
+        assert_eq!(run.values.to_vec(), want);
+        run.report.to_json(spec)
+    });
+}
+
+#[test]
+fn top_p_reports_identically_under_serial_parallel_and_planned() {
+    // The sort, the CDF scan, the threshold count and the CDF search.
+    assert_equiv("top-p", 4, &|spec, gm| {
+        let probs: Vec<F16> = (0..500)
+            .map(|i| F16::from_f32(if i % 37 == 0 { 0.05 } else { 1e-3 }))
+            .collect();
+        let x = GlobalTensor::from_slice(gm, &probs).unwrap();
+        let run = top_p_sample(spec, gm, &x, 0.9, 0.4, 16).unwrap();
+        assert!(probs[run.token as usize] > F16::ZERO);
         run.report.to_json(spec)
     });
 }

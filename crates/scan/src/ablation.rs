@@ -123,7 +123,8 @@ where
 {
     let name = "MCScan(strided-totals)";
     let hand = HandOffs::new(name, spec, 1)?;
-    let run = McLayout::<T, M, O, _>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+    let (mc, y) = McLayout::<T, M, O>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
+    let report = mc.launch(
         spec,
         gm,
         |mc, ctx| {
@@ -172,12 +173,12 @@ where
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
                 let (offset, _) = chunk_offset(vc, &mc.r, chunk, false)?;
-                mc.propagate(vc, chunk, offset, None, None)?;
+                mc.propagate(vc, chunk, offset, None, None, &y)?;
             }
             Ok(())
         },
     )?;
-    Ok(ScanRun::from(run))
+    Ok(ScanRun { y: y.y, report })
 }
 
 /// Textbook SSA: full per-chunk scans in phase 1, broadcast add after.
@@ -194,7 +195,8 @@ where
 {
     let name = "SSA(full)";
     let hand = HandOffs::new(name, spec, 1)?;
-    let run = McLayout::<T, M, O, _>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+    let (mc, y) = McLayout::<T, M, O>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
+    let report = mc.launch(
         spec,
         gm,
         |mc, ctx| {
@@ -205,7 +207,7 @@ where
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
                 let zero = (O::zero(), 0);
                 let waits = Some((&ctx.flags, hand));
-                let total = mc.propagate(vc, chunk, zero, None, waits)?;
+                let total = mc.propagate(vc, chunk, zero, None, waits, &y)?;
                 store_scalar(vc, &mc.r, chunk, total)?;
             }
             Ok(())
@@ -227,9 +229,9 @@ where
                 let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, depth, l)?;
                 for (off, valid) in mc.segments(chunk) {
                     let mut buf = q.alloc_tensor()?;
-                    vc.copy_in(&mut buf, 0, &mc.store.y, off, valid, &[])?;
+                    vc.copy_in(&mut buf, 0, &y.y, off, valid, &[])?;
                     vc.vadds(&mut buf, 0, valid, offset, offset_ready)?;
-                    let ev = vc.copy_out(&mc.store.y, off, &buf, 0, valid, &[])?;
+                    let ev = vc.copy_out(&y.y, off, &buf, 0, valid, &[])?;
                     q.free_tensor(buf, ev);
                 }
                 q.destroy(vc)?;
@@ -237,7 +239,7 @@ where
             Ok(())
         },
     )?;
-    Ok(ScanRun::from(run))
+    Ok(ScanRun { y: y.y, report })
 }
 
 /// Reduce-Scan-Scan: phase 1 reduces only; phase 2 does everything else.
@@ -254,7 +256,8 @@ where
 {
     let name = "RSS";
     let hand = HandOffs::new(name, spec, 1)?;
-    let run = McLayout::<T, M, O, _>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?.launch(
+    let (mc, y) = McLayout::<T, M, O>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
+    let report = mc.launch(
         spec,
         gm,
         // Phase 1: MCScan's chunk reductions only (the cube sits idle —
@@ -274,12 +277,12 @@ where
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
                 let (offset, _) = chunk_offset(vc, &mc.r, chunk, false)?;
                 let waits = Some((&ctx.flags, hand));
-                mc.propagate(vc, chunk, offset, None, waits)?;
+                mc.propagate(vc, chunk, offset, None, waits, &y)?;
             }
             Ok(())
         },
     )?;
-    Ok(ScanRun::from(run))
+    Ok(ScanRun { y: y.y, report })
 }
 
 #[cfg(test)]

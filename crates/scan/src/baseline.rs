@@ -41,6 +41,11 @@ pub fn cumsum_vec_only<T: Numeric>(
             "CumSum baseline: s must be a power of two, got {s}"
         )));
     }
+    if spec.vec_per_core == 0 {
+        return Err(SimError::InvalidArgument(
+            "CumSum baseline: the chip has no vector core to scan on".into(),
+        ));
+    }
     let n = x.len();
     let l = s * s;
     let y = GlobalTensor::<T>::new(gm, n)?;

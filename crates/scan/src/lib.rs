@@ -68,7 +68,9 @@ pub(crate) mod util;
 pub use ablation::{mcscan_variant, McScanVariant};
 pub use baseline::cumsum_vec_only;
 pub use batched::{batched_scanu, batched_scanul1};
-pub use mcscan::{mcscan, mcscan_with, McScanConfig, ScanKind, StoreRun, Tile, TileStore};
+pub use mcscan::{
+    mcscan, mcscan_with, McLayout, McScanConfig, ScanKind, StoreRun, Tile, TileStore,
+};
 pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};
 pub use scanu::scanu;

@@ -43,7 +43,7 @@ use crate::{finish_report, ScanRun};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
     launch, BlockCtx, ChipSpec, Core, EventTime, FlagFile, GlobalTensor, KernelReport, LocalTensor,
-    ScratchpadKind, SimResult, SpanArgs, TQue,
+    ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
 };
 use dtypes::{CubeInput, Element, Numeric, F16};
 use std::ops::Range;
@@ -119,9 +119,14 @@ where
     M: Numeric,
     O: Numeric,
 {
-    McLayout::<T, M, O, _>::with_y("MCScan", spec, gm, x, cfg, None)?
-        .recompute(spec, gm, x)
-        .map(ScanRun::from)
+    let (mc, store) = McLayout::<T, M, O>::with_y("MCScan", spec, gm, x, cfg, None)?;
+    let report = mc.launch(
+        spec,
+        gm,
+        |mc, ctx| mc.phase_one(ctx, x),
+        |mc, ctx| mc.phase_two(ctx, &store),
+    )?;
+    Ok(ScanRun { y: store.y, report })
 }
 
 /// Result of [`mcscan_with`]: the launch report and the scan's total.
@@ -152,11 +157,20 @@ where
     S: TileStore<O>,
 {
     let grid = (s, spec.ai_cores);
-    let (report, mc) =
-        McLayout::<T, M, O, S>::new(name, spec, gm, x, grid, Chunking::Rows, None, |_| Ok(store))?
-            .recompute(spec, gm, x)?;
-    let total = mc.r.to_vec().into_iter().fold(O::zero(), O::add);
-    Ok(StoreRun { report, total })
+    let (mc, store) =
+        McLayout::<T, M, O>::new(name, spec, gm, x.len(), grid, Chunking::Rows, None, |_| {
+            Ok(store)
+        })?;
+    let report = mc.launch(
+        spec,
+        gm,
+        |mc, ctx| mc.phase_one(ctx, x),
+        |mc, ctx| mc.phase_two(ctx, &store),
+    )?;
+    Ok(StoreRun {
+        report,
+        total: mc.total(),
+    })
 }
 
 /// One segment of phase II — at most `ℓ` elements of a chunk, starting
@@ -229,9 +243,9 @@ pub(crate) struct YStore<O: Element> {
     kind: ScanKind,
 }
 
-impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O, YStore<O>> {
-    /// [`McLayout::new`] with the scan's own store: the `cfg.kind` scan
-    /// to a fresh `y`.
+impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
+    /// [`McLayout::new`] over `x` in tile chunks, with the scan's own
+    /// store: the `cfg.kind` scan to a fresh `y`.
     pub(crate) fn with_y(
         name: &'static str,
         spec: &ChipSpec,
@@ -239,25 +253,23 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O, YStore<O>> {
         x: &GlobalTensor<T>,
         cfg: McScanConfig,
         max_blocks: Option<u32>,
-    ) -> SimResult<Self> {
+    ) -> SimResult<(Self, YStore<O>)> {
         let grid = (cfg.s, cfg.blocks);
-        Self::new(name, spec, gm, x, grid, Chunking::Tiles, max_blocks, |gm| {
-            Ok(YStore {
-                y: GlobalTensor::<O>::new(gm, x.len())?,
-                kind: cfg.kind,
-            })
-        })
-    }
-}
-
-impl<T: CubeInput, M: Numeric, O: Numeric> From<(KernelReport, McLayout<T, M, O, YStore<O>>)>
-    for ScanRun<O>
-{
-    fn from((report, mc): (KernelReport, McLayout<T, M, O, YStore<O>>)) -> Self {
-        ScanRun {
-            y: mc.store.y,
-            report,
-        }
+        Self::new(
+            name,
+            spec,
+            gm,
+            x.len(),
+            grid,
+            Chunking::Tiles,
+            max_blocks,
+            |gm| {
+                Ok(YStore {
+                    y: GlobalTensor::<O>::new(gm, x.len())?,
+                    kind: cfg.kind,
+                })
+            },
+        )
     }
 }
 
@@ -347,7 +359,8 @@ pub(crate) fn chunk_cores<'c, 'a>(
 }
 
 /// What a chunk of phase II is made of. The entry point fixes it:
-/// [`mcscan`] and the ablation variants use tiles, [`mcscan_with`] rows.
+/// [`mcscan`] and the ablation variants use tiles, [`mcscan_with`] and
+/// [`McLayout::rows`] rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Chunking {
     /// Whole `ℓ`-element cube tiles, `⌈tiles / chunks⌉` to a chunk: the
@@ -361,19 +374,27 @@ pub(crate) enum Chunking {
     Rows,
 }
 
-/// The launch layout MCScan shares with its ablation variants: the scan
-/// constants, the phase II `store`, the intermediate `w` the tile-local
-/// scans land in, the reduction array `r` (one entry per chunk, Line 3)
-/// and the chunk map — one contiguous element range per vector core, of
-/// whole tiles or of rows ([`Chunking`]).
-pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> {
+/// The layout of an MCScan over `n` elements, shared by [`mcscan`],
+/// [`mcscan_with`], the ablation variants and kernels that run the scan
+/// inside a launch of their own: the scan constants, the intermediate
+/// `w` the tile-local scans land in, the reduction array `r` (one entry
+/// per chunk, Line 3) and the chunk map — one contiguous element range
+/// per vector core: whole tiles for [`mcscan`], rows for [`mcscan_with`]
+/// and [`McLayout::rows`].
+///
+/// Its two phases run inside any launch on the layout's grid:
+/// [`McLayout::phase_one`] over an input, a `SyncAll`, then
+/// [`McLayout::phase_two`] with a [`TileStore`]. A kernel may run them
+/// again on another input of the same length once a further `SyncAll`
+/// has ordered the previous phase II's reads of `w` and `r` before the
+/// next phase I's writes.
+pub struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
     name: &'static str,
     n: usize,
     pub(crate) s: usize,
     pub(crate) l: usize,
     blocks: u32,
     consts: ScanConstants<T>,
-    pub(crate) store: S,
     pub(crate) w: GlobalTensor<M>,
     pub(crate) r: GlobalTensor<O>,
     tiles: Vec<(usize, usize)>,
@@ -381,114 +402,134 @@ pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>
     chunks: Vec<Range<usize>>,
 }
 
-impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S> {
-    /// Validates tile dimension `s` and grid `blocks` for kernel `name`
-    /// (grids above `max_blocks` are rejected; `None` wave-multiplexes
-    /// any grid) and allocates the launch's tensors, the store's too.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
+impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
+    /// The row-chunk layout of a scan over `n` elements at tile
+    /// dimension `s` on all of the chip's AI cores, for a kernel `name`
+    /// that runs the two phases inside its own launch.
+    pub fn rows(
         name: &'static str,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
-        x: &GlobalTensor<T>,
+        n: usize,
+        s: usize,
+    ) -> SimResult<Self> {
+        let grid = (s, spec.ai_cores);
+        let (mc, ()) = Self::new(name, spec, gm, n, grid, Chunking::Rows, None, |_| Ok(()))?;
+        Ok(mc)
+    }
+
+    /// Validates tile dimension `s` and grid `blocks` for kernel `name`
+    /// (grids above `max_blocks` are rejected; `None` wave-multiplexes
+    /// any grid) and allocates the layout's tensors, with the phase II
+    /// store `store` builds after the constants.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new<S>(
+        name: &'static str,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        n: usize,
         (s, blocks): (usize, u32),
         chunking: Chunking,
         max_blocks: Option<u32>,
         store: impl FnOnce(&Arc<GlobalMemory>) -> SimResult<S>,
-    ) -> SimResult<Self> {
+    ) -> SimResult<(Self, S)> {
         check_tile(name, s)?;
         check_blocks(name, blocks, max_blocks)?;
-        let n = x.len();
         let l = s * s;
+        let chunks_total = (blocks * spec.vec_per_core) as usize;
+        let unit = match chunking {
+            Chunking::Tiles => l,
+            Chunking::Rows => s,
+        };
+        let chunks = partition(name, n.div_ceil(unit), chunks_total)?
+            .into_iter()
+            .map(|(first, count)| (first * unit).min(n)..((first + count) * unit).min(n))
+            .collect();
         let consts = ScanConstants::<T>::upload(gm, s)?;
         let store = store(gm)?;
         // Tile-local scans land here in the (possibly narrower)
         // intermediate type; the paper's kernel writes them into the
         // output buffer, which is the same traffic.
         let w = GlobalTensor::<M>::new(gm, n)?;
-        let chunks_total = (blocks * spec.vec_per_core) as usize;
-        let unit = match chunking {
-            Chunking::Tiles => l,
-            Chunking::Rows => s,
-        };
-        let chunks = partition(n.div_ceil(unit), chunks_total)
-            .into_iter()
-            .map(|(first, count)| (first * unit).min(n)..((first + count) * unit).min(n))
-            .collect();
         let r = GlobalTensor::<O>::new(gm, chunks_total)?;
-        Ok(McLayout {
+        let mc = McLayout {
             name,
             n,
             s,
             l,
             blocks,
             consts,
-            store,
             w,
             r,
             tiles: tile_spans(n, l),
             chunking,
             chunks,
-        })
-    }
-
-    /// Launches MCScan's own two phases over `x`.
-    fn recompute(
-        self,
-        spec: &ChipSpec,
-        gm: &Arc<GlobalMemory>,
-        x: &GlobalTensor<T>,
-    ) -> SimResult<(KernelReport, Self)> {
-        self.launch(
-            spec,
-            gm,
-            // Phase I (Lines 4-14): the cube cores write tile-local scans
-            // while the vector cores recompute the chunk reductions from x.
-            |mc, ctx| {
-                let range = mc.block_tiles(ctx);
-                mc.cube_scans(&mut ctx.cube, x, range, None)?;
-                for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                    reduce_chunk(vc, x, &mc.segments(chunk), mc.l, &mc.r, chunk)?;
-                }
-                Ok(())
-            },
-            // Phase II (Lines 16-26): each vector core scans r's prefix in
-            // UB and propagates it through its chunk's tile-local scans.
-            |mc, ctx| {
-                for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                    if mc.chunking == Chunking::Rows && mc.chunks[chunk].is_empty() {
-                        continue;
-                    }
-                    let (offset, total) = chunk_offset(vc, &mc.r, chunk, mc.store.needs_total())?;
-                    mc.propagate(vc, chunk, offset, total, None)?;
-                }
-                Ok(())
-            },
-        )
+        };
+        Ok((mc, store))
     }
 
     /// Launches the two-phase skeleton: `phase1` per block, a `SyncAll`
-    /// (Line 15), then `phase2`, each inside its phase span. Returns the
-    /// report and the layout, whose store and `r` hold the results.
+    /// (Line 15), then `phase2`, each inside its phase span.
     pub(crate) fn launch(
-        self,
+        &self,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         phase1: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
         phase2: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
-    ) -> SimResult<(KernelReport, Self)> {
+    ) -> SimResult<KernelReport> {
         let mut report = launch(spec, gm, self.blocks, self.name, |ctx| {
             let phase = ctx.span_begin("Phase I");
-            phase1(&self, ctx)?;
+            phase1(self, ctx)?;
             ctx.span_end(phase);
             ctx.sync_all()?;
             let phase = ctx.span_begin("Phase II");
-            phase2(&self, ctx)?;
+            phase2(self, ctx)?;
             ctx.span_end(phase);
             Ok(())
         })?;
         finish_report(&mut report, self.n, T::SIZE, O::SIZE);
-        Ok((report, self))
+        Ok(report)
+    }
+
+    /// MCScan's phase I (Lines 4-14) of `x` on one block: the cube
+    /// writes the tile-local scans of the block's tiles to `w` while the
+    /// vector cores recompute their chunks' reductions from `x` into `r`.
+    pub fn phase_one(&self, ctx: &mut BlockCtx<'_>, x: &GlobalTensor<T>) -> SimResult<()> {
+        if x.len() != self.n {
+            return Err(SimError::InvalidArgument(format!(
+                "{}: phase I input has {} elements, the layout {}",
+                self.name,
+                x.len(),
+                self.n
+            )));
+        }
+        let range = self.block_tiles(ctx);
+        self.cube_scans(&mut ctx.cube, x, range, None)?;
+        for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+            reduce_chunk(vc, x, &self.segments(chunk), self.l, &self.r, chunk)?;
+        }
+        Ok(())
+    }
+
+    /// MCScan's phase II (Lines 16-26) on one block, after the `SyncAll`
+    /// that follows phase I: each vector core scans `r`'s prefix in UB
+    /// and propagates it through its chunk's tile-local scans, handing
+    /// every segment to `store`.
+    pub fn phase_two<S: TileStore<O>>(&self, ctx: &mut BlockCtx<'_>, store: &S) -> SimResult<()> {
+        for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+            if self.chunking == Chunking::Rows && self.chunks[chunk].is_empty() {
+                continue;
+            }
+            let (offset, total) = chunk_offset(vc, &self.r, chunk, store.needs_total())?;
+            self.propagate(vc, chunk, offset, total, None, store)?;
+        }
+        Ok(())
+    }
+
+    /// The sum of the last scanned input, read back from `r` after the
+    /// launch.
+    pub fn total(&self) -> O {
+        self.r.to_vec().into_iter().fold(O::zero(), O::add)
     }
 
     /// The segments of chunk `chunk`: its element range cut into
@@ -534,19 +575,20 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
     /// The propagation stage: streams chunk `chunk`'s tile-local scans
     /// from `w` one segment at a time, widens them to `O`, carries the
     /// running partial (from `carry`) through them row by row and hands
-    /// each segment to the store, with the scan's `total` when the store
+    /// each segment to `store`, with the scan's `total` when the store
     /// asked for it. A segment may straddle two cube tiles: `w` holds
     /// row-local scans and is read only after the `SyncAll`. With
     /// `hand` (tile chunks only), each segment first waits for its
     /// tile's hand-off. Returns the final partial — the chunk's
     /// inclusive total.
-    pub(crate) fn propagate(
+    pub(crate) fn propagate<S: TileStore<O>>(
         &self,
         vc: &mut Core<'_>,
         chunk: usize,
         mut carry: (O, EventTime),
         total: Option<(O, EventTime)>,
         hand: Option<(&FlagFile, HandOffs)>,
+        store: &S,
     ) -> SimResult<(O, EventTime)> {
         let (s, l) = (self.s, self.l);
         let depth = queue_depth::<M, O>(vc.spec(), l);
@@ -556,7 +598,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             .spec()
             .ub_capacity
             .saturating_sub(vc.scratch_in_use(ScratchpadKind::Ub));
-        let mut bufs = self.store.open(vc, ub_left)?;
+        let mut bufs = store.open(vc, ub_left)?;
         for (off, valid) in self.segments(chunk) {
             let tile = vc.span_begin("tile");
             let ready = match hand {
@@ -567,7 +609,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             vc.copy_in(&mut piece, 0, &self.w, off, valid, ready.as_slice())?;
             let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
             q.free_tensor(piece, cast_done);
-            self.store.begin(vc, &mut bufs, off, carry)?;
+            store.begin(vc, &mut bufs, off, carry)?;
             let prefix = carry;
             propagate_rows(vc, &mut buf, valid, s, &mut carry)?;
             let stored = Tile {
@@ -578,7 +620,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
                 last: carry,
                 total,
             };
-            let (out_done, bytes) = self.store.store(vc, &mut bufs, &stored)?;
+            let (out_done, bytes) = store.store(vc, &mut bufs, &stored)?;
             vc.span_args(
                 tile,
                 SpanArgs {
@@ -589,7 +631,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric, S: TileStore<O>> McLayout<T, M, O, S>
             );
             vc.span_end_at(tile, out_done);
         }
-        self.store.close(vc, bufs)?;
+        store.close(vc, bufs)?;
         vc.free_local(buf)?;
         q.destroy(vc)?;
         Ok(carry)

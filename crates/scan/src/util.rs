@@ -1,6 +1,6 @@
 //! Shared tiling helpers for the scan kernels.
 
-use ascendc::ChipSpec;
+use ascendc::{ChipSpec, SimError, SimResult};
 use dtypes::{CubeInput, Element};
 
 /// The paper's tile dimension: `s = 128` fills the 910B4's L0A/L0B with
@@ -45,17 +45,23 @@ pub fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {
 
 /// Splits `count` items across `parts` contiguous chunks of
 /// `⌈count / parts⌉` items until they run out: returns `(start, len)` per
-/// chunk (the trailing ones may be empty).
-pub(crate) fn partition(count: usize, parts: usize) -> Vec<(usize, usize)> {
-    assert!(parts > 0);
+/// chunk (the trailing ones may be empty). Kernel `what` gets a typed
+/// error when there is no chunk to split over (a chip without vector
+/// cores).
+pub(crate) fn partition(what: &str, count: usize, parts: usize) -> SimResult<Vec<(usize, usize)>> {
+    if parts == 0 {
+        return Err(SimError::InvalidArgument(format!(
+            "{what}: the chip has no vector cores to split the work over"
+        )));
+    }
     let per = count.div_ceil(parts);
-    (0..parts)
+    Ok((0..parts)
         .map(|p| {
             let start = (p * per).min(count);
             let end = ((p + 1) * per).min(count);
             (start, end - start)
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -72,11 +78,15 @@ mod tests {
 
     #[test]
     fn partition_is_balanced_and_total() {
-        let p = partition(10, 3);
+        let p = partition("t", 10, 3).unwrap();
         assert_eq!(p, vec![(0, 4), (4, 4), (8, 2)]);
-        let p = partition(2, 4);
+        let p = partition("t", 2, 4).unwrap();
         assert_eq!(p, vec![(0, 1), (1, 1), (2, 0), (2, 0)]);
-        let total: usize = partition(1000, 7).iter().map(|&(_, l)| l).sum();
+        let total: usize = partition("t", 1000, 7)
+            .unwrap()
+            .iter()
+            .map(|&(_, l)| l)
+            .sum();
         assert_eq!(total, 1000);
     }
 }

@@ -30,6 +30,7 @@ fn chips() -> Vec<(&'static str, ChipSpec)> {
         ("tiny", tiny.clone()),
         ("1 AI core", with(|c| c.ai_cores = 1)),
         ("1 vector core", with(|c| c.vec_per_core = 1)),
+        ("0 vector cores", with(|c| c.vec_per_core = 0)),
         ("1 KB UB", with(|c| c.ub_capacity = 1 << 10)),
         ("0 flag ids", with(|c| c.flag_id_limit = 0)),
         ("1 flag id", with(|c| c.flag_id_limit = 1)),
@@ -210,12 +211,13 @@ fn every_entry_point_returns_the_reference_or_a_typed_error() {
     // Pins which inputs the kernels accept: a change that makes a
     // kernel refuse (or newly run) any of these calls moves the count.
     // An empty reduction sums to zero, as an empty scan returns an empty
-    // output: all 28 empty `reduce_vec` calls run, and the 12 empty
-    // `reduce_cube` calls at a valid `s` on a chip with room for its
-    // hand-offs (all but the one with no flag ids).
+    // output: all 28 empty `reduce_vec` calls on a chip with vector
+    // cores run, and the 12 empty `reduce_cube` calls at a valid `s` on
+    // a chip with room for its hand-offs (all but the one with no flag
+    // ids). A chip without vector cores runs nothing (450 calls).
     assert_eq!(
         (findings.calls, findings.accepted),
-        (3150, 1563),
+        (3600, 1563),
         "(calls, calls that ran to a result)"
     );
 }

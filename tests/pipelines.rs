@@ -4,7 +4,7 @@
 use ascend_scan::dtypes::{RadixKey, F16};
 use ascend_scan::ops::SortOrder;
 use ascend_scan::sim::hb;
-use ascend_scan::sim::prof::{with_profiling, Profile};
+use ascend_scan::sim::prof::{with_profiling, Profile, BLOCK_SCOPE};
 use ascend_scan::{Device, ScanKind};
 
 fn device() -> Device {
@@ -263,6 +263,17 @@ fn exclusive_scan_is_shifted_inclusive_on_device() {
     assert_eq!(&exc[1..], &inc[..inc.len() - 1]);
 }
 
+/// The scans a profiled pipeline ran: one MCScan phase I span per scan
+/// on block 0, whichever launch it ran in.
+fn scans(profile: &Profile) -> usize {
+    profile
+        .kernels
+        .iter()
+        .flat_map(|k| &k.spans)
+        .filter(|s| s.name == "Phase I" && s.block == 0 && s.core == BLOCK_SCOPE)
+        .count()
+}
+
 /// `(name, count)` per distinct launch name, in first-launch order.
 fn launch_counts(profile: &Profile) -> Vec<(String, usize)> {
     let mut counts: Vec<(String, usize)> = Vec::new();
@@ -282,29 +293,34 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     let (sorted, profile) = with_profiling(dev.memory(), || {
         dev.sort(&x, SortOrder::Descending).unwrap()
     });
-    let want = [("RadixEncode", 1), ("MCScanSplit", 16), ("RadixDecode", 1)];
+    // The whole sort is one launch: the encode, 16 splits and the
+    // decode.
+    let want = [("RadixSort", 1)];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
     assert_eq!(launch_counts(&profile), want);
-    assert_eq!(profile.kernels.len(), 18, "{:?}", launch_counts(&profile));
-    assert_eq!(sorted.report.sync_rounds, 16, "one MCScan barrier per bit");
+    assert_eq!(profile.kernels.len(), 1, "{:?}", launch_counts(&profile));
+    assert_eq!(scans(&profile), 16, "one scan per bit");
+    // The encode's barrier, then two per pass: after the scan's phase I
+    // and after the scatter.
+    assert_eq!(sorted.report.sync_rounds, 33);
 
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e6))
         .collect();
     let p = dev.tensor(&probs).unwrap();
-    let (_, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.5).unwrap());
-    // The sort's 16 fused splits, then exactly one plain MCScan: the CDF.
+    let (run, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.5).unwrap());
+    // The one-launch sort, then exactly one plain MCScan: the CDF.
     let want = [
-        ("RadixEncode", 1),
-        ("MCScanSplit", 16),
-        ("RadixDecode", 1),
+        ("RadixSort", 1),
         ("MCScan", 1),
         ("TopPThreshold", 1),
         ("CdfSearch", 1),
     ];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
     assert_eq!(launch_counts(&profile), want);
-    assert_eq!(profile.kernels.len(), 21);
+    assert_eq!(profile.kernels.len(), 4);
+    assert_eq!(scans(&profile), 17, "the paper's 17 scans per top-p");
+    assert_eq!(run.report.sync_rounds, 34);
 }
 
 #[test]
@@ -324,6 +340,10 @@ fn top_p_launches_are_hb_clean() {
     let (_, top_k) = with_profiling(dev.memory(), || dev.topk(&p, 500).unwrap());
     let (_, split) = with_profiling(dev.memory(), || dev.split(&p, &m).unwrap());
     let (_, compress) = with_profiling(dev.memory(), || dev.compress(&p, &m).unwrap());
+    assert!(
+        top_p.kernels.iter().any(|k| k.name == "RadixSort"),
+        "top-p runs the one-launch sort"
+    );
     let launches = [top_p, top_k, split, compress];
     for k in launches.iter().flat_map(|p| &p.kernels) {
         assert!(!k.hb_events.is_empty(), "{} recorded no events", k.name);
