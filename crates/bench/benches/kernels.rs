@@ -9,7 +9,7 @@ use ascendc::GlobalTensor;
 use bench::{baseline_top_p, fresh_gm, synth_f16, synth_mask, synth_probs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dtypes::F16;
-use ops::{baselines, compress, radix_sort, split_ind, topk, SortOrder};
+use ops::{baselines, compress, radix_sort, split_ind, topk, Radix, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::{batched_scanu, batched_scanul1, cumsum_vec_only, scanu, scanul1};
 
@@ -175,7 +175,7 @@ fn bench_fig11_sort(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            radix_sort::<F16>(&spec, &gm, &x, 128, SortOrder::Ascending).unwrap()
+            radix_sort::<F16>(&spec, &gm, &x, Radix::bit(128), SortOrder::Ascending).unwrap()
         })
     });
     g.bench_function("sort_baseline", |b| {
@@ -199,7 +199,7 @@ fn bench_fig13_topp(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, 128).unwrap()
+            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, 128, Radix::bit(128)).unwrap()
         })
     });
     g.bench_function("top_p_torch", |b| {

@@ -2,7 +2,7 @@
 //! on the simulated Ascend 910B4.
 //!
 //! ```text
-//! figures [fig3|fig5|fig8|fig9|fig10|fig11|fig12|fig13|speedup|topk|all] [--quick] [--jobs N]
+//! figures [fig3|fig5|fig8|fig9|fig10|fig11|fig12|fig13|speedup|topk|radix|all] [--quick] [--jobs N]
 //! figures --json [--quick] [--jobs N]
 //! ```
 //!
@@ -39,7 +39,7 @@ use bench::{
     validate_bench_json, Table,
 };
 use dtypes::F16;
-use ops::{baselines, compress, radix_sort, topk, SortOrder};
+use ops::{baselines, compress, radix_sort, topk, Radix, SortOrder};
 use scan::ablation::{mcscan_variant, McScanVariant};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::scanc::{scanc, ScanCConfig};
@@ -116,6 +116,7 @@ fn main() {
         "topk" => topk_experiment(&spec, quick),
         "ablation" => ablation(&spec, quick),
         "lowbit" => lowbit(&spec, quick),
+        "radix" => radix_digits(&spec, quick),
         "scaling" => scaling(&spec, quick),
         "tiles" => tiles(quick),
         "reduce" => reduce_experiment(&spec, quick),
@@ -133,6 +134,7 @@ fn main() {
             topk_experiment(&spec, quick);
             ablation(&spec, quick);
             lowbit(&spec, quick);
+            radix_digits(&spec, quick);
             scaling(&spec, quick);
             tiles(quick);
             reduce_experiment(&spec, quick);
@@ -657,7 +659,7 @@ fn fig11(spec: &ChipSpec, quick: bool) {
         let vals = synth_f16(n, 3);
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-        let r = radix_sort::<F16>(spec, &gm, &x, 128, SortOrder::Ascending)
+        let r = radix_sort::<F16>(spec, &gm, &x, Radix::bit(128), SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
@@ -763,7 +765,7 @@ fn fig13(spec: &ChipSpec, quick: bool) {
         for s in [32usize, 64, 128] {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s)
+            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s, Radix::bit(s))
                 .unwrap()
                 .report;
             if s == 128 {
@@ -991,12 +993,12 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
         let vals8: Vec<i8> = vals16.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals16).unwrap();
-        let r16 = radix_sort::<F16>(spec, &gm, &x, 128, SortOrder::Ascending)
+        let r16 = radix_sort::<F16>(spec, &gm, &x, Radix::bit(128), SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals8).unwrap();
-        let r8 = radix_sort::<i8>(spec, &gm, &x, 128, SortOrder::Ascending)
+        let r8 = radix_sort::<i8>(spec, &gm, &x, Radix::bit(128), SortOrder::Ascending)
             .unwrap()
             .report;
         vec![
@@ -1011,6 +1013,109 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
     }
     t.print();
     println!("  paper (future work): ~2x expected for 8-bit keys without further development\n");
+}
+
+/// Radix-sort digit width: the paper's one-bit passes against the
+/// two-bit passes `Device` runs (a 4-way split over three mask scans per
+/// pass), for fp16 and int8 keys at Fig. 11's sizes and for top-p at
+/// Fig. 13's vocabularies, plus where the two-bit fp16 sort overtakes
+/// the `torch.sort` cost model.
+fn radix_digits(spec: &ChipSpec, quick: bool) {
+    let two = Radix::for_chip(spec, 2);
+    println!(
+        "== Radix digits: 1-bit passes (s = 128) vs 2-bit passes (s = {}) (ms) ==",
+        two.s
+    );
+    let sizes = if quick {
+        vec![1 << 16, 1 << 20]
+    } else {
+        sweep(1 << 10, 4, 8)
+    };
+    let sort_ms = |radix: Radix, n: usize, int8: bool| {
+        let vals = synth_f16(n, 3);
+        let gm = fresh_gm(spec);
+        let r = if int8 {
+            let v: Vec<i8> = vals.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
+            let x = GlobalTensor::from_slice(&gm, &v).unwrap();
+            radix_sort::<i8>(spec, &gm, &x, radix, SortOrder::Ascending).map(|r| r.report)
+        } else {
+            let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+            radix_sort::<F16>(spec, &gm, &x, radix, SortOrder::Ascending).map(|r| r.report)
+        };
+        r.unwrap().time_ms()
+    };
+    let mut t = Table::new(&[
+        "N",
+        "fp16 1-bit",
+        "fp16 2-bit",
+        "gain",
+        "int8 1-bit",
+        "int8 2-bit",
+        "gain",
+    ]);
+    let rows = par(sizes, |n| {
+        let mut cells = vec![human(n)];
+        for int8 in [false, true] {
+            let (one, two) = (sort_ms(Radix::bit(128), n, int8), sort_ms(two, n, int8));
+            cells.push(format!("{one:.3}"));
+            cells.push(format!("{two:.3}"));
+            cells.push(format!("{:.2}x", one / two));
+        }
+        cells
+    });
+    for cells in rows {
+        t.row(cells);
+    }
+    t.print();
+
+    let vocabs = if quick {
+        vec![32_000, 128_256]
+    } else {
+        vec![1 << 10, 1 << 12, 1 << 14, 32_000, 1 << 16, 128_256, 1 << 18]
+    };
+    let mut t = Table::new(&["vocab", "top-p 1-bit", "top-p 2-bit", "gain"]);
+    let rows = par(vocabs, |n| {
+        let probs = synth_probs(n, 9);
+        let mut cells = vec![human(n)];
+        let mut ms = Vec::new();
+        for radix in [Radix::bit(128), two] {
+            let gm = fresh_gm(spec);
+            let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
+            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, 128, radix).unwrap();
+            ms.push(r.report.time_ms());
+            cells.push(format!("{:.3}", r.report.time_ms()));
+        }
+        cells.push(format!("{:.2}x", ms[0] / ms[1]));
+        cells
+    });
+    for cells in rows {
+        t.row(cells);
+    }
+    t.print();
+
+    // Bisect the fp16 size where the two-bit sort first beats the
+    // `torch.sort` cost model.
+    let wins = |n: usize| {
+        let gm = fresh_gm(spec);
+        let x = GlobalTensor::from_slice(&gm, &synth_f16(n, 3)).unwrap();
+        let (_, _, b) = baselines::sort::<F16>(spec, &gm, &x, false).unwrap();
+        sort_ms(two, n, false) < b.time_ms()
+    };
+    let (mut lo, mut hi) = (1usize << 10, 1usize << 20);
+    if !quick && !wins(lo) && wins(hi) {
+        while hi - lo > hi / 64 {
+            let mid = (lo + hi) / 2;
+            if wins(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        println!("  2-bit fp16 sort overtakes torch.sort at ~{}", human(hi));
+    }
+    println!(
+        "  one-bit passes are the paper's sort (Fig. 11/13 and the low-precision table run them)\n"
+    );
 }
 
 /// Core-count scaling of MCScan at a fixed large input: the structure

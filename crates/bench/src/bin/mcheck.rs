@@ -8,7 +8,7 @@
 //!
 //! For every selected kernel (default: all nine, including both the
 //! chained and decoupled multi-hop ScanC look-backs, the one-launch
-//! split and the one-launch radix sort), `mcheck`
+//! split and the one-launch radix sort at both digit widths), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -36,7 +36,7 @@ use ascend_sim::sync::GridPlan;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
-use ops::{radix_sort, split_ind, SortOrder};
+use ops::{radix_sort, split_ind, Radix, SortOrder};
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
     ScanKind,
@@ -244,15 +244,21 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             run.report.to_json(&spec)
         }
         "sort" => {
-            // The one-launch radix sort: the encode, 8 fused splits of
-            // two barriers each and the decode. 300 u8 keys at s = 16
-            // are 19 rows, 5 to each of the first 3 vector cores and 4
-            // to the last, and 2 cube tiles.
+            // The one-launch radix sort at both digit widths: the encode,
+            // 8 one-bit or 4 two-bit fused splits of two barriers each
+            // and the decode. 300 u8 keys at s = 16 are 19 rows, 5 to
+            // each of the first 3 vector cores and 4 to the last, and 2
+            // cube tiles.
             let keys: Vec<u8> = (0..300).map(|i| (i * 151 % 256) as u8).collect();
             let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
-            let run =
-                radix_sort::<u8>(&spec, &gm, &x, 16, SortOrder::Ascending).expect("sort launches");
-            run.report.to_json(&spec)
+            [1, 2]
+                .map(|bits| {
+                    let radix = Radix { bits, s: 16 };
+                    let run = radix_sort::<u8>(&spec, &gm, &x, radix, SortOrder::Ascending)
+                        .expect("sort launches");
+                    run.report.to_json(&spec)
+                })
+                .concat()
         }
         other => {
             eprintln!("mcheck: unknown kernel '{other}'");

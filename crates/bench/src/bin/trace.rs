@@ -17,8 +17,8 @@
 //! is the one-launch split of int8 values by a half-true mask (the
 //! MCScan whose phase II scatters each tile from UB) that every split,
 //! compress and top-k pass runs; `sort` is the one-launch descending fp16
-//! radix sort (encode, 16 such splits with two barriers each, decode)
-//! that top-p runs. Open
+//! radix sort that `Device::top_p` runs (encode, 8 two-bit passes — each
+//! a 4-way split over three mask scans, with two barriers — decode). Open
 //! the produced JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible.
@@ -36,7 +36,7 @@ use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
 use bench::fresh_gm;
 use dtypes::F16;
-use ops::{radix_sort, split_ind, SortOrder};
+use ops::{radix_sort, split_ind, Radix, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::ScanKind;
@@ -233,8 +233,8 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
                 .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e3))
                 .collect();
             let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
-            let s = McScanConfig::for_types::<u8, i16, i32>(spec).s;
-            drop(radix_sort::<F16>(spec, &gm, &x, s, SortOrder::Descending).unwrap());
+            let radix = Radix::for_chip(spec, 2);
+            drop(radix_sort::<F16>(spec, &gm, &x, radix, SortOrder::Descending).unwrap());
             return recorder.take();
         }
         other => unreachable!("unvalidated kernel {other}"),

@@ -58,6 +58,14 @@ use ascend_sim::mem::GlobalMemory;
 use dtypes::{CubeInput, Numeric, RadixKey};
 use std::sync::Arc;
 
+/// Key bits per radix-sort pass in [`Device::sort`] and
+/// [`Device::top_p`]. The paper's sort splits on one bit per pass; two
+/// bits halve the passes and barriers and measure 1.02–1.59× faster on
+/// the 910B4 at every size of Fig. 11, for fp16 and int8 keys, and
+/// 1.25–1.42× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
+/// "Radix digits"), so there is no size crossover.
+const SORT_DIGIT_BITS: u32 = 2;
+
 /// A simulated accelerator: a chip specification plus its global memory.
 ///
 /// Thin convenience wrapper so applications don't thread `(&ChipSpec,
@@ -113,8 +121,8 @@ impl Device {
         McScanConfig::for_types::<T, M, O>(&self.spec).s
     }
 
-    /// The tile dimension of the int8 mask scans behind split,
-    /// compress, sort and top-k.
+    /// The tile dimension of the int8 mask scans behind split, compress
+    /// and top-k.
     fn mask_s(&self) -> usize {
         self.s::<u8, i16, i32>()
     }
@@ -178,14 +186,21 @@ impl Device {
         ops::compress(&self.spec, &self.gm, x, mask, s)
     }
 
-    /// Stable radix sort (values + argsort indices).
+    /// The shape of the radix-sort passes behind `sort` and `top_p`:
+    /// two-bit digits at the largest `s` whose three-mask scan layout
+    /// fits the chip.
+    fn radix(&self) -> ops::Radix {
+        ops::Radix::for_chip(&self.spec, SORT_DIGIT_BITS)
+    }
+
+    /// Stable radix sort (values + argsort indices), two key bits per
+    /// pass: 8 passes for fp16 keys, in one launch.
     pub fn sort<K>(&self, x: &GlobalTensor<K>, order: ops::SortOrder) -> SimResult<ops::SortRun<K>>
     where
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        let s = self.mask_s();
-        ops::radix_sort(&self.spec, &self.gm, x, s, order)
+        ops::radix_sort(&self.spec, &self.gm, x, self.radix(), order)
     }
 
     /// Top-k selection (unsorted top set + indices).
@@ -205,9 +220,11 @@ impl Device {
         p: f64,
         theta: f64,
     ) -> SimResult<ops::topp::TopPRun> {
-        // One `s` serves both the sort's mask scans and the fp16 CDF scan.
+        // The CDF scan keeps the `s` it has always run at (the smaller of
+        // the mask and fp16 tiles), so its fp16 rounding, and with it
+        // every sampled token, does not depend on the sort's passes.
         let s = self.mask_s().min(self.s::<F16, F16, F16>());
-        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s)
+        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s, self.radix())
     }
 
     /// Weighted sampling by inverse transform (unbounded support size).

@@ -40,6 +40,20 @@ impl DType {
         }
     }
 
+    /// The largest value of an integer type; `None` for floats, whose
+    /// sums lose precision instead of wrapping.
+    pub const fn int_max(self) -> Option<u64> {
+        match self {
+            DType::U8 => Some(u8::MAX as u64),
+            DType::I8 => Some(i8::MAX as u64),
+            DType::U16 => Some(u16::MAX as u64),
+            DType::I16 => Some(i16::MAX as u64),
+            DType::U32 => Some(u32::MAX as u64),
+            DType::I32 => Some(i32::MAX as u64),
+            DType::F16 | DType::F32 => None,
+        }
+    }
+
     /// Short lowercase name, as used in figure labels (`fp16`, `int8`, ...).
     pub const fn name(self) -> &'static str {
         match self {

@@ -6,9 +6,10 @@
 //!   `sort()`-compatible building block).
 //! * [`compress::compress`] — **Compress/compact**: `masked_select`.
 //! * [`radix_sort::radix_sort`] — LSB radix sort (stable, values +
-//!   indices) whose parallel splits run on the cube units; supports
-//!   unsigned/signed integers and `f16` via the order-preserving
-//!   encode/decode pre/post-passes.
+//!   indices) whose parallel splits run on the cube units, one bit per
+//!   pass as in the paper or two (a 4-way split scanning three digit
+//!   masks per pass); supports unsigned/signed integers and `f16` via
+//!   the order-preserving encode/decode pre/post-passes.
 //! * [`topk::topk`] — top-k selection via bitwise partial quickselect on
 //!   SplitInd, running on radix sort's encode/split/decode kernels
 //!   (reproducing the paper's *negative* result for small k).
@@ -53,7 +54,7 @@ pub mod weighted;
 
 pub use alias::{alias_sample_many, build_alias_table, AliasTable};
 pub use compress::compress;
-pub use radix_sort::{radix_sort, SortOrder, SortRun};
+pub use radix_sort::{radix_sort, Radix, SortOrder, SortRun};
 pub use split::{split_ind, SplitRun};
 pub use topk::topk;
 pub use topp::{top_p_sample, top_p_sample_batch};

@@ -1,22 +1,32 @@
 //! LSB **radix sort** on top of SplitInd — the paper's §5 "Radix sort".
 //!
-//! The sort loops over the bits of the (order-preserving encoded) keys,
-//! least significant first, and performs one stable [`split`] per bit
-//! with the mask "bit is 0" (ascending). Each split is an exclusive int8
-//! MCScan — running on the cube units — whose phase II gives each
-//! vector core a range of `⌈rows / cores⌉` rows and scatters each of its
-//! segments straight from UB, so even a vocabulary-sized pass of a few
-//! tiles scatters on (nearly) all vector cores.
+//! The sort loops over the digits of the (order-preserving encoded)
+//! keys, least significant first, and performs one stable split per
+//! digit. The paper's digit is one bit: each pass is a [`split`] with
+//! the mask "bit is 0" (ascending), an exclusive int8 MCScan — running
+//! on the cube units — whose phase II gives each vector core a range of
+//! `⌈rows / cores⌉` rows and scatters each of its segments straight from
+//! UB, so even a vocabulary-sized pass of a few tiles scatters on
+//! (nearly) all vector cores.
+//!
+//! A pass over an `r`-bit digit ([`Radix::bits`]) is a `2^r`-way split:
+//! phase I scans the `2^r − 1` indicator masks "digit is d" (in output
+//! order; the last digit's run takes the rest) side by side, through one
+//! `U_s` on the cube, and the store gathers each piece into one run per
+//! digit. `r = 2` halves the passes — 8 for fp16 keys — and with them
+//! the barriers and the key and index traffic, at three mask scans per
+//! pass; its three-mask layout needs a smaller `s` (96 instead of 128
+//! on the 910B4, [`Radix::for_chip`]).
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
 //! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its
 //! own: 50 launches for fp16 keys. Here those instructions run where the
-//! keys already sit in UB — the encode writes the bit-0 mask, and each
-//! pass's scatter writes the mask for the next bit, permuted alongside
-//! the keys — and the whole sort is **one persistent launch**:
+//! keys already sit in UB — the encode writes the first digit's masks,
+//! and each pass's scatter writes the masks of the next digit, permuted
+//! alongside the keys — and the whole sort is **one persistent launch**:
 //!
 //! 1. the encode, then a `SyncAll`;
-//! 2. per bit plane, MCScan's phase I over the plane's mask
+//! 2. per digit, MCScan's phase I over the digit's masks
 //!    ([`McLayout::phase_one`]), a `SyncAll`, phase II with the split's
 //!    scatter as its store ([`McLayout::phase_two`]), and a `SyncAll` so
 //!    the next pass reads what every core scattered;
@@ -24,8 +34,9 @@
 //!
 //! Pass `b` reads the key, index and mask buffers of parity `b % 2` and
 //! writes the other pair, and one scan layout (`U_s`, `w`, `r`) serves
-//! every pass. An fp16 sort runs the paper's 16 scans in 33 barriers,
-//! and costs one launch instead of 18 separate ones.
+//! every pass. With one-bit digits an fp16 sort runs the paper's 16
+//! scans in 33 barriers, one launch instead of 18 separate ones; with
+//! two-bit digits it runs 8 passes in 17 barriers.
 //!
 //! Floats are supported through the pre-/post-processing encode passes
 //! (invert the MSB of non-negatives, all bits of negatives — Knuth
@@ -42,12 +53,12 @@
 //! [`McLayout::phase_two`]: scan::McLayout::phase_two
 
 use crate::for_each_lane;
-use crate::split::{NextPlane, SplitStore};
+use crate::split::{alloc_masks, NextPlane, SplitStore};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
 use ascendc::{
-    launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimResult,
+    launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimError, SimResult,
 };
 use dtypes::{Element, Numeric, RadixKey};
 use scan::tile_spans;
@@ -73,25 +84,68 @@ pub struct SortRun<K: Element> {
     pub report: KernelReport,
 }
 
+/// The shape of a radix sort's passes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Radix {
+    /// Key bits per pass: 1, the paper's split per bit, or 2, a 4-way
+    /// split scanning three digit masks in one phase I.
+    pub bits: u32,
+    /// Tile dimension of the passes' mask scans.
+    pub s: usize,
+}
+
+impl Radix {
+    /// The paper's one-bit passes at tile dimension `s`.
+    pub fn bit(s: usize) -> Self {
+        Radix { bits: 1, s }
+    }
+
+    /// `bits`-bit passes at the largest tile dimension whose layout of
+    /// `2^bits − 1` mask scans fits the chip (the split's `s` for one
+    /// bit). A chip too small for even `s = 16` gets a
+    /// [`SimError::ScratchpadOverflow`] from the sort.
+    pub fn for_chip(spec: &ChipSpec, bits: u32) -> Self {
+        let radix = Radix { bits, s: 0 };
+        Radix {
+            s: McLayout::<u8, i16, i32>::tile_dim(spec, radix.masks()),
+            ..radix
+        }
+    }
+
+    /// The digit masks one pass scans: one per digit but the last (the
+    /// width is capped at a byte so no `bits` overflows the shift).
+    fn masks(self) -> usize {
+        (1 << self.bits.min(8)) - 1
+    }
+}
+
 /// Elements per piece in the codec kernels.
 pub(crate) const PIECE_CAP: usize = 2048;
 
 /// Stable radix sort of `x` (values + original indices), using the
-/// MCScan-based split for every bit plane, as one launch on all of the
+/// MCScan-based split for every digit, as one launch on all of the
 /// chip's AI cores.
 ///
-/// `s` is the tile dimension of the splits' mask scans.
+/// `radix` sets the digit width (1 or 2 bits; anything else is an
+/// [`SimError::InvalidArgument`]) and the tile dimension of the splits'
+/// mask scans.
 pub fn radix_sort<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
-    s: usize,
+    radix: Radix,
     order: SortOrder,
 ) -> SimResult<SortRun<K>>
 where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
+    if !matches!(radix.bits, 1 | 2) {
+        return Err(SimError::InvalidArgument(format!(
+            "radix_sort: {} bits per pass, expected 1 or 2",
+            radix.bits
+        )));
+    }
     let n = x.len();
     let values = GlobalTensor::<K>::new(gm, n)?;
     let indices = GlobalTensor::<u32>::new(gm, n)?;
@@ -103,27 +157,30 @@ where
         });
     }
 
-    // Ping-pong buffers: pass `bit` reads side `bit % 2` and writes the
-    // other, so the kernel needs no per-block state.
+    // Ping-pong buffers: pass `b` reads side `b % 2` and writes the
+    // other, so the kernel needs no per-block state. Each mask buffer
+    // holds a pass's digit masks back to back.
     let keys = [
         GlobalTensor::<K::Encoded>::new(gm, n)?,
         GlobalTensor::<K::Encoded>::new(gm, n)?,
     ];
-    let idx = [
-        GlobalTensor::<u32>::new(gm, n)?,
-        GlobalTensor::<u32>::new(gm, n)?,
-    ];
+    // Every key width takes an even number of passes, so the last one
+    // writes side 0: the caller's `indices` serve as that side's index
+    // buffer.
+    let idx = [indices.clone(), GlobalTensor::<u32>::new(gm, n)?];
+    let per_pass = radix.masks();
     let masks = [
-        GlobalTensor::<u8>::new(gm, n)?,
-        GlobalTensor::<u8>::new(gm, n)?,
+        GlobalTensor::<u8>::new(gm, per_pass * n)?,
+        GlobalTensor::<u8>::new(gm, per_pass * n)?,
     ];
     // One scan layout (`U_s`, `w`, `r`) serves all of the passes.
-    let scan = McLayout::<u8, i16, i32>::rows("RadixSort", spec, gm, n, s)?;
-    let encode = Codec::encode::<K>(spec, n);
+    let scan = McLayout::<u8, i16, i32>::rows("RadixSort", spec, gm, n, per_pass, radix.s)?;
+    let encode = Codec::encode::<K>(spec, n, per_pass);
     let decode = Codec::decode::<K>(spec, n);
+    let passes = K::BITS / radix.bits;
 
     let mut report = launch(spec, gm, spec.ai_cores, "RadixSort", |ctx| {
-        // Encode keys, materialize indices, bit-0 mask.
+        // Encode keys, materialize indices, the first digit's masks.
         let span = ctx.span_begin("Encode");
         for_each_lane(ctx, encode.spans.iter(), |vc, _, mine| {
             encode_lane::<K>(
@@ -140,21 +197,22 @@ where
         })?;
         ctx.span_end(span);
         ctx.sync_all()?;
-        // One split per bit plane; each scatter emits the next mask.
-        for bit in 0..K::BITS {
-            let (from, to) = ((bit % 2) as usize, (1 - bit % 2) as usize);
-            let last = bit + 1 == K::BITS;
+        // One split per digit; each scatter emits the next digit's masks.
+        for pass in 0..passes {
+            let (from, to) = ((pass % 2) as usize, (1 - pass % 2) as usize);
+            let last = pass + 1 == passes;
+            let next = (pass + 1) * radix.bits;
             let compute =
                 move |vc: &mut Core<'_>,
                       keys: &mut LocalTensor<K::Encoded>,
-                      mk: &mut LocalTensor<u8>,
-                      len| { plane_mask(vc, keys, mk, len, bit + 1, order) };
+                      mk: &mut [LocalTensor<u8>],
+                      len| { plane_mask(vc, keys, mk, len, next, order) };
             let store = SplitStore::<K::Encoded> {
                 vals: &keys[from],
                 idx_in: Some(&idx[from]),
                 mask: &masks[from],
                 vals_out: &keys[to],
-                idx_out: Some(if last { &indices } else { &idx[to] }),
+                idx_out: Some(&idx[to]),
                 false_side: true,
                 next_plane: (!last).then_some(NextPlane {
                     out: &masks[to],
@@ -174,7 +232,7 @@ where
         }
         // Decode keys back to values.
         let span = ctx.span_begin("Decode");
-        let sorted = &keys[(K::BITS % 2) as usize];
+        let sorted = &keys[(passes % 2) as usize];
         for_each_lane(ctx, decode.spans.iter(), |vc, _, mine| {
             decode_lane::<K>(vc, decode.piece, mine, sorted, &values)
         })?;
@@ -199,10 +257,10 @@ pub(crate) struct Codec {
 }
 
 impl Codec {
-    /// The encode's pieces: raw key, encoded key, index and mask per
-    /// element.
-    pub(crate) fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> Self {
-        let per_elem = K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + 1;
+    /// The encode's pieces: raw key, encoded key, index and `masks`
+    /// digit masks per element.
+    pub(crate) fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize, masks: usize) -> Self {
+        let per_elem = K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + masks;
         Self::new(spec, n, per_elem)
     }
 
@@ -221,8 +279,8 @@ impl Codec {
 }
 
 /// Pre-processing kernel: order-preserving encode + index ramp + the
-/// split mask of bit plane `bit` (the most significant bit, for top-k's
-/// first pass).
+/// one-bit split mask of bit plane `bit` (the most significant bit, for
+/// top-k's first pass).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_kernel<K>(
     spec: &ChipSpec,
@@ -238,7 +296,7 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    let codec = Codec::encode::<K>(spec, x.len());
+    let codec = Codec::encode::<K>(spec, x.len(), 1);
     launch(spec, gm, spec.ai_cores, "RadixEncode", |ctx| {
         for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
             encode_lane::<K>(vc, codec.piece, mine, x, keys, idx, mask, bit, order)
@@ -248,8 +306,8 @@ where
 
 /// One vector core's share of the encode: for each of its `(offset,
 /// len)` pieces, the order-preserving encode of `x` into `keys`, the
-/// index ramp into `idx` and the split mask of bit plane `bit` into
-/// `mask`.
+/// index ramp into `idx` and the split masks of the digit at bit `bit`
+/// into `mask` (as many as it holds per key, back to back).
 #[allow(clippy::too_many_arguments)]
 fn encode_lane<'p, K>(
     vc: &mut Core<'_>,
@@ -266,10 +324,12 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
+    let n = x.len();
+    let masks = mask.len() / n.max(1);
     let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
     let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
     let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
-    let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
+    let mut mk = alloc_masks(vc, masks, piece)?;
     for &(off, valid) in mine {
         vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
         vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
@@ -277,21 +337,28 @@ where
         vc.viota(&mut ramp, 0, valid, off as u32)?;
         vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
         plane_mask(vc, &mut enc, &mut mk, valid, bit, order)?;
-        vc.copy_out(mask, off, &mk, 0, valid, &[])?;
+        for (d, m) in mk.iter().enumerate() {
+            vc.copy_out(mask, d * n + off, m, 0, valid, &[])?;
+        }
     }
     vc.free_local(raw)?;
     vc.free_local(enc)?;
     vc.free_local(ramp)?;
-    vc.free_local(mk)
+    for m in mk {
+        vc.free_local(m)?;
+    }
+    Ok(())
 }
 
-/// Writes the split mask of bit `bit` of `keys[..len]` into `mask`
-/// (`ShiftRight` + `And` + `Compare`), clobbering `keys`. Ascending
-/// sorts put zero bits first, descending sorts one bits.
+/// Writes the split masks of the digit at bit `bit` of `keys[..len]` —
+/// `masks.len() + 1` values wide, so one mask per digit but the last,
+/// in output order — into `masks` (`ShiftRight` + `And` + one `Compare`
+/// per mask), clobbering `keys`. Ascending sorts put small digits first,
+/// descending sorts large ones.
 pub(crate) fn plane_mask<T: Bits + Numeric>(
     vc: &mut Core<'_>,
     keys: &mut LocalTensor<T>,
-    mask: &mut LocalTensor<u8>,
+    masks: &mut [LocalTensor<u8>],
     len: usize,
     bit: u32,
     order: SortOrder,
@@ -299,12 +366,16 @@ pub(crate) fn plane_mask<T: Bits + Numeric>(
     if bit > 0 {
         vc.vshr(keys, 0, len, bit)?;
     }
-    vc.vand_scalar(keys, 0, len, T::one())?;
-    let mode = match order {
-        SortOrder::Ascending => CmpMode::Eq,
-        SortOrder::Descending => CmpMode::Ne,
-    };
-    vc.vcompare_scalar(mask, keys, 0, len, mode, T::zero(), 0)?;
+    let top = masks.len();
+    vc.vand_scalar(keys, 0, len, T::from_f64(top as f64))?;
+    for (i, mask) in masks.iter_mut().enumerate() {
+        let digit = match order {
+            SortOrder::Ascending => i,
+            SortOrder::Descending => top - i,
+        };
+        let digit = T::from_f64(digit as f64);
+        vc.vcompare_scalar(mask, keys, 0, len, CmpMode::Eq, digit, 0)?;
+    }
     Ok(())
 }
 
@@ -363,6 +434,9 @@ pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
     use std::cmp::Ordering;
 
+    /// The paper's one-bit passes at the tiny chip's `s = 16`.
+    const BIT: Radix = Radix { bits: 1, s: 16 };
+
     pub(crate) fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
         let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
@@ -375,7 +449,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let data: Vec<u16> = (0..3000).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -391,7 +465,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let data: Vec<i16> = (0..2000).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(run.values.to_vec(), expect);
@@ -409,7 +483,7 @@ pub(crate) mod tests {
         data.push(F16::NEG_ZERO);
         data.push(F16::ZERO);
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap();
         let mut expect = data.clone();
         expect.sort_by(F16::total_cmp);
         let got = run.values.to_vec();
@@ -426,7 +500,7 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let data: Vec<u16> = (0..1000).map(|_| rng.gen_range(0..500)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Descending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Descending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(run.values.to_vec(), expect);
@@ -438,7 +512,7 @@ pub(crate) mod tests {
         // All-equal keys: a stable sort keeps indices in order.
         let data = vec![42u16; 600];
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap();
         assert_eq!(run.indices.to_vec(), (0..600u32).collect::<Vec<_>>());
     }
 
@@ -448,7 +522,7 @@ pub(crate) mod tests {
         for n in [0usize, 1, 2, 3] {
             let data: Vec<u16> = (0..n as u16).rev().collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap();
+            let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap();
             let mut expect = data.clone();
             expect.sort_unstable();
             assert_eq!(run.values.to_vec(), expect, "n = {n}");
@@ -458,21 +532,28 @@ pub(crate) mod tests {
     #[test]
     fn int8_sort_uses_half_the_passes() {
         // The paper's future-work claim: 8-bit keys need 8 splits, so
-        // low-precision sorting is ~2x cheaper.
+        // low-precision sorting is ~2x cheaper. Two-bit digits halve the
+        // passes again.
         let (spec, gm) = setup();
         let mut rng = StdRng::seed_from_u64(6);
         let data: Vec<i8> = (0..1500).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let (run, profile) = with_profiling(&gm, || {
-            radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap()
-        });
         let mut expect = data.clone();
         expect.sort_unstable();
-        assert_eq!(run.values.to_vec(), expect);
-        assert_eq!(crate::tests::scans(&profile), 8, "one scan per bit");
-        // The encode's barrier, then two per pass: after the scan's
-        // phase I and after the scatter.
-        assert_eq!(run.report.sync_rounds, 17);
+        for (radix, passes) in [(BIT, 8), (Radix::for_chip(&spec, 2), 4)] {
+            let (run, profile) = with_profiling(&gm, || {
+                radix_sort(&spec, &gm, &x, radix, SortOrder::Ascending).unwrap()
+            });
+            assert_eq!(run.values.to_vec(), expect, "{radix:?}");
+            assert_eq!(
+                crate::tests::scans(&profile),
+                passes,
+                "one phase I per digit"
+            );
+            // The encode's barrier, then two per pass: after the scan's
+            // phase I and after the scatter.
+            assert_eq!(run.report.sync_rounds, 1 + 2 * passes as u64);
+        }
     }
 
     #[test]
@@ -480,7 +561,7 @@ pub(crate) mod tests {
         let (spec, gm) = setup();
         let data: Vec<u8> = (0..900).map(|i| ((i * 31) % 251) as u8).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = radix_sort(&spec, &gm, &x, 16, SortOrder::Descending).unwrap();
+        let run = radix_sort(&spec, &gm, &x, BIT, SortOrder::Descending).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(run.values.to_vec(), expect);
@@ -493,12 +574,51 @@ pub(crate) mod tests {
         let data: Vec<F16> = (0..100).map(|i| F16::from_f32(i as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let (run, profile) = with_profiling(&gm, || {
-            radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).unwrap()
+            radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap()
         });
         assert_eq!(crate::tests::scans(&profile), 16);
         // One launch: the encode's barrier, then two per pass.
         assert_eq!(profile.kernels.len(), 1);
         assert_eq!(run.report.sync_rounds, 33);
+    }
+
+    #[test]
+    fn two_bit_digits_halve_the_passes() {
+        // fp16 sort with two-bit digits = 8 passes, each one phase I
+        // over three digit masks, in one launch of 17 barriers.
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
+        let data: Vec<F16> = (0..100)
+            .map(|i| F16::from_f32((i * 37 % 100) as f32))
+            .collect();
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let radix = Radix::for_chip(&spec, 2);
+        assert_eq!(
+            radix.s, 16,
+            "three mask scans fit the tiny chip's UB at s = 16"
+        );
+        let (run, profile) = with_profiling(&gm, || {
+            radix_sort(&spec, &gm, &x, radix, SortOrder::Ascending).unwrap()
+        });
+        let mut expect = data.clone();
+        expect.sort_by(F16::total_cmp);
+        assert_eq!(run.values.to_vec(), expect);
+        assert_eq!(crate::tests::scans(&profile), 8);
+        assert_eq!(profile.kernels.len(), 1);
+        assert_eq!(run.report.sync_rounds, 17);
+    }
+
+    #[test]
+    fn digit_widths_other_than_one_or_two_are_refused() {
+        let (spec, gm) = setup();
+        let x = GlobalTensor::from_slice(&gm, &[3u16, 1, 2]).unwrap();
+        for bits in [0, 3, 4, 16] {
+            let radix = Radix { bits, s: 16 };
+            let err = radix_sort(&spec, &gm, &x, radix, SortOrder::Ascending).err();
+            assert!(
+                matches!(err, Some(SimError::InvalidArgument(_))),
+                "{bits}: {err:?}"
+            );
+        }
     }
 
     /// Host oracle: the stable argsort of `data` under `cmp` (reversed
@@ -543,8 +663,9 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Sorts keys of every length around the split store's piece (plus `extra`)
-    /// both ways and checks values and argsort against the host.
+    /// Sorts keys of every length around the split store's piece (plus
+    /// `extra`) both ways, with one- and two-bit digits, and checks
+    /// values and argsort against the host.
     fn check_sorts<K>(
         seed: u64,
         extra: usize,
@@ -556,24 +677,23 @@ pub(crate) mod tests {
         K::Encoded: Element + Bits + Numeric,
     {
         let (spec, gm) = setup();
-        let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), true, true, true);
-        let p = split::tests::store_piece(&spec, 16, per_elem).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        for n in [0, 1, p - 1, p, p + 1, extra] {
-            let data = keys::<K>(&mut rng, n, specials);
-            let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            for order in [SortOrder::Ascending, SortOrder::Descending] {
-                let run = radix_sort(&spec, &gm, &x, 16, order).unwrap();
-                let idx = host_argsort(&data, order, cmp);
-                let vals: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
-                prop_assert_eq!(run.indices.to_vec(), idx, "n = {}, {:?}", n, order);
-                prop_assert_eq!(
-                    bytes(&run.values.to_vec()),
-                    bytes(&vals),
-                    "n = {}, {:?}",
-                    n,
-                    order
-                );
+        for radix in [BIT, Radix::for_chip(&spec, 2)] {
+            let masks = radix.masks();
+            let key = std::mem::size_of::<K::Encoded>();
+            let per_elem = split::piece_bytes(key, masks, true, true, true);
+            let p = split::tests::store_piece(&spec, radix.s, masks, per_elem).unwrap();
+            for n in [0, 1, p - 1, p, p + 1, extra] {
+                let data = keys::<K>(&mut rng, n, specials);
+                let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+                for order in [SortOrder::Ascending, SortOrder::Descending] {
+                    let run = radix_sort(&spec, &gm, &x, radix, order).unwrap();
+                    let idx = host_argsort(&data, order, cmp);
+                    let vals: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
+                    let case = format!("n = {n}, {order:?}, {radix:?}");
+                    prop_assert_eq!(run.indices.to_vec(), idx, "{}", case);
+                    prop_assert_eq!(bytes(&run.values.to_vec()), bytes(&vals), "{}", case);
+                }
             }
         }
         Ok(())

@@ -17,6 +17,10 @@
 //!    Original indices are materialized with `CreateVecIndex` and
 //!    gathered alongside the values.
 //!
+//! The same store, over `2^r − 1` masks scanned side by side, is the
+//! `2^r`-way split of an `r`-bit radix-sort pass: each piece's elements
+//! go to one run per mask, the unmasked ones to the last run.
+//!
 //! The scan runs on all cube and vector cores. The scatter nearly does
 //! too: the fused launch ([`scan::mcscan_with`]) gives each vector core a
 //! range of `⌈rows / cores⌉` `s`-element rows rather than whole
@@ -33,6 +37,7 @@ use ascendc::{
 use dtypes::Element;
 use scan::mcscan::{mcscan_with, Tile, TileStore};
 use scan::tile_spans;
+use scan::Scanned;
 use std::sync::Arc;
 
 /// Result of [`split_ind`].
@@ -100,35 +105,41 @@ pub fn split_ind<E: Element>(
     })
 }
 
-/// Writes the split mask for `keys[..len]` into `mask`; may clobber
-/// `keys`.
-pub(crate) type PlaneMaskFn<E> =
-    dyn Fn(&mut Core<'_>, &mut LocalTensor<E>, &mut LocalTensor<u8>, usize) -> SimResult<()> + Sync;
+/// Writes the split masks for `keys[..len]` into `masks` (one per mask
+/// the next pass scans); may clobber `keys`.
+pub(crate) type PlaneMaskFn<E> = dyn Fn(&mut Core<'_>, &mut LocalTensor<E>, &mut [LocalTensor<u8>], usize) -> SimResult<()>
+    + Sync;
 
-/// The split mask a radix-sort pass hands to the next pass, computed by
+/// The split masks a radix-sort pass hands to the next pass, computed by
 /// the [`SplitStore`] from the keys it already holds in UB.
 pub(crate) struct NextPlane<'a, E: Element> {
-    /// Where the scattered mask goes (aligned with the scattered values).
+    /// Where the scattered masks go, back to back like the store's own
+    /// (aligned with the scattered values).
     pub out: &'a GlobalTensor<u8>,
-    /// Computes the mask from a piece of keys.
+    /// Computes the masks from a piece of keys.
     pub compute: &'a PlaneMaskFn<E>,
 }
 
 /// The phase II store of every split — SplitInd, Compress, the
 /// radix-sort and top-k passes: distributes elements (and optionally
-/// their indices) into the true partition at the offsets of the mask
-/// scan, and — when `false_side` is set — into the false partition
-/// after it.
+/// their indices) into one run per scanned mask, at the offsets of that
+/// mask's scan after the totals of the runs before it, and — when
+/// `false_side` is set — the elements no mask selects into a last run
+/// after them. With one mask the runs are SplitInd's true and false
+/// partitions.
+///
+/// `mask`: the scanned masks of `vals.len()` elements each, back to
+/// back; mask `d` selects run `d`, and no element is in two of them.
 ///
 /// `idx_in`: `None` materializes fresh indices (`CreateVecIndex`);
 /// `Some(t)` gathers from an existing index array (radix-sort passes
 /// permute previously-permuted indices). Without `idx_out` no indices
 /// are touched.
 ///
-/// `next_plane`: `Some` also derives the next radix pass's split mask
-/// from the values each piece already holds in UB and scatters it with
-/// the same true/false masks, so the mask lands aligned with the
-/// permuted values; `None` leaves the store a plain split.
+/// `next_plane`: `Some` also derives the next radix pass's split masks
+/// from the values each piece already holds in UB and scatters them with
+/// the same run masks, so the masks land aligned with the permuted
+/// values; `None` leaves the store a plain split.
 pub(crate) struct SplitStore<'a, E: Element> {
     pub vals: &'a GlobalTensor<E>,
     pub idx_in: Option<&'a GlobalTensor<u32>>,
@@ -150,25 +161,33 @@ impl<E: Element> SplitStore<'_, E> {
         s: usize,
     ) -> SimResult<(usize, KernelReport)> {
         let mask = self.mask;
+        debug_assert_eq!(self.masks(), 1, "a split launch scans one mask");
         let run = mcscan_with::<u8, i16, i32, _>(spec, gm, mask, s, "MCScanSplit", self)?;
         Ok((run.total as usize, run.report))
     }
+
+    /// How many masks the store's scan covers.
+    fn masks(&self) -> usize {
+        self.mask.len() / self.vals.len().max(1)
+    }
 }
 
-/// UB bytes per element of a split piece: value in + gathered, the mask
-/// (and its negation for the false side), index in + gathered, and the
-/// next plane's mask and its gathered copy.
+/// UB bytes per element of a split piece over `masks` scanned masks:
+/// value in + gathered, the masks (and the last run's mask for the false
+/// side), index in + gathered, and the next plane's masks and one
+/// gathered copy.
 pub(crate) fn piece_bytes(
     elem_size: usize,
+    masks: usize,
     false_side: bool,
     indices: bool,
     next_plane: bool,
 ) -> usize {
     2 * elem_size
-        + 1
+        + masks
         + usize::from(false_side)
         + if indices { 8 } else { 0 }
-        + if next_plane { 2 } else { 0 }
+        + if next_plane { masks + 1 } else { 0 }
 }
 
 /// Elements per piece of a store needing `bytes_per_elem` UB bytes per
@@ -188,17 +207,18 @@ fn piece_len(ub_left: usize, bytes_per_elem: usize) -> SimResult<usize> {
     Ok(1 << fits.ilog2())
 }
 
-/// Where one side of a split piece goes: its offset in the output and
+/// Where one run of a split piece goes: its offset in the output and
 /// the scalar reads that address waits for.
-struct Side<'d> {
+struct Side {
     at: usize,
-    deps: &'d [EventTime],
+    deps: Vec<EventTime>,
 }
 
-impl Side<'_> {
+impl Side {
     /// Gathers the elements of `src[..len]` under `mask` into `gath` and
-    /// stores them at `dst[self.at..]`. Returns the count and the
+    /// stores them at `dst[shift + self.at..]`. Returns the count and the
     /// store's completion (0 when nothing was gathered).
+    #[allow(clippy::too_many_arguments)]
     fn store<T: Element>(
         &self,
         vc: &mut Core<'_>,
@@ -207,11 +227,12 @@ impl Side<'_> {
         mask: &LocalTensor<u8>,
         len: usize,
         dst: &GlobalTensor<T>,
+        shift: usize,
     ) -> SimResult<(usize, EventTime)> {
         let (count, _) = vc.gather_mask(gath, src, mask, 0, len)?;
         let done = match count {
             0 => 0,
-            _ => vc.copy_out(dst, self.at, gath, 0, count, self.deps)?,
+            _ => vc.copy_out(dst, shift + self.at, gath, 0, count, &self.deps)?,
         };
         Ok((count, done))
     }
@@ -222,22 +243,24 @@ pub(crate) struct SplitBufs<E: Element> {
     p: usize,
     val_in: LocalTensor<E>,
     val_gath: LocalTensor<E>,
-    mk: LocalTensor<u8>,
+    mk: Vec<LocalTensor<u8>>,
     mk_neg: Option<LocalTensor<u8>>,
     idx: Option<(LocalTensor<u32>, LocalTensor<u32>)>,
-    plane: Option<(LocalTensor<u8>, LocalTensor<u8>)>,
+    plane: Option<(Vec<LocalTensor<u8>>, LocalTensor<u8>)>,
 }
 
 impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
     type Bufs = SplitBufs<E>;
 
     fn needs_total(&self) -> bool {
-        self.false_side
+        self.false_side || self.masks() > 1
     }
 
     fn open(&self, vc: &mut Core<'_>, ub_left: usize) -> SimResult<SplitBufs<E>> {
+        let masks = self.masks();
         let bytes = piece_bytes(
             E::SIZE,
+            masks,
             self.false_side,
             self.idx_out.is_some(),
             self.next_plane.is_some(),
@@ -245,7 +268,7 @@ impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
         let p = piece_len(ub_left, bytes)?;
         let val_in = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
         let val_gath = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
-        let mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?;
+        let mk = alloc_masks(vc, masks, p)?;
         let mk_neg = match self.false_side {
             true => Some(vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?),
             false => None,
@@ -259,7 +282,7 @@ impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
         };
         let plane = match self.next_plane {
             Some(_) => Some((
-                vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
+                alloc_masks(vc, masks, p)?,
                 vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
             )),
             None => None,
@@ -281,32 +304,32 @@ impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
         b: &mut SplitBufs<E>,
         tile: &Tile<'_, i32>,
     ) -> SimResult<(EventTime, u64)> {
-        let (n_true, total_ready) = tile.total.unwrap_or((0, 0));
-        let n_true = n_true as usize;
-        let mut done = tile.last.1;
+        let n = self.vals.len();
+        // Where each run starts: after the totals of the runs before it,
+        // the last (unmasked) run after all of them.
+        let mut starts = Vec::with_capacity(tile.inputs.len() + 1);
+        let (mut at, mut at_ready) = (0usize, 0);
+        for scan in tile.inputs {
+            starts.push((at, at_ready));
+            let (total, ready) = scan.total.unwrap_or((0, 0));
+            (at, at_ready) = (at + total as usize, at_ready.max(ready));
+        }
+        starts.push((at, at_ready));
+        let mut done = tile
+            .inputs
+            .iter()
+            .map(|scan| scan.last.1)
+            .max()
+            .unwrap_or(0);
         let mut kept = 0;
         for (j, valid) in tile_spans(tile.valid, b.p) {
             let off = tile.off + j;
-            // The piece's exclusive offset: the tile's prefix, or the
-            // inclusive offset of the element before the piece. Every
-            // store it addresses waits for it; the false side's also
-            // wait for the true count.
-            let (base, base_ready) = match j {
-                0 => tile.prefix,
-                _ => vc.extract(tile.incl, j - 1)?,
-            };
-            let (true_deps, false_deps) = ([base_ready], [base_ready, total_ready]);
-            let to_true = Side {
-                at: base as usize,
-                deps: &true_deps,
-            };
-            let to_false = Side {
-                at: n_true + (off - base as usize),
-                deps: &false_deps,
-            };
+            let (runs, rest) = piece_sides(vc, tile.inputs, &starts, j, off)?;
 
             vc.copy_in(&mut b.val_in, 0, self.vals, off, valid, &[])?;
-            vc.copy_in(&mut b.mk, 0, self.mask, off, valid, &[])?;
+            for (d, mk) in b.mk.iter_mut().enumerate() {
+                vc.copy_in(mk, 0, self.mask, d * n + off, valid, &[])?;
+            }
             if let Some((idx_buf, _)) = &mut b.idx {
                 match self.idx_in {
                     Some(src) => vc.copy_in(idx_buf, 0, src, off, valid, &[])?,
@@ -314,55 +337,75 @@ impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
                 };
             }
 
-            // True side.
-            let (c, ev) =
-                to_true.store(vc, &mut b.val_gath, &b.val_in, &b.mk, valid, self.vals_out)?;
-            debug_assert!(!self.false_side || to_true.at + c <= n_true);
-            (kept, done) = (kept + c, done.max(ev));
-            if let (Some(outi), Some((idx_buf, idx_gath))) = (self.idx_out, &mut b.idx) {
-                let (ci, ev) = to_true.store(vc, idx_gath, idx_buf, &b.mk, valid, outi)?;
-                debug_assert_eq!(ci, c);
-                done = done.max(ev);
+            // One run per mask.
+            let mut selected = 0;
+            for (d, (run, mk)) in runs.iter().zip(&b.mk).enumerate() {
+                let (c, ev) =
+                    run.store(vc, &mut b.val_gath, &b.val_in, mk, valid, self.vals_out, 0)?;
+                debug_assert!(!self.false_side || run.at + c <= starts[d + 1].0);
+                (kept, done, selected) = (kept + c, done.max(ev), selected + c);
+                if let (Some(outi), Some((idx_buf, idx_gath))) = (self.idx_out, &mut b.idx) {
+                    let (ci, ev) = run.store(vc, idx_gath, idx_buf, mk, valid, outi, 0)?;
+                    debug_assert_eq!(ci, c);
+                    done = done.max(ev);
+                }
             }
 
-            // False side.
+            // The last run: what no mask selects.
             if let Some(mk_neg) = &mut b.mk_neg {
-                vc.vcompare_scalar(mk_neg, &b.mk, 0, valid, CmpMode::Eq, 0u8, 0)?;
-                let (cf, ev) =
-                    to_false.store(vc, &mut b.val_gath, &b.val_in, mk_neg, valid, self.vals_out)?;
-                debug_assert_eq!(cf, valid - c);
+                vc.vcompare_scalar(mk_neg, &b.mk[0], 0, valid, CmpMode::Eq, 0u8, 0)?;
+                for mk in &b.mk[1..] {
+                    vc.vsub_inplace(mk_neg, 0, mk, 0, valid)?;
+                }
+                let (cf, ev) = rest.store(
+                    vc,
+                    &mut b.val_gath,
+                    &b.val_in,
+                    mk_neg,
+                    valid,
+                    self.vals_out,
+                    0,
+                )?;
+                debug_assert_eq!(cf, valid - selected);
                 (kept, done) = (kept + cf, done.max(ev));
                 if let (Some(outi), Some((idx_buf, idx_gath))) = (self.idx_out, &mut b.idx) {
-                    let (cfi, ev) = to_false.store(vc, idx_gath, idx_buf, mk_neg, valid, outi)?;
+                    let (cfi, ev) = rest.store(vc, idx_gath, idx_buf, mk_neg, valid, outi, 0)?;
                     debug_assert_eq!(cfi, cf);
                     done = done.max(ev);
                 }
             }
 
-            // Next plane: both sides have consumed `val_in`, so the
-            // mask computation may clobber it.
+            // Next plane: every run has consumed `val_in`, so the mask
+            // computation may clobber it.
             if let (Some(np), Some((nm, nm_gath))) = (&self.next_plane, &mut b.plane) {
                 (np.compute)(vc, &mut b.val_in, nm, valid)?;
-                let (_, ev) = to_true.store(vc, nm_gath, nm, &b.mk, valid, np.out)?;
-                done = done.max(ev);
-                if let Some(mk_neg) = &b.mk_neg {
-                    let (_, ev) = to_false.store(vc, nm_gath, nm, mk_neg, valid, np.out)?;
-                    done = done.max(ev);
+                for (e, m) in nm.iter().enumerate() {
+                    for (run, mk) in runs.iter().zip(&b.mk) {
+                        let (_, ev) = run.store(vc, nm_gath, m, mk, valid, np.out, e * n)?;
+                        done = done.max(ev);
+                    }
+                    if let Some(mk_neg) = &b.mk_neg {
+                        let (_, ev) = rest.store(vc, nm_gath, m, mk_neg, valid, np.out, e * n)?;
+                        done = done.max(ev);
+                    }
                 }
             }
         }
-        // Reads: values, mask and input indices of every element;
-        // writes: value, index and next-plane mask of every kept one.
+        // Reads: values, masks and input indices of every element;
+        // writes: value, index and next-plane masks of every kept one.
+        let masks = b.mk.len();
         let idx_in = if self.idx_in.is_some() { 4 } else { 0 };
         let idx_out = if self.idx_out.is_some() { 4 } else { 0 };
-        let plane = usize::from(self.next_plane.is_some());
-        let bytes = tile.valid * (E::SIZE + 1 + idx_in) + kept * (E::SIZE + idx_out + plane);
+        let plane = if self.next_plane.is_some() { masks } else { 0 };
+        let bytes = tile.valid * (E::SIZE + masks + idx_in) + kept * (E::SIZE + idx_out + plane);
         Ok((done, bytes as u64))
     }
 
     fn close(&self, vc: &mut Core<'_>, b: SplitBufs<E>) -> SimResult<()> {
         if let Some((nm, nm_gath)) = b.plane {
-            vc.free_local(nm)?;
+            for m in nm {
+                vc.free_local(m)?;
+            }
             vc.free_local(nm_gath)?;
         }
         if let Some((idx_buf, idx_gath)) = b.idx {
@@ -374,8 +417,60 @@ impl<E: Element> TileStore<i32> for SplitStore<'_, E> {
         }
         vc.free_local(b.val_in)?;
         vc.free_local(b.val_gath)?;
-        vc.free_local(b.mk)
+        for mk in b.mk {
+            vc.free_local(mk)?;
+        }
+        Ok(())
     }
+}
+
+/// `count` UB masks of `len` elements each.
+pub(crate) fn alloc_masks(
+    vc: &mut Core<'_>,
+    count: usize,
+    len: usize,
+) -> SimResult<Vec<LocalTensor<u8>>> {
+    (0..count)
+        .map(|_| vc.alloc_local::<u8>(ScratchpadKind::Ub, len))
+        .collect()
+}
+
+/// Where the runs of the piece at `off` (`j` elements into its segment)
+/// go: run `d` at `starts[d]` plus mask `d`'s exclusive count before the
+/// piece — the segment's prefix, or the inclusive count of the element
+/// before the piece — and the last run at its start plus the elements
+/// before the piece that no mask selected. Every store a run addresses
+/// waits for the counts its address sums.
+fn piece_sides(
+    vc: &mut Core<'_>,
+    inputs: &[Scanned<'_, i32>],
+    starts: &[(usize, EventTime)],
+    j: usize,
+    off: usize,
+) -> SimResult<(Vec<Side>, Side)> {
+    let mut runs = Vec::with_capacity(inputs.len());
+    let (mut before, mut before_ready) = (0usize, 0);
+    for (d, scan) in inputs.iter().enumerate() {
+        let (base, base_ready) = match j {
+            0 => scan.prefix,
+            _ => vc.extract(scan.incl, j - 1)?,
+        };
+        let deps = match d {
+            0 => vec![base_ready],
+            _ => vec![base_ready, starts[d].1],
+        };
+        runs.push(Side {
+            at: starts[d].0 + base as usize,
+            deps,
+        });
+        (before, before_ready) = (before + base as usize, before_ready.max(base_ready));
+    }
+    let (start, start_ready) = starts[inputs.len()];
+    let rest = Side {
+        at: start + (off - before),
+        deps: vec![before_ready, start_ready],
+    };
+    Ok((runs, rest))
 }
 
 /// Reference split used in tests: stable partition with indices.
@@ -404,14 +499,19 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Elements per piece of a split store needing `bytes_per_elem` UB
-    /// bytes per element ([`piece_bytes`]) on tile dimension `s`.
+    /// Elements per piece of a split store over `masks` scanned masks
+    /// needing `bytes_per_elem` UB bytes per element ([`piece_bytes`]) on
+    /// tile dimension `s`.
     pub(crate) fn store_piece(
         spec: &ChipSpec,
         s: usize,
+        masks: usize,
         bytes_per_elem: usize,
     ) -> SimResult<usize> {
-        piece_len(scan::mcscan::store_ub::<i16, i32>(spec, s), bytes_per_elem)
+        piece_len(
+            scan::mcscan::store_ub::<i16, i32>(spec, s, masks),
+            bytes_per_elem,
+        )
     }
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
@@ -513,7 +613,7 @@ pub(crate) mod tests {
             ..ChipSpec::tiny()
         };
         let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
-        assert_eq!(scan::mcscan::store_ub::<i16, i32>(&spec, 16), 10);
+        assert_eq!(scan::mcscan::store_ub::<i16, i32>(&spec, 16, 1), 10);
         let x = GlobalTensor::from_slice(&gm, &[1u16; 300]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[1u8; 300]).unwrap();
         let err = split_ind(&spec, &gm, &x, &m, 16).err();
@@ -550,8 +650,8 @@ pub(crate) mod tests {
         // s-element rows over 2 (1 AI core) or 4 (2 AI cores) vector cores.
         let (spec, _) = setup();
         let (s, l) = (32, 1024);
-        let split_p = store_piece(&spec, s, piece_bytes(4, true, true, false)).unwrap();
-        let compress_p = store_piece(&spec, s, piece_bytes(4, false, false, false)).unwrap();
+        let split_p = store_piece(&spec, s, 1, piece_bytes(4, 1, true, true, false)).unwrap();
+        let compress_p = store_piece(&spec, s, 1, piece_bytes(4, 1, false, false, false)).unwrap();
         assert!(split_p < l && compress_p < l, "{split_p} {compress_p}");
         let mut lengths = vec![l - 1, l, l + 1, 3 * l + 7];
         for p in [split_p, compress_p] {

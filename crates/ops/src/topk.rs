@@ -265,8 +265,8 @@ mod tests {
         K::Encoded: Element + Bits + Numeric,
     {
         let (spec, gm) = setup();
-        let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), true, true, true);
-        let p = split::tests::store_piece(&spec, 16, per_elem).unwrap();
+        let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), 1, true, true, true);
+        let p = split::tests::store_piece(&spec, 16, 1, per_elem).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for n in [p - 1, p, p + 1] {
             let data = keys::<K>(&mut rng, n, specials);

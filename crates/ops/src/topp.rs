@@ -8,13 +8,15 @@
 //! and draws — exactly the pipeline built here from the paper's
 //! operators:
 //!
-//! 1. descending [`radix_sort`] of the probabilities: one launch running
-//!    16 scans for fp16, each a fused split whose scatter runs on every
-//!    vector core, in row chunks;
-//! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan —
-//!    17 scans per batch total, the paper's count, in 4 launches). This
-//!    scan keeps MCScan's tile chunks: row chunks would change where the
-//!    fp16 chunk offsets round, and with them the sampled tokens;
+//! 1. descending [`radix_sort`] of the probabilities: one launch of
+//!    fused splits whose scatters run on every vector core, in row
+//!    chunks — 16 one-bit passes for fp16 in the paper's accounting, 8
+//!    two-bit passes (three mask scans each) as `Device::top_p` runs it;
+//! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan — with
+//!    one-bit passes 17 scans per batch total, the paper's count; 4
+//!    launches either way). This scan keeps MCScan's tile chunks and its
+//!    own `s`: row chunks would change where the fp16 chunk offsets
+//!    round, and with them the sampled tokens;
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).
@@ -22,7 +24,7 @@
 //! [`radix_sort`]: crate::radix_sort::radix_sort
 //! [`mcscan`]: scan::mcscan::mcscan
 
-use crate::radix_sort::{radix_sort, SortOrder};
+use crate::radix_sort::{radix_sort, Radix, SortOrder};
 use crate::weighted::cdf_search;
 use crate::{for_each_lane, inclusive_scan};
 use ascend_sim::mem::GlobalMemory;
@@ -46,8 +48,8 @@ pub struct TopPRun {
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
 /// `probs` need not be normalized (the draw is proportional). `s` is
-/// the tile dimension of the MCScan launches; every launch runs on all
-/// of the chip's AI cores.
+/// the tile dimension of the CDF's MCScan launch and `sort` the shape of
+/// the sort's passes; every launch runs on all of the chip's AI cores.
 pub fn top_p_sample(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -55,6 +57,7 @@ pub fn top_p_sample(
     p: f64,
     theta: f64,
     s: usize,
+    sort: Radix,
 ) -> SimResult<TopPRun> {
     let n = probs.len();
     if n == 0 {
@@ -74,7 +77,7 @@ pub fn top_p_sample(
     }
 
     // 1. Sort descending (values + original token ids).
-    let sorted = radix_sort::<F16>(spec, gm, probs, s, SortOrder::Descending)?;
+    let sorted = radix_sort::<F16>(spec, gm, probs, sort, SortOrder::Descending)?;
 
     // 2. Cumulative sum of the sorted probabilities.
     let scan_run = inclusive_scan(spec, gm, &sorted.values, s)?;
@@ -127,6 +130,7 @@ pub fn top_p_sample_batch(
     p: f64,
     thetas: &[f64],
     s: usize,
+    sort: Radix,
 ) -> SimResult<(Vec<u32>, KernelReport)> {
     if batch == 0 || vocab == 0 || batch * vocab != probs.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -144,7 +148,7 @@ pub fn top_p_sample_batch(
     let mut reports = Vec::with_capacity(batch);
     for (b, &theta) in thetas.iter().enumerate() {
         let row = probs.slice(b * vocab, vocab)?;
-        let run = top_p_sample(spec, gm, &row, p, theta, s)?;
+        let run = top_p_sample(spec, gm, &row, p, theta, s, sort)?;
         tokens.push(run.token);
         reports.push(run.report);
     }
@@ -208,6 +212,9 @@ mod tests {
     use super::*;
     use ascend_sim::prof::with_profiling;
 
+    /// The paper's one-bit sort passes at the tiny chip's `s = 16`.
+    const BIT: Radix = Radix { bits: 1, s: 16 };
+
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
         let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
@@ -224,18 +231,18 @@ mod tests {
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         // p = 0.5: nucleus is {token 3} alone.
         for theta in [0.0, 0.5, 0.99] {
-            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 16).unwrap();
+            let run = top_p_sample(&spec, &gm, &t, 0.5, theta, 16, BIT).unwrap();
             assert_eq!(run.n_kept, 1);
             assert_eq!(run.token, 3, "theta = {theta}");
         }
         // p = 0.85: nucleus is {3, 7}.
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 16).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.9, 16, BIT).unwrap();
         assert_eq!(run.n_kept, 2);
         assert_eq!(
             run.token, 7,
             "theta 0.9 of mass 0.9 falls in token 7's slice"
         );
-        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 16).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.85, 0.1, 16, BIT).unwrap();
         assert_eq!(run.token, 3);
     }
 
@@ -244,7 +251,7 @@ mod tests {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let probs: Vec<F16> = (1..=64).map(|i| F16::from_f32(i as f32)).collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 16).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 1.0, 0.999, 16, BIT).unwrap();
         assert_eq!(run.n_kept, 64);
         // theta ~ 1 lands in the tail of the descending-sorted CDF: the
         // smallest kept probability.
@@ -257,7 +264,7 @@ mod tests {
         let mut probs = vec![F16::ZERO; 50];
         probs[20] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 16).unwrap();
+        let run = top_p_sample(&spec, &gm, &t, 0.0, 0.7, 16, BIT).unwrap();
         assert_eq!(run.n_kept, 1);
         assert_eq!(run.token, 20);
     }
@@ -271,8 +278,9 @@ mod tests {
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
             .collect();
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let (run, profile) =
-            with_profiling(&gm, || top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16).unwrap());
+        let (run, profile) = with_profiling(&gm, || {
+            top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16, BIT).unwrap()
+        });
         assert_eq!(
             crate::tests::scans(&profile),
             17,
@@ -294,7 +302,8 @@ mod tests {
         probs[2 * vocab + 99] = F16::ONE;
         let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
         let ((tokens, report), profile) = with_profiling(&gm, || {
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16).unwrap()
+            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16, BIT)
+                .unwrap()
         });
         assert_eq!(tokens, vec![7, 31, 99]);
         // 17 scans per batch element (the paper's accounting), in 34
@@ -302,25 +311,25 @@ mod tests {
         assert_eq!(crate::tests::scans(&profile), 17 * batch);
         assert_eq!(report.sync_rounds, 34 * batch as u64);
         // Shape errors are rejected.
-        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16).is_err());
-        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16, BIT).is_err());
+        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16, BIT).is_err());
     }
 
     #[test]
     fn rejects_bad_args() {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let t = GlobalTensor::from_slice(&gm, &[F16::ONE; 8]).unwrap();
-        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 16).is_err());
-        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 16).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 1.5, 0.5, 16, BIT).is_err());
+        assert!(top_p_sample(&spec, &gm, &t, 0.9, 1.0, 16, BIT).is_err());
         let empty = GlobalTensor::<F16>::new(&gm, 0).unwrap();
-        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 16).is_err());
+        assert!(top_p_sample(&spec, &gm, &empty, 0.9, 0.5, 16, BIT).is_err());
     }
 
     /// Asserts `probs` is rejected as not summing to a finite positive mass.
     fn assert_bad_total(probs: &[F16]) {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let t = GlobalTensor::from_slice(&gm, probs).unwrap();
-        match top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16) {
+        match top_p_sample(&spec, &gm, &t, 0.9, 0.5, 16, BIT) {
             Err(SimError::InvalidArgument(msg)) => assert!(msg.contains("sum to"), "{msg}"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(run) => panic!("sampled token {} (n_kept {})", run.token, run.n_kept),

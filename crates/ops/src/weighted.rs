@@ -89,8 +89,8 @@ where
 /// Each vector core counts the exceeding elements of its pieces with
 /// `Compare` + `ReduceSum`; because the CDF is monotone, the first hit of
 /// a piece is `off + valid - count`. Shared with top-p sampling, which
-/// reuses the sort's cumulative sums instead of rescanning — that is why
-/// top-p costs 17 scans, not 18.
+/// reuses its CDF scan's cumulative sums instead of rescanning — that is
+/// why top-p with the paper's one-bit sort costs 17 scans, not 18.
 pub(crate) fn cdf_search<W: Numeric>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,

@@ -1,7 +1,7 @@
 //! Robustness of the split-based operators of the `ops` crate.
 //!
-//! `split_ind`, `compress`, `radix_sort`, `topk` and `top_p_sample` run
-//! on the tiny chip and odd variants of it (a 2 KB UB, one AI core, one
+//! `split_ind`, `compress`, `radix_sort`, `topk` and `top_p_sample` (the
+//! sort and top-p with one- and two-bit sort digits) run on the tiny chip and odd variants of it (a 2 KB UB, one AI core, one
 //! vector core per AI core) at lengths around the row (`s`) and tile
 //! (`ℓ = s²`) boundaries. Each call must return either the host
 //! reference or a typed [`SimError`] — never a panic. Every split runs
@@ -18,7 +18,7 @@ use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
 use dtypes::F16;
 use ops::baselines;
 use ops::split::reference_split;
-use ops::{compress, radix_sort, split_ind, top_p_sample, topk, SortOrder};
+use ops::{compress, radix_sort, split_ind, top_p_sample, topk, Radix, SortOrder};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -164,14 +164,16 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
         },
         || compress(spec, &gm, &x, &m, s).map(|r| r.values.to_vec()),
     );
-    findings.check(
-        &case("radix_sort"),
-        || host_sort(&keys),
-        || {
-            radix_sort(spec, &gm, &k, s, SortOrder::Ascending)
-                .map(|r| (r.values.to_vec(), r.indices.to_vec()))
-        },
-    );
+    for bits in [1, 2] {
+        findings.check(
+            &case(&format!("radix_sort ({bits}-bit digits)")),
+            || host_sort(&keys),
+            || {
+                radix_sort(spec, &gm, &k, Radix { bits, s }, SortOrder::Ascending)
+                    .map(|r| (r.values.to_vec(), r.indices.to_vec()))
+            },
+        );
+    }
     let kk = n.div_ceil(2);
     findings.check(
         &case("topk"),
@@ -189,11 +191,16 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
             })
         },
     );
-    findings.check(
-        &case("top_p_sample"),
-        || host_top_p(&weights, 0.5, 0.5),
-        || top_p_sample(spec, &gm, &pr, 0.5, 0.5, s).map(|r| (r.token, r.n_kept)),
-    );
+    for bits in [1, 2] {
+        findings.check(
+            &case(&format!("top_p_sample ({bits}-bit sort digits)")),
+            || host_top_p(&weights, 0.5, 0.5),
+            || {
+                top_p_sample(spec, &gm, &pr, 0.5, 0.5, s, Radix { bits, s })
+                    .map(|r| (r.token, r.n_kept))
+            },
+        );
+    }
 }
 
 /// The `ops::baselines` free functions on the inputs of
@@ -280,16 +287,18 @@ fn every_operator_returns_the_reference_or_a_typed_error() {
         findings.violations.join("\n")
     );
     // Pins which inputs the operators accept: a change that makes one
-    // refuse (or newly run) any of these calls moves the count. The 139
-    // refusals: `topk` and `top_p_sample` of nothing on every chip and
-    // `s` (20), every non-trivial call at s = 32 on the 2 KB UB, whose
-    // 4 KB propagation buffer does not fit (39; a top-1 of one element
-    // needs no split pass and runs), and on the chip without vector
-    // cores every call that launches (80: only the empty split, compress
-    // and sort at both `s` launch nothing and run).
+    // refuse (or newly run) any of these calls moves the count. The 199
+    // refusals: `topk` and both `top_p_sample`s of nothing on every chip
+    // and `s` (30), every non-trivial call at s = 32 on the 2 KB UB, whose
+    // 4 KB propagation buffer does not fit (55; a top-1 of one element
+    // needs no split pass and runs), the longest two-bit sort and top-p
+    // at s = 16 there, whose three 208-element propagation buffers and
+    // queue do not fit (2), and on the chip without vector cores every
+    // call that launches (112: only the empty split, compress and both
+    // sorts at both `s` launch nothing and run).
     assert_eq!(
         (findings.calls, findings.accepted),
-        (450, 311),
+        (630, 431),
         "(calls, calls that ran to a result)"
     );
 }
@@ -339,7 +348,7 @@ fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     let errs = [
         split_ind(&spec, &gm, &x, &m, 16).err(),
         compress(&spec, &gm, &x, &m, 16).err(),
-        radix_sort(&spec, &gm, &x, 16, SortOrder::Ascending).err(),
+        radix_sort(&spec, &gm, &x, Radix::bit(16), SortOrder::Ascending).err(),
         topk(&spec, &gm, &x, 10, 16).err(),
     ];
     for err in errs {

@@ -3,8 +3,8 @@
 //!
 //! Split and compress run as one launch each: MCScan over the mask
 //! whose phase II scatters every tile from UB. Radix sort runs all of
-//! its splits in one persistent launch, and top-p is that sort plus
-//! three launches. Their serialized [`ascendc::KernelReport`]s must be
+//! its splits in one persistent launch, with one-bit or two-bit digits,
+//! and top-p is that sort plus three launches. Their serialized [`ascendc::KernelReport`]s must be
 //! byte-identical under the serial baton, the parallel-round scheduler,
 //! and a planned replay of every commit order the model checker finds —
 //! the same contract the `scan` crate's `sched_equiv` gate holds every
@@ -17,7 +17,7 @@ use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
 use ops::split::reference_split;
-use ops::{compress, radix_sort, split_ind, top_p_sample, SortOrder};
+use ops::{compress, radix_sort, split_ind, top_p_sample, Radix, SortOrder};
 use std::sync::Arc;
 
 /// Runs `op` on a fresh tiny-chip device under `policy`; returns its
@@ -106,31 +106,40 @@ fn compress_reports_identically_under_serial_parallel_and_planned() {
     });
 }
 
+/// The sort shapes the tests cover: the paper's one-bit passes and the
+/// two-bit passes `Device` runs, at the tiny chip's `s = 16`.
+const RADIXES: [Radix; 2] = [Radix { bits: 1, s: 16 }, Radix { bits: 2, s: 16 }];
+
 #[test]
 fn sort_reports_identically_under_serial_parallel_and_planned() {
-    // 16 passes of 600 keys at s = 16: 38 rows, 10 to a vector core.
-    assert_equiv("sort", 1, &|spec, gm| {
-        let (vals, _) = inputs();
-        let vals = &vals[..600];
-        let x = GlobalTensor::from_slice(gm, vals).unwrap();
-        let run = radix_sort(spec, gm, &x, 16, SortOrder::Descending).unwrap();
-        let mut want = vals.to_vec();
-        want.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(run.values.to_vec(), want);
-        run.report.to_json(spec)
-    });
+    // 16 one-bit or 8 two-bit passes of 600 keys at s = 16: 38 rows, 10
+    // to a vector core.
+    for radix in RADIXES {
+        assert_equiv(&format!("sort {radix:?}"), 1, &|spec, gm| {
+            let (vals, _) = inputs();
+            let vals = &vals[..600];
+            let x = GlobalTensor::from_slice(gm, vals).unwrap();
+            let run = radix_sort(spec, gm, &x, radix, SortOrder::Descending).unwrap();
+            let mut want = vals.to_vec();
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(run.values.to_vec(), want);
+            run.report.to_json(spec)
+        });
+    }
 }
 
 #[test]
 fn top_p_reports_identically_under_serial_parallel_and_planned() {
     // The sort, the CDF scan, the threshold count and the CDF search.
-    assert_equiv("top-p", 4, &|spec, gm| {
-        let probs: Vec<F16> = (0..500)
-            .map(|i| F16::from_f32(if i % 37 == 0 { 0.05 } else { 1e-3 }))
-            .collect();
-        let x = GlobalTensor::from_slice(gm, &probs).unwrap();
-        let run = top_p_sample(spec, gm, &x, 0.9, 0.4, 16).unwrap();
-        assert!(probs[run.token as usize] > F16::ZERO);
-        run.report.to_json(spec)
-    });
+    for radix in RADIXES {
+        assert_equiv(&format!("top-p {radix:?}"), 4, &|spec, gm| {
+            let probs: Vec<F16> = (0..500)
+                .map(|i| F16::from_f32(if i % 37 == 0 { 0.05 } else { 1e-3 }))
+                .collect();
+            let x = GlobalTensor::from_slice(gm, &probs).unwrap();
+            let run = top_p_sample(spec, gm, &x, 0.9, 0.4, 16, radix).unwrap();
+            assert!(probs[run.token as usize] > F16::ZERO);
+            run.report.to_json(spec)
+        });
+    }
 }

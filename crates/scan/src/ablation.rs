@@ -172,7 +172,7 @@ where
         // Phase 2: MCScan's propagation.
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let (offset, _) = chunk_offset(vc, &mc.r, chunk, false)?;
+                let (offset, _) = chunk_offset(vc, &mc.r, 1, chunk, false)?;
                 mc.propagate(vc, chunk, offset, None, None, &y)?;
             }
             Ok(())
@@ -205,10 +205,10 @@ where
             // Phase 1b: full chunk-local scan (rows propagated from
             // zero), written to y; the chunk total goes to r.
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let zero = (O::zero(), 0);
+                let zero = vec![(O::zero(), 0)];
                 let waits = Some((&ctx.flags, hand));
                 let total = mc.propagate(vc, chunk, zero, None, waits, &y)?;
-                store_scalar(vc, &mc.r, chunk, total)?;
+                store_scalar(vc, &mc.r, chunk, total[0])?;
             }
             Ok(())
         },
@@ -220,7 +220,8 @@ where
                 if chunk == 0 {
                     continue; // chunk 0 needs no offset
                 }
-                let ((offset, offset_ready), _) = chunk_offset(vc, &mc.r, chunk, false)?;
+                let (offset, _) = chunk_offset(vc, &mc.r, 1, chunk, false)?;
+                let (offset, offset_ready) = offset[0];
                 let depth = if 3 * l * O::SIZE + 64 <= vc.spec().ub_capacity {
                     2
                 } else {
@@ -264,7 +265,7 @@ where
         // RSS's structural drawback on a split architecture).
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                reduce_chunk(vc, x, &mc.segments(chunk), mc.l, &mc.r, chunk)?;
+                reduce_chunk(vc, x, &mc.segments(chunk), mc.l, &mc.r, &[(0, chunk)])?;
             }
             Ok(())
         },
@@ -275,7 +276,7 @@ where
             let range = mc.block_tiles(ctx);
             mc.cube_scans(&mut ctx.cube, x, range, Some((&ctx.flags, hand)))?;
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let (offset, _) = chunk_offset(vc, &mc.r, chunk, false)?;
+                let (offset, _) = chunk_offset(vc, &mc.r, 1, chunk, false)?;
                 let waits = Some((&ctx.flags, hand));
                 mc.propagate(vc, chunk, offset, None, waits, &y)?;
             }

@@ -69,7 +69,7 @@ pub use ablation::{mcscan_variant, McScanVariant};
 pub use baseline::cumsum_vec_only;
 pub use batched::{batched_scanu, batched_scanul1};
 pub use mcscan::{
-    mcscan, mcscan_with, McLayout, McScanConfig, ScanKind, StoreRun, Tile, TileStore,
+    mcscan, mcscan_with, McLayout, McScanConfig, ScanKind, Scanned, StoreRun, Tile, TileStore,
 };
 pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};

@@ -33,9 +33,16 @@
 //! independent row scans in `w` and phase II only carries a running sum
 //! through them. A short split of a few tiles then runs its phase II on
 //! (nearly) every vector core instead of one core per tile.
+//!
+//! A layout may scan several inputs of one length side by side — the
+//! `2^r − 1` digit masks of an `r`-bit radix-sort pass: the cube runs
+//! every input's tiles through one `U_s` in L0B, `w` and `r` hold one
+//! row per input, and phase II carries each input's chunk offset through
+//! the same segments before one store call sees them all.
 
 use crate::stage::{
-    check_blocks, check_tile, chunk_offset, propagate_rows, reduce_chunk, CubePass, HandOffs,
+    carry_through, check_blocks, check_intermediate, check_tile, chunk_offset, reduce_chunk,
+    CubePass, HandOffs, Timed,
 };
 use crate::triangular::ScanConstants;
 use crate::util::{partition, tile_dim, tile_spans};
@@ -87,7 +94,7 @@ impl McScanConfig {
     /// footprint fits the chip for these element types.
     pub fn for_types<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> Self {
         McScanConfig {
-            s: tile_dim::<T, M, O>(spec),
+            s: tile_dim::<T, M, O>(spec, 1),
             blocks: spec.ai_cores,
             kind: ScanKind::Inclusive,
         }
@@ -102,12 +109,14 @@ impl McScanConfig {
 ///
 /// * fp16: `mcscan::<F16, F16, F16>` — the paper's default path;
 /// * int8 masks (§4.3's specialization): `mcscan::<u8, i16, i32>` —
-///   a tile-local scan never exceeds `ℓ = s² ≤ 16384`, so the
-///   intermediate fits `i16` and phase 1 writes 2 bytes per element
-///   instead of 4, which is where the int8 path's throughput edge over
-///   fp16 comes from.
+///   a row-local scan of `s ≤ 128` bytes never exceeds `128 · 255 =
+///   32,640`, so the intermediate fits `i16` and phase 1 writes 2 bytes
+///   per element instead of 4, which is where the int8 path's
+///   throughput edge over fp16 comes from.
 ///
-/// `M` must be wide enough for `ℓ` times the largest input value.
+/// An integer `M` must hold `s` times the largest input value: a larger
+/// `s` is refused with [`SimError::InvalidArgument`] rather than left to
+/// wrap (`s = 144` would for all-255 `u8` rows).
 pub fn mcscan<T, M, O>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -157,10 +166,17 @@ where
     S: TileStore<O>,
 {
     let grid = (s, spec.ai_cores);
-    let (mc, store) =
-        McLayout::<T, M, O>::new(name, spec, gm, x.len(), grid, Chunking::Rows, None, |_| {
-            Ok(store)
-        })?;
+    let (mc, store) = McLayout::<T, M, O>::new(
+        name,
+        spec,
+        gm,
+        x.len(),
+        1,
+        grid,
+        Chunking::Rows,
+        None,
+        |_| Ok(store),
+    )?;
     let report = mc.launch(
         spec,
         gm,
@@ -175,23 +191,30 @@ where
 
 /// One segment of phase II — at most `ℓ` elements of a chunk, starting
 /// on a row boundary (with row chunks it may straddle two cube tiles) —
-/// once the running partial has been carried through it: what a
+/// once the running partials have been carried through it: what a
 /// [`TileStore`] receives.
 pub struct Tile<'t, O: Element> {
     /// Offset of the segment's first element in the scanned array.
     pub off: usize,
     /// Elements in the segment.
     pub valid: usize,
+    /// Each scanned input's state over the segment, in input order (one
+    /// for a plain scan).
+    pub inputs: &'t [Scanned<'t, O>],
+}
+
+/// One scanned input over a segment of phase II.
+pub struct Scanned<'t, O: Element> {
     /// The segment's inclusive scan, still in UB (`valid` elements).
     pub incl: &'t LocalTensor<O>,
     /// The exclusive prefix before the segment, with its ready time.
-    pub prefix: (O, EventTime),
+    pub prefix: Timed<O>,
     /// The segment's last inclusive value (the next segment's prefix),
     /// with its ready time.
-    pub last: (O, EventTime),
+    pub last: Timed<O>,
     /// The scan's total with its ready time, when the store asks for it
     /// ([`TileStore::needs_total`]).
-    pub total: Option<(O, EventTime)>,
+    pub total: Option<Timed<O>>,
 }
 
 /// Phase II's output stage: MCScan hands each propagated segment of a
@@ -200,9 +223,9 @@ pub trait TileStore<O: Numeric>: Sync {
     /// The store's UB buffers on one vector core.
     type Bufs;
 
-    /// Whether phase II also reduces all of `r` to the scan's total
-    /// (one more `ReduceSum` per vector core; every block can read `r`
-    /// once the `SyncAll` has run).
+    /// Whether phase II also reduces all of `r` to the scans' totals
+    /// (one more `ReduceSum` per input and vector core; every block can
+    /// read `r` once the `SyncAll` has run).
     fn needs_total(&self) -> bool {
         false
     }
@@ -212,13 +235,13 @@ pub trait TileStore<O: Numeric>: Sync {
     fn open(&self, vc: &mut Core<'_>, ub_left: usize) -> SimResult<Self::Bufs>;
 
     /// Runs when segment `off` starts, before its rows are propagated,
-    /// with its exclusive prefix.
+    /// with each input's exclusive prefix.
     fn begin(
         &self,
         _vc: &mut Core<'_>,
         _bufs: &mut Self::Bufs,
         _off: usize,
-        _prefix: (O, EventTime),
+        _prefix: &[Timed<O>],
     ) -> SimResult<()> {
         Ok(())
     }
@@ -260,6 +283,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
             spec,
             gm,
             x.len(),
+            1,
             grid,
             Chunking::Tiles,
             max_blocks,
@@ -286,9 +310,10 @@ impl<O: Numeric> TileStore<O> for YStore<O> {
         vc: &mut Core<'_>,
         boundary: &mut LocalTensor<O>,
         off: usize,
-        prefix: (O, EventTime),
+        prefix: &[Timed<O>],
     ) -> SimResult<()> {
         if self.kind == ScanKind::Exclusive {
+            let prefix = prefix[0];
             // The segment's first exclusive output is the running
             // partial itself; writing it from this core keeps every
             // store inside the core's own span (§4.3's shifted write,
@@ -306,15 +331,15 @@ impl<O: Numeric> TileStore<O> for YStore<O> {
         _boundary: &mut LocalTensor<O>,
         tile: &Tile<'_, O>,
     ) -> SimResult<(EventTime, u64)> {
-        let (off, valid) = (tile.off, tile.valid);
+        let (off, valid, scan) = (tile.off, tile.valid, &tile.inputs[0]);
         let done = match self.kind {
-            ScanKind::Inclusive => vc.copy_out(&self.y, off, tile.incl, 0, valid, &[])?,
+            ScanKind::Inclusive => vc.copy_out(&self.y, off, scan.incl, 0, valid, &[])?,
             // Shift right by one within the segment; its last inclusive
             // value is carried to the next segment instead of stored.
             ScanKind::Exclusive if valid > 1 => {
-                vc.copy_out(&self.y, off + 1, tile.incl, 0, valid - 1, &[])?
+                vc.copy_out(&self.y, off + 1, scan.incl, 0, valid - 1, &[])?
             }
-            ScanKind::Exclusive => tile.last.1,
+            ScanKind::Exclusive => scan.last.1,
         };
         Ok((done, (valid * O::SIZE) as u64))
     }
@@ -325,21 +350,22 @@ impl<O: Numeric> TileStore<O> for YStore<O> {
 }
 
 /// UB bytes a [`TileStore`] has on each vector core of an
-/// `mcscan_with::<_, M, O, _>` launch with tile dimension `s`: what
-/// propagation's staging queue and buffer leave free.
-pub fn store_ub<M: Element, O: Element>(spec: &ChipSpec, s: usize) -> usize {
+/// `McLayout::<_, M, O>` phase II over `inputs` scanned inputs with tile
+/// dimension `s` (one for [`mcscan_with`]) once its segments are `ℓ`
+/// long: what propagation's staging queue and buffers leave free.
+pub fn store_ub<M: Element, O: Element>(spec: &ChipSpec, s: usize, inputs: usize) -> usize {
     let l = s * s;
-    let depth = queue_depth::<M, O>(spec, l);
+    let depth = queue_depth::<M, O>(spec, l, inputs);
     spec.ub_capacity
-        .saturating_sub(depth * l * M::SIZE + l * O::SIZE)
+        .saturating_sub(depth * l * M::SIZE + inputs * l * O::SIZE)
 }
 
 /// Depth of propagation's staging queue: double-buffered when UB has
-/// room for two intermediate tiles next to the propagation buffer;
-/// single-buffered for wide intermediates (the propagation is
+/// room for two intermediate tiles next to the propagation buffers (one
+/// per scanned input); single-buffered otherwise (the propagation is
 /// bandwidth-bound either way).
-fn queue_depth<M: Element, O: Element>(spec: &ChipSpec, l: usize) -> usize {
-    if 2 * l * M::SIZE + l * O::SIZE + 64 <= spec.ub_capacity {
+fn queue_depth<M: Element, O: Element>(spec: &ChipSpec, l: usize, inputs: usize) -> usize {
+    if 2 * l * M::SIZE + inputs * l * O::SIZE + 64 <= spec.ub_capacity {
         2
     } else {
         1
@@ -382,6 +408,15 @@ pub(crate) enum Chunking {
 /// per vector core: whole tiles for [`mcscan`], rows for [`mcscan_with`]
 /// and [`McLayout::rows`].
 ///
+/// A layout scans `inputs` arrays of `n` elements side by side (one for
+/// every entry point but [`McLayout::rows`]): phase I's input holds them
+/// back to back, and `w` and `r` hold one row per input. Phase II then
+/// holds one propagation buffer per input in UB, so a layout over
+/// several inputs sizes them to its longest segment rather than to `ℓ`,
+/// leaving the store room for whole segments when chunks are short; a
+/// one-input layout keeps the paper's `ℓ`-element buffer, and with it
+/// the pieces every split store has always cut.
+///
 /// Its two phases run inside any launch on the layout's grid:
 /// [`McLayout::phase_one`] over an input, a `SyncAll`, then
 /// [`McLayout::phase_two`] with a [`TileStore`]. A kernel may run them
@@ -391,8 +426,12 @@ pub(crate) enum Chunking {
 pub struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
     name: &'static str,
     n: usize,
+    inputs: usize,
     pub(crate) s: usize,
     pub(crate) l: usize,
+    /// Elements per propagation buffer: `ℓ`, or the longest segment of
+    /// a layout over several inputs.
+    seg: usize,
     blocks: u32,
     consts: ScanConstants<T>,
     pub(crate) w: GlobalTensor<M>,
@@ -403,60 +442,99 @@ pub struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
 }
 
 impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
-    /// The row-chunk layout of a scan over `n` elements at tile
-    /// dimension `s` on all of the chip's AI cores, for a kernel `name`
-    /// that runs the two phases inside its own launch.
+    /// The row-chunk layout of `inputs` scans over `n` elements each at
+    /// tile dimension `s` on all of the chip's AI cores, for a kernel
+    /// `name` that runs the two phases inside its own launch.
     pub fn rows(
         name: &'static str,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         n: usize,
+        inputs: usize,
         s: usize,
     ) -> SimResult<Self> {
         let grid = (s, spec.ai_cores);
-        let (mc, ()) = Self::new(name, spec, gm, n, grid, Chunking::Rows, None, |_| Ok(()))?;
+        let (mc, ()) = Self::new(
+            name,
+            spec,
+            gm,
+            n,
+            inputs,
+            grid,
+            Chunking::Rows,
+            None,
+            |_| Ok(()),
+        )?;
         Ok(mc)
     }
 
-    /// Validates tile dimension `s` and grid `blocks` for kernel `name`
-    /// (grids above `max_blocks` are rejected; `None` wave-multiplexes
-    /// any grid) and allocates the layout's tensors, with the phase II
-    /// store `store` builds after the constants.
+    /// The largest tile dimension `s ≤ 128` (a multiple of 16) whose
+    /// layout over `inputs` scanned inputs fits the chip: as
+    /// [`McScanConfig::for_types`] picks it for one input, with one
+    /// propagation buffer per input in UB. Falls back to 16, whose launch
+    /// then reports the [`SimError::ScratchpadOverflow`].
+    pub fn tile_dim(spec: &ChipSpec, inputs: usize) -> usize {
+        tile_dim::<T, M, O>(spec, inputs)
+    }
+
+    /// Validates tile dimension `s`, the intermediate's range and grid
+    /// `blocks` for kernel `name` (grids above `max_blocks` are
+    /// rejected; `None` wave-multiplexes any grid) and allocates the
+    /// layout's tensors for `inputs` scans of `n` elements, with the
+    /// phase II store `store` builds after the constants.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new<S>(
         name: &'static str,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
         n: usize,
+        inputs: usize,
         (s, blocks): (usize, u32),
         chunking: Chunking,
         max_blocks: Option<u32>,
         store: impl FnOnce(&Arc<GlobalMemory>) -> SimResult<S>,
     ) -> SimResult<(Self, S)> {
         check_tile(name, s)?;
+        check_intermediate::<T, M>(name, s)?;
         check_blocks(name, blocks, max_blocks)?;
+        if inputs == 0 {
+            return Err(SimError::InvalidArgument(format!(
+                "{name}: a layout scans at least one input"
+            )));
+        }
         let l = s * s;
         let chunks_total = (blocks * spec.vec_per_core) as usize;
         let unit = match chunking {
             Chunking::Tiles => l,
             Chunking::Rows => s,
         };
-        let chunks = partition(name, n.div_ceil(unit), chunks_total)?
+        let chunks: Vec<Range<usize>> = partition(name, n.div_ceil(unit), chunks_total)?
             .into_iter()
             .map(|(first, count)| (first * unit).min(n)..((first + count) * unit).min(n))
             .collect();
+        let seg = match inputs {
+            1 => l,
+            _ => chunks
+                .iter()
+                .map(|c| c.len())
+                .max()
+                .unwrap_or(0)
+                .clamp(1, l),
+        };
         let consts = ScanConstants::<T>::upload(gm, s)?;
         let store = store(gm)?;
         // Tile-local scans land here in the (possibly narrower)
         // intermediate type; the paper's kernel writes them into the
         // output buffer, which is the same traffic.
-        let w = GlobalTensor::<M>::new(gm, n)?;
-        let r = GlobalTensor::<O>::new(gm, chunks_total)?;
+        let w = GlobalTensor::<M>::new(gm, inputs * n)?;
+        let r = GlobalTensor::<O>::new(gm, inputs * chunks_total)?;
         let mc = McLayout {
             name,
             n,
+            inputs,
             s,
             l,
+            seg,
             blocks,
             consts,
             w,
@@ -491,45 +569,55 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         Ok(report)
     }
 
-    /// MCScan's phase I (Lines 4-14) of `x` on one block: the cube
-    /// writes the tile-local scans of the block's tiles to `w` while the
-    /// vector cores recompute their chunks' reductions from `x` into `r`.
+    /// MCScan's phase I (Lines 4-14) of `x` — the layout's inputs back
+    /// to back — on one block: the cube writes the tile-local scans of
+    /// the block's tiles of every input to `w` while the vector cores
+    /// recompute their chunks' reductions from `x` into `r`.
     pub fn phase_one(&self, ctx: &mut BlockCtx<'_>, x: &GlobalTensor<T>) -> SimResult<()> {
-        if x.len() != self.n {
+        if x.len() != self.inputs * self.n {
             return Err(SimError::InvalidArgument(format!(
-                "{}: phase I input has {} elements, the layout {}",
+                "{}: phase I input has {} elements, the layout {} x {}",
                 self.name,
                 x.len(),
+                self.inputs,
                 self.n
             )));
         }
         let range = self.block_tiles(ctx);
         self.cube_scans(&mut ctx.cube, x, range, None)?;
+        let chunks = self.chunks.len();
         for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-            reduce_chunk(vc, x, &self.segments(chunk), self.l, &self.r, chunk)?;
+            let inputs: Vec<_> = (0..self.inputs)
+                .map(|i| (i * self.n, i * chunks + chunk))
+                .collect();
+            reduce_chunk(vc, x, &self.segments(chunk), self.l, &self.r, &inputs)?;
         }
         Ok(())
     }
 
     /// MCScan's phase II (Lines 16-26) on one block, after the `SyncAll`
-    /// that follows phase I: each vector core scans `r`'s prefix in UB
-    /// and propagates it through its chunk's tile-local scans, handing
-    /// every segment to `store`.
+    /// that follows phase I: each vector core scans `r`'s prefix of
+    /// every input in UB and propagates them through its chunk's
+    /// tile-local scans, handing every segment to `store`.
     pub fn phase_two<S: TileStore<O>>(&self, ctx: &mut BlockCtx<'_>, store: &S) -> SimResult<()> {
         for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
             if self.chunking == Chunking::Rows && self.chunks[chunk].is_empty() {
                 continue;
             }
-            let (offset, total) = chunk_offset(vc, &self.r, chunk, store.needs_total())?;
+            let needs_total = store.needs_total();
+            let (offset, total) = chunk_offset(vc, &self.r, self.inputs, chunk, needs_total)?;
             self.propagate(vc, chunk, offset, total, None, store)?;
         }
         Ok(())
     }
 
-    /// The sum of the last scanned input, read back from `r` after the
-    /// launch.
+    /// The sum of the first input of the last phase I, read back from
+    /// `r` after the launch.
     pub fn total(&self) -> O {
-        self.r.to_vec().into_iter().fold(O::zero(), O::add)
+        let r = self.r.to_vec();
+        r[..self.chunks.len()]
+            .iter()
+            .fold(O::zero(), |a, &b| a.add(b))
     }
 
     /// The segments of chunk `chunk`: its element range cut into
@@ -551,9 +639,9 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         start.div_ceil(self.l)..end.div_ceil(self.l)
     }
 
-    /// The cube stage: tile-local scans (`A @ U_s`) of `range` into `w`.
-    /// With `hand`, each tile is handed to the vector cores under its
-    /// tile index.
+    /// The cube stage: tile-local scans (`A @ U_s`) of `range` of every
+    /// input into `w`, through one `U_s` in L0B. With `hand`, each tile
+    /// is handed to the vector cores under its tile index.
     pub(crate) fn cube_scans(
         &self,
         cube: &mut Core<'_>,
@@ -562,77 +650,97 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         hand: Option<(&FlagFile, HandOffs)>,
     ) -> SimResult<()> {
         let mut pass = CubePass::new(cube, &self.consts.upper, self.s)?;
-        for t in range {
-            let (off, valid) = self.tiles[t];
-            let ev = pass.scan_tile(cube, x, &self.w, off, valid)?;
-            if let Some((flags, hand)) = hand {
-                hand.set(cube, flags, 0, t, ev)?;
+        for input in 0..self.inputs {
+            for t in range.clone() {
+                let (off, valid) = self.tiles[t];
+                let off = input * self.n + off;
+                let ev = pass.scan_tile(cube, x, &self.w, off, valid)?;
+                if let Some((flags, hand)) = hand {
+                    hand.set(cube, flags, 0, t, ev)?;
+                }
             }
         }
         pass.finish(cube)
     }
 
     /// The propagation stage: streams chunk `chunk`'s tile-local scans
-    /// from `w` one segment at a time, widens them to `O`, carries the
-    /// running partial (from `carry`) through them row by row and hands
-    /// each segment to `store`, with the scan's `total` when the store
-    /// asked for it. A segment may straddle two cube tiles: `w` holds
-    /// row-local scans and is read only after the `SyncAll`. With
-    /// `hand` (tile chunks only), each segment first waits for its
-    /// tile's hand-off. Returns the final partial — the chunk's
-    /// inclusive total.
+    /// of every input from `w` one segment at a time, widens them to `O`,
+    /// carries each input's running partial (from `carry`) through them
+    /// row by row, the inputs' rows interleaved, and hands each segment
+    /// to `store`, with the scans' `total`s when the store asked for
+    /// them. A segment may straddle two cube tiles: `w` holds row-local
+    /// scans and is read only after the `SyncAll`. With `hand` (tile
+    /// chunks only), each segment first waits for its tile's hand-off.
+    /// Returns the final partials — the chunk's inclusive totals.
     pub(crate) fn propagate<S: TileStore<O>>(
         &self,
         vc: &mut Core<'_>,
         chunk: usize,
-        mut carry: (O, EventTime),
-        total: Option<(O, EventTime)>,
+        mut carry: Vec<Timed<O>>,
+        total: Option<Vec<Timed<O>>>,
         hand: Option<(&FlagFile, HandOffs)>,
         store: &S,
-    ) -> SimResult<(O, EventTime)> {
-        let (s, l) = (self.s, self.l);
-        let depth = queue_depth::<M, O>(vc.spec(), l);
-        let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, l)?.named("q(UB)");
-        let mut buf = vc.alloc_local::<O>(ScratchpadKind::Ub, l)?;
+    ) -> SimResult<Vec<Timed<O>>> {
+        let (s, l, seg) = (self.s, self.l, self.seg);
+        let depth = queue_depth::<M, O>(vc.spec(), seg, self.inputs);
+        let mut q = TQue::<M>::new(vc, ScratchpadKind::Ub, depth, seg)?.named("q(UB)");
+        let mut bufs = Vec::with_capacity(self.inputs);
+        for _ in 0..self.inputs {
+            bufs.push(vc.alloc_local::<O>(ScratchpadKind::Ub, seg)?);
+        }
         let ub_left = vc
             .spec()
             .ub_capacity
             .saturating_sub(vc.scratch_in_use(ScratchpadKind::Ub));
-        let mut bufs = store.open(vc, ub_left)?;
+        let mut sbufs = store.open(vc, ub_left)?;
         for (off, valid) in self.segments(chunk) {
             let tile = vc.span_begin("tile");
             let ready = match hand {
                 Some((flags, hand)) => Some(hand.wait(vc, flags, 0, off / l)?),
                 None => None,
             };
-            let mut piece = q.alloc_tensor()?;
-            vc.copy_in(&mut piece, 0, &self.w, off, valid, ready.as_slice())?;
-            let cast_done = vc.vcast::<M, O>(&mut buf, &piece, 0, valid)?;
-            q.free_tensor(piece, cast_done);
-            store.begin(vc, &mut bufs, off, carry)?;
-            let prefix = carry;
-            propagate_rows(vc, &mut buf, valid, s, &mut carry)?;
+            for (input, buf) in bufs.iter_mut().enumerate() {
+                let mut piece = q.alloc_tensor()?;
+                let src = input * self.n + off;
+                vc.copy_in(&mut piece, 0, &self.w, src, valid, ready.as_slice())?;
+                let cast_done = vc.vcast::<M, O>(buf, &piece, 0, valid)?;
+                q.free_tensor(piece, cast_done);
+            }
+            store.begin(vc, &mut sbufs, off, &carry)?;
+            let prefix = carry.clone();
+            for (row, len) in tile_spans(valid, s) {
+                for (buf, carry) in bufs.iter_mut().zip(carry.iter_mut()) {
+                    carry_through(vc, buf, row, len, carry)?;
+                }
+            }
+            let inputs: Vec<Scanned<'_, O>> = (0..self.inputs)
+                .map(|i| Scanned {
+                    incl: &bufs[i],
+                    prefix: prefix[i],
+                    last: carry[i],
+                    total: total.as_ref().map(|t| t[i]),
+                })
+                .collect();
             let stored = Tile {
                 off,
                 valid,
-                incl: &buf,
-                prefix,
-                last: carry,
-                total,
+                inputs: &inputs,
             };
-            let (out_done, bytes) = store.store(vc, &mut bufs, &stored)?;
+            let (out_done, bytes) = store.store(vc, &mut sbufs, &stored)?;
             vc.span_args(
                 tile,
                 SpanArgs {
-                    bytes: (valid * M::SIZE) as u64 + bytes,
+                    bytes: (self.inputs * valid * M::SIZE) as u64 + bytes,
                     kind: "propagate",
                     queue_depth: depth as u32,
                 },
             );
             vc.span_end_at(tile, out_done);
         }
-        store.close(vc, bufs)?;
-        vc.free_local(buf)?;
+        store.close(vc, sbufs)?;
+        for buf in bufs {
+            vc.free_local(buf)?;
+        }
         q.destroy(vc)?;
         Ok(carry)
     }
@@ -725,6 +833,55 @@ mod tests {
         let x = GlobalTensor::from_slice(&gm, &[1i8; 8]).unwrap();
         assert!(mcscan::<i8, i32, i32>(&spec, &gm, &x, cfg(10, 1, ScanKind::Inclusive)).is_err());
         assert!(mcscan::<i8, i32, i32>(&spec, &gm, &x, cfg(16, 0, ScanKind::Inclusive)).is_err());
+    }
+
+    #[test]
+    fn an_int8_row_scan_that_overflows_i16_is_refused() {
+        // A row of s = 144 all-255 bytes sums to 36,720, past i16's
+        // 32,767: every MCScan entry refuses it instead of wrapping.
+        let spec = ChipSpec::ascend_910b4();
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        let data = vec![255u8; 144 * 144];
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let refused = |r: SimResult<()>| matches!(r, Err(SimError::InvalidArgument(_)));
+        let cfg = cfg(144, spec.ai_cores, ScanKind::Inclusive);
+        assert!(refused(
+            mcscan::<u8, i16, i32>(&spec, &gm, &x, cfg).map(drop)
+        ));
+        let store = YStore {
+            y: GlobalTensor::<i32>::new(&gm, data.len()).unwrap(),
+            kind: ScanKind::Inclusive,
+        };
+        let with = mcscan_with::<u8, i16, i32, _>(&spec, &gm, &x, 144, "MCScanSplit", store);
+        assert!(refused(with.map(drop)));
+        let rows = McLayout::<u8, i16, i32>::rows("rows", &spec, &gm, data.len(), 1, 144);
+        assert!(refused(rows.map(drop)));
+        for v in [
+            crate::McScanVariant::StridedTotals,
+            crate::McScanVariant::SsaFull,
+            crate::McScanVariant::Rss,
+        ] {
+            let run = crate::mcscan_variant::<u8, i16, i32>(&spec, &gm, &x, cfg, v);
+            assert!(refused(run.map(drop)), "{v:?}");
+        }
+        // An i32 intermediate holds the same rows.
+        assert!(mcscan::<u8, i32, i32>(&spec, &gm, &x, cfg).is_ok());
+    }
+
+    #[test]
+    fn all_255_rows_at_s_128_are_exact_in_i16() {
+        // 128 · 255 = 32,640 fits i16: the largest int8 tile MCScan
+        // takes scans all-255 rows exactly.
+        let spec = ChipSpec::ascend_910b4();
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        let data = vec![255u8; 3 * 128 * 128 + 77];
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let cfg = cfg(128, spec.ai_cores, ScanKind::Inclusive);
+        let run = mcscan::<u8, i16, i32>(&spec, &gm, &x, cfg).unwrap();
+        assert_eq!(
+            run.y.to_vec(),
+            reference::inclusive_widening::<u8, i32>(&data)
+        );
     }
 
     #[test]

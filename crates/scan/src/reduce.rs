@@ -125,7 +125,8 @@ where
 fn fold_partials<A: Numeric>(ctx: &mut BlockCtx<'_>, r: &GlobalTensor<A>) -> SimResult<()> {
     if ctx.block_idx == 0 {
         let vc = &mut ctx.vecs[0];
-        let (grand, _) = chunk_offset(vc, r, r.len(), false)?;
+        let (grand, _) = chunk_offset(vc, r, 1, r.len(), false)?;
+        let grand = grand[0];
         store_scalar(vc, r, 0, grand)?;
     }
     Ok(())
@@ -163,7 +164,7 @@ where
         for (v, vc) in ctx.vecs.iter_mut().enumerate() {
             let chunk = block * vpc + v;
             let (s0, count) = chunk_spans[chunk];
-            reduce_chunk(vc, x, &spans[s0..s0 + count], piece, &r, chunk)?;
+            reduce_chunk(vc, x, &spans[s0..s0 + count], piece, &r, &[(0, chunk)])?;
         }
         ctx.span_end(phase);
         ctx.sync_all()?;

@@ -48,7 +48,7 @@
 //! [`probe_grid_flag`]: ascendc::Core::probe_grid_flag
 
 use crate::mcscan::ScanKind;
-use crate::stage::{check_tile, propagate_rows, CubePass, HandOffs};
+use crate::stage::{check_intermediate, check_tile, propagate_rows, CubePass, HandOffs};
 use crate::triangular::ScanConstants;
 use crate::util::{tile_dim, tile_spans};
 use crate::{finish_report, ScanRun};
@@ -92,7 +92,7 @@ impl ScanCConfig {
     /// look-back window the chip's flag-id file supports (capped at 4);
     /// inclusive.
     pub fn for_chip<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> Self {
-        let s = tile_dim::<T, M, O>(spec);
+        let s = tile_dim::<T, M, O>(spec, 1);
         let l = s * s;
         let budget = spec.ub_capacity.saturating_sub(l * M::SIZE + 256);
         let mut w = 4usize;
@@ -177,8 +177,8 @@ fn lookback_edges(nlanes: usize, w: usize, flag_ids: u32) -> Vec<LaneEdges> {
 /// * fp16: `scanc::<F16, F16, F16>`;
 /// * int8 masks: `scanc::<u8, i16, i32>`.
 ///
-/// `M` must hold `ℓ` times the largest input value (a tile-local scan
-/// never exceeds that).
+/// An integer `M` must hold `s` times the largest input value (a
+/// row-local scan never exceeds that); a larger `s` is refused.
 pub fn scanc<T, M, O>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -191,6 +191,7 @@ where
     O: Numeric,
 {
     check_tile("ScanC", cfg.s)?;
+    check_intermediate::<T, M>("ScanC", cfg.s)?;
     if cfg.tiles_per_lane == 0 {
         return Err(SimError::InvalidArgument(
             "ScanC: tiles_per_lane must be at least 1".into(),
@@ -456,6 +457,17 @@ mod tests {
             lookback_window: 2,
             kind: ScanKind::Inclusive,
         }
+    }
+
+    #[test]
+    fn an_int8_row_scan_that_overflows_i16_is_refused() {
+        // ScanC stages the same `A @ U_s` row scans in `M` as MCScan: a
+        // row of s = 144 all-255 bytes would wrap i16.
+        let spec = ChipSpec::ascend_910b4();
+        let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
+        let x = GlobalTensor::from_slice(&gm, &vec![255u8; 144 * 144]).unwrap();
+        let run = scanc::<u8, i16, i32>(&spec, &gm, &x, cfg(144, 1));
+        assert!(matches!(run, Err(SimError::InvalidArgument(_))));
     }
 
     #[test]

@@ -40,6 +40,23 @@ pub(crate) fn check_tile(what: &str, s: usize) -> SimResult<()> {
     Ok(())
 }
 
+/// Checks that an integer intermediate `M` holds a row-local scan of
+/// `s` elements of `T` (`A @ U_s` leaves one per row): `s · T::MAX` must
+/// not exceed `M::MAX`, or the tile scans would wrap silently.
+pub(crate) fn check_intermediate<T: Element, M: Element>(what: &str, s: usize) -> SimResult<()> {
+    if let (Some(t), Some(m)) = (T::DTYPE.int_max(), M::DTYPE.int_max()) {
+        if s as u64 * t > m {
+            return Err(SimError::InvalidArgument(format!(
+                "{what}: a row of s = {s} {} values sums to up to {}, more than {} holds ({m})",
+                T::DTYPE,
+                s as u64 * t,
+                M::DTYPE
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Checks a kernel's grid: at least one block and, for kernels that do
 /// not wave-multiplex, at most `max` (`None`: any positive count).
 pub(crate) fn check_blocks(what: &str, blocks: u32, max: Option<u32>) -> SimResult<()> {
@@ -359,17 +376,19 @@ pub(crate) fn store_scalar<O: Numeric>(
     vc.free_local(one)
 }
 
-/// Chunk reduction: loads each `(offset, len)` piece of `x` (at most
+/// Chunk reduction: for each scanned input `(shift, idx)` of `inputs`,
+/// loads each `(offset, len)` piece of `x` at `offset + shift` (at most
 /// `piece` elements), widens it to `O` (`vcast`; int8 masks would
 /// overflow their own type) and `ReduceSum`s it, chaining the running
-/// total on the scalar pipe; then stores the total to `r[chunk]`.
+/// total on the scalar pipe; then stores the total to `r[idx]`. The
+/// inputs share one staging queue.
 pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
     vc: &mut Core<'_>,
     x: &GlobalTensor<T>,
     pieces: &[(usize, usize)],
     piece: usize,
     r: &GlobalTensor<O>,
-    chunk: usize,
+    inputs: &[(usize, usize)],
 ) -> SimResult<()> {
     let din = if 2 * piece * T::SIZE + piece * O::SIZE + 64 <= vc.spec().ub_capacity {
         2
@@ -378,27 +397,29 @@ pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
     };
     let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, din, piece)?.named("qin(UB)");
     let mut acc = vc.alloc_local::<O>(ScratchpadKind::Ub, piece)?;
-    let (mut total, mut total_ready) = (O::zero(), 0);
-    for &(off, valid) in pieces {
-        let tile = vc.span_begin("tile");
-        let mut buf = qin.alloc_tensor()?;
-        vc.copy_in(&mut buf, 0, x, off, valid, &[])?;
-        let cast_done = vc.vcast::<T, O>(&mut acc, &buf, 0, valid)?;
-        qin.free_tensor(buf, cast_done);
-        let (sum, ready) = vc.reduce_sum(&acc, 0, valid)?;
-        total = total.add(sum);
-        total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
-        vc.span_args(
-            tile,
-            SpanArgs {
-                bytes: (valid * T::SIZE) as u64,
-                kind: "reduce",
-                queue_depth: din as u32,
-            },
-        );
-        vc.span_end_at(tile, total_ready);
+    for &(shift, idx) in inputs {
+        let (mut total, mut total_ready) = (O::zero(), 0);
+        for &(off, valid) in pieces {
+            let tile = vc.span_begin("tile");
+            let mut buf = qin.alloc_tensor()?;
+            vc.copy_in(&mut buf, 0, x, shift + off, valid, &[])?;
+            let cast_done = vc.vcast::<T, O>(&mut acc, &buf, 0, valid)?;
+            qin.free_tensor(buf, cast_done);
+            let (sum, ready) = vc.reduce_sum(&acc, 0, valid)?;
+            total = total.add(sum);
+            total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
+            vc.span_args(
+                tile,
+                SpanArgs {
+                    bytes: (valid * T::SIZE) as u64,
+                    kind: "reduce",
+                    queue_depth: din as u32,
+                },
+            );
+            vc.span_end_at(tile, total_ready);
+        }
+        store_scalar(vc, r, idx, (total, total_ready))?;
     }
-    store_scalar(vc, r, chunk, (total, total_ready))?;
     vc.free_local(acc)?;
     qin.destroy(vc)
 }
@@ -406,27 +427,37 @@ pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
 /// A scalar and the time it is ready.
 pub(crate) type Timed<O> = (O, EventTime);
 
-/// The chunk offset of phase 2: loads the reduction array `r` into UB
-/// and sums its first `chunk` entries (zero for chunk 0). With `total`,
-/// also sums all of `r` — the scan's total.
+/// Each scanned input's chunk offset and, on request, its total.
+pub(crate) type ChunkOffsets<O> = (Vec<Timed<O>>, Option<Vec<Timed<O>>>);
+
+/// The chunk offsets of phase 2: loads the reduction array `r` — one
+/// row of `r.len() / inputs` chunk totals per scanned input — into UB
+/// and sums, per row, its first `chunk` entries (zero for chunk 0).
+/// With `total`, also sums each whole row — the scans' totals.
 pub(crate) fn chunk_offset<O: Numeric>(
     vc: &mut Core<'_>,
     r: &GlobalTensor<O>,
+    inputs: usize,
     chunk: usize,
     total: bool,
-) -> SimResult<(Timed<O>, Option<Timed<O>>)> {
+) -> SimResult<ChunkOffsets<O>> {
+    let chunks = r.len() / inputs;
     let mut r_ub = vc.alloc_local::<O>(ScratchpadKind::Ub, r.len())?;
     vc.copy_in(&mut r_ub, 0, r, 0, r.len(), &[])?;
-    let offset = if chunk == 0 {
-        (O::zero(), 0)
-    } else {
-        vc.reduce_sum(&r_ub, 0, chunk)?
-    };
+    let mut offsets = Vec::with_capacity(inputs);
+    for row in 0..inputs {
+        offsets.push(if chunk == 0 {
+            (O::zero(), 0)
+        } else {
+            vc.reduce_sum(&r_ub, row * chunks, chunk)?
+        });
+    }
     let total = if total {
-        Some(vc.reduce_sum(&r_ub, 0, r.len())?)
+        let rows = (0..inputs).map(|row| vc.reduce_sum(&r_ub, row * chunks, chunks));
+        Some(rows.collect::<SimResult<Vec<_>>>()?)
     } else {
         None
     };
     vc.free_local(r_ub)?;
-    Ok((offset, total))
+    Ok((offsets, total))
 }

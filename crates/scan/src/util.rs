@@ -8,17 +8,25 @@ use dtypes::{CubeInput, Element};
 pub(crate) const PAPER_S: usize = 128;
 
 /// The largest tile dimension `s ≤ 128` (a multiple of 16) whose
-/// `ℓ = s²` tile fits the chip for a `<T, M, O>` cube scan: one input
-/// tile in each of L0A and L0B, one accumulator tile in L0C, and one
-/// input-or-intermediate tile next to one output tile in UB (plus a
-/// little room for the per-lane scalars). Falls back to 16, whose launch
-/// then reports the overflow.
-pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> usize {
+/// `ℓ = s²` tile fits the chip for a `<T, M, O>` cube scan of `inputs`
+/// arrays side by side: one input tile in each of L0A and L0B, one
+/// accumulator tile in L0C, and one input-or-intermediate tile next to
+/// one output tile per input in UB (plus a little room for the per-lane
+/// scalars). A layout over several inputs also keeps phase II's staging
+/// queue double-buffered: its propagation buffers leave the store little
+/// UB, and with a single-buffered queue the 910B4's three-mask sort
+/// passes measured slower at 1M-4M keys than at the next smaller tile.
+/// Falls back to 16, whose launch then reports the overflow.
+pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(
+    spec: &ChipSpec,
+    inputs: usize,
+) -> usize {
+    let staging = if inputs > 1 { 2 } else { 1 };
     let fits = |s: usize| {
         let l = s * s;
         l * T::SIZE <= spec.l0a_capacity.min(spec.l0b_capacity)
             && l * <T::Acc as Element>::SIZE <= spec.l0c_capacity
-            && l * (T::SIZE.max(M::SIZE) + O::SIZE) + 256 <= spec.ub_capacity
+            && l * (staging * T::SIZE.max(M::SIZE) + inputs * O::SIZE) + 256 <= spec.ub_capacity
     };
     (1..=PAPER_S / 16)
         .rev()

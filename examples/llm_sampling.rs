@@ -45,11 +45,14 @@ fn main() {
         );
     }
 
-    // The paper's accounting: one fp16 top-p = 16 radix-sort scans plus
-    // one cumulative-sum scan.
+    // The paper's accounting: one fp16 top-p = 16 one-bit radix-sort
+    // scans plus one cumulative-sum scan. `Device` sorts two bits per
+    // pass: 8 passes of two barriers each, the encode's and the CDF
+    // scan's.
     let run = dev.top_p(&x, 0.9, 0.5).expect("top-p sample");
     println!(
-        "\nscan invocations per sample (SyncAll rounds): {} — the paper's '17 scans per batch'",
+        "\nSyncAll rounds per sample: {} (8 two-bit sort passes; the paper's one-bit sort \
+         makes it '17 scans per batch')",
         run.report.sync_rounds
     );
 

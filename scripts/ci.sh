@@ -105,7 +105,8 @@ trap 'rm -rf "$lintdir"' EXIT
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
 # byte-identical to what nine serial single-kernel runs would write.
-# `sort` is the one-launch fp16 radix sort (33 barriers).
+# `sort` is the one-launch fp16 radix sort `Device::top_p` runs (8
+# two-bit passes, 17 barriers).
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"
 lint_traces=()
 for k in scanu scanul1 mcscan scanc scanc-excl cumsum batched split sort; do
