@@ -335,6 +335,16 @@ impl Core<'_> {
         Ok((count, done))
     }
 
+    /// `GetGatherMaskRemainCount`: moves the count of a `GatherMask`
+    /// that retires at `ready` into the scalar unit, priced as
+    /// [`Extract`](Self::extract). `after` orders it behind earlier
+    /// scalar work, such as the address the count advances.
+    pub fn gather_count(&mut self, ready: EventTime, after: EventTime) -> SimResult<EventTime> {
+        let cost = self.spec.cost_scalar_extract();
+        self.timeline_mut()
+            .exec(EngineKind::Scalar, cost, &[ready, after])
+    }
+
     /// `Compare`: `dst_mask[i] = (src[i] <op> scalar) as u8`.
     #[allow(clippy::too_many_arguments)]
     pub fn vcompare_scalar<T: Numeric>(

@@ -9,7 +9,7 @@ use ascendc::GlobalTensor;
 use bench::{baseline_top_p, fresh_gm, synth_f16, synth_mask, synth_probs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dtypes::F16;
-use ops::{baselines, compress, radix_sort, split_ind, topk, Radix, SortOrder};
+use ops::{baselines, compress, radix_sort, split_ind, topk, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::{batched_scanu, batched_scanul1, cumsum_vec_only, scanu, scanul1};
 
@@ -142,7 +142,7 @@ fn bench_fig10_compress(c: &mut Criterion) {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            compress(&spec, &gm, &x, &m, 128).unwrap()
+            compress(&spec, &gm, &x, &m).unwrap()
         })
     });
     g.bench_function("split_ind", |b| {
@@ -150,7 +150,7 @@ fn bench_fig10_compress(c: &mut Criterion) {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            split_ind(&spec, &gm, &x, &m, 128).unwrap()
+            split_ind(&spec, &gm, &x, &m).unwrap()
         })
     });
     g.bench_function("masked_select_baseline", |b| {
@@ -175,7 +175,7 @@ fn bench_fig11_sort(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            radix_sort::<F16>(&spec, &gm, &x, Radix::bit(128), SortOrder::Ascending).unwrap()
+            radix_sort::<F16>(&spec, &gm, &x, 1, SortOrder::Ascending).unwrap()
         })
     });
     g.bench_function("sort_baseline", |b| {
@@ -199,7 +199,7 @@ fn bench_fig13_topp(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, 128, Radix::bit(128)).unwrap()
+            ops::top_p_sample(&spec, &gm, &x, 0.9, 0.37, 128, 1).unwrap()
         })
     });
     g.bench_function("top_p_torch", |b| {
@@ -223,7 +223,7 @@ fn bench_topk(c: &mut Criterion) {
         b.iter(|| {
             let gm = fresh_gm(&spec);
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            topk::<F16>(&spec, &gm, &x, 256, 128).unwrap()
+            topk::<F16>(&spec, &gm, &x, 256).unwrap()
         })
     });
     g.finish();

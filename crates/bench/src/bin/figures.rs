@@ -39,7 +39,7 @@ use bench::{
     validate_bench_json, Table,
 };
 use dtypes::F16;
-use ops::{baselines, compress, radix_sort, topk, Radix, SortOrder};
+use ops::{baselines, compress, radix_sort, topk, SortOrder};
 use scan::ablation::{mcscan_variant, McScanVariant};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::scanc::{scanc, ScanCConfig};
@@ -620,18 +620,17 @@ fn fig10(spec: &ChipSpec, quick: bool) {
     } else {
         sweep(1 << 16, 4, 5)
     };
-    let mut t = Table::new(&["N", "s=32", "s=64", "s=128", "torch.masked_select"]);
+    // Compress counts its mask instead of scanning it, so it has no tile
+    // dimension: one column where the paper plots s = 32/64/128.
+    let mut t = Table::new(&["N", "compress", "torch.masked_select"]);
     let rows = par(sizes, |n| {
         let vals = synth_f16(n, 1);
         let mask = synth_mask(n, 2);
-        let mut cells = vec![human(n)];
-        for s in [32usize, 64, 128] {
-            let gm = fresh_gm(spec);
-            let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let r = compress(spec, &gm, &x, &m, s).unwrap().report;
-            cells.push(format!("{:.0}", r.gbps()));
-        }
+        let gm = fresh_gm(spec);
+        let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
+        let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
+        let r = compress(spec, &gm, &x, &m).unwrap().report;
+        let mut cells = vec![human(n), format!("{:.0}", r.gbps())];
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
@@ -646,9 +645,11 @@ fn fig10(spec: &ChipSpec, quick: bool) {
     println!("  paper: compress reaches ~160 GB/s (20% of peak); the baseline is scalar-bound and flat\n");
 }
 
-/// Fig. 11 — fp16 radix sort (MCScan splits) vs torch.sort.
+/// Fig. 11 — fp16 radix sort (one-bit splits) vs torch.sort.
 fn fig11(spec: &ChipSpec, quick: bool) {
-    println!("== Figure 11: fp16 sort, execution time (ms): radix sort (s = 128) vs torch.sort ==");
+    println!(
+        "== Figure 11: fp16 sort, execution time (ms): radix sort (1-bit passes) vs torch.sort =="
+    );
     let sizes: Vec<usize> = if quick {
         vec![1 << 16, 1 << 19, 1 << 21]
     } else {
@@ -659,7 +660,7 @@ fn fig11(spec: &ChipSpec, quick: bool) {
         let vals = synth_f16(n, 3);
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-        let r = radix_sort::<F16>(spec, &gm, &x, Radix::bit(128), SortOrder::Ascending)
+        let r = radix_sort::<F16>(spec, &gm, &x, 1, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
@@ -757,6 +758,7 @@ fn fig13(spec: &ChipSpec, quick: bool) {
     } else {
         sweep(1 << 10, 4, 6)
     };
+    // `s` is the CDF scan's tile; the sort's splits have none.
     let mut t = Table::new(&["vocab", "s=32", "s=64", "s=128", "PyTorch", "s128 speedup"]);
     let rows = par(sizes, |n| {
         let probs = synth_probs(n, 9);
@@ -765,7 +767,7 @@ fn fig13(spec: &ChipSpec, quick: bool) {
         for s in [32usize, 64, 128] {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s, Radix::bit(s))
+            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, s, 1)
                 .unwrap()
                 .report;
             if s == 128 {
@@ -916,7 +918,7 @@ fn topk_experiment(spec: &ChipSpec, quick: bool) {
     let rows = par(ks.clone(), move |k| {
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, vals_ref).unwrap();
-        let r = topk::<F16>(spec, &gm, &x, k, 128).unwrap().report;
+        let r = topk::<F16>(spec, &gm, &x, k).unwrap().report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, vals_ref).unwrap();
         let (_, _, b) = baselines::topk_baseline::<F16>(spec, &gm, &x, k).unwrap();
@@ -993,12 +995,12 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
         let vals8: Vec<i8> = vals16.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals16).unwrap();
-        let r16 = radix_sort::<F16>(spec, &gm, &x, Radix::bit(128), SortOrder::Ascending)
+        let r16 = radix_sort::<F16>(spec, &gm, &x, 1, SortOrder::Ascending)
             .unwrap()
             .report;
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &vals8).unwrap();
-        let r8 = radix_sort::<i8>(spec, &gm, &x, Radix::bit(128), SortOrder::Ascending)
+        let r8 = radix_sort::<i8>(spec, &gm, &x, 1, SortOrder::Ascending)
             .unwrap()
             .report;
         vec![
@@ -1016,31 +1018,27 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
 }
 
 /// Radix-sort digit width: the paper's one-bit passes against the
-/// two-bit passes `Device` runs (a 4-way split over three mask scans per
-/// pass), for fp16 and int8 keys at Fig. 11's sizes and for top-p at
+/// two-bit passes `Device` runs (a 4-way split over three digit masks
+/// per pass), for fp16 and int8 keys at Fig. 11's sizes and for top-p at
 /// Fig. 13's vocabularies, plus where the two-bit fp16 sort overtakes
 /// the `torch.sort` cost model.
 fn radix_digits(spec: &ChipSpec, quick: bool) {
-    let two = Radix::for_chip(spec, 2);
-    println!(
-        "== Radix digits: 1-bit passes (s = 128) vs 2-bit passes (s = {}) (ms) ==",
-        two.s
-    );
+    println!("== Radix digits: 1-bit passes vs 2-bit passes (ms) ==");
     let sizes = if quick {
         vec![1 << 16, 1 << 20]
     } else {
         sweep(1 << 10, 4, 8)
     };
-    let sort_ms = |radix: Radix, n: usize, int8: bool| {
+    let sort_ms = |bits: u32, n: usize, int8: bool| {
         let vals = synth_f16(n, 3);
         let gm = fresh_gm(spec);
         let r = if int8 {
             let v: Vec<i8> = vals.iter().map(|v| (v.to_f32() / 10.0) as i8).collect();
             let x = GlobalTensor::from_slice(&gm, &v).unwrap();
-            radix_sort::<i8>(spec, &gm, &x, radix, SortOrder::Ascending).map(|r| r.report)
+            radix_sort::<i8>(spec, &gm, &x, bits, SortOrder::Ascending).map(|r| r.report)
         } else {
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
-            radix_sort::<F16>(spec, &gm, &x, radix, SortOrder::Ascending).map(|r| r.report)
+            radix_sort::<F16>(spec, &gm, &x, bits, SortOrder::Ascending).map(|r| r.report)
         };
         r.unwrap().time_ms()
     };
@@ -1056,7 +1054,7 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
     let rows = par(sizes, |n| {
         let mut cells = vec![human(n)];
         for int8 in [false, true] {
-            let (one, two) = (sort_ms(Radix::bit(128), n, int8), sort_ms(two, n, int8));
+            let (one, two) = (sort_ms(1, n, int8), sort_ms(2, n, int8));
             cells.push(format!("{one:.3}"));
             cells.push(format!("{two:.3}"));
             cells.push(format!("{:.2}x", one / two));
@@ -1078,10 +1076,10 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
         let probs = synth_probs(n, 9);
         let mut cells = vec![human(n)];
         let mut ms = Vec::new();
-        for radix in [Radix::bit(128), two] {
+        for bits in [1, 2] {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
-            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, 128, radix).unwrap();
+            let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, 128, bits).unwrap();
             ms.push(r.report.time_ms());
             cells.push(format!("{:.3}", r.report.time_ms()));
         }
@@ -1099,7 +1097,7 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &synth_f16(n, 3)).unwrap();
         let (_, _, b) = baselines::sort::<F16>(spec, &gm, &x, false).unwrap();
-        sort_ms(two, n, false) < b.time_ms()
+        sort_ms(2, n, false) < b.time_ms()
     };
     let (mut lo, mut hi) = (1usize << 10, 1usize << 20);
     if !quick && !wins(lo) && wins(hi) {

@@ -36,7 +36,7 @@ use ascend_sim::sync::GridPlan;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
-use ops::{radix_sort, split_ind, Radix, SortOrder};
+use ops::{radix_sort, split_ind, SortOrder};
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
     ScanKind,
@@ -230,31 +230,25 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             run.report.to_json(&spec)
         }
         "split" => {
-            // The fused split every split, compress and radix/top-k pass
-            // runs: MCScan's phase II scatters each segment from UB. 1500
-            // elements at s = 32 are 2 cube tiles and 47 rows, split
-            // 12/12/12/11 over the 4 vector cores: the third chunk (rows
-            // 24..36) starts mid-tile and its segment crosses the tile
-            // boundary at row 32. Each chunk fits one 512-element store
-            // piece, based at the segment's prefix.
+            // The split every split, compress and radix/top-k pass runs:
+            // phase I counts the mask per chunk, phase II scatters each
+            // chunk from its offset. 1500 elements are 375 to each of the
+            // 4 vector cores, each chunk one store piece.
             let x = GlobalTensor::from_slice(&gm, &signal(1500)).expect("device fits input");
             let mask: Vec<u8> = (0..1500).map(|i| u8::from(i % 3 != 1)).collect();
             let m = GlobalTensor::from_slice(&gm, &mask).expect("device fits mask");
-            let run = split_ind::<i8>(&spec, &gm, &x, &m, 32).expect("split launches");
+            let run = split_ind::<i8>(&spec, &gm, &x, &m).expect("split launches");
             run.report.to_json(&spec)
         }
         "sort" => {
             // The one-launch radix sort at both digit widths: the encode,
-            // 8 one-bit or 4 two-bit fused splits of two barriers each
-            // and the decode. 300 u8 keys at s = 16 are 19 rows, 5 to
-            // each of the first 3 vector cores and 4 to the last, and 2
-            // cube tiles.
+            // 8 one-bit or 4 two-bit splits of two barriers each and the
+            // decode. 300 u8 keys are 75 to each of the 4 vector cores.
             let keys: Vec<u8> = (0..300).map(|i| (i * 151 % 256) as u8).collect();
             let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
             [1, 2]
                 .map(|bits| {
-                    let radix = Radix { bits, s: 16 };
-                    let run = radix_sort::<u8>(&spec, &gm, &x, radix, SortOrder::Ascending)
+                    let run = radix_sort::<u8>(&spec, &gm, &x, bits, SortOrder::Ascending)
                         .expect("sort launches");
                     run.report.to_json(&spec)
                 })

@@ -36,7 +36,7 @@ use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
 use bench::fresh_gm;
 use dtypes::F16;
-use ops::{radix_sort, split_ind, Radix, SortOrder};
+use ops::{radix_sort, split_ind, SortOrder};
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::ScanKind;
@@ -222,8 +222,7 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             let mask: Vec<u8> = (0..n).map(|i| (i % 2) as u8).collect();
             let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let s = McScanConfig::for_types::<u8, i16, i32>(spec).s;
-            drop(split_ind::<i8>(spec, &gm, &x, &m, s).unwrap());
+            drop(split_ind::<i8>(spec, &gm, &x, &m).unwrap());
             return recorder.take();
         }
         "sort" => {
@@ -233,8 +232,7 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
                 .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e3))
                 .collect();
             let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
-            let radix = Radix::for_chip(spec, 2);
-            drop(radix_sort::<F16>(spec, &gm, &x, radix, SortOrder::Descending).unwrap());
+            drop(radix_sort::<F16>(spec, &gm, &x, 2, SortOrder::Descending).unwrap());
             return recorder.take();
         }
         other => unreachable!("unvalidated kernel {other}"),

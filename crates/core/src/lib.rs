@@ -60,9 +60,9 @@ use std::sync::Arc;
 
 /// Key bits per radix-sort pass in [`Device::sort`] and
 /// [`Device::top_p`]. The paper's sort splits on one bit per pass; two
-/// bits halve the passes and barriers and measure 1.02–1.59× faster on
+/// bits halve the passes and barriers and measure 1.34–1.61× faster on
 /// the 910B4 at every size of Fig. 11, for fp16 and int8 keys, and
-/// 1.25–1.42× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
+/// 1.40–1.47× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
 /// "Radix digits"), so there is no size crossover.
 const SORT_DIGIT_BITS: u32 = 2;
 
@@ -121,12 +121,6 @@ impl Device {
         McScanConfig::for_types::<T, M, O>(&self.spec).s
     }
 
-    /// The tile dimension of the int8 mask scans behind split, compress
-    /// and top-k.
-    fn mask_s(&self) -> usize {
-        self.s::<u8, i16, i32>()
-    }
-
     /// Inclusive scan on all cores. The kernel is chosen by size: fp16
     /// scans at or above the crossover in [`scan::crossover`] run the
     /// single-pass ScanC, smaller ones (and other element types) the
@@ -172,8 +166,7 @@ impl Device {
         x: &GlobalTensor<E>,
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::SplitRun<E>> {
-        let s = self.mask_s();
-        ops::split_ind(&self.spec, &self.gm, x, mask, s)
+        ops::split_ind(&self.spec, &self.gm, x, mask)
     }
 
     /// `masked_select`: compacts the mask-selected elements.
@@ -182,15 +175,7 @@ impl Device {
         x: &GlobalTensor<E>,
         mask: &GlobalTensor<u8>,
     ) -> SimResult<ops::compress::CompressRun<E>> {
-        let s = self.mask_s();
-        ops::compress(&self.spec, &self.gm, x, mask, s)
-    }
-
-    /// The shape of the radix-sort passes behind `sort` and `top_p`:
-    /// two-bit digits at the largest `s` whose three-mask scan layout
-    /// fits the chip.
-    fn radix(&self) -> ops::Radix {
-        ops::Radix::for_chip(&self.spec, SORT_DIGIT_BITS)
+        ops::compress(&self.spec, &self.gm, x, mask)
     }
 
     /// Stable radix sort (values + argsort indices), two key bits per
@@ -200,7 +185,7 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        ops::radix_sort(&self.spec, &self.gm, x, self.radix(), order)
+        ops::radix_sort(&self.spec, &self.gm, x, SORT_DIGIT_BITS, order)
     }
 
     /// Top-k selection (unsorted top set + indices).
@@ -209,8 +194,7 @@ impl Device {
         K: RadixKey + Element,
         K::Encoded: Element + ascendc::Bits + Numeric,
     {
-        let s = self.mask_s();
-        ops::topk(&self.spec, &self.gm, x, k, s)
+        ops::topk(&self.spec, &self.gm, x, k)
     }
 
     /// Top-p (nucleus) sampling from an fp16 probability vector.
@@ -221,10 +205,10 @@ impl Device {
         theta: f64,
     ) -> SimResult<ops::topp::TopPRun> {
         // The CDF scan keeps the `s` it has always run at (the smaller of
-        // the mask and fp16 tiles), so its fp16 rounding, and with it
-        // every sampled token, does not depend on the sort's passes.
-        let s = self.mask_s().min(self.s::<F16, F16, F16>());
-        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s, self.radix())
+        // the int8 mask and fp16 tiles), so its fp16 rounding, and with
+        // it every sampled token, does not depend on the sort's passes.
+        let s = self.s::<u8, i16, i32>().min(self.s::<F16, F16, F16>());
+        ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s, SORT_DIGIT_BITS)
     }
 
     /// Weighted sampling by inverse transform (unbounded support size).
@@ -335,7 +319,7 @@ mod tests {
             assert_eq!(run.y.to_vec(), scan::reference::inclusive(&xs), "n={n}");
         }
         // int8 masks: offsets bit-identical to MCScan's on both sides.
-        let s = dev.mask_s();
+        let s = dev.s::<u8, i16, i32>();
         let at = ScanPath::Int8.crossover_tiles() * s * s;
         for (n, kernel) in [(at - 1, "MCScan"), (at, "ScanC")] {
             let mask: Vec<u8> = (0..n).map(|i| u8::from(i % 7 < 3)).collect();

@@ -47,8 +47,8 @@ pub struct AliasTable {
 /// the partitioned indices is a sequential scalar sweep (charged at
 /// `pairing_scalar_ops_per_item` scalar-unit operations per item on one
 /// core — parallelizing it is the cited future work). `s` is the tile
-/// dimension of the scan and split launches; every launch runs on all of
-/// the chip's AI cores.
+/// dimension of the scan launch; every launch runs on all of the chip's
+/// AI cores.
 pub fn build_alias_table(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -76,7 +76,7 @@ pub fn build_alias_table(
     let mask = GlobalTensor::<u8>::new(gm, n)?;
     let scale = (n as f64 / total) as f32;
     let piece = crate::ub_piece(spec, 4 + 1, 4096);
-    let spans = tile_spans(n, piece);
+    let spans = tile_spans(n, piece)?;
     let scale_report = launch(spec, gm, spec.ai_cores, "AliasScale", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut buf = vc.alloc_local::<f32>(ScratchpadKind::Ub, piece)?;
@@ -96,7 +96,7 @@ pub fn build_alias_table(
     // 3. Partition item indices into lights-first order (device split —
     // the values being split are the scaled weights; the index output is
     // what the pairing consumes).
-    let split = split_ind::<f32>(spec, gm, &scaled, &mask, s)?;
+    let split = split_ind::<f32>(spec, gm, &scaled, &mask)?;
     let n_light = split.n_true;
 
     // 4. Sequential Vose pairing over the partitioned order (host-side

@@ -79,7 +79,7 @@ pub fn clone<E: Element>(
     let n = x.len();
     let y = GlobalTensor::<E>::new(gm, n)?;
     let piece = 8192usize.min(spec.ub_capacity / (2 * E::SIZE).max(1));
-    let spans = tile_spans(n, piece);
+    let spans = tile_spans(n, piece)?;
     let mut report = launch(spec, gm, spec.ai_cores, "torch.clone", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut q = ascendc::TQue::<E>::new(vc, ScratchpadKind::Ub, 2, piece)?;

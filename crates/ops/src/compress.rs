@@ -2,13 +2,12 @@
 //! the equivalent of PyTorch's `torch.masked_select`.
 //!
 //! Compress is the true-side half of [`crate::split::split_ind`] and
-//! runs as the same one launch: the exclusive int8 MCScan over the mask
-//! yields each selected element's output offset in UB, and its phase II
-//! gathers and stores the selected elements. No indices are made and no
-//! true count is reduced on the device; the output is allocated at `n`
-//! and returned as its first `n_true` elements. The paper's Fig. 10
-//! benchmarks this against the (scalar-bound) `torch.masked_select`
-//! baseline.
+//! runs as the same one launch: phase I counts the mask per chunk, and
+//! phase II gathers each chunk's selected elements from its offset on.
+//! No indices are made and no true count is reduced on the device; the
+//! output is allocated at `n` and returned as its first `n_true`
+//! elements. The paper's Fig. 10 benchmarks this against the
+//! (scalar-bound) `torch.masked_select` baseline.
 
 use crate::split::SplitStore;
 use ascend_sim::mem::GlobalMemory;
@@ -27,16 +26,13 @@ pub struct CompressRun<E: Element> {
     pub report: KernelReport,
 }
 
-/// Compacts the mask-selected elements of `x` into a dense output.
-///
-/// `s` is the tile dimension of the fused MCScan launch, which runs on
-/// all of the chip's AI cores.
+/// Compacts the mask-selected elements of `x` into a dense output, as
+/// one launch on all of the chip's AI cores.
 pub fn compress<E: Element>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<E>,
     mask: &GlobalTensor<u8>,
-    s: usize,
 ) -> SimResult<CompressRun<E>> {
     if x.len() != mask.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -64,7 +60,7 @@ pub fn compress<E: Element>(
         false_side: false,
         next_plane: None,
     }
-    .launch(spec, gm, s)?;
+    .launch(spec, gm)?;
     let values = out.slice(0, n_true)?;
     report.name = "Compress".into();
     report.elements = n as u64;
@@ -98,7 +94,7 @@ mod tests {
             let mask: Vec<u8> = (0..n).map(|_| u8::from(rng.gen_bool(0.5))).collect();
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-            let run = compress(&spec, &gm, &x, &m, 16).unwrap();
+            let run = compress(&spec, &gm, &x, &m).unwrap();
             let expect: Vec<u16> = data
                 .iter()
                 .zip(&mask)
@@ -117,7 +113,7 @@ mod tests {
         let mask: Vec<u8> = (0..300).map(|i| u8::from(i % 3 == 0)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
-        let run = compress(&spec, &gm, &x, &m, 16).unwrap();
+        let run = compress(&spec, &gm, &x, &m).unwrap();
         let expect: Vec<F16> = data
             .iter()
             .zip(&mask)
@@ -132,7 +128,7 @@ mod tests {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::from_slice(&gm, &[5u16; 100]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[0u8; 100]).unwrap();
-        let run = compress(&spec, &gm, &x, &m, 16).unwrap();
+        let run = compress(&spec, &gm, &x, &m).unwrap();
         assert_eq!(run.n_true, 0);
         assert!(run.values.to_vec().is_empty());
     }
@@ -142,9 +138,9 @@ mod tests {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::<u16>::new(&gm, 0).unwrap();
         let m = GlobalTensor::<u8>::new(&gm, 0).unwrap();
-        assert_eq!(compress(&spec, &gm, &x, &m, 16).unwrap().n_true, 0);
+        assert_eq!(compress(&spec, &gm, &x, &m).unwrap().n_true, 0);
         let x = GlobalTensor::from_slice(&gm, &[1u16]).unwrap();
         let m2 = GlobalTensor::from_slice(&gm, &[1u8, 1]).unwrap();
-        assert!(compress(&spec, &gm, &x, &m2, 16).is_err());
+        assert!(compress(&spec, &gm, &x, &m2).is_err());
     }
 }

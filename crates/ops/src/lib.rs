@@ -1,15 +1,15 @@
 //! Scan-based computational operators (the paper's Section 5), built on
-//! the MCScan algorithm from the [`scan`] crate:
+//! the [`scan`] crate:
 //!
 //! * [`split::split_ind`] — **SplitInd**: stable partition of an array by
 //!   a boolean mask, also returning the original indices (the PyTorch
 //!   `sort()`-compatible building block).
 //! * [`compress::compress`] — **Compress/compact**: `masked_select`.
 //! * [`radix_sort::radix_sort`] — LSB radix sort (stable, values +
-//!   indices) whose parallel splits run on the cube units, one bit per
-//!   pass as in the paper or two (a 4-way split scanning three digit
-//!   masks per pass); supports unsigned/signed integers and `f16` via
-//!   the order-preserving encode/decode pre/post-passes.
+//!   indices) of one split per digit, one bit per pass as in the paper
+//!   or two (a 4-way split over three digit masks per pass); supports
+//!   unsigned/signed integers and `f16` via the order-preserving
+//!   encode/decode pre/post-passes.
 //! * [`topk::topk`] — top-k selection via bitwise partial quickselect on
 //!   SplitInd, running on radix sort's encode/split/decode kernels
 //!   (reproducing the paper's *negative* result for small k).
@@ -22,14 +22,15 @@
 //!   `torch.multinomial`, baseline top-k), implemented either as real
 //!   simulator kernels or as documented cost models.
 //!
-//! Every split here is the exclusive int8 MCScan of the mask with
-//! `split::SplitStore` as its phase II, which scatters each segment from
-//! UB on the vector core that propagated it — (nearly) every vector
-//! core, since the split's chunks are ranges of `⌈rows / cores⌉` rows.
-//! A split on its own is one launch ([`scan::mcscan_with`]); radix sort
-//! runs all of its splits, between its encode and decode, inside one
-//! launch of its own through [`scan::McLayout`]'s phases, so a top-p
-//! draw is 4 launches. The other kernels cut their pieces with
+//! The paper builds every split from an exclusive int8 MCScan of the
+//! mask and a scatter. A scatter needs only each run's count before a
+//! piece, so every split here counts instead ([`scan::MaskCounts`]):
+//! phase I reduces the mask over one equal element range per vector
+//! core, and after a `SyncAll` each vector core scatters its range from
+//! its offset, advancing each run by the count `GatherMask` returns. A
+//! split on its own is one launch; radix sort runs all of its splits,
+//! between its encode and decode, inside one launch of its own, so a
+//! top-p draw is 4 launches. The other kernels cut their pieces with
 //! [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
 //!
@@ -38,8 +39,9 @@
 //! oversubscribed and all of its blocks are co-resident. Two launches
 //! use fewer: [`alias_sample_many`] sizes its grid from the number of
 //! draws, and the `torch.cumsum` stand-in ([`baselines::cumsum`]) is
-//! single-core. The tile dimension `s` of the MCScan launches stays an
-//! argument.
+//! single-core. The tile dimension `s` of the MCScan launches (top-p's
+//! CDF, weighted sampling, the alias table's total) stays an argument;
+//! the splits have none.
 
 #![forbid(unsafe_code)]
 
@@ -54,7 +56,7 @@ pub mod weighted;
 
 pub use alias::{alias_sample_many, build_alias_table, AliasTable};
 pub use compress::compress;
-pub use radix_sort::{radix_sort, Radix, SortOrder, SortRun};
+pub use radix_sort::{radix_sort, SortOrder, SortRun};
 pub use split::{split_ind, SplitRun};
 pub use topk::topk;
 pub use topp::{top_p_sample, top_p_sample_batch};
@@ -143,8 +145,8 @@ pub(crate) fn empty_report(spec: &ChipSpec, name: &str) -> KernelReport {
 pub(crate) mod tests {
     use super::*;
 
-    /// The scans a profiled pipeline ran: one MCScan phase I span per
-    /// scan on block 0, whichever launch it ran in.
+    /// The scans a profiled pipeline ran: one phase I span per MCScan or
+    /// split on block 0, whichever launch it ran in.
     pub(crate) fn scans(profile: &ascend_sim::prof::Profile) -> usize {
         profile
             .kernels

@@ -3,20 +3,16 @@
 //! The sort loops over the digits of the (order-preserving encoded)
 //! keys, least significant first, and performs one stable split per
 //! digit. The paper's digit is one bit: each pass is a [`split`] with
-//! the mask "bit is 0" (ascending), an exclusive int8 MCScan — running
-//! on the cube units — whose phase II gives each vector core a range of
-//! `⌈rows / cores⌉` rows and scatters each of its segments straight from
-//! UB, so even a vocabulary-sized pass of a few tiles scatters on
-//! (nearly) all vector cores.
+//! the mask "bit is 0" (ascending), which counts the mask per chunk and
+//! scatters each chunk on the vector core that counted it, so even a
+//! vocabulary-sized pass scatters on every vector core.
 //!
-//! A pass over an `r`-bit digit ([`Radix::bits`]) is a `2^r`-way split:
-//! phase I scans the `2^r − 1` indicator masks "digit is d" (in output
-//! order; the last digit's run takes the rest) side by side, through one
-//! `U_s` on the cube, and the store gathers each piece into one run per
-//! digit. `r = 2` halves the passes — 8 for fp16 keys — and with them
-//! the barriers and the key and index traffic, at three mask scans per
-//! pass; its three-mask layout needs a smaller `s` (96 instead of 128
-//! on the 910B4, [`Radix::for_chip`]).
+//! A pass over an `r`-bit digit (`bits`) is a `2^r`-way split: phase I
+//! counts the `2^r − 1` indicator masks "digit is d" (in output order;
+//! the last digit's run takes the rest) per chunk, and the scatter
+//! gathers each piece into one run per digit. `r = 2` halves the passes
+//! — 8 for fp16 keys — and with them the barriers and the key and index
+//! traffic, at three mask counts per pass.
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
 //! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its
@@ -26,17 +22,16 @@
 //! alongside the keys — and the whole sort is **one persistent launch**:
 //!
 //! 1. the encode, then a `SyncAll`;
-//! 2. per digit, MCScan's phase I over the digit's masks
-//!    ([`McLayout::phase_one`]), a `SyncAll`, phase II with the split's
-//!    scatter as its store ([`McLayout::phase_two`]), and a `SyncAll` so
-//!    the next pass reads what every core scattered;
+//! 2. per digit, the split's phase I (the digit's mask counts), a
+//!    `SyncAll`, its phase II (the scatter), and a `SyncAll` so the next
+//!    pass reads what every core scattered;
 //! 3. the decode.
 //!
 //! Pass `b` reads the key, index and mask buffers of parity `b % 2` and
-//! writes the other pair, and one scan layout (`U_s`, `w`, `r`) serves
-//! every pass. With one-bit digits an fp16 sort runs the paper's 16
-//! scans in 33 barriers, one launch instead of 18 separate ones; with
-//! two-bit digits it runs 8 passes in 17 barriers.
+//! writes the other pair, and one set of counts ([`scan::MaskCounts`])
+//! serves every pass. With one-bit digits an fp16 sort runs the paper's
+//! 16 splits in 33 barriers, one launch instead of 18 separate ones;
+//! with two-bit digits it runs 8 passes in 17 barriers.
 //!
 //! Floats are supported through the pre-/post-processing encode passes
 //! (invert the MSB of non-negatives, all bits of negatives — Knuth
@@ -49,8 +44,6 @@
 //! matches the PyTorch `sort()` API (values and `argsort`).
 //!
 //! [`split`]: crate::split::split_ind
-//! [`McLayout::phase_one`]: scan::McLayout::phase_one
-//! [`McLayout::phase_two`]: scan::McLayout::phase_two
 
 use crate::for_each_lane;
 use crate::split::{alloc_masks, NextPlane, SplitStore};
@@ -61,8 +54,7 @@ use ascendc::{
     launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimError, SimResult,
 };
 use dtypes::{Element, Numeric, RadixKey};
-use scan::tile_spans;
-use scan::McLayout;
+use scan::{tile_spans, MaskCounts};
 use std::sync::Arc;
 
 /// Sort direction.
@@ -84,66 +76,29 @@ pub struct SortRun<K: Element> {
     pub report: KernelReport,
 }
 
-/// The shape of a radix sort's passes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Radix {
-    /// Key bits per pass: 1, the paper's split per bit, or 2, a 4-way
-    /// split scanning three digit masks in one phase I.
-    pub bits: u32,
-    /// Tile dimension of the passes' mask scans.
-    pub s: usize,
-}
-
-impl Radix {
-    /// The paper's one-bit passes at tile dimension `s`.
-    pub fn bit(s: usize) -> Self {
-        Radix { bits: 1, s }
-    }
-
-    /// `bits`-bit passes at the largest tile dimension whose layout of
-    /// `2^bits − 1` mask scans fits the chip (the split's `s` for one
-    /// bit). A chip too small for even `s = 16` gets a
-    /// [`SimError::ScratchpadOverflow`] from the sort.
-    pub fn for_chip(spec: &ChipSpec, bits: u32) -> Self {
-        let radix = Radix { bits, s: 0 };
-        Radix {
-            s: McLayout::<u8, i16, i32>::tile_dim(spec, radix.masks()),
-            ..radix
-        }
-    }
-
-    /// The digit masks one pass scans: one per digit but the last (the
-    /// width is capped at a byte so no `bits` overflows the shift).
-    fn masks(self) -> usize {
-        (1 << self.bits.min(8)) - 1
-    }
-}
-
 /// Elements per piece in the codec kernels.
 pub(crate) const PIECE_CAP: usize = 2048;
 
-/// Stable radix sort of `x` (values + original indices), using the
-/// MCScan-based split for every digit, as one launch on all of the
-/// chip's AI cores.
+/// Stable radix sort of `x` (values + original indices), one split per
+/// `bits`-bit digit, as one launch on all of the chip's AI cores.
 ///
-/// `radix` sets the digit width (1 or 2 bits; anything else is an
-/// [`SimError::InvalidArgument`]) and the tile dimension of the splits'
-/// mask scans.
+/// `bits` is the digit width: 1, the paper's split per bit, or 2, a
+/// 4-way split over three digit masks per pass; anything else is an
+/// [`SimError::InvalidArgument`].
 pub fn radix_sort<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
-    radix: Radix,
+    bits: u32,
     order: SortOrder,
 ) -> SimResult<SortRun<K>>
 where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    if !matches!(radix.bits, 1 | 2) {
+    if !matches!(bits, 1 | 2) {
         return Err(SimError::InvalidArgument(format!(
-            "radix_sort: {} bits per pass, expected 1 or 2",
-            radix.bits
+            "radix_sort: {bits} bits per pass, expected 1 or 2"
         )));
     }
     let n = x.len();
@@ -168,16 +123,17 @@ where
     // writes side 0: the caller's `indices` serve as that side's index
     // buffer.
     let idx = [indices.clone(), GlobalTensor::<u32>::new(gm, n)?];
-    let per_pass = radix.masks();
+    // One mask per digit but the last.
+    let per_pass = (1 << bits) - 1;
     let masks = [
         GlobalTensor::<u8>::new(gm, per_pass * n)?,
         GlobalTensor::<u8>::new(gm, per_pass * n)?,
     ];
-    // One scan layout (`U_s`, `w`, `r`) serves all of the passes.
-    let scan = McLayout::<u8, i16, i32>::rows("RadixSort", spec, gm, n, per_pass, radix.s)?;
-    let encode = Codec::encode::<K>(spec, n, per_pass);
-    let decode = Codec::decode::<K>(spec, n);
-    let passes = K::BITS / radix.bits;
+    // One set of mask counts serves all of the passes.
+    let counts = MaskCounts::new("RadixSort", spec, gm, n, per_pass)?;
+    let encode = Codec::encode::<K>(spec, n, per_pass)?;
+    let decode = Codec::decode::<K>(spec, n)?;
+    let passes = K::BITS / bits;
 
     let mut report = launch(spec, gm, spec.ai_cores, "RadixSort", |ctx| {
         // Encode keys, materialize indices, the first digit's masks.
@@ -201,7 +157,7 @@ where
         for pass in 0..passes {
             let (from, to) = ((pass % 2) as usize, (1 - pass % 2) as usize);
             let last = pass + 1 == passes;
-            let next = (pass + 1) * radix.bits;
+            let next = (pass + 1) * bits;
             let compute =
                 move |vc: &mut Core<'_>,
                       keys: &mut LocalTensor<K::Encoded>,
@@ -219,13 +175,7 @@ where
                     compute: &compute,
                 }),
             };
-            let phase = ctx.span_begin("Phase I");
-            scan.phase_one(ctx, &masks[from])?;
-            ctx.span_end(phase);
-            ctx.sync_all()?;
-            let phase = ctx.span_begin("Phase II");
-            scan.phase_two(ctx, &store)?;
-            ctx.span_end(phase);
+            store.pass(ctx, &counts)?;
             // The next pass (or the decode) reads what every core
             // scattered.
             ctx.sync_all()?;
@@ -259,22 +209,26 @@ pub(crate) struct Codec {
 impl Codec {
     /// The encode's pieces: raw key, encoded key, index and `masks`
     /// digit masks per element.
-    pub(crate) fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize, masks: usize) -> Self {
+    pub(crate) fn encode<K: RadixKey + Element>(
+        spec: &ChipSpec,
+        n: usize,
+        masks: usize,
+    ) -> SimResult<Self> {
         let per_elem = K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + masks;
         Self::new(spec, n, per_elem)
     }
 
     /// The decode's pieces: encoded and decoded key per element.
-    pub(crate) fn decode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> Self {
+    pub(crate) fn decode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> SimResult<Self> {
         Self::new(spec, n, K::SIZE + std::mem::size_of::<K::Encoded>())
     }
 
-    fn new(spec: &ChipSpec, n: usize, per_elem: usize) -> Self {
+    fn new(spec: &ChipSpec, n: usize, per_elem: usize) -> SimResult<Self> {
         let piece = crate::ub_piece(spec, per_elem, PIECE_CAP);
-        Codec {
+        Ok(Codec {
             piece,
-            spans: tile_spans(n, piece),
-        }
+            spans: tile_spans(n, piece)?,
+        })
     }
 }
 
@@ -296,7 +250,7 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    let codec = Codec::encode::<K>(spec, x.len(), 1);
+    let codec = Codec::encode::<K>(spec, x.len(), 1)?;
     launch(spec, gm, spec.ai_cores, "RadixEncode", |ctx| {
         for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
             encode_lane::<K>(vc, codec.piece, mine, x, keys, idx, mask, bit, order)
@@ -390,7 +344,7 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    let codec = Codec::decode::<K>(spec, keys.len());
+    let codec = Codec::decode::<K>(spec, keys.len())?;
     launch(spec, gm, spec.ai_cores, "RadixDecode", |ctx| {
         for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
             decode_lane::<K>(vc, codec.piece, mine, keys, values)
@@ -434,8 +388,8 @@ pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
     use std::cmp::Ordering;
 
-    /// The paper's one-bit passes at the tiny chip's `s = 16`.
-    const BIT: Radix = Radix { bits: 1, s: 16 };
+    /// The paper's one-bit passes.
+    const BIT: u32 = 1;
 
     pub(crate) fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();
@@ -540,11 +494,11 @@ pub(crate) mod tests {
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
-        for (radix, passes) in [(BIT, 8), (Radix::for_chip(&spec, 2), 4)] {
+        for (bits, passes) in [(BIT, 8), (2, 4)] {
             let (run, profile) = with_profiling(&gm, || {
-                radix_sort(&spec, &gm, &x, radix, SortOrder::Ascending).unwrap()
+                radix_sort(&spec, &gm, &x, bits, SortOrder::Ascending).unwrap()
             });
-            assert_eq!(run.values.to_vec(), expect, "{radix:?}");
+            assert_eq!(run.values.to_vec(), expect, "{bits} bits");
             assert_eq!(
                 crate::tests::scans(&profile),
                 passes,
@@ -591,13 +545,8 @@ pub(crate) mod tests {
             .map(|i| F16::from_f32((i * 37 % 100) as f32))
             .collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let radix = Radix::for_chip(&spec, 2);
-        assert_eq!(
-            radix.s, 16,
-            "three mask scans fit the tiny chip's UB at s = 16"
-        );
         let (run, profile) = with_profiling(&gm, || {
-            radix_sort(&spec, &gm, &x, radix, SortOrder::Ascending).unwrap()
+            radix_sort(&spec, &gm, &x, 2, SortOrder::Ascending).unwrap()
         });
         let mut expect = data.clone();
         expect.sort_by(F16::total_cmp);
@@ -612,8 +561,7 @@ pub(crate) mod tests {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[3u16, 1, 2]).unwrap();
         for bits in [0, 3, 4, 16] {
-            let radix = Radix { bits, s: 16 };
-            let err = radix_sort(&spec, &gm, &x, radix, SortOrder::Ascending).err();
+            let err = radix_sort(&spec, &gm, &x, bits, SortOrder::Ascending).err();
             assert!(
                 matches!(err, Some(SimError::InvalidArgument(_))),
                 "{bits}: {err:?}"
@@ -663,9 +611,9 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Sorts keys of every length around the split store's piece (plus
-    /// `extra`) both ways, with one- and two-bit digits, and checks
-    /// values and argsort against the host.
+    /// Sorts keys of every length around a split piece inside a chunk
+    /// (plus `extra`) both ways on one AI core, with one- and two-bit
+    /// digits, and checks values and argsort against the host.
     fn check_sorts<K>(
         seed: u64,
         extra: usize,
@@ -676,21 +624,23 @@ pub(crate) mod tests {
         K: RadixKey + Element,
         K::Encoded: Element + Bits + Numeric,
     {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let mut rng = StdRng::seed_from_u64(seed);
-        for radix in [BIT, Radix::for_chip(&spec, 2)] {
-            let masks = radix.masks();
+        for bits in [BIT, 2] {
+            let masks = (1 << bits) - 1;
             let key = std::mem::size_of::<K::Encoded>();
-            let per_elem = split::piece_bytes(key, masks, true, true, true);
-            let p = split::tests::store_piece(&spec, radix.s, masks, per_elem).unwrap();
-            for n in [0, 1, p - 1, p, p + 1, extra] {
+            let p =
+                split::tests::store_piece(&spec, split::piece_bytes(key, masks, true, true, true));
+            // Over the two vector cores, 2p ± 1 keys put a piece
+            // boundary at or just past the end of the first chunk.
+            for n in [0, 1, 2 * p - 1, 2 * p + 1, extra] {
                 let data = keys::<K>(&mut rng, n, specials);
                 let x = GlobalTensor::from_slice(&gm, &data).unwrap();
                 for order in [SortOrder::Ascending, SortOrder::Descending] {
-                    let run = radix_sort(&spec, &gm, &x, radix, order).unwrap();
+                    let run = radix_sort(&spec, &gm, &x, bits, order).unwrap();
                     let idx = host_argsort(&data, order, cmp);
                     let vals: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
-                    let case = format!("n = {n}, {order:?}, {radix:?}");
+                    let case = format!("n = {n}, {order:?}, {bits} bits");
                     prop_assert_eq!(run.indices.to_vec(), idx, "{}", case);
                     prop_assert_eq!(bytes(&run.values.to_vec()), bytes(&vals), "{}", case);
                 }

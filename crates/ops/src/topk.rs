@@ -12,8 +12,8 @@
 //!
 //! The passes run on radix sort's pieces: the `RadixEncode` launch runs
 //! the sort's per-lane encode and writes the most significant bit's
-//! mask, each pass is one fused split launch (the mask scan, whose phase
-//! II scatters the window and writes the next bit's mask alongside it,
+//! mask, each pass is one split launch (the mask counts, then a scatter
+//! of the window that writes the next bit's mask alongside it,
 //! ping-ponging two mask buffers), and the `RadixDecode` launch runs the
 //! sort's per-lane decode on the `k` survivors. Unlike the sort, each
 //! pass is its own launch: the host reads the split's true count to
@@ -49,15 +49,12 @@ pub struct TopKRun<K: Element> {
 }
 
 /// Selects the `k` largest elements of `x` (with original indices).
-///
-/// `s` is the tile dimension of the split launches. Every launch runs on
-/// all of the chip's AI cores.
+/// Every launch runs on all of the chip's AI cores.
 pub fn topk<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
     k: usize,
-    s: usize,
 ) -> SimResult<TopKRun<K>>
 where
     K: RadixKey + Element,
@@ -121,7 +118,7 @@ where
                 },
             }),
         }
-        .launch(spec, gm, s)?;
+        .launch(spec, gm)?;
         reports.push(pass);
         if n_ones >= need {
             // All winners are inside the ones partition.
@@ -162,7 +159,7 @@ fn copy_window<E: Element>(
     dst: &GlobalTensor<E>,
 ) -> SimResult<KernelReport> {
     let piece = ub_piece(spec, E::SIZE, PIECE_CAP);
-    let spans = tile_spans(src.len().min(dst.len()), piece);
+    let spans = tile_spans(src.len().min(dst.len()), piece)?;
     launch(spec, gm, spec.ai_cores, "WindowCopy", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, _, mine| {
             let mut buf = vc.alloc_local::<E>(ScratchpadKind::Ub, piece)?;
@@ -190,7 +187,7 @@ mod tests {
     fn check_topk_u16(data: &[u16], k: usize) {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, data).unwrap();
-        let run = topk(&spec, &gm, &x, k, 16).unwrap();
+        let run = topk(&spec, &gm, &x, k).unwrap();
         let mut got = run.values.to_vec();
         got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect = data.to_vec();
@@ -234,7 +231,7 @@ mod tests {
             .map(|_| F16::from_f32(rng.gen_range(-50.0f32..50.0)))
             .collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-        let run = topk(&spec, &gm, &x, 10, 16).unwrap();
+        let run = topk(&spec, &gm, &x, 10).unwrap();
         let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
         got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect: Vec<u16> = data.iter().map(|v| v.encode()).collect();
@@ -247,14 +244,15 @@ mod tests {
     fn rejects_bad_k() {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let x = GlobalTensor::from_slice(&gm, &[1u16, 2, 3]).unwrap();
-        assert!(topk(&spec, &gm, &x, 0, 16).is_err());
-        assert!(topk(&spec, &gm, &x, 4, 16).is_err());
+        assert!(topk(&spec, &gm, &x, 0).is_err());
+        assert!(topk(&spec, &gm, &x, 4).is_err());
     }
 
-    /// Selects `k ∈ {1, n/2, n}` from keys of every length around the
-    /// split store's piece and checks the result against the host: the same
-    /// multiset of bit patterns as the top `k` under `cmp`, each index
-    /// pointing at its value, and no index twice.
+    /// Selects `k ∈ {1, n/2, n}` from keys of every length around a
+    /// split piece at the end of the first chunk on one AI core and
+    /// checks the result against the host: the same multiset of bit
+    /// patterns as the top `k` under `cmp`, each index pointing at its
+    /// value, and no index twice.
     fn check_topk<K>(
         seed: u64,
         specials: &[u64],
@@ -264,17 +262,17 @@ mod tests {
         K: RadixKey + Element,
         K::Encoded: Element + Bits + Numeric,
     {
-        let (spec, gm) = setup();
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
         let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), 1, true, true, true);
-        let p = split::tests::store_piece(&spec, 16, 1, per_elem).unwrap();
+        let p = split::tests::store_piece(&spec, per_elem);
         let mut rng = StdRng::seed_from_u64(seed);
-        for n in [p - 1, p, p + 1] {
+        for n in [2 * p - 1, 2 * p, 2 * p + 1] {
             let data = keys::<K>(&mut rng, n, specials);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
             let mut expect = data.clone();
             expect.sort_by(|a, b| cmp(b, a));
             for k in [1, (n / 2).max(1), n] {
-                let run = topk(&spec, &gm, &x, k, 16).unwrap();
+                let run = topk(&spec, &gm, &x, k).unwrap();
                 let vals = run.values.to_vec();
                 let idx = run.indices.to_vec();
                 let mut got = vals.clone();

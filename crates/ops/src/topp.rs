@@ -9,14 +9,14 @@
 //! operators:
 //!
 //! 1. descending [`radix_sort`] of the probabilities: one launch of
-//!    fused splits whose scatters run on every vector core, in row
-//!    chunks — 16 one-bit passes for fp16 in the paper's accounting, 8
-//!    two-bit passes (three mask scans each) as `Device::top_p` runs it;
+//!    splits that count their masks and scatter on every vector core —
+//!    16 one-bit passes for fp16 in the paper's accounting, 8 two-bit
+//!    passes (three mask counts each) as `Device::top_p` runs it;
 //! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan — with
-//!    one-bit passes 17 scans per batch total, the paper's count; 4
-//!    launches either way). This scan keeps MCScan's tile chunks and its
-//!    own `s`: row chunks would change where the fp16 chunk offsets
-//!    round, and with them the sampled tokens;
+//!    one-bit passes 17 phase I's per batch total, the paper's scan
+//!    count; 4 launches either way). This scan keeps MCScan's tile chunks
+//!    and its own `s`: another chunking would change where the fp16
+//!    chunk offsets round, and with them the sampled tokens;
 //! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
 //! 4. the inverse-transform boundary search over the *existing*
 //!    cumulative sums restricted to the kept prefix (no extra scan).
@@ -24,7 +24,7 @@
 //! [`radix_sort`]: crate::radix_sort::radix_sort
 //! [`mcscan`]: scan::mcscan::mcscan
 
-use crate::radix_sort::{radix_sort, Radix, SortOrder};
+use crate::radix_sort::{radix_sort, SortOrder};
 use crate::weighted::cdf_search;
 use crate::{for_each_lane, inclusive_scan};
 use ascend_sim::mem::GlobalMemory;
@@ -48,8 +48,9 @@ pub struct TopPRun {
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
 /// `probs` need not be normalized (the draw is proportional). `s` is
-/// the tile dimension of the CDF's MCScan launch and `sort` the shape of
-/// the sort's passes; every launch runs on all of the chip's AI cores.
+/// the tile dimension of the CDF's MCScan launch and `bits` the sort's
+/// digit width (see [`radix_sort`]); every launch runs on all of the
+/// chip's AI cores.
 pub fn top_p_sample(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -57,7 +58,7 @@ pub fn top_p_sample(
     p: f64,
     theta: f64,
     s: usize,
-    sort: Radix,
+    bits: u32,
 ) -> SimResult<TopPRun> {
     let n = probs.len();
     if n == 0 {
@@ -77,7 +78,7 @@ pub fn top_p_sample(
     }
 
     // 1. Sort descending (values + original token ids).
-    let sorted = radix_sort::<F16>(spec, gm, probs, sort, SortOrder::Descending)?;
+    let sorted = radix_sort::<F16>(spec, gm, probs, bits, SortOrder::Descending)?;
 
     // 2. Cumulative sum of the sorted probabilities.
     let scan_run = inclusive_scan(spec, gm, &sorted.values, s)?;
@@ -130,7 +131,7 @@ pub fn top_p_sample_batch(
     p: f64,
     thetas: &[f64],
     s: usize,
-    sort: Radix,
+    bits: u32,
 ) -> SimResult<(Vec<u32>, KernelReport)> {
     if batch == 0 || vocab == 0 || batch * vocab != probs.len() {
         return Err(SimError::InvalidArgument(format!(
@@ -148,7 +149,7 @@ pub fn top_p_sample_batch(
     let mut reports = Vec::with_capacity(batch);
     for (b, &theta) in thetas.iter().enumerate() {
         let row = probs.slice(b * vocab, vocab)?;
-        let run = top_p_sample(spec, gm, &row, p, theta, s, sort)?;
+        let run = top_p_sample(spec, gm, &row, p, theta, s, bits)?;
         tokens.push(run.token);
         reports.push(run.report);
     }
@@ -172,7 +173,7 @@ fn kept_prefix_count(
     let piece = crate::ub_piece(spec, 2 * F16::SIZE + 1 + 4, 4096);
     let lanes = (spec.ai_cores * spec.vec_per_core) as usize;
     let counts = GlobalTensor::<u32>::new(gm, lanes)?;
-    let spans = tile_spans(n, piece);
+    let spans = tile_spans(n, piece)?;
     let report = launch(spec, gm, spec.ai_cores, "TopPThreshold", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
             let mut cbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
@@ -212,8 +213,8 @@ mod tests {
     use super::*;
     use ascend_sim::prof::with_profiling;
 
-    /// The paper's one-bit sort passes at the tiny chip's `s = 16`.
-    const BIT: Radix = Radix { bits: 1, s: 16 };
+    /// The paper's one-bit sort passes.
+    const BIT: u32 = 1;
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
         let spec = ChipSpec::tiny();

@@ -100,7 +100,7 @@ pub(crate) fn cdf_search<W: Numeric>(
 ) -> SimResult<(usize, KernelReport)> {
     let first_hits = GlobalTensor::<u32>::new(gm, (spec.ai_cores * spec.vec_per_core) as usize)?;
     let piece = crate::ub_piece(spec, W::SIZE + 1 + 4, 4096);
-    let spans = tile_spans(n, piece);
+    let spans = tile_spans(n, piece)?;
     let report = launch(spec, gm, spec.ai_cores, "CdfSearch", |ctx| {
         for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
             let mut buf = vc.alloc_local::<W>(ScratchpadKind::Ub, piece)?;

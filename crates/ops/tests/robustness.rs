@@ -1,12 +1,13 @@
 //! Robustness of the split-based operators of the `ops` crate.
 //!
 //! `split_ind`, `compress`, `radix_sort`, `topk` and `top_p_sample` (the
-//! sort and top-p with one- and two-bit sort digits) run on the tiny chip and odd variants of it (a 2 KB UB, one AI core, one
-//! vector core per AI core) at lengths around the row (`s`) and tile
-//! (`ℓ = s²`) boundaries. Each call must return either the host
-//! reference or a typed [`SimError`] — never a panic. Every split runs
-//! as one MCScan launch whose phase II store takes the UB propagation
-//! leaves free, so a chip too small for that store must refuse with an
+//! sort and top-p with one- and two-bit sort digits) run on the tiny
+//! chip and odd variants of it (a 2 KB UB, one AI core, one vector core
+//! per AI core) at lengths around the row (`s`) and tile (`ℓ = s²`)
+//! boundaries of top-p's CDF scan. Each call must return either the
+//! host reference or a typed [`SimError`] — never a panic. Every split
+//! runs as one launch whose scatter takes the UB its offset read leaves
+//! free, so a chip too small for one element of it must refuse with an
 //! error. The pinned counts record which calls run to a result.
 //!
 //! The `ops::baselines` free functions — `clone`, `masked_select`,
@@ -18,7 +19,7 @@ use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
 use dtypes::F16;
 use ops::baselines;
 use ops::split::reference_split;
-use ops::{compress, radix_sort, split_ind, top_p_sample, topk, Radix, SortOrder};
+use ops::{compress, radix_sort, split_ind, top_p_sample, topk, SortOrder};
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -151,10 +152,7 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
     findings.check(
         &case("split_ind"),
         || reference_split(&vals, &mask),
-        || {
-            split_ind(spec, &gm, &x, &m, s)
-                .map(|r| (r.values.to_vec(), r.indices.to_vec(), r.n_true))
-        },
+        || split_ind(spec, &gm, &x, &m).map(|r| (r.values.to_vec(), r.indices.to_vec(), r.n_true)),
     );
     findings.check(
         &case("compress"),
@@ -162,14 +160,14 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
             let (v, _, n_true) = reference_split(&vals, &mask);
             v[..n_true].to_vec()
         },
-        || compress(spec, &gm, &x, &m, s).map(|r| r.values.to_vec()),
+        || compress(spec, &gm, &x, &m).map(|r| r.values.to_vec()),
     );
     for bits in [1, 2] {
         findings.check(
             &case(&format!("radix_sort ({bits}-bit digits)")),
             || host_sort(&keys),
             || {
-                radix_sort(spec, &gm, &k, Radix { bits, s }, SortOrder::Ascending)
+                radix_sort(spec, &gm, &k, bits, SortOrder::Ascending)
                     .map(|r| (r.values.to_vec(), r.indices.to_vec()))
             },
         );
@@ -179,7 +177,7 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
         &case("topk"),
         || host_topk(&vals, kk),
         || {
-            topk(spec, &gm, &x, kk, s).map(|r| {
+            topk(spec, &gm, &x, kk).map(|r| {
                 let mut top: Vec<(u16, u32)> = r
                     .values
                     .to_vec()
@@ -195,10 +193,7 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
         findings.check(
             &case(&format!("top_p_sample ({bits}-bit sort digits)")),
             || host_top_p(&weights, 0.5, 0.5),
-            || {
-                top_p_sample(spec, &gm, &pr, 0.5, 0.5, s, Radix { bits, s })
-                    .map(|r| (r.token, r.n_kept))
-            },
+            || top_p_sample(spec, &gm, &pr, 0.5, 0.5, s, bits).map(|r| (r.token, r.n_kept)),
         );
     }
 }
@@ -287,18 +282,17 @@ fn every_operator_returns_the_reference_or_a_typed_error() {
         findings.violations.join("\n")
     );
     // Pins which inputs the operators accept: a change that makes one
-    // refuse (or newly run) any of these calls moves the count. The 199
+    // refuse (or newly run) any of these calls moves the count. The 158
     // refusals: `topk` and both `top_p_sample`s of nothing on every chip
-    // and `s` (30), every non-trivial call at s = 32 on the 2 KB UB, whose
-    // 4 KB propagation buffer does not fit (55; a top-1 of one element
-    // needs no split pass and runs), the longest two-bit sort and top-p
-    // at s = 16 there, whose three 208-element propagation buffers and
-    // queue do not fit (2), and on the chip without vector cores every
-    // call that launches (112: only the empty split, compress and both
-    // sorts at both `s` launch nothing and run).
+    // and `s` (30), both `top_p_sample`s of something at s = 32 on the
+    // 2 KB UB, whose CDF MCScan's 4 KB propagation buffer does not fit
+    // (16), and on the chip without vector cores every call that
+    // launches (112: only the empty split, compress and both sorts at
+    // both `s` launch nothing and run). The splits, sorts and top-k take
+    // no `s` and run on the 2 KB UB: they need no propagation buffers.
     assert_eq!(
         (findings.calls, findings.accepted),
-        (630, 431),
+        (630, 472),
         "(calls, calls that ran to a result)"
     );
 }
@@ -333,11 +327,14 @@ fn every_baseline_returns_the_reference_or_a_typed_error() {
 
 #[test]
 fn a_chip_without_room_for_the_split_store_refuses_every_split() {
-    // s = 16 on a 1540 B UB: propagation's single-buffered queue and
-    // buffer fit and leave 4 bytes, too few for one element of any
-    // split store; every split user refuses with a typed error.
+    // One AI core with a 13 B UB: a split's phase I (9 B for one-element
+    // pieces) and offset read (8 B) fit, but one element of the u16
+    // split's scatter needs 14 B, and of the sort's and top-k's 16 B
+    // (their encodes, which run first, refuse already). Compress's
+    // scatter needs 5 B per element, so it runs, one element per piece.
     let spec = ChipSpec {
-        ub_capacity: 1536 + 4,
+        ai_cores: 1,
+        ub_capacity: 13,
         ..ChipSpec::tiny()
     };
     let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
@@ -346,10 +343,9 @@ fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     let x = GlobalTensor::from_slice(&gm, &vals).unwrap();
     let m = GlobalTensor::from_slice(&gm, &mask).unwrap();
     let errs = [
-        split_ind(&spec, &gm, &x, &m, 16).err(),
-        compress(&spec, &gm, &x, &m, 16).err(),
-        radix_sort(&spec, &gm, &x, Radix::bit(16), SortOrder::Ascending).err(),
-        topk(&spec, &gm, &x, 10, 16).err(),
+        split_ind(&spec, &gm, &x, &m).err(),
+        radix_sort(&spec, &gm, &x, 1, SortOrder::Ascending).err(),
+        topk(&spec, &gm, &x, 10).err(),
     ];
     for err in errs {
         assert!(
@@ -357,4 +353,7 @@ fn a_chip_without_room_for_the_split_store_refuses_every_split() {
             "{err:?}"
         );
     }
+    let (want, _, n_true) = reference_split(&vals, &mask);
+    let got = compress(&spec, &gm, &x, &m).unwrap().values.to_vec();
+    assert_eq!(got, &want[..n_true]);
 }

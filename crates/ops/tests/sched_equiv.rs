@@ -17,7 +17,7 @@ use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
 use ops::split::reference_split;
-use ops::{compress, radix_sort, split_ind, top_p_sample, Radix, SortOrder};
+use ops::{compress, radix_sort, split_ind, top_p_sample, SortOrder};
 use std::sync::Arc;
 
 /// Runs `op` on a fresh tiny-chip device under `policy`; returns its
@@ -66,9 +66,8 @@ fn assert_equiv(name: &str, launches: usize, op: &dyn Fn(&ChipSpec, &Arc<GlobalM
     }
 }
 
-/// 3000 values at s = 32: 94 rows over the tiny chip's 4 vector cores,
-/// 24 to a core, and the split store's 512-element pieces start both at
-/// a segment's offset 0 and inside it.
+/// 3000 values: 750 to each of the tiny chip's 4 vector cores, each
+/// chunk one piece of the split's scatter.
 const N: usize = 3000;
 
 fn inputs() -> (Vec<u16>, Vec<u8>) {
@@ -83,7 +82,7 @@ fn split_reports_identically_under_serial_parallel_and_planned() {
         let (vals, mask) = inputs();
         let x = GlobalTensor::from_slice(gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(gm, &mask).unwrap();
-        let run = split_ind(spec, gm, &x, &m, 32).unwrap();
+        let run = split_ind(spec, gm, &x, &m).unwrap();
         let (ev, ei, ent) = reference_split(&vals, &mask);
         assert_eq!(
             (run.values.to_vec(), run.indices.to_vec(), run.n_true),
@@ -99,27 +98,26 @@ fn compress_reports_identically_under_serial_parallel_and_planned() {
         let (vals, mask) = inputs();
         let x = GlobalTensor::from_slice(gm, &vals).unwrap();
         let m = GlobalTensor::from_slice(gm, &mask).unwrap();
-        let run = compress(spec, gm, &x, &m, 32).unwrap();
+        let run = compress(spec, gm, &x, &m).unwrap();
         let (ev, _, ent) = reference_split(&vals, &mask);
         assert_eq!(run.values.to_vec(), &ev[..ent]);
         run.report.to_json(spec)
     });
 }
 
-/// The sort shapes the tests cover: the paper's one-bit passes and the
-/// two-bit passes `Device` runs, at the tiny chip's `s = 16`.
-const RADIXES: [Radix; 2] = [Radix { bits: 1, s: 16 }, Radix { bits: 2, s: 16 }];
+/// The digit widths the tests cover: the paper's one-bit passes and the
+/// two-bit passes `Device` runs.
+const DIGIT_BITS: [u32; 2] = [1, 2];
 
 #[test]
 fn sort_reports_identically_under_serial_parallel_and_planned() {
-    // 16 one-bit or 8 two-bit passes of 600 keys at s = 16: 38 rows, 10
-    // to a vector core.
-    for radix in RADIXES {
-        assert_equiv(&format!("sort {radix:?}"), 1, &|spec, gm| {
+    // 16 one-bit or 8 two-bit passes of 600 keys, 150 to a vector core.
+    for bits in DIGIT_BITS {
+        assert_equiv(&format!("sort {bits} bits"), 1, &|spec, gm| {
             let (vals, _) = inputs();
             let vals = &vals[..600];
             let x = GlobalTensor::from_slice(gm, vals).unwrap();
-            let run = radix_sort(spec, gm, &x, radix, SortOrder::Descending).unwrap();
+            let run = radix_sort(spec, gm, &x, bits, SortOrder::Descending).unwrap();
             let mut want = vals.to_vec();
             want.sort_unstable_by(|a, b| b.cmp(a));
             assert_eq!(run.values.to_vec(), want);
@@ -131,13 +129,13 @@ fn sort_reports_identically_under_serial_parallel_and_planned() {
 #[test]
 fn top_p_reports_identically_under_serial_parallel_and_planned() {
     // The sort, the CDF scan, the threshold count and the CDF search.
-    for radix in RADIXES {
-        assert_equiv(&format!("top-p {radix:?}"), 4, &|spec, gm| {
+    for bits in DIGIT_BITS {
+        assert_equiv(&format!("top-p {bits} bits"), 4, &|spec, gm| {
             let probs: Vec<F16> = (0..500)
                 .map(|i| F16::from_f32(if i % 37 == 0 { 0.05 } else { 1e-3 }))
                 .collect();
             let x = GlobalTensor::from_slice(gm, &probs).unwrap();
-            let run = top_p_sample(spec, gm, &x, 0.9, 0.4, 16, radix).unwrap();
+            let run = top_p_sample(spec, gm, &x, 0.9, 0.4, 16, bits).unwrap();
             assert!(probs[run.token as usize] > F16::ZERO);
             run.report.to_json(spec)
         });

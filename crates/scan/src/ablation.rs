@@ -38,8 +38,8 @@
 //! precisely what the paper's recomputation strategy avoids paying per
 //! tile.
 
-use crate::mcscan::{chunk_cores, mcscan, McLayout, McScanConfig, ScanKind};
-use crate::stage::{chunk_offset, reduce_chunk, store_scalar, HandOffs};
+use crate::mcscan::{mcscan, McLayout, McScanConfig, ScanKind};
+use crate::stage::{chunk_cores, chunk_offset, reduce_chunk, store_scalar, HandOffs};
 use crate::ScanRun;
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult, TQue};
@@ -123,7 +123,7 @@ where
 {
     let name = "MCScan(strided-totals)";
     let hand = HandOffs::new(name, spec, 1)?;
-    let (mc, y) = McLayout::<T, M, O>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
+    let mc = McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
     let report = mc.launch(
         spec,
         gm,
@@ -140,7 +140,7 @@ where
                 let mut totals = vc.alloc_local::<M>(ScratchpadKind::Ub, l / s)?;
                 let mut totals_o = vc.alloc_local::<O>(ScratchpadKind::Ub, l / s)?;
                 let (mut total, mut total_ready) = (O::zero(), 0);
-                for (off, valid) in mc.segments(chunk) {
+                for (off, valid) in mc.segments(chunk)? {
                     let rows = valid.div_ceil(s);
                     let full_rows = valid / s;
                     // Strided gather: last element of each complete
@@ -173,12 +173,12 @@ where
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
                 let (offset, _) = chunk_offset(vc, &mc.r, 1, chunk, false)?;
-                mc.propagate(vc, chunk, offset, None, None, &y)?;
+                mc.propagate(vc, chunk, offset[0], None)?;
             }
             Ok(())
         },
     )?;
-    Ok(ScanRun { y: y.y, report })
+    Ok(ScanRun { y: mc.y, report })
 }
 
 /// Textbook SSA: full per-chunk scans in phase 1, broadcast add after.
@@ -195,7 +195,7 @@ where
 {
     let name = "SSA(full)";
     let hand = HandOffs::new(name, spec, 1)?;
-    let (mc, y) = McLayout::<T, M, O>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
+    let mc = McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
     let report = mc.launch(
         spec,
         gm,
@@ -205,10 +205,9 @@ where
             // Phase 1b: full chunk-local scan (rows propagated from
             // zero), written to y; the chunk total goes to r.
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                let zero = vec![(O::zero(), 0)];
                 let waits = Some((&ctx.flags, hand));
-                let total = mc.propagate(vc, chunk, zero, None, waits, &y)?;
-                store_scalar(vc, &mc.r, chunk, total[0])?;
+                let total = mc.propagate(vc, chunk, (O::zero(), 0), waits)?;
+                store_scalar(vc, &mc.r, chunk, total)?;
             }
             Ok(())
         },
@@ -228,11 +227,11 @@ where
                     1
                 };
                 let mut q = TQue::<O>::new(vc, ScratchpadKind::Ub, depth, l)?;
-                for (off, valid) in mc.segments(chunk) {
+                for (off, valid) in mc.segments(chunk)? {
                     let mut buf = q.alloc_tensor()?;
-                    vc.copy_in(&mut buf, 0, &y.y, off, valid, &[])?;
+                    vc.copy_in(&mut buf, 0, &mc.y, off, valid, &[])?;
                     vc.vadds(&mut buf, 0, valid, offset, offset_ready)?;
-                    let ev = vc.copy_out(&y.y, off, &buf, 0, valid, &[])?;
+                    let ev = vc.copy_out(&mc.y, off, &buf, 0, valid, &[])?;
                     q.free_tensor(buf, ev);
                 }
                 q.destroy(vc)?;
@@ -240,7 +239,7 @@ where
             Ok(())
         },
     )?;
-    Ok(ScanRun { y: y.y, report })
+    Ok(ScanRun { y: mc.y, report })
 }
 
 /// Reduce-Scan-Scan: phase 1 reduces only; phase 2 does everything else.
@@ -257,7 +256,7 @@ where
 {
     let name = "RSS";
     let hand = HandOffs::new(name, spec, 1)?;
-    let (mc, y) = McLayout::<T, M, O>::with_y(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
+    let mc = McLayout::<T, M, O>::new(name, spec, gm, x, cfg, Some(spec.ai_cores))?;
     let report = mc.launch(
         spec,
         gm,
@@ -265,7 +264,7 @@ where
         // RSS's structural drawback on a split architecture).
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                reduce_chunk(vc, x, &mc.segments(chunk), mc.l, &mc.r, &[(0, chunk)])?;
+                reduce_chunk(vc, x, &mc.segments(chunk)?, mc.l, &mc.r, &[(0, chunk)])?;
             }
             Ok(())
         },
@@ -278,12 +277,12 @@ where
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
                 let (offset, _) = chunk_offset(vc, &mc.r, 1, chunk, false)?;
                 let waits = Some((&ctx.flags, hand));
-                mc.propagate(vc, chunk, offset, None, waits, &y)?;
+                mc.propagate(vc, chunk, offset[0], waits)?;
             }
             Ok(())
         },
     )?;
-    Ok(ScanRun { y: y.y, report })
+    Ok(ScanRun { y: mc.y, report })
 }
 
 #[cfg(test)]

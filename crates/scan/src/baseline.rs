@@ -49,7 +49,7 @@ pub fn cumsum_vec_only<T: Numeric>(
     let n = x.len();
     let l = s * s;
     let y = GlobalTensor::<T>::new(gm, n)?;
-    let spans = tile_spans(n, l);
+    let spans = tile_spans(n, l)?;
 
     let mut report = launch(spec, gm, 1, "CumSum(vec-only)", |ctx| {
         let phase = ctx.span_begin("VecOnlyScan");
@@ -61,7 +61,7 @@ pub fn cumsum_vec_only<T: Numeric>(
             let tile = v.span_begin("tile");
             let mut buf = q.alloc_tensor()?;
             v.copy_in(&mut buf, 0, x, off, valid, &[])?;
-            for (row_off, row_len) in tile_spans(valid, s) {
+            for (row_off, row_len) in tile_spans(valid, s)? {
                 // Hillis-Steele local scan of the row. SIMD adds cannot
                 // overlap source and destination in place, so each
                 // log-step is a copy into a staging buffer plus an

@@ -68,7 +68,7 @@ where
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, batch * len)?;
-    let spans = tile_spans(len, l);
+    let spans = tile_spans(len, l)?;
     let groups = batch.div_ceil(group);
     let blocks = (spec.ai_cores as usize).min(groups) as u32;
 
@@ -164,7 +164,7 @@ where
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, batch * len)?;
-    let spans = tile_spans(len, l);
+    let spans = tile_spans(len, l)?;
     let blocks = (spec.ai_cores as usize).min(batch) as u32;
 
     let mut report = launch(spec, gm, blocks, name, |ctx| {

@@ -19,8 +19,10 @@
 //!   recompute block reductions from the input; after a global barrier,
 //!   phase 2 scans the block reductions in each vector core's UB and
 //!   propagates. Supports inclusive/exclusive scans, fp16 and int8.
-//!   [`mcscan::mcscan_with`] runs the same launch with a caller-supplied
-//!   phase 2 store ([`mcscan::TileStore`]) in place of the scan output.
+//! * [`MaskCounts`] — the counts behind every split of the `ops` crate:
+//!   each vector core reduces byte masks over an equal element range,
+//!   and after a `SyncAll` reads its range's offsets from the counts.
+//!   A split needs no scan, only these counts.
 //! * [`scanc::scanc`] — **ScanC**: a single-pass chained scan with
 //!   decoupled look-back. No barrier and no recomputation read: each
 //!   lane keeps its tile-local scans resident in UB, publishes its
@@ -43,8 +45,9 @@
 //! zero-padded load, `mmad`, caller-supplied store), ScanUL1's
 //! three-matmul tile, row propagation (`Adds` + `extract` per `s`-row),
 //! chunk reduction (`vcast` + `ReduceSum` into `r[chunk]`) with the
-//! chunk-offset read of `r[..chunk]`, the flag-id layout of the per-tile
-//! cube→vector hand-offs, and the one `s`/grid validator.
+//! chunk-offset read of `r[..chunk]` (which [`MaskCounts`] wraps), the
+//! flag-id layout of the per-tile cube→vector hand-offs, and the one
+//! `s`/grid validator.
 //!
 //! Functional results are bit-exact products of the simulated engines;
 //! performance comes from the simulator's timing model ([`KernelReport`]).
@@ -68,13 +71,12 @@ pub(crate) mod util;
 pub use ablation::{mcscan_variant, McScanVariant};
 pub use baseline::cumsum_vec_only;
 pub use batched::{batched_scanu, batched_scanul1};
-pub use mcscan::{
-    mcscan, mcscan_with, McLayout, McScanConfig, ScanKind, Scanned, StoreRun, Tile, TileStore,
-};
+pub use mcscan::{mcscan, McScanConfig, ScanKind};
 pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};
 pub use scanu::scanu;
 pub use scanul1::scanul1;
+pub use stage::{Chunk, MaskCounts};
 pub use util::tile_spans;
 
 use ascendc::{GlobalTensor, KernelReport};

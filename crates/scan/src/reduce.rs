@@ -59,7 +59,7 @@ where
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let chunks_total = (spec.ai_cores * spec.vec_per_core) as usize;
-    let tiles = tile_spans(n, l);
+    let tiles = tile_spans(n, l)?;
     let chunk_tiles = partition("reduce_cube", tiles.len(), chunks_total)?;
     // Row-sum columns land here (one s-column per tile), then per-chunk
     // partials in r.
@@ -154,7 +154,7 @@ where
         }
         p
     };
-    let spans = tile_spans(n, piece);
+    let spans = tile_spans(n, piece)?;
     let chunk_spans = partition("reduce_vec", spans.len(), chunks_total)?;
 
     let mut report = launch(spec, gm, spec.ai_cores, "ReduceVec", |ctx| {

@@ -92,7 +92,7 @@ impl ScanCConfig {
     /// look-back window the chip's flag-id file supports (capped at 4);
     /// inclusive.
     pub fn for_chip<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> Self {
-        let s = tile_dim::<T, M, O>(spec, 1);
+        let s = tile_dim::<T, M, O>(spec);
         let l = s * s;
         let budget = spec.ub_capacity.saturating_sub(l * M::SIZE + 256);
         let mut w = 4usize;
@@ -223,7 +223,7 @@ where
     let y = GlobalTensor::<O>::new(gm, n)?;
     let w = GlobalTensor::<M>::new(gm, n)?;
 
-    let tiles = tile_spans(n, l);
+    let tiles = tile_spans(n, l)?;
     let vpc = spec.vec_per_core as usize;
     // Lane layout: lane L owns tiles [L·tpl, L·tpl + tpl); every lane
     // below `nlanes` is non-empty, so the look-back chain has no holes.

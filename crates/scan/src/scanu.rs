@@ -39,7 +39,7 @@ where
     let l = s * s;
     let consts = ScanConstants::<T>::upload(gm, s)?;
     let y = GlobalTensor::<O>::new(gm, n)?;
-    let spans = tile_spans(n, l);
+    let spans = tile_spans(n, l)?;
 
     let mut report = launch(spec, gm, 1, "ScanU", |ctx| {
         // ---- Cube core: local row scans per tile (Lines 3-8). ----
@@ -78,6 +78,9 @@ where
             };
             for (t, &(off, valid)) in spans.iter().enumerate() {
                 let tile = v.span_begin("tile");
+                // Cannot fire: tile 0 is fetched before the loop when
+                // there are tiles, and each iteration fetches tile t + 1
+                // before the next one runs.
                 let mut buf = pending.take().expect("tile t was prefetched");
                 if t + 1 < spans.len() {
                     pending = Some(fetch(v, &mut q, t + 1)?);

@@ -15,19 +15,24 @@
 //!   running partial through a UB tile;
 //! * [`reduce_chunk`], [`chunk_offset`], [`store_scalar`] — chunk
 //!   reduction into `r[chunk]` and the offset read of `r[..chunk]`
-//!   (plus, on request, the total of all of `r`).
+//!   (plus, on request, the total of all of `r`);
+//! * [`MaskCounts`] — the same two over one equal element range per
+//!   vector core: the counts behind every split of the `ops` crate.
 //!
 //! A stage's instruction stream is part of every report built on it:
 //! changing the order or the dependencies of its instructions moves the
 //! simulated numbers of every kernel that uses it.
 
 use crate::triangular::ScanConstants;
-use crate::util::tile_spans;
+use crate::util::{partition, tile_spans};
+use ascend_sim::mem::GlobalMemory;
 use ascendc::{
-    ChipSpec, Core, EventTime, FlagFile, GlobalTensor, LocalTensor, ScratchpadKind, SimError,
-    SimResult, SpanArgs, TQue,
+    BlockCtx, ChipSpec, Core, EventTime, FlagFile, GlobalTensor, LocalTensor, ScratchpadKind,
+    SimError, SimResult, SpanArgs, TQue,
 };
 use dtypes::{CubeInput, Element, Numeric};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Checks a cube kernel's tile dimension: `s` must be a positive
 /// multiple of 16, the cube's fractal edge.
@@ -356,7 +361,7 @@ pub(crate) fn propagate_rows<O: Numeric>(
     row: usize,
     carry: &mut (O, EventTime),
 ) -> SimResult<()> {
-    for (off, len) in tile_spans(valid, row) {
+    for (off, len) in tile_spans(valid, row)? {
         carry_through(vc, buf, off, len, carry)?;
     }
     Ok(())
@@ -460,4 +465,147 @@ pub(crate) fn chunk_offset<O: Numeric>(
     };
     vc.free_local(r_ub)?;
     Ok((offsets, total))
+}
+
+/// Each vector core of block `block` with the chunk it owns
+/// (`block · vec_per_core + v`).
+pub(crate) fn chunk_cores<'c, 'a>(
+    block: u32,
+    vecs: &'c mut [Core<'a>],
+) -> impl Iterator<Item = (usize, &'c mut Core<'a>)> {
+    let first = block as usize * vecs.len();
+    vecs.iter_mut()
+        .enumerate()
+        .map(move |(v, vc)| (first + v, vc))
+}
+
+/// The counts of a split: `masks` byte masks of `n` elements each (back
+/// to back), cut into one equal element range — a chunk — per vector
+/// core of the chip, and `r`, one count per mask and chunk.
+///
+/// A split pass runs inside any launch on all of the chip's AI cores:
+/// [`MaskCounts::reduce`] as its phase I, a `SyncAll`, then
+/// [`MaskCounts::walk`] as its phase II. A kernel may run further passes
+/// on the same counts once a `SyncAll` has ordered one pass's reads of
+/// `r` before the next pass's writes.
+pub struct MaskCounts {
+    n: usize,
+    masks: usize,
+    piece: usize,
+    chunks: Vec<Range<usize>>,
+    r: GlobalTensor<i32>,
+}
+
+/// One vector core's chunk in phase II of a split pass.
+pub struct Chunk {
+    /// The chunk's elements.
+    pub range: Range<usize>,
+    /// Each mask's count before the chunk, with the time it is ready.
+    pub before: Vec<(i32, EventTime)>,
+    /// Each mask's total with the time it is ready, when the walk asked
+    /// for them.
+    pub totals: Option<Vec<(i32, EventTime)>>,
+    /// Each mask's count inside the chunk, as phase I left it in `r`,
+    /// read on the host: what a walk checks itself against.
+    pub counts: Vec<usize>,
+}
+
+impl MaskCounts {
+    /// The counts of `masks` masks of `n` elements each for kernel
+    /// `name` on `spec`'s vector cores.
+    pub fn new(
+        name: &str,
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        n: usize,
+        masks: usize,
+    ) -> SimResult<Self> {
+        let cores = spec.total_vec_cores() as usize;
+        let chunks = partition(name, n, cores)?
+            .into_iter()
+            .map(|(start, len)| start..start + len)
+            .collect();
+        // The largest power-of-two piece whose double-buffered mask
+        // bytes and widened copy fit UB next to the per-lane scalars,
+        // capped at a chunk.
+        let fits = 1 << (spec.ub_capacity.saturating_sub(64) / 6).max(1).ilog2();
+        let piece = n.div_ceil(cores).clamp(1, fits);
+        Ok(MaskCounts {
+            n,
+            masks,
+            piece,
+            chunks,
+            r: GlobalTensor::new(gm, masks * cores)?,
+        })
+    }
+
+    /// Phase I on one block: each vector core reduces each mask of
+    /// `mask` over its chunk into `r`.
+    pub fn reduce(&self, ctx: &mut BlockCtx<'_>, mask: &GlobalTensor<u8>) -> SimResult<()> {
+        if mask.len() != self.masks * self.n {
+            return Err(SimError::InvalidArgument(format!(
+                "mask counts: {} mask elements, expected {} x {}",
+                mask.len(),
+                self.masks,
+                self.n
+            )));
+        }
+        let chunks = self.chunks.len();
+        for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+            let range = &self.chunks[chunk];
+            let pieces: Vec<_> = tile_spans(range.len(), self.piece)?
+                .into_iter()
+                .map(|(off, len)| (range.start + off, len))
+                .collect();
+            let masks: Vec<_> = (0..self.masks)
+                .map(|d| (d * self.n, d * chunks + chunk))
+                .collect();
+            reduce_chunk(vc, mask, &pieces, self.piece, &self.r, &masks)?;
+        }
+        Ok(())
+    }
+
+    /// Phase II on one block, after the `SyncAll` that follows phase I:
+    /// each vector core with a non-empty chunk reads its offsets (and,
+    /// with `totals`, the masks' totals) from `r` and hands them to
+    /// `body`.
+    pub fn walk(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        totals: bool,
+        mut body: impl FnMut(&mut Core<'_>, &Chunk) -> SimResult<()>,
+    ) -> SimResult<()> {
+        let chunks = self.chunks.len();
+        for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+            let range = self.chunks[chunk].clone();
+            if range.is_empty() {
+                continue;
+            }
+            let (before, totals) = chunk_offset(vc, &self.r, self.masks, chunk, totals)?;
+            let counts = (0..self.masks)
+                .map(|d| self.read(d * chunks + chunk, 1))
+                .collect::<SimResult<_>>()?;
+            let chunk = Chunk {
+                range,
+                before,
+                totals,
+                counts,
+            };
+            body(vc, &chunk)?;
+        }
+        Ok(())
+    }
+
+    /// Mask `mask`'s total after the last phase I, read from `r` on the
+    /// host.
+    pub fn total(&self, mask: usize) -> SimResult<usize> {
+        let chunks = self.chunks.len();
+        self.read(mask * chunks, chunks)
+    }
+
+    /// The sum of `len` entries of `r` from `at`, read on the host.
+    fn read(&self, at: usize, len: usize) -> SimResult<usize> {
+        let r = self.r.read_range(at, len)?;
+        Ok(r.iter().map(|&c| c as usize).sum())
+    }
 }

@@ -8,25 +8,17 @@ use dtypes::{CubeInput, Element};
 pub(crate) const PAPER_S: usize = 128;
 
 /// The largest tile dimension `s ≤ 128` (a multiple of 16) whose
-/// `ℓ = s²` tile fits the chip for a `<T, M, O>` cube scan of `inputs`
-/// arrays side by side: one input tile in each of L0A and L0B, one
-/// accumulator tile in L0C, and one input-or-intermediate tile next to
-/// one output tile per input in UB (plus a little room for the per-lane
-/// scalars). A layout over several inputs also keeps phase II's staging
-/// queue double-buffered: its propagation buffers leave the store little
-/// UB, and with a single-buffered queue the 910B4's three-mask sort
-/// passes measured slower at 1M-4M keys than at the next smaller tile.
-/// Falls back to 16, whose launch then reports the overflow.
-pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(
-    spec: &ChipSpec,
-    inputs: usize,
-) -> usize {
-    let staging = if inputs > 1 { 2 } else { 1 };
+/// `ℓ = s²` tile fits the chip for a `<T, M, O>` cube scan: one input
+/// tile in each of L0A and L0B, one accumulator tile in L0C, and one
+/// input-or-intermediate tile next to one output tile in UB (plus a
+/// little room for the per-lane scalars). Falls back to 16, whose launch
+/// then reports the overflow.
+pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(spec: &ChipSpec) -> usize {
     let fits = |s: usize| {
         let l = s * s;
         l * T::SIZE <= spec.l0a_capacity.min(spec.l0b_capacity)
             && l * <T::Acc as Element>::SIZE <= spec.l0c_capacity
-            && l * (staging * T::SIZE.max(M::SIZE) + inputs * O::SIZE) + 256 <= spec.ub_capacity
+            && l * (T::SIZE.max(M::SIZE) + O::SIZE) + 256 <= spec.ub_capacity
     };
     (1..=PAPER_S / 16)
         .rev()
@@ -38,9 +30,14 @@ pub(crate) fn tile_dim<T: CubeInput, M: Element, O: Element>(
 /// Splits `[0, n)` into spans of at most `tile` elements:
 /// `(offset, valid)` pairs in order. The one piece list of the
 /// workspace: the scan kernels tile with it and the `ops` kernels cut
-/// their pieces with it.
-pub fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {
-    assert!(tile > 0, "tile size must be positive");
+/// their pieces with it. A zero `tile` cannot cover anything and is a
+/// [`SimError::InvalidArgument`].
+pub fn tile_spans(n: usize, tile: usize) -> SimResult<Vec<(usize, usize)>> {
+    if tile == 0 {
+        return Err(SimError::InvalidArgument(format!(
+            "tile_spans: {n} elements cannot be cut into tiles of 0"
+        )));
+    }
     let mut spans = Vec::with_capacity(n.div_ceil(tile));
     let mut off = 0;
     while off < n {
@@ -48,7 +45,7 @@ pub fn tile_spans(n: usize, tile: usize) -> Vec<(usize, usize)> {
         spans.push((off, valid));
         off += valid;
     }
-    spans
+    Ok(spans)
 }
 
 /// Splits `count` items across `parts` contiguous chunks of
@@ -78,10 +75,10 @@ mod tests {
 
     #[test]
     fn spans_cover_exactly() {
-        assert_eq!(tile_spans(10, 4), vec![(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(tile_spans(8, 4), vec![(0, 4), (4, 4)]);
-        assert_eq!(tile_spans(3, 4), vec![(0, 3)]);
-        assert!(tile_spans(0, 4).is_empty());
+        assert_eq!(tile_spans(10, 4).unwrap(), vec![(0, 4), (4, 4), (8, 2)]);
+        assert_eq!(tile_spans(8, 4).unwrap(), vec![(0, 4), (4, 4)]);
+        assert_eq!(tile_spans(3, 4).unwrap(), vec![(0, 3)]);
+        assert!(tile_spans(0, 4).unwrap().is_empty());
     }
 
     #[test]

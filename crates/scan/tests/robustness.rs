@@ -292,3 +292,17 @@ fn kernels_reject_a_flag_file_too_small_for_their_hand_offs() {
         );
     }
 }
+
+#[test]
+fn tile_spans_refuses_a_zero_tile() {
+    // The one piece list of the workspace is public: a zero tile, which
+    // cannot cover anything, is a typed error rather than a panic.
+    for n in [0, 1, 5] {
+        let got = catch_unwind(|| scan::tile_spans(n, 0));
+        assert!(
+            matches!(got, Ok(Err(SimError::InvalidArgument(_)))),
+            "n = {n}: {got:?}"
+        );
+    }
+    assert_eq!(scan::tile_spans(5, 2).unwrap(), [(0, 2), (2, 2), (4, 1)]);
+}

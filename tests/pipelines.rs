@@ -85,10 +85,9 @@ fn split_and_compress_agree() {
 #[test]
 fn a_vocab_sized_split_shares_phase_two_over_the_vector_cores() {
     // 128,256 elements are only 8 cube tiles of ℓ = 16,384, but the
-    // split's phase II hands the 910B4's 40 vector cores ranges of
-    // ⌈1002 / 40⌉ = 26 rows of s = 128 elements: 39 of them propagate
-    // and scatter a segment (the 40th gets no rows), not 8, and the
-    // result is bit-exact.
+    // split gives each of the 910B4's 40 vector cores an equal range of
+    // ⌈128,256 / 40⌉ = 3,207 elements: all 40 of them scatter a piece,
+    // not 8, and the result is bit-exact.
     let dev = device();
     let n: usize = 128_256;
     let vals: Vec<u16> = (0..n).map(|i| (i * 7919 % 65536) as u16).collect();
@@ -109,18 +108,15 @@ fn a_vocab_sized_split_shares_phase_two_over_the_vector_cores() {
     let mut cores: Vec<(u32, u32)> = launch
         .spans
         .iter()
-        .filter(|sp| sp.name == "tile" && sp.args.is_some_and(|a| a.kind == "propagate"))
+        .filter(|sp| sp.name == "tile" && sp.args.is_some_and(|a| a.kind == "scatter"))
         .map(|sp| (sp.block, sp.core))
         .collect();
     cores.sort_unstable();
     cores.dedup();
     let spec = dev.spec();
-    let (rows, chunks) = (
-        n.div_ceil(128),
-        (spec.ai_cores * spec.vec_per_core) as usize,
-    );
-    assert_eq!(cores.len(), rows.div_ceil(rows.div_ceil(chunks)));
-    assert_eq!(cores.len(), 39);
+    let chunks = (spec.ai_cores * spec.vec_per_core) as usize;
+    assert_eq!(cores.len(), n.div_ceil(n.div_ceil(chunks)));
+    assert_eq!(cores.len(), 40);
 }
 
 #[test]
@@ -222,15 +218,14 @@ fn topk_agrees_with_full_sort() {
         assert_eq!(got, expect);
 
         // Top-k runs on radix sort's kernels: encode, then per pass one
-        // fused split (mask scan + scatter) and the two window
-        // copy-backs, then the decode and the index copy of the k
-        // survivors.
+        // split (mask counts + scatter) and the two window copy-backs,
+        // then the decode and the index copy of the k survivors.
         let keys: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
         let passes = topk_passes(&keys, k);
         assert!(passes > 0);
         let mut want = vec!["RadixEncode"];
         for _ in 0..passes {
-            want.extend(["MCScanSplit", "WindowCopy", "WindowCopy"]);
+            want.extend(["Split", "WindowCopy", "WindowCopy"]);
         }
         want.extend(["RadixDecode", "WindowCopy"]);
         let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
@@ -263,7 +258,7 @@ fn exclusive_scan_is_shifted_inclusive_on_device() {
     assert_eq!(&exc[1..], &inc[..inc.len() - 1]);
 }
 
-/// The scans a profiled pipeline ran: one MCScan phase I span per scan
+/// The scans a profiled pipeline ran: one phase I span per MCScan or split
 /// on block 0, whichever launch it ran in.
 fn scans(profile: &Profile) -> usize {
     profile
@@ -304,8 +299,8 @@ fn top_p_and_sort_launch_counts_are_pinned() {
         8,
         "one phase I, over three masks, per two bits"
     );
-    // The encode's barrier, then two per pass: after the scan's phase I
-    // and after the scatter.
+    // The encode's barrier, then two per pass: after the counts' phase
+    // I and after the scatter.
     assert_eq!(sorted.report.sync_rounds, 17);
 
     let probs: Vec<F16> = (0..32_000)
@@ -330,11 +325,33 @@ fn top_p_and_sort_launch_counts_are_pinned() {
 }
 
 #[test]
+fn a_vocab_sized_two_bit_sort_costs_fewer_instructions_than_one_bit_passes() {
+    // A split reads one count per run and piece, so a two-bit pass pays
+    // for three mask counts, not three mask scans: a 128,256-key fp16
+    // sort, as top-p runs it, issues fewer instructions in 8 two-bit
+    // passes than the 16 one-bit passes of the scan-based split did
+    // (55,524; two-bit passes over scans took 93.3K).
+    let dev = device();
+    let n = 128_256;
+    let keys: Vec<F16> = (0..n)
+        .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e3))
+        .collect();
+    let x = dev.tensor(&keys).unwrap();
+    let run = dev.sort(&x, SortOrder::Descending).unwrap();
+    let instructions: u64 = run.report.engine_instructions.iter().sum();
+    assert!(instructions < 55_524, "{instructions} instructions");
+    let mut want = keys.clone();
+    want.sort_by(|a, b| b.total_cmp(a));
+    let got: Vec<u16> = run.values.to_vec().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+}
+
+#[test]
 fn top_p_launches_are_hb_clean() {
     // Every launch's recorded schedule must analyze without a single
     // diagnostic, warnings included: a dead or leaked mask transfer in
     // the fused radix passes (shared by top-p's sort and top-k), or a
-    // scatter store racing the scan in a fused split, fails here.
+    // scatter store racing another core's in a split, fails here.
     let dev = device();
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(if i % 97 == 0 { 0.01 } else { 1e-4 }))
