@@ -494,10 +494,10 @@ impl Core<'_> {
         K: dtypes::RadixKey + Element,
         K::Encoded: Element,
     {
-        self.check_vec("RadixEncode", dst)?;
-        self.check_vec("RadixEncode", src)?;
-        dst.check_range("RadixEncode dst", off, len)?;
-        src.check_range("RadixEncode src", off, len)?;
+        self.check_vec("KeyEncode", dst)?;
+        self.check_vec("KeyEncode", src)?;
+        dst.check_range("KeyEncode dst", off, len)?;
+        src.check_range("KeyEncode src", off, len)?;
         for i in 0..len {
             dst.data[off + i] = src.data[off + i].encode();
         }
@@ -522,10 +522,10 @@ impl Core<'_> {
         K: dtypes::RadixKey + Element,
         K::Encoded: Element,
     {
-        self.check_vec("RadixDecode", dst)?;
-        self.check_vec("RadixDecode", src)?;
-        dst.check_range("RadixDecode dst", off, len)?;
-        src.check_range("RadixDecode src", off, len)?;
+        self.check_vec("KeyDecode", dst)?;
+        self.check_vec("KeyDecode", src)?;
+        dst.check_range("KeyDecode dst", off, len)?;
+        src.check_range("KeyDecode src", off, len)?;
         for i in 0..len {
             dst.data[off + i] = K::decode(src.data[off + i]);
         }

@@ -902,10 +902,10 @@ fn scanc_experiment(spec: &ChipSpec, quick: bool) {
     println!("  anchors too (MCScan keeps the latency-bound mid-range, ~256K-1M)\n");
 }
 
-/// §5 text — the top-k negative result: SplitInd-based top-k does not
-/// beat the baseline for k <= 4096.
+/// §5 text — the top-k negative result: a split-based top-k (the sort's
+/// head) does not beat the baseline for k <= 4096.
 fn topk_experiment(spec: &ChipSpec, quick: bool) {
-    println!("== Top-k: SplitInd-based selection vs baseline torch.topk (paper: negative result for k <= 4096) ==");
+    println!("== Top-k: head of the SplitInd radix sort vs baseline torch.topk (paper: negative result for k <= 4096) ==");
     let n = if quick { 1 << 18 } else { 1 << 20 };
     let ks: Vec<usize> = if quick {
         vec![64, 4096]

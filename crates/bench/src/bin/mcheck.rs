@@ -230,7 +230,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             run.report.to_json(&spec)
         }
         "split" => {
-            // The split every split, compress and radix/top-k pass runs:
+            // The split every split, compress and radix-sort pass runs:
             // phase I counts the mask per chunk, phase II scatters each
             // chunk from its offset. 1500 elements are 375 to each of the
             // 4 vector cores, each chunk one store piece.

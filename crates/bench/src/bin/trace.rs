@@ -14,12 +14,12 @@
 //! `wait:flag` / `wait:barrier` stall intervals, and `TQue` occupancy
 //! counters. `scanc-excl` is the exclusive int8 mask scan ScanC runs
 //! for `Device::mask_exclusive_scan` at or above its crossover; `split`
-//! is the one-launch split of int8 values by a half-true mask (the
-//! MCScan whose phase II scatters each tile from UB) that every split,
-//! compress and top-k pass runs; `sort` is the one-launch descending fp16
-//! radix sort that `Device::top_p` runs (encode, 8 two-bit passes — each
-//! a 4-way split over three mask scans, with two barriers — decode). Open
-//! the produced JSON at <https://ui.perfetto.dev> (or chrome://tracing)
+//! is the one-launch count-based split of int8 values by a half-true
+//! mask that every split, compress and radix-sort pass runs; `sort` is
+//! the one-launch descending fp16 radix sort of `Device::top_p` and
+//! `Device::topk` (encode, 8 two-bit passes — each a 4-way split over
+//! three mask counts, with two barriers — decode). Open the produced
+//! JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible.
 //!

@@ -56,15 +56,8 @@ pub use scan::ScanRun;
 
 use ascend_sim::mem::GlobalMemory;
 use dtypes::{CubeInput, Numeric, RadixKey};
+use ops::SORT_DIGIT_BITS;
 use std::sync::Arc;
-
-/// Key bits per radix-sort pass in [`Device::sort`] and
-/// [`Device::top_p`]. The paper's sort splits on one bit per pass; two
-/// bits halve the passes and barriers and measure 1.34–1.61× faster on
-/// the 910B4 at every size of Fig. 11, for fp16 and int8 keys, and
-/// 1.40–1.47× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
-/// "Radix digits"), so there is no size crossover.
-const SORT_DIGIT_BITS: u32 = 2;
 
 /// A simulated accelerator: a chip specification plus its global memory.
 ///
@@ -188,7 +181,8 @@ impl Device {
         ops::radix_sort(&self.spec, &self.gm, x, SORT_DIGIT_BITS, order)
     }
 
-    /// Top-k selection (unsorted top set + indices).
+    /// Top-k selection: the first `k` values and indices of the
+    /// descending [`Device::sort`], largest first, in its one launch.
     pub fn topk<K>(&self, x: &GlobalTensor<K>, k: usize) -> SimResult<ops::topk::TopKRun<K>>
     where
         K: RadixKey + Element,
@@ -390,10 +384,8 @@ mod tests {
         order.sort_by(|&a, &b| vals[b as usize].cmp(&vals[a as usize]));
         assert_eq!(sorted.indices.to_vec(), order);
         let top = dev.topk(&v, 10).unwrap();
-        let mut got = top.values.to_vec();
-        got.sort_unstable_by(|a, b| b.cmp(a));
-        let want: Vec<u16> = order[..10].iter().map(|&i| vals[i as usize]).collect();
-        assert_eq!(got, want);
+        assert_eq!(top.indices.to_vec(), order[..10]);
+        assert_eq!(top.values.to_vec(), sorted.values.to_vec()[..10]);
 
         // Samplers: the token is the first whose prefix sum exceeds
         // theta times the (kept) total.

@@ -109,6 +109,7 @@ macro_rules! impl_element_prim {
 
             #[inline]
             fn read_le(src: &[u8]) -> Self {
+                // Cannot fire: every caller slices exactly `SIZE` bytes.
                 <$t>::from_le_bytes(src.try_into().expect("element size mismatch"))
             }
 
@@ -139,6 +140,7 @@ impl Element for F16 {
 
     #[inline]
     fn read_le(src: &[u8]) -> Self {
+        // Cannot fire: every caller slices exactly `SIZE` bytes.
         F16(u16::from_le_bytes(src.try_into().expect("f16 size")))
     }
 

@@ -35,12 +35,6 @@ pub trait RadixKey: Copy + Send + Sync + 'static {
 
     /// Inverse of [`RadixKey::encode`].
     fn decode(enc: Self::Encoded) -> Self;
-
-    /// Extracts bit `bit` (0 = LSB) of the encoded key as 0/1.
-    fn encoded_bit(self, bit: u32) -> u8 {
-        debug_assert!(bit < Self::BITS);
-        ((self.encode().into() >> bit) & 1) as u8
-    }
 }
 
 impl RadixKey for u8 {
@@ -212,18 +206,6 @@ mod tests {
         assert!(zero < one);
         assert!(one < inf);
         assert!(inf < nan, "quiet +NaN sorts above +inf");
-    }
-
-    #[test]
-    fn bit_extraction() {
-        let v = 0b1010u16;
-        assert_eq!(v.encoded_bit(0), 0);
-        assert_eq!(v.encoded_bit(1), 1);
-        assert_eq!(v.encoded_bit(2), 0);
-        assert_eq!(v.encoded_bit(3), 1);
-        // f16: 1.0 = 0x3C00, encoded 0xBC00 -> bit 15 set.
-        assert_eq!(F16::ONE.encoded_bit(15), 1);
-        assert_eq!(F16::NEG_ONE.encoded_bit(15), 0);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!   or two (a 4-way split over three digit masks per pass); supports
 //!   unsigned/signed integers and `f16` via the order-preserving
 //!   encode/decode pre/post-passes.
-//! * [`topk::topk`] — top-k selection via bitwise partial quickselect on
-//!   SplitInd, running on radix sort's encode/split/decode kernels
-//!   (reproducing the paper's *negative* result for small k).
+//! * [`topk::topk`] — top-k selection as the first `k` of the descending
+//!   radix sort (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:
 //!   descending radix sort + scan + threshold + weighted draw.
 //! * [`weighted::weighted_sample`] — inverse-transform weighted sampling
@@ -30,7 +29,7 @@
 //! its offset, advancing each run by the count `GatherMask` returns. A
 //! split on its own is one launch; radix sort runs all of its splits,
 //! between its encode and decode, inside one launch of its own, so a
-//! top-p draw is 4 launches. The other kernels cut their pieces with
+//! top-k is one launch and a top-p draw 4. The other kernels cut their pieces with
 //! [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
 //!
@@ -56,7 +55,7 @@ pub mod weighted;
 
 pub use alias::{alias_sample_many, build_alias_table, AliasTable};
 pub use compress::compress;
-pub use radix_sort::{radix_sort, SortOrder, SortRun};
+pub use radix_sort::{radix_sort, SortOrder, SortRun, SORT_DIGIT_BITS};
 pub use split::{split_ind, SplitRun};
 pub use topk::topk;
 pub use topp::{top_p_sample, top_p_sample_batch};

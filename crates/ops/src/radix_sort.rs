@@ -76,8 +76,18 @@ pub struct SortRun<K: Element> {
     pub report: KernelReport,
 }
 
-/// Elements per piece in the codec kernels.
-pub(crate) const PIECE_CAP: usize = 2048;
+/// Key bits per radix-sort pass in `Device::sort`, `Device::top_p` and
+/// [`topk`]. The paper's sort splits on one bit per pass; two bits
+/// halve the passes and barriers and measure 1.34–1.61× faster on the
+/// 910B4 at every size of Fig. 11, for fp16 and int8 keys, and
+/// 1.40–1.47× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
+/// "Radix digits"), so there is no size crossover.
+///
+/// [`topk`]: crate::topk::topk
+pub const SORT_DIGIT_BITS: u32 = 2;
+
+/// Elements per piece in the encode and decode.
+const PIECE_CAP: usize = 2048;
 
 /// Stable radix sort of `x` (values + original indices), one split per
 /// `bits`-bit digit, as one launch on all of the chip's AI cores.
@@ -147,7 +157,6 @@ where
                 &keys[0],
                 &idx[0],
                 &masks[0],
-                0,
                 order,
             )
         })?;
@@ -198,28 +207,24 @@ where
     })
 }
 
-/// How a codec kernel cuts its `n` elements: pieces of `piece` elements
-/// (as many as UB holds, up to [`PIECE_CAP`]), dealt round-robin over
-/// the vector cores.
-pub(crate) struct Codec {
-    pub(crate) piece: usize,
-    pub(crate) spans: Vec<(usize, usize)>,
+/// How the encode or decode cuts its `n` elements: pieces of `piece`
+/// elements (as many as UB holds, up to [`PIECE_CAP`]), dealt
+/// round-robin over the vector cores.
+struct Codec {
+    piece: usize,
+    spans: Vec<(usize, usize)>,
 }
 
 impl Codec {
     /// The encode's pieces: raw key, encoded key, index and `masks`
     /// digit masks per element.
-    pub(crate) fn encode<K: RadixKey + Element>(
-        spec: &ChipSpec,
-        n: usize,
-        masks: usize,
-    ) -> SimResult<Self> {
+    fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize, masks: usize) -> SimResult<Self> {
         let per_elem = K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + masks;
         Self::new(spec, n, per_elem)
     }
 
     /// The decode's pieces: encoded and decoded key per element.
-    pub(crate) fn decode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> SimResult<Self> {
+    fn decode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> SimResult<Self> {
         Self::new(spec, n, K::SIZE + std::mem::size_of::<K::Encoded>())
     }
 
@@ -232,36 +237,10 @@ impl Codec {
     }
 }
 
-/// Pre-processing kernel: order-preserving encode + index ramp + the
-/// one-bit split mask of bit plane `bit` (the most significant bit, for
-/// top-k's first pass).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_kernel<K>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    x: &GlobalTensor<K>,
-    keys: &GlobalTensor<K::Encoded>,
-    idx: &GlobalTensor<u32>,
-    mask: &GlobalTensor<u8>,
-    bit: u32,
-    order: SortOrder,
-) -> SimResult<KernelReport>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let codec = Codec::encode::<K>(spec, x.len(), 1)?;
-    launch(spec, gm, spec.ai_cores, "RadixEncode", |ctx| {
-        for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
-            encode_lane::<K>(vc, codec.piece, mine, x, keys, idx, mask, bit, order)
-        })
-    })
-}
-
 /// One vector core's share of the encode: for each of its `(offset,
 /// len)` pieces, the order-preserving encode of `x` into `keys`, the
-/// index ramp into `idx` and the split masks of the digit at bit `bit`
-/// into `mask` (as many as it holds per key, back to back).
+/// index ramp into `idx` and the split masks of the lowest digit into
+/// `mask` (as many as it holds per key, back to back).
 #[allow(clippy::too_many_arguments)]
 fn encode_lane<'p, K>(
     vc: &mut Core<'_>,
@@ -271,7 +250,6 @@ fn encode_lane<'p, K>(
     keys: &GlobalTensor<K::Encoded>,
     idx: &GlobalTensor<u32>,
     mask: &GlobalTensor<u8>,
-    bit: u32,
     order: SortOrder,
 ) -> SimResult<()>
 where
@@ -290,7 +268,7 @@ where
         vc.copy_out(keys, off, &enc, 0, valid, &[])?;
         vc.viota(&mut ramp, 0, valid, off as u32)?;
         vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
-        plane_mask(vc, &mut enc, &mut mk, valid, bit, order)?;
+        plane_mask(vc, &mut enc, &mut mk, valid, 0, order)?;
         for (d, m) in mk.iter().enumerate() {
             vc.copy_out(mask, d * n + off, m, 0, valid, &[])?;
         }
@@ -309,7 +287,7 @@ where
 /// in output order — into `masks` (`ShiftRight` + `And` + one `Compare`
 /// per mask), clobbering `keys`. Ascending sorts put small digits first,
 /// descending sorts large ones.
-pub(crate) fn plane_mask<T: Bits + Numeric>(
+fn plane_mask<T: Bits + Numeric>(
     vc: &mut Core<'_>,
     keys: &mut LocalTensor<T>,
     masks: &mut [LocalTensor<u8>],
@@ -331,25 +309,6 @@ pub(crate) fn plane_mask<T: Bits + Numeric>(
         vc.vcompare_scalar(mask, keys, 0, len, CmpMode::Eq, digit, 0)?;
     }
     Ok(())
-}
-
-/// Post-processing kernel: decode keys back into the value domain.
-pub(crate) fn decode_kernel<K>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    keys: &GlobalTensor<K::Encoded>,
-    values: &GlobalTensor<K>,
-) -> SimResult<KernelReport>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let codec = Codec::decode::<K>(spec, keys.len())?;
-    launch(spec, gm, spec.ai_cores, "RadixDecode", |ctx| {
-        for_each_lane(ctx, codec.spans.iter(), |vc, _, mine| {
-            decode_lane::<K>(vc, codec.piece, mine, keys, values)
-        })
-    })
 }
 
 /// One vector core's share of the decode: each of its `(offset, len)`
@@ -571,7 +530,7 @@ pub(crate) mod tests {
 
     /// Host oracle: the stable argsort of `data` under `cmp` (reversed
     /// for descending, so equal keys keep their input order either way).
-    fn host_argsort<K: Copy>(
+    pub(crate) fn host_argsort<K: Copy>(
         data: &[K],
         order: SortOrder,
         cmp: fn(&K, &K) -> Ordering,

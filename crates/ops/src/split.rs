@@ -114,7 +114,7 @@ pub(crate) struct NextPlane<'a, E: Element> {
     pub compute: &'a PlaneMaskFn<E>,
 }
 
-/// Every split — SplitInd, Compress, the radix-sort and top-k passes:
+/// Every split — SplitInd, Compress, the radix-sort passes:
 /// distributes elements (and optionally their indices) into one run per
 /// mask, after the totals of the runs before it, and — when
 /// `false_side` is set — the elements no mask selects into a last run

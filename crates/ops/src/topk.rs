@@ -1,55 +1,47 @@
-//! **Top-k selection** via bitwise partial quickselect on SplitInd.
+//! **Top-k selection** as the head of the sort.
 //!
-//! Starting from the most significant bit of the (order-preserving
-//! encoded) keys, each pass splits the current candidate range with the
-//! mask "bit is 1" — the true partition holds the larger elements. If it
-//! contains at least `k` elements the search recurses into it; otherwise
-//! all of it is confirmed top-k and the search continues in the false
-//! partition for the remaining `k - |true|` elements. After at most
-//! `BITS` passes the first `k` elements of the working buffer are the
-//! top-k (in selection order, not sorted — the PyTorch-compatible
-//! wrapper can radix-sort the k survivors if sorted output is needed).
+//! `topk` runs the one-launch descending [`radix_sort`] with
+//! [`SORT_DIGIT_BITS`]-bit digits and returns its first `k` values and
+//! indices: largest first, equal keys by lower index (`torch.topk`'s
+//! `sorted=True` order). For fp16 keys that is one `RadixSort` launch
+//! of 17 barriers at every `k`.
 //!
-//! The passes run on radix sort's pieces: the `RadixEncode` launch runs
-//! the sort's per-lane encode and writes the most significant bit's
-//! mask, each pass is one split launch (the mask counts, then a scatter
-//! of the window that writes the next bit's mask alongside it,
-//! ping-ponging two mask buffers), and the `RadixDecode` launch runs the
-//! sort's per-lane decode on the `k` survivors. Unlike the sort, each
-//! pass is its own launch: the host reads the split's true count to
-//! choose the next window. Each scattered window is copied back into the
-//! primary buffers, because the confirmed prefix outside the window must
-//! stay intact: one pass is three launches.
+//! The paper builds top-k from SplitInd as a bitwise partial
+//! quickselect, which needs the host to read each pass's true count
+//! before it can choose the next window: a launch per pass, each pass
+//! re-reading the candidate window. With every radix pass inside one
+//! launch, sorting all `n` keys costs less simulated time than selecting
+//! at every size probed, so the selection is gone.
 //!
 //! **Expectation management**: the paper reports a *negative* result —
-//! this construction does not beat the baseline `top-k` operator for
-//! small `k` (≤ 4096), because every pass re-reads the candidate range
-//! and the first passes touch the whole input. The benchmark harness
-//! reproduces that finding.
+//! a split-based top-k does not beat the baseline `top-k` operator for
+//! small `k` (≤ 4096), because every pass reads the whole input. The
+//! benchmark harness reproduces that finding.
+//!
+//! [`radix_sort`]: crate::radix_sort::radix_sort
 
-use crate::radix_sort::{decode_kernel, encode_kernel, plane_mask, SortOrder, PIECE_CAP};
-use crate::split::{NextPlane, SplitStore};
-use crate::{for_each_lane, ub_piece};
+use crate::radix_sort::{radix_sort, SortOrder, SORT_DIGIT_BITS};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
-use ascendc::{launch, ChipSpec, GlobalTensor, ScratchpadKind, SimError, SimResult};
+use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
 use dtypes::{Element, Numeric, RadixKey};
-use scan::tile_spans;
 use std::sync::Arc;
 
 /// Result of [`topk`].
 pub struct TopKRun<K: Element> {
-    /// The k largest values (selection order, unsorted).
+    /// The k largest values, largest first.
     pub values: GlobalTensor<K>,
-    /// Original indices of the k values.
+    /// Original indices of the k values (lower index first among equal
+    /// values).
     pub indices: GlobalTensor<u32>,
-    /// Combined execution report over all passes.
+    /// The sort's execution report.
     pub report: KernelReport,
 }
 
-/// Selects the `k` largest elements of `x` (with original indices).
-/// Every launch runs on all of the chip's AI cores.
+/// Selects the `k` largest elements of `x` (with original indices) as
+/// the first `k` of its descending radix sort, one launch on all of the
+/// chip's AI cores.
 pub fn topk<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -66,116 +58,22 @@ where
             "topk: k {k} out of range 1..={n}"
         )));
     }
-
-    let keys_a = GlobalTensor::<K::Encoded>::new(gm, n)?;
-    let keys_b = GlobalTensor::<K::Encoded>::new(gm, n)?;
-    let idx_a = GlobalTensor::<u32>::new(gm, n)?;
-    let idx_b = GlobalTensor::<u32>::new(gm, n)?;
-    let mut mask_a = GlobalTensor::<u8>::new(gm, n)?;
-    let mut mask_b = GlobalTensor::<u8>::new(gm, n)?;
-    let mut reports = Vec::new();
-
-    // Encode + index ramp + the "bit is 1" mask of the top bit.
-    reports.push(encode_kernel::<K>(
-        spec,
-        gm,
-        x,
-        &keys_a,
-        &idx_a,
-        &mask_a,
-        K::BITS - 1,
-        SortOrder::Descending,
-    )?);
-
-    // Bitwise quickselect over a shrinking candidate window; `mask_a`
-    // holds the current bit's mask, aligned with `keys_a`.
-    let mut start = 0usize; // confirmed top elements live in [0, start)
-    let mut len = n; // candidates live in [start, start + len)
-    let mut need = k; // top elements still to confirm inside the window
-    for bit in (0..K::BITS).rev() {
-        if len == need {
-            break;
-        }
-        let keys_in = keys_a.slice(start, len)?;
-        let keys_out = keys_b.slice(start, len)?;
-        let idx_in = idx_a.slice(start, len)?;
-        let idx_out = idx_b.slice(start, len)?;
-        let mask = mask_a.slice(start, len)?;
-        let next_mask = mask_b.slice(start, len)?;
-        // The next plane is computed whenever there is one: the split
-        // only knows after the launch whether the search goes on.
-        let (n_ones, pass) = SplitStore::<K::Encoded> {
-            vals: &keys_in,
-            idx_in: Some(&idx_in),
-            mask: &mask,
-            vals_out: &keys_out,
-            idx_out: Some(&idx_out),
-            false_side: true,
-            next_plane: (bit > 0).then_some(NextPlane {
-                out: &next_mask,
-                compute: &move |vc, keys, mk, m| {
-                    plane_mask(vc, keys, mk, m, bit - 1, SortOrder::Descending)
-                },
-            }),
-        }
-        .launch(spec, gm)?;
-        reports.push(pass);
-        if n_ones >= need {
-            // All winners are inside the ones partition.
-            len = n_ones;
-        } else {
-            // The whole ones partition is confirmed; keep selecting in
-            // the zeros partition.
-            start += n_ones;
-            need -= n_ones;
-            len -= n_ones;
-        }
-        reports.push(copy_window(spec, gm, &keys_out, &keys_in)?);
-        reports.push(copy_window(spec, gm, &idx_out, &idx_in)?);
-        std::mem::swap(&mut mask_a, &mut mask_b);
-    }
-
-    // The top-k now occupy [0, k) of the working buffers.
-    let values = GlobalTensor::<K>::new(gm, k)?;
-    let indices = GlobalTensor::<u32>::new(gm, k)?;
-    reports.push(decode_kernel::<K>(spec, gm, &keys_a.slice(0, k)?, &values)?);
-    reports.push(copy_window(spec, gm, &idx_a.slice(0, k)?, &indices)?);
-
-    let mut report = KernelReport::sequential("TopK", &reports);
-    report.elements = n as u64;
+    let sorted = radix_sort(spec, gm, x, SORT_DIGIT_BITS, SortOrder::Descending)?;
+    let mut report = sorted.report;
     report.useful_bytes = (n * K::SIZE + k * (K::SIZE + 4)) as u64;
     Ok(TopKRun {
-        values,
-        indices,
+        values: sorted.values.slice(0, k)?,
+        indices: sorted.indices.slice(0, k)?,
         report,
-    })
-}
-
-/// Copies `src` into `dst` (the shorter length) through UB.
-fn copy_window<E: Element>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    src: &GlobalTensor<E>,
-    dst: &GlobalTensor<E>,
-) -> SimResult<KernelReport> {
-    let piece = ub_piece(spec, E::SIZE, PIECE_CAP);
-    let spans = tile_spans(src.len().min(dst.len()), piece)?;
-    launch(spec, gm, spec.ai_cores, "WindowCopy", |ctx| {
-        for_each_lane(ctx, spans.iter(), |vc, _, mine| {
-            let mut buf = vc.alloc_local::<E>(ScratchpadKind::Ub, piece)?;
-            for &(off, valid) in mine {
-                vc.copy_in(&mut buf, 0, src, off, valid, &[])?;
-                vc.copy_out(dst, off, &buf, 0, valid, &[])?;
-            }
-            vc.free_local(buf)
-        })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radix_sort::tests::{bytes, int_specials, keys, setup, F16_SPECIALS, F32_SPECIALS};
+    use crate::radix_sort::tests::{
+        bytes, host_argsort, int_specials, keys, setup, F16_SPECIALS, F32_SPECIALS,
+    };
     use crate::split;
     use dtypes::F16;
     use proptest::prelude::*;
@@ -188,16 +86,13 @@ mod tests {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, data).unwrap();
         let run = topk(&spec, &gm, &x, k).unwrap();
-        let mut got = run.values.to_vec();
-        got.sort_unstable_by(|a, b| b.cmp(a));
         let mut expect = data.to_vec();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         expect.truncate(k);
-        assert_eq!(got, expect, "k = {k}, n = {}", data.len());
-        // Indices point back at the selected values.
-        let idx = run.indices.to_vec();
         let vals = run.values.to_vec();
-        for (v, &i) in vals.iter().zip(&idx) {
+        assert_eq!(vals, expect, "k = {k}, n = {}", data.len());
+        // Indices point back at the selected values.
+        for (v, &i) in vals.iter().zip(&run.indices.to_vec()) {
             assert_eq!(data[i as usize], *v);
         }
     }
@@ -232,8 +127,7 @@ mod tests {
             .collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let run = topk(&spec, &gm, &x, 10).unwrap();
-        let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
-        got.sort_unstable_by(|a, b| b.cmp(a));
+        let got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
         let mut expect: Vec<u16> = data.iter().map(|v| v.encode()).collect();
         expect.sort_unstable_by(|a, b| b.cmp(a));
         expect.truncate(10);
@@ -250,9 +144,9 @@ mod tests {
 
     /// Selects `k ∈ {1, n/2, n}` from keys of every length around a
     /// split piece at the end of the first chunk on one AI core and
-    /// checks the result against the host: the same multiset of bit
-    /// patterns as the top `k` under `cmp`, each index pointing at its
-    /// value, and no index twice.
+    /// checks the result against the host: the first `k` of the stable
+    /// descending argsort under `cmp`, and the values at those indices,
+    /// bit for bit and in order.
     fn check_topk<K>(
         seed: u64,
         specials: &[u64],
@@ -263,27 +157,26 @@ mod tests {
         K::Encoded: Element + Bits + Numeric,
     {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
-        let per_elem = split::piece_bytes(std::mem::size_of::<K::Encoded>(), 1, true, true, true);
+        let masks = (1 << SORT_DIGIT_BITS) - 1;
+        let per_elem =
+            split::piece_bytes(std::mem::size_of::<K::Encoded>(), masks, true, true, true);
         let p = split::tests::store_piece(&spec, per_elem);
         let mut rng = StdRng::seed_from_u64(seed);
         for n in [2 * p - 1, 2 * p, 2 * p + 1] {
             let data = keys::<K>(&mut rng, n, specials);
             let x = GlobalTensor::from_slice(&gm, &data).unwrap();
-            let mut expect = data.clone();
-            expect.sort_by(|a, b| cmp(b, a));
+            let order = host_argsort(&data, SortOrder::Descending, cmp);
             for k in [1, (n / 2).max(1), n] {
                 let run = topk(&spec, &gm, &x, k).unwrap();
-                let vals = run.values.to_vec();
-                let idx = run.indices.to_vec();
-                let mut got = vals.clone();
-                got.sort_by(|a, b| cmp(b, a));
-                prop_assert_eq!(bytes(&got), bytes(&expect[..k]), "n = {}, k = {}", n, k);
-                let picked: Vec<K> = idx.iter().map(|&i| data[i as usize]).collect();
-                prop_assert_eq!(bytes(&picked), bytes(&vals), "n = {}, k = {}", n, k);
-                let mut distinct = idx.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                prop_assert_eq!(distinct.len(), k, "n = {}, k = {}", n, k);
+                let want: Vec<K> = order[..k].iter().map(|&i| data[i as usize]).collect();
+                prop_assert_eq!(run.indices.to_vec(), &order[..k], "n = {}, k = {}", n, k);
+                prop_assert_eq!(
+                    bytes(&run.values.to_vec()),
+                    bytes(&want),
+                    "n = {}, k = {}",
+                    n,
+                    k
+                );
             }
         }
         Ok(())

@@ -1,11 +1,11 @@
 //! **Weighted sampling** by inverse transform — §5 "Weighted Sampling".
 //!
 //! Given non-negative weights `w`, draw index `i` with probability
-//! `w[i] / Σw`: scan the weights (MCScan), then invoke SplitInd with the
-//! element-wise predicate `scan(w)[i] > θ·Σw` for a uniform `θ` — the
-//! cumulative sums exceeding the threshold form the true partition, and
-//! the last entry of SplitInd's index output identifies the boundary,
-//! i.e. the sample.
+//! `w[i] / Σw`: scan the weights (MCScan), then find the first index
+//! whose cumulative sum exceeds `θ·Σw` for a uniform `θ`. The paper runs
+//! SplitInd with that predicate and reads the boundary off its index
+//! output; here one `CdfSearch` launch counts the predicate per piece
+//! instead (`cdf_search`), since nothing needs to move.
 //!
 //! Unlike the Ascend `torch.multinomial` baseline (capped at 2²⁴
 //! support), this works for arbitrary support sizes — the functional
@@ -23,7 +23,8 @@ use std::sync::Arc;
 pub struct WeightedRun {
     /// The sampled index.
     pub index: usize,
-    /// Combined execution report (scan + threshold + split).
+    /// Combined execution report (the CDF scan and the `CdfSearch`
+    /// launch).
     pub report: KernelReport,
 }
 

@@ -178,14 +178,11 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
         || host_topk(&vals, kk),
         || {
             topk(spec, &gm, &x, kk).map(|r| {
-                let mut top: Vec<(u16, u32)> = r
-                    .values
+                r.values
                     .to_vec()
                     .into_iter()
                     .zip(r.indices.to_vec())
-                    .collect();
-                top.sort_unstable_by(|a, b| b.cmp(a));
-                top
+                    .collect()
             })
         },
     );
@@ -329,9 +326,10 @@ fn every_baseline_returns_the_reference_or_a_typed_error() {
 fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     // One AI core with a 13 B UB: a split's phase I (9 B for one-element
     // pieces) and offset read (8 B) fit, but one element of the u16
-    // split's scatter needs 14 B, and of the sort's and top-k's 16 B
-    // (their encodes, which run first, refuse already). Compress's
-    // scatter needs 5 B per element, so it runs, one element per piece.
+    // split's scatter needs 14 B, of the one-bit sort's 16 B and of
+    // top-k's two-bit sort 20 B (their encodes, which run first, refuse
+    // already). Compress's scatter needs 5 B per element, so it runs,
+    // one element per piece.
     let spec = ChipSpec {
         ai_cores: 1,
         ub_capacity: 13,

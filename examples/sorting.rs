@@ -1,6 +1,7 @@
-//! Sorting with matrix multiplications: the paper's fp16 radix sort
-//! whose parallel splits run as cube-unit scans, compared against the
-//! modeled `torch.sort` baseline (Fig. 11), including `argsort` output.
+//! The paper's fp16 radix sort: one stable split per digit, each
+//! counting its digit masks per chunk and scattering on every vector
+//! core, all in one launch, compared against the modeled `torch.sort`
+//! baseline (Fig. 11), including `argsort` output.
 //!
 //! ```text
 //! cargo run --release --example sorting
@@ -32,9 +33,13 @@ fn main() {
         .collect();
     let x = dev.tensor(&values).expect("upload");
 
-    println!("sorting {n} fp16 values (16 split passes, one per bit)\n");
-
     let run = dev.sort(&x, SortOrder::Ascending).expect("radix sort");
+    // The encode's barrier, then two per split pass.
+    let passes = (run.report.sync_rounds - 1) / 2;
+    println!(
+        "sorted {n} fp16 values: {passes} split passes of {} key bits in one launch\n",
+        u64::from(F16::BITS) / passes
+    );
     let sorted = run.values.read_range(0, 5).unwrap();
     let top = run.values.read_range(n - 3, 3).unwrap();
     println!(

@@ -41,9 +41,9 @@ for example in quickstart sorting llm_sampling multi_sampling tensor_masking; do
   cargo run --release --example "$example" > /dev/null
 done
 
-echo "==> top-k smoke: the fused top-k passes at 910B4 scale"
-# Unit tests run top-k on the tiny chip only; this drives it through the
-# figure harness on the 910B4 preset (256K elements, k = 64 and 4096).
+echo "==> top-k smoke: the head of the sort against torch.topk at 910B4 scale"
+# The tests run top-k on the 910B4 preset up to 60K elements; this drives
+# it through the figure harness at 256K elements, k = 64 and 4096.
 cargo run --release -p bench --bin figures -- topk --quick > /dev/null
 
 echo "==> ablation smoke: StridedTotals, SSA and RSS at 910B4 scale"

@@ -2,7 +2,7 @@
 //! end on the simulated 910B4, validated against host references.
 
 use ascend_scan::dtypes::{RadixKey, F16};
-use ascend_scan::ops::SortOrder;
+use ascend_scan::ops::{baselines, SortOrder};
 use ascend_scan::sim::hb;
 use ascend_scan::sim::prof::{with_profiling, Profile, BLOCK_SCOPE};
 use ascend_scan::{Device, ScanKind};
@@ -179,28 +179,6 @@ fn radix_sort_argsort_is_a_permutation() {
     }
 }
 
-/// Passes the bitwise quickselect makes to find the top `k` of the
-/// encoded `keys`: one per bit, most significant first, until the
-/// candidate window holds exactly the elements still needed.
-fn topk_passes(keys: &[u16], k: usize) -> usize {
-    let (mut cand, mut need) = (keys.to_vec(), k);
-    let mut passes = 0;
-    for bit in (0..16).rev() {
-        if cand.len() == need {
-            break;
-        }
-        passes += 1;
-        let (ones, zeros): (Vec<u16>, Vec<u16>) = cand.iter().partition(|&&v| v >> bit & 1 == 1);
-        if ones.len() >= need {
-            cand = ones;
-        } else {
-            need -= ones.len();
-            cand = zeros;
-        }
-    }
-    passes
-}
-
 #[test]
 fn topk_agrees_with_full_sort() {
     let dev = device();
@@ -210,26 +188,40 @@ fn topk_agrees_with_full_sort() {
     for (vals, k) in [(synth_f16(60_000, 13), 500), (flat, 100)] {
         let x = dev.tensor(&vals).unwrap();
         let (run, profile) = with_profiling(dev.memory(), || dev.topk(&x, k).unwrap());
-        let mut got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
-        got.sort_unstable_by(|a, b| b.cmp(a));
+        let sorted = dev.sort(&x, SortOrder::Descending).unwrap();
+        // Element for element the head of the descending sort: largest
+        // first, equal keys by lower index.
+        let bits = |v: Vec<F16>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(run.values.to_vec()), bits(sorted.values.to_vec())[..k]);
+        assert_eq!(run.indices.to_vec(), sorted.indices.to_vec()[..k]);
         let mut expect: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
         expect.sort_unstable_by(|a, b| b.cmp(a));
-        expect.truncate(k);
-        assert_eq!(got, expect);
+        let got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
+        assert_eq!(got, expect[..k]);
 
-        // Top-k runs on radix sort's kernels: encode, then per pass one
-        // split (mask counts + scatter) and the two window copy-backs,
-        // then the decode and the index copy of the k survivors.
-        let keys: Vec<u16> = vals.iter().map(|v| v.encode()).collect();
-        let passes = topk_passes(&keys, k);
-        assert!(passes > 0);
-        let mut want = vec!["RadixEncode"];
-        for _ in 0..passes {
-            want.extend(["Split", "WindowCopy", "WindowCopy"]);
-        }
-        want.extend(["RadixDecode", "WindowCopy"]);
+        // Top-k is the sort: one launch, its encode's barrier and two
+        // per two-bit pass.
         let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(names, want, "{:?}", launch_counts(&profile));
+        assert_eq!(names, ["RadixSort"], "{:?}", launch_counts(&profile));
+        assert_eq!(run.report.sync_rounds, 17);
+    }
+}
+
+#[test]
+fn split_based_topk_loses_to_the_baseline_for_small_k() {
+    // The paper's §5 negative result: a split-based top-k moves every
+    // key on every pass, while `torch.topk` streams the input once.
+    let dev = device();
+    let x = dev.tensor(&synth_f16(32 << 10, 7)).unwrap();
+    for k in [64, 4096] {
+        let ours = dev.topk(&x, k).unwrap().report;
+        let (_, _, base) = baselines::topk_baseline(dev.spec(), dev.memory(), &x, k).unwrap();
+        assert!(
+            ours.time_s() > base.time_s(),
+            "k = {k}: ours {:.1} us, torch.topk {:.1} us",
+            ours.time_us(),
+            base.time_us()
+        );
     }
 }
 
