@@ -141,12 +141,6 @@ impl GlobalMemory {
         self.device_bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Charges extra outbound traffic (strided write padding).
-    pub fn account_write_padding(&self, bytes: u64) {
-        self.device_bytes_written
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
     fn check(
         &self,
         what: &'static str,

@@ -179,6 +179,10 @@ impl KernelReport {
     /// operator-level report: cycles and traffic add up; `useful_bytes`
     /// and `elements` are left for the caller's I/O convention.
     pub fn sequential(name: &str, parts: &[KernelReport]) -> KernelReport {
+        // Cannot fire: every caller (top-p's two launches, the
+        // alias-table build, the PyTorch top-p model and the
+        // `llm_sampling` example) passes a fixed, non-empty list of
+        // reports.
         assert!(!parts.is_empty(), "sequential needs at least one report");
         let mut engine_busy = [0u64; EngineKind::ALL.len()];
         let mut engine_instructions = [0u64; EngineKind::ALL.len()];

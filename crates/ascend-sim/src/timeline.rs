@@ -212,16 +212,6 @@ impl CoreTimeline {
     pub fn instructions(&self, engine: EngineKind) -> u64 {
         self.issued[engine.index()]
     }
-
-    /// Merges another core's counters into this one (used when collapsing
-    /// per-block statistics into a kernel report).
-    pub fn absorb_counters(&mut self, other: &CoreTimeline) {
-        for i in 0..EngineKind::ALL.len() {
-            self.busy[i] += other.busy[i];
-            self.issued[i] += other.issued[i];
-        }
-        self.stalls.absorb(&other.stalls);
-    }
 }
 
 #[cfg(test)]
@@ -292,11 +282,6 @@ mod tests {
         assert_eq!(core.busy_cycles(EngineKind::Vec), 25);
         assert_eq!(core.instructions(EngineKind::Vec), 2);
         assert_eq!(core.busy_cycles(EngineKind::Mte2), 5);
-
-        let mut total = CoreTimeline::new(CoreKind::Vector, 0);
-        total.absorb_counters(&core);
-        total.absorb_counters(&core);
-        assert_eq!(total.busy_cycles(EngineKind::Vec), 50);
     }
 
     #[test]
@@ -389,16 +374,6 @@ mod tests {
         assert_eq!(core.stalls().barrier[EngineKind::Cube.index()], 0);
         assert_eq!(core.stalls().barrier[EngineKind::Vec.index()], 100);
         assert_eq!(core.stalls().barrier[EngineKind::Mte2.index()], 100);
-    }
-
-    #[test]
-    fn absorb_counters_merges_stalls() {
-        let mut a = CoreTimeline::new(CoreKind::Vector, 0);
-        a.exec(EngineKind::Vec, 10, &[25]).unwrap();
-        let mut total = CoreTimeline::new(CoreKind::Vector, 0);
-        total.absorb_counters(&a);
-        total.absorb_counters(&a);
-        assert_eq!(total.stalls().dependency[EngineKind::Vec.index()], 50);
     }
 
     #[test]

@@ -13,19 +13,13 @@ use ascend_sim::chip::ScratchpadKind;
 use ascend_sim::{CoreKind, EngineKind, EventTime, SimError, SimResult};
 use dtypes::{Element, Numeric};
 
-/// Integer elements with bit-wise vector operations (`ShiftRight`, `Not`,
-/// `And`, `Or`) — what the radix-extraction kernels work on.
+/// Integer elements with bit-wise vector operations (`ShiftRight`,
+/// `And`) — what the radix-extraction kernels work on.
 pub trait Bits: Element {
     /// Logical shift right.
     fn shr(self, bits: u32) -> Self;
-    /// Logical shift left.
-    fn shl(self, bits: u32) -> Self;
     /// Bit-wise and.
     fn and(self, rhs: Self) -> Self;
-    /// Bit-wise or.
-    fn or(self, rhs: Self) -> Self;
-    /// Bit-wise not.
-    fn not(self) -> Self;
 }
 
 macro_rules! impl_bits {
@@ -36,20 +30,8 @@ macro_rules! impl_bits {
                 self >> bits
             }
             #[inline]
-            fn shl(self, bits: u32) -> Self {
-                self << bits
-            }
-            #[inline]
             fn and(self, rhs: Self) -> Self {
                 self & rhs
-            }
-            #[inline]
-            fn or(self, rhs: Self) -> Self {
-                self | rhs
-            }
-            #[inline]
-            fn not(self) -> Self {
-                !self
             }
         }
     };
@@ -164,52 +146,6 @@ impl Core<'_> {
         Ok(done)
     }
 
-    /// Shifted in-place add within one tensor:
-    /// `t[off+shift .. off+len] += t[off .. off+len-shift]`.
-    ///
-    /// This is the Hillis–Steele step the vector-only `CumSum` baseline
-    /// is built from (one instruction per log-step).
-    pub fn vshift_add<T: Numeric>(
-        &mut self,
-        t: &mut LocalTensor<T>,
-        off: usize,
-        len: usize,
-        shift: usize,
-    ) -> SimResult<EventTime> {
-        self.check_vec("ShiftAdd", t)?;
-        t.check_range("ShiftAdd", off, len)?;
-        if shift == 0 || shift >= len {
-            return Err(SimError::InvalidArgument(format!(
-                "ShiftAdd: shift {shift} out of range for len {len}"
-            )));
-        }
-        for i in (shift..len).rev() {
-            t.data[off + i] = t.data[off + i].add(t.data[off + i - shift]);
-        }
-        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
-        t.ready = done;
-        Ok(done)
-    }
-
-    /// `Duplicate`: fills `t[off..off+len]` with a scalar.
-    pub fn vdup<T: Numeric>(
-        &mut self,
-        t: &mut LocalTensor<T>,
-        off: usize,
-        len: usize,
-        value: T,
-        scalar_ready: EventTime,
-    ) -> SimResult<EventTime> {
-        self.check_vec("Duplicate", t)?;
-        t.check_range("Duplicate", off, len)?;
-        for v in &mut t.data[off..off + len] {
-            *v = value;
-        }
-        let done = self.vec_exec(len * T::SIZE, &[t.ready, scalar_ready])?;
-        t.ready = done;
-        Ok(done)
-    }
-
     /// `ReduceSum` over `t[off..off+len]`: returns the sum and the time
     /// at which the scalar unit can observe it.
     ///
@@ -241,31 +177,6 @@ impl Core<'_> {
             .timeline_mut()
             .exec(EngineKind::Vec, cost, &[t.ready])?;
         Ok((acc, done))
-    }
-
-    /// `ReduceMax`: maximum of `t[off..off+len]` (PartialOrd; NaNs are
-    /// skipped, like the hardware's max-number semantics).
-    pub fn reduce_max<T: Numeric>(
-        &mut self,
-        t: &LocalTensor<T>,
-        off: usize,
-        len: usize,
-    ) -> SimResult<(T, EventTime)> {
-        self.check_vec("ReduceMax", t)?;
-        t.check_range("ReduceMax", off, len)?;
-        let mut best = t.data[off];
-        for v in &t.data[off + 1..off + len] {
-            // `partial_cmp` is None when `best` is NaN: replace it, like
-            // the hardware's max-number semantics.
-            if *v > best || best.partial_cmp(&best).is_none() {
-                best = *v;
-            }
-        }
-        let cost = self.spec.cost_vector_reduce(len * T::SIZE) + self.spec.cost_scalar_extract();
-        let done = self
-            .timeline_mut()
-            .exec(EngineKind::Vec, cost, &[t.ready])?;
-        Ok((best, done))
     }
 
     /// Reads one element into the scalar unit (the `partial ← last entry`
@@ -378,33 +289,6 @@ impl Core<'_> {
         Ok(done)
     }
 
-    /// `Select`: `dst[i] = if mask[i] != 0 { a[i] } else { b[i] }`.
-    pub fn vselect<T: Element>(
-        &mut self,
-        dst: &mut LocalTensor<T>,
-        mask: &LocalTensor<u8>,
-        a: &LocalTensor<T>,
-        b: &LocalTensor<T>,
-        off: usize,
-        len: usize,
-    ) -> SimResult<EventTime> {
-        self.check_vec("Select", dst)?;
-        dst.check_range("Select dst", off, len)?;
-        mask.check_range("Select mask", off, len)?;
-        a.check_range("Select a", off, len)?;
-        b.check_range("Select b", off, len)?;
-        for i in 0..len {
-            dst.data[off + i] = if mask.data[off + i] != 0 {
-                a.data[off + i]
-            } else {
-                b.data[off + i]
-            };
-        }
-        let done = self.vec_exec(len * T::SIZE, &[dst.ready, mask.ready, a.ready, b.ready])?;
-        dst.ready = done;
-        Ok(done)
-    }
-
     /// `Cast`: converts `src[off..off+len]` into `dst`'s element type.
     pub fn vcast<S: Numeric, D: Numeric>(
         &mut self,
@@ -421,37 +305,6 @@ impl Core<'_> {
             dst.data[off + i] = D::from_f64(src.data[off + i].to_f64());
         }
         let done = self.vec_exec(len * S::SIZE.max(D::SIZE), &[dst.ready, src.ready])?;
-        dst.ready = done;
-        Ok(done)
-    }
-
-    /// Reinterprets the bits of `src` as `dst`'s same-width type (the
-    /// radix-sort encode path observes float bits; hardware does this for
-    /// free, here it is a vector move).
-    pub fn vbitcast<S: Element, D: Element>(
-        &mut self,
-        dst: &mut LocalTensor<D>,
-        src: &LocalTensor<S>,
-        off: usize,
-        len: usize,
-    ) -> SimResult<EventTime> {
-        self.check_vec("BitCast", dst)?;
-        self.check_vec("BitCast", src)?;
-        if S::SIZE != D::SIZE {
-            return Err(SimError::InvalidArgument(format!(
-                "BitCast requires equal widths ({} vs {})",
-                S::SIZE,
-                D::SIZE
-            )));
-        }
-        dst.check_range("BitCast dst", off, len)?;
-        src.check_range("BitCast src", off, len)?;
-        let mut buf = vec![0u8; S::SIZE];
-        for i in 0..len {
-            src.data[off + i].write_le(&mut buf);
-            dst.data[off + i] = D::read_le(&buf);
-        }
-        let done = self.vec_exec(len * S::SIZE, &[dst.ready, src.ready])?;
         dst.ready = done;
         Ok(done)
     }
@@ -573,41 +426,6 @@ impl Core<'_> {
         t.ready = done;
         Ok(done)
     }
-
-    /// `Or` with a scalar, in place.
-    pub fn vor_scalar<T: Bits>(
-        &mut self,
-        t: &mut LocalTensor<T>,
-        off: usize,
-        len: usize,
-        mask: T,
-    ) -> SimResult<EventTime> {
-        self.check_vec("Or", t)?;
-        t.check_range("Or", off, len)?;
-        for v in &mut t.data[off..off + len] {
-            *v = v.or(mask);
-        }
-        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
-        t.ready = done;
-        Ok(done)
-    }
-
-    /// `Not`, in place.
-    pub fn vnot<T: Bits>(
-        &mut self,
-        t: &mut LocalTensor<T>,
-        off: usize,
-        len: usize,
-    ) -> SimResult<EventTime> {
-        self.check_vec("Not", t)?;
-        t.check_range("Not", off, len)?;
-        for v in &mut t.data[off..off + len] {
-            *v = v.not();
-        }
-        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
-        t.ready = done;
-        Ok(done)
-    }
 }
 
 #[cfg(test)]
@@ -636,28 +454,12 @@ mod tests {
     }
 
     #[test]
-    fn shift_add_is_hillis_steele_step() {
-        with_vec_core(|core| {
-            let mut t = core.alloc_local::<i32>(ScratchpadKind::Ub, 8).unwrap();
-            t.data.copy_from_slice(&[1, 1, 1, 1, 1, 1, 1, 1]);
-            core.vshift_add(&mut t, 0, 8, 1).unwrap();
-            core.vshift_add(&mut t, 0, 8, 2).unwrap();
-            core.vshift_add(&mut t, 0, 8, 4).unwrap();
-            assert_eq!(t.as_slice(), &[1, 2, 3, 4, 5, 6, 7, 8]);
-            assert!(core.vshift_add(&mut t, 0, 8, 8).is_err());
-            assert!(core.vshift_add(&mut t, 0, 8, 0).is_err());
-        });
-    }
-
-    #[test]
     fn reductions_and_extract() {
         with_vec_core(|core| {
             let mut t = core.alloc_local::<i32>(ScratchpadKind::Ub, 6).unwrap();
             t.data.copy_from_slice(&[3, -1, 7, 0, 5, 2]);
             let (sum, t1) = core.reduce_sum(&t, 0, 6).unwrap();
             assert_eq!(sum, 16);
-            let (max, _) = core.reduce_max(&t, 0, 6).unwrap();
-            assert_eq!(max, 7);
             let (v, t2) = core.extract(&t, 2).unwrap();
             assert_eq!(v, 7);
             assert!(t1 > 0 && t2 > 0);
@@ -679,22 +481,17 @@ mod tests {
     }
 
     #[test]
-    fn compare_select_cast() {
+    fn compare_and_cast() {
         with_vec_core(|core| {
             let mut mask = core.alloc_local::<u8>(ScratchpadKind::Ub, 4).unwrap();
             let mut a = core.alloc_local::<f32>(ScratchpadKind::Ub, 4).unwrap();
-            let mut b = core.alloc_local::<f32>(ScratchpadKind::Ub, 4).unwrap();
-            let mut dst = core.alloc_local::<f32>(ScratchpadKind::Ub, 4).unwrap();
-            a.data.copy_from_slice(&[1., 5., 3., 9.]);
-            core.vdup(&mut b, 0, 4, -1.0, 0).unwrap();
+            a.data.copy_from_slice(&[-1., 5., 3., 9.]);
             core.vcompare_scalar(&mut mask, &a, 0, 4, CmpMode::Gt, 2.5, 0)
                 .unwrap();
             assert_eq!(mask.as_slice(), &[0, 1, 1, 1]);
-            core.vselect(&mut dst, &mask, &a, &b, 0, 4).unwrap();
-            assert_eq!(dst.as_slice(), &[-1., 5., 3., 9.]);
 
             let mut ints = core.alloc_local::<i32>(ScratchpadKind::Ub, 4).unwrap();
-            core.vcast(&mut ints, &dst, 0, 4).unwrap();
+            core.vcast(&mut ints, &a, 0, 4).unwrap();
             assert_eq!(ints.as_slice(), &[-1, 5, 3, 9]);
         });
     }
@@ -708,27 +505,6 @@ mod tests {
             assert_eq!(t.as_slice(), &[0b10, 0b11, 0x3FFF, 0]);
             core.vand_scalar(&mut t, 0, 4, 1).unwrap();
             assert_eq!(t.as_slice(), &[0, 1, 1, 0]);
-            core.vnot(&mut t, 0, 4).unwrap();
-            assert_eq!(t.as_slice(), &[0xFFFF, 0xFFFE, 0xFFFE, 0xFFFF]);
-            core.vor_scalar(&mut t, 0, 4, 1).unwrap();
-            assert_eq!(t.as_slice(), &[0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF]);
-        });
-    }
-
-    #[test]
-    fn bitcast_requires_equal_width() {
-        with_vec_core(|core| {
-            let mut dst16 = core.alloc_local::<u16>(ScratchpadKind::Ub, 2).unwrap();
-            let mut f16s = core
-                .alloc_local::<dtypes::F16>(ScratchpadKind::Ub, 2)
-                .unwrap();
-            f16s.data
-                .copy_from_slice(&[dtypes::F16::ONE, dtypes::F16::NEG_ONE]);
-            core.vbitcast(&mut dst16, &f16s, 0, 2).unwrap();
-            assert_eq!(dst16.as_slice(), &[0x3C00, 0xBC00]);
-
-            let mut dst32 = core.alloc_local::<u32>(ScratchpadKind::Ub, 2).unwrap();
-            assert!(core.vbitcast(&mut dst32, &f16s, 0, 2).is_err());
         });
     }
 

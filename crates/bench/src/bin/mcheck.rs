@@ -6,9 +6,10 @@
 //!        [--max-replays N] [kernel...|all]
 //! ```
 //!
-//! For every selected kernel (default: all nine, including both the
+//! For every selected kernel (default: all ten, including both the
 //! chained and decoupled multi-hop ScanC look-backs, the one-launch
-//! split and the one-launch radix sort at both digit widths), `mcheck`
+//! split, the one-launch radix sort at both digit widths and top-p's
+//! draw), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -36,7 +37,7 @@ use ascend_sim::sync::GridPlan;
 use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
-use ops::{radix_sort, split_ind, SortOrder};
+use ops::{radix_sort, split_ind, top_p_sample, SortOrder, SORT_DIGIT_BITS};
 use scan::{
     batched_scanu, cumsum_vec_only, mcscan, scanc, scanu, scanul1, McScanConfig, ScanCConfig,
     ScanKind,
@@ -44,7 +45,7 @@ use scan::{
 use std::sync::Arc;
 
 const KERNELS: &[&str] = &[
-    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched", "split", "sort",
+    "scanu", "scanul1", "mcscan", "scanc", "scanc-mh", "cumsum", "batched", "split", "sort", "topp",
 ];
 
 fn usage() -> ! {
@@ -253,6 +254,19 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
                     run.report.to_json(&spec)
                 })
                 .concat()
+        }
+        "topp" => {
+            // Top-p as `Device::top_p` runs it: the two-bit sort's
+            // launch, then one launch of the CDF scan, the threshold count
+            // and the search. 300 probabilities are 75 to each of the 4
+            // vector cores.
+            let probs: Vec<F16> = (0..300)
+                .map(|i| F16::from_f32(if i % 37 == 0 { 0.05 } else { 1e-3 }))
+                .collect();
+            let x = GlobalTensor::from_slice(&gm, &probs).expect("device fits input");
+            let run = top_p_sample(&spec, &gm, &x, 0.9, 0.4, 16, SORT_DIGIT_BITS)
+                .expect("top-p launches");
+            run.report.to_json(&spec)
         }
         other => {
             eprintln!("mcheck: unknown kernel '{other}'");

@@ -2,7 +2,7 @@
 //! kernels' simulated schedules.
 //!
 //! ```text
-//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|split|sort|all] [N] [out.json] [--jobs N] [--dir DIR]
+//! trace [scanu|scanul1|mcscan|scanc|scanc-excl|cumsum|batched|split|sort|topp|all] [N] [out.json] [--jobs N] [--dir DIR]
 //! ```
 //!
 //! The kernels run through their normal public entry points with a
@@ -18,7 +18,10 @@
 //! mask that every split, compress and radix-sort pass runs; `sort` is
 //! the one-launch descending fp16 radix sort of `Device::top_p` and
 //! `Device::topk` (encode, 8 two-bit passes — each a 4-way split over
-//! three mask counts, with two barriers — decode). Open the produced
+//! three mask counts, with two barriers — decode); `topp` is the draw
+//! launch of `Device::top_p` over `N` probabilities, run after that
+//! sort: the CDF scan, the threshold count and the search, three
+//! barriers. Open the produced
 //! JSON at <https://ui.perfetto.dev> (or chrome://tracing)
 //! — the double-buffered pipelines of Fig. 2 and the two phases of
 //! Fig. 6 are directly visible.
@@ -34,9 +37,9 @@
 use ascend_sim::prof::{KernelProfile, Profile};
 use ascend_sim::{ChipSpec, EngineKind};
 use ascendc::GlobalTensor;
-use bench::fresh_gm;
+use bench::{fresh_gm, synth_probs};
 use dtypes::F16;
-use ops::{radix_sort, split_ind, SortOrder};
+use ops::{radix_sort, split_ind, top_p_sample, SortOrder, SORT_DIGIT_BITS};
 use scan::mcscan::{mcscan, McScanConfig};
 use scan::scanc::{scanc, ScanCConfig};
 use scan::ScanKind;
@@ -52,6 +55,7 @@ const KERNELS: &[&str] = &[
     "batched",
     "split",
     "sort",
+    "topp",
 ];
 
 fn main() {
@@ -234,6 +238,18 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
             let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
             drop(radix_sort::<F16>(spec, &gm, &x, 2, SortOrder::Descending).unwrap());
             return recorder.take();
+        }
+        "topp" => {
+            let gm = fresh_gm(spec);
+            let recorder = gm.attach_profiler();
+            // `Device::top_p`'s CDF tile on the 910B4 is s = 128.
+            let s = McScanConfig::for_chip(spec).s;
+            let x = GlobalTensor::from_slice(&gm, &synth_probs(n, 9)).unwrap();
+            drop(top_p_sample(spec, &gm, &x, 0.9, 0.37, s, SORT_DIGIT_BITS).unwrap());
+            // One launch per file: the sort's launch is `sort`'s.
+            let mut profile = recorder.take();
+            profile.kernels.retain(|k| k.name == "TopP");
+            return profile;
         }
         other => unreachable!("unvalidated kernel {other}"),
     }

@@ -191,7 +191,9 @@ impl Device {
         ops::topk(&self.spec, &self.gm, x, k)
     }
 
-    /// Top-p (nucleus) sampling from an fp16 probability vector.
+    /// Top-p (nucleus) sampling from an fp16 probability vector: the
+    /// descending two-bit sort's launch, then one launch of the CDF scan,
+    /// the threshold count and the search (20 `SyncAll`s for fp16).
     pub fn top_p(
         &self,
         probs: &GlobalTensor<F16>,
@@ -205,7 +207,8 @@ impl Device {
         ops::top_p_sample(&self.spec, &self.gm, probs, p, theta, s, SORT_DIGIT_BITS)
     }
 
-    /// Weighted sampling by inverse transform (unbounded support size).
+    /// Weighted sampling by inverse transform (unbounded support size),
+    /// as one launch: the CDF scan and the search (2 `SyncAll`s).
     pub fn weighted_sample<W: CubeInput>(
         &self,
         w: &GlobalTensor<W>,

@@ -20,7 +20,8 @@
 //! [`split_ind`]: crate::split::split_ind
 
 use crate::split::split_ind;
-use crate::{for_each_lane, inclusive_scan};
+use crate::weighted::check_mass;
+use crate::{for_each_lane, inclusive};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::{EngineKind, KernelReport};
 use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
@@ -63,13 +64,9 @@ pub fn build_alias_table(
     }
 
     // 1. Total mass via inclusive scan (device).
-    let scan_run = inclusive_scan(spec, gm, w, s)?;
+    let scan_run = scan::mcscan::<f32, f32, f32>(spec, gm, w, inclusive(spec, s))?;
     let total = scan_run.y.read_range(n - 1, 1)?[0] as f64;
-    if !(total.is_finite() && total > 0.0) {
-        return Err(SimError::InvalidArgument(format!(
-            "alias table: weights sum to {total}, not a finite positive mass"
-        )));
-    }
+    check_mass("alias table: weights", total)?;
 
     // 2. Scaled weights + light mask (device vector kernel).
     let scaled = GlobalTensor::<f32>::new(gm, n)?;

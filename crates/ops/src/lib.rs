@@ -13,9 +13,10 @@
 //! * [`topk::topk`] — top-k selection as the first `k` of the descending
 //!   radix sort (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:
-//!   descending radix sort + scan + threshold + weighted draw.
+//!   descending radix sort, then scan + threshold + weighted draw in
+//!   one more launch.
 //! * [`weighted::weighted_sample`] — inverse-transform weighted sampling
-//!   with unbounded support size.
+//!   with unbounded support size: scan + search, in one launch.
 //! * [`baselines`] — the PyTorch-Ascend operators the paper measures
 //!   against (`torch.clone`, `torch.masked_select`, `torch.sort`,
 //!   `torch.multinomial`, baseline top-k), implemented either as real
@@ -29,7 +30,14 @@
 //! its offset, advancing each run by the count `GatherMask` returns. A
 //! split on its own is one launch; radix sort runs all of its splits,
 //! between its encode and decode, inside one launch of its own, so a
-//! top-k is one launch and a top-p draw 4. The other kernels cut their pieces with
+//! top-k is one launch. The samplers compose phases inside one launch
+//! too: a weighted draw runs MCScan's two phases
+//! ([`scan::McLayout::scan`]) and the search, and a top-p draw, after
+//! its sort's launch, the scan, the threshold count and the search, with
+//! a `SyncAll` wherever a phase reads what another core wrote. A phase
+//! reads such a value (a CDF total, the kept counts) with priced
+//! instructions on every vector core, and the host reads only the
+//! launch's outputs. The other kernels cut their pieces with
 //! [`scan::tile_spans`] and deal them to vector cores with
 //! `for_each_lane`.
 //!
@@ -38,7 +46,7 @@
 //! oversubscribed and all of its blocks are co-resident. Two launches
 //! use fewer: [`alias_sample_many`] sizes its grid from the number of
 //! draws, and the `torch.cumsum` stand-in ([`baselines::cumsum`]) is
-//! single-core. The tile dimension `s` of the MCScan launches (top-p's
+//! single-core. The tile dimension `s` of the MCScan phases (top-p's
 //! CDF, weighted sampling, the alias table's total) stays an argument;
 //! the splits have none.
 
@@ -58,17 +66,14 @@ pub use compress::compress;
 pub use radix_sort::{radix_sort, SortOrder, SortRun, SORT_DIGIT_BITS};
 pub use split::{split_ind, SplitRun};
 pub use topk::topk;
-pub use topp::{top_p_sample, top_p_sample_batch};
+pub use topp::top_p_sample;
 pub use weighted::weighted_sample;
 
-use ascend_sim::mem::GlobalMemory;
-use ascend_sim::KernelReport;
-use ascendc::{BlockCtx, ChipSpec, Core, GlobalTensor, SimResult};
-use dtypes::CubeInput;
+use ascend_sim::{EventTime, KernelReport};
+use ascendc::{BlockCtx, ChipSpec, Core, GlobalTensor, ScratchpadKind, SimResult};
+use dtypes::Element;
 use scan::mcscan::{McScanConfig, ScanKind};
-use scan::ScanRun;
 use std::iter::{Skip, StepBy};
-use std::sync::Arc;
 
 /// Largest power-of-two piece length (in elements) such that a kernel
 /// needing `bytes_per_elem` UB bytes per element stays within the
@@ -100,21 +105,31 @@ pub(crate) fn for_each_lane<'a, I: Iterator + Clone>(
     Ok(())
 }
 
-/// Inclusive MCScan of `x` at tile dimension `s` on all of the chip's
-/// AI cores: the scan behind top-p's CDF, weighted sampling and the
-/// alias table's total.
-pub(crate) fn inclusive_scan<T: CubeInput>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    x: &GlobalTensor<T>,
-    s: usize,
-) -> SimResult<ScanRun<T>> {
-    let cfg = McScanConfig {
+/// An inclusive MCScan at tile dimension `s` on all of the chip's AI
+/// cores: the CDF of top-p and weighted sampling, and the alias table's
+/// total.
+pub(crate) fn inclusive(spec: &ChipSpec, s: usize) -> McScanConfig {
+    McScanConfig {
         s,
         blocks: spec.ai_cores,
         kind: ScanKind::Inclusive,
-    };
-    scan::mcscan::mcscan::<T, T, T>(spec, gm, x, cfg)
+    }
+}
+
+/// Reads `src[at]` into the scalar unit of `vc` once `deps` have
+/// retired: a one-element `DataCopy` and an `extract`. This is how a
+/// phase reads a value another core wrote before a `SyncAll`.
+pub(crate) fn read_scalar<T: Element>(
+    vc: &mut Core<'_>,
+    src: &GlobalTensor<T>,
+    at: usize,
+    deps: &[EventTime],
+) -> SimResult<(T, EventTime)> {
+    let mut one = vc.alloc_local::<T>(ScratchpadKind::Ub, 1)?;
+    vc.copy_in(&mut one, 0, src, at, 1, deps)?;
+    let value = vc.extract(&one, 0)?;
+    vc.free_local(one)?;
+    Ok(value)
 }
 
 /// The report of an operator given no elements: one launch's fixed
@@ -143,6 +158,8 @@ pub(crate) fn empty_report(spec: &ChipSpec, name: &str) -> KernelReport {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use ascend_sim::mem::GlobalMemory;
+    use std::sync::Arc;
 
     /// The scans a profiled pipeline ran: one phase I span per MCScan or
     /// split on block 0, whichever launch it ran in.

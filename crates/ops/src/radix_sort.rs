@@ -80,7 +80,7 @@ pub struct SortRun<K: Element> {
 /// [`topk`]. The paper's sort splits on one bit per pass; two bits
 /// halve the passes and barriers and measure 1.34–1.61× faster on the
 /// 910B4 at every size of Fig. 11, for fp16 and int8 keys, and
-/// 1.40–1.47× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
+/// 1.44–1.51× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
 /// "Radix digits"), so there is no size crossover.
 ///
 /// [`topk`]: crate::topk::topk

@@ -6,32 +6,49 @@
 //! probabilities descending, takes their cumulative sum, masks out
 //! tokens once the *exclusive* cumulative mass passes `p`, renormalizes
 //! and draws — exactly the pipeline built here from the paper's
-//! operators:
+//! operators, in two launches on all of the chip's AI cores:
 //!
-//! 1. descending [`radix_sort`] of the probabilities: one launch of
+//! 1. the descending [`radix_sort`] of the probabilities, one launch:
 //!    splits that count their masks and scatter on every vector core —
 //!    16 one-bit passes for fp16 in the paper's accounting, 8 two-bit
 //!    passes (three mask counts each) as `Device::top_p` runs it;
-//! 2. inclusive [`mcscan`] of the sorted probabilities (1 scan — with
-//!    one-bit passes 17 phase I's per batch total, the paper's scan
-//!    count; 4 launches either way). This scan keeps MCScan's tile chunks
-//!    and its own `s`: another chunking would change where the fp16
-//!    chunk offsets round, and with them the sampled tokens;
-//! 3. a vector kernel that counts the kept prefix (`cumsum − prob ≤ p`);
-//! 4. the inverse-transform boundary search over the *existing*
-//!    cumulative sums restricted to the kept prefix (no extra scan).
+//! 2. one `TopP` launch of three phases:
+//!    - the inclusive MCScan of the sorted probabilities
+//!      ([`McLayout::scan`]: phase I, a `SyncAll`, phase II), then a
+//!      `SyncAll` — 1 scan, so with one-bit passes 17 phase I's per
+//!      draw, the paper's scan count. This scan keeps MCScan's tile
+//!      chunks and its own `s`: another chunking would change where the
+//!      fp16 chunk offsets round, and with them the sampled tokens;
+//!    - the threshold count: every vector core reads the CDF total and
+//!      counts its pieces' kept tokens (`cumsum − prob ≤ p·total`); then
+//!      a `SyncAll`;
+//!    - the inverse-transform boundary search (`CdfSearch`) over the
+//!      *existing* cumulative sums restricted to the kept prefix (no
+//!      extra scan): every vector core sums the kept counts and reads
+//!      the kept mass first.
+//!
+//! Every value a phase needs from another core is read after a `SyncAll`
+//! with priced instructions. The host reads only the launch's outputs:
+//! the kept counts, the first hits and the sampled token's index.
+//!
+//! The sort stays a launch of its own: run in the same block threads
+//! right before the scan, it raised the simulator's peak host memory per
+//! draw by about a fifth (its per-launch validation state pins the
+//! threads' allocator arenas under the scan's buffers), for 3 µs of
+//! simulated time.
 //!
 //! [`radix_sort`]: crate::radix_sort::radix_sort
-//! [`mcscan`]: scan::mcscan::mcscan
 
 use crate::radix_sort::{radix_sort, SortOrder};
-use crate::weighted::cdf_search;
-use crate::{for_each_lane, inclusive_scan};
+use crate::weighted::{check_mass, CdfSearch};
+use crate::{for_each_lane, inclusive, read_scalar};
 use ascend_sim::mem::GlobalMemory;
-use ascend_sim::KernelReport;
-use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
+use ascend_sim::{EventTime, KernelReport};
+use ascendc::{
+    launch, BlockCtx, ChipSpec, CmpMode, Core, GlobalTensor, ScratchpadKind, SimError, SimResult,
+};
 use dtypes::{Element, F16};
-use scan::tile_spans;
+use scan::{tile_spans, McLayout};
 use std::sync::Arc;
 
 /// Result of [`top_p_sample`].
@@ -40,7 +57,8 @@ pub struct TopPRun {
     pub token: u32,
     /// How many tokens the nucleus kept.
     pub n_kept: usize,
-    /// Combined execution report (sort + scan + threshold + search).
+    /// Combined execution report (the sort's launch, and the `TopP`
+    /// launch of the scan, the threshold count and the search).
     pub report: KernelReport,
 }
 
@@ -48,8 +66,8 @@ pub struct TopPRun {
 /// using the uniform variate `theta ∈ [0, 1)`.
 ///
 /// `probs` need not be normalized (the draw is proportional). `s` is
-/// the tile dimension of the CDF's MCScan launch and `bits` the sort's
-/// digit width (see [`radix_sort`]); every launch runs on all of the
+/// the tile dimension of the CDF's MCScan phases and `bits` the sort's
+/// digit width (see [`radix_sort`]); both launches run on all of the
 /// chip's AI cores.
 pub fn top_p_sample(
     spec: &ChipSpec,
@@ -79,34 +97,29 @@ pub fn top_p_sample(
 
     // 1. Sort descending (values + original token ids).
     let sorted = radix_sort::<F16>(spec, gm, probs, bits, SortOrder::Descending)?;
-
-    // 2. Cumulative sum of the sorted probabilities.
-    let scan_run = inclusive_scan(spec, gm, &sorted.values, s)?;
-    let cdf = scan_run.y;
-
-    // 3. Count the kept prefix: token i stays while its *exclusive*
-    // cumulative mass (cumsum[i] - prob[i]) does not exceed p·total.
-    // (Llama3 normalizes first; proportional weights fold the total in.)
-    let total = cdf.read_range(n - 1, 1)?[0].to_f32() as f64;
-    if !(total.is_finite() && total > 0.0) {
-        return Err(SimError::InvalidArgument(format!(
-            "top_p: probabilities sum to {total}, not a finite positive mass"
-        )));
-    }
-    let p_abs = F16::from_f64(p * total);
-    let (n_kept, count_report) = kept_prefix_count(spec, gm, &cdf, &sorted.values, p_abs)?;
-    let n_kept = n_kept.max(1);
-
-    // 4. Inverse-transform draw over the kept prefix, reusing the CDF.
-    let kept_mass = cdf.read_range(n_kept - 1, 1)?[0];
-    let threshold = F16::from_f64(theta * kept_mass.to_f64());
-    let (pos, search_report) = cdf_search(spec, gm, &cdf.slice(0, n_kept)?, n_kept, threshold)?;
-    let token = sorted.indices.read_range(pos, 1)?[0];
-
-    let mut report = KernelReport::sequential(
-        "TopP",
-        &[sorted.report, scan_run.report, count_report, search_report],
-    );
+    let cdf =
+        McLayout::<F16, F16, F16>::new("TopP", spec, gm, &sorted.values, inclusive(spec, s), None)?;
+    let kept = KeptCount::new(spec, gm, n)?;
+    let search = CdfSearch::new::<F16>(spec, gm, n)?;
+    let draw = launch(spec, gm, spec.ai_cores, "TopP", |ctx| {
+        // 2. Cumulative sum of the sorted probabilities.
+        cdf.scan(ctx, &sorted.values)?;
+        ctx.sync_all()?;
+        // 3. Count the kept prefix.
+        kept.run(ctx, &cdf.y, &sorted.values, p)?;
+        ctx.sync_all()?;
+        // 4. Inverse-transform draw over the kept prefix, reusing the
+        // CDF: θ of the kept mass.
+        search.run(ctx, &cdf.y, |vc| {
+            let (n_kept, ready) = kept.read(vc)?;
+            let (mass, ready) = read_scalar(vc, &cdf.y, n_kept - 1, &[ready])?;
+            let ready = vc.scalar_ops(1, &[ready])?;
+            Ok((n_kept, (F16::from_f64(theta * mass.to_f64()), ready)))
+        })
+    })?;
+    let n_kept = kept.total();
+    let token = sorted.indices.read_range(search.index(n_kept), 1)?[0];
+    let mut report = KernelReport::sequential("TopP", &[sorted.report, draw]);
     report.elements = n as u64;
     report.useful_bytes = (n * F16::SIZE) as u64;
     Ok(TopPRun {
@@ -116,70 +129,49 @@ pub fn top_p_sample(
     })
 }
 
-/// Batched nucleus sampling: draws one token per row of a
-/// `batch x vocab` probability tensor (the paper notes these operations
-/// "are usually batched with a constant batch size"). Rows execute as
-/// back-to-back device pipelines; the combined report reflects the whole
-/// batch.
-#[allow(clippy::too_many_arguments)]
-pub fn top_p_sample_batch(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    probs: &GlobalTensor<F16>,
-    batch: usize,
-    vocab: usize,
-    p: f64,
-    thetas: &[f64],
-    s: usize,
-    bits: u32,
-) -> SimResult<(Vec<u32>, KernelReport)> {
-    if batch == 0 || vocab == 0 || batch * vocab != probs.len() {
-        return Err(SimError::InvalidArgument(format!(
-            "top_p batch: {batch} x {vocab} does not match tensor of {}",
-            probs.len()
-        )));
-    }
-    if thetas.len() != batch {
-        return Err(SimError::InvalidArgument(format!(
-            "top_p batch: {} thetas for batch {batch}",
-            thetas.len()
-        )));
-    }
-    let mut tokens = Vec::with_capacity(batch);
-    let mut reports = Vec::with_capacity(batch);
-    for (b, &theta) in thetas.iter().enumerate() {
-        let row = probs.slice(b * vocab, vocab)?;
-        let run = top_p_sample(spec, gm, &row, p, theta, s, bits)?;
-        tokens.push(run.token);
-        reports.push(run.report);
-    }
-    let mut report = KernelReport::sequential("TopP(batch)", &reports);
-    report.elements = (batch * vocab) as u64;
-    report.useful_bytes = (batch * vocab * F16::SIZE) as u64;
-    Ok((tokens, report))
+/// The threshold count, one phase of the top-p launch: how many leading
+/// tokens of the sorted distribution survive the nucleus threshold,
+/// `#{i : cumsum[i] − prob[i] ≤ p·total}` (the CDF is descending-sorted,
+/// so survivors form a prefix), one count per vector core.
+struct KeptCount {
+    piece: usize,
+    spans: Vec<(usize, usize)>,
+    counts: GlobalTensor<u32>,
 }
 
-/// Counts how many leading tokens of the sorted distribution survive the
-/// nucleus threshold: `#{i : cumsum[i] − prob[i] ≤ p}` (the CDF is
-/// descending-sorted, so survivors form a prefix).
-fn kept_prefix_count(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    cdf: &GlobalTensor<F16>,
-    probs_sorted: &GlobalTensor<F16>,
-    p_abs: F16,
-) -> SimResult<(usize, KernelReport)> {
-    let n = cdf.len();
-    let piece = crate::ub_piece(spec, 2 * F16::SIZE + 1 + 4, 4096);
-    let lanes = (spec.ai_cores * spec.vec_per_core) as usize;
-    let counts = GlobalTensor::<u32>::new(gm, lanes)?;
-    let spans = tile_spans(n, piece)?;
-    let report = launch(spec, gm, spec.ai_cores, "TopPThreshold", |ctx| {
-        for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
-            let mut cbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
-            let mut pbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, piece)?;
-            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            let mut wide = vc.alloc_local::<i32>(ScratchpadKind::Ub, piece)?;
+impl KeptCount {
+    /// The count over `n` sorted tokens on all of the chip's vector cores.
+    fn new(spec: &ChipSpec, gm: &Arc<GlobalMemory>, n: usize) -> SimResult<Self> {
+        let piece = crate::ub_piece(spec, 2 * F16::SIZE + 1 + 4, 4096);
+        Ok(KeptCount {
+            piece,
+            spans: tile_spans(n, piece)?,
+            counts: GlobalTensor::new(gm, spec.total_vec_cores() as usize)?,
+        })
+    }
+
+    /// The count on one block: each vector core reads the CDF's total,
+    /// refuses one that is not a finite positive mass, and counts its
+    /// pieces' kept tokens into its entry of `counts`.
+    fn run(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        cdf: &GlobalTensor<F16>,
+        probs_sorted: &GlobalTensor<F16>,
+        p: f64,
+    ) -> SimResult<()> {
+        let span = ctx.span_begin("Threshold");
+        for_each_lane(ctx, self.spans.iter(), |vc, lane, mine| {
+            // Llama3 normalizes first; proportional weights fold the
+            // total into the threshold.
+            let (total, ready) = read_scalar(vc, cdf, cdf.len() - 1, &[])?;
+            check_mass("top_p: probabilities", total.to_f64())?;
+            let p_ready = vc.scalar_ops(1, &[ready])?;
+            let p_abs = F16::from_f64(p * total.to_f64());
+            let mut cbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, self.piece)?;
+            let mut pbuf = vc.alloc_local::<F16>(ScratchpadKind::Ub, self.piece)?;
+            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, self.piece)?;
+            let mut wide = vc.alloc_local::<i32>(ScratchpadKind::Ub, self.piece)?;
             let mut kept = 0u32;
             let mut kept_ready = 0;
             for &(off, valid) in mine {
@@ -187,7 +179,7 @@ fn kept_prefix_count(
                 vc.copy_in(&mut pbuf, 0, probs_sorted, off, valid, &[])?;
                 // exclusive mass = cumsum - prob
                 vc.vsub_inplace(&mut cbuf, 0, &pbuf, 0, valid)?;
-                vc.vcompare_scalar(&mut mk, &cbuf, 0, valid, CmpMode::Le, p_abs, 0)?;
+                vc.vcompare_scalar(&mut mk, &cbuf, 0, valid, CmpMode::Le, p_abs, p_ready)?;
                 // Widen before reducing: a u8 mask sum wraps at 255.
                 vc.vcast::<u8, i32>(&mut wide, &mk, 0, valid)?;
                 let (count, ready) = vc.reduce_sum(&wide, 0, valid)?;
@@ -196,16 +188,35 @@ fn kept_prefix_count(
             }
             let mut one = vc.alloc_local::<u32>(ScratchpadKind::Ub, 1)?;
             vc.insert(&mut one, 0, kept, kept_ready)?;
-            vc.copy_out(&counts, lane, &one, 0, 1, &[])?;
+            vc.copy_out(&self.counts, lane, &one, 0, 1, &[])?;
             vc.free_local(one)?;
             vc.free_local(cbuf)?;
             vc.free_local(pbuf)?;
             vc.free_local(mk)?;
             vc.free_local(wide)
-        })
-    })?;
-    let n_kept: u32 = counts.to_vec().into_iter().sum();
-    Ok((n_kept as usize, report))
+        })?;
+        ctx.span_end(span);
+        Ok(())
+    }
+
+    /// On a vector core after the `SyncAll` that follows the count: the
+    /// kept count, at least one token, and the time it is ready — every
+    /// core's count loaded and summed by `ReduceSum`.
+    fn read(&self, vc: &mut Core<'_>) -> SimResult<(usize, EventTime)> {
+        let lanes = self.counts.len();
+        let mut all = vc.alloc_local::<u32>(ScratchpadKind::Ub, lanes)?;
+        vc.copy_in(&mut all, 0, &self.counts, 0, lanes, &[])?;
+        let (kept, ready) = vc.reduce_sum(&all, 0, lanes)?;
+        vc.free_local(all)?;
+        let ready = vc.scalar_ops(1, &[ready])?;
+        Ok((kept.max(1) as usize, ready))
+    }
+
+    /// After the launch, on the host: the kept count, at least one token.
+    fn total(&self) -> usize {
+        let kept: u32 = self.counts.to_vec().into_iter().sum();
+        kept.max(1) as usize
+    }
 }
 
 #[cfg(test)]
@@ -272,8 +283,8 @@ mod tests {
 
     #[test]
     fn scan_count_matches_paper() {
-        // 16 radix-sort scans + 1 cumsum scan = 17 SyncAll rounds from
-        // MCScan launches.
+        // 16 radix-sort mask counts + 1 cumsum scan = 17 phase I's, in
+        // the sort's launch and the draw's.
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let probs: Vec<F16> = (0..128)
             .map(|i| F16::from_f32((i % 7) as f32 + 1.0))
@@ -287,33 +298,11 @@ mod tests {
             17,
             "the paper's 17-scans-per-batch count"
         );
-        // The sort's 33 barriers (encode, then two per pass) and the
-        // CDF scan's one.
-        assert_eq!(run.report.sync_rounds, 34);
-    }
-
-    #[test]
-    fn batched_sampling_draws_per_row() {
-        let (spec, gm) = setup();
-        let (batch, vocab) = (3usize, 100usize);
-        let mut probs = vec![F16::from_f32(1e-4); batch * vocab];
-        // One dominant token per row at a different position.
-        probs[7] = F16::ONE;
-        probs[vocab + 31] = F16::ONE;
-        probs[2 * vocab + 99] = F16::ONE;
-        let t = GlobalTensor::from_slice(&gm, &probs).unwrap();
-        let ((tokens, report), profile) = with_profiling(&gm, || {
-            top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.3, 0.6, 0.9], 16, BIT)
-                .unwrap()
-        });
-        assert_eq!(tokens, vec![7, 31, 99]);
-        // 17 scans per batch element (the paper's accounting), in 34
-        // barriers.
-        assert_eq!(crate::tests::scans(&profile), 17 * batch);
-        assert_eq!(report.sync_rounds, 34 * batch as u64);
-        // Shape errors are rejected.
-        assert!(top_p_sample_batch(&spec, &gm, &t, 2, vocab, 0.5, &[0.1, 0.2], 16, BIT).is_err());
-        assert!(top_p_sample_batch(&spec, &gm, &t, batch, vocab, 0.5, &[0.1], 16, BIT).is_err());
+        assert_eq!(profile.kernels.len(), 2);
+        // The sort's 33 barriers (encode, then two per pass), then the
+        // CDF scan's, one after the scan and one after the threshold
+        // count.
+        assert_eq!(run.report.sync_rounds, 36);
     }
 
     #[test]

@@ -4,27 +4,35 @@
 //! `w[i] / Σw`: scan the weights (MCScan), then find the first index
 //! whose cumulative sum exceeds `θ·Σw` for a uniform `θ`. The paper runs
 //! SplitInd with that predicate and reads the boundary off its index
-//! output; here one `CdfSearch` launch counts the predicate per piece
-//! instead (`cdf_search`), since nothing needs to move.
+//! output; here each vector core counts the predicate per piece instead
+//! (`CdfSearch`), since nothing needs to move.
+//!
+//! The draw is **one launch**: MCScan's phase I, a `SyncAll`, its
+//! phase II, a `SyncAll`, then the search, in which every vector core
+//! reads `Σw` (the CDF's last entry) itself and derives the threshold.
+//! A total that is not a finite positive mass fails every block at that
+//! read, so the launch fails with that one typed error.
 //!
 //! Unlike the Ascend `torch.multinomial` baseline (capped at 2²⁴
 //! support), this works for arbitrary support sizes — the functional
 //! improvement the paper claims.
 
-use crate::{for_each_lane, inclusive_scan};
+use crate::{for_each_lane, inclusive, read_scalar};
 use ascend_sim::mem::GlobalMemory;
-use ascend_sim::KernelReport;
-use ascendc::{launch, ChipSpec, CmpMode, GlobalTensor, ScratchpadKind, SimError, SimResult};
-use dtypes::Numeric;
-use scan::tile_spans;
+use ascend_sim::{EventTime, KernelReport};
+use ascendc::{
+    launch, BlockCtx, ChipSpec, CmpMode, Core, GlobalTensor, ScratchpadKind, SimError, SimResult,
+};
+use dtypes::{Element, Numeric};
+use scan::{tile_spans, McLayout};
 use std::sync::Arc;
 
 /// Result of [`weighted_sample`].
 pub struct WeightedRun {
     /// The sampled index.
     pub index: usize,
-    /// Combined execution report (the CDF scan and the `CdfSearch`
-    /// launch).
+    /// The report of the one `WeightedSample` launch (the CDF scan and
+    /// the search).
     pub report: KernelReport,
 }
 
@@ -34,7 +42,7 @@ pub struct WeightedRun {
 ///
 /// `W` is the weight element type (`F16` in the paper's LLM setting;
 /// `f32` works too). Weights must be non-negative. `s` is the tile
-/// dimension of the MCScan launch; both launches run on all of the
+/// dimension of the CDF's MCScan phases; the launch runs on all of the
 /// chip's AI cores.
 pub fn weighted_sample<W>(
     spec: &ChipSpec,
@@ -58,60 +66,106 @@ where
         )));
     }
 
-    // 1. Inclusive scan of the weights.
-    let scan_run = inclusive_scan(spec, gm, w, s)?;
-    let cdf = scan_run.y;
-    let total = cdf.read_range(n - 1, 1)?[0].to_f64();
-    if !(total.is_finite() && total > 0.0) {
-        return Err(SimError::InvalidArgument(format!(
-            "weighted_sample: weights sum to {total}, not a finite positive mass"
-        )));
-    }
-    let threshold = W::from_f64(theta * total);
-
-    // 2. Predicate kernel + boundary search. The paper routes this
-    // through SplitInd; the sample is the first index whose cumulative
-    // sum exceeds θ·Σw, which SplitInd exposes as the entry before the
-    // partition boundary. We fuse the predicate and the boundary scan
-    // into one vector kernel (same traffic as the mask of SplitInd, no
-    // value movement) — each vector core finds the first exceeding
-    // index in its chunk and the host takes the minimum.
-    let (index, search_report) = cdf_search(spec, gm, &cdf, n, threshold)?;
-
-    let mut report = KernelReport::sequential("WeightedSample", &[scan_run.report, search_report]);
+    let cdf = McLayout::<W, W, W>::new("WeightedSample", spec, gm, w, inclusive(spec, s), None)?;
+    let search = CdfSearch::new::<W>(spec, gm, n)?;
+    let mut report = launch(spec, gm, spec.ai_cores, "WeightedSample", |ctx| {
+        // 1. Inclusive scan of the weights.
+        cdf.scan(ctx, w)?;
+        ctx.sync_all()?;
+        // 2. The boundary search. The paper routes this through
+        // SplitInd; the sample is the first index whose cumulative sum
+        // exceeds θ·Σw, which SplitInd exposes as the entry before the
+        // partition boundary. Counting the predicate per piece moves the
+        // mask's traffic and no values.
+        search.run(ctx, &cdf.y, |vc| {
+            let (total, ready) = read_scalar(vc, &cdf.y, n - 1, &[])?;
+            check_mass("weighted_sample: weights", total.to_f64())?;
+            let ready = vc.scalar_ops(1, &[ready])?;
+            Ok((n, (W::from_f64(theta * total.to_f64()), ready)))
+        })
+    })?;
     report.elements = n as u64;
     report.useful_bytes = (n * W::SIZE) as u64;
-    Ok(WeightedRun { index, report })
+    Ok(WeightedRun {
+        index: search.index(n),
+        report,
+    })
 }
 
-/// Finds the first index `i < n` with `cdf[i] > threshold` (the inverse-
-/// transform boundary search), clamped to `n - 1` if none exceeds.
+/// Refuses a CDF total that is not a finite positive mass: `what` names
+/// the operator and its input.
+pub(crate) fn check_mass(what: &str, total: f64) -> SimResult<()> {
+    if total.is_finite() && total > 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::InvalidArgument(format!(
+            "{what} sum to {total}, not a finite positive mass"
+        )))
+    }
+}
+
+/// The inverse-transform boundary search, one phase of a launch: finds
+/// the first index `i` with `cdf[i] > threshold` among the CDF's leading
+/// elements, clamped to the last of them if none exceeds.
 ///
 /// Each vector core counts the exceeding elements of its pieces with
 /// `Compare` + `ReduceSum`; because the CDF is monotone, the first hit of
-/// a piece is `off + valid - count`. Shared with top-p sampling, which
-/// reuses its CDF scan's cumulative sums instead of rescanning — that is
-/// why top-p with the paper's one-bit sort costs 17 scans, not 18.
-pub(crate) fn cdf_search<W: Numeric>(
-    spec: &ChipSpec,
-    gm: &Arc<GlobalMemory>,
-    cdf: &GlobalTensor<W>,
-    n: usize,
-    threshold: W,
-) -> SimResult<(usize, KernelReport)> {
-    let first_hits = GlobalTensor::<u32>::new(gm, (spec.ai_cores * spec.vec_per_core) as usize)?;
-    let piece = crate::ub_piece(spec, W::SIZE + 1 + 4, 4096);
-    let spans = tile_spans(n, piece)?;
-    let report = launch(spec, gm, spec.ai_cores, "CdfSearch", |ctx| {
-        for_each_lane(ctx, spans.iter(), |vc, lane, mine| {
-            let mut buf = vc.alloc_local::<W>(ScratchpadKind::Ub, piece)?;
-            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
-            let mut wide = vc.alloc_local::<i32>(ScratchpadKind::Ub, piece)?;
+/// a piece is `off + valid - count`, and each core stores its first hit.
+/// Shared with top-p sampling, which reuses its CDF scan's cumulative
+/// sums instead of rescanning — that is why top-p with the paper's
+/// one-bit sort costs 17 scans, not 18.
+pub(crate) struct CdfSearch {
+    piece: usize,
+    spans: Vec<(usize, usize)>,
+    first_hits: GlobalTensor<u32>,
+}
+
+impl CdfSearch {
+    /// The search over at most `n` elements of a `W` CDF, on all of the
+    /// chip's vector cores.
+    pub(crate) fn new<W: Element>(
+        spec: &ChipSpec,
+        gm: &Arc<GlobalMemory>,
+        n: usize,
+    ) -> SimResult<Self> {
+        let piece = crate::ub_piece(spec, W::SIZE + 1 + 4, 4096);
+        Ok(CdfSearch {
+            piece,
+            spans: tile_spans(n, piece)?,
+            first_hits: GlobalTensor::new(gm, spec.total_vec_cores() as usize)?,
+        })
+    }
+
+    /// The search on one block. On each vector core `bound` first reads,
+    /// with priced instructions, how many leading elements of `cdf` to
+    /// search and the threshold with the time it is ready; the core then
+    /// searches its pieces, cut at that length.
+    pub(crate) fn run<W: Numeric>(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        cdf: &GlobalTensor<W>,
+        bound: impl Fn(&mut Core<'_>) -> SimResult<(usize, (W, EventTime))>,
+    ) -> SimResult<()> {
+        let span = ctx.span_begin("Search");
+        for_each_lane(ctx, self.spans.iter(), |vc, lane, mine| {
+            let (len, (threshold, threshold_ready)) = bound(vc)?;
+            let mut buf = vc.alloc_local::<W>(ScratchpadKind::Ub, self.piece)?;
+            let mut mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, self.piece)?;
+            let mut wide = vc.alloc_local::<i32>(ScratchpadKind::Ub, self.piece)?;
             let mut best = u32::MAX;
             let mut best_ready = 0;
-            for &(off, valid) in mine {
+            for &(off, valid) in mine.take_while(|&&(off, _)| off < len) {
+                let valid = valid.min(len - off);
                 vc.copy_in(&mut buf, 0, cdf, off, valid, &[])?;
-                vc.vcompare_scalar(&mut mk, &buf, 0, valid, CmpMode::Gt, threshold, 0)?;
+                vc.vcompare_scalar(
+                    &mut mk,
+                    &buf,
+                    0,
+                    valid,
+                    CmpMode::Gt,
+                    threshold,
+                    threshold_ready,
+                )?;
                 // Widen the mask before reducing (a u8 sum wraps at 255)
                 // and count the exceeding elements; the first hit in this
                 // piece is `off + valid - count` because the CDF is
@@ -125,21 +179,22 @@ pub(crate) fn cdf_search<W: Numeric>(
             }
             let mut one = vc.alloc_local::<u32>(ScratchpadKind::Ub, 1)?;
             vc.insert(&mut one, 0, best, best_ready)?;
-            vc.copy_out(&first_hits, lane, &one, 0, 1, &[])?;
+            vc.copy_out(&self.first_hits, lane, &one, 0, 1, &[])?;
             vc.free_local(one)?;
             vc.free_local(buf)?;
             vc.free_local(mk)?;
             vc.free_local(wide)
-        })
-    })?;
+        })?;
+        ctx.span_end(span);
+        Ok(())
+    }
 
-    let index = first_hits
-        .to_vec()
-        .into_iter()
-        .min()
-        .unwrap_or(u32::MAX)
-        .min((n - 1) as u32) as usize;
-    Ok((index, report))
+    /// After the launch, on the host: the first hit over all vector
+    /// cores, clamped to `len - 1` (`len` being the searched length).
+    pub(crate) fn index(&self, len: usize) -> usize {
+        let first = self.first_hits.to_vec().into_iter().min();
+        first.unwrap_or(u32::MAX).min((len - 1) as u32) as usize
+    }
 }
 
 #[cfg(test)]

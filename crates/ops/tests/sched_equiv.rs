@@ -1,10 +1,13 @@
 //! Serial/parallel/planned scheduler equivalence of the one-launch
-//! split, the one-launch radix sort and top-p.
+//! split, radix sort, top-p and weighted sampling.
 //!
-//! Split and compress run as one launch each: MCScan over the mask
-//! whose phase II scatters every tile from UB. Radix sort runs all of
-//! its splits in one persistent launch, with one-bit or two-bit digits,
-//! and top-p is that sort plus three launches. Their serialized [`ascendc::KernelReport`]s must be
+//! Split and compress run as one launch each: phase I counts the mask
+//! per chunk and phase II scatters every chunk. Radix sort runs all of
+//! its splits in one persistent launch, with one-bit or two-bit digits;
+//! top-p runs that sort, then the CDF scan, the threshold count and the
+//! search in one more launch, and weighted sampling the scan and the
+//! search in one launch.
+//! Their serialized [`ascendc::KernelReport`]s must be
 //! byte-identical under the serial baton, the parallel-round scheduler,
 //! and a planned replay of every commit order the model checker finds —
 //! the same contract the `scan` crate's `sched_equiv` gate holds every
@@ -17,7 +20,7 @@ use ascend_sim::{mc, prof, SchedPolicy};
 use ascendc::{ChipSpec, GlobalTensor};
 use dtypes::F16;
 use ops::split::reference_split;
-use ops::{compress, radix_sort, split_ind, top_p_sample, SortOrder};
+use ops::{compress, radix_sort, split_ind, top_p_sample, weighted_sample, SortOrder};
 use std::sync::Arc;
 
 /// Runs `op` on a fresh tiny-chip device under `policy`; returns its
@@ -128,9 +131,10 @@ fn sort_reports_identically_under_serial_parallel_and_planned() {
 
 #[test]
 fn top_p_reports_identically_under_serial_parallel_and_planned() {
-    // The sort, the CDF scan, the threshold count and the CDF search.
+    // The sort, then the CDF scan, the threshold count and the CDF
+    // search in one launch.
     for bits in DIGIT_BITS {
-        assert_equiv(&format!("top-p {bits} bits"), 4, &|spec, gm| {
+        assert_equiv(&format!("top-p {bits} bits"), 2, &|spec, gm| {
             let probs: Vec<F16> = (0..500)
                 .map(|i| F16::from_f32(if i % 37 == 0 { 0.05 } else { 1e-3 }))
                 .collect();
@@ -140,4 +144,24 @@ fn top_p_reports_identically_under_serial_parallel_and_planned() {
             run.report.to_json(spec)
         });
     }
+}
+
+#[test]
+fn weighted_sampling_reports_identically_under_serial_parallel_and_planned() {
+    // The CDF scan and the search, in one launch, for fp16 and f32
+    // weights.
+    let w: Vec<f32> = (0..N).map(|i| ((i * 7919) % 13) as f32).collect();
+    assert_equiv("weighted f32", 1, &|spec, gm| {
+        let x = GlobalTensor::from_slice(gm, &w).unwrap();
+        let run = weighted_sample(spec, gm, &x, 0.6, 16).unwrap();
+        assert!(w[run.index] > 0.0);
+        run.report.to_json(spec)
+    });
+    assert_equiv("weighted f16", 1, &|spec, gm| {
+        let h: Vec<F16> = w.iter().map(|&v| F16::from_f32(v / 16.0)).collect();
+        let x = GlobalTensor::from_slice(gm, &h).unwrap();
+        let run = weighted_sample(spec, gm, &x, 0.6, 16).unwrap();
+        assert!(h[run.index] > F16::ZERO);
+        run.report.to_json(spec)
+    });
 }

@@ -71,7 +71,7 @@ pub(crate) mod util;
 pub use ablation::{mcscan_variant, McScanVariant};
 pub use baseline::cumsum_vec_only;
 pub use batched::{batched_scanu, batched_scanul1};
-pub use mcscan::{mcscan, McScanConfig, ScanKind};
+pub use mcscan::{mcscan, McLayout, McScanConfig, ScanKind};
 pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};
 pub use scanu::scanu;

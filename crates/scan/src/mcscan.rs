@@ -22,7 +22,8 @@
 //!
 //! A chunk is a run of whole `ℓ`-element tiles, `⌈tiles / chunks⌉` to a
 //! vector core. The `ops` crate's splits do not scan at all: they count
-//! their masks per chunk with [`crate::MaskCounts`].
+//! their masks per chunk with [`crate::MaskCounts`]. Its samplers run
+//! the same two phases inside a launch of their own ([`McLayout::scan`]).
 
 use crate::stage::{
     check_blocks, check_intermediate, check_tile, chunk_cores, chunk_offset, propagate_rows,
@@ -134,12 +135,13 @@ fn queue_depth<M: Element, O: Element>(spec: &ChipSpec, l: usize) -> usize {
     }
 }
 
-/// The layout of an MCScan over `x`, shared by [`mcscan`] and the
-/// ablation variants: the scan constants, the output `y`, the
+/// The layout of an MCScan over `x`, shared by [`mcscan`], the ablation
+/// variants and the kernels that scan inside a launch of their own
+/// ([`McLayout::scan`]): the scan constants, the output `y`, the
 /// intermediate `w` the tile-local scans land in, the reduction array
 /// `r` (one entry per chunk, Line 3) and the chunk map — one contiguous
 /// run of whole tiles per vector core.
-pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
+pub struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
     name: &'static str,
     n: usize,
     pub(crate) s: usize,
@@ -147,7 +149,8 @@ pub(crate) struct McLayout<T: CubeInput, M: Numeric, O: Numeric> {
     blocks: u32,
     kind: ScanKind,
     consts: ScanConstants<T>,
-    pub(crate) y: GlobalTensor<O>,
+    /// The scan's output.
+    pub y: GlobalTensor<O>,
     pub(crate) w: GlobalTensor<M>,
     pub(crate) r: GlobalTensor<O>,
     tiles: Vec<(usize, usize)>,
@@ -159,7 +162,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
     /// the grid; grids above `max_blocks` are rejected, `None`
     /// wave-multiplexes any grid) for kernel `name` and allocates the
     /// layout's tensors for a `cfg.kind` scan of `x`.
-    pub(crate) fn new(
+    pub fn new(
         name: &'static str,
         spec: &ChipSpec,
         gm: &Arc<GlobalMemory>,
@@ -200,8 +203,8 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         })
     }
 
-    /// Launches the two-phase skeleton: `phase1` per block, a `SyncAll`
-    /// (Line 15), then `phase2`, each inside its phase span.
+    /// Launches the two-phase skeleton (`phase1`, a `SyncAll`, then
+    /// `phase2`) on the layout's grid.
     pub(crate) fn launch(
         &self,
         spec: &ChipSpec,
@@ -210,17 +213,40 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         phase2: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()> + Sync,
     ) -> SimResult<KernelReport> {
         let mut report = launch(spec, gm, self.blocks, self.name, |ctx| {
-            let phase = ctx.span_begin("Phase I");
-            phase1(self, ctx)?;
-            ctx.span_end(phase);
-            ctx.sync_all()?;
-            let phase = ctx.span_begin("Phase II");
-            phase2(self, ctx)?;
-            ctx.span_end(phase);
-            Ok(())
+            self.phases(ctx, &phase1, &phase2)
         })?;
         finish_report(&mut report, self.n, T::SIZE, O::SIZE);
         Ok(report)
+    }
+
+    /// MCScan of `x` on one block of any launch on the layout's grid:
+    /// phase I, a `SyncAll`, then phase II, each inside its phase span —
+    /// what [`mcscan`] runs as a launch of its own. `y` holds the scan
+    /// once every block has passed a later `SyncAll`.
+    pub fn scan(&self, ctx: &mut BlockCtx<'_>, x: &GlobalTensor<T>) -> SimResult<()> {
+        self.phases(
+            ctx,
+            |mc, ctx| mc.phase_one(ctx, x),
+            |mc, ctx| mc.phase_two(ctx),
+        )
+    }
+
+    /// The two-phase skeleton on one block: `phase1`, a `SyncAll`
+    /// (Line 15), then `phase2`, each inside its phase span.
+    fn phases(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        phase1: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()>,
+        phase2: impl Fn(&Self, &mut BlockCtx<'_>) -> SimResult<()>,
+    ) -> SimResult<()> {
+        let phase = ctx.span_begin("Phase I");
+        phase1(self, ctx)?;
+        ctx.span_end(phase);
+        ctx.sync_all()?;
+        let phase = ctx.span_begin("Phase II");
+        phase2(self, ctx)?;
+        ctx.span_end(phase);
+        Ok(())
     }
 
     /// MCScan's phase I (Lines 4-14) of `x` on one block: the cube writes

@@ -1,7 +1,7 @@
 //! Builders for the constant matrices the scan algorithms multiply by:
-//! `U_s` (upper-triangular ones, including the diagonal), `L_s` (lower-
-//! triangular ones), `L_s^-` (strictly lower-triangular ones) and `1_s`
-//! (all ones). Row-major, size `s × s`.
+//! `U_s` (upper-triangular ones, including the diagonal), `L_s^-`
+//! (strictly lower-triangular ones) and `1_s` (all ones). Row-major,
+//! size `s × s`.
 //!
 //! On the real device these are pre-allocated once by the PyTorch
 //! operator wrapper; kernels here likewise upload them once per launch
@@ -15,11 +15,6 @@ use std::sync::Arc;
 /// `U_s`: ones on and above the main diagonal.
 pub fn upper_ones<T: Numeric>(s: usize) -> Vec<T> {
     build(s, |i, j| i <= j)
-}
-
-/// `L_s`: ones on and below the main diagonal.
-pub fn lower_ones<T: Numeric>(s: usize) -> Vec<T> {
-    build(s, |i, j| i >= j)
 }
 
 /// `L_s^-`: ones strictly below the main diagonal.
@@ -79,9 +74,7 @@ mod tests {
     }
 
     #[test]
-    fn lower_and_strict_lower() {
-        let l = lower_ones::<i32>(3);
-        assert_eq!(l, vec![1, 0, 0, 1, 1, 0, 1, 1, 1]);
+    fn strict_lower() {
         let lm = strict_lower_ones::<i32>(3);
         assert_eq!(lm, vec![0, 0, 0, 1, 0, 0, 1, 1, 0]);
         // U + L^- = all-ones.

@@ -104,12 +104,14 @@ lintdir=$(mktemp -d)
 trap 'rm -rf "$lintdir"' EXIT
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
-# byte-identical to what nine serial single-kernel runs would write.
+# byte-identical to what ten serial single-kernel runs would write.
 # `sort` is the one-launch fp16 radix sort `Device::top_p` runs (8
-# two-bit passes, 17 barriers).
+# two-bit passes, 17 barriers); `topp` is the launch `Device::top_p`
+# runs after that sort: the CDF scan, the threshold count and the search
+# in one launch (3 barriers).
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"
 lint_traces=()
-for k in scanu scanul1 mcscan scanc scanc-excl cumsum batched split sort; do
+for k in scanu scanul1 mcscan scanc scanc-excl cumsum batched split sort topp; do
   test -s "$lintdir/$k.json" || { echo "trace --dir did not write $k.json"; exit 1; }
   lint_traces+=("$lintdir/$k.json")
 done
@@ -128,13 +130,13 @@ echo "==> mcheck gate: exhaustive schedule-space check of every shipped kernel"
 # sync-visible operations on the tiny chip, proving deadlock-freedom,
 # hb-cleanliness, and byte-identical reports across all commit orders.
 # It prints explored/pruned state counts and exits 1 on any finding or
-# budget exceedance. ScanC, MCScan, the split and the one-launch sort
-# must additionally reach 100% dual (blocked AND non-blocking) wait
-# coverage.
+# budget exceedance. ScanC, MCScan, the split, the one-launch sort and
+# top-p's two launches must additionally reach 100% dual (blocked AND
+# non-blocking) wait coverage.
 cargo run --release -p bench --bin mcheck -- all \
   || { echo "mcheck found a schedule-space violation"; exit 1; }
-cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh split sort \
-  || { echo "mcheck: mcscan/scanc/split/sort missed full sync coverage"; exit 1; }
+cargo run --release -p bench --bin mcheck -- --strict-coverage mcscan scanc scanc-mh split sort topp \
+  || { echo "mcheck: mcscan/scanc/split/sort/topp missed full sync coverage"; exit 1; }
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

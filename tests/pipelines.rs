@@ -300,20 +300,29 @@ fn top_p_and_sort_launch_counts_are_pinned() {
         .collect();
     let p = dev.tensor(&probs).unwrap();
     let (run, profile) = with_profiling(dev.memory(), || dev.top_p(&p, 0.9, 0.5).unwrap());
-    // The one-launch sort, then exactly one plain MCScan: the CDF.
-    let want = [
-        ("RadixSort", 1),
-        ("MCScan", 1),
-        ("TopPThreshold", 1),
-        ("CdfSearch", 1),
-    ];
+    // The one-launch sort, then one launch of the CDF scan, the
+    // threshold count and the search.
+    let want = [("RadixSort", 1), ("TopP", 1)];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
     assert_eq!(launch_counts(&profile), want);
-    assert_eq!(profile.kernels.len(), 4);
     // The sort's 8 phase Is and the CDF scan's one; the paper's
     // one-bit passes would make it 17.
     assert_eq!(scans(&profile), 9);
-    assert_eq!(run.report.sync_rounds, 18);
+    // The sort's 17 barriers, then the CDF scan's, one after the scan
+    // and one after the threshold count.
+    assert_eq!(run.report.sync_rounds, 20);
+    // Each launch's critical path covers it.
+    for k in &profile.kernels {
+        let path = k.critical_path.as_ref().expect("Full audits");
+        assert_eq!(path.summary.makespan, k.cycles, "{}", k.name);
+    }
+
+    let (run, profile) = with_profiling(dev.memory(), || dev.weighted_sample(&p, 0.5).unwrap());
+    // One launch: the CDF scan and the search.
+    assert_eq!(launch_counts(&profile), [("WeightedSample".to_string(), 1)]);
+    assert_eq!(scans(&profile), 1);
+    // The CDF scan's barrier and one after the scan.
+    assert_eq!(run.report.sync_rounds, 2);
 }
 
 #[test]
@@ -342,8 +351,10 @@ fn a_vocab_sized_two_bit_sort_costs_fewer_instructions_than_one_bit_passes() {
 fn top_p_launches_are_hb_clean() {
     // Every launch's recorded schedule must analyze without a single
     // diagnostic, warnings included: a dead or leaked mask transfer in
-    // the fused radix passes (shared by top-p's sort and top-k), or a
-    // scatter store racing another core's in a split, fails here.
+    // the fused radix passes (shared by top-p's sort and top-k), a
+    // scatter store racing another core's in a split, or a top-p phase
+    // reading what another core wrote without a barrier between, fails
+    // here.
     let dev = device();
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(if i % 97 == 0 { 0.01 } else { 1e-4 }))
@@ -355,9 +366,11 @@ fn top_p_launches_are_hb_clean() {
     let (_, top_k) = with_profiling(dev.memory(), || dev.topk(&p, 500).unwrap());
     let (_, split) = with_profiling(dev.memory(), || dev.split(&p, &m).unwrap());
     let (_, compress) = with_profiling(dev.memory(), || dev.compress(&p, &m).unwrap());
-    assert!(
-        top_p.kernels.iter().any(|k| k.name == "RadixSort"),
-        "top-p runs the one-launch sort"
+    let names: Vec<&str> = top_p.kernels.iter().map(|k| k.name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["RadixSort", "TopP"],
+        "top-p is the sort and one draw"
     );
     let launches = [top_p, top_k, split, compress];
     for k in launches.iter().flat_map(|p| &p.kernels) {
