@@ -127,7 +127,8 @@ impl PathSeg {
 /// and report the optimistic predicted makespan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WhatIf {
-    /// Experiment name (`free_flags`, `infinite_hbm`, `zero_lookback`).
+    /// Experiment name (`free_flags`, `infinite_hbm`, `zero_lookback`,
+    /// `free_barrier_release`).
     pub name: &'static str,
     /// Critical-path cycles the deleted class contributed.
     pub saved: u64,
@@ -177,7 +178,7 @@ pub struct CritSummary {
     /// Number of path segments (zero-length ones included).
     pub segments: usize,
     /// What-if experiments (always `free_flags`, `infinite_hbm`,
-    /// `zero_lookback`, in that order).
+    /// `zero_lookback`, `free_barrier_release`, in that order).
     pub what_ifs: Vec<WhatIf>,
 }
 
@@ -1045,6 +1046,13 @@ pub fn summarize(
             saved: zero_lookback,
             predicted: mk - zero_lookback,
         },
+        // Every `SyncAll` releasing at no cost: what removing barriers
+        // (fewer passes, look-back offsets) can win at most.
+        WhatIf {
+            name: "free_barrier_release",
+            saved: summary.barrier_release,
+            predicted: mk - summary.barrier_release,
+        },
     ];
 
     Ok(CritReport { segments, summary })
@@ -1231,7 +1239,7 @@ mod tests {
         assert_eq!(r.summary.busy, 300);
         assert_eq!(r.segments.len(), 2);
         let wi = &r.summary.what_ifs;
-        assert_eq!(wi.len(), 3);
+        assert_eq!(wi.len(), 4);
         assert!(wi.iter().all(|w| w.predicted == 400 - w.saved));
     }
 
@@ -1337,6 +1345,15 @@ mod tests {
         );
         assert_eq!(r.summary.what_ifs[1].name, "infinite_hbm");
         assert_eq!(r.summary.what_ifs[1].saved, 400);
+        // Free barriers save the release and nothing else.
+        assert_eq!(
+            r.summary.what_ifs[3],
+            WhatIf {
+                name: "free_barrier_release",
+                saved: 50,
+                predicted: 550,
+            }
+        );
     }
 
     #[test]

@@ -13,11 +13,9 @@ use ascend_sim::chip::ScratchpadKind;
 use ascend_sim::{CoreKind, EngineKind, EventTime, SimError, SimResult};
 use dtypes::{Element, Numeric};
 
-/// Integer elements with bit-wise vector operations (`ShiftRight`,
-/// `And`) — what the radix-extraction kernels work on.
+/// Integer elements with a bit-wise vector `And` — what radix digit
+/// extraction works on.
 pub trait Bits: Element {
-    /// Logical shift right.
-    fn shr(self, bits: u32) -> Self;
     /// Bit-wise and.
     fn and(self, rhs: Self) -> Self;
 }
@@ -25,10 +23,6 @@ pub trait Bits: Element {
 macro_rules! impl_bits {
     ($t:ty) => {
         impl Bits for $t {
-            #[inline]
-            fn shr(self, bits: u32) -> Self {
-                self >> bits
-            }
             #[inline]
             fn and(self, rhs: Self) -> Self {
                 self & rhs
@@ -391,39 +385,25 @@ impl Core<'_> {
         Ok(done)
     }
 
-    /// `ShiftRight` by a scalar bit count, in place.
-    pub fn vshr<T: Bits>(
-        &mut self,
-        t: &mut LocalTensor<T>,
-        off: usize,
-        len: usize,
-        bits: u32,
-    ) -> SimResult<EventTime> {
-        self.check_vec("ShiftRight", t)?;
-        t.check_range("ShiftRight", off, len)?;
-        for v in &mut t.data[off..off + len] {
-            *v = v.shr(bits);
-        }
-        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
-        t.ready = done;
-        Ok(done)
-    }
-
-    /// `And` with a scalar, in place.
+    /// `And` with a scalar: `dst[i] = src[i] & mask` over
+    /// `off..off+len`.
     pub fn vand_scalar<T: Bits>(
         &mut self,
-        t: &mut LocalTensor<T>,
+        dst: &mut LocalTensor<T>,
+        src: &LocalTensor<T>,
         off: usize,
         len: usize,
         mask: T,
     ) -> SimResult<EventTime> {
-        self.check_vec("And", t)?;
-        t.check_range("And", off, len)?;
-        for v in &mut t.data[off..off + len] {
-            *v = v.and(mask);
+        self.check_vec("And", dst)?;
+        self.check_vec("And", src)?;
+        dst.check_range("And dst", off, len)?;
+        src.check_range("And src", off, len)?;
+        for i in off..off + len {
+            dst.data[i] = src.data[i].and(mask);
         }
-        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
-        t.ready = done;
+        let done = self.vec_exec(len * T::SIZE, &[dst.ready, src.ready])?;
+        dst.ready = done;
         Ok(done)
     }
 }
@@ -501,10 +481,14 @@ mod tests {
         with_vec_core(|core| {
             let mut t = core.alloc_local::<u16>(ScratchpadKind::Ub, 4).unwrap();
             t.data.copy_from_slice(&[0b1010, 0b1100, 0xFFFF, 0]);
-            core.vshr(&mut t, 0, 4, 2).unwrap();
-            assert_eq!(t.as_slice(), &[0b10, 0b11, 0x3FFF, 0]);
-            core.vand_scalar(&mut t, 0, 4, 1).unwrap();
-            assert_eq!(t.as_slice(), &[0, 1, 1, 0]);
+            let mut low = core.alloc_local::<u16>(ScratchpadKind::Ub, 4).unwrap();
+            core.vand_scalar(&mut low, &t, 0, 4, 0b110).unwrap();
+            assert_eq!(low.as_slice(), &[0b10, 0b100, 0b110, 0]);
+            assert_eq!(
+                t.as_slice(),
+                &[0b1010, 0b1100, 0xFFFF, 0],
+                "the source stays"
+            );
         });
     }
 

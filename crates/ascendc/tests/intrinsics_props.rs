@@ -147,7 +147,7 @@ fn traced_launch_matches_untraced_timing() {
         let v = &mut ctx.vecs[0];
         let mut buf = v.alloc_local::<u16>(ScratchpadKind::Ub, 2048)?;
         v.copy_in(&mut buf, 0, &x, piece * 2048, 2048, &[])?;
-        v.vshr(&mut buf, 0, 2048, 1)?;
+        v.vadds(&mut buf, 0, 2048, 1, 0)?;
         v.copy_out(&y, piece * 2048, &buf, 0, 2048, &[])?;
         Ok(())
     };

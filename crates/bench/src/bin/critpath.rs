@@ -18,9 +18,10 @@
 //! here against the serialized numbers by `bench::check_critical_path`,
 //! the same checker `figures --json` applies to every audited row: the
 //! attribution must sum to the makespan, every share must lie in
-//! `[0, 1]`, there must be at least two what-ifs, among them
-//! `free_flags` and `zero_lookback`, and each what-if prediction must
-//! not exceed the makespan.
+//! `[0, 1]`, the what-ifs must include `free_flags`, `zero_lookback` and
+//! `free_barrier_release` (every `SyncAll` released at no cost), and
+//! each what-if must predict the makespan less what it saves, within
+//! `[0, makespan]`.
 //!
 //! Exit status: `0` all files clean, `1` an invariant fails, `2` usage,
 //! I/O, malformed document, or a trace with no `criticalPaths` section.

@@ -39,7 +39,7 @@ use bench::{
     validate_bench_json, Table,
 };
 use dtypes::F16;
-use ops::{baselines, compress, radix_sort, topk, SortOrder};
+use ops::{baselines, compress, radix_sort, topk, SortOrder, SORT_DIGIT_BITS};
 use scan::ablation::{mcscan_variant, McScanVariant};
 use scan::mcscan::{mcscan, McScanConfig, ScanKind};
 use scan::scanc::{scanc, ScanCConfig};
@@ -1017,13 +1017,13 @@ fn lowbit(spec: &ChipSpec, quick: bool) {
     println!("  paper (future work): ~2x expected for 8-bit keys without further development\n");
 }
 
-/// Radix-sort digit width: the paper's one-bit passes against the
-/// two-bit passes `Device` runs (a 4-way split over three digit masks
-/// per pass), for fp16 and int8 keys at Fig. 11's sizes and for top-p at
-/// Fig. 13's vocabularies, plus where the two-bit fp16 sort overtakes
-/// the `torch.sort` cost model.
+/// Radix-sort digit width: the paper's one-bit passes, two-bit passes
+/// and the four-bit passes `Device` runs (a 16-way split over fifteen
+/// digit masks made from the keys per pass), for fp16 and int8 keys at
+/// Fig. 11's sizes and for top-p at Fig. 13's vocabularies, plus where
+/// the `Device` fp16 sort overtakes the `torch.sort` cost model.
 fn radix_digits(spec: &ChipSpec, quick: bool) {
-    println!("== Radix digits: 1-bit passes vs 2-bit passes (ms) ==");
+    println!("== Radix digits: 1-bit vs 2-bit vs 4-bit passes (ms) ==");
     let sizes = if quick {
         vec![1 << 16, 1 << 20]
     } else {
@@ -1046,18 +1046,19 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
         "N",
         "fp16 1-bit",
         "fp16 2-bit",
-        "gain",
+        "fp16 4-bit",
+        "4 vs 2",
         "int8 1-bit",
         "int8 2-bit",
-        "gain",
+        "int8 4-bit",
+        "4 vs 2",
     ]);
     let rows = par(sizes, |n| {
         let mut cells = vec![human(n)];
         for int8 in [false, true] {
-            let (one, two) = (sort_ms(1, n, int8), sort_ms(2, n, int8));
-            cells.push(format!("{one:.3}"));
-            cells.push(format!("{two:.3}"));
-            cells.push(format!("{:.2}x", one / two));
+            let ms = [1, 2, 4].map(|bits| sort_ms(bits, n, int8));
+            cells.extend(ms.iter().map(|t| format!("{t:.3}")));
+            cells.push(format!("{:.2}x", ms[1] / ms[2]));
         }
         cells
     });
@@ -1071,19 +1072,25 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
     } else {
         vec![1 << 10, 1 << 12, 1 << 14, 32_000, 1 << 16, 128_256, 1 << 18]
     };
-    let mut t = Table::new(&["vocab", "top-p 1-bit", "top-p 2-bit", "gain"]);
+    let mut t = Table::new(&[
+        "vocab",
+        "top-p 1-bit",
+        "top-p 2-bit",
+        "top-p 4-bit",
+        "4 vs 2",
+    ]);
     let rows = par(vocabs, |n| {
         let probs = synth_probs(n, 9);
         let mut cells = vec![human(n)];
         let mut ms = Vec::new();
-        for bits in [1, 2] {
+        for bits in [1, 2, 4] {
             let gm = fresh_gm(spec);
             let x = GlobalTensor::from_slice(&gm, &probs).unwrap();
             let r = ops::top_p_sample(spec, &gm, &x, 0.9, 0.37, 128, bits).unwrap();
             ms.push(r.report.time_ms());
             cells.push(format!("{:.3}", r.report.time_ms()));
         }
-        cells.push(format!("{:.2}x", ms[0] / ms[1]));
+        cells.push(format!("{:.2}x", ms[1] / ms[2]));
         cells
     });
     for cells in rows {
@@ -1091,13 +1098,13 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
     }
     t.print();
 
-    // Bisect the fp16 size where the two-bit sort first beats the
+    // Bisect the fp16 size where the `Device` sort first beats the
     // `torch.sort` cost model.
     let wins = |n: usize| {
         let gm = fresh_gm(spec);
         let x = GlobalTensor::from_slice(&gm, &synth_f16(n, 3)).unwrap();
         let (_, _, b) = baselines::sort::<F16>(spec, &gm, &x, false).unwrap();
-        sort_ms(2, n, false) < b.time_ms()
+        sort_ms(SORT_DIGIT_BITS, n, false) < b.time_ms()
     };
     let (mut lo, mut hi) = (1usize << 10, 1usize << 20);
     if !quick && !wins(lo) && wins(hi) {
@@ -1109,7 +1116,10 @@ fn radix_digits(spec: &ChipSpec, quick: bool) {
                 lo = mid;
             }
         }
-        println!("  2-bit fp16 sort overtakes torch.sort at ~{}", human(hi));
+        println!(
+            "  {SORT_DIGIT_BITS}-bit fp16 sort overtakes torch.sort at ~{}",
+            human(hi)
+        );
     }
     println!(
         "  one-bit passes are the paper's sort (Fig. 11/13 and the low-precision table run them)\n"

@@ -8,8 +8,8 @@
 //!
 //! For every selected kernel (default: all ten, including both the
 //! chained and decoupled multi-hop ScanC look-backs, the one-launch
-//! split, the one-launch radix sort at both digit widths and top-p's
-//! draw), `mcheck`
+//! split, the one-launch radix sort at all three digit widths and
+//! top-p's draw), `mcheck`
 //!
 //! 1. runs the kernel on the tiny chip under the parallel scheduler with
 //!    profiling attached, capturing its happens-before event stream and
@@ -242,12 +242,13 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             run.report.to_json(&spec)
         }
         "sort" => {
-            // The one-launch radix sort at both digit widths: the encode,
-            // 8 one-bit or 4 two-bit splits of two barriers each and the
-            // decode. 300 u8 keys are 75 to each of the 4 vector cores.
+            // The one-launch radix sort at every digit width: the
+            // encode, 8 one-bit, 4 two-bit or 2 four-bit splits of two
+            // barriers each and the decode. 300 u8 keys are 75 to each of
+            // the 4 vector cores.
             let keys: Vec<u8> = (0..300).map(|i| (i * 151 % 256) as u8).collect();
             let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
-            [1, 2]
+            [1, 2, 4]
                 .map(|bits| {
                     let run = radix_sort::<u8>(&spec, &gm, &x, bits, SortOrder::Ascending)
                         .expect("sort launches");
@@ -256,7 +257,7 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
                 .concat()
         }
         "topp" => {
-            // Top-p as `Device::top_p` runs it: the two-bit sort's
+            // Top-p as `Device::top_p` runs it: the four-bit sort's
             // launch, then one launch of the CDF scan, the threshold count
             // and the search. 300 probabilities are 75 to each of the 4
             // vector cores.

@@ -17,8 +17,9 @@
 //! is the one-launch count-based split of int8 values by a half-true
 //! mask that every split, compress and radix-sort pass runs; `sort` is
 //! the one-launch descending fp16 radix sort of `Device::top_p` and
-//! `Device::topk` (encode, 8 two-bit passes — each a 4-way split over
-//! three mask counts, with two barriers — decode); `topp` is the draw
+//! `Device::topk` (encode, 4 four-bit passes — each a 16-way split over
+//! fifteen mask counts made from the keys, with two barriers — decode);
+//! `topp` is the draw
 //! launch of `Device::top_p` over `N` probabilities, run after that
 //! sort: the CDF scan, the threshold count and the search, three
 //! barriers. Open the produced
@@ -236,7 +237,7 @@ fn run_kernel(spec: &ChipSpec, kernel: &str, n: usize) -> Profile {
                 .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e3))
                 .collect();
             let x = GlobalTensor::from_slice(&gm, &keys).unwrap();
-            drop(radix_sort::<F16>(spec, &gm, &x, 2, SortOrder::Descending).unwrap());
+            drop(radix_sort::<F16>(spec, &gm, &x, SORT_DIGIT_BITS, SortOrder::Descending).unwrap());
             return recorder.take();
         }
         "topp" => {

@@ -264,9 +264,10 @@ pub fn batched_cumsum_baseline(
 ///   its `makespan` equals the kernel's `cycles`, the class attribution
 ///   (`launch + busy + flag_wire + chain_wire + barrier_release + hbm`)
 ///   sums to the makespan exactly, every share fraction lies in
-///   `[0, 1]`, and at least two what-if predictions are reported —
-///   including `free_flags` and `zero_lookback` — each within
-///   `[0, makespan]`;
+///   `[0, 1]`, and the what-ifs include `free_flags`, `zero_lookback`
+///   and `free_barrier_release`, each predicting `makespan − saved`
+///   within `[0, makespan]` (`free_barrier_release` saving exactly the
+///   path's `barrier_release`);
 /// * every `traffic` row's `scanc_lookback` has a window of at least 1
 ///   and, when the launch was audited, `chain_hops` and a
 ///   `zero_lookback_speedup` of at least 1 (at least one row is audited);
@@ -400,9 +401,10 @@ fn check_kernel(k: &Json, spec: &ChipSpec) -> Result<(), String> {
 /// The `critical_path` bounds of [`validate_bench_json`], also applied
 /// by the `critpath` CLI to every summary of a trace: the makespan
 /// equals the launch's `cycles`, the class attribution sums to it, every
-/// share lies in `[0, 1]`, and there are at least two what-ifs,
-/// including `free_flags` and `zero_lookback`, none predicting more
-/// than the makespan.
+/// share lies in `[0, 1]`, and the what-ifs include `free_flags`,
+/// `zero_lookback` and `free_barrier_release`, each predicting
+/// `makespan − saved` within `[0, makespan]`, and `free_barrier_release`
+/// saving exactly the path's `barrier_release`.
 pub fn check_critical_path(cp: &Json, cycles: f64) -> Result<(), String> {
     let makespan = cp.f64_field("makespan")?;
     if (makespan - cycles).abs() > EPS {
@@ -441,21 +443,26 @@ pub fn check_critical_path(cp: &Json, cycles: f64) -> Result<(), String> {
         }
     }
     let what_ifs = cp.array_field("what_ifs")?;
-    if what_ifs.len() < 2 {
-        return Err(format!(
-            "critical_path reports {} what-ifs, need at least 2",
-            what_ifs.len()
-        ));
-    }
     for w in what_ifs {
+        let name = w.str_field("name")?;
+        let saved = w.f64_field("saved_cycles")?;
         let predicted = w.f64_field("predicted_cycles")?;
-        if !(-EPS..=makespan + EPS).contains(&predicted) {
+        if !(-EPS..=makespan + EPS).contains(&predicted)
+            || (predicted + saved - makespan).abs() > EPS
+        {
             return Err(format!(
-                "what-if predicted_cycles {predicted} outside [0, makespan]"
+                "what-if {name}: predicted_cycles {predicted} is not the makespan \
+                 {makespan} less the {saved} saved, within [0, makespan]"
+            ));
+        }
+        if name == "free_barrier_release" && (saved - cp.f64_field("barrier_release")?).abs() > EPS
+        {
+            return Err(format!(
+                "what-if free_barrier_release saves {saved}, not the path's barrier_release"
             ));
         }
     }
-    for name in ["free_flags", "zero_lookback"] {
+    for name in ["free_flags", "zero_lookback", "free_barrier_release"] {
         if !what_ifs.iter().any(|w| w.str_field("name") == Ok(name)) {
             return Err(format!("critical_path has no {name} what-if"));
         }
@@ -741,12 +748,30 @@ mod tests {
         let err = validate_bench_json(&bench_doc(&bad), &spec).unwrap_err();
         assert!(err.contains("predicted_cycles"), "{err}");
 
-        // Fewer than two what-ifs.
+        // A barrier what-if that saves more than the path's release.
+        let w = &cp.what_ifs[3];
+        assert_eq!(w.name, "free_barrier_release");
+        let bad = good.replace(
+            &format!(
+                "\"saved_cycles\":{},\"predicted_cycles\":{}",
+                w.saved, w.predicted
+            ),
+            &format!(
+                "\"saved_cycles\":{},\"predicted_cycles\":{}",
+                w.saved + 1,
+                w.predicted - 1
+            ),
+        );
+        assert_ne!(bad, good, "replacement must hit");
+        let err = validate_bench_json(&bench_doc(&bad), &spec).unwrap_err();
+        assert!(err.contains("barrier_release"), "{err}");
+
+        // No what-ifs.
         let start = good.find("\"what_ifs\":[").unwrap();
         let end = good[start..].find(']').unwrap() + start;
         let bad = format!("{}\"what_ifs\":[{}", &good[..start], &good[end..]);
         let err = validate_bench_json(&bench_doc(&bad), &spec).unwrap_err();
-        assert!(err.contains("what-ifs"), "{err}");
+        assert!(err.contains("no free_flags what-if"), "{err}");
     }
 
     #[test]

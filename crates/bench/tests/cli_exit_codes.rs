@@ -78,10 +78,11 @@ fn critpath_doc(cycles: u32, busy: u32) -> String {
         format!(r#"{{"name":"{name}","saved_cycles":10,"predicted_cycles":90,"speedup":1.11}}"#)
     };
     format!(
-        r#"{{"schema":"ascend-trace/v1","hbEvents":[],"criticalPaths":[{{"kernel":"k","cycles":{cycles},"summary":{{"makespan":100,"launch":50,"busy":{busy},"flag_wire":0,"chain_wire":0,"barrier_release":0,"hbm":0,"launch_share":0.5,"busy_share":{},"flag_wire_share":0,"chain_wire_share":0,"barrier_release_share":0,"hbm_share":0,"lookback_chain":0,"lookback_chain_share":0,"what_ifs":[{},{}]}},"top_segments":[]}}]}}"#,
+        r#"{{"schema":"ascend-trace/v1","hbEvents":[],"criticalPaths":[{{"kernel":"k","cycles":{cycles},"summary":{{"makespan":100,"launch":50,"busy":{busy},"flag_wire":0,"chain_wire":0,"barrier_release":0,"hbm":0,"launch_share":0.5,"busy_share":{},"flag_wire_share":0,"chain_wire_share":0,"barrier_release_share":0,"hbm_share":0,"lookback_chain":0,"lookback_chain_share":0,"what_ifs":[{},{},{}]}},"top_segments":[]}}]}}"#,
         share(busy),
         what_if("free_flags"),
         what_if("zero_lookback"),
+        r#"{"name":"free_barrier_release","saved_cycles":0,"predicted_cycles":100,"speedup":1.0}"#,
     )
 }
 
@@ -93,6 +94,26 @@ fn critpath_exits_1_when_the_attribution_misses_the_makespan() {
     let file = fixture("critpath-off-by-one.json", &critpath_doc(100, 49));
     let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
     assert_exit(&out, 1, "attribution sums to 99, not the makespan 100");
+}
+
+#[test]
+fn critpath_exits_1_when_the_barrier_what_if_misses_the_release() {
+    // The path has no barrier release, so freeing barriers saves nothing.
+    let doc = critpath_doc(100, 50).replace(
+        r#""free_barrier_release","saved_cycles":0,"predicted_cycles":100"#,
+        r#""free_barrier_release","saved_cycles":10,"predicted_cycles":90"#,
+    );
+    let file = fixture("critpath-barrier-what-if.json", &doc);
+    let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
+    assert_exit(
+        &out,
+        1,
+        "free_barrier_release saves 10, not the path's barrier_release",
+    );
+    let doc = critpath_doc(100, 50).replace(r#"{"name":"free_barrier_release""#, r#"{"name":"x""#);
+    let file = fixture("critpath-no-barrier-what-if.json", &doc);
+    let out = run(env!("CARGO_BIN_EXE_critpath"), &file);
+    assert_exit(&out, 1, "no free_barrier_release what-if");
 }
 
 #[test]

@@ -171,8 +171,8 @@ impl Device {
         ops::compress(&self.spec, &self.gm, x, mask)
     }
 
-    /// Stable radix sort (values + argsort indices), two key bits per
-    /// pass: 8 passes for fp16 keys, in one launch.
+    /// Stable radix sort (values + argsort indices), four key bits per
+    /// pass: 4 passes for fp16 keys, in one launch of 9 `SyncAll`s.
     pub fn sort<K>(&self, x: &GlobalTensor<K>, order: ops::SortOrder) -> SimResult<ops::SortRun<K>>
     where
         K: RadixKey + Element,
@@ -192,8 +192,8 @@ impl Device {
     }
 
     /// Top-p (nucleus) sampling from an fp16 probability vector: the
-    /// descending two-bit sort's launch, then one launch of the CDF scan,
-    /// the threshold count and the search (20 `SyncAll`s for fp16).
+    /// descending four-bit sort's launch, then one launch of the CDF
+    /// scan, the threshold count and the search (12 `SyncAll`s for fp16).
     pub fn top_p(
         &self,
         probs: &GlobalTensor<F16>,

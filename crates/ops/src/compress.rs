@@ -9,7 +9,7 @@
 //! elements. The paper's Fig. 10 benchmarks this against the
 //! (scalar-bound) `torch.masked_select` baseline.
 
-use crate::split::SplitStore;
+use crate::split::{Masks, SplitStore};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
@@ -54,11 +54,10 @@ pub fn compress<E: Element>(
     let (n_true, mut report) = SplitStore {
         vals: x,
         idx_in: None,
-        mask,
+        masks: Masks::Gm(mask),
         vals_out: &out,
         idx_out: None,
         false_side: false,
-        next_plane: None,
     }
     .launch(spec, gm)?;
     let values = out.slice(0, n_true)?;

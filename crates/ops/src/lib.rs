@@ -6,10 +6,10 @@
 //!   `sort()`-compatible building block).
 //! * [`compress::compress`] — **Compress/compact**: `masked_select`.
 //! * [`radix_sort::radix_sort`] — LSB radix sort (stable, values +
-//!   indices) of one split per digit, one bit per pass as in the paper
-//!   or two (a 4-way split over three digit masks per pass); supports
-//!   unsigned/signed integers and `f16` via the order-preserving
-//!   encode/decode pre/post-passes.
+//!   indices) of one split per digit, one bit per pass as in the paper,
+//!   two or four (a `2^r`-way split whose digit masks each pass makes
+//!   from the keys it loads); supports unsigned/signed integers and
+//!   `f16` via the order-preserving encode/decode pre/post-passes.
 //! * [`topk::topk`] — top-k selection as the first `k` of the descending
 //!   radix sort (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:
@@ -26,8 +26,10 @@
 //! mask and a scatter. A scatter needs only each run's count before a
 //! piece, so every split here counts instead ([`scan::MaskCounts`]):
 //! phase I reduces the mask over one equal element range per vector
-//! core, and after a `SyncAll` each vector core scatters its range from
-//! its offset, advancing each run by the count `GatherMask` returns. A
+//! core (a radix pass counts the masks of its digit, made from the keys
+//! in UB), and after a `SyncAll` each vector core scatters its range
+//! from its offset, advancing each run by the count `GatherMask`
+//! returns. A
 //! split on its own is one launch; radix sort runs all of its splits,
 //! between its encode and decode, inside one launch of its own, so a
 //! top-k is one launch. The samplers compose phases inside one launch

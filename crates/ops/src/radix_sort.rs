@@ -11,15 +11,15 @@
 //! counts the `2^r − 1` indicator masks "digit is d" (in output order;
 //! the last digit's run takes the rest) per chunk, and the scatter
 //! gathers each piece into one run per digit. `r = 2` halves the passes
-//! — 8 for fp16 keys — and with them the barriers and the key and index
-//! traffic, at three mask counts per pass.
+//! and `r = 4` halves them again — 4 for fp16 keys — and with them the
+//! barriers and the key and index traffic, at more `Compare`s per key.
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
 //! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its
-//! own: 50 launches for fp16 keys. Here those instructions run where the
-//! keys already sit in UB — the encode writes the first digit's masks,
-//! and each pass's scatter writes the masks of the next digit, permuted
-//! alongside the keys — and the whole sort is **one persistent launch**:
+//! own: 50 launches for fp16 keys. Here no mask is stored: both phases
+//! of a pass make the digit's masks from the keys they already load
+//! into UB ([`scan::Digit`]: one `And`, then one `Compare` per run), and
+//! the whole sort is **one persistent launch**:
 //!
 //! 1. the encode, then a `SyncAll`;
 //! 2. per digit, the split's phase I (the digit's mask counts), a
@@ -27,11 +27,11 @@
 //!    pass reads what every core scattered;
 //! 3. the decode.
 //!
-//! Pass `b` reads the key, index and mask buffers of parity `b % 2` and
-//! writes the other pair, and one set of counts ([`scan::MaskCounts`])
-//! serves every pass. With one-bit digits an fp16 sort runs the paper's
-//! 16 splits in 33 barriers, one launch instead of 18 separate ones;
-//! with two-bit digits it runs 8 passes in 17 barriers.
+//! Pass `b` reads the key and index buffers of parity `b % 2` and writes
+//! the other pair, and one set of counts ([`scan::MaskCounts`]) serves
+//! every pass. With one-bit digits an fp16 sort runs the paper's 16
+//! splits in 33 barriers, one launch instead of 18 separate ones; with
+//! four-bit digits it runs 4 passes in 9 barriers.
 //!
 //! Floats are supported through the pre-/post-processing encode passes
 //! (invert the MSB of non-negatives, all bits of negatives — Knuth
@@ -46,15 +46,13 @@
 //! [`split`]: crate::split::split_ind
 
 use crate::for_each_lane;
-use crate::split::{alloc_masks, NextPlane, SplitStore};
+use crate::split::{Masks, SplitStore};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
 use ascendc::vecops::Bits;
-use ascendc::{
-    launch, ChipSpec, CmpMode, Core, GlobalTensor, LocalTensor, ScratchpadKind, SimError, SimResult,
-};
+use ascendc::{launch, ChipSpec, Core, GlobalTensor, ScratchpadKind, SimError, SimResult};
 use dtypes::{Element, Numeric, RadixKey};
-use scan::{tile_spans, MaskCounts};
+use scan::{tile_spans, Digit, MaskCounts};
 use std::sync::Arc;
 
 /// Sort direction.
@@ -77,14 +75,15 @@ pub struct SortRun<K: Element> {
 }
 
 /// Key bits per radix-sort pass in `Device::sort`, `Device::top_p` and
-/// [`topk`]. The paper's sort splits on one bit per pass; two bits
-/// halve the passes and barriers and measure 1.34–1.61× faster on the
-/// 910B4 at every size of Fig. 11, for fp16 and int8 keys, and
-/// 1.44–1.51× on top-p at every vocabulary of Fig. 13 (EXPERIMENTS,
-/// "Radix digits"), so there is no size crossover.
+/// [`topk`]. The paper's sort splits on one bit per pass; four bits cut
+/// an fp16 sort to 4 passes and 9 barriers, and measure faster than two
+/// bits (and two faster than one) on the 910B4 at every size of
+/// Fig. 11, for fp16 and int8 keys, and on top-p at every vocabulary of
+/// Fig. 13 (EXPERIMENTS, "Radix digits"), so there is no size
+/// crossover.
 ///
 /// [`topk`]: crate::topk::topk
-pub const SORT_DIGIT_BITS: u32 = 2;
+pub const SORT_DIGIT_BITS: u32 = 4;
 
 /// Elements per piece in the encode and decode.
 const PIECE_CAP: usize = 2048;
@@ -92,9 +91,10 @@ const PIECE_CAP: usize = 2048;
 /// Stable radix sort of `x` (values + original indices), one split per
 /// `bits`-bit digit, as one launch on all of the chip's AI cores.
 ///
-/// `bits` is the digit width: 1, the paper's split per bit, or 2, a
-/// 4-way split over three digit masks per pass; anything else is an
-/// [`SimError::InvalidArgument`].
+/// `bits` is the digit width: 1, the paper's split per bit, 2 or 4, a
+/// `2^bits`-way split per pass; anything else is an
+/// [`SimError::InvalidArgument`]. Each width divides every key width
+/// into an even number of passes.
 pub fn radix_sort<K>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
@@ -106,9 +106,9 @@ where
     K: RadixKey + Element,
     K::Encoded: Element + Bits + Numeric,
 {
-    if !matches!(bits, 1 | 2) {
+    if !matches!(bits, 1 | 2 | 4) {
         return Err(SimError::InvalidArgument(format!(
-            "radix_sort: {bits} bits per pass, expected 1 or 2"
+            "radix_sort: {bits} bits per pass, expected 1, 2 or 4"
         )));
     }
     let n = x.len();
@@ -123,8 +123,7 @@ where
     }
 
     // Ping-pong buffers: pass `b` reads side `b % 2` and writes the
-    // other, so the kernel needs no per-block state. Each mask buffer
-    // holds a pass's digit masks back to back.
+    // other, so the kernel needs no per-block state.
     let keys = [
         GlobalTensor::<K::Encoded>::new(gm, n)?,
         GlobalTensor::<K::Encoded>::new(gm, n)?,
@@ -133,56 +132,39 @@ where
     // writes side 0: the caller's `indices` serve as that side's index
     // buffer.
     let idx = [indices.clone(), GlobalTensor::<u32>::new(gm, n)?];
-    // One mask per digit but the last.
-    let per_pass = (1 << bits) - 1;
-    let masks = [
-        GlobalTensor::<u8>::new(gm, per_pass * n)?,
-        GlobalTensor::<u8>::new(gm, per_pass * n)?,
-    ];
-    // One set of mask counts serves all of the passes.
-    let counts = MaskCounts::new("RadixSort", spec, gm, n, per_pass)?;
-    let encode = Codec::encode::<K>(spec, n, per_pass)?;
-    let decode = Codec::decode::<K>(spec, n)?;
+    // Each pass's digit, its runs in output order: ascending sorts put
+    // small digits first, descending sorts large ones.
+    let mut runs: Vec<u32> = (0..1 << bits).collect();
+    if order == SortOrder::Descending {
+        runs.reverse();
+    }
     let passes = K::BITS / bits;
+    let digits = (0..passes)
+        .map(|pass| Digit::<K::Encoded>::new(pass * bits, &runs))
+        .collect::<SimResult<Vec<_>>>()?;
+    // One set of counts, one per digit but the last, serves every pass.
+    let counts = MaskCounts::new("RadixSort", spec, gm, n, runs.len() - 1)?;
+    let encode = Codec::encode::<K>(spec, n)?;
+    let decode = Codec::decode::<K>(spec, n)?;
 
     let mut report = launch(spec, gm, spec.ai_cores, "RadixSort", |ctx| {
-        // Encode keys, materialize indices, the first digit's masks.
+        // Encode keys, materialize indices.
         let span = ctx.span_begin("Encode");
         for_each_lane(ctx, encode.spans.iter(), |vc, _, mine| {
-            encode_lane::<K>(
-                vc,
-                encode.piece,
-                mine,
-                x,
-                &keys[0],
-                &idx[0],
-                &masks[0],
-                order,
-            )
+            encode_lane::<K>(vc, encode.piece, mine, x, &keys[0], &idx[0])
         })?;
         ctx.span_end(span);
         ctx.sync_all()?;
-        // One split per digit; each scatter emits the next digit's masks.
-        for pass in 0..passes {
-            let (from, to) = ((pass % 2) as usize, (1 - pass % 2) as usize);
-            let last = pass + 1 == passes;
-            let next = (pass + 1) * bits;
-            let compute =
-                move |vc: &mut Core<'_>,
-                      keys: &mut LocalTensor<K::Encoded>,
-                      mk: &mut [LocalTensor<u8>],
-                      len| { plane_mask(vc, keys, mk, len, next, order) };
+        // One split per digit.
+        for (pass, digit) in digits.iter().enumerate() {
+            let (from, to) = (pass % 2, 1 - pass % 2);
             let store = SplitStore::<K::Encoded> {
                 vals: &keys[from],
                 idx_in: Some(&idx[from]),
-                mask: &masks[from],
+                masks: Masks::Digit(digit),
                 vals_out: &keys[to],
                 idx_out: Some(&idx[to]),
                 false_side: true,
-                next_plane: (!last).then_some(NextPlane {
-                    out: &masks[to],
-                    compute: &compute,
-                }),
             };
             store.pass(ctx, &counts)?;
             // The next pass (or the decode) reads what every core
@@ -216,11 +198,9 @@ struct Codec {
 }
 
 impl Codec {
-    /// The encode's pieces: raw key, encoded key, index and `masks`
-    /// digit masks per element.
-    fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize, masks: usize) -> SimResult<Self> {
-        let per_elem = K::SIZE + std::mem::size_of::<K::Encoded>() + 4 + masks;
-        Self::new(spec, n, per_elem)
+    /// The encode's pieces: raw key, encoded key and index per element.
+    fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> SimResult<Self> {
+        Self::new(spec, n, K::SIZE + std::mem::size_of::<K::Encoded>() + 4)
     }
 
     /// The decode's pieces: encoded and decoded key per element.
@@ -238,10 +218,8 @@ impl Codec {
 }
 
 /// One vector core's share of the encode: for each of its `(offset,
-/// len)` pieces, the order-preserving encode of `x` into `keys`, the
-/// index ramp into `idx` and the split masks of the lowest digit into
-/// `mask` (as many as it holds per key, back to back).
-#[allow(clippy::too_many_arguments)]
+/// len)` pieces, the order-preserving encode of `x` into `keys` and the
+/// index ramp into `idx`.
 fn encode_lane<'p, K>(
     vc: &mut Core<'_>,
     piece: usize,
@@ -249,66 +227,24 @@ fn encode_lane<'p, K>(
     x: &GlobalTensor<K>,
     keys: &GlobalTensor<K::Encoded>,
     idx: &GlobalTensor<u32>,
-    mask: &GlobalTensor<u8>,
-    order: SortOrder,
 ) -> SimResult<()>
 where
     K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
+    K::Encoded: Element,
 {
-    let n = x.len();
-    let masks = mask.len() / n.max(1);
     let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
     let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
     let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
-    let mut mk = alloc_masks(vc, masks, piece)?;
     for &(off, valid) in mine {
         vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
         vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
         vc.copy_out(keys, off, &enc, 0, valid, &[])?;
         vc.viota(&mut ramp, 0, valid, off as u32)?;
         vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
-        plane_mask(vc, &mut enc, &mut mk, valid, 0, order)?;
-        for (d, m) in mk.iter().enumerate() {
-            vc.copy_out(mask, d * n + off, m, 0, valid, &[])?;
-        }
     }
     vc.free_local(raw)?;
     vc.free_local(enc)?;
-    vc.free_local(ramp)?;
-    for m in mk {
-        vc.free_local(m)?;
-    }
-    Ok(())
-}
-
-/// Writes the split masks of the digit at bit `bit` of `keys[..len]` —
-/// `masks.len() + 1` values wide, so one mask per digit but the last,
-/// in output order — into `masks` (`ShiftRight` + `And` + one `Compare`
-/// per mask), clobbering `keys`. Ascending sorts put small digits first,
-/// descending sorts large ones.
-fn plane_mask<T: Bits + Numeric>(
-    vc: &mut Core<'_>,
-    keys: &mut LocalTensor<T>,
-    masks: &mut [LocalTensor<u8>],
-    len: usize,
-    bit: u32,
-    order: SortOrder,
-) -> SimResult<()> {
-    if bit > 0 {
-        vc.vshr(keys, 0, len, bit)?;
-    }
-    let top = masks.len();
-    vc.vand_scalar(keys, 0, len, T::from_f64(top as f64))?;
-    for (i, mask) in masks.iter_mut().enumerate() {
-        let digit = match order {
-            SortOrder::Ascending => i,
-            SortOrder::Descending => top - i,
-        };
-        let digit = T::from_f64(digit as f64);
-        vc.vcompare_scalar(mask, keys, 0, len, CmpMode::Eq, digit, 0)?;
-    }
-    Ok(())
+    vc.free_local(ramp)
 }
 
 /// One vector core's share of the decode: each of its `(offset, len)`
@@ -446,14 +382,14 @@ pub(crate) mod tests {
     fn int8_sort_uses_half_the_passes() {
         // The paper's future-work claim: 8-bit keys need 8 splits, so
         // low-precision sorting is ~2x cheaper. Two-bit digits halve the
-        // passes again.
+        // passes again, and four-bit digits once more.
         let (spec, gm) = setup();
         let mut rng = StdRng::seed_from_u64(6);
         let data: Vec<i8> = (0..1500).map(|_| rng.gen()).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
         let mut expect = data.clone();
         expect.sort_unstable();
-        for (bits, passes) in [(BIT, 8), (2, 4)] {
+        for (bits, passes) in [(BIT, 8), (2, 4), (4, 2)] {
             let (run, profile) = with_profiling(&gm, || {
                 radix_sort(&spec, &gm, &x, bits, SortOrder::Ascending).unwrap()
             });
@@ -516,10 +452,31 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn digit_widths_other_than_one_or_two_are_refused() {
+    fn four_bit_digits_halve_the_passes_again() {
+        // fp16 sort with four-bit digits = 4 passes, each one phase I
+        // over fifteen digit masks made from the keys, in one launch of
+        // 9 barriers.
+        let (spec, gm) = crate::tests::tiny_with_cores(1);
+        let data: Vec<F16> = (0..100)
+            .map(|i| F16::from_f32((i * 37 % 100) as f32 - 50.0))
+            .collect();
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        let (run, profile) = with_profiling(&gm, || {
+            radix_sort(&spec, &gm, &x, 4, SortOrder::Descending).unwrap()
+        });
+        let mut expect = data.clone();
+        expect.sort_by(|a, b| b.total_cmp(a));
+        assert_eq!(run.values.to_vec(), expect);
+        assert_eq!(crate::tests::scans(&profile), 4);
+        assert_eq!(profile.kernels.len(), 1);
+        assert_eq!(run.report.sync_rounds, 9);
+    }
+
+    #[test]
+    fn digit_widths_other_than_one_two_or_four_are_refused() {
         let (spec, gm) = setup();
         let x = GlobalTensor::from_slice(&gm, &[3u16, 1, 2]).unwrap();
-        for bits in [0, 3, 4, 16] {
+        for bits in [0, 3, 5, 8, 16] {
             let err = radix_sort(&spec, &gm, &x, bits, SortOrder::Ascending).err();
             assert!(
                 matches!(err, Some(SimError::InvalidArgument(_))),
@@ -571,8 +528,8 @@ pub(crate) mod tests {
     }
 
     /// Sorts keys of every length around a split piece inside a chunk
-    /// (plus `extra`) both ways on one AI core, with one- and two-bit
-    /// digits, and checks values and argsort against the host.
+    /// (plus `extra`) both ways on one AI core, with one-, two- and
+    /// four-bit digits, and checks values and argsort against the host.
     fn check_sorts<K>(
         seed: u64,
         extra: usize,
@@ -585,11 +542,8 @@ pub(crate) mod tests {
     {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let mut rng = StdRng::seed_from_u64(seed);
-        for bits in [BIT, 2] {
-            let masks = (1 << bits) - 1;
-            let key = std::mem::size_of::<K::Encoded>();
-            let p =
-                split::tests::store_piece(&spec, split::piece_bytes(key, masks, true, true, true));
+        let p = split::tests::sort_piece(&spec, std::mem::size_of::<K::Encoded>());
+        for bits in [BIT, 2, 4] {
             // Over the two vector cores, 2p ± 1 keys put a piece
             // boundary at or just past the end of the first chunk.
             for n in [0, 1, 2 * p - 1, 2 * p + 1, extra] {

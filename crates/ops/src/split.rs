@@ -17,9 +17,13 @@
 //!    the same way. Original indices are materialized with
 //!    `CreateVecIndex` and gathered alongside the values.
 //!
-//! The same walk over `2^r − 1` masks is the `2^r`-way split of an
-//! `r`-bit radix-sort pass: each piece's elements go to one run per
-//! mask, the unmasked ones to the last run.
+//! The same walk over `2^r` runs is the `2^r`-way split of an `r`-bit
+//! radix-sort pass, whose masks are not stored but made from the keys
+//! ([`scan::Digit`]): phase I isolates each piece's digit with one `And`
+//! and counts a `Compare` per run but the last
+//! ([`MaskCounts::reduce_digits`]), and the scatter isolates the digit
+//! again and makes each run's mask, the last one's too, with one
+//! `Compare` into one mask buffer.
 //!
 //! After each chunk walk the host checks it against phase I, at no
 //! simulated cost: every run advanced by its mask's count in `r` (the
@@ -34,7 +38,7 @@ use ascendc::{
     ScratchpadKind, SimError, SimResult, SpanArgs,
 };
 use dtypes::Element;
-use scan::{tile_spans, Chunk, MaskCounts};
+use scan::{tile_spans, Chunk, Digit, MaskCounts};
 use std::sync::Arc;
 
 /// Result of [`split_ind`].
@@ -81,11 +85,10 @@ pub fn split_ind<E: Element>(
     let (n_true, mut report) = SplitStore {
         vals: x,
         idx_in: None,
-        mask,
+        masks: Masks::Gm(mask),
         vals_out: &values,
         idx_out: Some(&indices),
         false_side: true,
-        next_plane: None,
     }
     .launch(spec, gm)?;
     report.name = "SplitInd".into();
@@ -99,48 +102,37 @@ pub fn split_ind<E: Element>(
     })
 }
 
-/// Writes the split masks for `keys[..len]` into `masks` (one per mask
-/// the next pass counts); may clobber `keys`.
-pub(crate) type PlaneMaskFn<E> = dyn Fn(&mut Core<'_>, &mut LocalTensor<E>, &mut [LocalTensor<u8>], usize) -> SimResult<()>
-    + Sync;
-
-/// The split masks a radix-sort pass hands to the next pass, computed by
-/// the [`SplitStore`] from the keys it already holds in UB.
-pub(crate) struct NextPlane<'a, E: Element> {
-    /// Where the scattered masks go, back to back like the store's own
-    /// (aligned with the scattered values).
-    pub out: &'a GlobalTensor<u8>,
-    /// Computes the masks from a piece of keys.
-    pub compute: &'a PlaneMaskFn<E>,
+/// Where a split's masks come from.
+pub(crate) enum Masks<'a, E: Element> {
+    /// One byte mask of `vals.len()` elements in GM: a non-zero byte
+    /// selects the first run (SplitInd's true side).
+    Gm(&'a GlobalTensor<u8>),
+    /// A radix digit of the values: run `r` takes the values whose digit
+    /// is the digit's `r`-th. Only a split with a false side takes one:
+    /// phase I counts every run but the last.
+    Digit(&'a Digit<E>),
 }
 
 /// Every split — SplitInd, Compress, the radix-sort passes:
 /// distributes elements (and optionally their indices) into one run per
-/// mask, after the totals of the runs before it, and — when
-/// `false_side` is set — the elements no mask selects into a last run
-/// after them. With one mask the runs are SplitInd's true and false
-/// partitions.
+/// counted mask, after the totals of the runs before it, and — when
+/// `false_side` is set — the elements no counted mask selects into a
+/// last run after them. With a stored mask the runs are SplitInd's true
+/// and false partitions; with a digit, one run per digit value.
 ///
-/// `mask`: the masks of `vals.len()` elements each, back to back; mask
-/// `d` selects run `d`, and no element is in two of them.
+/// `masks`: where the runs' masks come from (see [`Masks`]).
 ///
 /// `idx_in`: `None` materializes fresh indices (`CreateVecIndex`);
 /// `Some(t)` gathers from an existing index array (radix-sort passes
 /// permute previously-permuted indices). Without `idx_out` no indices
 /// are touched.
-///
-/// `next_plane`: `Some` also derives the next radix pass's split masks
-/// from the values each piece already holds in UB and scatters them with
-/// the same run masks, so the masks land aligned with the permuted
-/// values; `None` leaves the split plain.
 pub(crate) struct SplitStore<'a, E: Element> {
     pub vals: &'a GlobalTensor<E>,
     pub idx_in: Option<&'a GlobalTensor<u32>>,
-    pub mask: &'a GlobalTensor<u8>,
+    pub masks: Masks<'a, E>,
     pub vals_out: &'a GlobalTensor<E>,
     pub idx_out: Option<&'a GlobalTensor<u32>>,
     pub false_side: bool,
-    pub next_plane: Option<NextPlane<'a, E>>,
 }
 
 impl<E: Element> SplitStore<'_, E> {
@@ -163,7 +155,10 @@ impl<E: Element> SplitStore<'_, E> {
     /// chunk.
     pub(crate) fn pass(&self, ctx: &mut BlockCtx<'_>, counts: &MaskCounts) -> SimResult<()> {
         let phase = ctx.span_begin("Phase I");
-        counts.reduce(ctx, self.mask)?;
+        match self.masks {
+            Masks::Gm(mask) => counts.reduce(ctx, mask)?,
+            Masks::Digit(digit) => counts.reduce_digits(ctx, self.vals, digit)?,
+        }
         ctx.span_end(phase);
         ctx.sync_all()?;
         let phase = ctx.span_begin("Phase II");
@@ -175,14 +170,16 @@ impl<E: Element> SplitStore<'_, E> {
 
     /// How many masks the split counts.
     fn masks(&self) -> usize {
-        self.mask.len() / self.vals.len().max(1)
+        match self.masks {
+            Masks::Gm(_) => 1,
+            Masks::Digit(digit) => digit.runs() - 1,
+        }
     }
 
     /// Phase II on the vector core that owns `chunk`: walks the chunk
     /// piece by piece, gathering each run's elements into place and
     /// advancing the run by the gathered count, then checks the walk.
     fn scatter(&self, vc: &mut Core<'_>, chunk: &Chunk, counts: &MaskCounts) -> SimResult<()> {
-        let n = self.vals.len();
         let mut b = self.open(vc, chunk.range.len())?;
         let mut runs = self.runs(chunk);
         let begin: Vec<usize> = runs.iter().map(|run| run.at).collect();
@@ -190,8 +187,8 @@ impl<E: Element> SplitStore<'_, E> {
             let off = chunk.range.start + off;
             let piece = vc.span_begin("tile");
             let mut done = vc.copy_in(&mut b.val_in, 0, self.vals, off, valid, &[])?;
-            for (d, mk) in b.mk.iter_mut().enumerate() {
-                done = done.max(vc.copy_in(mk, 0, self.mask, d * n + off, valid, &[])?);
+            if let Masks::Gm(mask) = self.masks {
+                done = done.max(vc.copy_in(&mut b.mk, 0, mask, off, valid, &[])?);
             }
             if let Some((idx_buf, _)) = &mut b.idx {
                 done = done.max(match self.idx_in {
@@ -199,37 +196,31 @@ impl<E: Element> SplitStore<'_, E> {
                     None => vc.viota(idx_buf, 0, valid, off as u32)?,
                 });
             }
-            // The last run's mask: what no mask selects.
-            if let Some(mk_neg) = &mut b.mk_neg {
-                vc.vcompare_scalar(mk_neg, &b.mk[0], 0, valid, CmpMode::Eq, 0u8, 0)?;
-                for mk in &b.mk[1..] {
-                    vc.vsub_inplace(mk_neg, 0, mk, 0, valid)?;
-                }
+            if let (Masks::Digit(digit), Some(dig)) = (&self.masks, &mut b.dig) {
+                digit.isolate(vc, dig, &b.val_in, valid)?;
+            } else if let Some(mk_neg) = &mut b.mk_neg {
+                // The false run's mask: what the mask does not select.
+                vc.vcompare_scalar(mk_neg, &b.mk, 0, valid, CmpMode::Eq, 0u8, 0)?;
             }
-            let masks: Vec<&LocalTensor<u8>> = b.mk.iter().chain(&b.mk_neg).collect();
 
             let mut gathered = Vec::with_capacity(runs.len());
-            for (run, mk) in runs.iter().zip(&masks) {
+            for (r, run) in runs.iter().enumerate() {
+                let mk = match (&self.masks, &b.dig, &b.mk_neg) {
+                    (Masks::Digit(digit), Some(dig), _) => {
+                        digit.select(vc, &mut b.mk, dig, valid, r)?;
+                        &b.mk
+                    }
+                    (_, _, Some(mk_neg)) if r == 1 => mk_neg,
+                    _ => &b.mk,
+                };
                 let (c, ready, ev) =
-                    run.scatter(vc, &mut b.val_gath, &b.val_in, mk, valid, self.vals_out, 0)?;
+                    run.scatter(vc, &mut b.val_gath, &b.val_in, mk, valid, self.vals_out)?;
                 // The count addresses the run's next store.
                 gathered.push((c, vc.gather_count(ready, run.ready)?));
                 done = done.max(ev);
                 if let (Some(outi), Some((idx_buf, idx_gath))) = (self.idx_out, &mut b.idx) {
-                    let (_, _, ev) = run.scatter(vc, idx_gath, idx_buf, mk, valid, outi, 0)?;
+                    let (_, _, ev) = run.scatter(vc, idx_gath, idx_buf, mk, valid, outi)?;
                     done = done.max(ev);
-                }
-            }
-
-            // Next plane: every run has consumed `val_in`, so the mask
-            // computation may clobber it.
-            if let (Some(np), Some((nm, nm_gath))) = (&self.next_plane, &mut b.plane) {
-                (np.compute)(vc, &mut b.val_in, nm, valid)?;
-                for (e, m) in nm.iter().enumerate() {
-                    for (run, mk) in runs.iter().zip(&masks) {
-                        let (_, _, ev) = run.scatter(vc, nm_gath, m, mk, valid, np.out, e * n)?;
-                        done = done.max(ev);
-                    }
                 }
             }
 
@@ -237,17 +228,15 @@ impl<E: Element> SplitStore<'_, E> {
             for (run, (c, ready)) in runs.iter_mut().zip(gathered) {
                 (run.at, run.ready, kept) = (run.at + c, ready, kept + c);
             }
-            // Reads: values, masks and input indices of every element;
-            // writes: value, index and next-plane masks of every kept one.
+            // Reads: values, the stored mask and input indices of every
+            // element; writes: value and index of every kept one.
+            let mask_in = match self.masks {
+                Masks::Gm(_) => 1,
+                Masks::Digit(_) => 0,
+            };
             let idx_in = if self.idx_in.is_some() { 4 } else { 0 };
             let idx_out = if self.idx_out.is_some() { 4 } else { 0 };
-            let plane = if self.next_plane.is_some() {
-                b.mk.len()
-            } else {
-                0
-            };
-            let bytes =
-                valid * (E::SIZE + b.mk.len() + idx_in) + kept * (E::SIZE + idx_out + plane);
+            let bytes = valid * (E::SIZE + mask_in + idx_in) + kept * (E::SIZE + idx_out);
             vc.span_args(
                 piece,
                 SpanArgs {
@@ -328,36 +317,35 @@ impl<E: Element> SplitStore<'_, E> {
         Ok(())
     }
 
+    /// UB bytes per element the split's masks take in a piece: the
+    /// stored mask and the false side's, or the isolated digits and one
+    /// run mask.
+    fn mask_bytes(&self) -> usize {
+        match self.masks {
+            Masks::Gm(_) => 1 + usize::from(self.false_side),
+            Masks::Digit(_) => E::SIZE + 1,
+        }
+    }
+
     /// One vector core's split buffers for a chunk of `len` elements.
     fn open(&self, vc: &mut Core<'_>, len: usize) -> SimResult<SplitBufs<E>> {
-        let masks = self.masks();
-        let bytes = piece_bytes(
-            E::SIZE,
-            masks,
-            self.false_side,
-            self.idx_out.is_some(),
-            self.next_plane.is_some(),
-        );
+        let bytes = piece_bytes(E::SIZE, self.mask_bytes(), self.idx_out.is_some());
         let ub_left = vc.spec().ub_capacity - vc.scratch_in_use(ScratchpadKind::Ub);
         let p = piece_len(ub_left, bytes)?.min(len);
         let val_in = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
         let val_gath = vc.alloc_local::<E>(ScratchpadKind::Ub, p)?;
-        let mk = alloc_masks(vc, masks, p)?;
-        let mk_neg = match self.false_side {
-            true => Some(vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?),
-            false => None,
+        let mk = vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?;
+        let (mk_neg, dig) = match self.masks {
+            Masks::Gm(_) if self.false_side => {
+                (Some(vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?), None)
+            }
+            Masks::Gm(_) => (None, None),
+            Masks::Digit(_) => (None, Some(vc.alloc_local::<E>(ScratchpadKind::Ub, p)?)),
         };
         let idx = match self.idx_out {
             Some(_) => Some((
                 vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?,
                 vc.alloc_local::<u32>(ScratchpadKind::Ub, p)?,
-            )),
-            None => None,
-        };
-        let plane = match self.next_plane {
-            Some(_) => Some((
-                alloc_masks(vc, masks, p)?,
-                vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?,
             )),
             None => None,
         };
@@ -367,18 +355,15 @@ impl<E: Element> SplitStore<'_, E> {
             val_gath,
             mk,
             mk_neg,
+            dig,
             idx,
-            plane,
         })
     }
 
     /// Frees one vector core's buffers.
     fn close(&self, vc: &mut Core<'_>, b: SplitBufs<E>) -> SimResult<()> {
-        if let Some((nm, nm_gath)) = b.plane {
-            for m in nm {
-                vc.free_local(m)?;
-            }
-            vc.free_local(nm_gath)?;
+        if let Some(dig) = b.dig {
+            vc.free_local(dig)?;
         }
         if let Some((idx_buf, idx_gath)) = b.idx {
             vc.free_local(idx_buf)?;
@@ -389,29 +374,14 @@ impl<E: Element> SplitStore<'_, E> {
         }
         vc.free_local(b.val_in)?;
         vc.free_local(b.val_gath)?;
-        for mk in b.mk {
-            vc.free_local(mk)?;
-        }
-        Ok(())
+        vc.free_local(b.mk)
     }
 }
 
-/// UB bytes per element of a split piece over `masks` masks: value in +
-/// gathered, the masks (and the last run's mask for the false side),
-/// index in + gathered, and the next plane's masks and one gathered
-/// copy.
-pub(crate) fn piece_bytes(
-    elem_size: usize,
-    masks: usize,
-    false_side: bool,
-    indices: bool,
-    next_plane: bool,
-) -> usize {
-    2 * elem_size
-        + masks
-        + usize::from(false_side)
-        + if indices { 8 } else { 0 }
-        + if next_plane { masks + 1 } else { 0 }
+/// UB bytes per element of a split piece whose masks take `mask_bytes`:
+/// value in + gathered, the masks, and index in + gathered.
+pub(crate) fn piece_bytes(elem_size: usize, mask_bytes: usize, indices: bool) -> usize {
+    2 * elem_size + mask_bytes + if indices { 8 } else { 0 }
 }
 
 /// Elements per piece of a split needing `bytes_per_elem` UB bytes per
@@ -440,9 +410,8 @@ struct Run {
 
 impl Run {
     /// Gathers the elements of `src[..len]` under `mask` into `gath` and
-    /// stores them at `dst[shift + self.at..]`. Returns the count, the
-    /// gather's completion and the store's (0 when nothing was gathered).
-    #[allow(clippy::too_many_arguments)]
+    /// stores them at `dst[self.at..]`. Returns the count, the gather's
+    /// completion and the store's (0 when nothing was gathered).
     fn scatter<T: Element>(
         &self,
         vc: &mut Core<'_>,
@@ -451,37 +420,28 @@ impl Run {
         mask: &LocalTensor<u8>,
         len: usize,
         dst: &GlobalTensor<T>,
-        shift: usize,
     ) -> SimResult<(usize, EventTime, EventTime)> {
         let (count, gathered) = vc.gather_mask(gath, src, mask, 0, len)?;
         let done = match count {
             0 => 0,
-            _ => vc.copy_out(dst, shift + self.at, gath, 0, count, &[self.ready])?,
+            _ => vc.copy_out(dst, self.at, gath, 0, count, &[self.ready])?,
         };
         Ok((count, gathered, done))
     }
 }
 
-/// One vector core's split buffers; `p` elements each.
+/// One vector core's split buffers; `p` elements each. A split over a
+/// stored mask holds it in `mk` and the false side's in `mk_neg`; a
+/// digit split holds the isolated digits in `dig` and one run's mask at
+/// a time in `mk`.
 struct SplitBufs<E: Element> {
     p: usize,
     val_in: LocalTensor<E>,
     val_gath: LocalTensor<E>,
-    mk: Vec<LocalTensor<u8>>,
+    mk: LocalTensor<u8>,
     mk_neg: Option<LocalTensor<u8>>,
+    dig: Option<LocalTensor<E>>,
     idx: Option<(LocalTensor<u32>, LocalTensor<u32>)>,
-    plane: Option<(Vec<LocalTensor<u8>>, LocalTensor<u8>)>,
-}
-
-/// `count` UB masks of `len` elements each.
-pub(crate) fn alloc_masks(
-    vc: &mut Core<'_>,
-    count: usize,
-    len: usize,
-) -> SimResult<Vec<LocalTensor<u8>>> {
-    (0..count)
-        .map(|_| vc.alloc_local::<u8>(ScratchpadKind::Ub, len))
-        .collect()
 }
 
 /// Reference split used in tests: stable partition with indices.
@@ -515,6 +475,13 @@ pub(crate) mod tests {
     /// II has all of UB.
     pub(crate) fn store_piece(spec: &ChipSpec, bytes_per_elem: usize) -> usize {
         piece_len(spec.ub_capacity, bytes_per_elem).unwrap()
+    }
+
+    /// Elements per scatter piece of a radix-sort pass over keys of
+    /// `key_size` bytes, whatever the digit width: the isolated digits
+    /// and one run mask next to the keys and indices.
+    pub(crate) fn sort_piece(spec: &ChipSpec, key_size: usize) -> usize {
+        store_piece(spec, piece_bytes(key_size, key_size + 1, true))
     }
 
     fn setup() -> (ChipSpec, Arc<GlobalMemory>) {
@@ -619,7 +586,7 @@ pub(crate) mod tests {
             ..ChipSpec::tiny()
         };
         let gm = Arc::new(GlobalMemory::new(spec.hbm_capacity));
-        assert_eq!(piece_bytes(2, 1, true, true, false), 14);
+        assert_eq!(piece_bytes(2, 2, true), 14);
         let x = GlobalTensor::from_slice(&gm, &[1u16; 300]).unwrap();
         let m = GlobalTensor::from_slice(&gm, &[1u8; 300]).unwrap();
         let err = split_ind(&spec, &gm, &x, &m).err();
@@ -632,7 +599,7 @@ pub(crate) mod tests {
         );
     }
 
-    /// Split and compress of `data` by `mask`, both sort widths and
+    /// Split and compress of `data` by `mask`, every sort width and
     /// top-k of `data` on the tiny chip cut to `ai_cores` AI cores,
     /// checked bit for bit against the host.
     fn check_fused(data: &[u32], mask: &[u8], ai_cores: u32) {
@@ -650,7 +617,7 @@ pub(crate) mod tests {
         assert_eq!(comp.values.to_vec(), &ev[..ent], "{case}");
     }
 
-    /// Both sort widths and top-k of `data` on the tiny chip cut to
+    /// Every sort width and top-k of `data` on the tiny chip cut to
     /// `ai_cores` AI cores, checked against the host: the stable argsort,
     /// and the top half as a set.
     fn check_sort_and_topk(data: &[u32], ai_cores: u32) {
@@ -660,7 +627,7 @@ pub(crate) mod tests {
         let x = GlobalTensor::from_slice(&gm, data).unwrap();
         let mut idx: Vec<u32> = (0..data.len() as u32).collect();
         idx.sort_by_key(|&i| data[i as usize]);
-        for bits in [1, 2] {
+        for bits in [1, 2, 4] {
             let run = radix_sort(&spec, &gm, &x, bits, SortOrder::Ascending).unwrap();
             assert_eq!(run.indices.to_vec(), idx, "{case}, {bits} bits");
         }
@@ -681,8 +648,8 @@ pub(crate) mod tests {
         // before and just after a chunk's end, and n below the 2 or 4
         // vector cores leaves trailing chunks empty.
         let (spec, _) = setup();
-        let split_p = store_piece(&spec, piece_bytes(4, 1, true, true, false));
-        let compress_p = store_piece(&spec, piece_bytes(4, 1, false, false, false));
+        let split_p = store_piece(&spec, piece_bytes(4, 2, true));
+        let compress_p = store_piece(&spec, piece_bytes(4, 1, false));
         assert!(split_p < compress_p, "{split_p} {compress_p}");
         let mut lengths = vec![1, 2, 3, 5];
         for p in [split_p, compress_p] {
@@ -702,10 +669,9 @@ pub(crate) mod tests {
                 }
             }
         }
-        // The sorts and top-k (one-bit passes; two-bit pieces are no
-        // longer) around their own pieces and chunks.
-        let p = store_piece(&spec, piece_bytes(4, 1, true, true, true));
-        assert_eq!(p, store_piece(&spec, piece_bytes(4, 3, true, true, true)));
+        // The sorts (every digit width takes the same pieces) and top-k
+        // around their own pieces and chunks.
+        let p = sort_piece(&spec, 4);
         for n in [
             1,
             3,

@@ -4,7 +4,7 @@
 //! [`SORT_DIGIT_BITS`]-bit digits and returns its first `k` values and
 //! indices: largest first, equal keys by lower index (`torch.topk`'s
 //! `sorted=True` order). For fp16 keys that is one `RadixSort` launch
-//! of 17 barriers at every `k`.
+//! of 9 barriers at every `k`.
 //!
 //! The paper builds top-k from SplitInd as a bitwise partial
 //! quickselect, which needs the host to read each pass's true count
@@ -157,10 +157,7 @@ mod tests {
         K::Encoded: Element + Bits + Numeric,
     {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
-        let masks = (1 << SORT_DIGIT_BITS) - 1;
-        let per_elem =
-            split::piece_bytes(std::mem::size_of::<K::Encoded>(), masks, true, true, true);
-        let p = split::tests::store_piece(&spec, per_elem);
+        let p = split::tests::sort_piece(&spec, std::mem::size_of::<K::Encoded>());
         let mut rng = StdRng::seed_from_u64(seed);
         for n in [2 * p - 1, 2 * p, 2 * p + 1] {
             let data = keys::<K>(&mut rng, n, specials);

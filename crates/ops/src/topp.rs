@@ -10,8 +10,9 @@
 //!
 //! 1. the descending [`radix_sort`] of the probabilities, one launch:
 //!    splits that count their masks and scatter on every vector core —
-//!    16 one-bit passes for fp16 in the paper's accounting, 8 two-bit
-//!    passes (three mask counts each) as `Device::top_p` runs it;
+//!    16 one-bit passes for fp16 in the paper's accounting, 4 four-bit
+//!    passes (fifteen mask counts each, the masks made from the keys)
+//!    as `Device::top_p` runs it;
 //! 2. one `TopP` launch of three phases:
 //!    - the inclusive MCScan of the sorted probabilities
 //!      ([`McLayout::scan`]: phase I, a `SyncAll`, phase II), then a

@@ -1,7 +1,7 @@
 //! Robustness of the split-based operators of the `ops` crate.
 //!
 //! `split_ind`, `compress`, `radix_sort`, `topk` and `top_p_sample` (the
-//! sort and top-p with one- and two-bit sort digits) run on the tiny
+//! sort and top-p with one-, two- and four-bit sort digits) run on the tiny
 //! chip and odd variants of it (a 2 KB UB, one AI core, one vector core
 //! per AI core) at lengths around the row (`s`) and tile (`ℓ = s²`)
 //! boundaries of top-p's CDF scan. Each call must return either the
@@ -162,7 +162,7 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
         },
         || compress(spec, &gm, &x, &m).map(|r| r.values.to_vec()),
     );
-    for bits in [1, 2] {
+    for bits in [1, 2, 4] {
         findings.check(
             &case(&format!("radix_sort ({bits}-bit digits)")),
             || host_sort(&keys),
@@ -186,7 +186,7 @@ fn run_operators(findings: &mut Findings, chip: &str, spec: &ChipSpec, s: usize,
             })
         },
     );
-    for bits in [1, 2] {
+    for bits in [1, 2, 4] {
         findings.check(
             &case(&format!("top_p_sample ({bits}-bit sort digits)")),
             || host_top_p(&weights, 0.5, 0.5),
@@ -279,17 +279,17 @@ fn every_operator_returns_the_reference_or_a_typed_error() {
         findings.violations.join("\n")
     );
     // Pins which inputs the operators accept: a change that makes one
-    // refuse (or newly run) any of these calls moves the count. The 158
-    // refusals: `topk` and both `top_p_sample`s of nothing on every chip
-    // and `s` (30), both `top_p_sample`s of something at s = 32 on the
-    // 2 KB UB, whose CDF MCScan's 4 KB propagation buffer does not fit
-    // (16), and on the chip without vector cores every call that
-    // launches (112: only the empty split, compress and both sorts at
+    // refuse (or newly run) any of these calls moves the count. The 208
+    // refusals: `topk` and the three `top_p_sample`s of nothing on every
+    // chip and `s` (40), the three `top_p_sample`s of something at s = 32
+    // on the 2 KB UB, whose CDF MCScan's 4 KB propagation buffer does not
+    // fit (24), and on the chip without vector cores every call that
+    // launches (144: only the empty split, compress and three sorts at
     // both `s` launch nothing and run). The splits, sorts and top-k take
     // no `s` and run on the 2 KB UB: they need no propagation buffers.
     assert_eq!(
         (findings.calls, findings.accepted),
-        (630, 472),
+        (810, 602),
         "(calls, calls that ran to a result)"
     );
 }
@@ -326,9 +326,8 @@ fn every_baseline_returns_the_reference_or_a_typed_error() {
 fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     // One AI core with a 13 B UB: a split's phase I (9 B for one-element
     // pieces) and offset read (8 B) fit, but one element of the u16
-    // split's scatter needs 14 B, of the one-bit sort's 16 B and of
-    // top-k's two-bit sort 20 B (their encodes, which run first, refuse
-    // already). Compress's scatter needs 5 B per element, so it runs,
+    // split's scatter needs 14 B, and of a sort's 15 B at every digit
+    // width (their encodes, which run first, refuse already). Compress's scatter needs 5 B per element, so it runs,
     // one element per piece.
     let spec = ChipSpec {
         ai_cores: 1,

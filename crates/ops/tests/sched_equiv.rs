@@ -3,7 +3,8 @@
 //!
 //! Split and compress run as one launch each: phase I counts the mask
 //! per chunk and phase II scatters every chunk. Radix sort runs all of
-//! its splits in one persistent launch, with one-bit or two-bit digits;
+//! its splits in one persistent launch, with one-, two- or four-bit
+//! digits whose masks each pass makes from the keys;
 //! top-p runs that sort, then the CDF scan, the threshold count and the
 //! search in one more launch, and weighted sampling the scan and the
 //! search in one launch.
@@ -108,13 +109,14 @@ fn compress_reports_identically_under_serial_parallel_and_planned() {
     });
 }
 
-/// The digit widths the tests cover: the paper's one-bit passes and the
-/// two-bit passes `Device` runs.
-const DIGIT_BITS: [u32; 2] = [1, 2];
+/// The digit widths the tests cover: the paper's one-bit passes, two-bit
+/// passes and the four-bit passes `Device` runs.
+const DIGIT_BITS: [u32; 3] = [1, 2, 4];
 
 #[test]
 fn sort_reports_identically_under_serial_parallel_and_planned() {
-    // 16 one-bit or 8 two-bit passes of 600 keys, 150 to a vector core.
+    // 16 one-bit, 8 two-bit or 4 four-bit passes of 600 keys, 150 to a
+    // vector core.
     for bits in DIGIT_BITS {
         assert_equiv(&format!("sort {bits} bits"), 1, &|spec, gm| {
             let (vals, _) = inputs();

@@ -264,7 +264,7 @@ where
         // RSS's structural drawback on a split architecture).
         |mc, ctx| {
             for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-                reduce_chunk(vc, x, &mc.segments(chunk)?, mc.l, &mc.r, &[(0, chunk)])?;
+                reduce_chunk(vc, x, &mc.segments(chunk)?, mc.l, &mc.r, chunk)?;
             }
             Ok(())
         },

@@ -256,14 +256,7 @@ impl<T: CubeInput, M: Numeric, O: Numeric> McLayout<T, M, O> {
         let range = self.block_tiles(ctx);
         self.cube_scans(&mut ctx.cube, x, range, None)?;
         for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-            reduce_chunk(
-                vc,
-                x,
-                &self.segments(chunk)?,
-                self.l,
-                &self.r,
-                &[(0, chunk)],
-            )?;
+            reduce_chunk(vc, x, &self.segments(chunk)?, self.l, &self.r, chunk)?;
         }
         Ok(())
     }

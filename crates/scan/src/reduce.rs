@@ -164,7 +164,7 @@ where
         for (v, vc) in ctx.vecs.iter_mut().enumerate() {
             let chunk = block * vpc + v;
             let (s0, count) = chunk_spans[chunk];
-            reduce_chunk(vc, x, &spans[s0..s0 + count], piece, &r, &[(0, chunk)])?;
+            reduce_chunk(vc, x, &spans[s0..s0 + count], piece, &r, chunk)?;
         }
         ctx.span_end(phase);
         ctx.sync_all()?;

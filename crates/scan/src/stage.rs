@@ -17,7 +17,9 @@
 //!   reduction into `r[chunk]` and the offset read of `r[..chunk]`
 //!   (plus, on request, the total of all of `r`);
 //! * [`MaskCounts`] — the same two over one equal element range per
-//!   vector core: the counts behind every split of the `ops` crate.
+//!   vector core: the counts behind every split of the `ops` crate,
+//!   over masks in GM or over the runs of a radix [`Digit`] made from
+//!   the keys.
 //!
 //! A stage's instruction stream is part of every report built on it:
 //! changing the order or the dependencies of its instructions moves the
@@ -27,8 +29,8 @@ use crate::triangular::ScanConstants;
 use crate::util::{partition, tile_spans};
 use ascend_sim::mem::GlobalMemory;
 use ascendc::{
-    BlockCtx, ChipSpec, Core, EventTime, FlagFile, GlobalTensor, LocalTensor, ScratchpadKind,
-    SimError, SimResult, SpanArgs, TQue,
+    Bits, BlockCtx, ChipSpec, CmpMode, Core, EventTime, FlagFile, GlobalTensor, LocalTensor,
+    ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
 };
 use dtypes::{CubeInput, Element, Numeric};
 use std::ops::Range;
@@ -381,19 +383,17 @@ pub(crate) fn store_scalar<O: Numeric>(
     vc.free_local(one)
 }
 
-/// Chunk reduction: for each scanned input `(shift, idx)` of `inputs`,
-/// loads each `(offset, len)` piece of `x` at `offset + shift` (at most
+/// Chunk reduction: loads each `(offset, len)` piece of `x` (at most
 /// `piece` elements), widens it to `O` (`vcast`; int8 masks would
 /// overflow their own type) and `ReduceSum`s it, chaining the running
-/// total on the scalar pipe; then stores the total to `r[idx]`. The
-/// inputs share one staging queue.
+/// total on the scalar pipe; then stores the total to `r[idx]`.
 pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
     vc: &mut Core<'_>,
     x: &GlobalTensor<T>,
     pieces: &[(usize, usize)],
     piece: usize,
     r: &GlobalTensor<O>,
-    inputs: &[(usize, usize)],
+    idx: usize,
 ) -> SimResult<()> {
     let din = if 2 * piece * T::SIZE + piece * O::SIZE + 64 <= vc.spec().ub_capacity {
         2
@@ -402,30 +402,87 @@ pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
     };
     let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, din, piece)?.named("qin(UB)");
     let mut acc = vc.alloc_local::<O>(ScratchpadKind::Ub, piece)?;
-    for &(shift, idx) in inputs {
-        let (mut total, mut total_ready) = (O::zero(), 0);
-        for &(off, valid) in pieces {
-            let tile = vc.span_begin("tile");
-            let mut buf = qin.alloc_tensor()?;
-            vc.copy_in(&mut buf, 0, x, shift + off, valid, &[])?;
-            let cast_done = vc.vcast::<T, O>(&mut acc, &buf, 0, valid)?;
-            qin.free_tensor(buf, cast_done);
-            let (sum, ready) = vc.reduce_sum(&acc, 0, valid)?;
-            total = total.add(sum);
-            total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
-            vc.span_args(
-                tile,
-                SpanArgs {
-                    bytes: (valid * T::SIZE) as u64,
-                    kind: "reduce",
-                    queue_depth: din as u32,
-                },
-            );
-            vc.span_end_at(tile, total_ready);
-        }
-        store_scalar(vc, r, idx, (total, total_ready))?;
+    let (mut total, mut total_ready) = (O::zero(), 0);
+    for &(off, valid) in pieces {
+        let tile = vc.span_begin("tile");
+        let mut buf = qin.alloc_tensor()?;
+        vc.copy_in(&mut buf, 0, x, off, valid, &[])?;
+        let cast_done = vc.vcast::<T, O>(&mut acc, &buf, 0, valid)?;
+        qin.free_tensor(buf, cast_done);
+        let (sum, ready) = vc.reduce_sum(&acc, 0, valid)?;
+        total = total.add(sum);
+        total_ready = vc.scalar_ops(1, &[ready, total_ready])?;
+        vc.span_args(
+            tile,
+            SpanArgs {
+                bytes: (valid * T::SIZE) as u64,
+                kind: "reduce",
+                queue_depth: din as u32,
+            },
+        );
+        vc.span_end_at(tile, total_ready);
     }
+    store_scalar(vc, r, idx, (total, total_ready))?;
     vc.free_local(acc)?;
+    qin.destroy(vc)
+}
+
+/// The digit counts of one chunk: loads each `(offset, len)` piece of
+/// `keys` (at most `piece` elements), isolates `digit` once, and per
+/// counted run `Compare`s and counts the mask with a `GatherMask` of
+/// the mask by itself, whose count (`GetGatherMaskRemainCount`) it adds
+/// to the run's total on the scalar pipe; then stores run `d`'s total
+/// to `r[at[d]]`.
+fn count_digits<T: Element>(
+    vc: &mut Core<'_>,
+    keys: &GlobalTensor<T>,
+    pieces: &[(usize, usize)],
+    piece: usize,
+    digit: &Digit<T>,
+    r: &GlobalTensor<i32>,
+    at: &[usize],
+) -> SimResult<()> {
+    let din = if 2 * piece * T::SIZE + piece * (T::SIZE + 2) + 64 <= vc.spec().ub_capacity {
+        2
+    } else {
+        1
+    };
+    let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, din, piece)?.named("qin(UB)");
+    let mut dig = vc.alloc_local::<T>(ScratchpadKind::Ub, piece)?;
+    let mut mask = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
+    let mut kept = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
+    let mut totals = vec![(0i32, 0); at.len()];
+    for &(off, valid) in pieces {
+        let tile = vc.span_begin("tile");
+        let mut buf = qin.alloc_tensor()?;
+        vc.copy_in(&mut buf, 0, keys, off, valid, &[])?;
+        let isolated = digit.isolate(vc, &mut dig, &buf, valid)?;
+        qin.free_tensor(buf, isolated);
+        let mut ready = 0;
+        for (run, (total, total_ready)) in totals.iter_mut().enumerate() {
+            digit.select(vc, &mut mask, &dig, valid, run)?;
+            let (count, gathered) = vc.gather_mask(&mut kept, &mask, &mask, 0, valid)?;
+            let moved = vc.gather_count(gathered, *total_ready)?;
+            *total += count as i32;
+            *total_ready = vc.scalar_ops(1, &[moved])?;
+            ready = ready.max(*total_ready);
+        }
+        vc.span_args(
+            tile,
+            SpanArgs {
+                bytes: (valid * T::SIZE) as u64,
+                kind: "reduce",
+                queue_depth: din as u32,
+            },
+        );
+        vc.span_end_at(tile, ready);
+    }
+    for (&idx, &total) in at.iter().zip(&totals) {
+        store_scalar(vc, r, idx, total)?;
+    }
+    vc.free_local(kept)?;
+    vc.free_local(mask)?;
+    vc.free_local(dig)?;
     qin.destroy(vc)
 }
 
@@ -467,6 +524,17 @@ pub(crate) fn chunk_offset<O: Numeric>(
     Ok((offsets, total))
 }
 
+/// Elements per phase I piece of a split over `n` elements needing
+/// `bytes_per_elem` UB bytes per element: the largest power of two that
+/// fits UB next to the per-lane scalars, capped at a chunk.
+fn piece_len(spec: &ChipSpec, n: usize, bytes_per_elem: usize) -> usize {
+    let fits = 1
+        << (spec.ub_capacity.saturating_sub(64) / bytes_per_elem)
+            .max(1)
+            .ilog2();
+    n.div_ceil(spec.total_vec_cores() as usize).clamp(1, fits)
+}
+
 /// Each vector core of block `block` with the chunk it owns
 /// (`block · vec_per_core + v`).
 pub(crate) fn chunk_cores<'c, 'a>(
@@ -479,15 +547,102 @@ pub(crate) fn chunk_cores<'c, 'a>(
         .map(move |(v, vc)| (first + v, vc))
 }
 
-/// The counts of a split: `masks` byte masks of `n` elements each (back
-/// to back), cut into one equal element range — a chunk — per vector
-/// core of the chip, and `r`, one count per mask and chunk.
+/// A radix digit of unsigned keys as a split sees it: run `r` takes the
+/// keys whose digit is the `r`-th of the run order. The split masks are
+/// made in UB from keys already loaded: one `And` isolates the digit's
+/// bits in place (no `ShiftRight`: the runs' digits are compared at the
+/// same shift), then one `Compare` per run.
+pub struct Digit<T: Element> {
+    /// The digit's bits within a key.
+    field: T,
+    /// Each run's digit, at the digit's shift.
+    runs: Vec<T>,
+    isolate: ScalarOp<T, T>,
+    select: ScalarOp<T, u8>,
+}
+
+/// A vector instruction `dst[..len] = src[..len] <op> scalar`, taken when
+/// a [`Digit`] is made so that using one needs no bounds beyond
+/// `Element`.
+type ScalarOp<T, D> =
+    fn(&mut Core<'_>, &mut LocalTensor<D>, &LocalTensor<T>, usize, T) -> SimResult<EventTime>;
+
+impl<T: Element> Digit<T> {
+    /// The `w`-bit digit at bit `shift` whose runs take the values
+    /// `runs` in that order. `runs` must be a permutation of `0..2^w`
+    /// with `w ≥ 1`, and the digit must lie inside a key: anything else
+    /// is an [`SimError::InvalidArgument`].
+    pub fn new(shift: u32, runs: &[u32]) -> SimResult<Self>
+    where
+        T: Bits + Numeric,
+    {
+        let mut sorted = runs.to_vec();
+        sorted.sort_unstable();
+        let width = runs.len().trailing_zeros();
+        let permutation = sorted.iter().enumerate().all(|(i, &d)| i == d as usize);
+        if runs.len() < 2 || !runs.len().is_power_of_two() || !permutation {
+            return Err(SimError::InvalidArgument(format!(
+                "digit runs {runs:?}: expected a permutation of 0..2^w, w >= 1"
+            )));
+        }
+        if shift + width > 8 * T::SIZE as u32 {
+            return Err(SimError::InvalidArgument(format!(
+                "a {width}-bit digit at bit {shift} does not fit a {}-byte key",
+                T::SIZE
+            )));
+        }
+        let at = |d: u32| T::from_f64((u64::from(d) << shift) as f64);
+        Ok(Digit {
+            field: at(runs.len() as u32 - 1),
+            runs: runs.iter().map(|&d| at(d)).collect(),
+            isolate: |vc, dig, keys, len, field| vc.vand_scalar(dig, keys, 0, len, field),
+            select: |vc, mask, dig, len, digit| {
+                vc.vcompare_scalar(mask, dig, 0, len, CmpMode::Eq, digit, 0)
+            },
+        })
+    }
+
+    /// How many runs the digit splits into.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// `And`: the digit bits of `keys[..len]` into `dig`.
+    pub fn isolate(
+        &self,
+        vc: &mut Core<'_>,
+        dig: &mut LocalTensor<T>,
+        keys: &LocalTensor<T>,
+        len: usize,
+    ) -> SimResult<EventTime> {
+        (self.isolate)(vc, dig, keys, len, self.field)
+    }
+
+    /// `Compare`: run `run`'s mask of the isolated digits `dig[..len]`.
+    pub fn select(
+        &self,
+        vc: &mut Core<'_>,
+        mask: &mut LocalTensor<u8>,
+        dig: &LocalTensor<T>,
+        len: usize,
+        run: usize,
+    ) -> SimResult<EventTime> {
+        (self.select)(vc, mask, dig, len, self.runs[run])
+    }
+}
+
+/// The counts of a split: `masks` byte masks of `n` elements each, cut
+/// into one equal element range — a chunk — per vector core of the
+/// chip, and `r`, one count per mask and chunk. The masks are either
+/// one mask stored in GM ([`MaskCounts::reduce`]) or the masks of a
+/// radix digit's runs, made from the keys
+/// ([`MaskCounts::reduce_digits`]).
 ///
 /// A split pass runs inside any launch on all of the chip's AI cores:
-/// [`MaskCounts::reduce`] as its phase I, a `SyncAll`, then
-/// [`MaskCounts::walk`] as its phase II. A kernel may run further passes
-/// on the same counts once a `SyncAll` has ordered one pass's reads of
-/// `r` before the next pass's writes.
+/// a reduce as its phase I, a `SyncAll`, then [`MaskCounts::walk`] as
+/// its phase II. A kernel may run further passes on the same counts
+/// once a `SyncAll` has ordered one pass's reads of `r` before the next
+/// pass's writes.
 pub struct MaskCounts {
     n: usize,
     masks: usize,
@@ -525,42 +680,60 @@ impl MaskCounts {
             .into_iter()
             .map(|(start, len)| start..start + len)
             .collect();
-        // The largest power-of-two piece whose double-buffered mask
-        // bytes and widened copy fit UB next to the per-lane scalars,
-        // capped at a chunk.
-        let fits = 1 << (spec.ub_capacity.saturating_sub(64) / 6).max(1).ilog2();
-        let piece = n.div_ceil(cores).clamp(1, fits);
         Ok(MaskCounts {
             n,
             masks,
-            piece,
+            // Double-buffered mask bytes and their widened copy.
+            piece: piece_len(spec, n, 2 + 4),
             chunks,
             r: GlobalTensor::new(gm, masks * cores)?,
         })
     }
 
-    /// Phase I on one block: each vector core reduces each mask of
-    /// `mask` over its chunk into `r`.
+    /// Phase I on one block over one stored mask: each vector core
+    /// reduces `mask` over its chunk into `r`.
     pub fn reduce(&self, ctx: &mut BlockCtx<'_>, mask: &GlobalTensor<u8>) -> SimResult<()> {
-        if mask.len() != self.masks * self.n {
+        if mask.len() != self.n || self.masks != 1 {
             return Err(SimError::InvalidArgument(format!(
-                "mask counts: {} mask elements, expected {} x {}",
+                "mask counts: a stored mask of {} elements for {} masks of {}, expected one",
                 mask.len(),
                 self.masks,
                 self.n
             )));
         }
+        for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
+            let pieces = self.pieces(chunk, self.piece)?;
+            reduce_chunk(vc, mask, &pieces, self.piece, &self.r, chunk)?;
+        }
+        Ok(())
+    }
+
+    /// Phase I on one block over the masks of `digit`'s runs but the
+    /// last: each vector core loads its chunk of `keys`, isolates the
+    /// digit once per piece and counts each run's `Compare` into `r`.
+    pub fn reduce_digits<T: Element>(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        keys: &GlobalTensor<T>,
+        digit: &Digit<T>,
+    ) -> SimResult<()> {
+        if keys.len() != self.n || digit.runs() != self.masks + 1 {
+            return Err(SimError::InvalidArgument(format!(
+                "mask counts: {} keys in {} runs, expected {} keys in {}",
+                keys.len(),
+                digit.runs(),
+                self.n,
+                self.masks + 1
+            )));
+        }
+        // Double-buffered keys, the isolated digits, a run mask and its
+        // gathered copy.
+        let piece = piece_len(ctx.spec(), self.n, 3 * T::SIZE + 2);
         let chunks = self.chunks.len();
         for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
-            let range = &self.chunks[chunk];
-            let pieces: Vec<_> = tile_spans(range.len(), self.piece)?
-                .into_iter()
-                .map(|(off, len)| (range.start + off, len))
-                .collect();
-            let masks: Vec<_> = (0..self.masks)
-                .map(|d| (d * self.n, d * chunks + chunk))
-                .collect();
-            reduce_chunk(vc, mask, &pieces, self.piece, &self.r, &masks)?;
+            let pieces = self.pieces(chunk, piece)?;
+            let at: Vec<_> = (0..self.masks).map(|d| d * chunks + chunk).collect();
+            count_digits(vc, keys, &pieces, piece, digit, &self.r, &at)?;
         }
         Ok(())
     }
@@ -596,6 +769,16 @@ impl MaskCounts {
         Ok(())
     }
 
+    /// Chunk `chunk` cut into `(offset, len)` pieces of at most `piece`
+    /// elements.
+    fn pieces(&self, chunk: usize, piece: usize) -> SimResult<Vec<(usize, usize)>> {
+        let range = &self.chunks[chunk];
+        Ok(tile_spans(range.len(), piece)?
+            .into_iter()
+            .map(|(off, len)| (range.start + off, len))
+            .collect())
+    }
+
     /// Mask `mask`'s total after the last phase I, read from `r` on the
     /// host.
     pub fn total(&self, mask: usize) -> SimResult<usize> {
@@ -607,5 +790,31 @@ impl MaskCounts {
     fn read(&self, at: usize, len: usize) -> SimResult<usize> {
         let r = self.r.read_range(at, len)?;
         Ok(r.iter().map(|&c| c as usize).sum())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_digit_takes_a_permutation_of_its_values_inside_the_key() {
+        let digit = Digit::<u16>::new(12, &[3, 2, 1, 0]).unwrap();
+        assert_eq!(digit.runs(), 4);
+        assert_eq!((digit.field, digit.runs[0]), (0x3000, 0x3000));
+        for (shift, runs) in [
+            (0, vec![]),
+            (0, vec![0]),
+            (0, vec![0, 1, 2]),
+            (0, vec![0, 0]),
+            (0, vec![0, 2]),
+            (14, vec![0, 1, 2, 3, 4, 5, 6, 7]),
+        ] {
+            let err = Digit::<u16>::new(shift, &runs).err();
+            assert!(
+                matches!(err, Some(SimError::InvalidArgument(_))),
+                "{shift} {runs:?}: {err:?}"
+            );
+        }
     }
 }

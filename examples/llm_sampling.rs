@@ -46,13 +46,13 @@ fn main() {
     }
 
     // The paper's accounting: one fp16 top-p = 16 one-bit radix-sort
-    // scans plus one cumulative-sum scan. `Device` sorts two bits per
-    // pass: the encode's barrier and 8 passes of two in the sort's
-    // launch, then the CDF scan's, one after the scan and one after the
-    // threshold count in the draw's launch.
+    // scans plus one cumulative-sum scan. `Device` sorts four bits per
+    // pass: the encode's barrier and 4 passes of two in the sort's
+    // launch (9), then the CDF scan's, one after the scan and one after
+    // the threshold count in the draw's launch (3).
     let run = dev.top_p(&x, 0.9, 0.5).expect("top-p sample");
     println!(
-        "\nSyncAll rounds per sample: {} in two launches (8 two-bit sort passes; the paper's \
+        "\nSyncAll rounds per sample: {} in two launches (4 four-bit sort passes; the paper's \
          one-bit sort makes it '17 scans per batch')",
         run.report.sync_rounds
     );

@@ -105,8 +105,8 @@ trap 'rm -rf "$lintdir"' EXIT
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
 # byte-identical to what ten serial single-kernel runs would write.
-# `sort` is the one-launch fp16 radix sort `Device::top_p` runs (8
-# two-bit passes, 17 barriers); `topp` is the launch `Device::top_p`
+# `sort` is the one-launch fp16 radix sort `Device::top_p` runs (4
+# four-bit passes, 9 barriers); `topp` is the launch `Device::top_p`
 # runs after that sort: the CDF scan, the threshold count and the search
 # in one launch (3 barriers).
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"

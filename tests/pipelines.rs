@@ -2,7 +2,7 @@
 //! end on the simulated 910B4, validated against host references.
 
 use ascend_scan::dtypes::{RadixKey, F16};
-use ascend_scan::ops::{baselines, SortOrder};
+use ascend_scan::ops::{baselines, radix_sort, SortOrder, SORT_DIGIT_BITS};
 use ascend_scan::sim::hb;
 use ascend_scan::sim::prof::{with_profiling, Profile, BLOCK_SCOPE};
 use ascend_scan::{Device, ScanKind};
@@ -200,10 +200,10 @@ fn topk_agrees_with_full_sort() {
         assert_eq!(got, expect[..k]);
 
         // Top-k is the sort: one launch, its encode's barrier and two
-        // per two-bit pass.
+        // per four-bit pass.
         let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
         assert_eq!(names, ["RadixSort"], "{:?}", launch_counts(&profile));
-        assert_eq!(run.report.sync_rounds, 17);
+        assert_eq!(run.report.sync_rounds, 9);
     }
 }
 
@@ -280,7 +280,7 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     let (sorted, profile) = with_profiling(dev.memory(), || {
         dev.sort(&x, SortOrder::Descending).unwrap()
     });
-    // The whole sort is one launch: the encode, 8 two-bit splits and
+    // The whole sort is one launch: the encode, 4 four-bit splits and
     // the decode.
     let want = [("RadixSort", 1)];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
@@ -288,12 +288,12 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     assert_eq!(profile.kernels.len(), 1, "{:?}", launch_counts(&profile));
     assert_eq!(
         scans(&profile),
-        8,
-        "one phase I, over three masks, per two bits"
+        4,
+        "one phase I, over fifteen masks, per four bits"
     );
     // The encode's barrier, then two per pass: after the counts' phase
     // I and after the scatter.
-    assert_eq!(sorted.report.sync_rounds, 17);
+    assert_eq!(sorted.report.sync_rounds, 9);
 
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e6))
@@ -305,12 +305,12 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     let want = [("RadixSort", 1), ("TopP", 1)];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
     assert_eq!(launch_counts(&profile), want);
-    // The sort's 8 phase Is and the CDF scan's one; the paper's
+    // The sort's 4 phase Is and the CDF scan's one; the paper's
     // one-bit passes would make it 17.
-    assert_eq!(scans(&profile), 9);
-    // The sort's 17 barriers, then the CDF scan's, one after the scan
+    assert_eq!(scans(&profile), 5);
+    // The sort's 9 barriers, then the CDF scan's, one after the scan
     // and one after the threshold count.
-    assert_eq!(run.report.sync_rounds, 20);
+    assert_eq!(run.report.sync_rounds, 12);
     // Each launch's critical path covers it.
     for k in &profile.kernels {
         let path = k.critical_path.as_ref().expect("Full audits");
@@ -329,28 +329,65 @@ fn top_p_and_sort_launch_counts_are_pinned() {
 fn a_vocab_sized_two_bit_sort_costs_fewer_instructions_than_one_bit_passes() {
     // A split reads one count per run and piece, so a two-bit pass pays
     // for three mask counts, not three mask scans: a 128,256-key fp16
-    // sort, as top-p runs it, issues fewer instructions in 8 two-bit
-    // passes than the 16 one-bit passes of the scan-based split did
-    // (55,524; two-bit passes over scans took 93.3K).
+    // sort issues fewer instructions in 8 two-bit passes than the 16
+    // one-bit passes of the scan-based split did (55,524; two-bit
+    // passes over scans took 93.3K). So do the 4 four-bit passes
+    // `Device` runs, at fifteen `Compare`s and counts per key and pass.
     let dev = device();
     let n = 128_256;
     let keys: Vec<F16> = (0..n)
         .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e3))
         .collect();
     let x = dev.tensor(&keys).unwrap();
-    let run = dev.sort(&x, SortOrder::Descending).unwrap();
-    let instructions: u64 = run.report.engine_instructions.iter().sum();
-    assert!(instructions < 55_524, "{instructions} instructions");
     let mut want = keys.clone();
     want.sort_by(|a, b| b.total_cmp(a));
-    let got: Vec<u16> = run.values.to_vec().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    let want: Vec<u16> = want.iter().map(|v| v.to_bits()).collect();
+    for bits in [2, 4] {
+        let run = radix_sort(dev.spec(), dev.memory(), &x, bits, SortOrder::Descending).unwrap();
+        let instructions: u64 = run.report.engine_instructions.iter().sum();
+        assert!(
+            instructions < 55_524,
+            "{bits} bits: {instructions} instructions"
+        );
+        let got: Vec<u16> = run.values.to_vec().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{bits} bits");
+    }
+}
+
+#[test]
+fn four_bit_sort_passes_beat_two_bit_passes_on_the_910b4() {
+    // `SORT_DIGIT_BITS` is a constant, not a size rule: four-bit passes
+    // must beat two-bit ones at top-p's vocabularies (32,000 and
+    // 128,256 tokens), for fp16 and int8 keys alike.
+    // A fresh device per sort, so no run inherits another's memory
+    // high-water mark (and with it the L2/HBM choice).
+    fn time_us<K>(keys: &[K], bits: u32) -> f64
+    where
+        K: ascend_scan::dtypes::Element + RadixKey,
+        K::Encoded: ascend_scan::dtypes::Element
+            + ascend_scan::ascendc::Bits
+            + ascend_scan::dtypes::Numeric,
+    {
+        let dev = device();
+        let x = dev.tensor(keys).unwrap();
+        let run = radix_sort(dev.spec(), dev.memory(), &x, bits, SortOrder::Descending).unwrap();
+        run.report.time_us()
+    }
+    for n in [32_000usize, 128_256] {
+        let fp16 = synth_f16(n, 11);
+        let int8: Vec<i8> = (0..n).map(|i| (i * 7919 % 256) as u8 as i8).collect();
+        let two = (time_us(&fp16, 2), time_us(&int8, 2));
+        let four = (time_us(&fp16, 4), time_us(&int8, 4));
+        assert_eq!(SORT_DIGIT_BITS, 4);
+        assert!(four.0 < two.0, "fp16, n = {n}: {four:?} vs {two:?} us");
+        assert!(four.1 < two.1, "int8, n = {n}: {four:?} vs {two:?} us");
+    }
 }
 
 #[test]
 fn top_p_launches_are_hb_clean() {
     // Every launch's recorded schedule must analyze without a single
-    // diagnostic, warnings included: a dead or leaked mask transfer in
+    // diagnostic, warnings included: a dead or leaked transfer in
     // the fused radix passes (shared by top-p's sort and top-k), a
     // scatter store racing another core's in a split, or a top-p phase
     // reading what another core wrote without a barrier between, fails
