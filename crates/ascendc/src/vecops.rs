@@ -323,9 +323,11 @@ impl Core<'_> {
         Ok(done)
     }
 
-    /// Radix-sort pre-processing: order-preserving encode of `src` into
-    /// the unsigned key domain (flip MSB of non-negatives / all bits of
-    /// negatives for floats; flip the sign bit for signed integers).
+    /// `KeyEncode`: order-preserving encode of `src` into the unsigned
+    /// key domain (flip the MSB of non-negatives and all bits of
+    /// negatives for floats; flip the sign bit for signed integers; the
+    /// identity for unsigned integers), so that digits of the encoded
+    /// keys order the raw ones.
     ///
     /// On hardware this is the short `ShiftRight`/`Not`/`Or` bit-trick
     /// sequence the paper describes; it is charged as three vector
@@ -357,53 +359,22 @@ impl Core<'_> {
         Ok(done)
     }
 
-    /// Radix-sort post-processing: inverse of [`Core::vradix_encode`].
-    pub fn vradix_decode<K>(
-        &mut self,
-        dst: &mut LocalTensor<K>,
-        src: &LocalTensor<K::Encoded>,
-        off: usize,
-        len: usize,
-    ) -> SimResult<EventTime>
-    where
-        K: dtypes::RadixKey + Element,
-        K::Encoded: Element,
-    {
-        self.check_vec("KeyDecode", dst)?;
-        self.check_vec("KeyDecode", src)?;
-        dst.check_range("KeyDecode dst", off, len)?;
-        src.check_range("KeyDecode src", off, len)?;
-        for i in 0..len {
-            dst.data[off + i] = K::decode(src.data[off + i]);
-        }
-        let bytes = len * K::SIZE;
-        let cost = 3 * self.spec.cost_vector_op(bytes);
-        let done = self
-            .timeline_mut()
-            .exec(EngineKind::Vec, cost, &[dst.ready, src.ready])?;
-        dst.ready = done;
-        Ok(done)
-    }
-
-    /// `And` with a scalar: `dst[i] = src[i] & mask` over
+    /// `And` with a scalar, in place: `t[i] &= mask` over
     /// `off..off+len`.
-    pub fn vand_scalar<T: Bits>(
+    pub fn vand_scalar_inplace<T: Bits>(
         &mut self,
-        dst: &mut LocalTensor<T>,
-        src: &LocalTensor<T>,
+        t: &mut LocalTensor<T>,
         off: usize,
         len: usize,
         mask: T,
     ) -> SimResult<EventTime> {
-        self.check_vec("And", dst)?;
-        self.check_vec("And", src)?;
-        dst.check_range("And dst", off, len)?;
-        src.check_range("And src", off, len)?;
-        for i in off..off + len {
-            dst.data[i] = src.data[i].and(mask);
+        self.check_vec("And", t)?;
+        t.check_range("And", off, len)?;
+        for v in &mut t.data[off..off + len] {
+            *v = v.and(mask);
         }
-        let done = self.vec_exec(len * T::SIZE, &[dst.ready, src.ready])?;
-        dst.ready = done;
+        let done = self.vec_exec(len * T::SIZE, &[t.ready])?;
+        t.ready = done;
         Ok(done)
     }
 }
@@ -481,13 +452,11 @@ mod tests {
         with_vec_core(|core| {
             let mut t = core.alloc_local::<u16>(ScratchpadKind::Ub, 4).unwrap();
             t.data.copy_from_slice(&[0b1010, 0b1100, 0xFFFF, 0]);
-            let mut low = core.alloc_local::<u16>(ScratchpadKind::Ub, 4).unwrap();
-            core.vand_scalar(&mut low, &t, 0, 4, 0b110).unwrap();
-            assert_eq!(low.as_slice(), &[0b10, 0b100, 0b110, 0]);
+            core.vand_scalar_inplace(&mut t, 1, 3, 0b110).unwrap();
             assert_eq!(
                 t.as_slice(),
-                &[0b1010, 0b1100, 0xFFFF, 0],
-                "the source stays"
+                &[0b1010, 0b100, 0b110, 0],
+                "outside range untouched"
             );
         });
     }

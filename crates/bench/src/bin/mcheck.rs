@@ -242,10 +242,10 @@ fn run_kernel(policy: SchedPolicy, kernel: &str) -> (String, prof::Profile) {
             run.report.to_json(&spec)
         }
         "sort" => {
-            // The one-launch radix sort at every digit width: the
-            // encode, 8 one-bit, 4 two-bit or 2 four-bit splits of two
-            // barriers each and the decode. 300 u8 keys are 75 to each of
-            // the 4 vector cores.
+            // The one-launch radix sort at every digit width: 8 one-bit,
+            // 4 two-bit or 2 four-bit splits of two barriers each but
+            // the last. 300 u8 keys are 75 to each of the 4 vector
+            // cores.
             let keys: Vec<u8> = (0..300).map(|i| (i * 151 % 256) as u8).collect();
             let x = GlobalTensor::from_slice(&gm, &keys).expect("device fits input");
             [1, 2, 4]

@@ -17,8 +17,9 @@
 //! is the one-launch count-based split of int8 values by a half-true
 //! mask that every split, compress and radix-sort pass runs; `sort` is
 //! the one-launch descending fp16 radix sort of `Device::top_p` and
-//! `Device::topk` (encode, 4 four-bit passes — each a 16-way split over
-//! fifteen mask counts made from the keys, with two barriers — decode);
+//! `Device::topk` (4 four-bit passes — each a 16-way split over fifteen
+//! mask counts made from the raw keys — with two barriers per pass but
+//! the last, 7 in all);
 //! `topp` is the draw
 //! launch of `Device::top_p` over `N` probabilities, run after that
 //! sort: the CDF scan, the threshold count and the search, three

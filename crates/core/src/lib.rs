@@ -55,8 +55,9 @@ pub use scan::scanc::ScanCConfig;
 pub use scan::ScanRun;
 
 use ascend_sim::mem::GlobalMemory;
-use dtypes::{CubeInput, Numeric, RadixKey};
+use dtypes::{CubeInput, Numeric};
 use ops::SORT_DIGIT_BITS;
+use scan::SortKey;
 use std::sync::Arc;
 
 /// A simulated accelerator: a chip specification plus its global memory.
@@ -172,28 +173,28 @@ impl Device {
     }
 
     /// Stable radix sort (values + argsort indices), four key bits per
-    /// pass: 4 passes for fp16 keys, in one launch of 9 `SyncAll`s.
-    pub fn sort<K>(&self, x: &GlobalTensor<K>, order: ops::SortOrder) -> SimResult<ops::SortRun<K>>
-    where
-        K: RadixKey + Element,
-        K::Encoded: Element + ascendc::Bits + Numeric,
-    {
+    /// pass: 4 passes for fp16 keys, in one launch of 7 `SyncAll`s.
+    pub fn sort<K: SortKey>(
+        &self,
+        x: &GlobalTensor<K>,
+        order: ops::SortOrder,
+    ) -> SimResult<ops::SortRun<K>> {
         ops::radix_sort(&self.spec, &self.gm, x, SORT_DIGIT_BITS, order)
     }
 
     /// Top-k selection: the first `k` values and indices of the
     /// descending [`Device::sort`], largest first, in its one launch.
-    pub fn topk<K>(&self, x: &GlobalTensor<K>, k: usize) -> SimResult<ops::topk::TopKRun<K>>
-    where
-        K: RadixKey + Element,
-        K::Encoded: Element + ascendc::Bits + Numeric,
-    {
+    pub fn topk<K: SortKey>(
+        &self,
+        x: &GlobalTensor<K>,
+        k: usize,
+    ) -> SimResult<ops::topk::TopKRun<K>> {
         ops::topk(&self.spec, &self.gm, x, k)
     }
 
     /// Top-p (nucleus) sampling from an fp16 probability vector: the
     /// descending four-bit sort's launch, then one launch of the CDF
-    /// scan, the threshold count and the search (12 `SyncAll`s for fp16).
+    /// scan, the threshold count and the search (10 `SyncAll`s for fp16).
     pub fn top_p(
         &self,
         probs: &GlobalTensor<F16>,

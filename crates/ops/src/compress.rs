@@ -51,7 +51,7 @@ pub fn compress<E: Element>(
     }
 
     let out = GlobalTensor::<E>::new(gm, n)?;
-    let (n_true, mut report) = SplitStore {
+    let (n_true, mut report) = SplitStore::<E> {
         vals: x,
         idx_in: None,
         masks: Masks::Gm(mask),

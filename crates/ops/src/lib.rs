@@ -8,8 +8,9 @@
 //! * [`radix_sort::radix_sort`] — LSB radix sort (stable, values +
 //!   indices) of one split per digit, one bit per pass as in the paper,
 //!   two or four (a `2^r`-way split whose digit masks each pass makes
-//!   from the keys it loads); supports unsigned/signed integers and
-//!   `f16` via the order-preserving encode/decode pre/post-passes.
+//!   from the raw keys it loads); supports unsigned/signed integers and
+//!   `f16` via the order-preserving encode, applied in UB to every
+//!   piece a pass loads, so the keys are never stored encoded.
 //! * [`topk::topk`] — top-k selection as the first `k` of the descending
 //!   radix sort (reproducing the paper's *negative* result for small k).
 //! * [`topp::top_p_sample`] — Llama3-style top-p (nucleus) sampling:
@@ -29,9 +30,8 @@
 //! core (a radix pass counts the masks of its digit, made from the keys
 //! in UB), and after a `SyncAll` each vector core scatters its range
 //! from its offset, advancing each run by the count `GatherMask`
-//! returns. A
-//! split on its own is one launch; radix sort runs all of its splits,
-//! between its encode and decode, inside one launch of its own, so a
+//! returns. A split on its own is one launch; radix sort runs all of
+//! its splits, and nothing else, inside one launch of its own, so a
 //! top-k is one launch. The samplers compose phases inside one launch
 //! too: a weighted draw runs MCScan's two phases
 //! ([`scan::McLayout::scan`]) and the search, and a top-p draw, after

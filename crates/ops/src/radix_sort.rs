@@ -16,28 +16,31 @@
 //!
 //! The paper extracts each pass's radix in a separate RadixSingle
 //! kernel (`ShiftRight`/`And`/`Compare`) and scatters in a kernel of its
-//! own: 50 launches for fp16 keys. Here no mask is stored: both phases
-//! of a pass make the digit's masks from the keys they already load
-//! into UB ([`scan::Digit`]: one `And`, then one `Compare` per run), and
-//! the whole sort is **one persistent launch**:
+//! own, between an encode kernel before the passes and a decode kernel
+//! after them: 50 launches for fp16 keys. Here neither a mask nor an
+//! encoded key is stored: both phases of a pass make the digit's masks
+//! from the raw keys they already load into UB ([`scan::Digit`]: one
+//! `KeyEncode`, one `And`, then one `Compare` per run), the scatter
+//! moves the raw keys, and the whole sort is **one persistent launch**
+//! of its passes: per digit, the split's phase I (the digit's mask
+//! counts), a `SyncAll`, its phase II (the scatter), and a `SyncAll`
+//! before the next pass reads what every core scattered.
 //!
-//! 1. the encode, then a `SyncAll`;
-//! 2. per digit, the split's phase I (the digit's mask counts), a
-//!    `SyncAll`, its phase II (the scatter), and a `SyncAll` so the next
-//!    pass reads what every core scattered;
-//! 3. the decode.
+//! Pass 0 reads the input and makes the indices (`CreateVecIndex`);
+//! later passes ping-pong between one temporary key and index pair and
+//! the result's, and as every key width takes an even number of passes,
+//! the last one writes the result. One set of counts
+//! ([`scan::MaskCounts`]) serves every pass. A sort of `P` passes has
+//! `2·P − 1` barriers: with one-bit digits an fp16 sort runs the
+//! paper's 16 splits in 31, one launch instead of 18 separate ones;
+//! with four-bit digits it runs 4 passes in 7.
 //!
-//! Pass `b` reads the key and index buffers of parity `b % 2` and writes
-//! the other pair, and one set of counts ([`scan::MaskCounts`]) serves
-//! every pass. With one-bit digits an fp16 sort runs the paper's 16
-//! splits in 33 barriers, one launch instead of 18 separate ones; with
-//! four-bit digits it runs 4 passes in 9 barriers.
-//!
-//! Floats are supported through the pre-/post-processing encode passes
-//! (invert the MSB of non-negatives, all bits of negatives — Knuth
-//! §5.2.5 ex. 8–9 / the CM-2 paper the authors cite): an unsigned radix
-//! sort of the encoded keys orders the originals correctly, including
-//! -0.0 < +0.0 and NaNs above +∞.
+//! Floats and signed integers sort through the paper's order-preserving
+//! encode (invert the MSB of non-negatives, all bits of negatives —
+//! Knuth §5.2.5 ex. 8–9 / the CM-2 paper the authors cite), applied in
+//! UB to every piece a pass loads: the digits of the encoded keys order
+//! the originals correctly, including -0.0 < +0.0 and NaNs above +∞,
+//! and since no key is ever stored encoded there is nothing to decode.
 //!
 //! Output indices are permuted alongside the keys on every pass, the
 //! last pass writing them straight into the result, so the result
@@ -45,14 +48,12 @@
 //!
 //! [`split`]: crate::split::split_ind
 
-use crate::for_each_lane;
 use crate::split::{Masks, SplitStore};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
-use ascendc::vecops::Bits;
-use ascendc::{launch, ChipSpec, Core, GlobalTensor, ScratchpadKind, SimError, SimResult};
-use dtypes::{Element, Numeric, RadixKey};
-use scan::{tile_spans, Digit, MaskCounts};
+use ascendc::{launch, ChipSpec, GlobalTensor, SimError, SimResult};
+use dtypes::Element;
+use scan::{Digit, MaskCounts, SortKey};
 use std::sync::Arc;
 
 /// Sort direction.
@@ -76,7 +77,7 @@ pub struct SortRun<K: Element> {
 
 /// Key bits per radix-sort pass in `Device::sort`, `Device::top_p` and
 /// [`topk`]. The paper's sort splits on one bit per pass; four bits cut
-/// an fp16 sort to 4 passes and 9 barriers, and measure faster than two
+/// an fp16 sort to 4 passes and 7 barriers, and measure faster than two
 /// bits (and two faster than one) on the 910B4 at every size of
 /// Fig. 11, for fp16 and int8 keys, and on top-p at every vocabulary of
 /// Fig. 13 (EXPERIMENTS, "Radix digits"), so there is no size
@@ -85,9 +86,6 @@ pub struct SortRun<K: Element> {
 /// [`topk`]: crate::topk::topk
 pub const SORT_DIGIT_BITS: u32 = 4;
 
-/// Elements per piece in the encode and decode.
-const PIECE_CAP: usize = 2048;
-
 /// Stable radix sort of `x` (values + original indices), one split per
 /// `bits`-bit digit, as one launch on all of the chip's AI cores.
 ///
@@ -95,17 +93,13 @@ const PIECE_CAP: usize = 2048;
 /// `2^bits`-way split per pass; anything else is an
 /// [`SimError::InvalidArgument`]. Each width divides every key width
 /// into an even number of passes.
-pub fn radix_sort<K>(
+pub fn radix_sort<K: SortKey>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
     bits: u32,
     order: SortOrder,
-) -> SimResult<SortRun<K>>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
+) -> SimResult<SortRun<K>> {
     if !matches!(bits, 1 | 2 | 4) {
         return Err(SimError::InvalidArgument(format!(
             "radix_sort: {bits} bits per pass, expected 1, 2 or 4"
@@ -122,62 +116,52 @@ where
         });
     }
 
-    // Ping-pong buffers: pass `b` reads side `b % 2` and writes the
-    // other, so the kernel needs no per-block state.
-    let keys = [
-        GlobalTensor::<K::Encoded>::new(gm, n)?,
-        GlobalTensor::<K::Encoded>::new(gm, n)?,
+    // Ping-pong buffers: the last pass writes the result (side 0), the
+    // one before it side 1, and so on back to pass 0, which reads `x`.
+    let sides = [
+        (values.clone(), indices.clone()),
+        (
+            GlobalTensor::<K>::new(gm, n)?,
+            GlobalTensor::<u32>::new(gm, n)?,
+        ),
     ];
-    // Every key width takes an even number of passes, so the last one
-    // writes side 0: the caller's `indices` serve as that side's index
-    // buffer.
-    let idx = [indices.clone(), GlobalTensor::<u32>::new(gm, n)?];
     // Each pass's digit, its runs in output order: ascending sorts put
     // small digits first, descending sorts large ones.
     let mut runs: Vec<u32> = (0..1 << bits).collect();
     if order == SortOrder::Descending {
         runs.reverse();
     }
-    let passes = K::BITS / bits;
-    let digits = (0..passes)
-        .map(|pass| Digit::<K::Encoded>::new(pass * bits, &runs))
+    let digits = (0..K::BITS / bits)
+        .map(|pass| Digit::<K, K::Encoded>::new(pass * bits, &runs))
         .collect::<SimResult<Vec<_>>>()?;
+    let passes = digits.len();
     // One set of counts, one per digit but the last, serves every pass.
     let counts = MaskCounts::new("RadixSort", spec, gm, n, runs.len() - 1)?;
-    let encode = Codec::encode::<K>(spec, n)?;
-    let decode = Codec::decode::<K>(spec, n)?;
 
     let mut report = launch(spec, gm, spec.ai_cores, "RadixSort", |ctx| {
-        // Encode keys, materialize indices.
-        let span = ctx.span_begin("Encode");
-        for_each_lane(ctx, encode.spans.iter(), |vc, _, mine| {
-            encode_lane::<K>(vc, encode.piece, mine, x, &keys[0], &idx[0])
-        })?;
-        ctx.span_end(span);
-        ctx.sync_all()?;
-        // One split per digit.
         for (pass, digit) in digits.iter().enumerate() {
-            let (from, to) = (pass % 2, 1 - pass % 2);
-            let store = SplitStore::<K::Encoded> {
-                vals: &keys[from],
-                idx_in: Some(&idx[from]),
-                masks: Masks::Digit(digit),
-                vals_out: &keys[to],
-                idx_out: Some(&idx[to]),
-                false_side: true,
+            let (vals, idx_in) = match pass {
+                0 => (x, None),
+                _ => {
+                    let (vals, idx) = &sides[(passes - pass) % 2];
+                    (vals, Some(idx))
+                }
             };
-            store.pass(ctx, &counts)?;
-            // The next pass (or the decode) reads what every core
-            // scattered.
-            ctx.sync_all()?;
+            let (vals_out, idx_out) = &sides[(passes - 1 - pass) % 2];
+            if pass > 0 {
+                // This pass reads what every core scattered.
+                ctx.sync_all()?;
+            }
+            SplitStore {
+                vals,
+                idx_in,
+                masks: Masks::Digit(digit),
+                vals_out,
+                idx_out: Some(idx_out),
+                false_side: true,
+            }
+            .pass(ctx, &counts)?;
         }
-        // Decode keys back to values.
-        let span = ctx.span_begin("Decode");
-        let sorted = &keys[(passes % 2) as usize];
-        for_each_lane(ctx, decode.spans.iter(), |vc, _, mine| {
-            decode_lane::<K>(vc, decode.piece, mine, sorted, &values)
-        })?;
-        ctx.span_end(span);
         Ok(())
     })?;
     report.elements = n as u64;
@@ -189,94 +173,12 @@ where
     })
 }
 
-/// How the encode or decode cuts its `n` elements: pieces of `piece`
-/// elements (as many as UB holds, up to [`PIECE_CAP`]), dealt
-/// round-robin over the vector cores.
-struct Codec {
-    piece: usize,
-    spans: Vec<(usize, usize)>,
-}
-
-impl Codec {
-    /// The encode's pieces: raw key, encoded key and index per element.
-    fn encode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> SimResult<Self> {
-        Self::new(spec, n, K::SIZE + std::mem::size_of::<K::Encoded>() + 4)
-    }
-
-    /// The decode's pieces: encoded and decoded key per element.
-    fn decode<K: RadixKey + Element>(spec: &ChipSpec, n: usize) -> SimResult<Self> {
-        Self::new(spec, n, K::SIZE + std::mem::size_of::<K::Encoded>())
-    }
-
-    fn new(spec: &ChipSpec, n: usize, per_elem: usize) -> SimResult<Self> {
-        let piece = crate::ub_piece(spec, per_elem, PIECE_CAP);
-        Ok(Codec {
-            piece,
-            spans: tile_spans(n, piece)?,
-        })
-    }
-}
-
-/// One vector core's share of the encode: for each of its `(offset,
-/// len)` pieces, the order-preserving encode of `x` into `keys` and the
-/// index ramp into `idx`.
-fn encode_lane<'p, K>(
-    vc: &mut Core<'_>,
-    piece: usize,
-    mine: impl Iterator<Item = &'p (usize, usize)>,
-    x: &GlobalTensor<K>,
-    keys: &GlobalTensor<K::Encoded>,
-    idx: &GlobalTensor<u32>,
-) -> SimResult<()>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element,
-{
-    let mut raw = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-    let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-    let mut ramp = vc.alloc_local::<u32>(ScratchpadKind::Ub, piece)?;
-    for &(off, valid) in mine {
-        vc.copy_in(&mut raw, 0, x, off, valid, &[])?;
-        vc.vradix_encode::<K>(&mut enc, &raw, 0, valid)?;
-        vc.copy_out(keys, off, &enc, 0, valid, &[])?;
-        vc.viota(&mut ramp, 0, valid, off as u32)?;
-        vc.copy_out(idx, off, &ramp, 0, valid, &[])?;
-    }
-    vc.free_local(raw)?;
-    vc.free_local(enc)?;
-    vc.free_local(ramp)
-}
-
-/// One vector core's share of the decode: each of its `(offset, len)`
-/// pieces of `keys`, decoded into `values`.
-fn decode_lane<'p, K>(
-    vc: &mut Core<'_>,
-    piece: usize,
-    mine: impl Iterator<Item = &'p (usize, usize)>,
-    keys: &GlobalTensor<K::Encoded>,
-    values: &GlobalTensor<K>,
-) -> SimResult<()>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
-    let mut enc = vc.alloc_local::<K::Encoded>(ScratchpadKind::Ub, piece)?;
-    let mut out = vc.alloc_local::<K>(ScratchpadKind::Ub, piece)?;
-    for &(off, valid) in mine {
-        vc.copy_in(&mut enc, 0, keys, off, valid, &[])?;
-        vc.vradix_decode::<K>(&mut out, &enc, 0, valid)?;
-        vc.copy_out(values, off, &out, 0, valid, &[])?;
-    }
-    vc.free_local(enc)?;
-    vc.free_local(out)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::split;
     use ascend_sim::prof::with_profiling;
-    use dtypes::F16;
+    use dtypes::{RadixKey, F16};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use rand::rngs::StdRng;
@@ -341,6 +243,26 @@ pub(crate) mod tests {
             expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "f16 sort must follow the IEEE total order bit-exactly"
         );
+
+        // Every fp16 bit pattern (NaN payloads, subnormals, -0), in a
+        // scrambled order, after the keys above, which repeat some of
+        // them: values come out bit for bit and equal keys by index,
+        // though no key is ever decoded.
+        data.extend((0..=u16::MAX).map(|i| F16::from_bits(i.wrapping_mul(40503))));
+        let x = GlobalTensor::from_slice(&gm, &data).unwrap();
+        for bits in [BIT, SORT_DIGIT_BITS] {
+            for order in [SortOrder::Ascending, SortOrder::Descending] {
+                let run = radix_sort(&spec, &gm, &x, bits, order).unwrap();
+                let idx = host_argsort(&data, order, |a, b| a.encode().cmp(&b.encode()));
+                let vals: Vec<F16> = idx.iter().map(|&i| data[i as usize]).collect();
+                assert_eq!(run.indices.to_vec(), idx, "{bits} bits, {order:?}");
+                assert_eq!(
+                    bytes(&run.values.to_vec()),
+                    bytes(&vals),
+                    "{bits} bits, {order:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -399,9 +321,9 @@ pub(crate) mod tests {
                 passes,
                 "one phase I per digit"
             );
-            // The encode's barrier, then two per pass: after the scan's
-            // phase I and after the scatter.
-            assert_eq!(run.report.sync_rounds, 1 + 2 * passes as u64);
+            // Two barriers per pass but the last: after its phase I and
+            // after its scatter.
+            assert_eq!(run.report.sync_rounds, 2 * passes as u64 - 1);
         }
     }
 
@@ -418,7 +340,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pass_count_matches_paper() {
-        // fp16 sort = 16 split passes = 16 scans (plus encode/decode).
+        // fp16 sort = 16 split passes = 16 scans.
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let data: Vec<F16> = (0..100).map(|i| F16::from_f32(i as f32)).collect();
         let x = GlobalTensor::from_slice(&gm, &data).unwrap();
@@ -426,15 +348,15 @@ pub(crate) mod tests {
             radix_sort(&spec, &gm, &x, BIT, SortOrder::Ascending).unwrap()
         });
         assert_eq!(crate::tests::scans(&profile), 16);
-        // One launch: the encode's barrier, then two per pass.
+        // One launch: two barriers per pass but the last.
         assert_eq!(profile.kernels.len(), 1);
-        assert_eq!(run.report.sync_rounds, 33);
+        assert_eq!(run.report.sync_rounds, 31);
     }
 
     #[test]
     fn two_bit_digits_halve_the_passes() {
         // fp16 sort with two-bit digits = 8 passes, each one phase I
-        // over three digit masks, in one launch of 17 barriers.
+        // over three digit masks, in one launch of 15 barriers.
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let data: Vec<F16> = (0..100)
             .map(|i| F16::from_f32((i * 37 % 100) as f32))
@@ -448,14 +370,14 @@ pub(crate) mod tests {
         assert_eq!(run.values.to_vec(), expect);
         assert_eq!(crate::tests::scans(&profile), 8);
         assert_eq!(profile.kernels.len(), 1);
-        assert_eq!(run.report.sync_rounds, 17);
+        assert_eq!(run.report.sync_rounds, 15);
     }
 
     #[test]
     fn four_bit_digits_halve_the_passes_again() {
         // fp16 sort with four-bit digits = 4 passes, each one phase I
         // over fifteen digit masks made from the keys, in one launch of
-        // 9 barriers.
+        // 7 barriers.
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let data: Vec<F16> = (0..100)
             .map(|i| F16::from_f32((i * 37 % 100) as f32 - 50.0))
@@ -469,7 +391,7 @@ pub(crate) mod tests {
         assert_eq!(run.values.to_vec(), expect);
         assert_eq!(crate::tests::scans(&profile), 4);
         assert_eq!(profile.kernels.len(), 1);
-        assert_eq!(run.report.sync_rounds, 9);
+        assert_eq!(run.report.sync_rounds, 7);
     }
 
     #[test]
@@ -530,16 +452,12 @@ pub(crate) mod tests {
     /// Sorts keys of every length around a split piece inside a chunk
     /// (plus `extra`) both ways on one AI core, with one-, two- and
     /// four-bit digits, and checks values and argsort against the host.
-    fn check_sorts<K>(
+    fn check_sorts<K: SortKey>(
         seed: u64,
         extra: usize,
         specials: &[u64],
         cmp: fn(&K, &K) -> Ordering,
-    ) -> Result<(), TestCaseError>
-    where
-        K: RadixKey + Element,
-        K::Encoded: Element + Bits + Numeric,
-    {
+    ) -> Result<(), TestCaseError> {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let mut rng = StdRng::seed_from_u64(seed);
         let p = split::tests::sort_piece(&spec, std::mem::size_of::<K::Encoded>());

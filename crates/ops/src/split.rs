@@ -18,12 +18,12 @@
 //!    `CreateVecIndex` and gathered alongside the values.
 //!
 //! The same walk over `2^r` runs is the `2^r`-way split of an `r`-bit
-//! radix-sort pass, whose masks are not stored but made from the keys
-//! ([`scan::Digit`]): phase I isolates each piece's digit with one `And`
-//! and counts a `Compare` per run but the last
+//! radix-sort pass, whose masks are not stored but made from the raw
+//! keys ([`scan::Digit`]): phase I isolates each piece's digit with one
+//! `KeyEncode` and one `And` and counts a `Compare` per run but the last
 //! ([`MaskCounts::reduce_digits`]), and the scatter isolates the digit
 //! again and makes each run's mask, the last one's too, with one
-//! `Compare` into one mask buffer.
+//! `Compare` into one mask buffer, then gathers the raw keys.
 //!
 //! After each chunk walk the host checks it against phase I, at no
 //! simulated cost: every run advanced by its mask's count in `r` (the
@@ -82,7 +82,7 @@ pub fn split_ind<E: Element>(
         });
     }
 
-    let (n_true, mut report) = SplitStore {
+    let (n_true, mut report) = SplitStore::<E> {
         vals: x,
         idx_in: None,
         masks: Masks::Gm(mask),
@@ -102,15 +102,15 @@ pub fn split_ind<E: Element>(
     })
 }
 
-/// Where a split's masks come from.
-pub(crate) enum Masks<'a, E: Element> {
+/// Where a split's masks come from; `U` is a digit's encoded key type.
+pub(crate) enum Masks<'a, E: Element, U: Element> {
     /// One byte mask of `vals.len()` elements in GM: a non-zero byte
     /// selects the first run (SplitInd's true side).
     Gm(&'a GlobalTensor<u8>),
-    /// A radix digit of the values: run `r` takes the values whose digit
-    /// is the digit's `r`-th. Only a split with a false side takes one:
-    /// phase I counts every run but the last.
-    Digit(&'a Digit<E>),
+    /// A radix digit of the values: run `r` takes the values whose
+    /// encoded digit is the digit's `r`-th. Only a split with a false
+    /// side takes one: phase I counts every run but the last.
+    Digit(&'a Digit<E, U>),
 }
 
 /// Every split — SplitInd, Compress, the radix-sort passes:
@@ -120,22 +120,23 @@ pub(crate) enum Masks<'a, E: Element> {
 /// last run after them. With a stored mask the runs are SplitInd's true
 /// and false partitions; with a digit, one run per digit value.
 ///
-/// `masks`: where the runs' masks come from (see [`Masks`]).
+/// `masks`: where the runs' masks come from (see [`Masks`]); `U`, the
+/// type a digit encodes the values to, is unused by a stored mask.
 ///
 /// `idx_in`: `None` materializes fresh indices (`CreateVecIndex`);
 /// `Some(t)` gathers from an existing index array (radix-sort passes
 /// permute previously-permuted indices). Without `idx_out` no indices
 /// are touched.
-pub(crate) struct SplitStore<'a, E: Element> {
+pub(crate) struct SplitStore<'a, E: Element, U: Element = u8> {
     pub vals: &'a GlobalTensor<E>,
     pub idx_in: Option<&'a GlobalTensor<u32>>,
-    pub masks: Masks<'a, E>,
+    pub masks: Masks<'a, E, U>,
     pub vals_out: &'a GlobalTensor<E>,
     pub idx_out: Option<&'a GlobalTensor<u32>>,
     pub false_side: bool,
 }
 
-impl<E: Element> SplitStore<'_, E> {
+impl<E: Element, U: Element> SplitStore<'_, E, U> {
     /// Runs the split as one launch on all AI cores and returns the first
     /// mask's total and the launch's report.
     pub(crate) fn launch(
@@ -323,12 +324,12 @@ impl<E: Element> SplitStore<'_, E> {
     fn mask_bytes(&self) -> usize {
         match self.masks {
             Masks::Gm(_) => 1 + usize::from(self.false_side),
-            Masks::Digit(_) => E::SIZE + 1,
+            Masks::Digit(_) => U::SIZE + 1,
         }
     }
 
     /// One vector core's split buffers for a chunk of `len` elements.
-    fn open(&self, vc: &mut Core<'_>, len: usize) -> SimResult<SplitBufs<E>> {
+    fn open(&self, vc: &mut Core<'_>, len: usize) -> SimResult<SplitBufs<E, U>> {
         let bytes = piece_bytes(E::SIZE, self.mask_bytes(), self.idx_out.is_some());
         let ub_left = vc.spec().ub_capacity - vc.scratch_in_use(ScratchpadKind::Ub);
         let p = piece_len(ub_left, bytes)?.min(len);
@@ -340,7 +341,7 @@ impl<E: Element> SplitStore<'_, E> {
                 (Some(vc.alloc_local::<u8>(ScratchpadKind::Ub, p)?), None)
             }
             Masks::Gm(_) => (None, None),
-            Masks::Digit(_) => (None, Some(vc.alloc_local::<E>(ScratchpadKind::Ub, p)?)),
+            Masks::Digit(_) => (None, Some(vc.alloc_local::<U>(ScratchpadKind::Ub, p)?)),
         };
         let idx = match self.idx_out {
             Some(_) => Some((
@@ -361,7 +362,7 @@ impl<E: Element> SplitStore<'_, E> {
     }
 
     /// Frees one vector core's buffers.
-    fn close(&self, vc: &mut Core<'_>, b: SplitBufs<E>) -> SimResult<()> {
+    fn close(&self, vc: &mut Core<'_>, b: SplitBufs<E, U>) -> SimResult<()> {
         if let Some(dig) = b.dig {
             vc.free_local(dig)?;
         }
@@ -432,15 +433,15 @@ impl Run {
 
 /// One vector core's split buffers; `p` elements each. A split over a
 /// stored mask holds it in `mk` and the false side's in `mk_neg`; a
-/// digit split holds the isolated digits in `dig` and one run's mask at
-/// a time in `mk`.
-struct SplitBufs<E: Element> {
+/// digit split holds the isolated encoded digits in `dig` and one run's
+/// mask at a time in `mk`.
+struct SplitBufs<E: Element, U: Element> {
     p: usize,
     val_in: LocalTensor<E>,
     val_gath: LocalTensor<E>,
     mk: LocalTensor<u8>,
     mk_neg: Option<LocalTensor<u8>>,
-    dig: Option<LocalTensor<E>>,
+    dig: Option<LocalTensor<U>>,
     idx: Option<(LocalTensor<u32>, LocalTensor<u32>)>,
 }
 

@@ -4,7 +4,7 @@
 //! [`SORT_DIGIT_BITS`]-bit digits and returns its first `k` values and
 //! indices: largest first, equal keys by lower index (`torch.topk`'s
 //! `sorted=True` order). For fp16 keys that is one `RadixSort` launch
-//! of 9 barriers at every `k`.
+//! of 7 barriers at every `k`.
 //!
 //! The paper builds top-k from SplitInd as a bitwise partial
 //! quickselect, which needs the host to read each pass's true count
@@ -23,9 +23,9 @@
 use crate::radix_sort::{radix_sort, SortOrder, SORT_DIGIT_BITS};
 use ascend_sim::mem::GlobalMemory;
 use ascend_sim::KernelReport;
-use ascendc::vecops::Bits;
 use ascendc::{ChipSpec, GlobalTensor, SimError, SimResult};
-use dtypes::{Element, Numeric, RadixKey};
+use dtypes::Element;
+use scan::SortKey;
 use std::sync::Arc;
 
 /// Result of [`topk`].
@@ -42,16 +42,12 @@ pub struct TopKRun<K: Element> {
 /// Selects the `k` largest elements of `x` (with original indices) as
 /// the first `k` of its descending radix sort, one launch on all of the
 /// chip's AI cores.
-pub fn topk<K>(
+pub fn topk<K: SortKey>(
     spec: &ChipSpec,
     gm: &Arc<GlobalMemory>,
     x: &GlobalTensor<K>,
     k: usize,
-) -> SimResult<TopKRun<K>>
-where
-    K: RadixKey + Element,
-    K::Encoded: Element + Bits + Numeric,
-{
+) -> SimResult<TopKRun<K>> {
     let n = x.len();
     if k == 0 || k > n {
         return Err(SimError::InvalidArgument(format!(
@@ -75,7 +71,7 @@ mod tests {
         bytes, host_argsort, int_specials, keys, setup, F16_SPECIALS, F32_SPECIALS,
     };
     use crate::split;
-    use dtypes::F16;
+    use dtypes::{RadixKey, F16};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use rand::rngs::StdRng;
@@ -147,15 +143,11 @@ mod tests {
     /// checks the result against the host: the first `k` of the stable
     /// descending argsort under `cmp`, and the values at those indices,
     /// bit for bit and in order.
-    fn check_topk<K>(
+    fn check_topk<K: SortKey>(
         seed: u64,
         specials: &[u64],
         cmp: fn(&K, &K) -> Ordering,
-    ) -> Result<(), TestCaseError>
-    where
-        K: RadixKey + Element,
-        K::Encoded: Element + Bits + Numeric,
-    {
+    ) -> Result<(), TestCaseError> {
         let (spec, gm) = crate::tests::tiny_with_cores(1);
         let p = split::tests::sort_piece(&spec, std::mem::size_of::<K::Encoded>());
         let mut rng = StdRng::seed_from_u64(seed);

@@ -11,8 +11,8 @@
 //! 1. the descending [`radix_sort`] of the probabilities, one launch:
 //!    splits that count their masks and scatter on every vector core —
 //!    16 one-bit passes for fp16 in the paper's accounting, 4 four-bit
-//!    passes (fifteen mask counts each, the masks made from the keys)
-//!    as `Device::top_p` runs it;
+//!    passes (fifteen mask counts each, the masks made from the raw
+//!    keys in UB; 7 barriers) as `Device::top_p` runs it;
 //! 2. one `TopP` launch of three phases:
 //!    - the inclusive MCScan of the sorted probabilities
 //!      ([`McLayout::scan`]: phase I, a `SyncAll`, phase II), then a
@@ -300,10 +300,10 @@ mod tests {
             "the paper's 17-scans-per-batch count"
         );
         assert_eq!(profile.kernels.len(), 2);
-        // The sort's 33 barriers (encode, then two per pass), then the
+        // The sort's 31 barriers (two per pass but the last), then the
         // CDF scan's, one after the scan and one after the threshold
         // count.
-        assert_eq!(run.report.sync_rounds, 36);
+        assert_eq!(run.report.sync_rounds, 34);
     }
 
     #[test]

@@ -327,8 +327,8 @@ fn a_chip_without_room_for_the_split_store_refuses_every_split() {
     // One AI core with a 13 B UB: a split's phase I (9 B for one-element
     // pieces) and offset read (8 B) fit, but one element of the u16
     // split's scatter needs 14 B, and of a sort's 15 B at every digit
-    // width (their encodes, which run first, refuse already). Compress's scatter needs 5 B per element, so it runs,
-    // one element per piece.
+    // width. Compress's scatter needs 5 B per element, so it runs, one
+    // element per piece.
     let spec = ChipSpec {
         ai_cores: 1,
         ub_capacity: 13,

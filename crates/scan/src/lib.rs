@@ -23,8 +23,9 @@
 //!   each vector core reduces byte masks over an equal element range,
 //!   and after a `SyncAll` reads its range's offsets from the counts.
 //!   A split needs no scan, only these counts. A radix-sort pass makes
-//!   its masks from the keys instead: a [`Digit`] isolates the digit
-//!   with one `And` and selects each run with one `Compare`.
+//!   its masks from the raw keys instead: a [`Digit`] encodes them
+//!   (`KeyEncode`), isolates the digit with one `And` and selects each
+//!   run with one `Compare`, for any [`SortKey`].
 //! * [`scanc::scanc`] — **ScanC**: a single-pass chained scan with
 //!   decoupled look-back. No barrier and no recomputation read: each
 //!   lane keeps its tile-local scans resident in UB, publishes its
@@ -78,7 +79,7 @@ pub use reduce::{reduce_cube, reduce_vec, ReduceRun};
 pub use scanc::{scanc, ScanCConfig};
 pub use scanu::scanu;
 pub use scanul1::scanul1;
-pub use stage::{Chunk, Digit, MaskCounts};
+pub use stage::{Chunk, Digit, MaskCounts, SortKey};
 pub use util::tile_spans;
 
 use ascendc::{GlobalTensor, KernelReport};

@@ -19,7 +19,7 @@
 //! * [`MaskCounts`] — the same two over one equal element range per
 //!   vector core: the counts behind every split of the `ops` crate,
 //!   over masks in GM or over the runs of a radix [`Digit`] made from
-//!   the keys.
+//!   the raw keys.
 //!
 //! A stage's instruction stream is part of every report built on it:
 //! changing the order or the dependencies of its instructions moves the
@@ -32,7 +32,7 @@ use ascendc::{
     Bits, BlockCtx, ChipSpec, CmpMode, Core, EventTime, FlagFile, GlobalTensor, LocalTensor,
     ScratchpadKind, SimError, SimResult, SpanArgs, TQue,
 };
-use dtypes::{CubeInput, Element, Numeric};
+use dtypes::{CubeInput, Element, Numeric, RadixKey};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -428,27 +428,27 @@ pub(crate) fn reduce_chunk<T: Numeric, O: Numeric>(
 }
 
 /// The digit counts of one chunk: loads each `(offset, len)` piece of
-/// `keys` (at most `piece` elements), isolates `digit` once, and per
-/// counted run `Compare`s and counts the mask with a `GatherMask` of
-/// the mask by itself, whose count (`GetGatherMaskRemainCount`) it adds
-/// to the run's total on the scalar pipe; then stores run `d`'s total
-/// to `r[at[d]]`.
-fn count_digits<T: Element>(
+/// raw `keys` (at most `piece` elements), isolates `digit` once
+/// (`KeyEncode` and `And`), and per counted run `Compare`s and counts
+/// the mask with a `GatherMask` of the mask by itself, whose count
+/// (`GetGatherMaskRemainCount`) it adds to the run's total on the scalar
+/// pipe; then stores run `d`'s total to `r[at[d]]`.
+fn count_digits<K: Element, U: Element>(
     vc: &mut Core<'_>,
-    keys: &GlobalTensor<T>,
+    keys: &GlobalTensor<K>,
     pieces: &[(usize, usize)],
     piece: usize,
-    digit: &Digit<T>,
+    digit: &Digit<K, U>,
     r: &GlobalTensor<i32>,
     at: &[usize],
 ) -> SimResult<()> {
-    let din = if 2 * piece * T::SIZE + piece * (T::SIZE + 2) + 64 <= vc.spec().ub_capacity {
+    let din = if 2 * piece * K::SIZE + piece * (U::SIZE + 2) + 64 <= vc.spec().ub_capacity {
         2
     } else {
         1
     };
-    let mut qin = TQue::<T>::new(vc, ScratchpadKind::Ub, din, piece)?.named("qin(UB)");
-    let mut dig = vc.alloc_local::<T>(ScratchpadKind::Ub, piece)?;
+    let mut qin = TQue::<K>::new(vc, ScratchpadKind::Ub, din, piece)?.named("qin(UB)");
+    let mut dig = vc.alloc_local::<U>(ScratchpadKind::Ub, piece)?;
     let mut mask = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
     let mut kept = vc.alloc_local::<u8>(ScratchpadKind::Ub, piece)?;
     let mut totals = vec![(0i32, 0); at.len()];
@@ -470,7 +470,7 @@ fn count_digits<T: Element>(
         vc.span_args(
             tile,
             SpanArgs {
-                bytes: (valid * T::SIZE) as u64,
+                bytes: (valid * K::SIZE) as u64,
                 kind: "reduce",
                 queue_depth: din as u32,
             },
@@ -547,35 +547,48 @@ pub(crate) fn chunk_cores<'c, 'a>(
         .map(move |(v, vc)| (first + v, vc))
 }
 
-/// A radix digit of unsigned keys as a split sees it: run `r` takes the
-/// keys whose digit is the `r`-th of the run order. The split masks are
-/// made in UB from keys already loaded: one `And` isolates the digit's
-/// bits in place (no `ShiftRight`: the runs' digits are compared at the
-/// same shift), then one `Compare` per run.
-pub struct Digit<T: Element> {
-    /// The digit's bits within a key.
-    field: T,
+/// A key a radix sort orders: a [`RadixKey`] whose encoded form takes
+/// the vector `And` and `Compare` its digits are selected with.
+pub trait SortKey: RadixKey<Encoded: Element + Bits + Numeric> + Element {}
+
+impl<K: RadixKey<Encoded: Element + Bits + Numeric> + Element> SortKey for K {}
+
+/// A radix digit of keys `K` as a split sees it: run `r` takes the keys
+/// whose encoded digit (in `U`, `K`'s [`RadixKey::Encoded`]) is the
+/// `r`-th of the run order. The split masks are made in UB from raw
+/// keys already loaded: one `KeyEncode` into the digit buffer, one
+/// `And` there isolates the digit's bits in place (no `ShiftRight`: the
+/// runs' digits are compared at the same shift), then one `Compare` per
+/// run. Encoding every pass keeps the keys raw in GM, so a sort needs
+/// no encode or decode pass of its own.
+pub struct Digit<K: Element, U: Element> {
+    /// The digit's bits within an encoded key.
+    field: U,
     /// Each run's digit, at the digit's shift.
-    runs: Vec<T>,
-    isolate: ScalarOp<T, T>,
-    select: ScalarOp<T, u8>,
+    runs: Vec<U>,
+    /// `KeyEncode`: `dig = encode(keys)`.
+    encode: VecOp<K, U>,
+    /// `And` in place: `dig &= field`.
+    isolate: fn(&mut Core<'_>, &mut LocalTensor<U>, usize, U) -> SimResult<EventTime>,
+    /// `Compare`: `mask = (dig == run)`.
+    select: ScalarOp<U, u8>,
 }
 
-/// A vector instruction `dst[..len] = src[..len] <op> scalar`, taken when
-/// a [`Digit`] is made so that using one needs no bounds beyond
-/// `Element`.
+/// A vector instruction `dst[..len] = op(src[..len])`, taken when a
+/// [`Digit`] is made so that using one needs no bounds beyond
+/// `Element`; [`ScalarOp`] likewise for `dst[..len] = src[..len] <op>
+/// scalar`.
+type VecOp<T, D> =
+    fn(&mut Core<'_>, &mut LocalTensor<D>, &LocalTensor<T>, usize) -> SimResult<EventTime>;
 type ScalarOp<T, D> =
     fn(&mut Core<'_>, &mut LocalTensor<D>, &LocalTensor<T>, usize, T) -> SimResult<EventTime>;
 
-impl<T: Element> Digit<T> {
-    /// The `w`-bit digit at bit `shift` whose runs take the values
-    /// `runs` in that order. `runs` must be a permutation of `0..2^w`
-    /// with `w ≥ 1`, and the digit must lie inside a key: anything else
-    /// is an [`SimError::InvalidArgument`].
-    pub fn new(shift: u32, runs: &[u32]) -> SimResult<Self>
-    where
-        T: Bits + Numeric,
-    {
+impl<K: SortKey> Digit<K, K::Encoded> {
+    /// The `w`-bit digit at bit `shift` of the encoded keys whose runs
+    /// take the values `runs` in that order. `runs` must be a
+    /// permutation of `0..2^w` with `w ≥ 1`, and the digit must lie
+    /// inside a key: anything else is an [`SimError::InvalidArgument`].
+    pub fn new(shift: u32, runs: &[u32]) -> SimResult<Self> {
         let mut sorted = runs.to_vec();
         sorted.sort_unstable();
         let width = runs.len().trailing_zeros();
@@ -585,37 +598,44 @@ impl<T: Element> Digit<T> {
                 "digit runs {runs:?}: expected a permutation of 0..2^w, w >= 1"
             )));
         }
-        if shift + width > 8 * T::SIZE as u32 {
+        if shift + width > 8 * K::SIZE as u32 {
             return Err(SimError::InvalidArgument(format!(
                 "a {width}-bit digit at bit {shift} does not fit a {}-byte key",
-                T::SIZE
+                K::SIZE
             )));
         }
-        let at = |d: u32| T::from_f64((u64::from(d) << shift) as f64);
+        let at = |d: u32| K::Encoded::from_f64((u64::from(d) << shift) as f64);
         Ok(Digit {
             field: at(runs.len() as u32 - 1),
             runs: runs.iter().map(|&d| at(d)).collect(),
-            isolate: |vc, dig, keys, len, field| vc.vand_scalar(dig, keys, 0, len, field),
+            encode: |vc, dig, keys, len| vc.vradix_encode::<K>(dig, keys, 0, len),
+            isolate: |vc, dig, len, field| vc.vand_scalar_inplace(dig, 0, len, field),
             select: |vc, mask, dig, len, digit| {
                 vc.vcompare_scalar(mask, dig, 0, len, CmpMode::Eq, digit, 0)
             },
         })
     }
+}
 
+impl<K: Element, U: Element> Digit<K, U> {
     /// How many runs the digit splits into.
     pub fn runs(&self) -> usize {
         self.runs.len()
     }
 
-    /// `And`: the digit bits of `keys[..len]` into `dig`.
+    /// `KeyEncode` then `And`: the digit bits of the encoded
+    /// `keys[..len]` into `dig`. Returns when `keys` may be overwritten
+    /// (the encode's completion).
     pub fn isolate(
         &self,
         vc: &mut Core<'_>,
-        dig: &mut LocalTensor<T>,
-        keys: &LocalTensor<T>,
+        dig: &mut LocalTensor<U>,
+        keys: &LocalTensor<K>,
         len: usize,
     ) -> SimResult<EventTime> {
-        (self.isolate)(vc, dig, keys, len, self.field)
+        let encoded = (self.encode)(vc, dig, keys, len)?;
+        (self.isolate)(vc, dig, len, self.field)?;
+        Ok(encoded)
     }
 
     /// `Compare`: run `run`'s mask of the isolated digits `dig[..len]`.
@@ -623,7 +643,7 @@ impl<T: Element> Digit<T> {
         &self,
         vc: &mut Core<'_>,
         mask: &mut LocalTensor<u8>,
-        dig: &LocalTensor<T>,
+        dig: &LocalTensor<U>,
         len: usize,
         run: usize,
     ) -> SimResult<EventTime> {
@@ -635,7 +655,7 @@ impl<T: Element> Digit<T> {
 /// into one equal element range — a chunk — per vector core of the
 /// chip, and `r`, one count per mask and chunk. The masks are either
 /// one mask stored in GM ([`MaskCounts::reduce`]) or the masks of a
-/// radix digit's runs, made from the keys
+/// radix digit's runs, made from the raw keys in UB
 /// ([`MaskCounts::reduce_digits`]).
 ///
 /// A split pass runs inside any launch on all of the chip's AI cores:
@@ -709,13 +729,13 @@ impl MaskCounts {
     }
 
     /// Phase I on one block over the masks of `digit`'s runs but the
-    /// last: each vector core loads its chunk of `keys`, isolates the
+    /// last: each vector core loads its chunk of raw `keys`, isolates the
     /// digit once per piece and counts each run's `Compare` into `r`.
-    pub fn reduce_digits<T: Element>(
+    pub fn reduce_digits<K: Element, U: Element>(
         &self,
         ctx: &mut BlockCtx<'_>,
-        keys: &GlobalTensor<T>,
-        digit: &Digit<T>,
+        keys: &GlobalTensor<K>,
+        digit: &Digit<K, U>,
     ) -> SimResult<()> {
         if keys.len() != self.n || digit.runs() != self.masks + 1 {
             return Err(SimError::InvalidArgument(format!(
@@ -726,9 +746,9 @@ impl MaskCounts {
                 self.masks + 1
             )));
         }
-        // Double-buffered keys, the isolated digits, a run mask and its
+        // Double-buffered keys, the encoded digits, a run mask and its
         // gathered copy.
-        let piece = piece_len(ctx.spec(), self.n, 3 * T::SIZE + 2);
+        let piece = piece_len(ctx.spec(), self.n, 2 * K::SIZE + U::SIZE + 2);
         let chunks = self.chunks.len();
         for (chunk, vc) in chunk_cores(ctx.block_idx, &mut ctx.vecs) {
             let pieces = self.pieces(chunk, piece)?;
@@ -799,7 +819,7 @@ mod tests {
 
     #[test]
     fn a_digit_takes_a_permutation_of_its_values_inside_the_key() {
-        let digit = Digit::<u16>::new(12, &[3, 2, 1, 0]).unwrap();
+        let digit = Digit::<u16, u16>::new(12, &[3, 2, 1, 0]).unwrap();
         assert_eq!(digit.runs(), 4);
         assert_eq!((digit.field, digit.runs[0]), (0x3000, 0x3000));
         for (shift, runs) in [
@@ -810,7 +830,7 @@ mod tests {
             (0, vec![0, 2]),
             (14, vec![0, 1, 2, 3, 4, 5, 6, 7]),
         ] {
-            let err = Digit::<u16>::new(shift, &runs).err();
+            let err = Digit::<u16, u16>::new(shift, &runs).err();
             assert!(
                 matches!(err, Some(SimError::InvalidArgument(_))),
                 "{shift} {runs:?}: {err:?}"

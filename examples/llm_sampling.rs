@@ -47,9 +47,9 @@ fn main() {
 
     // The paper's accounting: one fp16 top-p = 16 one-bit radix-sort
     // scans plus one cumulative-sum scan. `Device` sorts four bits per
-    // pass: the encode's barrier and 4 passes of two in the sort's
-    // launch (9), then the CDF scan's, one after the scan and one after
-    // the threshold count in the draw's launch (3).
+    // pass: 4 passes of two barriers, less one after the last, in the
+    // sort's launch (7), then the CDF scan's, one after the scan and one
+    // after the threshold count in the draw's launch (3): 7 + 3 = 10.
     let run = dev.top_p(&x, 0.9, 0.5).expect("top-p sample");
     println!(
         "\nSyncAll rounds per sample: {} in two launches (4 four-bit sort passes; the paper's \

@@ -8,7 +8,7 @@
 //! ```
 
 use ascend_scan::dtypes::{RadixKey, F16};
-use ascend_scan::ops::SortOrder;
+use ascend_scan::ops::{SortOrder, SORT_DIGIT_BITS};
 use ascend_scan::Device;
 
 fn main() {
@@ -34,11 +34,14 @@ fn main() {
     let x = dev.tensor(&values).expect("upload");
 
     let run = dev.sort(&x, SortOrder::Ascending).expect("radix sort");
-    // The encode's barrier, then two per split pass.
-    let passes = (run.report.sync_rounds - 1) / 2;
+    // Two barriers per split pass, after its counts and after its
+    // scatter, but none after the last.
+    let passes = F16::BITS / SORT_DIGIT_BITS;
+    assert_eq!(run.report.sync_rounds, 2 * u64::from(passes) - 1);
     println!(
-        "sorted {n} fp16 values: {passes} split passes of {} key bits in one launch\n",
-        u64::from(F16::BITS) / passes
+        "sorted {n} fp16 values: {passes} split passes of {SORT_DIGIT_BITS} key bits in one \
+         launch of {} barriers\n",
+        run.report.sync_rounds
     );
     let sorted = run.values.read_range(0, 5).unwrap();
     let top = run.values.read_range(n - 3, 3).unwrap();

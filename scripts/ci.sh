@@ -6,6 +6,21 @@
 # script needs no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+root=$PWD
+
+# Everything the gates write (the quick figure documents, the traces,
+# the lint report) goes to a temp dir that is removed even when a gate
+# fails, so a run, red or green, leaves no litter in the repo and never
+# touches the committed BENCH_scan.json, the full sweep that perfbench's
+# anchor check reads.
+workdir=$(mktemp -d)
+trap 'rm -rf "$workdir"' EXIT
+cp BENCH_scan.json "$workdir/BENCH_scan.committed.json"
+# The figure harness writes BENCH_scan.json into its working directory.
+figures_in_workdir() {
+  (cd "$workdir" && cargo run --release --manifest-path "$root/Cargo.toml" \
+    -p bench --bin figures -- "$@")
+}
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -55,8 +70,8 @@ cargo run --release -p bench --bin figures -- ablation --quick > /dev/null
 echo "==> perf report smoke: figures --json"
 # figures refuses to write a document that fails
 # bench::validate_bench_json, which requires every stable schema key.
-cargo run --release -p bench --bin figures -- --json --quick
-test -s BENCH_scan.json
+figures_in_workdir --json --quick
+test -s "$workdir/BENCH_scan.json"
 
 echo "==> perf gate: decoupled ScanC must not trail MCScan at the 4M anchor"
 # The tentpole claim: with the multi-hop look-back overlapped behind
@@ -64,7 +79,7 @@ echo "==> perf gate: decoupled ScanC must not trail MCScan at the 4M anchor"
 # crossover anchor, for both dtype paths, and removing the look-back
 # entirely may predict at most a 1.15x speedup (it is hidden, not
 # merely cheap).
-cargo run --release -p bench --bin benchcheck -- BENCH_scan.json
+cargo run --release -p bench --bin benchcheck -- "$workdir/BENCH_scan.json"
 
 # The host section carries wall-clock times, the one legitimately
 # run-dependent part of the document; every byte-stability comparison
@@ -74,20 +89,18 @@ strip_host() { sed -E 's/"host":\{[^{}]*\}/"host":{}/' "$1"; }
 echo "==> determinism gate: two figure runs must be byte-identical"
 # The deterministic scheduler makes launches seed-independent; any
 # drift between two back-to-back runs is a scheduler regression.
-mv BENCH_scan.json BENCH_scan.first.json
-cargo run --release -p bench --bin figures -- --json --quick
-cmp <(strip_host BENCH_scan.first.json) <(strip_host BENCH_scan.json) \
+mv "$workdir/BENCH_scan.json" "$workdir/BENCH_scan.first.json"
+figures_in_workdir --json --quick
+cmp <(strip_host "$workdir/BENCH_scan.first.json") <(strip_host "$workdir/BENCH_scan.json") \
   || { echo "BENCH_scan.json is not byte-stable across runs"; exit 1; }
-rm -f BENCH_scan.first.json
 
 echo "==> host-parallelism gate: --jobs 1 and --jobs $(nproc) must agree byte-for-byte"
 # Simulated results may never depend on how many host threads ran the
 # figure points; only the host section's wall-clock times may move.
-mv BENCH_scan.json BENCH_scan.wide.json
-cargo run --release -p bench --bin figures -- --json --quick --jobs 1
-cmp <(strip_host BENCH_scan.json) <(strip_host BENCH_scan.wide.json) \
+mv "$workdir/BENCH_scan.json" "$workdir/BENCH_scan.wide.json"
+figures_in_workdir --json --quick --jobs 1
+cmp <(strip_host "$workdir/BENCH_scan.json") <(strip_host "$workdir/BENCH_scan.wide.json") \
   || { echo "BENCH_scan.json differs between --jobs 1 and --jobs $(nproc)"; exit 1; }
-rm -f BENCH_scan.wide.json
 
 echo "==> oversubscribed smoke: grids larger than the host"
 test_step "oversubscribed launch" \
@@ -97,16 +110,14 @@ test_step "oversubscribed ScanC" \
 
 echo "==> simlint + critpath gates: every shipped kernel's schedule must be clean"
 # One trace file per kernel (concatenated launches would look
-# concurrent to the analyzer). The traces live in a temp dir that is
-# removed even when a gate fails, so a red run leaves no litter in the
-# repo root.
-lintdir=$(mktemp -d)
-trap 'rm -rf "$lintdir"' EXIT
+# concurrent to the analyzer), written to the temp dir.
+lintdir="$workdir/traces"
+mkdir "$lintdir"
 # One `trace` invocation traces all kernels concurrently (--jobs) and
 # writes one file per kernel (--dir); the per-kernel JSON is
 # byte-identical to what ten serial single-kernel runs would write.
 # `sort` is the one-launch fp16 radix sort `Device::top_p` runs (4
-# four-bit passes, 9 barriers); `topp` is the launch `Device::top_p`
+# four-bit passes, 7 barriers); `topp` is the launch `Device::top_p`
 # runs after that sort: the CDF scan, the threshold count and the search
 # in one launch (3 barriers).
 cargo run --release -p bench --bin trace -- all 65536 --jobs "$(nproc)" --dir "$lintdir"
@@ -148,5 +159,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> the committed BENCH_scan.json is untouched"
+cmp "$workdir/BENCH_scan.committed.json" BENCH_scan.json \
+  || { echo "a CI step overwrote the committed BENCH_scan.json"; exit 1; }
 
 echo "CI green."

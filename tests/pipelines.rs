@@ -3,6 +3,7 @@
 
 use ascend_scan::dtypes::{RadixKey, F16};
 use ascend_scan::ops::{baselines, radix_sort, SortOrder, SORT_DIGIT_BITS};
+use ascend_scan::scan::SortKey;
 use ascend_scan::sim::hb;
 use ascend_scan::sim::prof::{with_profiling, Profile, BLOCK_SCOPE};
 use ascend_scan::{Device, ScanKind};
@@ -199,11 +200,11 @@ fn topk_agrees_with_full_sort() {
         let got: Vec<u16> = run.values.to_vec().iter().map(|v| v.encode()).collect();
         assert_eq!(got, expect[..k]);
 
-        // Top-k is the sort: one launch, its encode's barrier and two
-        // per four-bit pass.
+        // Top-k is the sort: one launch, two barriers per four-bit pass
+        // but the last.
         let names: Vec<&str> = profile.kernels.iter().map(|k| k.name.as_str()).collect();
         assert_eq!(names, ["RadixSort"], "{:?}", launch_counts(&profile));
-        assert_eq!(run.report.sync_rounds, 9);
+        assert_eq!(run.report.sync_rounds, 7);
     }
 }
 
@@ -280,8 +281,7 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     let (sorted, profile) = with_profiling(dev.memory(), || {
         dev.sort(&x, SortOrder::Descending).unwrap()
     });
-    // The whole sort is one launch: the encode, 4 four-bit splits and
-    // the decode.
+    // The whole sort is one launch of 4 four-bit splits.
     let want = [("RadixSort", 1)];
     let want: Vec<(String, usize)> = want.iter().map(|&(n, c)| (n.to_string(), c)).collect();
     assert_eq!(launch_counts(&profile), want);
@@ -291,9 +291,9 @@ fn top_p_and_sort_launch_counts_are_pinned() {
         4,
         "one phase I, over fifteen masks, per four bits"
     );
-    // The encode's barrier, then two per pass: after the counts' phase
-    // I and after the scatter.
-    assert_eq!(sorted.report.sync_rounds, 9);
+    // Two barriers per pass but the last: after the counts' phase I
+    // and after the scatter.
+    assert_eq!(sorted.report.sync_rounds, 7);
 
     let probs: Vec<F16> = (0..32_000)
         .map(|i| F16::from_f32(((i * 7919) % 1000) as f32 / 1e6))
@@ -308,9 +308,9 @@ fn top_p_and_sort_launch_counts_are_pinned() {
     // The sort's 4 phase Is and the CDF scan's one; the paper's
     // one-bit passes would make it 17.
     assert_eq!(scans(&profile), 5);
-    // The sort's 9 barriers, then the CDF scan's, one after the scan
+    // The sort's 7 barriers, then the CDF scan's, one after the scan
     // and one after the threshold count.
-    assert_eq!(run.report.sync_rounds, 12);
+    assert_eq!(run.report.sync_rounds, 10);
     // Each launch's critical path covers it.
     for k in &profile.kernels {
         let path = k.critical_path.as_ref().expect("Full audits");
@@ -361,13 +361,7 @@ fn four_bit_sort_passes_beat_two_bit_passes_on_the_910b4() {
     // 128,256 tokens), for fp16 and int8 keys alike.
     // A fresh device per sort, so no run inherits another's memory
     // high-water mark (and with it the L2/HBM choice).
-    fn time_us<K>(keys: &[K], bits: u32) -> f64
-    where
-        K: ascend_scan::dtypes::Element + RadixKey,
-        K::Encoded: ascend_scan::dtypes::Element
-            + ascend_scan::ascendc::Bits
-            + ascend_scan::dtypes::Numeric,
-    {
+    fn time_us<K: SortKey>(keys: &[K], bits: u32) -> f64 {
         let dev = device();
         let x = dev.tensor(keys).unwrap();
         let run = radix_sort(dev.spec(), dev.memory(), &x, bits, SortOrder::Descending).unwrap();
